@@ -1,19 +1,8 @@
-"""Process-backend benchmarks: frame batching and sweep-level speedup.
+"""Process-backend benchmarks: sweep-level speedup, token plane, wire.
 
-Measured numbers land in ``results/BENCH_parallel_speedup.json``.  Two
-claims are pinned:
-
-* **Batched framing beats per-token messaging.**  At the wire layer a
-  :class:`~repro.parallel.FrameConduit` with the default flush interval
-  moves the same effect stream over a real fork+pipe several times
-  faster than per-token messaging (one pipe message per effect, i.e.
-  ``flush_interval=1``) — the pickle+syscall cost per message dominates,
-  so shipping 16 frames per message wins outright.  The in-simulation
-  message counters (``ProcessBackend.last_wire_stats``) are recorded
-  alongside: the lock-step LI-BDN wavefront flushes at every blocking
-  point, so the *achieved* batch size on a given topology is a
-  property of its boundary width, not of the flush interval — the
-  microbenchmark is the honest apples-to-apples comparison.
+Measured numbers land in ``results/BENCH_parallel_speedup.json``.  One
+claim is pinned there (the wire-layer batching claim lives in the
+socket section below):
 
 * **Independent sweep points scale with ``--jobs``.**  A 4-partition
   sweep through :func:`repro.parallel.fanout` must beat the sequential
@@ -22,7 +11,12 @@ claims are pinned:
   there is nothing to overlap onto — so it is gated on the core count.
   The per-point in-process vs process-backend wall-clock is recorded
   too (on one core the process backend pays IPC for no gain; with one
-  core per partition it is the paper's whole premise).
+  core per partition it is the paper's whole premise).  The
+  in-simulation message counters (``ProcessBackend.last_wire_stats``)
+  are recorded alongside: the lock-step LI-BDN wavefront flushes at
+  every blocking point, so the *achieved* batch size on a given
+  topology is a property of its boundary width, not of the flush
+  interval.
 
 The backend's *correctness* under every configuration is pinned by
 ``tests/parallel`` (bit-identity with the in-process harness); this
@@ -40,13 +34,7 @@ import pytest
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.firrtl import ModuleBuilder, make_circuit
 from repro.harness import FunctionSource
-from repro.parallel import (
-    EffectFrame,
-    FrameConduit,
-    ProcessBackend,
-    fanout,
-    fork_available,
-)
+from repro.parallel import ProcessBackend, fanout, fork_available
 from repro.platform import QSFP_AURORA
 
 N_LEAVES = 4          # base + 4 FPGAs
@@ -54,7 +42,6 @@ CYCLES = 120
 REPEATS = 3
 SWEEP_POINTS = 4
 JOBS = min(4, os.cpu_count() or 1)
-WIRE_FRAMES = 20_000
 BATCH = 16            # the backend's default flush interval
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -78,69 +65,6 @@ def _timed(fn, repeats=REPEATS):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-# -- wire layer ---------------------------------------------------------------
-
-def _frame(k):
-    """One realistic effect frame: a token delivery plus a credit."""
-    return EffectFrame(
-        "peer", k,
-        [(0, ("base", "in"), (k & 0xFFFF) | (1 << 16),
-          1000.0 * k, 64.0)],
-        [(("base", "in"), 1000.0 * k)])
-
-
-def _drain(conn, n):
-    got = 0
-    while got < n:
-        _, frames, _ = conn.recv()
-        got += len(frames)
-    conn.send(("done", got))
-
-
-def _ship(flush_interval):
-    """Wall time to move WIRE_FRAMES frames to a child over a pipe."""
-    ctx = mp.get_context("fork")
-    ours, theirs = ctx.Pipe()
-    child = ctx.Process(target=_drain, args=(theirs, WIRE_FRAMES),
-                        daemon=True)
-    child.start()
-    theirs.close()
-    conduit = FrameConduit(ours, "peer", flush_interval=flush_interval,
-                           window=WIRE_FRAMES + 1)
-    t0 = time.perf_counter()
-    for k in range(1, WIRE_FRAMES + 1):
-        conduit.push(_frame(k))
-    conduit.flush()
-    assert ours.recv()[1] == WIRE_FRAMES
-    elapsed = time.perf_counter() - t0
-    child.join(5.0)
-    ours.close()
-    return elapsed, conduit.messages_sent
-
-
-def test_batched_framing_beats_per_token_messaging():
-    per_token_s, per_token_msgs = min(
-        (_ship(1) for _ in range(REPEATS)))
-    batched_s, batched_msgs = min(
-        (_ship(BATCH) for _ in range(REPEATS)))
-    speedup = per_token_s / batched_s
-    payload = {
-        "wire_frames": WIRE_FRAMES,
-        "wire_per_token_messages": per_token_msgs,
-        "wire_batched_messages": batched_msgs,
-        "wire_per_token_s": per_token_s,
-        "wire_batched_s": batched_s,
-        "wire_batching_speedup": speedup,
-    }
-    _write(payload)
-    print(f"\nwire layer: {WIRE_FRAMES} frames as "
-          f"{per_token_msgs} per-token messages in {per_token_s:.3f}s "
-          f"vs {batched_msgs} batched messages in {batched_s:.3f}s "
-          f"({speedup:.2f}x)")
-    assert batched_msgs * (BATCH - 1) < per_token_msgs, payload
-    assert speedup > 1.5, payload
 
 
 # -- simulation layer ---------------------------------------------------------
@@ -237,19 +161,17 @@ def test_multi_partition_sweep_speedup_with_jobs():
 # -- token plane --------------------------------------------------------------
 #
 # Measured numbers land in ``results/BENCH_token_plane.json``; the
-# ``bench-tokenplane`` CI job feeds them to ``repro regress``.  Three
+# ``bench-tokenplane`` CI job feeds them to ``repro regress``.  Two
 # claims are pinned:
 #
 # * the packed codec moves tokens >= 5x faster than dict tokens did,
-# * the shared-memory ring moves wire records >= 2x faster than a pipe,
-# * all three backends produce bit-identical ``SimulationResult.detail``.
+# * both backends produce bit-identical ``SimulationResult.detail``.
 
 import pickle
 from collections import deque
 
 from repro.libdn import ChannelSpec, codec_for
 from repro.libdn.codec import repack, repack_plan
-from repro.parallel import ShmRing, shm_available
 
 TOKENS = 100_000
 RECORDS = 20_000
@@ -326,98 +248,19 @@ def test_token_plane_packed_codec_beats_dict_tokens():
     assert worst >= 5.0, payload
 
 
-def _drain_pipe_bytes(conn, n):
-    for _ in range(n):
-        conn.recv_bytes()
-    conn.send(("done", n))
-
-
-def _ship_pipe_bytes():
-    ctx = mp.get_context("fork")
-    ours, theirs = ctx.Pipe()
-    child = ctx.Process(target=_drain_pipe_bytes,
-                        args=(theirs, RECORDS), daemon=True)
-    child.start()
-    theirs.close()
-    payload = bytes(RECORD_BYTES)
-    t0 = time.perf_counter()
-    for _ in range(RECORDS):
-        ours.send_bytes(payload)
-    assert ours.recv()[1] == RECORDS
-    elapsed = time.perf_counter() - t0
-    child.join(5.0)
-    ours.close()
-    return elapsed
-
-
-def _drain_ring(ring, n, conn):
-    got = 0
-    while got < n:
-        got += len(ring.read_all())
-    conn.send(("done", got))
-
-
-def _ship_ring():
-    ctx = mp.get_context("fork")
-    ring = ShmRing.create(1 << 20)
-    ours, theirs = ctx.Pipe()
-    child = ctx.Process(target=_drain_ring,
-                        args=(ring, RECORDS, theirs), daemon=True)
-    child.start()
-    theirs.close()
-    payload = bytes(RECORD_BYTES)
-    t0 = time.perf_counter()
-    wrote = 0
-    while wrote < RECORDS:
-        if ring.try_write(payload):
-            wrote += 1
-    assert ours.recv()[1] == RECORDS
-    elapsed = time.perf_counter() - t0
-    child.join(5.0)
-    ours.close()
-    ring.close()
-    ring.unlink()
-    return elapsed
-
-
-@pytest.mark.skipif(not shm_available(),
-                    reason="multiprocessing.shared_memory missing")
-def test_token_plane_shm_ring_beats_pipe_wire():
-    """Identical packed records, two carriers: an OS pipe pays two
-    syscalls plus two kernel copies per record; the ring pays one
-    user-space copy each side."""
-    pipe_s = min(_ship_pipe_bytes() for _ in range(5))
-    shm_s = min(_ship_ring() for _ in range(5))
-    speedup = pipe_s / shm_s
-    payload = {
-        "wire_records": RECORDS,
-        "wire_record_bytes": RECORD_BYTES,
-        "wire_pipe_s": pipe_s,
-        "wire_shm_s": shm_s,
-        "shm_vs_pipe_speedup": speedup,
-    }
-    _write_token_plane(payload)
-    print(f"\nwire records: pipe {pipe_s:.3f}s vs shm ring "
-          f"{shm_s:.3f}s ({speedup:.2f}x)")
-    assert speedup >= 2.0, payload
-
-
-@pytest.mark.skipif(not shm_available(),
-                    reason="multiprocessing.shared_memory missing")
-def test_token_plane_three_way_bit_identity():
+def test_token_plane_bit_identity():
     design = _design(2)
     r_inproc = _build(design).run(CYCLES, backend="inproc")
     r_process = ProcessBackend().run(_build(design), CYCLES)
-    r_shm = ProcessBackend(transport="shm").run(_build(design), CYCLES)
-    identical = (r_inproc.detail == r_process.detail == r_shm.detail)
+    identical = r_inproc.detail == r_process.detail
     payload = {
         "identity_partitions": 3,
         "identity_cycles": CYCLES,
         "detail_bit_identical": identical,
     }
     _write_token_plane(payload)
-    print(f"\nthree-way detail bit-identity over {CYCLES} cycles: "
-          f"{identical}")
+    print(f"\ninproc-vs-process detail bit-identity over {CYCLES} "
+          f"cycles: {identical}")
     assert identical
     assert mp.active_children() == []
 
@@ -428,9 +271,10 @@ def test_token_plane_three_way_bit_identity():
 # ``repro regress`` gate checks them.  Two claims are pinned:
 #
 # * coalescing length-prefixed records into one socket send beats one
-#   syscall per record (the reason SocketChannel stages into ``_tx``),
-# * all four backends — inproc, process, process-shm, process-socket —
-#   produce bit-identical ``SimulationResult.detail``.
+#   syscall per record (the reason SocketChannel stages into ``_tx``
+#   and the conduit batches ``flush_interval`` frames per record),
+# * the unix-domain family is bit-identical to the in-process loop too
+#   (the tcp default is the token-plane verdict above).
 
 import socket as _socket
 
@@ -482,7 +326,7 @@ def _ship_socket(records_per_send):
 
 
 @pytest.mark.skipif(not socket_available(),
-                    reason="socket transport needs AF_UNIX/fork")
+                    reason="needs stream sockets")
 def test_socket_tier_batched_sends_beat_per_record_syscalls():
     per_record_s = min(_ship_socket(1) for _ in range(5))
     batched_s = min(_ship_socket(BATCH) for _ in range(5))
@@ -502,27 +346,21 @@ def test_socket_tier_batched_sends_beat_per_record_syscalls():
     assert speedup > 1.0, payload
 
 
-@pytest.mark.skipif(not socket_available(),
-                    reason="socket transport needs AF_UNIX/fork")
-def test_socket_tier_four_way_bit_identity():
+@pytest.mark.skipif(not socket_available("unix"),
+                    reason="needs unix-domain sockets")
+def test_socket_tier_unix_family_bit_identity():
     design = _design(2)
     r_inproc = _build(design).run(CYCLES, backend="inproc")
-    r_process = ProcessBackend().run(_build(design), CYCLES)
-    r_socket = ProcessBackend(transport="socket").run(
+    r_unix = ProcessBackend(socket_family="unix").run(
         _build(design), CYCLES)
-    details = [r_inproc.detail, r_process.detail, r_socket.detail]
-    if shm_available():
-        details.append(ProcessBackend(transport="shm").run(
-            _build(design), CYCLES).detail)
-    identical = all(d == details[0] for d in details)
+    identical = r_inproc.detail == r_unix.detail
     payload = {
         "identity_partitions": 3,
         "identity_cycles": CYCLES,
-        "identity_backends": len(details),
         "detail_bit_identical": identical,
     }
     _write_socket_tier(payload)
-    print(f"\nfour-way detail bit-identity over {CYCLES} cycles: "
-          f"{identical}")
+    print(f"\ninproc-vs-process(unix) detail bit-identity over "
+          f"{CYCLES} cycles: {identical}")
     assert identical
     assert mp.active_children() == []

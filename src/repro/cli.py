@@ -9,9 +9,7 @@ scale, operating on circuit files in the textual IR format:
 * ``simulate``  — run the partitioned co-simulation and report the
   achieved rate (optionally until an output signal asserts);
   ``--backend process`` runs each partition in its own OS worker
-  process, ``process-shm``/``process-socket`` move token frames over
-  shared-memory rings / sockets (results are bit-identical to the
-  in-process loop under every backend),
+  process (results are bit-identical to the in-process loop),
 * ``farm``      — the simulated run farm: ``farm plan`` places the
   partitions onto a declarative multi-host manifest (``--hosts``)
   minimizing the modelled cross-host cut, ``farm launch`` deploys one
@@ -964,15 +962,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sim.add_argument("--until", metavar="SIGNAL",
                        help="stop when this base output reads 1")
     p_sim.add_argument("--backend",
-                       choices=["auto", "inproc", "process",
-                                "process-shm", "process-socket"],
+                       choices=["auto", "inproc", "process"],
                        default="auto",
                        help="execution engine: 'process' runs one OS "
-                            "worker per partition; 'process-shm' / "
-                            "'process-socket' additionally move token "
-                            "frames over shared-memory rings / local "
-                            "sockets (default: auto, honouring "
-                            "REPRO_BACKEND)")
+                            "worker per partition (default: auto, "
+                            "honouring REPRO_BACKEND)")
     p_sim.add_argument("--metrics", type=int, default=0, metavar="N",
                        help="sample a deterministic metric time-series "
                             "every N target cycles (0: off)")
@@ -1183,8 +1177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sub.add_argument("--freq", type=float, default=30.0)
     p_sub.add_argument("--cycles", type=int, default=1000)
     p_sub.add_argument("--backend",
-                       choices=["auto", "inproc", "process",
-                                "process-shm", "process-socket"],
+                       choices=["auto", "inproc", "process"],
                        default="auto")
     p_sub.add_argument("--inline", action="store_true",
                        help="send the circuit text itself instead of "
@@ -1404,7 +1397,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: all)")
     p_frun.add_argument("--backends",
                         help="comma-separated backends for the "
-                             "identity oracle (default: all four)")
+                             "identity oracle (default: "
+                             "inproc,process)")
     p_frun.add_argument("--corpus", default="results/fuzz-corpus",
                         help="directory for failure repros")
     p_frun.add_argument("--no-shrink", action="store_true",

@@ -6,13 +6,12 @@ placed host — the software stand-in for a run-farm machine — and each
 agent forks one partition worker per partition placed on its host.
 Because the agent is a real OS process, killing it takes every one of
 its workers down exactly the way a machine loss would: workers see
-their control pipe EOF and exit, cross-host peers see their sockets
-close, and the manager sees the agent's sentinel fire.
+their control pipe EOF and exit, peers on other hosts see their
+sockets close, and the manager sees the agent's sentinel fire.
 
-Inside a host, workers exchange frames over plain pipes (same-box
-transport); across hosts they use the socket transport's packed
-records — the same split FireAxe makes between intra-host FPGA links
-and the network.  The agent is otherwise a pure relay:
+Workers exchange frames over the process backend's stream sockets,
+same host or not (the manager binds the rendezvous before forking the
+agents).  The agent itself is a pure relay:
 
 * worker -> manager: every control message forwards as
   ``("w", partition, msg)``; a worker death as
@@ -71,27 +70,7 @@ def host_agent_main(sim, host: str, parts: List[str], order,
     log_record(get_logger("repro.farm.agent"), "agent_start",
                corr=corr_id, host=host, parts=",".join(parts))
 
-    # intra-host data plane: one pipe pair per linked pair living
-    # entirely on this host (cross-host pairs are in the socket plans)
-    local = set(parts)
-    linked: Dict[str, set] = {p: set() for p in parts}
-    for link in sim.links:
-        a, b = link.src[0], link.dst[0]
-        if a != b and a in local and b in local:
-            linked[a].add(b)
-            linked[b].add(a)
     own_conns: List = []
-    data: Dict[str, Dict[str, tuple]] = {p: {} for p in parts}
-    ordered = sorted(parts, key=order.__getitem__)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b not in linked[a]:
-                continue
-            a2b_recv, a2b_send = ctx.Pipe(duplex=False)
-            b2a_recv, b2a_send = ctx.Pipe(duplex=False)
-            own_conns.extend((a2b_recv, a2b_send, b2a_recv, b2a_send))
-            data[a][b] = (b2a_recv, a2b_send)
-            data[b][a] = (a2b_recv, b2a_send)
     up: Dict[str, tuple] = {}
     down: Dict[str, tuple] = {}
     for part in parts:
@@ -102,17 +81,12 @@ def host_agent_main(sim, host: str, parts: List[str], order,
 
     procs: Dict[str, mp.Process] = {}
     for part in parts:
-        keep = set()
-        for conns in data[part].values():
-            keep.update(id(c) for c in conns)
-        keep.add(id(down[part][0]))
-        keep.add(id(up[part][1]))
+        keep = {id(down[part][0]), id(up[part][1])}
         stray = [c for c in own_conns if id(c) not in keep]
         procs[part] = ctx.Process(
             target=worker_main,
             args=(sim, part, order, target_cycles, max_passes,
-                  data[part], down[part][0], up[part][1],
-                  stray, options[part]),
+                  down[part][0], up[part][1], stray, options[part]),
             name=f"repro-worker-{part}", daemon=True)
     for proc in procs.values():
         proc.start()
@@ -122,10 +96,6 @@ def host_agent_main(sim, host: str, parts: List[str], order,
             events.emit("worker_spawn", corr=corr_id, part=part,
                         host=host, worker_pid=proc.pid,
                         backend="farm")
-    for conns in data.values():
-        for recv_conn, send_conn in conns.values():
-            recv_conn.close()
-            send_conn.close()
     for part in parts:
         down[part][0].close()
         up[part][1].close()

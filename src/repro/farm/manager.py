@@ -15,11 +15,11 @@ rollback path: the host is marked dead in the
 :class:`~repro.farm.hosts.FarmSpec`, the supervisor restores the last
 checkpoint, and the next ``run`` call re-places onto the survivors.
 
-Data plane: partitions sharing a host exchange frames over pipes;
-cross-host pairs use the socket transport's packed records (listeners
-are bound by the manager pre-fork, exactly like ``transport="socket"``
-runs, just with per-pair plans restricted to cross-host links).  The
-merge path is the coordinator's — results stay bit-identical to every
+Data plane: the process backend's — every linked pair, same host or
+not, exchanges packed records over a stream socket whose rendezvous
+listener the manager binds pre-fork
+(:meth:`~repro.parallel.ProcessBackend._worker_options`).  The merge
+path is the coordinator's too — results stay bit-identical to every
 other backend.
 
 :class:`FarmManager` is the porcelain the ``repro farm`` CLI drives:
@@ -41,8 +41,6 @@ from ..obsplane.events import (EV_HOST_DEATH, EV_HOST_DEPLOY,
                                EV_HOST_REPLACE)
 from ..obsplane.log import get_logger, log_record
 from ..parallel.coordinator import ProcessBackend, _WorkerState
-from ..parallel.shm import FramePacker
-from ..parallel.socket_transport import make_listeners, socket_timeouts
 from ..reliability.supervisor import (InjectedCrash, RunSupervisor,
                                       SupervisorReport)
 from .deploy import host_agent_main
@@ -64,8 +62,7 @@ class FarmBackend(ProcessBackend):
             SIGKILLs itself (a whole-host loss) when any of its
             workers reports reaching that wavefront pass.
         Remaining arguments as for
-            :class:`~repro.parallel.ProcessBackend`; the data plane is
-            pinned to sockets across hosts and pipes within one.
+            :class:`~repro.parallel.ProcessBackend`.
     """
 
     def __init__(self, spec: FarmSpec,
@@ -79,7 +76,6 @@ class FarmBackend(ProcessBackend):
         super().__init__(flush_interval=flush_interval, window=window,
                          heartbeat_timeout=heartbeat_timeout,
                          worker_faults=worker_faults,
-                         transport="socket",
                          socket_family=socket_family)
         self.spec = spec
         self.colocate = [list(g) for g in colocate]
@@ -101,38 +97,8 @@ class FarmBackend(ProcessBackend):
         ctx = mp.get_context("fork")
         names = list(sim.partitions)
         order = {name: i for i, name in enumerate(names)}
-        part_host = placement.assignment
         host_parts = placement.by_host()
-        linked: Dict[str, set] = {name: set() for name in names}
-        for link in sim.links:
-            a, b = link.src[0], link.dst[0]
-            if a != b:
-                linked[a].add(b)
-                linked[b].add(a)
-
-        # cross-host rendezvous: same pre-fork listener scheme as
-        # transport="socket", restricted to pairs that span hosts
-        packer = FramePacker.from_sim(sim)
-        cross = {name: sorted(p for p in linked[name]
-                              if part_host[p] != part_host[name])
-                 for name in names}
-        owners: Dict[str, int] = {}
-        for i, a in enumerate(names):
-            backlog = sum(1 for b in names[i + 1:] if b in cross[a])
-            if backlog:
-                owners[a] = backlog
-        listeners, addresses, tmpdir = make_listeners(
-            owners, self.socket_family)
-        self._listeners = listeners
-        self._socket_tmpdir = tmpdir
-        connect_timeout, read_timeout = socket_timeouts()
-        base_plan = {
-            "family": self.socket_family,
-            "listeners": listeners,
-            "addresses": addresses,
-            "connect_timeout": connect_timeout,
-            "read_timeout": read_timeout,
-        }
+        worker_options = self._worker_options(sim)
 
         all_conns: List = []
 
@@ -144,7 +110,6 @@ class FarmBackend(ProcessBackend):
         hosts = sorted(host_parts)
         up = {host: pipe() for host in hosts}
         down = {host: pipe() for host in hosts}
-        heartbeat_s = min(2.0, self.heartbeat_timeout / 4)
         corr = getattr(sim, "corr_id", "") or ""
         agents: Dict[str, mp.Process] = {}
         for host in hosts:
@@ -153,16 +118,7 @@ class FarmBackend(ProcessBackend):
                 "corr_id": corr,
                 "host": host}}
             for part in host_parts[host]:
-                options[part] = {
-                    "flush_interval": self.flush_interval,
-                    "window": self.window,
-                    "heartbeat_s": heartbeat_s,
-                    "die": self.worker_faults.get(part),
-                    "rings": None,
-                    "packer": packer,
-                    "socket": dict(base_plan, peers=cross[part]),
-                    "corr_id": corr,
-                }
+                options[part] = worker_options[part]
             own = {id(down[host][0]), id(up[host][1])}
             unrelated = [c for c in all_conns if id(c) not in own]
             # agents fork the partition workers, so they cannot be
@@ -184,11 +140,7 @@ class FarmBackend(ProcessBackend):
         for host in hosts:
             down[host][0].close()
             up[host][1].close()
-        for sock in self._listeners.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._close_listeners()
         ctl_recv = {host: up[host][0] for host in hosts}
         ctl_send = {host: down[host][1] for host in hosts}
         return agents, ctl_recv, ctl_send

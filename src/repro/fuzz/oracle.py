@@ -4,9 +4,9 @@ Each oracle takes one :class:`~repro.fuzz.generator.Scenario`, runs it
 through one or more execution configurations, and raises
 :class:`~repro.errors.FuzzFailure` when the configurations disagree:
 
-* :func:`check_identity` — the same compiled design run on every
-  execution backend (``inproc``, ``process``, ``process-shm``,
-  ``process-socket``) must produce bit-identical functional results:
+* :func:`check_identity` — the same compiled design run on both
+  execution backends (``inproc``, ``process``) must produce
+  bit-identical functional results:
   same external output tokens, same per-partition cycle counts, same
   token counts, same ``SimulationResult.detail``.
 * :func:`check_fastmode` — the Table II relationship: exact-mode
@@ -45,7 +45,7 @@ from . import generator
 from .generator import Scenario
 
 #: every execution backend the differential harness covers
-BACKENDS = ("inproc", "process", "process-shm", "process-socket")
+BACKENDS = ("inproc", "process")
 
 #: all oracles, in the order a campaign runs them
 ORACLES = ("identity", "fastmode", "checkpoint", "faults")
@@ -65,7 +65,7 @@ def functional_digest(sim, result) -> dict:
     Timing fields (``wall_ns``, ``rate_hz``) are deliberately excluded
     from the *cross-oracle* comparisons that allow timing to differ;
     the identity oracle compares ``detail`` too, which carries the
-    timing breakdown — the four backends share the timing overlay, so
+    timing breakdown — the backends share the timing overlay, so
     even that must match bit-for-bit.
     """
     outputs = {
@@ -108,7 +108,7 @@ def _first_diff(ref: dict, got: dict, prefix: str = "") -> str:
 
 
 # --------------------------------------------------------------------------
-# identity: four-way backend agreement
+# identity: inproc vs process agreement
 # --------------------------------------------------------------------------
 
 

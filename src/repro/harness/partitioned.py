@@ -370,7 +370,7 @@ class PartitionedSimulation:
         #: instead of mutating peer-partition state directly
         self.router = None
         #: backend that executed the last ``run``
-        #: ("inproc" / "process" / "process-shm")
+        #: ("inproc" / "process" / "farm")
         self.last_run_backend: Optional[str] = None
         #: request-scoped correlation id (set by the service executor);
         #: backends propagate it into every worker/agent they fork
@@ -894,6 +894,27 @@ class PartitionedSimulation:
                     queue.append(0.0)
         return progress
 
+    def _step_partition(self, pplan: _PartPlan,
+                        target_cycles: int) -> bool:
+        """One partition's slot in a wavefront pass — the body the
+        in-process loop and the process backend's workers share."""
+        step = self._step_fns.get(pplan.part.name)
+        if step is not None:
+            progress = step(target_cycles)
+        else:
+            progress = False
+            self._feed_sources(pplan.part)
+            for up in pplan.unit_plans:
+                if up.unit.target_cycle >= target_cycles:
+                    continue
+                progress |= self._run_unit(up, target_cycles)
+        if self._metrics_on:
+            # the sampler sees each partition right after its slot in
+            # the pass, on every backend, which is what makes the
+            # series bit-identical across them
+            self.telemetry.on_pass(self, pplan.part)
+        return progress
+
     def run(self, target_cycles: int,
             stop: Optional[Callable[["PartitionedSimulation"], bool]] = None,
             max_passes: int = 50_000_000,
@@ -905,30 +926,26 @@ class PartitionedSimulation:
         ``REPRO_BACKEND`` environment variable (``process`` runs each
         partition in its own OS worker process when the simulation is
         distributable and no ``stop`` callback is given — results are
-        bit-identical either way; ``process-shm`` additionally moves the
-        steady-state token frames over shared-memory rings instead of
-        pickled pipes; ``process-socket`` moves them over stream
-        sockets, the transport the farm layer stretches across hosts);
-        ``"process"`` / ``"process-shm"`` / ``"process-socket"`` demand
-        the distributed backend (raising
+        bit-identical either way); ``"process"`` demands the
+        distributed backend (raising
         :class:`~repro.errors.BackendUnavailableError` /
         :class:`~repro.errors.UnsupportedTopologyError` when it cannot
         run); ``"inproc"`` forces the cooperative single-process loop.
         Any other name raises
-        :class:`~repro.errors.UnknownBackendError`.
+        :class:`~repro.errors.UnknownBackendError` (the retired
+        ``process-shm`` / ``process-socket`` spellings still mean
+        ``process``).
         """
         from ..parallel import normalize_backend
         resolved = normalize_backend(backend)
-        if resolved in ("process", "process-shm", "process-socket"):
+        if resolved == "process":
             if stop is not None:
                 raise SimulationError(
                     "the process backend does not support stop "
                     "callbacks (they would need to observe every "
                     "worker's state every pass); use backend='inproc'")
             from ..parallel import ProcessBackend
-            transport = {"process": "pipe", "process-shm": "shm",
-                         "process-socket": "socket"}[resolved]
-            return ProcessBackend(transport=transport).run(
+            return ProcessBackend().run(
                 self, target_cycles, max_passes=max_passes)
         if resolved == "auto" and stop is None:
             from ..parallel import auto_backend
@@ -959,21 +976,7 @@ class PartitionedSimulation:
                 break
             progress = False
             for pplan in schedule:
-                step = self._step_fns.get(pplan.part.name)
-                if step is not None:
-                    progress |= step(target_cycles)
-                else:
-                    self._feed_sources(pplan.part)
-                    for up in pplan.unit_plans:
-                        if up.unit.target_cycle >= target_cycles:
-                            continue
-                        progress |= self._run_unit(up, target_cycles)
-                if self._metrics_on:
-                    # the sampler sees each partition right after its
-                    # slot in the pass — the same point the process
-                    # backend's worker samples at, which is what makes
-                    # the series bit-identical across backends
-                    self.telemetry.on_pass(self, pplan.part)
+                progress |= self._step_partition(pplan, target_cycles)
             passes += 1
             if not progress:
                 detail = " ;; ".join(

@@ -4,22 +4,20 @@ FireAxe's premise is that partitions run *concurrently* on separate
 FPGAs; this package gives the reproduction the same shape in software.
 Each partition's LI-BDN host runs in its own forked worker process
 (``worker``), cross-partition tokens travel as batched effect frames
-with credit-based flow control (``channels``) over one of three data
-planes — pickled pipe messages, struct-packed records in shared-memory
-rings (``shm``), or the same packed records over TCP / unix-domain
-stream sockets (``socket_transport``, the rung the farm layer
-stretches across hosts) — a coordinator spawns/supervises the workers
-and merges their state fragments back into the parent simulation
-(``coordinator``), and an experiment-level pool fans independent sweep
-points across bounded jobs (``pool``).
+with credit-based flow control (``channels``), struct-packed into
+records over TCP / unix-domain stream sockets (``socket_transport`` —
+the one data plane, within a host and across farm hosts), a
+coordinator spawns/supervises the workers and merges their state
+fragments back into the parent simulation (``coordinator``), and an
+experiment-level pool fans independent sweep points across bounded
+jobs (``pool``).
 
 The backend is *bit-deterministic*: ``SimulationResult.detail`` (and
 all merged simulation state that feeds checkpoints) is identical to the
 in-process harness — see DESIGN.md for the wavefront schedule that
 makes this true by construction.  Select it per-call
 (``sim.run(..., backend=...)`` via :func:`ProcessBackend.run`), or
-globally with ``REPRO_BACKEND=process`` / ``process-shm`` /
-``process-socket`` (unknown names raise
+globally with ``REPRO_BACKEND=process`` (unknown names raise
 :class:`~repro.errors.UnknownBackendError`).
 """
 
@@ -27,12 +25,10 @@ from .coordinator import (BACKEND_ALIASES, VALID_BACKENDS,
                           ProcessBackend, auto_backend,
                           fork_available, normalize_backend,
                           unsupported_reason)
-from .channels import (BaseConduit, EffectFrame, FrameConduit,
-                       FrameInbox, PackedConduit)
-from .shm import FramePacker, ShmConduit, ShmRing, shm_available
-from .socket_transport import (SocketChannel, SocketConduit,
-                               connect_with_backoff, establish_channels,
-                               make_listeners, socket_available)
+from .channels import Conduit, EffectFrame, FrameInbox, FramePacker
+from .socket_transport import (SocketChannel, connect_with_backoff,
+                               establish_channels, make_listeners,
+                               socket_available)
 from .pool import fanout
 
 __all__ = [
@@ -43,17 +39,11 @@ __all__ = [
     "fork_available",
     "normalize_backend",
     "unsupported_reason",
-    "BaseConduit",
+    "Conduit",
     "EffectFrame",
-    "FrameConduit",
     "FrameInbox",
-    "PackedConduit",
     "FramePacker",
-    "ShmConduit",
-    "ShmRing",
-    "shm_available",
     "SocketChannel",
-    "SocketConduit",
     "connect_with_backoff",
     "establish_channels",
     "make_listeners",

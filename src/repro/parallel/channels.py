@@ -7,10 +7,10 @@ consume-time records (the credit returns the peer's senders price their
 credit stalls with).  Frames are the unit of ordering; bytes-on-the-wire
 are batched:
 
-* a :class:`FrameConduit` buffers outgoing frames and flushes them in
-  one pickled message every ``flush_interval`` passes (or sooner, when
-  the worker is about to block — a blocked worker always flushes first,
-  which keeps the wavefront live),
+* a :class:`Conduit` buffers outgoing frames and flushes them as one
+  :class:`FramePacker`-coded binary record every ``flush_interval``
+  passes (or sooner, when the worker is about to block — a blocked
+  worker always flushes first, which keeps the wavefront live),
 * credit-based flow control bounds run-ahead: a sender may have at most
   ``window`` un-acknowledged passes outstanding per peer; receivers
   acknowledge the highest pass they have *applied* (piggybacked on
@@ -18,7 +18,8 @@ are batched:
 
 The frame schedule — which pass of which peer a worker must apply
 before its own pass ``k`` — lives in the worker loop; this module only
-moves and accounts frames.
+moves and accounts frames.  The bytes themselves travel over the stream
+sockets of ``socket_transport``.
 
 Control-plane messages (worker <-> coordinator) are plain tuples whose
 first element names the kind; see the module docstrings of
@@ -27,6 +28,7 @@ first element names the kind; see the module docstrings of
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,29 +73,128 @@ class MetricFrame:
     samples: List[tuple] = field(default_factory=list)
 
 
-class BaseConduit:
-    """Outgoing half of one worker->peer frame stream: the batching
-    buffer and the flow-control window, independent of the carrier.
+#: record kinds
+_KIND_FRAMES = 1
+_KIND_ACK = 2
 
-    ``push`` is called once per pass; ``flush`` hands the buffered
-    frames to the carrier-specific :meth:`_transmit` as one batch.
-    ``ack`` piggybacks the highest peer pass this worker has applied
-    (maintained by the inbox), so steady-state traffic needs no
-    standalone acknowledgements.  Subclasses implement only how a
-    batch and a standalone ack reach the wire — pipes, shared-memory
-    rings and sockets all share this accounting (the third transport
-    tier must not re-implement the first two's flow control).
+_REC_HDR = struct.Struct("<BQI")      # kind, ack/through, n_frames
+_FRAME_HDR = struct.Struct("<QII")    # pass_no, n_deliveries, n_credits
+_DELIV_HDR = struct.Struct("<Idd")    # link index, arrive ns, rx ns
+_CREDIT = struct.Struct("<Id")        # credit-key index, consume ns
+
+
+class FramePacker:
+    """Topology-keyed binary codec for frame batches.
+
+    Built once by the coordinator from the simulation's link list (the
+    same object every forked worker holds), so both ends agree on the
+    link indices, the per-link token byte widths (from the destination
+    channel's :class:`~repro.libdn.codec.TokenCodec`), and the table
+    that maps credit keys to small integers.  Token payloads are the
+    packed channel words as fixed-width little-endian byte strings;
+    floats travel as IEEE-754 doubles (``<d``), which round-trip
+    exactly, so the wire is lossless by construction.
     """
 
-    def __init__(self, peer: str,
+    def __init__(self, link_nbytes: List[int],
+                 link_dst: List[Tuple[str, str]],
+                 credit_keys: List[Tuple[str, str]]):
+        self.link_nbytes = link_nbytes
+        self.link_dst = link_dst
+        self.credit_keys = credit_keys
+        self.credit_index = {k: i for i, k in enumerate(credit_keys)}
+
+    @classmethod
+    def from_sim(cls, sim) -> "FramePacker":
+        link_nbytes = [sim._in_channel_by_key[link.dst].codec.nbytes
+                       for link in sim.links]
+        link_dst = [link.dst for link in sim.links]
+        credit_keys = sorted({link.dst for link in sim.links})
+        return cls(link_nbytes, link_dst, credit_keys)
+
+    def pack_frames(self, frames: List[EffectFrame], ack: int) -> bytes:
+        parts = [_REC_HDR.pack(_KIND_FRAMES, ack, len(frames))]
+        nbytes = self.link_nbytes
+        credit_index = self.credit_index
+        for frame in frames:
+            parts.append(_FRAME_HDR.pack(
+                frame.pass_no, len(frame.deliveries), len(frame.credits)))
+            for idx, _dst, word, arrive_ns, rx_ns in frame.deliveries:
+                parts.append(_DELIV_HDR.pack(idx, arrive_ns, rx_ns))
+                parts.append(word.to_bytes(nbytes[idx], "little"))
+            for key, ns in frame.credits:
+                parts.append(_CREDIT.pack(credit_index[key], ns))
+        return b"".join(parts)
+
+    def pack_ack(self, through_pass: int) -> bytes:
+        return _REC_HDR.pack(_KIND_ACK, through_pass, 0)
+
+    def unpack(self, payload: bytes, sender: str):
+        """Decode one record: ``("frames", [EffectFrame...], ack)`` or
+        ``("ack", through)``."""
+        kind, ack, n_frames = _REC_HDR.unpack_from(payload, 0)
+        if kind == _KIND_ACK:
+            return ("ack", ack)
+        off = _REC_HDR.size
+        nbytes = self.link_nbytes
+        link_dst = self.link_dst
+        credit_keys = self.credit_keys
+        frames: List[EffectFrame] = []
+        for _ in range(n_frames):
+            pass_no, n_deliv, n_credit = _FRAME_HDR.unpack_from(payload, off)
+            off += _FRAME_HDR.size
+            deliveries = []
+            for _ in range(n_deliv):
+                idx, arrive_ns, rx_ns = _DELIV_HDR.unpack_from(payload, off)
+                off += _DELIV_HDR.size
+                n = nbytes[idx]
+                word = int.from_bytes(payload[off:off + n], "little")
+                off += n
+                deliveries.append((idx, link_dst[idx], word,
+                                   arrive_ns, rx_ns))
+            credits = []
+            for _ in range(n_credit):
+                key_idx, ns = _CREDIT.unpack_from(payload, off)
+                off += _CREDIT.size
+                credits.append((credit_keys[key_idx], ns))
+            frames.append(EffectFrame(sender=sender, pass_no=pass_no,
+                                      deliveries=deliveries,
+                                      credits=credits))
+        return ("frames", frames, ack)
+
+
+class Conduit:
+    """Outgoing half of one worker->peer frame stream: the batching
+    buffer and the flow-control window over one
+    :class:`~repro.parallel.socket_transport.SocketChannel`.
+
+    ``push`` is called once per pass; ``flush`` packs the buffered
+    frames into one record.  ``ack`` piggybacks the highest peer pass
+    this worker has applied (maintained by the inbox), so steady-state
+    traffic needs no standalone acknowledgements.
+
+    The channel may refuse a record (a full staging buffer atop a full
+    kernel buffer).  A refused write blocks *politely*: the
+    caller-supplied ``wait_step`` must keep the worker live (drain
+    incoming channels, service the control pipe, surface aborts) and
+    returns True when the write should be abandoned instead of retried
+    — the peer is dead, or the run is finalizing past the stop fence
+    and the remaining frames are empty service frames nobody will read.
+    """
+
+    def __init__(self, channel, peer: str, packer: FramePacker,
                  flush_interval: int = 16,
-                 window: Optional[int] = None):
+                 window: Optional[int] = None,
+                 wait_step: Optional[Callable[[], bool]] = None):
         if flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
+        self.channel = channel
         self.peer = peer
+        self.packer = packer
         self.flush_interval = flush_interval
         self.window = window if window is not None \
             else max(2 * flush_interval, 4)
+        self.wait_step = wait_step or (lambda: False)
         self.buffer: List[EffectFrame] = []
         #: highest own pass the peer has acknowledged applying
         self.acked_through = 0
@@ -101,10 +202,10 @@ class BaseConduit:
         self.pushed_through = 0
         #: hook: returns the ack to piggyback (applied-through for peer)
         self.ack_source = lambda: 0
-        #: messages actually written (for the batching benchmark)
+        #: records actually written (for the batching benchmark)
         self.messages_sent = 0
-        #: individual effects (deliveries + credits) those messages
-        #: carried — per-token messaging would pay one message each
+        #: individual effects (deliveries + credits) those records
+        #: carried — per-token messaging would pay one record each
         self.effects_sent = 0
 
     def window_open(self, pass_no: int) -> bool:
@@ -122,11 +223,16 @@ class BaseConduit:
             self.flush()
 
     def flush(self) -> None:
-        if not self.buffer:
-            return
-        batch = self.buffer
-        self.buffer = []
-        self._transmit(batch, self.ack_source())
+        if self.buffer:
+            batch = self.buffer
+            self.buffer = []
+            self._write_blocking(
+                self.packer.pack_frames(batch, self.ack_source()))
+        # a flush with nothing (newly) buffered still pushes staged
+        # bytes: blocked workers call flush before waiting, which is
+        # what drains the backlog of a previously backpressured write
+        if not self.channel.closed:
+            self.channel.try_flush()
 
     def note_ack(self, through_pass: int) -> None:
         if through_pass > self.acked_through:
@@ -134,78 +240,13 @@ class BaseConduit:
 
     def send_ack(self, through_pass: int) -> None:
         """Write a standalone acknowledgement (no frames attached)."""
-        self._transmit_ack(through_pass)
-
-    # -- carrier interface ---------------------------------------------------
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        raise NotImplementedError
-
-    def _transmit_ack(self, through_pass: int) -> None:
-        raise NotImplementedError
-
-
-class FrameConduit(BaseConduit):
-    """Pipe-backed conduit: batches travel as one pickled
-    ``("frames", [...], ack)`` message per flush."""
-
-    def __init__(self, conn, peer: str,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None):
-        super().__init__(peer, flush_interval=flush_interval,
-                         window=window)
-        self.conn = conn
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        self.conn.send(("frames", frames, ack))
-        self.messages_sent += 1
-
-    def _transmit_ack(self, through_pass: int) -> None:
-        self.conn.send(("ack", through_pass))
-
-
-class PackedConduit(BaseConduit):
-    """Conduit over a bounded byte carrier speaking the packed binary
-    record format (shared-memory rings, sockets).
-
-    Batches are struct-coded by a ``FramePacker`` and written through
-    the carrier-specific :meth:`_try_write`, which may refuse (full
-    ring, backpressured socket).  A refused write blocks *politely*:
-    the caller-supplied ``wait_step`` must keep the worker live (drain
-    incoming transports, service the control pipe, surface aborts) and
-    returns True when the write should be abandoned instead of retried
-    — the peer is dead, or the run is finalizing past the stop fence
-    and the remaining frames are empty service frames nobody will read.
-    Both non-pipe tiers share this loop; only ``_try_write`` differs.
-    """
-
-    def __init__(self, peer: str, packer,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None,
-                 wait_step: Optional[Callable[[], bool]] = None):
-        super().__init__(peer, flush_interval=flush_interval,
-                         window=window)
-        self.packer = packer
-        self.wait_step = wait_step or (lambda: False)
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        self._write_blocking(self.packer.pack_frames(frames, ack))
-
-    def _transmit_ack(self, through_pass: int) -> None:
         self._write_blocking(self.packer.pack_ack(through_pass))
 
     def _write_blocking(self, payload: bytes) -> None:
-        while not self._try_write(payload):
+        while not self.channel.try_write(payload):
             if self.wait_step():
                 return  # abandoned: receiver no longer consumes
         self.messages_sent += 1
-
-    # -- carrier interface ---------------------------------------------------
-
-    def _try_write(self, payload: bytes) -> bool:
-        """Accept one packed record, or False when the carrier is
-        full (the record was NOT taken and may be retried)."""
-        raise NotImplementedError
 
 
 class FrameInbox:

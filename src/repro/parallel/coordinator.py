@@ -2,9 +2,10 @@
 
 ``ProcessBackend.run`` forks one worker process per partition (the
 simulation object is inherited by ``fork``, so compiled artefacts,
-token sources and closures need no pickling), wires a dedicated pipe
-pair between every pair of *linked* partitions plus a control pipe pair
-per worker, and then plays supervisor:
+token sources and closures need no pickling), binds the rendezvous
+listeners through which every pair of *linked* partitions connects its
+stream socket, wires a control pipe pair per worker, and then plays
+supervisor:
 
 * tracks per-worker progress reports to detect global completion,
   LI-BDN deadlock (no worker progressed past pass ``k*`` — the same
@@ -47,9 +48,9 @@ from ..observability.tracer import (NULL_TRACER, RecordingTracer,
                                     TraceEvent)
 from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
-from .shm import DEFAULT_RING_BYTES, FramePacker, ShmRing, shm_available
-from .socket_transport import (make_listeners, socket_available,
-                               socket_timeouts)
+from .channels import FramePacker
+from .socket_transport import (default_family, make_listeners,
+                               socket_available, socket_timeouts)
 from .worker import worker_main
 
 
@@ -78,19 +79,21 @@ def fork_available() -> bool:
 
 
 #: canonical backend names, as `normalize_backend` returns them
-VALID_BACKENDS = ("auto", "inproc", "process", "process-shm",
-                  "process-socket")
+VALID_BACKENDS = ("auto", "inproc", "process")
 
-#: accepted spellings -> canonical backend name
+#: accepted spellings -> canonical backend name.  The shm/socket
+#: spellings named transport tiers that no longer exist; they arrive
+#: from outside (environments, service configs, committed corpora) and
+#: all mean the one process backend.
 BACKEND_ALIASES = {
     "auto": "auto",
     "inproc": "inproc",
     "process": "process",
     "proc": "process",
-    "process-shm": "process-shm",
-    "shm": "process-shm",
-    "process-socket": "process-socket",
-    "socket": "process-socket",
+    "process-shm": "process",
+    "shm": "process",
+    "process-socket": "process",
+    "socket": "process",
 }
 
 
@@ -121,17 +124,11 @@ def auto_backend(sim) -> Optional["ProcessBackend"]:
     mode = normalize_backend(raw, source="REPRO_BACKEND")
     if mode in ("auto", "inproc"):
         return None
-    if not fork_available():
+    if not fork_available() or not socket_available():
         return None
     if unsupported_reason(sim) is not None:
         return None
     kwargs = {}
-    if mode == "process-shm" and shm_available():
-        # best effort: auto selection degrades to the pipe transport
-        # rather than failing when shared memory is unavailable
-        kwargs["transport"] = "shm"
-    elif mode == "process-socket" and socket_available():
-        kwargs["transport"] = "socket"
     flush = os.environ.get("REPRO_FLUSH_INTERVAL")
     if flush:
         kwargs["flush_interval"] = max(1, int(flush))
@@ -166,7 +163,7 @@ class ProcessBackend:
     """Runs a partitioned simulation with one OS process per partition.
 
     Args:
-        flush_interval: passes batched into one pipe message per peer
+        flush_interval: passes batched into one wire record per peer
             (frame batching; also the progress-report batch size).
         window: max unacknowledged passes in flight per peer before a
             sender blocks (credit flow control); default
@@ -176,45 +173,37 @@ class ProcessBackend:
             for the coordinator) before it is declared hung.
         worker_faults: test hook — ``{partition: (mode, pass_no)}``
             where mode is ``"kill"``, ``"raise"`` or ``"hang"``.
-        transport: data-plane carrier between linked workers —
-            ``"pipe"`` pickles frame batches over OS pipes,
-            ``"shm"`` moves struct-packed batches through
-            shared-memory rings (see :mod:`repro.parallel.shm`),
-            ``"socket"`` moves the same packed batches over stream
-            sockets (see :mod:`repro.parallel.socket_transport`);
-            control and liveness stay on pipes either way (sockets
-            additionally signal peer death natively).
         socket_family: ``"tcp"`` (loopback TCP with ``TCP_NODELAY``)
-            or ``"unix"`` for the socket transport; defaults to the
-            ``REPRO_SOCKET_FAMILY`` environment variable, then tcp.
+            or ``"unix"``; defaults to the ``REPRO_SOCKET_FAMILY``
+            environment variable, then tcp.
+
+    Linked workers exchange struct-packed frame batches over stream
+    sockets (see :mod:`repro.parallel.socket_transport`); control and
+    coordinator-side liveness stay on pipes.  Sockets are the only
+    data plane because the end-to-end ledger picked them: pickled
+    pipes measured ~10-15% slower and shared-memory rings 2.6-6.4x
+    slower (no fd to select on, so a 0.5 ms poll per lock-step round
+    trip) on every shape tried — see DESIGN.md, "Process backend
+    wire".
     """
 
     def __init__(self, flush_interval: int = 16,
                  window: Optional[int] = None,
                  heartbeat_timeout: float = 30.0,
                  worker_faults: Optional[Dict[str, tuple]] = None,
-                 transport: str = "pipe",
                  socket_family: Optional[str] = None):
-        if transport not in ("pipe", "shm", "socket"):
-            raise ValueError(
-                f"unknown transport {transport!r} (pipe, shm or socket)")
         self.flush_interval = max(1, flush_interval)
         self.window = window
         self.heartbeat_timeout = heartbeat_timeout
         self.worker_faults = dict(worker_faults or {})
-        self.transport = transport
         if socket_family is None:
-            socket_family = os.environ.get(
-                "REPRO_SOCKET_FAMILY", "").strip().lower() or "tcp"
+            socket_family = default_family()
         if socket_family not in ("tcp", "unix"):
             raise ValueError(
                 f"unknown socket family {socket_family!r} "
                 "(tcp or unix)")
         self.socket_family = socket_family
-        self._backend_label = {"pipe": "process",
-                               "shm": "process-shm",
-                               "socket": "process-socket"}[transport]
-        self._rings: List[ShmRing] = []
+        self._backend_label = "process"
         self._listeners: Dict[str, object] = {}
         self._socket_tmpdir: Optional[str] = None
         #: per-worker wire accounting from the last completed run —
@@ -234,14 +223,10 @@ class ProcessBackend:
             raise BackendUnavailableError(
                 "process backend needs the 'fork' start method "
                 "(unavailable on this platform)")
-        if self.transport == "shm" and not shm_available():
+        if not socket_available(self.socket_family):
             raise BackendUnavailableError(
-                "shm transport needs multiprocessing.shared_memory "
-                "(unavailable on this platform)")
-        if self.transport == "socket" and not socket_available():
-            raise BackendUnavailableError(
-                "socket transport needs stream sockets "
-                "(unavailable on this host)")
+                f"process backend needs {self.socket_family} stream "
+                "sockets (unavailable on this host)")
         reason = unsupported_reason(sim)
         if reason is not None:
             raise UnsupportedTopologyError(reason)
@@ -259,16 +244,59 @@ class ProcessBackend:
 
     # -- plumbing -------------------------------------------------------------
 
+    def _worker_options(self, sim) -> Dict[str, dict]:
+        """Per-partition ``worker_main`` option dicts, with the data
+        plane's rendezvous bound: one listener per partition that a
+        higher-order linked peer will connect down to, created before
+        forking so every child inherits it live.  Shared with the farm
+        manager, whose agents hand the same dicts to their workers."""
+        names = list(sim.partitions)
+        order = {name: i for i, name in enumerate(names)}
+        #: each linked pair, lower-order partition (the listener's
+        #: owner) first
+        pairs = {(a, b) if order[a] < order[b] else (b, a)
+                 for a, b in ((link.src[0], link.dst[0])
+                              for link in sim.links) if a != b}
+        owners: Dict[str, int] = {}
+        for name in names:
+            backlog = sum(1 for owner, _ in pairs if owner == name)
+            if backlog:
+                owners[name] = backlog
+        listeners, addresses, tmpdir = make_listeners(
+            owners, self.socket_family)
+        self._listeners = listeners
+        self._socket_tmpdir = tmpdir
+        connect_timeout, read_timeout = socket_timeouts()
+        shared = {
+            "flush_interval": self.flush_interval,
+            "window": self.window,
+            "heartbeat_s": min(2.0, self.heartbeat_timeout / 4),
+            "packer": FramePacker.from_sim(sim),
+            "socket": {
+                "family": self.socket_family,
+                "listeners": listeners,
+                "addresses": addresses,
+                "connect_timeout": connect_timeout,
+                "read_timeout": read_timeout,
+            },
+            "corr_id": getattr(sim, "corr_id", "") or "",
+        }
+        return {name: dict(shared, die=self.worker_faults.get(name))
+                for name in names}
+
+    def _close_listeners(self) -> None:
+        for sock in self._listeners.values():
+            try:
+                sock.close()
+            except OSError:
+                pass
+        self._listeners = {}
+
     def _spawn(self, sim, target_cycles: int, max_passes: int):
         ctx = mp.get_context("fork")
         names = list(sim.partitions)
         order = {name: i for i, name in enumerate(names)}
-        linked: Dict[str, set] = {name: set() for name in names}
-        for link in sim.links:
-            a, b = link.src[0], link.dst[0]
-            if a != b:
-                linked[a].add(b)
-                linked[b].add(a)
+        options = self._worker_options(sim)
 
         all_conns: List = []
 
@@ -277,57 +305,6 @@ class ProcessBackend:
             all_conns.extend((recv_conn, send_conn))
             return recv_conn, send_conn
 
-        data: Dict[str, Dict[str, tuple]] = {n: {} for n in names}
-        #: per-worker {peer: (recv_ring, send_ring)}; rings are created
-        #: *before* forking so children inherit the mappings.  The
-        #: parent alone unlinks them (in _cleanup); children exit via
-        #: os._exit and never touch ring lifecycle.
-        rings: Dict[str, Dict[str, tuple]] = {n: {} for n in names}
-        packer = None
-        if self.transport in ("shm", "socket"):
-            packer = FramePacker.from_sim(sim)
-        if self.transport == "shm":
-            ring_bytes = int(os.environ.get(
-                "REPRO_SHM_RING_BYTES", "") or DEFAULT_RING_BYTES)
-        socket_plan = None
-        if self.transport == "socket":
-            # rendezvous listeners are bound before forking so every
-            # child inherits them live; an owner is any partition a
-            # higher-order linked peer will connect down to.  Sockets
-            # signal peer death natively, so socket pairs get no
-            # shadow data pipes at all.
-            owners = {}
-            for i, a in enumerate(names):
-                backlog = sum(1 for b in names[i + 1:]
-                              if b in linked[a])
-                if backlog:
-                    owners[a] = backlog
-            listeners, addresses, tmpdir = make_listeners(
-                owners, self.socket_family)
-            self._listeners = listeners
-            self._socket_tmpdir = tmpdir
-            connect_timeout, read_timeout = socket_timeouts()
-            socket_plan = {
-                "family": self.socket_family,
-                "listeners": listeners,
-                "addresses": addresses,
-                "connect_timeout": connect_timeout,
-                "read_timeout": read_timeout,
-            }
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if b not in linked[a] or self.transport == "socket":
-                    continue
-                a2b_recv, a2b_send = pipe()
-                b2a_recv, b2a_send = pipe()
-                data[a][b] = (b2a_recv, a2b_send)
-                data[b][a] = (a2b_recv, b2a_send)
-                if self.transport == "shm":
-                    ring_ab = ShmRing.create(ring_bytes)
-                    ring_ba = ShmRing.create(ring_bytes)
-                    self._rings.extend((ring_ab, ring_ba))
-                    rings[a][b] = (ring_ba, ring_ab)
-                    rings[b][a] = (ring_ab, ring_ba)
         up: Dict[str, tuple] = {}
         down: Dict[str, tuple] = {}
         for name in names:
@@ -336,29 +313,13 @@ class ProcessBackend:
 
         procs: Dict[str, mp.Process] = {}
         for name in names:
-            own = set()
-            for conns in data[name].values():
-                own.update(id(c) for c in conns)
-            own.add(id(down[name][0]))
-            own.add(id(up[name][1]))
+            own = {id(down[name][0]), id(up[name][1])}
             unrelated = [c for c in all_conns if id(c) not in own]
-            options = {
-                "flush_interval": self.flush_interval,
-                "window": self.window,
-                "heartbeat_s": min(2.0, self.heartbeat_timeout / 4),
-                "die": self.worker_faults.get(name),
-                "rings": rings[name] or None,
-                "packer": packer,
-                "socket": (dict(socket_plan,
-                                peers=sorted(linked[name]))
-                           if socket_plan is not None else None),
-                "corr_id": getattr(sim, "corr_id", "") or "",
-            }
             procs[name] = ctx.Process(
                 target=worker_main,
                 args=(sim, name, order, target_cycles, max_passes,
-                      data[name], down[name][0], up[name][1],
-                      unrelated, options),
+                      down[name][0], up[name][1], unrelated,
+                      options[name]),
                 name=f"repro-worker-{name}", daemon=True)
         for proc in procs.values():
             proc.start()
@@ -371,20 +332,12 @@ class ProcessBackend:
                             backend=self._backend_label)
         # the children own these ends now; closing them here is what
         # turns any single worker death into EOFs everywhere else
-        for conns in data.values():
-            for recv_conn, send_conn in conns.values():
-                recv_conn.close()
-                send_conn.close()
         for name in names:
             down[name][0].close()
             up[name][1].close()
         # children inherited the rendezvous listeners across fork; the
         # owners keep their copies open until their accept phase ends
-        for sock in self._listeners.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._close_listeners()
         ctl_recv = {name: up[name][0] for name in names}
         ctl_send = {name: down[name][1] for name in names}
         return procs, ctl_recv, ctl_send
@@ -414,18 +367,9 @@ class ProcessBackend:
                 conn.close()
             except OSError:
                 pass
-        # children are reaped; the parent owns ring teardown and the
-        # unix-socket rendezvous directory
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-        self._rings = []
-        for sock in self._listeners.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._listeners = {}
+        # children are reaped; the parent owns the unix-socket
+        # rendezvous directory
+        self._close_listeners()
         if self._socket_tmpdir is not None:
             shutil.rmtree(self._socket_tmpdir, ignore_errors=True)
             self._socket_tmpdir = None

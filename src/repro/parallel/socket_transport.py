@@ -1,11 +1,10 @@
-"""Socket transport tier for the process backend — the network rung.
+"""Stream-socket carrier of the process backend's data plane.
 
-FireAxe's platform table spans intra-FPGA, inter-FPGA and *network*
-transports; this module gives the software reproduction the third rung.
 Cross-partition frame batches travel as length-prefixed binary records
-(the same :class:`~repro.parallel.shm.FramePacker` codec the shm tier
-uses — lossless by construction, so the socket tier is bit-identical to
-every other backend) over TCP or Unix-domain stream sockets:
+(coded by :class:`~repro.parallel.channels.FramePacker` — lossless by
+construction, so the carrier is invisible in the results) over TCP or
+Unix-domain stream sockets, within one host and across farm hosts
+alike:
 
 * :func:`make_listeners` — the coordinator binds one rendezvous
   listener per partition that has a higher-order linked peer *before*
@@ -16,32 +15,27 @@ every other backend) over TCP or Unix-domain stream sockets:
   setup-time transients (a peer still forking) retry, a dead address
   raises :class:`~repro.errors.SocketSetupError`.
 * :func:`establish_channels` — the worker-side rendezvous: connect to
-  every lower-order socket peer (sending a hello record naming
-  ourselves), then accept from every higher-order one (reading theirs).
-  Connects complete against the listen backlog without the acceptor
-  scheduling, so the two phases cannot deadlock across workers.
+  every lower-order peer (sending a hello record naming ourselves),
+  then accept from every higher-order one (reading theirs).  Connects
+  complete against the listen backlog without the acceptor scheduling,
+  so the two phases cannot deadlock across workers.
 * :class:`SocketChannel` — one established peer stream.  Non-blocking
   both ways: ``drain`` reads whatever bytes are available and returns
   only *complete* records (partial reads simply stay buffered; a peer
   vanishing mid-frame surfaces as ``closed`` with the torn record
   discarded), writes stage into a bounded pending buffer so a slow
   peer backpressures the sender instead of growing memory.
-* :class:`SocketConduit` — drop-in for
-  :class:`~repro.parallel.channels.FrameConduit`, built on the shared
-  :class:`~repro.parallel.channels.PackedConduit` wait-step/abandon
-  protocol (the same one the shm tier uses; see ``channels``).
 
-Unlike shared memory, sockets signal peer death natively (EOF /
-``ECONNRESET``), so the socket transport needs no shadow data pipes —
-which is exactly what lets the farm layer stretch it across (virtual)
-hosts.  Selected via ``backend="process-socket"`` /
-``REPRO_BACKEND=process-socket``; family via ``REPRO_SOCKET_FAMILY``
-(``tcp`` default, ``unix`` for same-box runs).
+Sockets signal peer death natively (EOF / ``ECONNRESET``) and have a
+file descriptor a blocked worker can select on next to its control
+pipe.  Family via ``REPRO_SOCKET_FAMILY`` (``tcp`` default, ``unix``
+for same-box runs).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import socket
 import struct
 import tempfile
@@ -49,7 +43,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SocketSetupError
-from .channels import PackedConduit
 
 _LEN = struct.Struct("<I")
 
@@ -59,11 +52,20 @@ DEFAULT_READ_TIMEOUT = 30.0
 DEFAULT_MAX_PENDING = 1 << 20
 
 
-def socket_available() -> bool:
-    """True when stream sockets are usable on this host."""
+def default_family() -> str:
+    """The socket family name ``REPRO_SOCKET_FAMILY`` selects (tcp
+    when unset)."""
+    return os.environ.get(
+        "REPRO_SOCKET_FAMILY", "").strip().lower() or "tcp"
+
+
+def socket_available(family_name: Optional[str] = None) -> bool:
+    """True when stream sockets of ``family_name`` (default: the
+    ``REPRO_SOCKET_FAMILY`` family) are usable on this host."""
+    family = resolve_family(family_name or default_family())
     try:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    except OSError:  # pragma: no cover - no loopback networking
+        sock = socket.socket(family, socket.SOCK_STREAM)
+    except OSError:
         return False
     sock.close()
     return True
@@ -103,7 +105,9 @@ def make_listeners(owners: Dict[str, int], family_name: str,
     ``owners`` maps owner name -> expected connection count (the listen
     backlog).  Returns ``(listeners, addresses, tmpdir)`` where
     ``tmpdir`` is the created unix-socket directory to remove at
-    cleanup (None for TCP).
+    cleanup (None for TCP); a failed bind removes it before raising.
+    Unix socket files are named by the owner's position, never by its
+    (user-chosen, arbitrarily long) name: ``sun_path`` holds ~100 bytes.
     """
     family = resolve_family(family_name)
     tmpdir = None
@@ -113,20 +117,22 @@ def make_listeners(owners: Dict[str, int], family_name: str,
     listeners: Dict[str, socket.socket] = {}
     addresses: Dict[str, object] = {}
     try:
-        for owner, backlog in owners.items():
+        for index, (owner, backlog) in enumerate(owners.items()):
             sock = socket.socket(family, socket.SOCK_STREAM)
+            listeners[owner] = sock
             if family == socket.AF_INET:
                 sock.bind(("127.0.0.1", 0))
                 addresses[owner] = sock.getsockname()
             else:
-                path = os.path.join(directory, f"{owner}.sock")
+                path = os.path.join(directory, f"{index}.sock")
                 sock.bind(path)
                 addresses[owner] = path
             sock.listen(max(1, backlog))
-            listeners[owner] = sock
     except OSError as exc:
         for sock in listeners.values():
             sock.close()
+        if tmpdir is not None:
+            shutil.rmtree(tmpdir, ignore_errors=True)
         raise SocketSetupError(f"cannot bind rendezvous listener: {exc}")
     return listeners, addresses, tmpdir
 
@@ -200,7 +206,7 @@ def _recv_hello(sock: socket.socket, timeout: float) -> str:
 def establish_channels(name: str, peers_before: List[str],
                        peers_after: List[str], plan: dict
                        ) -> Dict[str, "SocketChannel"]:
-    """Worker-side rendezvous: one :class:`SocketChannel` per socket
+    """Worker-side rendezvous: one :class:`SocketChannel` per linked
     peer.  ``plan`` carries ``family``, the global ``listeners`` map
     (we close every listener we inherited but do not own), per-owner
     ``addresses``, and the two timeouts."""
@@ -264,11 +270,10 @@ class SocketChannel:
     Non-blocking.  ``fileno`` makes the channel selectable alongside
     control pipes in ``multiprocessing.connection.wait``.  Reads
     buffer partial records until the rest arrives; a clean or torn EOF
-    sets ``closed`` (native peer-death detection — the socket tier
-    needs no shadow data pipes).  Writes stage into ``_tx`` and drain
-    opportunistically; once ``max_pending`` bytes are staged the
-    channel refuses new records, which is the backpressure signal the
-    conduit's wait-step loop spins on.
+    sets ``closed`` (native peer-death detection).  Writes stage into
+    ``_tx`` and drain opportunistically; once ``max_pending`` bytes
+    are staged the channel refuses new records, which is the
+    backpressure signal the conduit's wait-step loop spins on.
     """
 
     def __init__(self, sock: socket.socket, peer: str = "",
@@ -336,9 +341,8 @@ class SocketChannel:
 
     def try_flush(self) -> bool:
         """Push staged bytes out; True when the backlog fully
-        drained.  A peer that vanished raises the same
-        ``BrokenPipeError``/``OSError`` the pipe conduits raise, so
-        the worker's existing dead-peer handling applies unchanged."""
+        drained.  A peer that vanished raises ``OSError`` (the
+        worker's dead-peer handling catches it)."""
         while self._tx:
             try:
                 sent = self.sock.send(self._tx)
@@ -358,32 +362,3 @@ class SocketChannel:
             self.sock.close()
         except OSError:  # pragma: no cover - teardown race
             pass
-
-
-class SocketConduit(PackedConduit):
-    """Socket-backed outgoing frame stream; interface-compatible with
-    :class:`~repro.parallel.channels.FrameConduit`.  Records stage
-    into the channel; backpressure (a full staging buffer atop a full
-    kernel buffer) enters the shared wait-step/abandon loop."""
-
-    def __init__(self, channel: SocketChannel, peer: str, packer,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None,
-                 wait_step=None):
-        super().__init__(peer, packer, flush_interval=flush_interval,
-                         window=window, wait_step=wait_step)
-        self.channel = channel
-
-    def _try_write(self, payload: bytes) -> bool:
-        return self.channel.try_write(payload)
-
-    def flush(self) -> None:
-        super().flush()
-        # a flush with nothing (newly) buffered still pushes staged
-        # bytes: blocked workers call flush before waiting, which is
-        # what drains the backlog of a previously backpressured write
-        if self._tx_pending():
-            self.channel.try_flush()
-
-    def _tx_pending(self) -> bool:
-        return bool(self.channel._tx) and not self.channel.closed

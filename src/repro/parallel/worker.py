@@ -59,10 +59,9 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import SimulationError
 from ..observability.tracer import RecordingTracer
 from ..obsplane.corr import current_corr_id, propagate_corr_id
-from .channels import EffectFrame, FrameConduit, FrameInbox, MetricFrame
-from .shm import FramePacker, ShmConduit, ShmRing
-from .socket_transport import (SocketChannel, SocketConduit,
-                               establish_channels)
+from .channels import (Conduit, EffectFrame, FrameInbox, FramePacker,
+                       MetricFrame)
+from .socket_transport import SocketChannel, establish_channels
 
 #: set in forked children so backend auto-selection never recurses
 IN_WORKER = False
@@ -129,14 +128,12 @@ class PartitionWorker:
 
     def __init__(self, sim, name: str, order: Dict[str, int],
                  target_cycles: int, max_passes: int,
-                 data_conns: Dict[str, tuple], ctl_recv, ctl_send,
+                 ctl_recv, ctl_send, packer: FramePacker,
+                 socket_plan: dict,
                  flush_interval: int = 16,
                  window: Optional[int] = None,
                  heartbeat_s: float = 5.0,
-                 die: Optional[Tuple[str, int]] = None,
-                 rings: Optional[Dict[str, Tuple[ShmRing, ShmRing]]] = None,
-                 packer: Optional[FramePacker] = None,
-                 socket_plan: Optional[dict] = None):
+                 die: Optional[Tuple[str, int]] = None):
         self.sim = sim
         self.name = name
         self.part = sim.partitions[name]
@@ -158,62 +155,24 @@ class PartitionWorker:
         self.peers_before = [p for p in by_order if order[p] < me_idx]
         self.peers_after = [p for p in by_order if order[p] > me_idx]
 
-        # data plane, one conduit per peer out of three carriers: a
-        # socket channel when the rendezvous plan names the peer
-        # (cross-host, or the whole run under transport="socket"), a
-        # ring-backed conduit when the coordinator made a ring pair, a
-        # pipe conduit otherwise.  The data pipes stay registered for
-        # waiting even in ring mode — a peer never writes on them then,
-        # so the only event they can deliver is the EOF that signals
-        # the peer died (shared memory cannot; sockets signal it
-        # natively, so socket peers need no data pipes at all).
-        rings = rings or {}
+        # data plane: one socket channel per linked peer, established
+        # through the coordinator's pre-bound rendezvous listeners.
+        # Sockets signal peer death natively (EOF), so the channels
+        # double as the peer-liveness watch.
         self.packer = packer
-        self._recv_rings: Dict[str, ShmRing] = {}
-        self._socket_chans: Dict[str, SocketChannel] = {}
         self._finalizing = False
-        self.conduits: Dict[str, FrameConduit] = {}
+        self.conduits: Dict[str, Conduit] = {}
         self.inboxes: Dict[str, FrameInbox] = {}
-        self._conn_peer = {}
         self._wait_conns = [ctl_recv]
-        socket_peers: set = set()
-        channels: Dict[str, SocketChannel] = {}
-        if socket_plan is not None:
-            socket_peers = set(socket_plan["peers"]) & set(self.peers)
-            channels = establish_channels(
-                name,
-                [p for p in self.peers_before if p in socket_peers],
-                [p for p in self.peers_after if p in socket_peers],
-                socket_plan)
+        channels = establish_channels(
+            name, self.peers_before, self.peers_after, socket_plan)
         for peer in self.peers:
-            if peer in socket_peers:
-                chan = channels[peer]
-                conduit = SocketConduit(
-                    chan, peer, packer,
-                    flush_interval=flush_interval, window=window,
-                    wait_step=(
-                        lambda p=peer: self._transport_wait_step(p)))
-                self._socket_chans[peer] = chan
-                self._conn_peer[chan] = peer
-                self._wait_conns.append(chan)
-            elif peer in rings:
-                recv_conn, _send_conn = data_conns[peer]
-                recv_ring, send_ring = rings[peer]
-                conduit = ShmConduit(
-                    send_ring, peer, packer,
-                    flush_interval=flush_interval, window=window,
-                    wait_step=(
-                        lambda p=peer: self._transport_wait_step(p)))
-                self._recv_rings[peer] = recv_ring
-                self._conn_peer[recv_conn] = peer
-                self._wait_conns.append(recv_conn)
-            else:
-                recv_conn, send_conn = data_conns[peer]
-                conduit = FrameConduit(send_conn, peer,
-                                       flush_interval=flush_interval,
-                                       window=window)
-                self._conn_peer[recv_conn] = peer
-                self._wait_conns.append(recv_conn)
+            chan = channels[peer]
+            conduit = Conduit(
+                chan, peer, packer,
+                flush_interval=flush_interval, window=window,
+                wait_step=(lambda p=peer: self._transport_wait_step(p)))
+            self._wait_conns.append(chan)
             conduit.ack_source = (lambda p=peer: self._take_ack(p))
             self.conduits[peer] = conduit
             self.inboxes[peer] = FrameInbox(
@@ -296,23 +255,9 @@ class PartitionWorker:
         except (BrokenPipeError, OSError):
             os._exit(3)
 
-    def _handle(self, conn, msg) -> None:
-        kind = msg[0]
-        peer = self._conn_peer.get(conn)
-        if kind == "frames":
-            _, frames, ack = msg
-            self.inboxes[peer].offer(frames)
-            self.conduits[peer].note_ack(ack)
-        elif kind == "ack":
-            self.conduits[peer].note_ack(msg[1])
-        elif kind == "stop":
-            self._stop_fence = msg[1]
-        elif kind == "abort":
-            self._abort_reason = msg[1]
-
     def _drain(self, conn) -> None:
-        if isinstance(conn, SocketChannel):
-            self._drain_socket(self._conn_peer[conn], conn)
+        if conn is not self.ctl_recv:
+            self._drain_socket(conn)
             return
         while True:
             try:
@@ -320,14 +265,11 @@ class PartitionWorker:
                     return
                 msg = conn.recv()
             except (EOFError, OSError):
-                if conn is self.ctl_recv:
-                    os._exit(3)  # coordinator vanished: die quietly
-                peer = self._conn_peer.get(conn)
-                self._dead_peers.add(peer)
-                if conn in self._wait_conns:
-                    self._wait_conns.remove(conn)
-                return
-            self._handle(conn, msg)
+                os._exit(3)  # coordinator vanished: die quietly
+            if msg[0] == "stop":
+                self._stop_fence = msg[1]
+            elif msg[0] == "abort":
+                self._abort_reason = msg[1]
 
     def _raise_control(self) -> None:
         # a stop is NOT raised here: the fence must be honoured at a
@@ -340,52 +282,27 @@ class PartitionWorker:
         self._drain(self.ctl_recv)
         self._raise_control()
 
-    def _offer_packed(self, peer: str, payload: bytes) -> None:
-        """Apply one decoded binary record from a ring or socket."""
-        msg = self.packer.unpack(payload, peer)
-        if msg[0] == "frames":
-            _, frames, ack = msg
-            self.inboxes[peer].offer(frames)
-            self.conduits[peer].note_ack(ack)
-        else:
-            self.conduits[peer].note_ack(msg[1])
-
-    def _drain_rings(self) -> bool:
-        """Drain every incoming shared-memory ring; True when any record
-        arrived.  Also called while blocked *writing* a full ring, which
-        is what breaks ring-buffer wait cycles: the peer that cannot
-        accept our bytes is itself blocked until someone reads its."""
-        got = False
-        for peer, ring in self._recv_rings.items():
-            for payload in ring.read_all():
-                got = True
-                self._offer_packed(peer, payload)
-        return got
-
-    def _drain_socket(self, peer: str, chan: SocketChannel) -> bool:
-        got = False
+    def _drain_socket(self, chan: SocketChannel) -> None:
+        peer = chan.peer
         for payload in chan.drain():
-            got = True
-            self._offer_packed(peer, payload)
+            msg = self.packer.unpack(payload, peer)
+            if msg[0] == "frames":
+                _, frames, ack = msg
+                self.inboxes[peer].offer(frames)
+                self.conduits[peer].note_ack(ack)
+            else:
+                self.conduits[peer].note_ack(msg[1])
         if chan.closed:
             self._dead_peers.add(peer)
             if chan in self._wait_conns:
                 self._wait_conns.remove(chan)
-        return got
-
-    def _drain_sockets(self) -> bool:
-        got = False
-        for peer, chan in list(self._socket_chans.items()):
-            got |= self._drain_socket(peer, chan)
-        return got
 
     def _transport_wait_step(self, peer: str) -> bool:
-        """One polite spin of a conduit blocked on a full ring or a
-        backpressured socket: keep every other stream moving, then
-        tell the writer whether to abandon the batch (the receiver
+        """One polite spin of a conduit blocked on a backpressured
+        socket: keep every other stream moving (the peer that cannot
+        accept our bytes is itself blocked until someone reads its),
+        then tell the writer whether to abandon the batch (the receiver
         will never read it again)."""
-        self._drain_rings()
-        self._drain_sockets()
         for conn in _conn_wait(self._wait_conns, timeout=0.0005):
             self._drain(conn)
         self._raise_control()
@@ -393,24 +310,19 @@ class PartitionWorker:
 
     def _wait_until(self, pred) -> None:
         """Block until ``pred()`` — flushing first so peers never starve
-        on our buffered frames, and heartbeating while idle.  With rings
-        in play the wait is a short-timeout poll loop (shared memory has
-        no file descriptor to select on)."""
+        on our buffered frames, and heartbeating while idle."""
         last_beat = time.monotonic()
         while not pred():
             self._flush_all()
-            ringed = bool(self._recv_rings) and self._drain_rings()
-            if not ringed:
-                timeout = 0.0005 if self._recv_rings \
-                    else self.heartbeat_s
-                ready = _conn_wait(self._wait_conns, timeout=timeout)
-                for conn in ready:
-                    self._drain(conn)
-                now = time.monotonic()
-                if not ready and now - last_beat >= self.heartbeat_s:
-                    self._send_ctl(("heartbeat", self.name,
-                                    self.pass_no, self.frontier()))
-                    last_beat = now
+            ready = _conn_wait(self._wait_conns,
+                               timeout=self.heartbeat_s)
+            for conn in ready:
+                self._drain(conn)
+            now = time.monotonic()
+            if not ready and now - last_beat >= self.heartbeat_s:
+                self._send_ctl(("heartbeat", self.name,
+                                self.pass_no, self.frontier()))
+                last_beat = now
             self._raise_control()
             # a pass beyond the stop fence only moves empty frames (all
             # partitions are done), so it is safe — and necessary — to
@@ -444,24 +356,13 @@ class PartitionWorker:
             inbox.note_ack_sent(due)
 
     def _own_pass(self) -> bool:
-        sim, part = self.sim, self.part
-        progress = False
-        if part.target_cycle < self.target_cycles:
-            step = sim._step_fns.get(self.name)
-            if step is not None:
-                progress = step(self.target_cycles)
-            else:
-                sim._feed_sources(part)
-                for up in sim._plan_by_part[self.name].unit_plans:
-                    if up.unit.target_cycle >= self.target_cycles:
-                        continue
-                    progress |= sim._run_unit(up, self.target_cycles)
-            if sim._metrics_on:
-                # same logical point as the serial loop's per-partition
-                # sampling hook; the wavefront invariant makes the
-                # partition-local state here bit-identical to it
-                sim.telemetry.on_pass(sim, part)
-        return progress
+        # the serial loop's per-partition body (sampling hook
+        # included); the wavefront invariant makes the partition-local
+        # state here bit-identical to it
+        if self.part.target_cycle >= self.target_cycles:
+            return False
+        return self.sim._step_partition(
+            self.sim._plan_by_part[self.name], self.target_cycles)
 
     def _emit_frames(self, pass_no: int) -> None:
         for peer in self.peers:
@@ -640,8 +541,7 @@ class PartitionWorker:
 
 
 def worker_main(sim, name, order, target_cycles, max_passes,
-                data_conns, ctl_recv, ctl_send, unrelated_conns,
-                options) -> None:
+                ctl_recv, ctl_send, unrelated_conns, options) -> None:
     """Entry point of a forked worker process.
 
     ``unrelated_conns`` is every pipe end belonging to other workers;
@@ -664,18 +564,15 @@ def worker_main(sim, name, order, target_cycles, max_passes,
     try:
         worker = PartitionWorker(
             sim, name, order, target_cycles, max_passes,
-            data_conns, ctl_recv, ctl_send,
+            ctl_recv, ctl_send, options["packer"], options["socket"],
             flush_interval=options.get("flush_interval", 16),
             window=options.get("window"),
             heartbeat_s=options.get("heartbeat_s", 5.0),
-            die=options.get("die"),
-            rings=options.get("rings"),
-            packer=options.get("packer"),
-            socket_plan=options.get("socket"))
+            die=options.get("die"))
         worker.loop()
     except _Stop:
         # past the fence the remaining frames are empty service frames;
-        # a blocked ring write may abandon them instead of waiting on a
+        # a blocked write may abandon them instead of waiting on a
         # receiver that has already finalized
         worker._finalizing = True
         worker._flush_all()

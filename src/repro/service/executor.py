@@ -4,8 +4,8 @@ A job config is a plain JSON dict naming what to run.  Two kinds:
 
 * ``{"kind": "simulate", ...}`` — compile a circuit (from a ``circuit``
   file path or inline ``circuit_text``), partition it per ``extract``,
-  and run it on one of the four execution backends (``inproc``,
-  ``process``, ``process-shm``, ``process-socket``),
+  and run it on one of the execution backends (``auto``, ``inproc``,
+  ``process``),
 * ``{"kind": "experiment", "experiment": NAME}`` — one of the paper's
   table/figure experiments; the final partitioned run it performs is
   what gets archived (and therefore cached),
@@ -34,6 +34,7 @@ from ..errors import ServiceError
 from ..fireripper import FireRipper, PartitionGroup, PartitionSpec
 from ..firrtl import parse_circuit
 from ..obsplane.stitch import event_to_dict
+from ..parallel import normalize_backend
 from ..platform import (
     ETHERNET_100G,
     HOST_PCIE,
@@ -124,6 +125,10 @@ def normalize_config(config: dict) -> dict:
             raise ServiceError(
                 f"unknown transport {normalized['transport']!r}; "
                 f"valid: {', '.join(sorted(TRANSPORTS))}")
+        # a typo is refused here (UnknownBackendError), not after the
+        # job has held a queue slot; every spelling of one backend
+        # shares one cache entry
+        normalized["backend"] = normalize_backend(normalized["backend"])
         if normalized["cycles"] < 1:
             raise ServiceError("cycles must be >= 1")
         unknown = set(config) - set(normalized) - {"extract"}

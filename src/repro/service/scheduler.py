@@ -170,8 +170,10 @@ class SimulationService:
                      priority: int = 0, name: str = "") -> Job:
         """Admit one request; returns the job (possibly already
         terminal — a cache hit completes here).  Raises
-        :class:`~repro.errors.QuotaExceededError` or
-        :class:`~repro.errors.ServiceError` without creating a job."""
+        :class:`~repro.errors.QuotaExceededError`,
+        :class:`~repro.errors.ServiceError` or
+        :class:`~repro.errors.UnknownBackendError` without creating a
+        job."""
         normalized = normalize_config(config)
         fingerprint = config_fingerprint(normalized)
         self._seq += 1

@@ -19,8 +19,8 @@ Three kinds of checks, all threshold-configurable:
   fingerprint (the latest prior run of the same workload).
 * :func:`check_bench_files` — validate the committed
   ``results/BENCH_*.json`` measurements against their own bounds (the
-  null-tracer overhead cap, wire batching actually batching, the fuzz
-  corpus compiling collision-free over every shape).
+  null-tracer overhead cap, socket batching actually batching, the
+  fuzz corpus compiling collision-free over every shape).
 
 The CI ``bench-regression`` job runs all of this via ``repro regress``
 and must fail on a >10% rate degradation — which the job proves by
@@ -183,22 +183,13 @@ def check_bench_files(results_dir: Union[str, Path],
                 violations.append(Violation(
                     "BENCH_trace_overhead.json", metric,
                     bound, value, 0.0))
-    parallel = load("BENCH_parallel_speedup.json")
-    if parallel is not None:
-        speedup = parallel.get("wire_batching_speedup")
-        if speedup is not None and speedup < 1.0:
-            violations.append(Violation(
-                "BENCH_parallel_speedup.json",
-                "wire_batching_speedup", 1.0, speedup, 0.0))
     token_plane = load("BENCH_token_plane.json")
     if token_plane is not None:
-        for metric, floor in (("packed_codec_speedup", 5.0),
-                              ("shm_vs_pipe_speedup", 2.0)):
-            value = token_plane.get(metric)
-            if value is not None and value < floor:
-                violations.append(Violation(
-                    "BENCH_token_plane.json", metric,
-                    floor, value, 0.0))
+        value = token_plane.get("packed_codec_speedup")
+        if value is not None and value < 5.0:
+            violations.append(Violation(
+                "BENCH_token_plane.json", "packed_codec_speedup",
+                5.0, value, 0.0))
         identical = token_plane.get("detail_bit_identical")
         if identical is not None and not identical:
             violations.append(Violation(

@@ -4,8 +4,8 @@ Every repro in ``tests/fuzz/corpus/`` is replayed twice — compiled step
 functions on and off — and the full functional digest (tokens, per-
 partition cycles, the complete FMR ``detail`` breakdown, and the
 recorded output stream) must match bit for bit.  The same holds on
-every process backend, which exercises the worker-side compile path
-(`only=` restriction) and the shm/socket transports under the JIT.
+the process backend, which exercises the worker-side compile path
+(`only=` restriction) and the socket wire under the JIT.
 
 These are the tests the bit-exactness contract in
 ``repro.harness.stepjit`` points at: the generated code may reorder
@@ -20,10 +20,9 @@ from repro.fuzz import functional_digest, load_repro, make_sim
 from repro.parallel.coordinator import fork_available
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
-PROCESS_BACKENDS = ("process", "process-shm", "process-socket")
 
 needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backends need os.fork")
+    not fork_available(), reason="the process backend needs os.fork")
 
 
 def _replay(path, backend, stepjit):
@@ -62,20 +61,18 @@ def test_corpus_detail_bit_identical(path):
 
 
 @needs_fork
-@pytest.mark.parametrize("backend", PROCESS_BACKENDS)
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_corpus_jit_matches_across_process_backends(path, backend):
-    _, _, dig_jit = _replay(path, backend, True)
-    _, _, dig_int = _replay(path, backend, False)
+def test_corpus_jit_matches_across_process_backends(path):
+    _, _, dig_jit = _replay(path, "process", True)
+    _, _, dig_int = _replay(path, "process", False)
     assert dig_jit == dig_int
 
 
 @needs_fork
 def test_backend_digests_agree_under_jit():
-    """All four backends produce one digest with the JIT on — the
-    compiled plans are transport-independent."""
+    """Both backends produce one digest with the JIT on — the
+    compiled plans are backend-independent."""
     path = CORPUS[0]
     _, _, reference = _replay(path, "inproc", True)
-    for backend in PROCESS_BACKENDS:
-        _, _, dig = _replay(path, backend, True)
-        assert dig == reference, backend
+    _, _, dig = _replay(path, "process", True)
+    assert dig == reference

@@ -302,78 +302,3 @@ class TestObservability:
         # merged events are re-emitted in modelled-time order
         stamps = [e.ts_ns for e in t2.events]
         assert stamps == sorted(stamps)
-
-
-class TestShmTransport:
-    """The shared-memory data plane must be indistinguishable from the
-    pipe data plane in everything except wire mechanics."""
-
-    def test_three_way_detail_bit_identity(self):
-        s1 = build_star_sim(2)
-        r1 = s1.run(12, backend="inproc")
-        s2 = build_star_sim(2)
-        r2 = ProcessBackend().run(s2, 12)
-        s3 = build_star_sim(2)
-        r3 = ProcessBackend(transport="shm").run(s3, 12)
-        assert r1.detail == r2.detail == r3.detail
-        assert s1.output_log == s2.output_log == s3.output_log
-        assert s3.last_run_backend == "process-shm"
-        assert _no_orphans()
-
-    def test_run_backend_process_shm_dispatches(self):
-        s1 = build_star_sim(2)
-        r1 = s1.run(8, backend="inproc")
-        s2 = build_star_sim(2)
-        r2 = s2.run(8, backend="process-shm")
-        assert s2.last_run_backend == "process-shm"
-        assert r2.detail == r1.detail
-
-    def test_tiny_flush_interval_same_results(self):
-        s1 = build_star_sim(2)
-        r1 = s1.run(8, backend="inproc")
-        s2 = build_star_sim(2)
-        r2 = ProcessBackend(transport="shm",
-                            flush_interval=1).run(s2, 8)
-        assert r2.detail == r1.detail
-
-    def test_reliable_links_with_faults_match(self):
-        """Hooked links fall back to dict tokens inside the worker but
-        still travel the rings as packed words."""
-        fault = FaultSpec(drop_rate=0.2, corrupt_rate=0.1, seed=11)
-        s1 = build_star_sim(2)
-        harden_links(s1, fault)
-        r1 = s1.run(12, backend="inproc")
-        s2 = build_star_sim(2)
-        harden_links(s2, fault)
-        r2 = ProcessBackend(transport="shm").run(s2, 12)
-        assert r2.detail == r1.detail
-        assert s2.output_log == s1.output_log
-
-    def test_fast_mode_matches_inproc(self):
-        s1 = build_star_sim(2, mode=FAST)
-        r1 = s1.run(10, backend="inproc")
-        s2 = build_star_sim(2, mode=FAST)
-        r2 = ProcessBackend(transport="shm").run(s2, 10)
-        assert r2.detail == r1.detail
-
-    def test_rings_torn_down_after_run(self):
-        backend = ProcessBackend(transport="shm")
-        backend.run(build_star_sim(2), 8)
-        assert backend._rings == []
-        assert _no_orphans()
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessBackend(transport="tcp")
-
-    def test_auto_honours_process_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process-shm")
-        sim = build_star_sim(2)
-        sim.run(6)  # backend="auto" is the default
-        assert sim.last_run_backend == "process-shm"
-
-    def test_deadlock_detected_over_shm(self):
-        with pytest.raises(DeadlockError) as err:
-            ProcessBackend(transport="shm").run(_deadlock_sim(), 5)
-        assert err.value.host_cycle == 1
-        assert _no_orphans()

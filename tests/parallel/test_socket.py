@@ -1,18 +1,20 @@
-"""Socket transport tier: channel framing, rendezvous, backpressure,
-backend selection, and bit-identity with every other backend.
+"""The process backend's socket wire: channel framing, rendezvous,
+backpressure, backend selection, and bit-identity with the in-process
+loop.
 
-The socket tier's correctness claim is the same as the pipe and shm
-tiers': the carrier must be invisible.  These tests pin the invariants
-that rests on — length-prefixed records surviving arbitrary
-fragmentation, torn streams detected as peer death rather than
-corrupt frames, the pre-bound listener rendezvous connecting every
-linked pair exactly once, and ``max_pending`` backpressure feeding the
-conduit's wait-step loop instead of deadlocking it.
+The wire's correctness claim: the carrier must be invisible.  These
+tests pin the invariants that rests on — length-prefixed records
+surviving arbitrary fragmentation, torn streams detected as peer death
+rather than corrupt frames, the pre-bound listener rendezvous
+connecting every linked pair exactly once, and ``max_pending``
+backpressure feeding the conduit's wait-step loop instead of
+deadlocking it.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import socket
 import struct
 import threading
@@ -25,7 +27,11 @@ from repro.errors import (
     SocketSetupError,
     UnknownBackendError,
 )
+from repro.fireripper import (EXACT, FireRipper, PartitionGroup,
+                              PartitionSpec)
 from repro.parallel import (
+    BACKEND_ALIASES,
+    VALID_BACKENDS,
     ProcessBackend,
     SocketChannel,
     connect_with_backoff,
@@ -35,9 +41,11 @@ from repro.parallel import (
     normalize_backend,
     socket_available,
 )
+from repro.parallel import socket_transport
 from repro.parallel.socket_transport import socket_timeouts
+from repro.platform import QSFP_AURORA
 
-from .conftest import build_star_sim
+from .conftest import build_star_sim, make_star_circuit, stim_source
 
 _LEN = struct.Struct("<I")
 
@@ -196,6 +204,41 @@ class TestRendezvous:
             for sock in listeners.values():
                 sock.close()
 
+    def test_bind_failure_leaves_no_directory_behind(self, tmp_path,
+                                                     monkeypatch):
+        """The second owner's bind fails (its socket file already
+        exists); the rendezvous tmpdir created for the first must not
+        outlive the error."""
+        made = []
+        real_mkdtemp = socket_transport.tempfile.mkdtemp
+
+        def mkdtemp(**kwargs):
+            made.append(real_mkdtemp(dir=tmp_path, **kwargs))
+            open(os.path.join(made[-1], "1.sock"), "w").close()
+            return made[-1]
+
+        monkeypatch.setattr(socket_transport.tempfile, "mkdtemp",
+                            mkdtemp)
+        with pytest.raises(SocketSetupError, match="cannot bind"):
+            make_listeners({"a": 1, "b": 1}, "unix")
+        assert len(made) == 1 and not os.path.exists(made[0])
+
+    def test_unix_probe_ignores_inet(self, monkeypatch):
+        """A unix-family run must not be refused because AF_INET is
+        the family that is missing (and vice versa)."""
+        real_socket = socket.socket
+
+        def no_inet(family=socket.AF_INET, *args, **kwargs):
+            if family == socket.AF_INET:
+                raise OSError("no loopback networking")
+            return real_socket(family, *args, **kwargs)
+
+        monkeypatch.setattr(socket_transport.socket, "socket", no_inet)
+        assert socket_available("unix")
+        assert not socket_available("tcp")
+        monkeypatch.setenv("REPRO_SOCKET_FAMILY", "unix")
+        assert socket_available()
+
     @pytest.mark.skipif(not fork_available(),
                         reason="rendezvous needs forked workers")
     @pytest.mark.parametrize("family", ["tcp", "unix"])
@@ -251,6 +294,8 @@ class TestRendezvous:
         for p in procs:
             p.join(30.0)
             assert p.exitcode == 0
+        if tmpdir is not None:
+            shutil.rmtree(tmpdir)
         for name in order:
             peers = [p for p in order if p != name]
             assert sorted(results[name]) == peers
@@ -263,8 +308,8 @@ class TestBackendSelection:
         sim = build_star_sim()
         with pytest.raises(UnknownBackendError) as err:
             sim.run(20, backend="process-sock")
-        assert "process-socket" in str(err.value)
-        assert "valid backends" in str(err.value)
+        assert "valid backends: auto, inproc, process" \
+            in str(err.value)
 
     def test_unknown_env_backend_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -273,8 +318,13 @@ class TestBackendSelection:
             sim.run(20)
 
     def test_aliases_normalize(self):
-        assert normalize_backend("socket") == "process-socket"
-        assert normalize_backend("shm") == "process-shm"
+        """The retired transport-tier spellings all mean the one
+        process backend; nothing else sneaks in."""
+        assert VALID_BACKENDS == ("auto", "inproc", "process")
+        for spelling in ("proc", "shm", "socket", "process-shm",
+                         "process-socket"):
+            assert normalize_backend(spelling) == "process"
+        assert set(BACKEND_ALIASES.values()) == set(VALID_BACKENDS)
         assert normalize_backend(" Process ") == "process"
         with pytest.raises(UnknownBackendError):
             normalize_backend(None)
@@ -285,38 +335,52 @@ class TestBackendSelection:
 class TestSocketBackend:
     CYCLES = 300
 
-    def test_four_way_detail_bit_identity(self):
-        results = {}
-        for backend in ("inproc", "process", "process-shm",
-                        "process-socket"):
-            sim = build_star_sim(3)
-            results[backend] = sim.run(self.CYCLES, backend=backend)
-            assert sim.last_run_backend == backend
-        reference = results["inproc"].detail
-        for backend, result in results.items():
-            assert result.detail == reference, backend
+    def test_detail_matches_inproc(self):
+        reference = build_star_sim(3).run(self.CYCLES, backend="inproc")
+        sim = build_star_sim(3)
+        result = sim.run(self.CYCLES, backend="process")
+        assert sim.last_run_backend == "process"
+        assert result.detail == reference.detail
 
     def test_unix_family_matches(self):
         reference = build_star_sim().run(self.CYCLES,
                                          backend="inproc")
-        backend = ProcessBackend(transport="socket",
-                                 socket_family="unix")
+        backend = ProcessBackend(socket_family="unix")
         result = backend.run(build_star_sim(), self.CYCLES)
         assert result.detail == reference.detail
 
+    def test_unix_family_survives_long_partition_names(self):
+        """Socket files are named by partition position, so a group
+        name far beyond ``sun_path`` (~100 bytes) still rendezvouses."""
+        base = "soc_" + "x" * 150  # the star's listener owner
+        spec = PartitionSpec(mode=EXACT, base_name=base, groups=[
+            PartitionGroup.make("fpga1", ["leaf0"])])
+        design = FireRipper(spec).compile(make_star_circuit(1))
+
+        def build():
+            return design.build_simulation(
+                QSFP_AURORA, sources={(base, "io_in"): stim_source()})
+
+        reference = build().run(60, backend="inproc")
+        sim = build()
+        assert list(sim.partitions)[0] == base
+        result = ProcessBackend(socket_family="unix").run(sim, 60)
+        assert result.detail == reference.detail
+
     def test_env_selects_socket_backend(self, monkeypatch):
+        """A retired spelling in ``REPRO_BACKEND`` still selects the
+        process backend."""
         monkeypatch.setenv("REPRO_BACKEND", "process-socket")
         sim = build_star_sim()
         sim.run(60)
-        assert sim.last_run_backend == "process-socket"
+        assert sim.last_run_backend == "process"
 
     def test_killed_worker_surfaces_and_cleans_up(self):
         import multiprocessing as mp
 
         from repro.errors import WorkerError
 
-        backend = ProcessBackend(transport="socket",
-                                 worker_faults={"fpga1": ("kill", 3)})
+        backend = ProcessBackend(worker_faults={"fpga1": ("kill", 3)})
         with pytest.raises(WorkerError) as err:
             backend.run(build_star_sim(), self.CYCLES)
         assert err.value.partition == "fpga1"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, UnknownBackendError
 from repro.service import (
     ResultCache,
     SingleFlight,
@@ -41,6 +41,20 @@ class TestNormalize:
             normalize_config({"kind": "teleport"})
         with pytest.raises(ServiceError):
             normalize_config(make_config(transport="carrier-pigeon"))
+
+    def test_backend_is_canonical_and_checked_at_submit(self,
+                                                        make_config):
+        """Every spelling of the process backend is one cache entry; a
+        typo is a typed refusal before the job costs a queue slot."""
+        keys = {config_fingerprint(normalize_config(
+                    make_config(backend=spelling)))
+                for spelling in ("process", "shm", "process-shm",
+                                 "Process-Socket")}
+        assert len(keys) == 1
+        assert normalize_config(
+            make_config(backend="inproc"))["backend"] == "inproc"
+        with pytest.raises(UnknownBackendError):
+            normalize_config(make_config(backend="proccess"))
 
     def test_simulate_wants_a_circuit(self):
         with pytest.raises(ServiceError):

@@ -92,27 +92,24 @@ class TestCheckBenchFiles:
             == ["null_metrics_overhead_pct"]
 
     def test_batching_slower_than_per_token_flags(self, tmp_path):
-        (tmp_path / "BENCH_parallel_speedup.json").write_text(
-            json.dumps({"wire_batching_speedup": 0.8}))
+        (tmp_path / "BENCH_socket_tier.json").write_text(
+            json.dumps({"socket_batching_speedup": 0.8}))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] \
-            == ["wire_batching_speedup"]
+            == ["socket_batching_speedup"]
 
     def test_token_plane_below_floors_flags(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 4.2,
-            "shm_vs_pipe_speedup": 1.5,
             "detail_bit_identical": False,
         }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] == [
-            "packed_codec_speedup", "shm_vs_pipe_speedup",
-            "detail_bit_identical"]
+            "packed_codec_speedup", "detail_bit_identical"]
 
     def test_token_plane_at_floors_passes(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 5.0,
-            "shm_vs_pipe_speedup": 2.0,
             "detail_bit_identical": True,
         }))
         assert check_bench_files(tmp_path) == []
