@@ -13,13 +13,18 @@ partitions to hosts that
   a host),
 * minimizes the modelled cross-host cut cost: for every link whose
   endpoints land on different hosts, the per-token wire time of the
-  host pair's link class at the link's channel width
-  (:meth:`~repro.platform.TransportModel.wire_ns`).
+  host pair's link class at the width the timing overlay charges for
+  the link (:meth:`~repro.platform.TransportModel.wire_ns` of the
+  source channel's token width in bits).
 
 The optimizer is a deterministic greedy seed (heaviest nodes first,
 each to the cheapest feasible host) refined by a bounded
 steepest-descent move search — small farms reach the optimum, large
-ones get a good cut in O(nodes * hosts * rounds).  Infeasible inputs
+ones get a good cut in O(nodes * hosts * rounds).  The group
+clustering and the move search are :mod:`repro.platform.cutsearch`,
+shared with :mod:`repro.fireripper.autopartition` (the same search one
+level down); this module keeps the seed pass, the node weight (cores)
+and the cost of a cut edge (host-pair wire time).  Infeasible inputs
 (more partitions than live cores, a group larger than every host)
 raise :class:`~repro.errors.PlacementError`.
 """
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import PlacementError
+from ..platform.cutsearch import descend, union_clusters
 from .hosts import FarmSpec
 
 #: one cross-partition link: (src partition, dst partition, width bits)
@@ -71,30 +77,15 @@ def _merge_groups(names: Sequence[str],
                   colocate: Iterable[Iterable[str]]) -> List[List[str]]:
     """Validated, overlap-merged co-location groups + singletons, each
     ordered by first appearance in ``names``."""
-    index = {name: i for i, name in enumerate(names)}
-    parent = {name: name for name in names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for group in colocate:
-        members = list(group)
-        for member in members:
-            if member not in index:
+    groups = [list(group) for group in colocate]
+    for group in groups:
+        for member in group:
+            if member not in names:
                 raise PlacementError(
                     f"co-location group names unknown partition "
                     f"{member!r}")
-        for a, b in zip(members, members[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    clusters: Dict[str, List[str]] = {}
-    for name in names:
-        clusters.setdefault(find(name), []).append(name)
-    return sorted(clusters.values(), key=lambda g: index[g[0]])
+    return union_clusters(names, (pair for group in groups
+                                  for pair in zip(group, group[1:])))
 
 
 def place(names: Sequence[str], links: Sequence[LinkDesc],
@@ -158,58 +149,42 @@ def place(names: Sequence[str], links: Sequence[LinkDesc],
         model = spec.link_model(host_a, host_b)
         return sum(model.wire_ns(w) for w in widths)
 
-    host_names = [h.name for h in hosts]
-    free = {h.name: h.cores for h in hosts}
+    cores = {h.name: h.cores for h in hosts}
+    used = dict.fromkeys(cores, 0)
+    need = {i: len(group) for i, group in enumerate(groups)}
     at: Dict[int, str] = {}
 
-    def incremental(gi: int, host: str) -> float:
-        return sum(pair_cost(host, at[gj], widths)
+    def wire_ns(gi: int) -> float:
+        """Cut share of group ``gi`` against its placed neighbours."""
+        return sum(pair_cost(at[gi], at[gj], widths)
                    for gj, widths in adjacency[gi].items()
                    if gj in at)
 
     # greedy seed: heaviest groups first (size, then total adjacent
     # traffic), each to the cheapest feasible host; ties break on host
     # order, so the pass is deterministic
-    weight = {i: sum(len(w) for w in adjacency[i].values())
-              for i in range(len(groups))}
-    seed_order = sorted(
-        range(len(groups)),
-        key=lambda i: (-len(groups[i]), -weight[i], i))
-    for gi in seed_order:
-        need = len(groups[gi])
-        candidates = [h for h in host_names if free[h] >= need]
-        if not candidates:
+    traffic = {i: sum(len(w) for w in adjacency[i].values())
+               for i in range(len(groups))}
+    for gi in sorted(need, key=lambda i: (-need[i], -traffic[i], i)):
+        best, best_cost = None, 0.0
+        for host in cores:
+            if used[host] + need[gi] > cores[host]:
+                continue
+            at[gi] = host
+            cost = wire_ns(gi)
+            if best is None or cost < best_cost:
+                best, best_cost = host, cost
+        if best is None:
             raise PlacementError(
-                f"no live host has {need} free core(s) for group "
+                f"no live host has {need[gi]} free core(s) for group "
                 f"{groups[gi]}")
-        best = min(candidates, key=lambda h: (incremental(gi, h),
-                                              host_names.index(h)))
         at[gi] = best
-        free[best] -= need
+        used[best] += need[gi]
 
-    # bounded steepest descent: move any one group to any other
-    # feasible host while that lowers the cut
-    for _ in range(2 * len(groups) + 4):
-        best_gain, best_move = 0.0, None
-        for gi in range(len(groups)):
-            here = at[gi]
-            current = incremental_without(gi, at, adjacency, pair_cost)
-            for host in host_names:
-                if host == here or free[host] < len(groups[gi]):
-                    continue
-                at[gi] = host
-                candidate = incremental_without(
-                    gi, at, adjacency, pair_cost)
-                at[gi] = here
-                gain = current - candidate
-                if gain > best_gain + 1e-12:
-                    best_gain, best_move = gain, (gi, host)
-        if best_move is None:
-            break
-        gi, host = best_move
-        free[at[gi]] += len(groups[gi])
-        free[host] -= len(groups[gi])
-        at[gi] = host
+    # refinement: move any one group to any other feasible host while
+    # that lowers the cut
+    descend(at, list(need), need, used, cores, wire_ns,
+            rounds=2 * len(groups) + 4)
 
     assignment = {name: at[owner[name]] for name in names}
     cut, crossing = 0.0, 0
@@ -222,21 +197,15 @@ def place(names: Sequence[str], links: Sequence[LinkDesc],
                      groups=[g for g in groups if len(g) > 1])
 
 
-def incremental_without(gi, at, adjacency, pair_cost) -> float:
-    """Cut contribution of group ``gi`` under assignment ``at``."""
-    here = at[gi]
-    return sum(pair_cost(here, at[gj], widths)
-               for gj, widths in adjacency[gi].items())
-
-
 def sim_links(sim) -> List[LinkDesc]:
-    """The cross-partition link list of a built simulation, widths
-    taken from each destination channel's token codec."""
+    """The cross-partition link list of a built simulation, at the
+    width the timing overlay charges: the source channel's token
+    width in bits."""
     out: List[LinkDesc] = []
     for link in sim.links:
         a, b = link.src[0], link.dst[0]
         if a != b:
-            width = sim._in_channel_by_key[link.dst].codec.nbytes * 8
+            width = sim._out_channel_by_key[link.src].codec.width
             out.append((a, b, width))
     return out
 

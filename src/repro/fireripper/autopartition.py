@@ -18,6 +18,12 @@ implements that search:
    ``mode="exact"`` by keeping combinationally-coupled neighbours
    together.
 
+The union-find clustering of step 3 and the refinement's move search
+are :mod:`repro.platform.cutsearch`, shared with the farm's
+partition-to-host placement (:mod:`repro.farm.placement` — the same
+search one level up); this module keeps the seed pass, the node
+weight (LUTs), the capacity and the cost of a cut edge (bits).
+
 The result is a ready-to-compile :class:`~repro.fireripper.PartitionSpec`
 plus a search report (cut width, per-FPGA utilization).
 """
@@ -31,6 +37,7 @@ from ..errors import SelectionError
 from ..firrtl.ast import Connect, InstPort, InstTarget, LocalTarget, Ref
 from ..firrtl.circuit import Circuit, Module
 from ..firrtl.passes.comb import circuit_comb_deps
+from ..platform.cutsearch import descend, union_clusters
 from ..platform.estimate import estimate_circuit_resources
 from ..platform.resources import FPGAProfile
 from .spec import EXACT, PartitionGroup, PartitionSpec
@@ -47,15 +54,6 @@ class InstanceGraph:
 
     def edge(self, a: str, b: str) -> float:
         return self.edges.get((min(a, b), max(a, b)), 0.0)
-
-    def neighbors(self, n: str) -> List[str]:
-        out = []
-        for (a, b) in self.edges:
-            if a == n:
-                out.append(b)
-            elif b == n:
-                out.append(a)
-        return out
 
     def cut_width(self, assignment: Dict[str, int]) -> float:
         """Total bit width crossing group boundaries."""
@@ -168,23 +166,21 @@ def auto_partition(circuit: Circuit, n_fpgas: int,
             f"only {len(graph.nodes)} top-level instances for "
             f"{n_fpgas} FPGAs")
 
-    # union combinationally-coupled instances into super-nodes
-    parent: Dict[str, str] = {n: n for n in graph.nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.comb_coupled:
-        parent[find(a)] = find(b)
-    clusters: Dict[str, List[str]] = {}
-    for n in graph.nodes:
-        clusters.setdefault(find(n), []).append(n)
+    # union combinationally-coupled instances into super-nodes, each
+    # named by its first instance
+    clusters = {members[0]: members for members in
+                union_clusters(graph.nodes, graph.comb_coupled)}
+    owner = {n: c for c, members in clusters.items() for n in members}
     cluster_ids = sorted(clusters)
     cluster_luts = {c: sum(graph.luts[n] for n in clusters[c])
                     for c in cluster_ids}
+    #: cluster-level cut graph: bits of wiring between two clusters
+    adjacent: Dict[str, Dict[str, float]] = {c: {} for c in cluster_ids}
+    for (a, b), width in graph.edges.items():
+        ca, cb = owner[a], owner[b]
+        if ca != cb:
+            adjacent[ca][cb] = adjacent[ca].get(cb, 0.0) + width
+            adjacent[cb][ca] = adjacent[cb].get(ca, 0.0) + width
 
     total_luts = sum(cluster_luts.values()) or 1.0
     target = total_luts / n_fpgas
@@ -193,7 +189,7 @@ def auto_partition(circuit: Circuit, n_fpgas: int,
         capacity = min(capacity, profile.usable.luts
                        * profile.congestion_threshold)
 
-    pinned = {find(n) for n in keep_in_base if n in parent}
+    pinned = {owner[n] for n in keep_in_base if n in owner}
 
     # greedy seeding: heaviest unpinned clusters seed groups 0..n-2;
     # everything else starts in the base (-1)
@@ -211,44 +207,24 @@ def auto_partition(circuit: Circuit, n_fpgas: int,
         assignment[c] = g
         loads[g] = loads.get(g, 0.0) + cluster_luts[c]
 
-    def inst_assignment() -> Dict[str, int]:
-        return {n: assignment[find(n)] for n in graph.nodes}
+    def cut_bits(c: str) -> float:
+        return sum(width for other, width in adjacent[c].items()
+                   if assignment[other] != assignment[c])
 
-    # KL-style refinement: move a cluster to the neighbouring group that
-    # most reduces the cut, while staying under capacity
-    moves = 0
-    for _ in range(4 * len(cluster_ids)):
-        best = None
-        current_cut = graph.cut_width(inst_assignment())
-        group_sizes: Dict[int, int] = {}
-        for c2 in cluster_ids:
-            group_sizes[assignment[c2]] = \
-                group_sizes.get(assignment[c2], 0) + 1
-        for c in cluster_ids:
-            if c in pinned:
-                continue
-            here = assignment[c]
-            if here != -1 and group_sizes.get(here, 0) <= 1:
-                continue  # never empty an extracted group
-            for g in list(loads):
-                if g == here:
-                    continue
-                if loads[g] + cluster_luts[c] > capacity:
-                    continue
-                assignment[c] = g
-                cut = graph.cut_width(inst_assignment())
-                assignment[c] = here
-                if cut < current_cut and (best is None or cut < best[0]):
-                    best = (cut, c, g)
-        if best is None:
-            break
-        _, c, g = best
-        loads[assignment[c]] -= cluster_luts[c]
-        assignment[c] = g
-        loads[g] = loads.get(g, 0.0) + cluster_luts[c]
-        moves += 1
+    def locked(c: str) -> bool:
+        # pinned to the base, or the last cluster of an extracted
+        # group (never empty one)
+        here = assignment[c]
+        return c in pinned or (here != -1 and sum(
+            1 for g in assignment.values() if g == here) <= 1)
 
-    final = inst_assignment()
+    # KL-style refinement: move a cluster to the group that most
+    # reduces the cut, while staying under capacity
+    moves = descend(assignment, cluster_ids, cluster_luts, loads,
+                    dict.fromkeys(loads, capacity), cut_bits,
+                    rounds=4 * len(cluster_ids), locked=locked)
+
+    final = {n: assignment[owner[n]] for n in graph.nodes}
     groups: Dict[int, List[str]] = {}
     for inst, g in final.items():
         if g != -1:

@@ -24,7 +24,7 @@ kind                    meaning
 ``failed``              execution raised; the error rides along
 ``cancelled``           the job was cancelled (queued or running)
 ``worker_spawn``        a backend coordinator forked a partition worker
-``worker_exit``         a partition worker was reaped
+``worker_exit``         a partition worker (or host agent) was reaped
 ``host_deploy``         the farm manager forked a host agent
 ``host_death``          a host died (agent exit or heartbeat timeout)
 ``host_replace``        the run re-placed onto the surviving hosts

@@ -5,6 +5,11 @@ simulation object is inherited by ``fork``, so compiled artefacts,
 token sources and closures need no pickling), binds the rendezvous
 listeners through which every pair of *linked* partitions connects its
 stream socket, wires a control pipe pair per worker, and then plays
+supervisor.  What it supervises are *endpoints* (:class:`Endpoint`,
+forked by the one spawner :func:`fork_endpoints`): a child process,
+its control pipe pair and sentinel, and the partitions it fronts — one
+worker here, a host agent fronting several workers in
+:class:`~repro.farm.FarmBackend`, which runs this same loop.  The
 supervisor:
 
 * tracks per-worker progress reports to detect global completion,
@@ -35,7 +40,7 @@ import multiprocessing as mp
 import os
 import shutil
 import time
-from collections import deque
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import errors as _errors
@@ -46,12 +51,13 @@ from ..observability.postmortem import DeadlockPostmortem
 from ..obsplane.events import EV_WORKER_EXIT, EV_WORKER_SPAWN
 from ..observability.tracer import (NULL_TRACER, RecordingTracer,
                                     TraceEvent)
+from ..reliability.checkpoint import load_partition_state
 from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
 from .channels import FramePacker
 from .socket_transport import (default_family, make_listeners,
                                socket_available, socket_timeouts)
-from .worker import worker_main
+from .worker import close_all, worker_main
 
 
 def unsupported_reason(sim) -> Optional[str]:
@@ -157,6 +163,89 @@ class _WorkerState:
         #: modelled time position from the last piggybacked metric
         #: frame (live status rendering only)
         self.busy_ns = 0.0
+
+
+def emit_event(sim, kind: str, **fields) -> None:
+    """Log one lifecycle event under ``sim``'s correlation id."""
+    if sim.events.enabled:
+        sim.events.emit(kind, corr=sim.corr_id, **fields)
+
+
+@dataclass
+class Endpoint:
+    """One supervised child process: its control pipe pair and the
+    partitions it fronts — a partition worker fronts its own, a farm
+    host agent every partition placed on its host."""
+
+    name: str
+    parts: List[str]
+    proc: mp.Process
+    recv: object            # parent-side end of child -> parent
+    send: object            # parent-side end of parent -> child
+    fields: dict            # identity fields of its spawn/exit events
+    last_seen: float = field(default_factory=time.monotonic)
+    dead: bool = False
+
+
+def broadcast(endpoints, msg) -> None:
+    """Send ``msg`` down to every endpoint not known dead."""
+    for ep in endpoints:
+        if ep.dead:
+            continue
+        try:
+            ep.send.send(msg)
+        except (BrokenPipeError, OSError):
+            pass
+
+
+def fork_endpoints(sim, role: str, spawn_kind: str, children,
+                   daemon: bool = True) -> List[Endpoint]:
+    """The one spawner: fork one child per ``(name, parts, target,
+    args, fields)`` entry, each behind its own control pipe pair.
+
+    ``target`` runs as ``target(sim, *args, ctl_recv=..., ctl_send=...,
+    unrelated_conns=...)`` — the simulation is inherited by ``fork``,
+    and closing ``unrelated_conns`` (its siblings' pipe ends) is what
+    makes any single death an EOF everywhere else.  Each start is
+    logged as a ``spawn_kind`` event: ``fields`` plus ``<role>_pid``.
+    """
+    ctx = mp.get_context("fork")
+    #: per child: (child -> parent, parent -> child), each (recv, send)
+    pipes = [(ctx.Pipe(duplex=False), ctx.Pipe(duplex=False))
+             for _ in children]
+    all_conns = [conn for up, down in pipes for conn in up + down]
+    endpoints = []
+    for (name, parts, target, args, fields), (up, down) in zip(
+            children, pipes):
+        proc = ctx.Process(
+            target=target, args=(sim, *args),
+            kwargs={"ctl_recv": down[0], "ctl_send": up[1],
+                    "unrelated_conns": [
+                        c for c in all_conns
+                        if c is not down[0] and c is not up[1]]},
+            name=f"repro-{role}-{name}", daemon=daemon)
+        endpoints.append(
+            Endpoint(name, parts, proc, up[0], down[1], fields))
+    for ep in endpoints:
+        ep.proc.start()
+    for ep, (up, down) in zip(endpoints, pipes):
+        ep.fields = dict(ep.fields, **{f"{role}_pid": ep.proc.pid})
+        emit_event(sim, spawn_kind, **ep.fields)
+        # the child owns these ends now; closing them here is what
+        # turns its death into an EOF on the parent's ends
+        close_all((up[1], down[0]))
+    return endpoints
+
+
+def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
+                 max_passes: int, **fields) -> List[Endpoint]:
+    """One partition-worker endpoint per entry of ``options`` (its
+    ``worker_main`` option dict)."""
+    return fork_endpoints(sim, "worker", EV_WORKER_SPAWN, [
+        (name, [name], worker_main,
+         (name, target_cycles, max_passes, worker_options),
+         dict(fields, part=name))
+        for name, worker_options in options.items()])
 
 
 class ProcessBackend:
@@ -279,94 +368,40 @@ class ProcessBackend:
                 "connect_timeout": connect_timeout,
                 "read_timeout": read_timeout,
             },
-            "corr_id": getattr(sim, "corr_id", "") or "",
         }
         return {name: dict(shared, die=self.worker_faults.get(name))
                 for name in names}
 
     def _close_listeners(self) -> None:
-        for sock in self._listeners.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+        close_all(self._listeners.values())
         self._listeners = {}
 
-    def _spawn(self, sim, target_cycles: int, max_passes: int):
-        ctx = mp.get_context("fork")
-        names = list(sim.partitions)
-        order = {name: i for i, name in enumerate(names)}
-        options = self._worker_options(sim)
-
-        all_conns: List = []
-
-        def pipe():
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            all_conns.extend((recv_conn, send_conn))
-            return recv_conn, send_conn
-
-        up: Dict[str, tuple] = {}
-        down: Dict[str, tuple] = {}
-        for name in names:
-            up[name] = pipe()      # worker -> coordinator
-            down[name] = pipe()    # coordinator -> worker
-
-        procs: Dict[str, mp.Process] = {}
-        for name in names:
-            own = {id(down[name][0]), id(up[name][1])}
-            unrelated = [c for c in all_conns if id(c) not in own]
-            procs[name] = ctx.Process(
-                target=worker_main,
-                args=(sim, name, order, target_cycles, max_passes,
-                      down[name][0], up[name][1], unrelated,
-                      options[name]),
-                name=f"repro-worker-{name}", daemon=True)
-        for proc in procs.values():
-            proc.start()
-        events = getattr(sim, "events", None)
-        if events is not None and events.enabled:
-            corr = getattr(sim, "corr_id", "")
-            for name, proc in procs.items():
-                events.emit(EV_WORKER_SPAWN, corr=corr, part=name,
-                            worker_pid=proc.pid,
+    def _spawn(self, sim, target_cycles: int,
+               max_passes: int) -> List[Endpoint]:
+        """One worker endpoint per partition."""
+        return fork_workers(sim, self._worker_options(sim),
+                            target_cycles, max_passes,
                             backend=self._backend_label)
-        # the children own these ends now; closing them here is what
-        # turns any single worker death into EOFs everywhere else
-        for name in names:
-            down[name][0].close()
-            up[name][1].close()
-        # children inherited the rendezvous listeners across fork; the
-        # owners keep their copies open until their accept phase ends
-        self._close_listeners()
-        ctl_recv = {name: up[name][0] for name in names}
-        ctl_send = {name: down[name][1] for name in names}
-        return procs, ctl_recv, ctl_send
 
-    @staticmethod
-    def _broadcast(ctl_send, msg) -> None:
-        for conn in ctl_send.values():
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):
-                pass
-
-    def _cleanup(self, procs, ctl_recv, ctl_send) -> None:
-        """Terminate, reap and unplumb every child unconditionally."""
-        for proc in procs.values():
+    def _cleanup(self, sim, endpoints) -> None:
+        """Terminate, reap and unplumb every child unconditionally —
+        the one place a child's exit is final, so the one place its
+        ``worker_exit`` record (with the exit code) is written."""
+        procs = [ep.proc for ep in endpoints]
+        for proc in procs:
             if proc.is_alive():
                 proc.terminate()
         deadline = time.monotonic() + 5.0
-        for proc in procs.values():
+        for proc in procs:
             proc.join(max(0.0, deadline - time.monotonic()))
-        for proc in procs.values():
+        for proc in procs:
             if proc.is_alive():
                 proc.kill()
                 proc.join(5.0)
-        for conn in list(ctl_recv.values()) + list(ctl_send.values()):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for ep in endpoints:
+            close_all((ep.recv, ep.send))
+            emit_event(sim, EV_WORKER_EXIT, **ep.fields,
+                       exitcode=ep.proc.exitcode)
         # children are reaped; the parent owns the unix-socket
         # rendezvous directory
         self._close_listeners()
@@ -377,70 +412,62 @@ class ProcessBackend:
     # -- the supervision loop -------------------------------------------------
 
     def _run(self, sim, target_cycles, max_passes, crash_cycle):
+        """The one supervision loop, for every backend built on this
+        class.  It supervises the endpoints :meth:`_spawn` forked,
+        whose workers' control messages arrive — directly or relayed
+        — in ``(partition, message)`` envelopes.  Completion (the stop
+        fence), LI-BDN deadlock, injected crashes and every failure
+        verdict are decided here from the per-partition view;
+        subclasses only change what an endpoint is and how its loss is
+        classified (:meth:`_find_failure`)."""
         from multiprocessing.connection import wait as conn_wait
 
-        procs, ctl_recv, ctl_send = self._spawn(
-            sim, target_cycles, max_passes)
-        names = list(sim.partitions)
+        endpoints = self._spawn(sim, target_cycles, max_passes)
+        # children inherited the rendezvous listeners across fork; the
+        # owners keep their copies open until their accept phase ends
+        self._close_listeners()
         now = time.monotonic()
-        states = {name: _WorkerState(
-            sim.partitions[name].target_cycle, now)
-            for name in names}
-        conn_name = {ctl_recv[name]: name for name in names}
-        sentinel_name = {procs[name].sentinel: name for name in names}
+        states = {name: _WorkerState(part.target_cycle, now)
+                  for name, part in sim.partitions.items()}
+        watched = {}
+        for ep in endpoints:
+            watched[ep.recv] = watched[ep.proc.sentinel] = ep
         stopping = False
         aborting: Optional[str] = None
         abort_at = 0.0
-        primary_failure: Optional[Tuple[str, str, str, str]] = None
         tick = min(1.0, max(0.05, self.heartbeat_timeout / 4))
 
         try:
             while True:
-                waitables = [c for c in ctl_recv.values()
-                             if not states[conn_name[c]].dead]
-                waitables += [s for s, n in sentinel_name.items()
-                              if not states[n].dead]
+                waitables = [item for item, ep in watched.items()
+                             if not ep.dead]
                 ready = conn_wait(waitables, timeout=tick) \
                     if waitables else []
                 now = time.monotonic()
                 for item in ready:
-                    if item in sentinel_name:
-                        self._on_death(sentinel_name[item], procs,
-                                       ctl_recv, states, now)
+                    ep = watched[item]
+                    if item is ep.recv:
+                        self._drain(ep, states, now)
                     else:
-                        self._drain(conn_name[item],
-                                    ctl_recv[conn_name[item]],
-                                    states, now)
-                live = (sim.telemetry.live
-                        if sim.telemetry.enabled else None)
-                if live is not None:
-                    live.update(self._live_payload(sim, states))
+                        self._on_death(ep, states, now)
+                if sim.telemetry.live is not None:
+                    sim.telemetry.live.update(
+                        self._live_payload(sim, states))
 
-                failure = primary_failure or self._find_failure(
-                    names, states, stopping, aborting)
+                failure = self._find_failure(
+                    sim, endpoints, states, now,
+                    stopping or aborting is not None)
                 if failure is not None:
-                    primary_failure = failure
-                    self._broadcast(ctl_send, ("abort", "fatal"))
-                    raise self._failure_error(failure)
-
-                for name in names:
-                    state = states[name]
-                    if not state.dead and state.fragment is None \
-                            and now - state.last_seen \
-                            > self.heartbeat_timeout:
-                        self._broadcast(ctl_send, ("abort", "fatal"))
-                        raise WorkerError(
-                            name, "heartbeat-timeout",
-                            f"no message for more than "
-                            f"{self.heartbeat_timeout}s")
+                    broadcast(endpoints, ("abort", "fatal"))
+                    raise failure
 
                 if aborting == "deadlock":
                     if all(s.postmortem is not None
                            for s in states.values()):
                         raise self._deadlock_error(sim, states)
                     if now - abort_at > self.heartbeat_timeout:
-                        silent = [n for n in names
-                                  if states[n].postmortem is None]
+                        silent = [n for n, s in states.items()
+                                  if s.postmortem is None]
                         raise WorkerError(
                             silent[0], "heartbeat-timeout",
                             "no deadlock postmortem within "
@@ -456,7 +483,7 @@ class ProcessBackend:
                     # or before its last report) has been applied
                     fence = max(s.max_reported
                                 for s in states.values()) + 1
-                    self._broadcast(ctl_send, ("stop", fence))
+                    broadcast(endpoints, ("stop", fence))
                     stopping = True
                 if stopping:
                     if all(s.fragment is not None
@@ -465,32 +492,23 @@ class ProcessBackend:
                     continue
                 if crash_cycle is not None \
                         and min_frontier >= crash_cycle:
-                    self._broadcast(ctl_send, ("abort", "crash"))
+                    broadcast(endpoints, ("abort", "crash"))
                     raise InjectedCrash(crash_cycle)
 
                 k_star = self._deadlock_pass(states)
                 if k_star is not None:
-                    self._broadcast(ctl_send, ("abort", "deadlock"))
+                    broadcast(endpoints, ("abort", "deadlock"))
                     aborting = "deadlock"
                     abort_at = now
         finally:
-            self._cleanup(procs, ctl_recv, ctl_send)
+            self._cleanup(sim, endpoints)
 
-        fragments = {n: states[n].fragment for n in names}
+        fragments = {n: s.fragment for n, s in states.items()}
         self.last_wire_stats = {
-            n: frag.get("wire_stats", {})
-            for n, frag in fragments.items()}
+            n: frag["wire_stats"] for n, frag in fragments.items()}
         self.last_worker_corr = {
-            n: frag.get("corr", "")
-            for n, frag in fragments.items()}
+            n: frag["corr"] for n, frag in fragments.items()}
         sim.last_worker_corr = dict(self.last_worker_corr)
-        events = getattr(sim, "events", None)
-        if events is not None and events.enabled:
-            corr = getattr(sim, "corr_id", "")
-            for n, proc in procs.items():
-                events.emit(EV_WORKER_EXIT, corr=corr, part=n,
-                            worker_pid=proc.pid,
-                            exitcode=proc.exitcode)
         self._merge(sim, fragments)
         sim.last_run_backend = self._backend_label
         self._finish_telemetry(sim)
@@ -521,22 +539,24 @@ class ProcessBackend:
                 sim.telemetry.target_cycles or 0):
             sim.telemetry.finish(sim)
 
-    def _drain(self, name, conn, states, now) -> None:
-        state = states[name]
+    def _drain(self, ep, states, now) -> None:
+        """Fold every pending ``(partition, message)`` envelope of one
+        endpoint into the supervision state; partition ``None`` is the
+        endpoint itself answering a probe (it only proves it alive)."""
         while True:
             try:
-                if not conn.poll():
+                if not ep.recv.poll():
                     return
-                msg = conn.recv()
+                part, msg = ep.recv.recv()
             except (EOFError, OSError):
                 return  # the sentinel handler owns death accounting
-            self._apply_msg(state, msg, now)
+            ep.last_seen = now
+            if part is not None:
+                self._apply_msg(states[part], msg, now)
 
     @staticmethod
     def _apply_msg(state, msg, now) -> None:
-        """Fold one worker control message into its supervision state
-        (shared with the farm manager, whose agents relay the same
-        messages tagged with the partition name)."""
+        """Fold one worker control message into its state record."""
         state.last_seen = now
         kind = msg[0]
         if kind == "progress":
@@ -558,59 +578,68 @@ class ProcessBackend:
             state.postmortem = msg[1]
         elif kind == "failed" and state.failed is None:
             state.failed = (msg[2], msg[3])
+        elif kind == "dead":
+            # relayed by the endpoint fronting this worker
+            state.dead = True
+            if msg[1] is not None:
+                state.exitcode = msg[1]
 
-    def _on_death(self, name, procs, ctl_recv, states, now) -> None:
-        state = states[name]
-        if state.dead:
-            return
-        procs[name].join(1.0)
-        self._drain(name, ctl_recv[name], states, now)
-        state.dead = True
-        state.exitcode = procs[name].exitcode
+    def _on_death(self, ep, states, now) -> None:
+        """An endpoint's process exited: everything it fronts that has
+        not reported its own exit went down with it."""
+        ep.proc.join(1.0)
+        self._drain(ep, states, now)
+        ep.dead = True
+        for part in ep.parts:
+            state = states[part]
+            state.dead = True
+            if state.exitcode is None:
+                state.exitcode = ep.proc.exitcode
 
-    @staticmethod
-    def _find_failure(names, states, stopping, aborting):
-        """First fatal worker condition in partition order, preferring
-        primary causes over secondary casualties (exit code 3 means "my
-        peer or coordinator vanished")."""
-        for name in names:
-            if states[name].failed is not None:
-                return (name, "raised", *states[name].failed)
-        for name in names:
-            state = states[name]
-            if state.dead and state.fragment is None \
-                    and state.postmortem is None \
-                    and state.exitcode not in (0, 3) \
-                    and not (stopping or aborting):
-                return (name, "died", "",
-                        f"worker process exited with code "
-                        f"{state.exitcode}")
-        # only secondary casualties: blame the first of them
-        if not (stopping or aborting):
-            for name in names:
-                state = states[name]
-                if state.dead and state.fragment is None \
-                        and state.postmortem is None:
-                    return (name, "died", "",
-                            "worker process exited after losing a "
-                            "peer or coordinator connection")
+    def _find_failure(self, sim, endpoints, states, now,
+                      quiescing: bool) -> Optional[SimulationError]:
+        """The first fatal worker condition in partition order, as the
+        error to raise: a reported exception, then a death — primary
+        causes before secondary casualties (exit code 3 means "my
+        peer or coordinator vanished"), and none of it once a stop or
+        abort is out (``quiescing``), when exits are expected — then
+        heartbeat silence."""
+        for name, state in states.items():
+            if state.failed is not None:
+                return self._raised_error(name, *state.failed)
+        if not quiescing:
+            lost = [(name, state) for name, state in states.items()
+                    if state.dead and state.fragment is None
+                    and state.postmortem is None]
+            for name, state in lost:
+                if state.exitcode not in (0, 3):
+                    return WorkerError(
+                        name, "died", "worker process exited with "
+                        f"code {state.exitcode}")
+            if lost:
+                return WorkerError(
+                    lost[0][0], "died", "worker process exited after "
+                    "losing a peer or coordinator connection")
+        for name, state in states.items():
+            if not state.dead and state.fragment is None \
+                    and now - state.last_seen > self.heartbeat_timeout:
+                return WorkerError(
+                    name, "heartbeat-timeout",
+                    f"no message for more than "
+                    f"{self.heartbeat_timeout}s")
         return None
 
     @staticmethod
-    def _failure_error(failure):
-        name, reason, exc_type, message = failure
-        if reason == "raised":
-            exc_cls = getattr(_errors, exc_type, None)
-            if exc_cls is not None \
-                    and isinstance(exc_cls, type) \
-                    and issubclass(exc_cls, _errors.ReproError):
-                try:
-                    return exc_cls(message)
-                except TypeError:
-                    pass
-            return WorkerError(name, "raised",
-                              f"{exc_type}: {message}")
-        return WorkerError(name, reason, message)
+    def _raised_error(name, exc_type, message):
+        exc_cls = getattr(_errors, exc_type, None)
+        if exc_cls is not None \
+                and isinstance(exc_cls, type) \
+                and issubclass(exc_cls, _errors.ReproError):
+            try:
+                return exc_cls(message)
+            except TypeError:
+                pass
+        return WorkerError(name, "raised", f"{exc_type}: {message}")
 
     # -- terminal assembly ----------------------------------------------------
 
@@ -658,82 +687,34 @@ class ProcessBackend:
     @staticmethod
     def _merge(sim, fragments) -> None:
         """Overlay every worker's owned state onto the parent process's
-        simulation.  Ownership: a link's transmit-side state belongs to
-        its source partition's worker, its receive-side accounting to
-        the destination's; arrivals, host state and recorded outputs
-        belong to the partition that holds the channel."""
-        merged_events: List[TraceEvent] = []
-        total = sim.total_tokens
-        dropped = sim.dropped_tokens
-        #: pre-run trim counts — needed to know how much of each
-        #: receiver-reported consume sequence the senders already
-        #: dropped this run
+        simulation (:func:`~repro.reliability.checkpoint.
+        load_partition_state` — the ownership rule lives there), then
+        what only exists because the state was split across processes:
+        token deltas, tracer events, and the consume-queue
+        recombination."""
+        #: pre-run credit-read cursors — how much of each receiver-
+        #: reported consume sequence the sender dropped *this run*
         base_before = dict(sim._consume_base)
-        consume_values: Dict[Tuple[str, str], list] = {}
-        consume_base: Dict[Tuple[str, str], int] = {}
+        merged_events: List[TraceEvent] = []
         for name in sim.partitions:
             frag = fragments[name]
-            part = sim.partitions[name]
-            part.busy_until = frag["busy_until"]
-            spans = part.hooks.spans
-            for component, ns in frag["spans"].items():
-                setattr(spans, f"{component}_ns", ns)
-            part.host.load_state_dict(frag["host"])
-            for idx, entry in frag["links_src"].items():
-                link = sim.links[idx]
-                link.tokens = entry["tokens"]
-                link.next_free = entry["next_free"]
-                link.busy_ns = entry["busy_ns"]
-                if entry["reliability"] is not None \
-                        and link.reliability is not None:
-                    link.reliability.load_state_dict(
-                        entry["reliability"])
-                switch_state = entry.get("switch")
-                if switch_state is not None \
-                        and link.hooks.switch is not None:
-                    link.hooks.switch.next_free = \
-                        switch_state["next_free"]
-                    link.hooks.switch.tokens = switch_state["tokens"]
-            for idx, entry in frag["links_dst"].items():
-                sim.links[idx].depth_hist = dict(entry["depth_hist"])
-            for key in [k for k in sim._arrivals if k[0] == name]:
-                del sim._arrivals[key]
-            for key, values in frag["arrivals"].items():
-                sim._arrivals[key] = deque(values)
-            consume_values.update(frag["consume_values"])
-            consume_base.update(frag["consume_base"])
-            for key in [k for k in sim.output_log if k[0] == name]:
-                del sim.output_log[key]
-            sim.output_log.update(frag["output_log"])
-            total += frag["total_delta"]
-            dropped += frag["dropped_delta"]
+            load_partition_state(sim, name, frag["state"])
+            sim.total_tokens += frag["total_delta"]
+            sim.dropped_tokens += frag["dropped_delta"]
             if frag["tracer_events"]:
                 merged_events.extend(frag["tracer_events"])
-            if frag.get("telemetry") is not None \
-                    and sim.telemetry.enabled:
-                sim.telemetry.merge_worker(name, frag["telemetry"])
-        # consume-time queues: the receiver reports the full (untrimmed)
-        # append sequence, the sender how far its credit reads trimmed
-        # it; serially the two act on one shared deque.  A sole feeder
-        # local to the receiver already trimmed the reported values.
-        feeders: Dict[Tuple[str, str], set] = {}
+        # consume-time queues: the receiver's worker holds the full
+        # (untrimmed) append sequence, a remote sole feeder's how far
+        # its credit reads trimmed its own copy; serially the two act
+        # on one shared deque.  (A feeder local to the receiver already
+        # trimmed the reported values; a shared channel is never
+        # trimmed, so its cursor did not move.)
         for link in sim.links:
-            feeders.setdefault(link.dst, set()).add(link.src[0])
-        for key in [k for k in sim._consume_times
-                    if k in sim._dst_link_count]:
-            del sim._consume_times[key]
-        for key, values in consume_values.items():
-            new_base = consume_base.get(key, base_before.get(key, 0))
-            drop = 0
-            if feeders.get(key) != {key[0]}:
-                drop = new_base - base_before.get(key, 0)
-            sim._consume_times[key] = deque(values[drop:])
-        for key in [k for k in sim._consume_base
-                    if k in sim._dst_link_count]:
-            del sim._consume_base[key]
-        sim._consume_base.update(consume_base)
-        sim.total_tokens = total
-        sim.dropped_tokens = dropped
+            if link.src[0] != link.dst[0]:
+                queue = sim._consume_times.get(link.dst)
+                for _ in range(sim._consume_base.get(link.dst, 0)
+                               - base_before.get(link.dst, 0)):
+                    queue.popleft()
         if merged_events and sim.tracer.enabled:
             merged_events.sort(key=lambda e: e.ts_ns)
             for event in merged_events:

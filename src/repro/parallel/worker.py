@@ -27,7 +27,9 @@ advancing, paced by the flow-control window, until the coordinator
 broadcasts a stop.  Service passes perform no simulation work and
 mutate no state, so the final merged state is deterministic.
 
-Control protocol (worker -> coordinator, over the control pipe):
+Control protocol (worker -> coordinator, over the control pipe; every
+message travels in a ``(partition, message)`` envelope so an endpoint
+that fronts several workers — a farm host agent — relays it as is):
 
 ``("progress", name, [(pass, frontier, progressed), ...], metrics)``
     batched per-pass progress; flushed on no-progress passes so the
@@ -59,12 +61,21 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import SimulationError
 from ..observability.tracer import RecordingTracer
 from ..obsplane.corr import current_corr_id, propagate_corr_id
-from .channels import (Conduit, EffectFrame, FrameInbox, FramePacker,
-                       MetricFrame)
+from ..reliability.checkpoint import partition_state
+from .channels import Conduit, EffectFrame, FrameInbox, MetricFrame
 from .socket_transport import SocketChannel, establish_channels
 
 #: set in forked children so backend auto-selection never recurses
 IN_WORKER = False
+
+
+def close_all(closables) -> None:
+    """Close pipe ends / sockets, ignoring the ones already gone."""
+    for item in closables:
+        try:
+            item.close()
+        except OSError:
+            pass
 
 
 class _Stop(Exception):
@@ -126,30 +137,27 @@ class Router:
 class PartitionWorker:
     """Drives one partition to ``target_cycles`` inside its process."""
 
-    def __init__(self, sim, name: str, order: Dict[str, int],
+    def __init__(self, sim, name: str,
                  target_cycles: int, max_passes: int,
-                 ctl_recv, ctl_send, packer: FramePacker,
-                 socket_plan: dict,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None,
-                 heartbeat_s: float = 5.0,
-                 die: Optional[Tuple[str, int]] = None):
+                 ctl_recv, ctl_send, options: dict):
+        """``options`` is this partition's entry of
+        :meth:`ProcessBackend._worker_options`."""
         self.sim = sim
         self.name = name
         self.part = sim.partitions[name]
-        self.order = order
         self.target_cycles = target_cycles
         self.max_passes = max_passes
         self.ctl_recv = ctl_recv
         self.ctl_send = ctl_send
-        self.flush_interval = flush_interval
-        self.heartbeat_s = heartbeat_s
-        self.die = die
+        self.flush_interval = flush_interval = options["flush_interval"]
+        self.heartbeat_s = options["heartbeat_s"]
+        self.die: Optional[Tuple[str, int]] = options["die"]
         self.pass_no = 0
 
         self.router = Router(sim, name)
         sim.router = self.router
         self.peers = self.router.peers
+        order = {part: i for i, part in enumerate(sim.partitions)}
         me_idx = order[name]
         by_order = sorted(self.peers, key=order.__getitem__)
         self.peers_before = [p for p in by_order if order[p] < me_idx]
@@ -159,18 +167,20 @@ class PartitionWorker:
         # through the coordinator's pre-bound rendezvous listeners.
         # Sockets signal peer death natively (EOF), so the channels
         # double as the peer-liveness watch.
-        self.packer = packer
+        self.packer = packer = options["packer"]
         self._finalizing = False
         self.conduits: Dict[str, Conduit] = {}
         self.inboxes: Dict[str, FrameInbox] = {}
         self._wait_conns = [ctl_recv]
         channels = establish_channels(
-            name, self.peers_before, self.peers_after, socket_plan)
+            name, self.peers_before, self.peers_after,
+            options["socket"])
         for peer in self.peers:
             chan = channels[peer]
             conduit = Conduit(
                 chan, peer, packer,
-                flush_interval=flush_interval, window=window,
+                flush_interval=flush_interval,
+                window=options["window"],
                 wait_step=(lambda p=peer: self._transport_wait_step(p)))
             self._wait_conns.append(chan)
             conduit.ack_source = (lambda p=peer: self._take_ack(p))
@@ -251,7 +261,7 @@ class PartitionWorker:
 
     def _send_ctl(self, msg) -> None:
         try:
-            self.ctl_send.send(msg)
+            self.ctl_send.send((self.name, msg))
         except (BrokenPipeError, OSError):
             os._exit(3)
 
@@ -455,60 +465,21 @@ class PartitionWorker:
 
     def fragment(self) -> dict:
         """Everything the coordinator needs to make the parent process's
-        simulation object identical to a serial run's."""
-        sim, me = self.sim, self.name
-        links_src, links_dst = {}, {}
-        #: the receive side owns the full consume-time sequence (it is
-        #: the appender); each sender owns how far its credit reads have
-        #: trimmed the shared queue — the merge recombines them
-        consume_values, consume_base = {}, {}
-        for i, link in enumerate(sim.links):
-            if link.src[0] == me:
-                entry = {
-                    "tokens": link.tokens,
-                    "next_free": link.next_free,
-                    "busy_ns": link.busy_ns,
-                    "reliability": (link.reliability.state_dict()
-                                    if link.reliability is not None
-                                    else None),
-                }
-                if link.hooks.switch is not None:
-                    entry["switch"] = {
-                        "next_free": link.hooks.switch.next_free,
-                        "tokens": link.hooks.switch.tokens,
-                    }
-                links_src[i] = entry
-                if link.dst in sim._consume_base:
-                    consume_base[link.dst] = \
-                        sim._consume_base[link.dst]
-            if link.dst[0] == me:
-                links_dst[i] = {"depth_hist": dict(link.depth_hist)}
-                if link.dst in sim._consume_times:
-                    consume_values[link.dst] = \
-                        list(sim._consume_times[link.dst])
+        simulation object identical to a serial run's: the state this
+        partition owns, plus what only a split run has."""
+        sim = self.sim
         return {
-            "partition": me,
-            "passes": self.pass_no,
-            "busy_until": self.part.busy_until,
-            "spans": self.part.hooks.spans.as_dict(),
-            "host": self.part.host.state_dict(),
-            "links_src": links_src,
-            "links_dst": links_dst,
-            "arrivals": {k: list(v) for k, v in sim._arrivals.items()
-                         if k[0] == me},
-            "consume_values": consume_values,
-            "consume_base": consume_base,
-            "output_log": {k: v for k, v in sim.output_log.items()
-                           if k[0] == me},
+            # telemetry included: the merge takes this partition's
+            # series and instruments from here, never from the live
+            # metric frames.  For a channel fed from a peer process
+            # the consume-time queue is the full append sequence (the
+            # feeder's worker trims its own copy and owns the cursor);
+            # the merge recombines them
+            "state": partition_state(sim, self.name),
             "total_delta": sim.total_tokens - self._tokens0,
             "dropped_delta": sim.dropped_tokens - self._dropped0,
             "tracer_events": (self._tracer.events
                               if self._tracer is not None else None),
-            # authoritative telemetry: the merge takes this partition's
-            # series and instruments from here, never from the live
-            # metric frames above
-            "telemetry": (sim.telemetry.state_dict()
-                          if sim.telemetry.enabled else None),
             # observability echo: the corr id this worker's process
             # actually observed (diagnostics; never merged into state)
             "corr": current_corr_id(),
@@ -540,8 +511,8 @@ class PartitionWorker:
         }
 
 
-def worker_main(sim, name, order, target_cycles, max_passes,
-                ctl_recv, ctl_send, unrelated_conns, options) -> None:
+def worker_main(sim, name, target_cycles, max_passes, options,
+                ctl_recv, ctl_send, unrelated_conns) -> None:
     """Entry point of a forked worker process.
 
     ``unrelated_conns`` is every pipe end belonging to other workers;
@@ -552,23 +523,13 @@ def worker_main(sim, name, order, target_cycles, max_passes,
     IN_WORKER = True
     # adopt the request's correlation id: visible to anything this
     # worker execs, and echoed home in the result fragment
-    corr_id = options.get("corr_id", "")
-    if corr_id:
-        propagate_corr_id(corr_id)
-    for conn in unrelated_conns:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    if sim.corr_id:
+        propagate_corr_id(sim.corr_id)
+    close_all(unrelated_conns)
     worker = None
     try:
-        worker = PartitionWorker(
-            sim, name, order, target_cycles, max_passes,
-            ctl_recv, ctl_send, options["packer"], options["socket"],
-            flush_interval=options.get("flush_interval", 16),
-            window=options.get("window"),
-            heartbeat_s=options.get("heartbeat_s", 5.0),
-            die=options.get("die"))
+        worker = PartitionWorker(sim, name, target_cycles, max_passes,
+                                 ctl_recv, ctl_send, options)
         worker.loop()
     except _Stop:
         # past the fence the remaining frames are empty service frames;
@@ -583,25 +544,16 @@ def worker_main(sim, name, order, target_cycles, max_passes,
                 worker.conduits[peer].send_ack(inbox.applied_through)
             except (BrokenPipeError, OSError):
                 pass
-        try:
-            ctl_send.send(("done", worker.fragment()))
-        except (BrokenPipeError, OSError):
-            os._exit(3)
-        os._exit(0)
+        worker._send_ctl(("done", worker.fragment()))
     except _Abort as abort:
         if abort.reason == "deadlock":
-            try:
-                ctl_send.send(("postmortem",
-                               worker.postmortem_payload()))
-            except (BrokenPipeError, OSError):
-                pass
-        os._exit(0)
+            worker._send_ctl(("postmortem", worker.postmortem_payload()))
     except Exception as exc:  # noqa: BLE001 — everything must be reported
         import traceback
         tail = traceback.format_exc(limit=-3)
         try:
-            ctl_send.send(("failed", name, type(exc).__name__,
-                           f"{exc}\n{tail}".rstrip()))
+            ctl_send.send((name, ("failed", name, type(exc).__name__,
+                                  f"{exc}\n{tail}".rstrip())))
         except (BrokenPipeError, OSError):
             pass
         os._exit(1)

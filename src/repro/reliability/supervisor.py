@@ -30,7 +30,7 @@ from ..errors import SimulationError
 from ..harness.metrics import SimulationResult
 from ..harness.partitioned import PartitionedSimulation
 from ..observability.tracer import NULL_TRACER, TraceEvent, Tracer
-from .checkpoint import capture_state, restore_state, save_checkpoint
+from .checkpoint import capture_state, restore_state, write_checkpoint
 
 
 class InjectedCrash(SimulationError):
@@ -133,8 +133,9 @@ class RunSupervisor:
         state = capture_state(sim)
         cycle = sim.frontier_cycle()
         if self.checkpoint_dir is not None:
-            save_checkpoint(sim,
-                            self.checkpoint_dir / f"checkpoint-{cycle}.json")
+            # the rollback copy and the file are the same snapshot
+            write_checkpoint(
+                state, self.checkpoint_dir / f"checkpoint-{cycle}.json")
         report.checkpoints += 1
         report.events.append(SupervisorEvent("checkpoint", cycle))
         report.heartbeats.append(self._heartbeat(sim))

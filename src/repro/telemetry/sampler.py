@@ -106,14 +106,18 @@ class Sampler:
 
     # -- persistence ------------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def state_dict(self, part: Optional[str] = None) -> dict:
+        """Cursors and series of every partition, or of ``part``."""
         return {
             "interval": self.interval,
-            "next": dict(sorted(self._next.items())),
+            "next": {name: cycle
+                     for name, cycle in sorted(self._next.items())
+                     if part in (None, name)},
             "series": {
                 name: [[cycle, dict(sorted(values.items()))]
                        for cycle, values in points]
                 for name, points in sorted(self.series.items())
+                if part in (None, name)
             },
         }
 
@@ -244,10 +248,12 @@ class Telemetry:
             "metrics": self.registry.snapshot(),
         }
 
-    def state_dict(self) -> dict:
+    def state_dict(self, part: Optional[str] = None) -> dict:
+        """The whole session, or — with ``part`` — the slice one
+        partition owns (what :meth:`merge_worker` loads)."""
         return {
-            "sampler": self.sampler.state_dict(),
-            "metrics": self.registry.snapshot(),
+            "sampler": self.sampler.state_dict(part),
+            "metrics": self.registry.snapshot(part),
         }
 
     def load_state_dict(self, state: dict) -> None:

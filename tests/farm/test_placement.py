@@ -143,3 +143,32 @@ class TestPlacementProperty:
         for group in colocate:
             hosts = {placement.assignment[m] for m in group}
             assert len(hosts) == 1, (group, placement.assignment)
+
+
+class TestLinkWidth:
+    def test_cut_priced_at_the_width_the_overlay_charges(self):
+        """A 4-bit boundary costs ``wire_ns(4)`` per link, not the
+        byte-rounded 8: placement and the timing overlay read the same
+        channel width."""
+        from repro.farm.placement import place_sim, sim_links
+
+        from ..parallel.conftest import build_star_sim
+
+        sim = build_star_sim(2)  # fpga2's boundary is 4 bits wide
+        widths = {(a, b): w for a, b, w in sim_links(sim)}
+        assert widths[("base", "fpga2")] == widths[("fpga2", "base")] == 4
+        sim.ensure_schedule()
+        for plan in sim._schedule:
+            for unit_plan in plan.unit_plans:
+                for op in unit_plan.out_ops.values():
+                    if op.link is not None:
+                        assert op.width == widths[
+                            (op.link.src[0], op.link.dst[0])]
+
+        spec = farm(2, 1)
+        placement = place_sim(sim, spec,
+                              colocate=[["base", "fpga1"]])
+        assert placement.assignment["fpga2"] == "h1"
+        assert placement.cross_links == 2
+        assert placement.cut_cost_ns == \
+            2 * spec.link_model("h0", "h1").wire_ns(4)

@@ -96,3 +96,24 @@ class TestBackendPropagation:
         # the worker was observed and reported
         for entry in exits:
             assert entry["exitcode"] is not None
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_failed_run_still_logs_every_worker_exit(self, tmp_path):
+        """The exit record is written where children are reaped, not
+        after a successful loop: a killed worker's run leaves one
+        ``worker_exit`` per worker, the victim's with its signal."""
+        from repro.errors import WorkerError
+        from repro.parallel import ProcessBackend
+        path = tmp_path / "ev.jsonl"
+        sim = build_star_sim(2)
+        sim.corr_id = mint_corr_id()
+        sim.events = EventLog(path)
+        with pytest.raises(WorkerError):
+            ProcessBackend(
+                worker_faults={"fpga1": ("kill", 4)}).run(sim, CYCLES)
+        sim.events.close()
+        exits = {e["part"]: e for e in read_events(
+            path, corr=sim.corr_id, kinds=[EV_WORKER_EXIT])}
+        assert set(exits) == set(sim.partitions)
+        assert exits["fpga1"]["exitcode"] == -9
+        assert all(e["exitcode"] is not None for e in exits.values())

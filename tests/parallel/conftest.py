@@ -7,6 +7,7 @@ import pytest
 from repro.firrtl import ModuleBuilder, make_circuit
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.harness import FunctionSource
+from repro.parallel import ProcessBackend
 from repro.platform import QSFP_AURORA
 
 STIM = [3, 9, 250, 0, 7, 8, 1, 2, 200, 17, 4, 99]
@@ -63,3 +64,29 @@ def build_star_sim(n_leaves: int = 2, mode=EXACT, **kwargs):
 @pytest.fixture
 def star_sim_factory():
     return build_star_sim
+
+
+@pytest.fixture
+def make_backend():
+    """Factory of the distributed backend under test (keyword
+    arguments as for ``ProcessBackend``); :class:`OnFarm` swaps in the
+    farm."""
+    return ProcessBackend
+
+
+def farm_backend(**kwargs):
+    """A two-host farm too small for the star design to fit on one
+    host, so its runs genuinely span agents."""
+    from repro.farm import FarmBackend, FarmSpec, HostSpec
+    return FarmBackend(
+        FarmSpec([HostSpec("h0", cores=2), HostSpec("h1", cores=1)]),
+        **kwargs)
+
+
+class OnFarm:
+    """Mixin: re-run a backend-agnostic test class through the farm —
+    the same supervision loop with host agents as its endpoints."""
+
+    @pytest.fixture
+    def make_backend(self):
+        return farm_backend

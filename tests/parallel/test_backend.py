@@ -32,7 +32,7 @@ from repro.reliability import (
 from repro.rtl import Simulator
 from repro.targets.combo import WIDTH, make_comb_left, make_comb_right
 
-from .conftest import build_star_sim
+from .conftest import OnFarm, build_star_sim
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process backend needs fork")
@@ -152,10 +152,41 @@ class TestCheckpointInterop:
         assert resumed.output_log == ref.output_log
 
 
+    def test_capture_equal_with_fabrics_and_hardened_links(self):
+        """The owned-state schema covers every hook: with per-source
+        switch fabrics and faulty reliable links, a checkpoint taken
+        after a process-backed segment ``==`` one taken after the same
+        in-process segment, and a restored clone re-captures to it."""
+        from repro.platform.ethernet import SwitchFabric
+
+        def build():
+            sim = build_star_sim(2)
+            harden_links(sim, FaultSpec(drop_rate=0.2, seed=11))
+            fabrics = {}
+            for link in sim.links:
+                link.hooks.switch = fabrics.setdefault(
+                    link.src[0], SwitchFabric())
+            return sim
+
+        serial = build()
+        serial.run(10, backend="inproc")
+        parallel = build()
+        ProcessBackend().run(parallel, 10)
+        state = capture_state(parallel)
+        assert state == capture_state(serial)
+        assert any(entry["switch"]["tokens"] and entry["reliability"]
+                   for part in state["partitions"].values()
+                   for entry in part["links_tx"].values())
+        clone = build()
+        restore_state(clone, state)
+        assert capture_state(clone) == state
+
+
 class TestFailureSurfacing:
-    def test_killed_worker_surfaces_and_leaves_no_orphans(self):
+    def test_killed_worker_surfaces_and_leaves_no_orphans(
+            self, make_backend):
         sim = build_star_sim(2)
-        backend = ProcessBackend(
+        backend = make_backend(
             worker_faults={"fpga1": ("kill", 4)})
         with pytest.raises(WorkerError) as err:
             backend.run(sim, 40)
@@ -163,9 +194,9 @@ class TestFailureSurfacing:
         assert "died" in str(err.value)
         assert _no_orphans()
 
-    def test_worker_exception_rebuilt_in_parent(self):
+    def test_worker_exception_rebuilt_in_parent(self, make_backend):
         sim = build_star_sim(2)
-        backend = ProcessBackend(
+        backend = make_backend(
             worker_faults={"fpga2": ("raise", 3)})
         with pytest.raises(WorkerError) as err:
             backend.run(sim, 40)
@@ -173,9 +204,9 @@ class TestFailureSurfacing:
         assert "injected worker fault" in str(err.value)
         assert _no_orphans()
 
-    def test_hung_worker_hits_heartbeat_timeout(self):
+    def test_hung_worker_hits_heartbeat_timeout(self, make_backend):
         sim = build_star_sim(2)
-        backend = ProcessBackend(
+        backend = make_backend(
             heartbeat_timeout=2.0,
             worker_faults={"fpga1": ("hang", 4)})
         with pytest.raises(WorkerError) as err:
@@ -183,33 +214,38 @@ class TestFailureSurfacing:
         assert "heartbeat-timeout" in str(err.value)
         assert _no_orphans()
 
-    def test_crash_injection_matches_serial_semantics(self):
+    def test_crash_injection_matches_serial_semantics(
+            self, make_backend):
         sim = build_star_sim(2)
         with pytest.raises(InjectedCrash) as err:
-            ProcessBackend().run(sim, 40, crash_cycle=6)
+            make_backend().run(sim, 40, crash_cycle=6)
         assert err.value.cycle == 6
         assert _no_orphans()
 
-    def test_pass_budget_matches_serial(self):
+    def test_pass_budget_matches_serial(self, make_backend):
         s1 = build_star_sim(2)
         with pytest.raises(SimulationError, match="pass budget") as e1:
             s1.run(40, max_passes=3, backend="inproc")
         assert not isinstance(e1.value, DeadlockError)
         s2 = build_star_sim(2)
         with pytest.raises(SimulationError, match="pass budget") as e2:
-            ProcessBackend().run(s2, 40, max_passes=3)
+            make_backend().run(s2, 40, max_passes=3)
         assert not isinstance(e2.value, DeadlockError)
         assert _no_orphans()
 
 
+class TestFailureSurfacingOnFarm(OnFarm, TestFailureSurfacing):
+    pass
+
+
 class TestDeadlockParity:
-    def test_postmortem_identical_to_inproc(self):
+    def test_postmortem_identical_to_inproc(self, make_backend):
         s1 = _deadlock_sim()
         with pytest.raises(DeadlockError) as e1:
             s1.run(5, backend="inproc")
         s2 = _deadlock_sim()
         with pytest.raises(DeadlockError) as e2:
-            ProcessBackend().run(s2, 5)
+            make_backend().run(s2, 5)
         assert str(e2.value) == str(e1.value)
         assert e2.value.detail == e1.value.detail
         assert e2.value.host_cycle == e1.value.host_cycle == 1
@@ -219,6 +255,10 @@ class TestDeadlockParity:
         assert pm2.frontier_cycle == pm1.frontier_cycle
         assert pm2.channels == pm1.channels
         assert _no_orphans()
+
+
+class TestDeadlockParityOnFarm(OnFarm, TestDeadlockParity):
+    pass
 
 
 class TestBackendSelection:

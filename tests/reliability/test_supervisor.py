@@ -41,6 +41,29 @@ class TestHappyPath:
         assert names == ["checkpoint-0.json", "checkpoint-100.json",
                          "checkpoint-50.json"]
 
+    def test_on_disk_checkpoint_is_the_rollback_snapshot(
+            self, build_pair, tmp_path, monkeypatch):
+        """One capture per checkpoint: the file is written from the
+        state already captured for rollback, not from a second pass
+        over the simulation."""
+        from repro.reliability import (checkpoint, load_checkpoint,
+                                       supervisor)
+        captured = []
+
+        def counting_capture(sim):
+            captured.append(capture_state(sim))
+            return captured[-1]
+
+        capture_state = supervisor.capture_state
+        for module in (supervisor, checkpoint):
+            monkeypatch.setattr(module, "capture_state",
+                                counting_capture)
+        report = RunSupervisor(build_pair, checkpoint_every=50,
+                               checkpoint_dir=tmp_path).run(100)
+        assert len(captured) == report.checkpoints == 3
+        assert load_checkpoint(tmp_path / "checkpoint-100.json") \
+            == captured[-1]
+
     def test_invalid_interval_rejected(self, build_pair):
         with pytest.raises(SimulationError):
             RunSupervisor(build_pair, checkpoint_every=0)
