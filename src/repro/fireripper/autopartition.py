@@ -70,8 +70,8 @@ def build_instance_graph(circuit: Circuit,
 
     luts: Dict[str, float] = {}
     for name in nodes:
-        sub = circuit.clone()
-        sub.top = inst_mod[name]
+        # a view, not a copy: remove_unreachable only rebinds sub's dict
+        sub = Circuit(inst_mod[name], circuit.modules.values())
         sub.remove_unreachable()
         luts[name] = estimate_circuit_resources(sub).luts
 

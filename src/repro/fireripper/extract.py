@@ -23,9 +23,9 @@ is what lets the LI-BDN channel plan pair them up later.
 
 from __future__ import annotations
 
-import copy
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import IRError, SelectionError
 from ..firrtl.ast import (
@@ -123,24 +123,24 @@ def _module_exprs(module: Module):
 # --------------------------------------------------------------------------
 
 
-def _instantiation_count(circuit: Circuit, module_name: str) -> int:
-    count = 1 if module_name == circuit.top else 0
+def _instantiation_counts(circuit: Circuit) -> Counter:
+    """Module name -> number of DefInstances of it (the top counts one)."""
+    counts = Counter({circuit.top: 1})
     for m in circuit.modules.values():
-        for inst in m.instances():
-            if inst.module == module_name:
-                count += 1
-    return count
+        counts.update(inst.module for inst in m.instances())
+    return counts
 
 
-def _uniquify_path(circuit: Circuit, path: str) -> None:
+def _uniquify_path(circuit: Circuit, path: str, counts: Counter) -> None:
     """Clone the modules along ``path`` (excluding the final instance's
-    module) so each is instantiated exactly once."""
+    module) so each is instantiated exactly once; ``counts`` is
+    :func:`_instantiation_counts` of ``circuit``, kept current."""
     mod = circuit.top_module
     for segment in path.split(".")[:-1]:
         inst = mod.instance(segment)
         child_name = inst.module
-        if _instantiation_count(circuit, child_name) > 1:
-            clone = copy.deepcopy(circuit.module(child_name))
+        if counts[child_name] > 1:
+            clone = circuit.module(child_name).clone()
             base = f"{child_name}_uniq"
             fresh = base
             i = 0
@@ -150,8 +150,18 @@ def _uniquify_path(circuit: Circuit, path: str) -> None:
             clone.name = fresh
             circuit.add_module(clone)
             inst.module = fresh
+            counts[child_name] -= 1
+            counts[fresh] = 1
+            counts.update(sub.module for sub in clone.instances())
             child_name = fresh
         mod = circuit.module(child_name)
+
+
+def _remove_stmts(module: Module, stmts: Iterable) -> None:
+    """Drop exactly the given statement objects (by identity: an equal
+    statement elsewhere in the module stays)."""
+    drop = {id(s) for s in stmts}
+    module.stmts = [s for s in module.stmts if id(s) not in drop]
 
 
 def _hoist_once(circuit: Circuit, path: str) -> str:
@@ -188,8 +198,7 @@ def _hoist_once(circuit: Circuit, path: str) -> str:
             parent.ports.append(Port(punched, INPUT, q.width))
         port_map.append((q, punched))
 
-    for s in stmts_to_remove:
-        parent.stmts.remove(s)
+    _remove_stmts(parent, stmts_to_remove)
 
     # reads of the hoisted instance's outputs become reads of the punched
     # input ports
@@ -229,18 +238,23 @@ def _reparent_to_top(circuit: Circuit, path: str) -> str:
 # --------------------------------------------------------------------------
 
 
-def _eliminate_dead_glue(module: Module) -> None:
-    """Drop wires/nodes (and their drivers) no longer reachable from the
-    module's outputs, registers, memories, or remaining instances."""
+def _local_drivers(module: Module) -> Dict[str, Expr]:
+    """Local name -> the expression driving it (node or connect)."""
     drivers: Dict[str, Expr] = {}
-    read_ports: Dict[str, MemReadPort] = {}
     for s in module.stmts:
         if isinstance(s, DefNode):
             drivers[s.name] = s.expr
         elif isinstance(s, Connect) and isinstance(s.target, LocalTarget):
             drivers[s.target.name] = s.expr
-        elif isinstance(s, MemReadPort):
-            read_ports[s.name] = s
+    return drivers
+
+
+def _eliminate_dead_glue(module: Module) -> None:
+    """Drop wires/nodes (and their drivers) no longer reachable from the
+    module's outputs, registers, memories, or remaining instances."""
+    drivers = _local_drivers(module)
+    read_ports: Dict[str, MemReadPort] = {
+        s.name: s for s in module.stmts if isinstance(s, MemReadPort)}
 
     output_names = {p.name for p in module.output_ports}
     reg_names = {r.name for r in module.registers()}
@@ -296,15 +310,11 @@ def _eliminate_dead_glue(module: Module) -> None:
 # --------------------------------------------------------------------------
 
 
-def _trace_direct(module: Module, expr: Expr) -> Optional[InstPort]:
-    """Follow single-reference wire/node chains; return the InstPort this
-    expression is (transitively) a plain copy of, if any."""
-    drivers: Dict[str, Expr] = {}
-    for s in module.stmts:
-        if isinstance(s, DefNode):
-            drivers[s.name] = s.expr
-        elif isinstance(s, Connect) and isinstance(s.target, LocalTarget):
-            drivers[s.target.name] = s.expr
+def _trace_direct(drivers: Dict[str, Expr],
+                  expr: Expr) -> Optional[InstPort]:
+    """Follow single-reference wire/node chains through ``drivers``
+    (:func:`_local_drivers`); return the InstPort this expression is
+    (transitively) a plain copy of, if any."""
     seen: Set[str] = set()
     while True:
         if isinstance(expr, InstPort):
@@ -357,6 +367,15 @@ class _WrapperBuilder:
                 Connect(LocalTarget(net), InstPort(inst, port, width)))
 
 
+def _assemble(top_name: str, modules: Iterable[Module]) -> Circuit:
+    """One partition's circuit: the modules reachable from its top,
+    cloned once, so no two partitions (nor the work copy) share a
+    mutable module, port or statement."""
+    view = Circuit(top_name, modules)
+    view.remove_unreachable()
+    return view.clone()
+
+
 def extract_partitions(circuit: Circuit,
                        groups: Dict[str, Sequence[str]],
                        base_name: str = "base") -> ExtractedDesign:
@@ -374,10 +393,11 @@ def extract_partitions(circuit: Circuit,
     # 1-2. uniquify + reparent every selected instance to the top
     members: Dict[str, List[str]] = {}
     group_of: Dict[str, str] = {}
+    counts = _instantiation_counts(work)
     for gname, paths in groups.items():
         members[gname] = []
         for path in paths:
-            _uniquify_path(work, path)
+            _uniquify_path(work, path, counts)
     # reparent after all uniquification (paths stay valid: uniquify does
     # not rename instances)
     for gname, paths in groups.items():
@@ -389,6 +409,7 @@ def extract_partitions(circuit: Circuit,
     top = work.top_module
     selected = set(group_of)
     conn = top.connect_map()
+    drivers = _local_drivers(top)
     wrappers = {g: _WrapperBuilder(g) for g in groups}
     nets: List[RawNet] = []
     net_names: Set[str] = set()
@@ -417,7 +438,7 @@ def extract_partitions(circuit: Circuit,
             driver = conn.get(f"{inst_name}.{q.name}")
             if driver is not None:
                 removed_stmts.append(driver)
-            direct = (_trace_direct(top, driver.expr)
+            direct = (_trace_direct(drivers, driver.expr)
                       if driver is not None else None)
             if direct is not None and direct.inst in selected \
                     and direct.width == q.width:
@@ -437,11 +458,11 @@ def extract_partitions(circuit: Circuit,
             expr = driver.expr if driver is not None else Lit(0, q.width)
             top.ports.append(Port(net, OUTPUT, q.width))
             top.stmts.append(Connect(LocalTarget(net), expr))
+            drivers[net] = expr
             wb.add_input(net, q.width, inst_name, q.name)
             nets.append(RawNet(net, q.width, base_name, gname))
 
-    for s in removed_stmts:
-        top.stmts.remove(s)
+    _remove_stmts(top, removed_stmts)
 
     # 4a. clean dead glue, then expose member outputs the base still reads
     _eliminate_dead_glue(top)
@@ -469,18 +490,13 @@ def extract_partitions(circuit: Circuit,
     _rewrite_module_exprs(top, replace_member_reads)
 
     # 4b. assemble per-partition circuits
-    partitions: Dict[str, Circuit] = {}
-    base_circuit = Circuit(top.name, [copy.deepcopy(m) for m in
-                                      work.modules.values()])
-    base_circuit.remove_unreachable()
-    partitions[base_name] = base_circuit
+    partitions: Dict[str, Circuit] = {
+        base_name: _assemble(top.name, work.modules.values())}
     for gname, wb in wrappers.items():
-        modules = [wb.module] + [copy.deepcopy(m)
-                                 for m in work.modules.values()
-                                 if m.name != top.name]
-        part = Circuit(wb.module.name, modules)
-        part.remove_unreachable()
-        partitions[gname] = part
+        partitions[gname] = _assemble(
+            wb.module.name,
+            [wb.module] + [m for m in work.modules.values()
+                           if m.name != top.name])
 
     return ExtractedDesign(partitions=partitions, nets=nets,
                            group_members=members, base_name=base_name)

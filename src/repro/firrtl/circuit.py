@@ -3,7 +3,13 @@
 A :class:`Module` owns an ordered list of statements plus index structures
 (ports, signal widths, instances, connect map) that passes use constantly.
 A :class:`Circuit` is a named set of modules with a designated top.  Both
-are mutable — FireRipper's transforms rewrite them in place on deep copies.
+are mutable — FireRipper's transforms rewrite them in place on clones.
+
+Ownership rule: a clone owns its containers (the module dict, each
+module's ``ports``/``stmts`` lists) and its own copy of every mutable
+:class:`Port`/:class:`Stmt`; the expression trees and connect targets
+those statements point at are frozen dataclasses no pass mutates, so
+they are shared.
 """
 
 from __future__ import annotations
@@ -93,23 +99,21 @@ class Module:
         return w
 
     def try_signal_width(self, name: str) -> Optional[int]:
-        for p in self.ports:
-            if p.name == name:
-                return p.width
-        for s in self.stmts:
-            if isinstance(s, (DefWire, DefRegister)) and s.name == name:
-                return s.width
-            if isinstance(s, DefNode) and s.name == name:
-                return s.expr.width
-            if isinstance(s, MemReadPort) and s.name == name:
-                return self._mem_width(s.mem)
-        return None
+        return self.signal_widths().get(name)
 
-    def _mem_width(self, mem_name: str) -> int:
+    def signal_widths(self) -> Dict[str, int]:
+        """Name -> width of every locally named signal (the first
+        declaration wins, as a scan in declaration order would)."""
+        mems = {m.name: m.width for m in self.memories()}
+        widths: Dict[str, int] = {}
+        for p in self.ports:
+            widths.setdefault(p.name, p.width)
         for s in self.stmts:
-            if isinstance(s, DefMemory) and s.name == mem_name:
-                return s.width
-        raise IRError(f"{self.name}: unknown memory {mem_name!r}")
+            if isinstance(s, (DefWire, DefRegister, DefNode)):
+                widths.setdefault(s.name, s.width)
+            elif isinstance(s, MemReadPort) and s.mem in mems:
+                widths.setdefault(s.name, mems[s.mem])
+        return widths
 
     def defined_names(self) -> Iterator[str]:
         """All locally declared names (ports, wires, nodes, regs, mems,
@@ -132,6 +136,12 @@ class Module:
         while f"{base}_{i}" in taken:
             i += 1
         return f"{base}_{i}"
+
+    def clone(self) -> "Module":
+        """A module that owns its lists, ports and statements (see the
+        ownership rule in the module docstring)."""
+        return Module(self.name, [copy.copy(p) for p in self.ports],
+                      [copy.copy(s) for s in self.stmts])
 
     def __repr__(self) -> str:
         return (f"Module({self.name!r}, {len(self.ports)} ports, "
@@ -164,8 +174,10 @@ class Circuit:
         return self.modules[name]
 
     def clone(self) -> "Circuit":
-        """Deep copy, so transforms never mutate the caller's circuit."""
-        return copy.deepcopy(self)
+        """Clone every module, so transforms never mutate the caller's
+        circuit: containers and statements are owned, the frozen
+        expression trees are shared."""
+        return Circuit(self.top, (m.clone() for m in self.modules.values()))
 
     def remove_unreachable(self) -> None:
         """Drop modules not instantiated (transitively) from the top."""

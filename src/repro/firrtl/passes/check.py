@@ -55,12 +55,13 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
     mems = {m.name for m in module.memories()}
     insts: Dict[str, str] = {i.name: i.module for i in module.instances()}
     inputs = {p.name for p in module.input_ports}
+    widths = module.signal_widths()
     connect_targets: Set[str] = set()
 
     def check_expr(expr: Expr) -> None:
         for leaf in expr.refs():
             if isinstance(leaf, Ref):
-                width = module.try_signal_width(leaf.name)
+                width = widths.get(leaf.name)
                 if width is None:
                     raise IRError(
                         f"{module.name}: reference to undeclared signal "
@@ -101,7 +102,7 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
                     raise IRError(
                         f"{module.name}: cannot drive input port {name!r}"
                     )
-                width = module.try_signal_width(name)
+                width = widths.get(name)
                 if width is None:
                     raise IRError(
                         f"{module.name}: connect to undeclared {name!r}"

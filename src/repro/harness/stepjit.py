@@ -884,8 +884,6 @@ class _PartitionCodegen:
             "F": b.bind(bindings["fired"], "f"),
             "ENV": b.bind(bindings["env"], "e"),
             "MEMS": b.bind(bindings["mems"], "mm"),
-            "C": b.bind(bindings["comb"], "c"),
-            "T": b.bind(bindings["tick"], "t"),
             "RTL": b.bind(bindings["rtl"], "r"),
             "fire_plans": bindings["fire_plans"],
             "in_plans": bindings["in_plans"],
@@ -894,12 +892,14 @@ class _PartitionCodegen:
         # kernel tier: dep-free (fast-mode) units on a compiled engine
         # get fused, cone-reduced RTL kernels instead of the generic
         # comb/tick pair
-        if bindings["comb"] is not None and bindings["tick"] is not None \
+        if bindings["rtl"].compiled \
                 and all(not entry[2] for entry in bindings["fire_plans"]):
             kern = _unit_kernels(unit, bindings["fire_plans"])
             self.kernel_units.append(uid)
             self._emit_unit_kernel(L, uid, up, names, kern)
             return
+        names["C"] = b.bind(bindings["comb"], "c")
+        names["T"] = b.bind(bindings["tick"], "t")
         if self.eval_dedup:
             cell = [True]
             self.dirty_cells[uid] = cell

@@ -99,17 +99,23 @@ class LIBDNHost:
         engine reset) must invalidate the schedule so the generator
         re-binds.
 
-        ``comb``/``tick`` are ``None`` when the RTL engine runs
-        interpreted; the generator refuses such units.
+        ``comb``/``tick`` are the engine's generic pair for a host
+        whose outputs carry combinational deps.  They are ``None`` when
+        the RTL engine runs interpreted (the generator refuses such
+        units) and for a dep-free host, which the generator runs on
+        fused kernels: its engine generates the pair only if something
+        calls ``eval``/``tick``.
         """
         sim = self.sim
-        compiled = getattr(sim, "compiled", False)
+        generic = getattr(sim, "compiled", False) and any(
+            deps for _, _, deps, _ in self._fire_plans)
+        comb, tick = sim.generic_fns if generic else (None, None)
         return {
             "rtl": sim,
             "env": sim.env,
             "mems": sim.mem_state,
-            "comb": sim._comb_fn if compiled else None,
-            "tick": sim._tick_fn if compiled else None,
+            "comb": comb,
+            "tick": tick,
             "fired": self._fired,
             "fire_plans": self._fire_plans,
             "in_plans": self._in_plans,

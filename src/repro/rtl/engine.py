@@ -10,12 +10,14 @@ through ``eval`` / ``tick`` phases:
 
 Two execution strategies share these semantics: a tree-walking interpreter
 (reference) and a compiled mode that ``exec``'s one generated Python
-function for the comb phase and one for the tick phase.  The test suite
-checks they agree cycle-for-cycle.
+function for the comb phase and one for the tick phase, generated on
+first use (a partition that runs on the step plane's fused kernels never
+calls them).  The test suite checks they agree cycle-for-cycle.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import SimulationError
@@ -47,9 +49,13 @@ class Simulator:
         self.env: Dict[str, int] = {}
         self.mem_state: Dict[str, List[int]] = {}
         self.cycle = 0
-        if compiled:
-            self._comb_fn, self._tick_fn = _compile(self.elab)
         self.reset()
+
+    @cached_property
+    def generic_fns(self):
+        """The ``(comb, tick)`` pair of a compiled engine, generated on
+        first use."""
+        return _compile(self.elab)
 
     # -- state management ----------------------------------------------------
 
@@ -110,7 +116,7 @@ class Simulator:
     def eval(self) -> None:
         """Settle combinational logic for the current inputs and state."""
         if self.compiled:
-            self._comb_fn(self.env, self.mem_state)
+            self.generic_fns[0](self.env, self.mem_state)
             return
         for a in self.elab.assigns:
             if isinstance(a, FlatAssign):
@@ -126,7 +132,7 @@ class Simulator:
         for the combined sequence.
         """
         if self.compiled:
-            self._tick_fn(self.env, self.mem_state)
+            self.generic_fns[1](self.env, self.mem_state)
         else:
             next_values = {}
             for reg in self.elab.regs.values():

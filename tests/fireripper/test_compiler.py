@@ -1,5 +1,7 @@
 """End-to-end FireRipper compiles and co-simulations."""
 
+import copy
+
 import pytest
 
 from repro.errors import CompileError, SelectionError
@@ -10,11 +12,16 @@ from repro.fireripper import (
     NoCPartitionSpec,
     PartitionGroup,
     PartitionSpec,
+    auto_partition,
 )
 from repro.harness import MonolithicSimulation
 from repro.platform import HOST_PCIE, QSFP_AURORA, XILINX_U250
 from repro.targets import make_comb_pair_circuit
-from repro.targets.soc import make_ring_noc_soc, make_rocket_like_soc
+from repro.targets.soc import (
+    make_ring_noc_soc,
+    make_rocket_like_soc,
+    make_star_soc,
+)
 
 
 def _compile(circuit, mode=EXACT, paths=("right",), **kwargs):
@@ -165,3 +172,22 @@ class TestTransportsAndReport:
         text = report.to_text()
         assert "interface base <-> fpga1: 64 bits" in text
         assert "expected rate" in text
+
+
+class TestNoDeepCopy:
+    def test_text_to_first_cycle_never_deep_copies(self, monkeypatch):
+        """The compile path clones by sharing the frozen expression
+        trees; a ``copy.deepcopy`` of the design creeping back in is
+        an exact count (zero calls), not a timing, so gate it here."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("copy.deepcopy on the compile path")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        for mode in (FAST, EXACT):
+            spec = PartitionSpec(mode=mode, noc=NoCPartitionSpec.make(
+                [[0, 1, 2, 3], [4, 5, 6, 7]]))
+            design = FireRipper(spec).compile(make_ring_noc_soc(8))
+            result = design.build_simulation(QSFP_AURORA).run(1)
+            assert result.target_cycles == 1
+        found = auto_partition(make_star_soc(3), n_fpgas=3, mode=FAST)
+        assert found.spec.num_fpgas == 3

@@ -1,17 +1,36 @@
 """Extraction transform: uniquify, reparent, grouping, removal."""
 
+import copy
+
 import pytest
 
 from repro.errors import SelectionError
-from repro.firrtl import ModuleBuilder, make_circuit
+from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
+from repro.firrtl.ast import Connect, INPUT, Lit, LocalTarget, Port
+from repro.firrtl.circuit import Circuit, Module
 from repro.firrtl.passes import check_circuit
+from repro.fireripper import (
+    FAST,
+    FireRipper,
+    NoCPartitionSpec,
+    PartitionGroup,
+    PartitionSpec,
+)
 from repro.fireripper.extract import (
     ExtractedDesign,
     extract_partitions,
     remove_modules,
 )
+from repro.fuzz.generator import (
+    ALL_SHAPES,
+    GeneratorKnobs,
+    build_scenario_circuit,
+    generate_scenario,
+    partition_spec,
+)
 from repro.rtl import Simulator
 from repro.targets import make_comb_pair_circuit
+from repro.targets.soc import make_ring_noc_soc
 
 
 def _deep_circuit():
@@ -44,6 +63,19 @@ def _deep_circuit():
     tb.connect(out1, w["y"])
     tb.connect(out2, d["y"])
     return make_circuit(tb.build(), [wrap, leaf])
+
+
+def _twin_circuit():
+    """Top -> two instances of one Wrap, each holding a Leaf."""
+    deep = _deep_circuit()
+    tb = ModuleBuilder("Twin")
+    x = tb.input("x", 8)
+    for i in range(2):
+        w = tb.inst(f"w{i}", deep.module("Wrap"))
+        tb.connect(w["a"], x)
+        tb.connect(tb.output(f"o{i}", 8), w["y"])
+    return make_circuit(tb.build(), [deep.module("Wrap"),
+                                     deep.module("Leaf")])
 
 
 class TestValidation:
@@ -180,3 +212,105 @@ class TestRemoval:
         # the punched boundary is now top-level I/O
         port_names = {p.name for p in removed.top_module.ports}
         assert any("right" in n for n in port_names)
+
+
+def _texts(design):
+    return {name: print_circuit(part)
+            for name, part in design.partitions.items()}
+
+
+class TestOwnership:
+    """Partitions share frozen expression trees with the input and with
+    each other, and nothing that can be mutated."""
+
+    def _compile(self):
+        circuit = _deep_circuit()
+        spec = PartitionSpec(mode=FAST, groups=[
+            PartitionGroup.make("g", ["w"])])
+        return circuit, FireRipper(spec).compile(circuit)
+
+    def test_compile_leaves_the_input_untouched(self):
+        circuit = _deep_circuit()
+        before = print_circuit(circuit)
+        extract_partitions(circuit, {"g": ["w.inner"]})
+        assert print_circuit(circuit) == before
+        circuit, _ = self._compile()
+        assert print_circuit(circuit) == before
+
+    def test_uniquify_counts_follow_the_clones(self):
+        """The first path through the shared Wrap clones it; that
+        leaves the original instantiated once, so the second path
+        must not clone again."""
+        circuit = _twin_circuit()
+        before = print_circuit(circuit)
+        design = extract_partitions(
+            circuit, {"g": ["w0.inner"], "h": ["w1.inner"]})
+        assert print_circuit(circuit) == before
+        base = design.partitions["base"]
+        assert set(base.modules) == {"Twin", "Wrap", "Wrap_uniq"}
+        assert [i.module for i in base.top_module.instances()] \
+            == ["Wrap_uniq", "Wrap"]
+        for part in design.partitions.values():
+            check_circuit(part)
+
+    def test_mutating_one_partition_moves_nothing_else(self):
+        circuit, design = self._compile()
+        # Leaf is reachable from both tops: the extracted Wrap
+        # instantiates it and the base keeps the direct instance
+        assert all("Leaf" in part.modules
+                   for part in design.partitions.values())
+        before_input = print_circuit(circuit)
+        before = _texts(design)
+        for victim in design.partitions:
+            _, fresh = self._compile()
+            part = fresh.partitions[victim]
+            leaf = part.module("Leaf")
+            leaf.ports.append(Port("extra", INPUT, 3))
+            leaf.stmts.append(Connect(LocalTarget("acc"), Lit(0, 8)))
+            leaf.ports[0].width = 5
+            leaf.name = "Renamed"
+            for module in part.modules.values():
+                for inst in module.instances():
+                    inst.module = "Retargeted"
+            assert print_circuit(part) != before[victim]
+            after = _texts(fresh)
+            assert all(after[name] == before[name]
+                       for name in before if name != victim)
+        assert print_circuit(circuit) == before_input
+
+
+def _reference_compile(monkeypatch, spec, circuit):
+    """The same compile with every clone a ``copy.deepcopy``, as it was
+    before clones shared their expression trees."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Module, "clone", copy.deepcopy)
+        patch.setattr(Circuit, "clone", copy.deepcopy)
+        return FireRipper(spec).compile(circuit)
+
+
+def _mill_cases():
+    for shape in ALL_SHAPES:
+        scenario = generate_scenario(
+            14, 0, GeneratorKnobs(shapes=(shape,)))
+        yield pytest.param(
+            lambda s=scenario: (partition_spec(s),
+                                build_scenario_circuit(s)), id=shape)
+    for mode in ("fast", "exact"):
+        yield pytest.param(
+            lambda m=mode: (
+                PartitionSpec(mode=m, noc=NoCPartitionSpec.make(
+                    [[0, 1, 2, 3], [4, 5, 6, 7]])),
+                make_ring_noc_soc(8)), id=f"ring8-{mode}")
+
+
+class TestSharingMatchesDeepCopy:
+    @pytest.mark.parametrize("make", _mill_cases())
+    def test_partitions_equal_the_deepcopy_reference(self, monkeypatch,
+                                                     make):
+        spec, circuit = make()
+        got = FireRipper(spec).compile(circuit).extracted
+        want = _reference_compile(monkeypatch, *make()).extracted
+        assert _texts(got) == _texts(want)
+        assert got.nets == want.nets
+        assert got.group_members == want.group_members
+        assert got.base_name == want.base_name

@@ -1,9 +1,12 @@
 """Module and Circuit container behaviour."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import IRError
-from repro.firrtl import ModuleBuilder, make_circuit
+from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
+from repro.firrtl.ast import Expr, InstTarget, LocalTarget
 from repro.firrtl.circuit import Circuit, Module
 
 
@@ -86,10 +89,46 @@ class TestCircuit:
 
     def test_clone_is_deep(self):
         c = _two_level()
+        before = print_circuit(c)
         clone = c.clone()
+        assert print_circuit(clone) == before
         clone.module("Leaf").ports.append(
             _leaf("Other").ports[0])
         assert len(c.module("Leaf").ports) == 2
+        # every mutable object is the clone's own: containers, ports,
+        # statements
+        mid = clone.module("Mid")
+        mid.ports[0].width = 9
+        mid.instance("inner").module = "Elsewhere"
+        mid.stmts.pop()
+        mid.name = "Renamed"
+        del clone.modules["Leaf"]
+        assert print_circuit(c) == before
+        for name, m in c.modules.items():
+            twin = c.clone().module(name)
+            assert twin is not m
+            assert all(a is not b for a, b in zip(m.ports, twin.ports))
+            assert all(a is not b for a, b in zip(m.stmts, twin.stmts))
+
+    def test_everything_a_clone_shares_is_frozen(self):
+        """Clones share expression trees and connect targets, which is
+        sound only while no such node can be mutated: a new Expr
+        subclass must be a frozen dataclass too."""
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        shared = list(subclasses(Expr)) + [LocalTarget, InstTarget]
+        assert len(shared) >= 6
+        for cls in shared:
+            assert dataclasses.is_dataclass(cls), cls
+            assert cls.__dataclass_params__.frozen, cls
+        # ...and shared they are: a clone's connect points at the same
+        # expression object
+        c = _two_level()
+        assert c.clone().module("Leaf").connects()[0].expr \
+            is c.module("Leaf").connects()[0].expr
 
     def test_remove_unreachable(self):
         c = _two_level()

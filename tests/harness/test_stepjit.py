@@ -3,8 +3,16 @@ output, fused-kernel cache, and runtime-fallback identity."""
 
 import pytest
 
-from repro.fireripper import EXACT, FAST, FireRipper, PartitionGroup, PartitionSpec
+from repro.fireripper import (
+    EXACT,
+    FAST,
+    FireRipper,
+    NoCPartitionSpec,
+    PartitionGroup,
+    PartitionSpec,
+)
 from repro.fuzz import functional_digest
+from repro.harness import MonolithicSimulation
 from repro.harness.stepjit import (
     generate_sources,
     partition_jit_reason,
@@ -15,7 +23,9 @@ from repro.observability import RecordingTracer
 from repro.platform import QSFP_AURORA
 from repro.reliability import FaultSpec, harden_links
 from repro.reliability.checkpoint import capture_state, restore_state
+from repro.rtl import Simulator, engine
 from repro.targets import make_comb_pair_circuit
+from repro.targets.soc import make_ring_noc_soc
 from repro.telemetry import Telemetry
 
 
@@ -37,6 +47,15 @@ def _build(mode=FAST, **kwargs):
     design = FireRipper(spec).compile(make_comb_pair_circuit())
     kwargs.setdefault("record_outputs", True)
     return design.build_simulation(QSFP_AURORA, **kwargs)
+
+
+def _ring_sim():
+    """Three partitions of a 2-tile ring, all on the fused-kernel tier."""
+    spec = PartitionSpec(mode=FAST,
+                         noc=NoCPartitionSpec.make([[0], [1]]))
+    design = FireRipper(spec).compile(
+        make_ring_noc_soc(2, messages_per_tile=2))
+    return design.build_simulation(QSFP_AURORA, record_outputs=True)
 
 
 def _digest(sim, cycles=40, **run_kwargs):
@@ -218,3 +237,84 @@ class TestRuntimeIdentity:
         on, off = _build(mode=EXACT), _build(mode=EXACT)
         off.stepjit = False
         assert _digest(on) == _digest(off)
+
+
+class TestGenericPairOnFirstUse:
+    """A compiled RTL engine generates its generic comb/tick pair when
+    something first calls ``eval``/``tick``; kernel-tier partitions run
+    fused kernels and never do."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        tops = []
+        real = engine._compile
+
+        def counting(elab):
+            tops.append(elab.top)
+            return real(elab)
+
+        monkeypatch.setattr(engine, "_compile", counting)
+        return tops
+
+    def test_kernel_tier_never_generates_it(self, generated):
+        sim = _ring_sim()
+        digest = _digest(sim, 100)
+        assert sim.frontier_cycle() == 100
+        assert all("(1 fused-kernel)" in verdict
+                   for verdict in sim.last_jit_report.values())
+        assert generated == []
+        # a checkpoint restore rebinds the kernels, nothing more
+        resumed = _ring_sim()
+        restore_state(resumed, capture_state(sim))
+        resumed.run(120)
+        assert generated == []
+        # the interpreter generates one pair per partition on its
+        # first eval and agrees bit for bit
+        off = _ring_sim()
+        off.stepjit = False
+        assert _digest(off, 100) == digest
+        assert len(generated) == len(off.partitions)
+
+    def test_exact_mode_units_bind_it(self, generated):
+        on, off = _build(mode=EXACT), _build(mode=EXACT)
+        off.stepjit = False
+        assert _digest(on, 100) == _digest(off, 100)
+        assert all("(0 fused-kernel)" in verdict
+                   for verdict in on.last_jit_report.values())
+        assert len(generated) == len(on.partitions) + len(off.partitions)
+
+    def test_fallback_and_restore_generate_it_on_demand(self, generated):
+        """An interpreter pass behind a kernel-tier unit's runtime
+        guard, and an interpreted run resumed from a kernel-tier
+        checkpoint, both reach a working generic pair."""
+        straight = _ring_sim()
+        straight.stepjit = False
+        want = _digest(straight, 100)
+        generated.clear()
+
+        sim = _ring_sim()
+        sim.run(5)
+        state = capture_state(sim)
+        assert generated == []
+        for part in sim.partitions.values():
+            for _, unit in part.units:
+                unit.try_fire_outputs()
+        assert len(generated) == len(sim.partitions)
+        assert _digest(sim, 100) == want
+
+        resumed = _ring_sim()
+        resumed.stepjit = False
+        restore_state(resumed, state)
+        got = _digest(resumed, 100)
+        assert got["outputs"] == want["outputs"]
+        assert got["detail"] == want["detail"]
+
+    def test_monolithic_generates_it_on_first_step(self, generated):
+        circuit = make_comb_pair_circuit()
+        mono = MonolithicSimulation(circuit)
+        assert generated == []
+        mono.run(50)
+        assert generated == [circuit.top]
+        reference = Simulator(circuit, compiled=False)
+        reference.run(50)
+        assert mono.sim.snapshot() == reference.snapshot()
