@@ -1,34 +1,63 @@
-"""Tracing/metrics-overhead benchmark: observability must be free when
-off.
+"""Observability-overhead benchmark: free when off, near the JIT when
+on.
 
-Every emit site in the harness/wrapper/link layers guards on the
-tracer's (and telemetry's) ``enabled`` flag, so an untraced run
+**Off.**  Every emit site in the interpreter/wrapper/link layers guards
+on the tracer's (and telemetry's) ``enabled`` flag, and the compiled
+step plane emits nothing at all for a null sink, so an untraced run
 (``tracer=None``) and an explicit :class:`NullTracer` run execute the
-identical guarded path — this bench pins that the guard itself stays
-under a 5% overhead versus the untraced run, and reports the (real,
-expected) cost of a recording tracer for comparison.  A second test
-does the same for the telemetry layer: a null metrics registry must
-stay under the bound (in-process *and* under the process backend,
-where the guard also sits on the workers' hot path), with the real
-cost of cycle-keyed sampling reported alongside.  Timings are
-min-of-repeats to shed scheduler noise; the measured numbers merge
-into ``results/BENCH_trace_overhead.json``.
+identical path — this bench pins that a null sink stays under a 5%
+overhead versus the untraced run, for the tracer and for the telemetry
+layer (in-process *and* under the process backend, where the guard
+also sits on the workers' hot path).  Those are whole cold runs,
+min-of-repeats to shed scheduler noise.
+
+**On.**  A live sink keeps its partition on the compiled step plane
+(the emit sites are generated into the step function), so its cost is
+measured against the clean JIT run of the same design: a warm window
+on the 8-tile streaming ring ``bench_e2e``'s ``ring8_profiled`` runs
+(three partitions whose registers never reach a fixed point — a
+design with RTL work per cycle, where the comb pair has none), once
+with the ``RecordingTracer`` ring and once with the 50-cycle sampler
+that ``repro profile`` / ``simulate --metrics`` attach.  Gated at the
+ROADMAP's recording <= 2x and sampling <= 25%.
+
+The measured numbers merge into ``results/BENCH_trace_overhead.json``.
 """
 
 import json
 import time
 from pathlib import Path
 
-from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
+from repro.fireripper import (
+    EXACT,
+    FAST,
+    FireRipper,
+    NoCPartitionSpec,
+    PartitionGroup,
+    PartitionSpec,
+)
 from repro.observability import NullTracer, RecordingTracer
 from repro.parallel import fork_available
 from repro.platform import QSFP_AURORA
 from repro.targets import make_comb_pair_circuit
+from repro.targets.programs import (
+    ADDR_IN_POP,
+    ADDR_IN_VALID,
+    ADDR_OUT_PUSH,
+    ADDR_OUT_READY,
+    assemble,
+)
+from repro.targets.soc import make_ring_noc_soc
 from repro.telemetry import NullTelemetry, Telemetry
 
 CYCLES = 400
 REPEATS = 7
 MAX_NULL_OVERHEAD = 0.05
+#: live sinks against the clean JIT: warm-up, then one timed window
+WARM_CYCLES = 100
+WINDOW_CYCLES = 1000
+MAX_RECORDING_VS_JIT = 2.0
+MAX_SAMPLING_VS_JIT = 0.25
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -54,86 +83,74 @@ def _compile_pair():
     return FireRipper(spec).compile(make_comb_pair_circuit())
 
 
-def _min_run_seconds(design, makers):
-    """Best-of-N wall time of one full co-simulation run per variant.
+def _min_seconds(design, sinks, warm=0, cycles=CYCLES,
+                 backend="inproc"):
+    """Best-of-N wall time of one timed ``run`` per sink set (each
+    entry of ``sinks`` makes the ``tracer=`` / ``telemetry=`` keywords
+    of one variant): a whole cold run, or with ``warm`` a window after
+    that many warm-up cycles.
 
     Variants are *interleaved* (one run of each per repeat) so clock
     drift and allocator state hit them equally — running each variant's
-    repeats back to back biases whichever went first.
+    repeats back to back biases whichever went first.  Every
+    partition must have run its compiled step function: a sink that
+    evicts one to the interpreter is the regression this bench exists
+    to catch.
     """
-    best = [float("inf")] * len(makers)
+    best = [float("inf")] * len(sinks)
     for _ in range(REPEATS):
-        for i, make_tracer in enumerate(makers):
-            sim = design.build_simulation(QSFP_AURORA,
-                                          tracer=make_tracer())
+        for i, make_sinks in enumerate(sinks):
+            sim = design.build_simulation(QSFP_AURORA, **make_sinks())
+            if warm:
+                sim.run(warm, backend=backend)
             t0 = time.perf_counter()
-            sim.run(CYCLES)
+            sim.run(warm + cycles, backend=backend)
             best[i] = min(best[i], time.perf_counter() - t0)
+            assert all(v.startswith("compiled")
+                       for v in sim.last_jit_report.values()), \
+                sim.last_jit_report
     return best
 
 
-def _min_telemetry_seconds(design, makers, backend):
-    """Like :func:`_min_run_seconds`, varying the telemetry session
-    (and the execution backend) instead of the tracer."""
-    best = [float("inf")] * len(makers)
-    for _ in range(REPEATS):
-        for i, make_telemetry in enumerate(makers):
-            sim = design.build_simulation(QSFP_AURORA,
-                                          telemetry=make_telemetry())
-            t0 = time.perf_counter()
-            sim.run(CYCLES, backend=backend)
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
+NULL_TELEMETRY_VARIANTS = [dict, lambda: {"telemetry": NullTelemetry()}]
 
 
 def test_null_tracer_overhead_under_5pct():
     design = _compile_pair()
-    untraced, null, recording = _min_run_seconds(
-        design, [lambda: None, NullTracer, RecordingTracer])
+    untraced, null = _min_seconds(
+        design, [dict, lambda: {"tracer": NullTracer()}])
 
     null_overhead = null / untraced - 1.0
-    recording_overhead = recording / untraced - 1.0
     payload = {
         "cycles": CYCLES,
         "repeats": REPEATS,
         "untraced_s": untraced,
         "null_tracer_s": null,
-        "recording_tracer_s": recording,
         "null_overhead_pct": null_overhead * 100.0,
-        "recording_overhead_pct": recording_overhead * 100.0,
         "bound_pct": MAX_NULL_OVERHEAD * 100.0,
     }
     _merge_results(payload)
     print(f"\nnull-tracer overhead: {null_overhead * 100.0:+.2f}% "
-          f"(bound {MAX_NULL_OVERHEAD * 100.0:.0f}%); "
-          f"recording tracer: {recording_overhead * 100.0:+.2f}%")
+          f"(bound {MAX_NULL_OVERHEAD * 100.0:.0f}%)")
     assert null_overhead < MAX_NULL_OVERHEAD, payload
 
 
 def test_null_metrics_overhead_under_5pct():
-    """A disabled telemetry session must be free on both backends; the
-    real sampling cost is reported for context, not bounded."""
+    """A disabled telemetry session must be free on both backends."""
     design = _compile_pair()
-    plain, null, sampling = _min_telemetry_seconds(
-        design,
-        [lambda: None, NullTelemetry,
-         lambda: Telemetry(sample_every=50)],
-        backend="inproc")
+    plain, null = _min_seconds(design, NULL_TELEMETRY_VARIANTS)
     null_overhead = null / plain - 1.0
-    sampling_overhead = sampling / plain - 1.0
 
     payload = {
         "metrics_cycles": CYCLES,
         "metrics_repeats": REPEATS,
         "plain_s": plain,
         "null_metrics_s": null,
-        "sampling_s": sampling,
         "null_metrics_overhead_pct": null_overhead * 100.0,
-        "sampling_overhead_pct": sampling_overhead * 100.0,
     }
     if fork_available():
-        proc_plain, proc_null = _min_telemetry_seconds(
-            design, [lambda: None, NullTelemetry], backend="process")
+        proc_plain, proc_null = _min_seconds(
+            design, NULL_TELEMETRY_VARIANTS, backend="process")
         proc_overhead = proc_null / proc_plain - 1.0
         payload.update({
             "process_plain_s": proc_plain,
@@ -142,9 +159,7 @@ def test_null_metrics_overhead_under_5pct():
         })
     _merge_results(payload)
     print(f"\nnull-metrics overhead: {null_overhead * 100.0:+.2f}% "
-          f"(bound {MAX_NULL_OVERHEAD * 100.0:.0f}%); "
-          f"sampling every 50 cycles: "
-          f"{sampling_overhead * 100.0:+.2f}%"
+          f"(bound {MAX_NULL_OVERHEAD * 100.0:.0f}%)"
           + (f"; process-backend null: "
              f"{payload['process_null_overhead_pct']:+.2f}%"
              if "process_null_overhead_pct" in payload else ""))
@@ -152,3 +167,60 @@ def test_null_metrics_overhead_under_5pct():
     if "process_null_overhead_pct" in payload:
         assert payload["process_null_overhead_pct"] \
             < MAX_NULL_OVERHEAD * 100.0, payload
+
+
+def _compile_streaming_ring():
+    """The 8-tile ring of ``ring8_profiled``: every tile pushes an
+    ever-increasing value whenever its queue has room and the hub pops
+    and checksums forever, split 2 x 4 tiles + base, fast-mode."""
+    stream = assemble([
+        ("LI", "r3", 1),
+        "loop:",
+        ("LD", "r4", "r0", ADDR_OUT_READY),
+        ("BEQ", "r4", "r0", "loop"),
+        ("ST", "r3", "r0", ADDR_OUT_PUSH),
+        ("ADDI", "r3", "r3", 7),
+        ("JMP", "loop"),
+    ])
+    drain = assemble([
+        ("LI", "r3", 0),
+        "loop:",
+        ("LD", "r4", "r0", ADDR_IN_VALID),
+        ("BEQ", "r4", "r0", "loop"),
+        ("LD", "r5", "r0", ADDR_IN_POP),
+        ("ADD", "r3", "r3", "r5"),
+        ("OUT", "r3"),
+        ("JMP", "loop"),
+    ])
+    spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(
+        [[0, 1, 2, 3], [4, 5, 6, 7]]))
+    return FireRipper(spec).compile(
+        make_ring_noc_soc(8, [stream] * 8, drain))
+
+
+def test_live_sinks_stay_near_the_jit():
+    design = _compile_streaming_ring()
+    clean, recording, sampling = _min_seconds(design, [
+        dict,
+        lambda: {"tracer": RecordingTracer(capacity=4096)},
+        lambda: {"telemetry": Telemetry(sample_every=50)}],
+        warm=WARM_CYCLES, cycles=WINDOW_CYCLES)
+    payload = {
+        "jit_window_cycles": WINDOW_CYCLES,
+        "jit_clean_s": clean,
+        "jit_recording_s": recording,
+        "jit_sampling_s": sampling,
+        "recording_vs_jit_x": recording / clean,
+        "sampling_vs_jit_pct": (sampling / clean - 1.0) * 100.0,
+        "recording_vs_jit_bound_x": MAX_RECORDING_VS_JIT,
+        "sampling_vs_jit_bound_pct": MAX_SAMPLING_VS_JIT * 100.0,
+    }
+    _merge_results(payload)
+    print(f"\nrecording tracer: {payload['recording_vs_jit_x']:.2f}x "
+          f"the clean JIT (bound {MAX_RECORDING_VS_JIT:.0f}x); "
+          f"sampling every 50 cycles: "
+          f"{payload['sampling_vs_jit_pct']:+.2f}% "
+          f"(bound {MAX_SAMPLING_VS_JIT * 100.0:.0f}%)")
+    assert payload["recording_vs_jit_x"] <= MAX_RECORDING_VS_JIT, payload
+    assert payload["sampling_vs_jit_pct"] \
+        <= MAX_SAMPLING_VS_JIT * 100.0, payload

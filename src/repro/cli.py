@@ -132,6 +132,15 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _print_step_plane(sim) -> None:
+    """How much of the run the compiled step plane carried — the first
+    thing to read when a run is slower than expected."""
+    report = sim.last_jit_report
+    compiled = sum(v.startswith("compiled") for v in report.values())
+    print(f"step plane: {compiled}/{len(report)} partition(s) "
+          f"compiled ('repro jit' explains the rest)")
+
+
 def cmd_simulate(args) -> int:
     circuit = _load(args.circuit)
     design = FireRipper(_spec(args)).compile(circuit)
@@ -157,12 +166,7 @@ def cmd_simulate(args) -> int:
     print(f"simulated {result.target_cycles} target cycles "
           f"in {result.wall_ns / 1e3:.1f} us of host time "
           f"[{sim.last_run_backend} backend]")
-    jit_report = sim.last_jit_report
-    if jit_report:  # process workers compile in their own processes
-        compiled = sum(1 for v in jit_report.values()
-                       if v.startswith("compiled"))
-        print(f"step plane: {compiled}/{len(jit_report)} partition(s) "
-              f"compiled ('repro jit' explains the rest)")
+    _print_step_plane(sim)
     print(f"rate: {result.rate_mhz:.3f} MHz over "
           f"{TRANSPORTS[args.transport].name}")
     print(f"tokens transferred: {result.tokens_transferred}")
@@ -182,7 +186,8 @@ def cmd_simulate(args) -> int:
                   "freq": args.freq, "cycles": args.cycles}
         path = registry.archive(
             result, name=args.archive,
-            backend=sim.last_run_backend or "inproc", config=config)
+            backend=sim.last_run_backend or "inproc", config=config,
+            extra={"obs": {"step_plane": dict(sim.last_jit_report)}})
         print(f"archived run: {path}")
     return 0
 
@@ -347,6 +352,7 @@ def cmd_trace(args) -> int:
     print(f"simulated {result.target_cycles} target cycles at "
           f"{result.rate_khz:.2f} kHz over "
           f"{TRANSPORTS[args.transport].name}")
+    _print_step_plane(sim)
     print(f"trace: kept {len(tracer.events)} of "
           f"{tracer.total_emitted} events")
     for kind, count in sorted(tracer.counts().items()):
@@ -363,6 +369,7 @@ def cmd_profile(args) -> int:
         TRANSPORTS[args.transport], host_freq_mhz=args.freq)
     result = sim.run(args.cycles)
     print(f"transport: {TRANSPORTS[args.transport].name}")
+    _print_step_plane(sim)
     print(format_profile(result))
     return 0
 

@@ -541,7 +541,7 @@ def make_design(scenario: Scenario, mode: Optional[str] = None):
 
 
 def make_sim(scenario: Scenario, mode: Optional[str] = None,
-             telemetry=None):
+             telemetry=None, tracer=None):
     """A ready-to-run PartitionedSimulation for the scenario."""
     design = make_design(scenario, mode=mode)
     desc = derive_spec(scenario)
@@ -552,7 +552,7 @@ def make_sim(scenario: Scenario, mode: Optional[str] = None,
     transport = TRANSPORTS[scenario.params.get("transport", "qsfp")]
     return design.build_simulation(
         transport, record_outputs=True, fame5_merge=fame5,
-        telemetry=telemetry)
+        telemetry=telemetry, tracer=tracer)
 
 
 def has_done_output(scenario: Scenario) -> bool:

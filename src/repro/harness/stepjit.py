@@ -39,10 +39,10 @@ What the generated function inlines:
   schedule marks the unit batchable.
 
 Dep-free units (NoC routers, FAST-extracted tiles) additionally take
-the **fused RTL kernel tier**: per-unit ``fire``/``adv``/``cyc``
-functions compiled from the flattened elaboration that evaluate only
-the live cone of the output/tick references, carry every intermediate
-in locals, and commit just registers/memories back to the env
+the **fused RTL kernel tier**: per-unit ``fire``/``cyc`` functions
+compiled from the flattened elaboration that evaluate only the live
+cone of the output/tick references, carry every intermediate in
+locals, and commit just registers/memories back to the env
 (:func:`_compile_kernel`; cached as ``unit._stepjit_kernels``).  The
 ``cyc`` kernel also reports whether the register/memory state reached
 a fixed point — while it holds and the unit's inputs repeat, the step
@@ -51,24 +51,59 @@ words (exact: pure logic over equal state and equal inputs cannot
 differ).  See the "kernel tier" comment block below for the env
 staleness contract this buys speed with.
 
-Tracer and telemetry emit sites are *compiled out*: a partition is only
-eligible when the null sinks are installed, so the generated code
-contains no flag checks at all.  The same applies to reliability
-layers, fault injectors, switch fabrics and dict-incompatible peer
-layouts — :func:`partition_jit_reason` rejects those partitions and the
-harness falls back to the interpreted ``_run_unit`` for them (per
-partition, not globally).  A runtime guard keeps even compiled
-partitions exact: a unit whose outbox is unexpectedly non-empty (e.g. a
-checkpoint captured mid-``host_step``) delegates that pass to the
-interpreter.
+**The hook-set rule.**  The step function is generated for the sinks
+that are attached when it is compiled (``run()`` recompiles the step
+plane at every entry): a live tracer gets its ``TraceEvent``
+construction and the pre-bound ``tracer.emit`` generated in at the
+interpreter's seven emit sites, live telemetry gets its counter incs
+and the depth observe, and a null sink gets nothing — no emit, no
+binding, no flag check.  An observed partition therefore runs the same
+code as a clean one plus exactly what it asked for, on both tiers:
+
+=================  ================================  ================
+event              interpreter site                  instrument
+=================  ================================  ================
+``channel_fire``   ``LIBDNHost.try_fire_outputs``
+``credit_stall``   ``_run_unit``, credit wait > 0    ``credit_stalls``
+``bridge_output``  ``_run_unit``, bridge tap         ``bridge_outputs``
+``token_tx``       ``_run_unit``, token on the wire  ``tokens_tx``
+``token_rx``       ``apply_link_delivery``           ``tokens_rx``,
+                                                     ``rx_depth``
+``target_cycle``   ``_run_unit``, timed advance
+``advance``        ``LIBDNHost.advance``
+=================  ================================  ================
+
+The wrapper's two come out of ``_emit_fire`` / ``_emit_advance`` and
+their kernel-tier twins in ``_emit_unit_kernel`` (replay path
+included), ``target_cycle`` out of ``_emit_advance_timing``, the rest
+out of ``_emit_out_op``.  Same order, same field values (the wrapper's
+clock is the partition's busy cursor, carried in the ``busy`` local),
+and each instrument is created on first use through the interpreter's
+own caches (``_UnitPlan.ctr_*``, ``sim._rx_instruments``), so the
+registry snapshot lists the same instruments and a fallback pass
+increments the same objects.  Events and samples read only the timing
+overlay and the cycle counters, never the RTL env, so the kernel
+tier's stale-comb-env contract below does not touch them.  The sampler
+itself runs where it always did: ``_step_partition`` calls
+``telemetry.on_pass`` after the step function returns.
+
+Reliability layers, fault injectors, switch fabrics, capacity-bounded
+channels and dict-incompatible peer layouts are still rejected by
+:func:`partition_jit_reason`, and the harness falls back to the
+interpreted ``_run_unit`` for them (per partition, not globally).  A
+runtime guard keeps even compiled partitions exact: a unit whose
+outbox is unexpectedly non-empty (e.g. a checkpoint captured
+mid-``host_step``) delegates that pass to the interpreter.
 
 Bit-exactness contract: for every partition the compiled function
 performs the *same mutations in the same order* as ``_run_unit`` — same
 float-op associativity in the timing math, same deque traffic, same
 fired/arrival/credit bookkeeping — so ``SimulationResult`` (including
 ``detail``) and all checkpointable state are bit-identical with the
-JIT on or off, on every backend.  The differential tests in
-``tests/fuzz/test_stepjit_corpus.py`` pin exactly that.
+JIT on or off, on every backend — and so are the recorded event list
+and ``detail["telemetry"]`` when sinks are live.  The differential
+tests in ``tests/fuzz/test_stepjit_corpus.py`` and
+``tests/harness/test_stepjit.py`` pin exactly that.
 
 Selection: ``REPRO_STEPJIT=0`` (or ``off``/``false``/``no``) disables
 the JIT globally; ``PartitionedSimulation.stepjit`` (the CLI's
@@ -82,6 +117,7 @@ import os
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..libdn.codec import INCOMPATIBLE
+from ..observability.tracer import TraceEvent
 from ..rtl.elaborate import FlatAssign
 from ..rtl.engine import _ref_names
 from ..rtl.eval import CODEGEN_HELPERS, compile_expr, mask
@@ -147,13 +183,9 @@ def _unit_jit_reason(sim, up) -> Optional[str]:
 def partition_jit_reason(sim, pplan) -> Optional[str]:
     """Why a partition must stay on the interpreter (None = JIT-able).
 
-    A partition is eligible only when every emit site the generator
-    would have to preserve is a null sink (tracer off, telemetry off)
-    and every unit/link is on the clean fast path."""
-    if sim._trace:
-        return "tracer attached"
-    if sim._metrics_on:
-        return "telemetry sampling enabled"
+    A partition is eligible when every unit/link is on the clean fast
+    path.  The attached sinks do not matter: the generator compiles
+    the tracer and telemetry emit sites in when they are live."""
     for up in pplan.unit_plans:
         reason = _unit_jit_reason(sim, up)
         if reason is not None:
@@ -270,12 +302,15 @@ def _token_dict_expr(word: str, fields) -> str:
 #   instead of round-tripping through the env,
 # * the packed output words are built from locals and returned.
 #
-# Three kernels per unit: ``fire(env, mems) -> words`` (pack cone only),
-# ``adv(env, mems)`` (tick cone + commit), and ``cyc(env, mems) ->
-# words`` (the fused single-settle cycle: when the next input words
-# equal the currently-poked values, one comb settle serves both the
-# fire and the advance — eval is pure, so the second settle the
-# interpreter performs is provably identical).
+# Two kernels per unit: ``fire(env, mems) -> words`` (pack cone only)
+# and ``cyc(env, mems) -> words`` (the fused single-settle cycle: when
+# the next input words equal the currently-poked values, one comb settle
+# serves both the fire and the advance — eval is pure, so the second
+# settle the interpreter performs is provably identical).  ``cyc`` is
+# also the advance of the split path, which pokes first and ignores the
+# words: it is the tick cone + commit plus a few pack shifts, and
+# compiling that cone once instead of twice is most of the codegen
+# time.  A unit with no output channel gets a bare ``adv(env, mems)``.
 #
 # Consequence (documented contract): compiled kernels do *not* write
 # combinational intermediates back into the RTL env, so signal peeks
@@ -287,7 +322,7 @@ def _token_dict_expr(word: str, fields) -> str:
 
 
 def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
-                    converged: bool = False):
+                    refs_of, converged: bool = False):
     """Generate one specialized kernel for ``elab``.
 
     ``pack_lists`` is a list of pack-field lists (one per output
@@ -299,7 +334,9 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
     value and every enabled memory write re-writes the stored word) —
     the caller may then skip the next settle entirely if the inputs
     repeat, because pure logic over equal state and equal inputs
-    reproduces the same words and the same fixed point."""
+    reproduces the same words and the same fixed point.  ``refs_of``
+    maps an expression to the names it references; a unit's kernels
+    share one memo, so each expression is walked once."""
     ids: Dict[str, str] = {}
 
     def ident(name: str) -> str:
@@ -318,19 +355,19 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
     tick_regs = [r for r in elab.regs.values() if r.next is not None]
     if do_tick:
         for reg in tick_regs:
-            live.update(_ref_names(reg.next))
+            live.update(refs_of(reg.next))
         for mw in elab.writes:
-            live.update(_ref_names(mw.en))
-            live.update(_ref_names(mw.addr))
-            live.update(_ref_names(mw.data))
+            live.update(refs_of(mw.en))
+            live.update(refs_of(mw.addr))
+            live.update(refs_of(mw.data))
     kept = []
     for a in reversed(elab.assigns):  # assigns are in topo order
         if a.name in live:
             kept.append(a)
             if isinstance(a, FlatAssign):
-                live.update(_ref_names(a.expr))
+                live.update(refs_of(a.expr))
             else:  # FlatMemRead
-                live.update(_ref_names(a.addr))
+                live.update(refs_of(a.addr))
     kept.reverse()
 
     loads: List[str] = []
@@ -342,7 +379,7 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
             loads.append(name)
 
     def compile_with_loads(expr) -> str:
-        for leaf in _ref_names(expr):
+        for leaf in refs_of(expr):
             note_load(leaf)
         return compile_expr(expr, ident)
 
@@ -412,20 +449,34 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
 
 def _unit_kernels(unit, fire_plans):
     """(fire, adv, cyc) kernels for ``unit``, cached on the unit (the
-    elaboration and channel layouts are immutable per host)."""
+    elaboration and channel layouts are immutable per host).  A unit
+    with output channels gets ``fire`` and ``cyc`` — its split-path
+    advance calls ``cyc`` and ignores the words; only a unit with none
+    needs a bare ``adv``."""
     cached = getattr(unit, "_stepjit_kernels", None)
     if cached is not None:
         return cached
     elab = unit.sim.elab
     pack_lists = [entry[3] for entry in fire_plans]
     tag = unit.name
-    fire = (_compile_kernel(elab, pack_lists, False, f"fire:{tag}")
-            if pack_lists else None)
-    adv = _compile_kernel(elab, [], True, f"adv:{tag}")
-    cyc = (_compile_kernel(elab, pack_lists, True, f"cyc:{tag}",
-                           converged=True)
-           if pack_lists else None)
-    kern = (fire, adv, cyc)
+    memo: Dict[int, Tuple[str, ...]] = {}
+
+    def refs_of(expr) -> Tuple[str, ...]:
+        names = memo.get(id(expr))
+        if names is None:
+            names = memo[id(expr)] = tuple(_ref_names(expr))
+        return names
+
+    if pack_lists:
+        kern = (_compile_kernel(elab, pack_lists, False, f"fire:{tag}",
+                                refs_of),
+                None,
+                _compile_kernel(elab, pack_lists, True, f"cyc:{tag}",
+                                refs_of, converged=True))
+    else:
+        kern = (None,
+                _compile_kernel(elab, [], True, f"adv:{tag}", refs_of),
+                None)
     try:
         unit._stepjit_kernels = kern
     except (AttributeError, TypeError):  # slotted host: rebuild per compile
@@ -462,6 +513,20 @@ class _PartitionCodegen:
         self.dirty_cells: Dict[int, list] = {}
         #: unit indexes running on fused RTL kernels (for the report)
         self.kernel_units: List[int] = []
+        #: the attached hook set, fixed for this compile: a live sink
+        #: gets its emit sites compiled in, a null sink binds nothing
+        #: and emits nothing
+        self.trace = sim._trace
+        self.metrics = sim._metrics_on
+        if self.trace:
+            self.EV = b.bind(TraceEvent, "ev")
+            self.EM = b.bind(sim.tracer.emit, "em")
+        if self.metrics:
+            registry = sim.telemetry.registry
+            self.RGC = b.bind(registry.counter, "rgc")
+            self.RGH = b.bind(registry.histogram, "rgh")
+            self.RX = b.bind(sim._rx_instruments, "rx")
+            self.RXG = b.bind(sim._rx_instruments.get, "rxg")
 
     # -- fragments --------------------------------------------------------
 
@@ -499,6 +564,40 @@ class _PartitionCodegen:
                 f"cp = {self.SP}.compute_ns; "
                 f"sy = {self.SP}.sync_ns; "
                 f"tt = {self.SIM}.total_tokens")
+
+    def _emit_event(self, L: int, kind: str, ts: str, dur: str,
+                    part: str, scope: str, args: str) -> None:
+        """One trace emit site (live tracer only): the interpreter's
+        ``tracer.emit(TraceEvent(...))`` with the static fields folded
+        to literals; ``ts``/``dur``/``args`` are source expressions."""
+        if self.trace:
+            self.w.emit(L, f"{self.EM}({self.EV}({kind!r}, {ts}, {dur}, "
+                           f"{part!r}, {scope!r}, {args}))")
+
+    def _emit_count(self, L: int, up, attr: str, name: str) -> None:
+        """One per-unit counter inc (live telemetry only).  The counter
+        is created on first use through the ``_UnitPlan`` cache the
+        interpreter fills, so an instrument exists exactly when the
+        interpreter would have created it and a fallback pass through
+        ``_run_unit`` increments the same object."""
+        if self.metrics:
+            w = self.w
+            UP = self.b.bind(up, "up")
+            w.emit(L, f"_ct = {UP}.{attr}")
+            w.emit(L, "if _ct is None:")
+            w.emit(L + 1, f"_ct = {UP}.{attr} = "
+                          f"{self.RGC}({name!r}, {up.part.name!r})")
+            w.emit(L, "_ct.inc()")
+
+    def _emit_wrapper_event(self, L: int, kind: str, up, scope: str
+                            ) -> None:
+        """``channel_fire`` / ``advance``: the events the LI-BDN
+        wrapper emits from inside ``try_fire_outputs`` / ``advance``.
+        Its clock reads the partition's busy cursor, which the
+        generated code carries in ``busy``."""
+        U = self.b.bind(up.unit, "u")
+        self._emit_event(L, kind, "busy", "0.0", up.unit.name, scope,
+                         f'{{"cycle": {U}.target_cycle}}')
 
     def _emit_fire(self, L: int, uid: int, j: int, entry, names: dict
                    ) -> None:
@@ -539,6 +638,7 @@ class _PartitionCodegen:
         w.emit(Lf, f"{OC}.total_enqueued += 1")
         w.emit(Lf, f"{F}[{name!r}] = True")
         w.emit(Lf, "progress = True")
+        self._emit_wrapper_event(Lf, "channel_fire", names["up"], name)
 
     def _emit_credit(self, L: int, op) -> None:
         """Credit-window stall + single-feeder trim (the interpreter's
@@ -570,8 +670,7 @@ class _PartitionCodegen:
             w.emit(L + 3, f"{CQ}.popleft()")
             w.emit(L + 2, f"{CB}[{DK}] = {CBG}({DK}, 0) + _d")
 
-    def _emit_out_op(self, L: int, uid: int, j: int, name: str, op
-                     ) -> None:
+    def _emit_out_op(self, L: int, uid: int, j: int, up, op) -> None:
         """One fired token's timing + delivery (the drain half of
         ``_run_unit``'s while body, for one op)."""
         w, b, sim = self.w, self.b, self.sim
@@ -591,6 +690,7 @@ class _PartitionCodegen:
         if link is None:
             # bridge tap: drained by wide DMA batches, effectively free
             w.emit(Lo, "busy = _ds")
+            self._emit_count(Lo, up, "ctr_bridge", "bridge_outputs")
             if sim.record_outputs:
                 OL = b.bind(sim.output_log, "ol")
                 OLG = b.bind(sim.output_log.get, "olg")
@@ -600,12 +700,26 @@ class _PartitionCodegen:
                 w.emit(Lo + 1, f"_l = {OL}[{BK}] = []")
                 w.emit(Lo, "_l.append("
                        + _token_dict_expr(wvar, op.codec.fields) + ")")
+            self._emit_event(
+                Lo, "bridge_output", "_ds", "0.0", part.name, op.full,
+                f'{{"cycle": {b.bind(up.unit, "u")}.target_cycle}}')
             return
         w.emit(Lo, "_st = _ds")
-        if sim.channel_capacity is not None:
-            self._emit_credit(Lo, op)
-        w.emit(Lo, "cs += _st - _ds")
         LK = b.bind(link, "lk")
+        credited = sim.channel_capacity is not None
+        if credited:
+            self._emit_credit(Lo, op)
+        if credited and (self.trace or self.metrics):
+            # only a credit window can make the wait non-zero
+            w.emit(Lo, "_cw = _st - _ds")
+            w.emit(Lo, "cs += _cw")
+            w.emit(Lo, "if _cw:")
+            self._emit_count(Lo + 1, up, "ctr_stall", "credit_stalls")
+            self._emit_event(
+                Lo + 1, "credit_stall", "_ds", "_cw", part.name, op.full,
+                f'{{"link": {link.key!r}, "tokens": {LK}.tokens}}')
+        else:
+            w.emit(Lo, "cs += _st - _ds")
         w.emit(Lo, f"sd += {_f(op.tx_ns)}")
         w.emit(Lo, f"busy = _st + {_f(op.tx_ns)}")
         w.emit(Lo, f"_nf = {LK}.next_free")
@@ -618,13 +732,20 @@ class _PartitionCodegen:
             mw = "_mw"
             w.emit(Lo, f"_mw = {_repack_expr(wvar, op.repack)}")
         w.emit(Lo, f"{LK}.busy_ns += {_f(op.occupancy_ns)}")
+        self._emit_event(
+            Lo, "token_tx", "_st", repr(op.tx_ns), part.name, op.full,
+            f'{{"link": {link.key!r}, "width": {op.width!r}, '
+            f'"serdes_ns": {op.tx_ns!r}, "wire_ns": {op.wire_ns!r}, '
+            f'"occupancy_ns": {op.occupancy_ns!r}, '
+            f'"queue_wait_ns": _dep - busy, '
+            f'"retries": 0, "retry_delay_ns": 0.0}}')
         rx = _f(op.rx_ns)
         if self.router is not None \
                 and not self.router.is_local(op.dst_part_name):
             RD = b.bind(self.router.deliver_remote, "rd")
             w.emit(Lo, f"{RD}({LK}, {mw}, _arr + {rx}, {rx})")
         else:
-            # apply_link_delivery, inlined (metrics/trace compiled out)
+            # apply_link_delivery, inlined
             dst_ch = sim._in_channel_by_key[link.dst]
             DQ2 = b.bind(dst_ch.queue, "xq")
             DC = b.bind(dst_ch, "xc")
@@ -636,8 +757,25 @@ class _PartitionCodegen:
             w.emit(Lo, f"{AQ2}.append(_arr + {rx})")
             w.emit(Lo, f"_d = {self.LEN}({AQ2})")
             w.emit(Lo, f"{DH}[_d] = {DHG}(_d, 0) + 1")
+            if self.metrics:
+                # the receiving partition's pair, created on first
+                # delivery through the cache apply_link_delivery fills
+                dp = link.dst[0]
+                w.emit(Lo, f"_i = {self.RXG}({dp!r})")
+                w.emit(Lo, "if _i is None:")
+                w.emit(Lo + 1, f"_i = {self.RX}[{dp!r}] = ("
+                               f"{self.RGC}('tokens_rx', {dp!r}), "
+                               f"{self.RGH}('rx_depth', {dp!r}))")
+                w.emit(Lo, "_i[0].inc()")
+                w.emit(Lo, "_i[1].observe(_d)")
+            self._emit_event(
+                Lo, "token_rx", f"_arr + {rx}", "0.0", link.dst[0],
+                link.dst[1],
+                f'{{"link": {link.key!r}, "rx_serdes_ns": {op.rx_ns!r}, '
+                f'"depth": _d}}')
         w.emit(Lo, f"{LK}.tokens += 1")
         w.emit(Lo, "tt += 1")
+        self._emit_count(Lo, up, "ctr_tx", "tokens_tx")
 
     def _emit_advance_timing(self, La: int, up) -> None:
         """The advance's timing bookkeeping: arrival pops, link-wait
@@ -666,6 +804,13 @@ class _PartitionCodegen:
         ovh = part.advance_overhead_ns
         if ovh:
             w.emit(La, f"sy += {_f(ovh)}")
+        self._emit_event(
+            La, "target_cycle", "_st",
+            repr(up.host_cycle_ns + part.advance_overhead_ns),
+            part.name, up.prefix + up.unit.name,
+            f'{{"cycle": {b.bind(up.unit, "u")}.target_cycle, '
+            f'"input_wait_ns": _st - busy}}')
+        if ovh:
             w.emit(La, f"busy = _st + {hc} + {_f(ovh)}")
         else:
             w.emit(La, f"busy = _st + {hc}")
@@ -701,6 +846,7 @@ class _PartitionCodegen:
             w.emit(La, f"if {OQ}:")
             w.emit(La + 1, f"{OQ}.popleft()")
         w.emit(La, f"{U}.target_cycle += 1")
+        self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
         if self.eval_dedup:
             w.emit(La, f"dty{uid} = True")
@@ -733,7 +879,8 @@ class _PartitionCodegen:
         comb/tick calls.  When the pending input words equal the
         currently-poked values (every field), the fire and the advance
         share ONE settle (the ``cyc`` kernel) — otherwise the pass
-        splits into the cone-reduced ``fire`` and ``adv`` kernels."""
+        splits into the cone-reduced ``fire`` kernel and, after the
+        pokes, a second kernel call for the tick."""
         w, b, sim = self.w, self.b, self.sim
         unit = up.unit
         F, ENV, MEMS, RTL, U = (names["F"], names["ENV"], names["MEMS"],
@@ -741,9 +888,12 @@ class _PartitionCodegen:
         fire_plans = names["fire_plans"]
         in_plans = names["in_plans"]
         k = len(fire_plans)
-        KF = b.bind(kern[0], "kf") if kern[0] is not None else None
-        KA = b.bind(kern[1], "ka")
-        KC = b.bind(kern[2], "kc") if kern[2] is not None else None
+        if k:
+            KF = b.bind(kern[0], "kf")
+            # the split-path advance calls cyc too, words ignored
+            KA = KC = b.bind(kern[2], "kc")
+        else:
+            KA = b.bind(kern[1], "ka")
         in_qs = [b.bind(ch.queue, "iq") for ch, _ in in_plans]
         batch = bool(up.batchable and sim._batching)
         #: quiescence cell: [converged, word0, ..., word(k-1)] — True
@@ -824,9 +974,11 @@ class _PartitionCodegen:
                 w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
                 w.emit(Lf + 1, f"{F}[{entry[0]!r}] = True")
             w.emit(Lf, "progress = True")
+            for entry in fire_plans:
+                self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
         # process fired tokens in fire (outbox) order
         for j, entry in enumerate(fire_plans):
-            self._emit_out_op(Lb, uid, j, entry[0], up.out_ops[entry[0]])
+            self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
         if batch:
             w.emit(Lb, "advanced = False")
         # the advance: fused (tick already committed by the cyc kernel)
@@ -838,6 +990,7 @@ class _PartitionCodegen:
             w.emit(La, f"{iq}.popleft()")
         w.emit(La, f"{RTL}.cycle += 1")
         w.emit(La, f"{U}.target_cycle += 1")
+        self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
         if batch:
             w.emit(La, "advanced = True")
@@ -861,6 +1014,7 @@ class _PartitionCodegen:
             w.emit(La, f"if {OQ}:")
             w.emit(La + 1, f"{OQ}.popleft()")
         w.emit(La, f"{U}.target_cycle += 1")
+        self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
         if batch:
             w.emit(La, "advanced = True")
@@ -888,6 +1042,7 @@ class _PartitionCodegen:
             "fire_plans": bindings["fire_plans"],
             "in_plans": bindings["in_plans"],
             "out_channels": bindings["out_channels"],
+            "up": up,
         }
         # kernel tier: dep-free (fast-mode) units on a compiled engine
         # get fused, cone-reduced RTL kernels instead of the generic
@@ -926,8 +1081,7 @@ class _PartitionCodegen:
             self._emit_fire(Lb, uid, j, entry, names)
         # process fired tokens in fire (outbox) order
         for j, entry in enumerate(fire_plans):
-            name = entry[0]
-            self._emit_out_op(Lb, uid, j, name, up.out_ops[name])
+            self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
         if batch:
             w.emit(Lb, "advanced = False")
         self._emit_advance(Lb, uid, up, names, batch)

@@ -302,6 +302,9 @@ class ProcessBackend:
         #: per-worker corr-id echo from the last completed run — the
         #: propagation proof (observability only, never merged)
         self.last_worker_corr: Dict[str, str] = {}
+        #: per-worker step-plane compile verdicts of the last completed
+        #: run (observability only, never merged)
+        self.last_jit_report: Dict[str, str] = {}
 
     # -- public entry ---------------------------------------------------------
 
@@ -509,6 +512,10 @@ class ProcessBackend:
         self.last_worker_corr = {
             n: frag["corr"] for n, frag in fragments.items()}
         sim.last_worker_corr = dict(self.last_worker_corr)
+        # each worker compiled its own partition's step function
+        self.last_jit_report = {
+            n: fragments[n]["jit"] for n in sim.partitions}
+        sim.last_jit_report = dict(self.last_jit_report)
         self._merge(sim, fragments)
         sim.last_run_backend = self._backend_label
         self._finish_telemetry(sim)

@@ -483,6 +483,8 @@ class PartitionWorker:
             # observability echo: the corr id this worker's process
             # actually observed (diagnostics; never merged into state)
             "corr": current_corr_id(),
+            # ... and this partition's step-plane compile verdict
+            "jit": sim.last_jit_report[self.name],
             # wire accounting (benchmarks; never merged into sim state)
             "wire_stats": {
                 "messages_sent": sum(c.messages_sent

@@ -215,11 +215,15 @@ def build_simulation(config: dict, telemetry=None, tracer=None):
         tracer=tracer)
 
 
-def _obs_extra(corr_id: str, worker_corr, tracer) -> Optional[dict]:
+def _obs_extra(corr_id: str, worker_corr, tracer,
+               step_plane=None) -> Optional[dict]:
     """The ``extra={"obs": ...}`` payload of an archived record —
     observability identity only, never part of the cache fingerprint
-    or the result detail."""
+    or the result detail.  ``step_plane`` is the run's
+    ``{partition: compile verdict}``, so a slow run explains itself."""
     obs: dict = {}
+    if step_plane:
+        obs["step_plane"] = dict(step_plane)
     if corr_id:
         obs["corr_id"] = corr_id
         if worker_corr:
@@ -258,7 +262,8 @@ def execute_config(config: dict, telemetry=None,
                          backend=config["backend"])
         extra = None
         obs = _obs_extra(corr_id,
-                         getattr(sim, "last_worker_corr", {}), tracer)
+                         getattr(sim, "last_worker_corr", {}), tracer,
+                         sim.last_jit_report)
         if obs:
             extra = {"obs": obs}
         return ExecutionOutcome(result,
@@ -290,7 +295,7 @@ def execute_config(config: dict, telemetry=None,
         obs = _obs_extra(
             corr_id,
             getattr(manager.backend, "last_worker_corr", {}),
-            tracer)
+            tracer, manager.backend.last_jit_report)
         if obs:
             extra["obs"] = obs
         return ExecutionOutcome(report.result, "farm", extra=extra)

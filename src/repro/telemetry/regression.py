@@ -174,10 +174,17 @@ def check_bench_files(results_dir: Union[str, Path],
 
     trace = load("BENCH_trace_overhead.json")
     if trace is not None:
-        bound = trace.get("bound_pct", 5.0)
-        for metric in ("null_overhead_pct",
-                       "null_metrics_overhead_pct",
-                       "process_null_overhead_pct"):
+        null_bound = trace.get("bound_pct", 5.0)
+        # null sinks against the untraced run; live sinks against the
+        # clean JIT run of the same design
+        for metric, bound in (
+                ("null_overhead_pct", null_bound),
+                ("null_metrics_overhead_pct", null_bound),
+                ("process_null_overhead_pct", null_bound),
+                ("recording_vs_jit_x",
+                 trace.get("recording_vs_jit_bound_x", 2.0)),
+                ("sampling_vs_jit_pct",
+                 trace.get("sampling_vs_jit_bound_pct", 25.0))):
             value = trace.get(metric)
             if value is not None and value > bound:
                 violations.append(Violation(

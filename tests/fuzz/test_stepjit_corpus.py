@@ -12,12 +12,15 @@ These are the tests the bit-exactness contract in
 nothing observable, on any backend.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.fuzz import functional_digest, load_repro, make_sim
+from repro.observability import RecordingTracer
 from repro.parallel.coordinator import fork_available
+from repro.telemetry import Telemetry
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -66,6 +69,37 @@ def test_corpus_jit_matches_across_process_backends(path):
     _, _, dig_jit = _replay(path, "process", True)
     _, _, dig_int = _replay(path, "process", False)
     assert dig_jit == dig_int
+
+
+def _replay_observed(path, backend, stepjit):
+    """Replay traced + sampled; what an observer sees of the run."""
+    scenario, _ = load_repro(path)
+    tracer = RecordingTracer()
+    sim = make_sim(scenario, telemetry=Telemetry(sample_every=5),
+                   tracer=tracer)
+    sim.stepjit = stepjit
+    result = sim.run(scenario.cycles, backend=backend)
+    return sim, ([repr(e) for e in tracer.events], tracer.total_emitted,
+                 json.dumps(result.detail["telemetry"]),
+                 functional_digest(sim, result))
+
+
+@pytest.mark.parametrize("backend", [
+    "inproc", pytest.param("process", marks=needs_fork)])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_observed_run_matches_interpreter(path, backend):
+    """The hook-specialised step functions emit the interpreter's
+    events (every field, in order) and update the interpreter's
+    instruments, on every committed scenario."""
+    sim, observed = _replay_observed(path, backend, True)
+    assert observed[0] and observed[1]
+    assert observed == _replay_observed(path, backend, False)[1]
+    # the sinks evicted nothing: same tiers as the clean replay
+    clean = _replay(path, backend, True)[0]
+    assert {n: v.rsplit(",", 1)[0]
+            for n, v in sim.last_jit_report.items()} \
+        == {n: v.rsplit(",", 1)[0]
+            for n, v in clean.last_jit_report.items()}
 
 
 @needs_fork

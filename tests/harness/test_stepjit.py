@@ -1,6 +1,9 @@
 """Compiled step plane: selection knobs, eligibility guard, codegen
 output, fused-kernel cache, and runtime-fallback identity."""
 
+import json
+import re
+
 import pytest
 
 from repro.fireripper import (
@@ -19,7 +22,8 @@ from repro.harness.stepjit import (
     stepjit_enabled,
     generate_partition_source,
 )
-from repro.observability import RecordingTracer
+from repro.observability import RecordingTracer, TraceEvent
+from repro.parallel.coordinator import fork_available
 from repro.platform import QSFP_AURORA
 from repro.reliability import FaultSpec, harden_links
 from repro.reliability.checkpoint import capture_state, restore_state
@@ -110,14 +114,23 @@ class TestEligibility:
         assert all(r is None for r in self._reasons(_build()).values())
 
     def test_tracer_rejects(self):
+        """The id pins the old cliff; the contract is now the opposite:
+        a traced partition is eligible and compiles its emit sites."""
         sim = _build(tracer=RecordingTracer())
-        assert all(r == "tracer attached"
-                   for r in self._reasons(sim).values())
+        assert all(r is None for r in self._reasons(sim).values())
+        sim.run(20)
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+        assert sim.tracer.total_emitted > 0
 
     def test_telemetry_rejects(self):
+        """Same flip for telemetry sampling."""
         sim = _build(telemetry=Telemetry(sample_every=10))
-        assert all(r == "telemetry sampling enabled"
-                   for r in self._reasons(sim).values())
+        assert all(r is None for r in self._reasons(sim).values())
+        result = sim.run(20)
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+        assert result.detail["telemetry"]["series"]
 
     def test_reliability_layer_rejects(self):
         sim = _build()
@@ -144,10 +157,69 @@ class TestGeneratedSources:
             assert "def _step(" in src
 
     def test_reject_reason_instead_of_source(self):
-        sim = _build(tracer=RecordingTracer())
-        for src, reason in generate_sources(sim).values():
-            assert src is None
-            assert reason == "tracer attached"
+        """The id pins the old cliff: sinks no longer reject.  A live
+        sink's emit sites are in the source; the null sinks leave no
+        trace of either in it."""
+        sources = generate_sources(_build(
+            tracer=RecordingTracer(), telemetry=Telemetry(sample_every=10)))
+        for src, reason in sources.values():
+            assert reason is None
+            for kind in ("channel_fire", "advance", "credit_stall",
+                         "token_tx", "target_cycle"):
+                assert f"({kind!r}, " in src, kind
+            assert ".ctr_tx" in src and ".ctr_stall" in src
+        assert "'bridge_output'" in sources["base"][0]
+        assert ".ctr_bridge" in sources["base"][0]
+        assert any("'token_rx'" in src and "'rx_depth'" in src
+                   for src, _ in sources.values())
+        clean = _build()
+        for pplan in clean.ensure_schedule():
+            src, bindings = generate_partition_source(clean, pplan)
+            assert "_ev" not in src and "_em" not in src
+            assert "_rgc" not in src and ".ctr_" not in src
+            assert TraceEvent not in bindings.values()
+
+    # the null-sink binding tables of the comb-pair build, as generated
+    # before the emit sites existed
+    CLEAN_BINDINGS = {
+        "base": "pt sp sm ri len rng u f e mm r c t dc up oq oc dq oq oc "
+                "aq ol olg bk lk cq cb cbg dk xq xc aq dh dhg cq",
+        "fpga1": "pt sp sm ri len rng u f e mm r c t dc up oq oc dq aq "
+                 "lk cq cb cbg dk xq xc aq dh dhg cq",
+    }
+
+    def test_null_sink_binding_table_is_unchanged(self):
+        """Conditional emission is decided while generating: the clean
+        variant binds exactly what it bound before, in the same order,
+        and contains no sink flag check."""
+        sim = _build()
+        for pplan in sim.ensure_schedule():
+            src, bindings = generate_partition_source(sim, pplan)
+            want = self.CLEAN_BINDINGS[pplan.part.name].split()
+            assert list(bindings) == [
+                f"_{hint}{i}" for i, hint in enumerate(want)]
+            for flag in ("_trace", "_metrics_on", ".enabled"):
+                assert flag not in src
+
+    def test_emit_sites_never_read_the_rtl_env(self):
+        """Kernel-tier units leave combinational intermediates in the
+        RTL env stale (the documented contract).  Observation stays
+        exact under it because every event field and every instrument
+        update reads the timing overlay and the cycle counters only."""
+        sim = _ring8(FAST)(tracer=RecordingTracer(),
+                           telemetry=Telemetry(sample_every=10))
+        for pplan in sim.ensure_schedule():
+            src, bindings = generate_partition_source(sim, pplan)
+            state = [unit.sim.env for _, unit in pplan.part.units] \
+                + [unit.sim.mem_state for _, unit in pplan.part.units]
+            names = [n for n, v in bindings.items()
+                     if any(v is obj for obj in state)]
+            sites = [line for line in src.splitlines()
+                     if re.search(r"_ev\d|\.inc\(\)|\.observe\(", line)]
+            assert names and sites
+            for line in sites:
+                assert not re.search(
+                    "|".join(rf"\b{n}\b" for n in names), line), line
 
     def test_source_compiles_standalone(self):
         sim = _build()
@@ -184,6 +256,83 @@ class TestGeneratedSources:
                  for _, unit in part.units
                  if getattr(unit, "_stepjit_kernels", None)]
         assert before == after
+
+
+def _observe(build, cycles, jit, backend="inproc", prepare=None):
+    """Run ``build(tracer=, telemetry=)`` traced + sampled; returns the
+    sim and everything an observer can see of the run.  Events are
+    compared through ``repr`` so an int/float drift in a field shows."""
+    tracer = RecordingTracer()
+    sim = build(tracer=tracer, telemetry=Telemetry(sample_every=7))
+    sim.stepjit = jit
+    if prepare is not None:
+        prepare(sim)
+    result = sim.run(cycles, backend=backend)
+    return sim, {
+        "events": [repr(e) for e in tracer.events],
+        "total_emitted": tracer.total_emitted,
+        "telemetry": json.dumps(result.detail["telemetry"]),
+        "digest": functional_digest(sim, result),
+    }
+
+
+def _ring8(mode):
+    spec = PartitionSpec(mode=mode, noc=NoCPartitionSpec.make(
+        [[0, 1, 2, 3], [4, 5, 6, 7]]))
+    design = FireRipper(spec).compile(
+        make_ring_noc_soc(8, messages_per_tile=2))
+
+    def build(**kwargs):
+        return design.build_simulation(
+            QSFP_AURORA, record_outputs=True, **kwargs)
+    return build
+
+
+BACKENDS = ["inproc", pytest.param("process", marks=pytest.mark.skipif(
+    not fork_available(), reason="the process backend needs os.fork"))]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestObservedIdentity:
+    """Observation does not change what is observed, nor the engine:
+    a traced + sampled run compiles, and its event list (every field,
+    the order, ``total_emitted``), ``detail["telemetry"]`` and
+    functional digest equal the interpreter's."""
+
+    def _same(self, build, cycles, backend, fused):
+        sim, jit = _observe(build, cycles, True, backend)
+        _, interp = _observe(build, cycles, False, backend)
+        assert jit["events"] and jit["telemetry"] != "{}"
+        assert jit == interp
+        assert all(v.startswith("compiled: 1 unit(s) "
+                                f"({fused} fused-kernel)")
+                   for v in sim.last_jit_report.values())
+
+    @pytest.mark.parametrize("mode", [FAST, EXACT])
+    def test_ring_kernel_tier_through_quiescence(self, backend, mode):
+        # 2 messages per tile: busy for ~100 cycles, then every
+        # partition replays cached words (the quiescence path)
+        self._same(_ring8(mode), 300, backend, fused=1)
+
+    @pytest.mark.parametrize("mode", [FAST, EXACT])
+    def test_comb_pair_generic_tier(self, backend, mode):
+        self._same(lambda **kw: _build(mode=mode, **kw), 60, backend,
+                   fused=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: _build(**kw), _ring8(FAST)], ids=["generic", "kernel"])
+    def test_outbox_guard_fallback(self, backend, build):
+        """A pass delegated to ``_run_unit`` emits through the same
+        sinks and increments the same lazily created instruments."""
+        def prepare(sim):
+            sim.run(5, backend="inproc")
+            for part in sim.partitions.values():
+                for _, unit in part.units:
+                    unit.try_fire_outputs()
+
+        sim, jit = _observe(build, 40, True, backend, prepare)
+        _, interp = _observe(build, 40, False, backend, prepare)
+        assert jit == interp
 
 
 class TestRuntimeIdentity:

@@ -131,6 +131,10 @@ class TestFarmJobKind:
         obs = outcome.extra["obs"]
         assert obs["corr_id"] == corr
         assert set(obs["worker_corr"].values()) == {corr}
+        # each worker's own step-plane verdict came home with it
+        assert set(obs["step_plane"]) == set(obs["worker_corr"])
+        assert all(v.startswith("compiled")
+                   for v in obs["step_plane"].values())
         deaths = list(read_events(tmp_path / "ev.jsonl", corr=corr,
                                   kinds=[EV_HOST_DEATH]))
         assert [e["host"] for e in deaths] == ["h1"]

@@ -91,6 +91,16 @@ class TestCheckBenchFiles:
         assert [v.metric for v in violations] \
             == ["null_metrics_overhead_pct"]
 
+    def test_live_sink_cost_against_the_jit_flags(self, tmp_path):
+        path = tmp_path / "BENCH_trace_overhead.json"
+        path.write_text(json.dumps({
+            "recording_vs_jit_x": 2.4, "sampling_vs_jit_pct": 31.0}))
+        assert [v.metric for v in check_bench_files(tmp_path)] \
+            == ["recording_vs_jit_x", "sampling_vs_jit_pct"]
+        path.write_text(json.dumps({
+            "recording_vs_jit_x": 1.4, "sampling_vs_jit_pct": 18.0}))
+        assert check_bench_files(tmp_path) == []
+
     def test_batching_slower_than_per_token_flags(self, tmp_path):
         (tmp_path / "BENCH_socket_tier.json").write_text(
             json.dumps({"socket_batching_speedup": 0.8}))

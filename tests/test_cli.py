@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -112,6 +114,7 @@ class TestTrace:
         stdout = capsys.readouterr().out
         assert rc == 0
         assert "simulated 25 target cycles" in stdout
+        assert "step plane: 2/2 partition(s) compiled" in stdout
         assert "token_tx" in stdout
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]
@@ -149,6 +152,7 @@ class TestProfile:
                    "--cycles", "25"])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "step plane: 2/2 partition(s) compiled" in out
         assert "FMR breakdown" in out
         assert "link_wait" in out
         assert "bottleneck:" in out
@@ -161,6 +165,7 @@ class TestTelemetryCLI:
                    "--cycles", "60", "--metrics", "20"])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "step plane: 2/2 partition(s) compiled" in out
         assert "sample point(s) across 2 partition(s)" in out
         assert "every 20 cycles" in out
 
@@ -178,6 +183,11 @@ class TestTelemetryCLI:
         ids = sorted(p.name for p in runs.iterdir() if p.is_dir())
         assert len(ids) == 2
         assert ids[0].startswith("pair-")
+        # the record says which engine ran each partition
+        record = json.loads((runs / ids[0] / "run.json").read_text())
+        assert sorted(record["obs"]["step_plane"]) == ["base", "fpga0"]
+        assert all(v.startswith("compiled")
+                   for v in record["obs"]["step_plane"].values())
 
         rc = main(["compare", ids[0], ids[1],
                    "--runs-dir", str(runs)])

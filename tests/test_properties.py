@@ -269,23 +269,27 @@ def test_random_multi_partition_exact_equivalence(cfg):
 def test_recording_tracer_never_changes_results(cfg):
     """Tracing is pure observation: an untraced run, a null-traced run
     and a fully recorded run produce identical results (timing, token
-    counts, FMR accounting, outputs) on random topologies."""
+    counts, FMR accounting, outputs) on random topologies — on the
+    compiled step plane and on the interpreter, which also record the
+    same events."""
     from repro.observability import NullTracer, RecordingTracer
 
     design = _multi_design(cfg)
     cycles = 8
 
-    def run(tracer):
+    def run(tracer, jit=True):
         sim = design.build_simulation(
             QSFP_AURORA, record_outputs=True,
             sources={("base", "io_in"): _stim_source(cfg)},
             tracer=tracer)
+        sim.stepjit = jit
         return sim.run(cycles), sim.output_log
 
-    recording = RecordingTracer()
+    recording, interpreted = RecordingTracer(), RecordingTracer()
     baseline, base_log = run(None)
-    for tracer in (NullTracer(), recording):
-        result, log = run(tracer)
+    for tracer, jit in ((NullTracer(), True), (recording, True),
+                        (interpreted, False)):
+        result, log = run(tracer, jit)
         assert result.target_cycles == baseline.target_cycles
         assert result.wall_ns == baseline.wall_ns
         assert result.rate_hz == baseline.rate_hz
@@ -298,6 +302,7 @@ def test_recording_tracer_never_changes_results(cfg):
         assert result.detail["links"] == baseline.detail["links"]
         assert log == base_log
     assert recording.total_emitted > 0
+    assert recording.events == interpreted.events
 
 
 @given(child_cfg=child_spec, top_cfg=top_spec)
@@ -386,30 +391,35 @@ def test_parallel_checkpoint_resumes_in_process(cfg):
     assert log2 == log1
 
 
-def _multi_sim_telemetry(cfg, sample_every=4):
+def _multi_sim_telemetry(cfg, sample_every=4, jit=True):
     from repro.telemetry import Telemetry
-    return _multi_design_mode(cfg, EXACT).build_simulation(
+    sim = _multi_design_mode(cfg, EXACT).build_simulation(
         QSFP_AURORA, record_outputs=True,
         sources={("base", "io_in"): _stim_source(cfg)},
         telemetry=Telemetry(sample_every=sample_every))
+    sim.stepjit = jit
+    return sim
 
 
-@given(cfg=multi_spec)
+@given(cfg=multi_spec, jit_inproc=st.booleans(),
+       jit_process=st.booleans())
 @settings(max_examples=10, deadline=None)
-def test_telemetry_series_bit_identical_across_backends(cfg):
+def test_telemetry_series_bit_identical_across_backends(
+        cfg, jit_inproc, jit_process):
     """The telemetry contract: with sampling on, the metric series the
     process backend's workers ship home merges into the *same bits* as
     the in-process loop's — every sample point, every instrument, and
-    therefore the whole result detail, on random topologies."""
+    therefore the whole result detail, on random topologies, whichever
+    side runs compiled step functions."""
     import json
 
     from repro.parallel import ProcessBackend, fork_available
     if not fork_available():  # pragma: no cover - linux CI always has fork
         return
     cycles = 12
-    s1 = _multi_sim_telemetry(cfg)
+    s1 = _multi_sim_telemetry(cfg, jit=jit_inproc)
     r1 = s1.run(cycles, backend="inproc")
-    s2 = _multi_sim_telemetry(cfg)
+    s2 = _multi_sim_telemetry(cfg, jit=jit_process)
     r2 = ProcessBackend().run(s2, cycles)
     assert r1.detail["telemetry"]["series"]  # sampling actually fired
     assert json.dumps(r2.detail, sort_keys=True) \
