@@ -297,8 +297,7 @@ def _trace_job(args) -> int:
     """``repro trace --job ID``: stitch a service job's scheduler
     spans, event-log fabric events and archived partition spans into
     one Perfetto trace."""
-    from .obsplane import read_events
-    from .obsplane.stitch import export_job_trace
+    from .observability import export_job_trace, read_events
     client = _client(args)
     record = client.job(args.job)
     run_record = None
@@ -537,23 +536,20 @@ def cmd_cancel(args) -> int:
 def cmd_tail(args) -> int:
     """Print (or follow) the observability event log, optionally
     narrowed to one correlation id, tenant, or event kind."""
-    from .obsplane import follow_events, format_event, read_events
-    kinds = args.kind or None
-    if args.follow:
-        try:
-            for entry in follow_events(args.log, corr=args.corr,
-                                       tenant=args.tenant, kinds=kinds,
-                                       timeout=args.timeout):
-                print(format_event(entry), flush=True)
-        except KeyboardInterrupt:
-            pass
-        return 0
+    from .observability import follow_events, format_event, read_events
+    selection = dict(corr=args.corr, tenant=args.tenant,
+                     kinds=args.kind or None)
+    events = follow_events(args.log, timeout=args.timeout,
+                           **selection) if args.follow \
+        else read_events(args.log, **selection)
     count = 0
-    for entry in read_events(args.log, corr=args.corr,
-                             tenant=args.tenant, kinds=kinds):
-        print(format_event(entry))
-        count += 1
-    if count == 0:
+    try:
+        for event in events:
+            print(format_event(event), flush=True)
+            count += 1
+    except KeyboardInterrupt:
+        pass
+    if count == 0 and not args.follow:
         print("no matching events", file=sys.stderr)
     return 0
 
@@ -648,6 +644,18 @@ def cmd_runs_gc(args) -> int:
     return 0
 
 
+def _print_live(payload: dict) -> None:
+    """One line of an in-flight run's live status."""
+    frontier = payload.get("frontier_cycle", 0)
+    target = payload.get("target_cycles")
+    progress = (f" / {target} ({frontier / target * 100.0:.1f}%)"
+                if target else "")
+    print(f"[{payload.get('backend', '?')}] "
+          f"cycle {frontier}{progress}  "
+          f"rate {payload.get('rate_hz', 0.0) / 1e3:.2f} kHz  "
+          f"{payload.get('status', '?')}")
+
+
 def _watch_job(args) -> int:
     """Follow one service job: its live-status file while it runs,
     falling back to state polling, until it is terminal."""
@@ -666,15 +674,7 @@ def _watch_job(args) -> int:
         if payload is not None \
                 and payload.get("updated") != last_updated:
             last_updated = payload.get("updated")
-            frontier = payload.get("frontier_cycle", 0)
-            target = payload.get("target_cycles")
-            progress = (f" / {target} "
-                        f"({frontier / target * 100.0:.1f}%)"
-                        if target else "")
-            print(f"[{payload.get('backend', '?')}] "
-                  f"cycle {frontier}{progress}  "
-                  f"rate {payload.get('rate_hz', 0.0) / 1e3:.2f} kHz  "
-                  f"{payload.get('status', '?')}")
+            _print_live(payload)
         if record["state"] in TERMINAL:
             _print_job(record)
             return 0 if record["state"] == "done" else 1
@@ -701,16 +701,7 @@ def cmd_watch(args) -> int:
         if payload is not None \
                 and payload.get("updated") != last_updated:
             last_updated = payload.get("updated")
-            frontier = payload.get("frontier_cycle", 0)
-            target = payload.get("target_cycles")
-            rate = payload.get("rate_hz", 0.0)
-            progress = (f" / {target} "
-                        f"({frontier / target * 100.0:.1f}%)"
-                        if target else "")
-            print(f"[{payload.get('backend', '?')}] "
-                  f"cycle {frontier}{progress}  "
-                  f"rate {rate / 1e3:.2f} kHz  "
-                  f"{payload.get('status', '?')}")
+            _print_live(payload)
             if payload.get("status") == "done":
                 return 0
         if args.once:

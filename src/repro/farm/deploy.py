@@ -35,9 +35,7 @@ import signal
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, Optional
 
-from ..obsplane.corr import propagate_corr_id
-from ..obsplane.events import EV_WORKER_EXIT
-from ..obsplane.log import get_logger, log_record
+from ..observability.corr import propagate_corr_id
 from ..parallel.coordinator import (broadcast, emit_event,
                                     fork_workers)
 from ..parallel.worker import close_all
@@ -61,11 +59,9 @@ def host_agent_main(sim, host: str, target_cycles: int,
     close_all(unrelated_conns)
     parts = list(options)
     # adopt the request's correlation id before forking workers: they
-    # inherit the environment, and anything this agent logs carries it
+    # inherit the environment
     if sim.corr_id:
         propagate_corr_id(sim.corr_id)
-    log_record(get_logger("repro.farm.agent"), "agent_start",
-               corr=sim.corr_id, host=host, parts=",".join(parts))
 
     workers = fork_workers(sim, options, target_cycles, max_passes,
                            host=host, backend="farm")
@@ -138,6 +134,6 @@ def host_agent_main(sim, host: str, target_cycles: int,
             worker.proc.join(1.0)
             relay(worker)
             worker.dead = True
-            emit_event(sim, EV_WORKER_EXIT, **worker.fields,
+            emit_event(sim, "worker_exit", **worker.fields,
                        exitcode=worker.proc.exitcode)
             send_up((worker.name, ("dead", worker.proc.exitcode)))

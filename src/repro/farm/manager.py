@@ -31,14 +31,10 @@ the run registry.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import HostDeadError
-from ..obsplane.events import (EV_HOST_DEATH, EV_HOST_DEPLOY,
-                               EV_HOST_REPLACE)
-from ..obsplane.log import get_logger, log_record
 from ..parallel.coordinator import (Endpoint, ProcessBackend,
                                     broadcast, emit_event,
                                     fork_endpoints)
@@ -46,8 +42,6 @@ from ..reliability.supervisor import RunSupervisor, SupervisorReport
 from .deploy import host_agent_main
 from .hosts import FarmSpec
 from .placement import Placement, place_sim
-
-_LOG = get_logger("repro.farm")
 
 
 class FarmBackend(ProcessBackend):
@@ -117,14 +111,14 @@ class FarmBackend(ProcessBackend):
                 or placement.assignment != self.last_placement.assignment:
             self.placements.append(placement)
             if len(self.placements) > 1:
-                emit_event(sim, EV_HOST_REPLACE,
+                emit_event(sim, "host_replace",
                            hosts=",".join(sorted(placement.by_host())),
                            assignment=dict(placement.assignment))
         self.last_placement = placement
         options = self._worker_options(sim)
         # agents fork the partition workers, so they cannot be
         # daemonic; they exit when reaped (SIGTERM) or on manager EOF
-        return fork_endpoints(sim, "agent", EV_HOST_DEPLOY, [
+        return fork_endpoints(sim, "agent", "host_deploy", [
             (host, parts, host_agent_main,
              (host, target_cycles, max_passes,
               {part: options[part] for part in parts},
@@ -172,9 +166,7 @@ class FarmBackend(ProcessBackend):
     def _host_dead(self, sim, host: str, reason: str,
                    message: str) -> HostDeadError:
         self.spec.mark_dead(host)
-        emit_event(sim, EV_HOST_DEATH, host=host, reason=reason)
-        log_record(_LOG, EV_HOST_DEATH, corr=sim.corr_id, host=host,
-                   reason=reason, level=logging.WARNING)
+        emit_event(sim, "host_death", host=host, reason=reason)
         return HostDeadError(host, reason, message)
 
     @staticmethod

@@ -44,10 +44,9 @@ from ..libdn.fame5 import FAME5Host
 from ..libdn.token import Channel, Token
 from ..libdn.wrapper import LIBDNHost
 from ..observability import profile as _profile
+from ..observability.corr import current_corr_id
 from ..observability.postmortem import DeadlockPostmortem
 from ..observability.tracer import NULL_TRACER, TraceEvent, Tracer
-from ..obsplane.corr import current_corr_id
-from ..obsplane.events import NULL_EVENT_LOG
 from ..platform.transport import TransportModel
 from ..telemetry.sampler import NULL_TELEMETRY, Telemetry
 from .hooks import LinkHooks, PartitionHooks
@@ -377,10 +376,10 @@ class PartitionedSimulation:
         self.corr_id: str = ""
         #: lifecycle-event sink (worker spawns/exits, host events);
         #: the null default keeps every emit a single flag check
-        self.events = NULL_EVENT_LOG
+        self.events = NULL_TRACER
         #: per-partition corr echo of the last ``run`` — each worker
         #: reports the corr id it observed in its environment, the
-        #: propagation proof the obsplane tests pin
+        #: propagation proof the corr-id tests pin
         self.last_worker_corr: Dict[str, str] = {}
         #: static resolve table: (part, full channel name) -> Channel
         self._in_channel_by_key: Dict[Tuple[str, str], Channel] = {}

@@ -15,12 +15,11 @@ https://ui.perfetto.dev (and chrome://tracing) open directly:
 Timestamps are the timing overlay's modelled host time, exported in
 microseconds as the format requires.
 
-Two writers share one record generator: :func:`export_chrome_trace`
-builds the whole document in memory (small traces, tests), while
 :func:`stream_chrome_trace` writes record-by-record — the document is
 never materialized, so a multi-million-event trace exports in constant
 memory — and optionally gzip-compresses on the way out (Perfetto opens
-``.json.gz`` directly).
+``.json.gz`` directly); :func:`to_chrome_trace` builds the same
+document in memory.
 """
 
 from __future__ import annotations
@@ -135,17 +134,6 @@ def to_chrome_trace(events: Iterable[TraceEvent],
             "displayTimeUnit": "ns"}
 
 
-def export_chrome_trace(events: Iterable[TraceEvent],
-                        path: Union[str, Path],
-                        hash_track_ids: bool = False) -> Path:
-    """Write ``events`` to ``path`` as Chrome trace JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(
-        events, hash_track_ids=hash_track_ids)))
-    return path
-
-
 def stream_chrome_trace(events: Iterable[TraceEvent],
                         path: Union[str, Path],
                         compress: bool = False,
@@ -154,7 +142,7 @@ def stream_chrome_trace(events: Iterable[TraceEvent],
 
     With ``compress`` the output is gzipped (a ``.gz`` suffix is
     appended unless the path already carries one).  The produced JSON
-    parses to exactly what :func:`export_chrome_trace` writes.
+    parses to exactly what :func:`to_chrome_trace` builds.
     """
     path = Path(path)
     if compress and not path.name.endswith(".gz"):

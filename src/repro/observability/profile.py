@@ -42,15 +42,7 @@ class ProfileSession:
     def component_totals(self) -> Dict[str, float]:
         """Host-time-weighted FMR component totals across all recorded
         partitioned runs (host cycles, so partitions are comparable)."""
-        totals = {name: 0.0 for name in FMR_COMPONENTS}
-        for result in self.results:
-            breakdown = result.detail.get("fmr_breakdown") or {}
-            cycles = result.per_partition_cycles
-            for part, components in breakdown.items():
-                weight = cycles.get(part, result.target_cycles)
-                for name in FMR_COMPONENTS:
-                    totals[name] += components.get(name, 0.0) * weight
-        return totals
+        return _component_totals(self.results)
 
     def summary(self) -> str:
         runs = len(self.results)
@@ -86,6 +78,18 @@ def record_result(result) -> None:
         _ACTIVE.record(result)
 
 
+def _component_totals(results) -> Dict[str, float]:
+    totals = {name: 0.0 for name in FMR_COMPONENTS}
+    for result in results:
+        breakdown = result.detail.get("fmr_breakdown") or {}
+        cycles = result.per_partition_cycles
+        for part, components in breakdown.items():
+            weight = cycles.get(part, result.target_cycles)
+            for name in FMR_COMPONENTS:
+                totals[name] += components.get(name, 0.0) * weight
+    return totals
+
+
 def _dominant(totals: Dict[str, float]) -> Tuple[str, float]:
     """Largest non-compute component (compute is the useful work)."""
     candidates = {name: value for name, value in totals.items()
@@ -96,14 +100,8 @@ def _dominant(totals: Dict[str, float]) -> Tuple[str, float]:
 
 def dominant_component(result) -> str:
     """Which overhead component dominates ``result`` across partitions."""
-    breakdown = result.detail.get("fmr_breakdown") or {}
-    totals = {name: 0.0 for name in FMR_COMPONENTS}
-    for part, components in breakdown.items():
-        weight = result.per_partition_cycles.get(
-            part, result.target_cycles)
-        for name in FMR_COMPONENTS:
-            totals[name] += components.get(name, 0.0) * weight
-    if not breakdown or not any(totals.values()):
+    totals = _component_totals([result])
+    if not any(totals.values()):
         return "none"
     name, _ = _dominant(totals)
     return name

@@ -5,9 +5,9 @@ three different clocks:
 
 * the **scheduler** knows wall-clock phase timings (queue wait, cache
   lookup, execution span) recorded on the job,
-* the **event log** holds wall-stamped fabric events (worker spawns,
-  host deploys/deaths, re-placements) written by whichever process saw
-  them,
+* the **event log** holds wall-stamped lifecycle events (worker
+  spawns, host deploys/deaths, re-placements) written by whichever
+  process saw them,
 * the **workers** collect per-partition simulation spans in *modelled*
   host time, shipped home in result fragments and archived in the run
   record's ``obs`` extra.
@@ -30,31 +30,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..observability.chrome_trace import stream_chrome_trace
-from ..observability.tracer import TraceEvent
+from .chrome_trace import stream_chrome_trace
+from .tracer import TraceEvent, dict_to_event
 
 #: track (Chrome "process") that carries the scheduler-side job spans
 SERVICE_TRACK = "service"
-
-
-# -- (de)serializing trace events -------------------------------------------
-
-def event_to_dict(event: TraceEvent) -> dict:
-    """JSON-able form of one trace event (the ``obs`` archive
-    shape)."""
-    return {"kind": event.kind, "ts_ns": event.ts_ns,
-            "dur_ns": event.dur_ns, "part": event.part,
-            "scope": event.scope, "args": dict(event.args)}
-
-
-def dict_to_event(payload: dict) -> TraceEvent:
-    return TraceEvent(
-        kind=payload.get("kind", "?"),
-        ts_ns=float(payload.get("ts_ns", 0.0)),
-        dur_ns=float(payload.get("dur_ns", 0.0)),
-        part=payload.get("part", ""),
-        scope=payload.get("scope", ""),
-        args=dict(payload.get("args", {})))
 
 
 # -- the three sources ------------------------------------------------------
@@ -95,29 +75,32 @@ def service_spans(job_record: dict) -> List[TraceEvent]:
 
 
 def fabric_events(job_record: dict,
-                  entries: Iterable[dict]) -> List[TraceEvent]:
+                  entries: Iterable[TraceEvent]) -> List[TraceEvent]:
     """Event-log entries as instants on per-host / per-worker tracks
     (and the job lifecycle on the service track)."""
     submitted = job_record.get("submitted") or 0.0
     job_id = job_record.get("job_id", "?")
     events: List[TraceEvent] = []
     for entry in entries:
-        wall = entry.get("wall")
+        wall = entry.args.get("wall")
         if wall is None:
             continue
-        kind = entry.get("kind", "?")
-        host = entry.get("host", "")
-        part = entry.get("part", "")
+        host = entry.args.get("host", "")
+        part = entry.part
         if host:
             track, scope = f"host:{host}", part or "agent"
         elif part:
             track, scope = f"{job_id}/workers", part
         else:
             track, scope = SERVICE_TRACK, "lifecycle"
-        args = {k: v for k, v in entry.items()
-                if k not in ("wall", "ts_ns", "seq", "pid", "kind")}
+        args = {k: v for k, v in entry.args.items()
+                if k not in ("wall", "seq", "pid")}
+        if part:
+            # re-homed onto a host/worker track: the partition it
+            # came from stays readable in the args
+            args["part"] = part
         events.append(TraceEvent(
-            kind=kind, ts_ns=max(wall - submitted, 0.0) * 1e9,
+            kind=entry.kind, ts_ns=max(wall - submitted, 0.0) * 1e9,
             part=track, scope=scope, args=args))
     return events
 
@@ -170,7 +153,7 @@ def partition_events(job_record: dict,
 
 def stitch_job_trace(job_record: dict,
                      run_record: Optional[dict] = None,
-                     entries: Iterable[dict] = ()
+                     entries: Iterable[TraceEvent] = ()
                      ) -> List[TraceEvent]:
     """Merge the three sources into one ordered event stream."""
     events = service_spans(job_record)
@@ -182,7 +165,7 @@ def stitch_job_trace(job_record: dict,
 
 def export_job_trace(path, job_record: dict,
                      run_record: Optional[dict] = None,
-                     entries: Iterable[dict] = (),
+                     entries: Iterable[TraceEvent] = (),
                      compress: bool = False):
     """Stitch and stream-export one job's Perfetto trace; returns
     (written path, event count)."""

@@ -25,10 +25,30 @@ kind                    meaning
 ``checkpoint``          supervisor captured run state
 ``rollback``            supervisor restored the last checkpoint
 ``deadlock``            token exchange halted (terminal)
+``submitted``           a request entered ``service.submit``
+``cache_hit``           the fingerprint matched an archived run
+``coalesced``           the request attached to an in-flight leader
+``rejected``            admission refused the request (quota)
+``admitted``            admission accepted the request
+``queued``              the job entered the priority queue
+``executing``           a worker slot picked the job up
+``done``                the job completed (any source)
+``failed``              execution raised; the error rides along
+``cancelled``           the job was cancelled (queued or running)
+``worker_spawn``        a backend coordinator forked a partition worker
+``worker_exit``         a partition worker (or host agent) was reaped
+``host_deploy``         the farm manager forked a host agent
+``host_death``          a host died (agent exit or heartbeat timeout)
+``host_replace``        the run re-placed onto the surviving hosts
+``http``                the service endpoint served one exchange
 ======================  =====================================================
 
-All timestamps are in nanoseconds of *modelled host time* (the timing
-overlay's clock, not python wall time).
+Simulation kinds (``channel_fire`` .. ``deadlock``) are stamped in
+nanoseconds of *modelled host time* (the timing overlay's clock, not
+python wall time).  Lifecycle kinds (``submitted`` ..
+``host_replace``, built by
+:func:`~repro.observability.events.lifecycle_event`) are stamped with
+``time.monotonic_ns`` and carry the wall clock as ``args["wall"]``.
 """
 
 from __future__ import annotations
@@ -59,6 +79,36 @@ class TraceEvent:
     args: Dict[str, object] = field(default_factory=dict)
 
 
+def event_to_dict(event: TraceEvent) -> dict:
+    """The one JSON-able form of an event — a JSONL event-log line and
+    a run record's ``obs.trace_events`` entry alike: ``kind`` and
+    ``ts_ns``, the other record fields when set, then ``args``
+    flattened in (so ``args`` keys must not shadow the record's own
+    field names)."""
+    out = {"kind": event.kind, "ts_ns": event.ts_ns}
+    if event.dur_ns:
+        out["dur_ns"] = event.dur_ns
+    if event.part:
+        out["part"] = event.part
+    if event.scope:
+        out["scope"] = event.scope
+    out.update(event.args)
+    return out
+
+
+def dict_to_event(payload: dict) -> TraceEvent:
+    """Inverse of :func:`event_to_dict`; every key that is not a
+    record field lands in ``args``."""
+    args = dict(payload)
+    return TraceEvent(
+        kind=args.pop("kind", "?"),
+        ts_ns=args.pop("ts_ns", 0.0),
+        dur_ns=args.pop("dur_ns", 0.0),
+        part=args.pop("part", ""),
+        scope=args.pop("scope", ""),
+        args=args)
+
+
 class Tracer:
     """Sink protocol for trace events.
 
@@ -75,6 +125,9 @@ class Tracer:
     def recent(self, n: int) -> List[TraceEvent]:
         """Last ``n`` events this tracer retained (empty by default)."""
         return []
+
+    def close(self) -> None:
+        """Release what the sink holds open (nothing by default)."""
 
 
 class NullTracer(Tracer):
@@ -148,3 +201,7 @@ class TeeTracer(Tracer):
             if events:
                 return events
         return []
+
+    def close(self) -> None:
+        for sink in self.sinks:
+            sink.close()

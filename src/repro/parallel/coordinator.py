@@ -48,7 +48,7 @@ from ..errors import (BackendUnavailableError, DeadlockError,
                       SimulationError, UnknownBackendError,
                       UnsupportedTopologyError, WorkerError)
 from ..observability.postmortem import DeadlockPostmortem
-from ..obsplane.events import EV_WORKER_EXIT, EV_WORKER_SPAWN
+from ..observability.events import lifecycle_event
 from ..observability.tracer import (NULL_TRACER, RecordingTracer,
                                     TraceEvent)
 from ..reliability.checkpoint import load_partition_state
@@ -168,7 +168,8 @@ class _WorkerState:
 def emit_event(sim, kind: str, **fields) -> None:
     """Log one lifecycle event under ``sim``'s correlation id."""
     if sim.events.enabled:
-        sim.events.emit(kind, corr=sim.corr_id, **fields)
+        sim.events.emit(lifecycle_event(kind, corr=sim.corr_id,
+                                        **fields))
 
 
 @dataclass
@@ -241,7 +242,7 @@ def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
                  max_passes: int, **fields) -> List[Endpoint]:
     """One partition-worker endpoint per entry of ``options`` (its
     ``worker_main`` option dict)."""
-    return fork_endpoints(sim, "worker", EV_WORKER_SPAWN, [
+    return fork_endpoints(sim, "worker", "worker_spawn", [
         (name, [name], worker_main,
          (name, target_cycles, max_passes, worker_options),
          dict(fields, part=name))
@@ -403,7 +404,7 @@ class ProcessBackend:
                 proc.join(5.0)
         for ep in endpoints:
             close_all((ep.recv, ep.send))
-            emit_event(sim, EV_WORKER_EXIT, **ep.fields,
+            emit_event(sim, "worker_exit", **ep.fields,
                        exitcode=ep.proc.exitcode)
         # children are reaped; the parent owns the unix-socket
         # rendezvous directory

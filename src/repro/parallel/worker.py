@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..observability.tracer import RecordingTracer
-from ..obsplane.corr import current_corr_id, propagate_corr_id
+from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
 from .channels import Conduit, EffectFrame, FrameInbox, MetricFrame
 from .socket_transport import SocketChannel, establish_channels

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 from ..errors import ServiceError
 from ..fireripper import FireRipper, PartitionGroup, PartitionSpec
 from ..firrtl import parse_circuit
-from ..obsplane.stitch import event_to_dict
+from ..observability.tracer import event_to_dict
 from ..parallel import normalize_backend
 from ..platform import (
     ETHERNET_100G,
@@ -216,11 +216,12 @@ def build_simulation(config: dict, telemetry=None, tracer=None):
 
 
 def _obs_extra(corr_id: str, worker_corr, tracer,
-               step_plane=None) -> Optional[dict]:
-    """The ``extra={"obs": ...}`` payload of an archived record —
-    observability identity only, never part of the cache fingerprint
-    or the result detail.  ``step_plane`` is the run's
-    ``{partition: compile verdict}``, so a slow run explains itself."""
+               step_plane=None) -> dict:
+    """The ``{"obs": ...}`` extra of an archived record (empty when
+    there is nothing to say) — observability identity only, never part
+    of the cache fingerprint or the result detail.  ``step_plane`` is
+    the run's ``{partition: compile verdict}``, so a slow run explains
+    itself."""
     obs: dict = {}
     if step_plane:
         obs["step_plane"] = dict(step_plane)
@@ -231,7 +232,7 @@ def _obs_extra(corr_id: str, worker_corr, tracer,
     if tracer is not None and len(tracer):
         obs["trace_events"] = [event_to_dict(e)
                                for e in tracer.events]
-    return obs or None
+    return {"obs": obs} if obs else {}
 
 
 def execute_config(config: dict, telemetry=None,
@@ -248,42 +249,33 @@ def execute_config(config: dict, telemetry=None,
     the execution fabric land in ``events``, and captured trace spans
     are archived under the record's ``obs`` extra for stitching."""
     kind = config.get("kind", "simulate")
-    if kind == "simulate":
+
+    def build():
         sim = build_simulation(config, telemetry=telemetry,
                                tracer=tracer)
         sim.corr_id = corr_id
         if events is not None:
             sim.events = events
+        return sim
+
+    if kind == "simulate":
+        sim = build()
         stop = None
         if should_stop is not None:
             def stop(_sim, _check=should_stop):  # noqa: F811
                 return _check()
         result = sim.run(config["cycles"], stop=stop,
                          backend=config["backend"])
-        extra = None
-        obs = _obs_extra(corr_id,
-                         getattr(sim, "last_worker_corr", {}), tracer,
-                         sim.last_jit_report)
-        if obs:
-            extra = {"obs": obs}
-        return ExecutionOutcome(result,
-                                sim.last_run_backend or "inproc",
-                                extra=extra)
+        return ExecutionOutcome(
+            result, sim.last_run_backend or "inproc",
+            extra=_obs_extra(corr_id, sim.last_worker_corr, tracer,
+                             sim.last_jit_report) or None)
     if kind == "farm":
         # imported lazily, mirroring the experiment branch
         from ..farm import FarmManager, FarmSpec
         if should_stop is not None and should_stop():
             raise ServiceError("cancelled before start")
         spec = FarmSpec.from_dict(config["hosts"])
-
-        def build():
-            sim = build_simulation(config, telemetry=telemetry,
-                                   tracer=tracer)
-            sim.corr_id = corr_id
-            if events is not None:
-                sim.events = events
-            return sim
-
         host_faults = {config["kill_host"]: config["kill_at_pass"]} \
             if config["kill_host"] else None
         manager = FarmManager(
@@ -291,13 +283,9 @@ def execute_config(config: dict, telemetry=None,
             checkpoint_every=config["checkpoint_every"],
             host_faults=host_faults)
         report = manager.launch(config["cycles"])
-        extra = {"farm": report.to_extra()}
-        obs = _obs_extra(
-            corr_id,
-            getattr(manager.backend, "last_worker_corr", {}),
-            tracer, manager.backend.last_jit_report)
-        if obs:
-            extra["obs"] = obs
+        extra = {"farm": report.to_extra(),
+                 **_obs_extra(corr_id, manager.backend.last_worker_corr,
+                              tracer, manager.backend.last_jit_report)}
         return ExecutionOutcome(report.result, "farm", extra=extra)
     if kind == "experiment":
         # imported lazily: the experiment modules pull in every target
@@ -313,10 +301,8 @@ def execute_config(config: dict, telemetry=None,
                 f"experiment {config['experiment']!r} performed no "
                 "partitioned run to archive")
         extra = {"experiment": {"name": config["experiment"],
-                                "text": text}}
-        obs = _obs_extra(corr_id, {}, tracer)
-        if obs:
-            extra["obs"] = obs
+                                "text": text},
+                 **_obs_extra(corr_id, {}, tracer)}
         return ExecutionOutcome(session.results[-1], "inproc",
                                 extra=extra)
     raise ServiceError(f"unknown job kind {kind!r}")

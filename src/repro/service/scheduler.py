@@ -34,26 +34,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..errors import JobNotFoundError, ReproError
-from ..observability.tracer import RecordingTracer
-from ..obsplane import (
-    EV_ADMITTED,
-    EV_CACHE_HIT,
-    EV_CANCELLED,
-    EV_COALESCED,
-    EV_DONE,
-    EV_EXECUTING,
-    EV_FAILED,
-    EV_QUEUED,
-    EV_REJECTED,
-    EV_SUBMITTED,
-    NULL_SERVICE_METRICS,
-    ServiceMetrics,
-    get_logger,
-    log_record,
-    mint_corr_id,
+from ..observability.corr import mint_corr_id
+from ..observability.events import (
+    LogTracer,
+    lifecycle_event,
     open_event_log,
 )
+from ..observability.tracer import RecordingTracer, TeeTracer
 from ..telemetry import RunRegistry, Telemetry, config_fingerprint
+from ..telemetry.metrics import MetricsRegistry, render_prometheus
 from .admission import AdmissionController, TenantQuota
 from .cache import ResultCache
 from .executor import execute_config, normalize_config
@@ -68,6 +57,39 @@ from .jobs import (
     SOURCE_EXECUTION,
     Job,
     result_summary,
+)
+
+#: log-spaced latency buckets in seconds (le= labels); +Inf implied
+LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.5, 10.0, 60.0)
+
+#: the per-tenant latency histograms: submit -> worker pickup, the
+#: fingerprint probe at submit, worker pickup -> terminal
+PHASES = ("queue_wait", "cache_lookup", "execution")
+
+#: per-tenant counter name -> rendered metric name
+COUNTER_METRICS = {
+    "submitted": "repro_service_jobs_submitted_total",
+    "rejected": "repro_service_admission_rejected_total",
+    "cache_hits": "repro_service_cache_hits_total",
+    "coalesced": "repro_service_coalesced_total",
+    "completed": "repro_service_jobs_completed_total",
+    "failed": "repro_service_jobs_failed_total",
+    "cancelled": "repro_service_jobs_cancelled_total",
+    "executions": "repro_service_executions_total",
+}
+
+#: the service-wide totals ``/stats`` lists under ``counters``, in
+#: that view's own order
+TOTALS = ("submitted", "rejected", "executions", "cache_hits",
+          "coalesced", "completed", "failed", "cancelled")
+
+#: ``GET /metrics`` families of the service registry (see
+#: ``render_prometheus``); the scrape-time gauges render ahead of them
+METRIC_FAMILIES = (
+    *((metric, "counter", {name: {}})
+      for name, metric in COUNTER_METRICS.items()),
+    ("repro_service_latency_seconds", "histogram",
+     {phase: {"phase": phase} for phase in PHASES}),
 )
 
 
@@ -91,9 +113,6 @@ class ServiceConfig:
     #: per-job trace capture ring for stitched traces
     #: (``repro trace --job``); 0 attaches no tracer
     trace_events: int = 0
-    #: wall-clock service metrics (/metrics, repro top); a few dict
-    #: ops per job event — False swaps in the null surface
-    service_metrics: bool = True
     default_quota: TenantQuota = dataclass_field(
         default_factory=TenantQuota)
     quotas: Dict[str, TenantQuota] = dataclass_field(
@@ -115,20 +134,15 @@ class SimulationService:
         #: job ids in the order workers dispatched them — the priority
         #: ordering proof the tests pin
         self.execution_log: List[str] = []
-        self.counters = {
-            "submitted": 0,
-            "rejected": 0,
-            "executions": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-        }
-        self.events = open_event_log(self.config.event_log)
-        self.metrics = ServiceMetrics() \
-            if self.config.service_metrics else NULL_SERVICE_METRICS
-        self._log = get_logger("repro.service")
+        #: lifecycle-event sink: the JSONL log and its stderr twin
+        #: (whichever are on; neither by default)
+        self.events = TeeTracer([
+            open_event_log(self.config.event_log),
+            LogTracer("repro.service")])
+        #: always-on host-observation registry, scoped by tenant:
+        #: the :data:`COUNTER_METRICS` counters and one wall-clock
+        #: latency histogram per phase.  Exported, never digested.
+        self.metrics = MetricsRegistry()
         self._seq = 0
         self._running = False
         self._workers: List[asyncio.Task] = []
@@ -159,6 +173,8 @@ class SimulationService:
             await asyncio.gather(*self._workers,
                                  return_exceptions=True)
         self._workers = []
+        # the event log reopens on the next emit, should one follow
+        self.events.close()
 
     async def drain(self) -> None:
         """Wait until every submitted job is terminal."""
@@ -181,16 +197,12 @@ class SimulationService:
                   config=normalized, fingerprint=fingerprint,
                   priority=int(priority), name=name,
                   corr_id=mint_corr_id())
-        if self.events.enabled:
-            self.events.emit(EV_SUBMITTED, corr=job.corr_id,
-                             tenant=tenant, fingerprint=fingerprint,
-                             job=job.job_id, priority=job.priority)
+        self._event("submitted", job, priority=job.priority)
         # 1. archived hit: serve from results/runs without queueing
         lookup_start = time.perf_counter()
         record = self.cache.lookup(fingerprint)
         job.cache_lookup_s = time.perf_counter() - lookup_start
-        self.metrics.observe("cache_lookup", tenant,
-                             job.cache_lookup_s)
+        self._observe("cache_lookup", job, job.cache_lookup_s)
         if record is not None:
             self._register(job)
             self._complete_from_record(job, record, SOURCE_CACHE)
@@ -199,46 +211,44 @@ class SimulationService:
         if self.cache.flight.leader_for(fingerprint) is not None:
             self._register(job)
             self.cache.flight.attach(fingerprint, job)
-            self.counters["coalesced"] += 1
-            self.metrics.inc("coalesced", tenant)
-            if self.events.enabled:
-                self.events.emit(EV_COALESCED, corr=job.corr_id,
-                                 tenant=tenant,
-                                 fingerprint=fingerprint,
-                                 job=job.job_id)
+            self._event("coalesced", job, count="coalesced")
             return job
         # 3. miss: quota-checked admission as the new leader
         try:
             self.admission.admit(job)
         except ReproError as exc:
-            self.counters["rejected"] += 1
-            self.metrics.inc("rejected", tenant)
-            if self.events.enabled:
-                self.events.emit(EV_REJECTED, corr=job.corr_id,
-                                 tenant=tenant,
-                                 fingerprint=fingerprint,
-                                 job=job.job_id, error=str(exc))
-            log_record(self._log, EV_REJECTED, corr=job.corr_id,
-                       tenant=tenant, error=str(exc))
+            self._event("rejected", job, count="rejected",
+                        error=str(exc))
             raise
         self._register(job)
         self.cache.flight.begin(fingerprint, job)
-        if self.events.enabled:
-            self.events.emit(EV_ADMITTED, corr=job.corr_id,
-                             tenant=tenant, fingerprint=fingerprint,
-                             job=job.job_id)
-            self.events.emit(EV_QUEUED, corr=job.corr_id,
-                             tenant=tenant, fingerprint=fingerprint,
-                             job=job.job_id,
-                             priority=job.priority)
+        self._event("admitted", job)
+        self._event("queued", job, priority=job.priority)
         self._work.set()
         return job
 
     def _register(self, job: Job) -> None:
         self.jobs[job.job_id] = job
-        self.counters["submitted"] += 1
-        self.metrics.inc("submitted", job.tenant)
+        self.metrics.counter("submitted", job.tenant).inc()
         self._idle.clear()
+
+    # -- the two things a lifecycle point does ------------------------------
+
+    def _event(self, kind: str, job: Job, count: str = "",
+               **fields) -> None:
+        """Bump the ``count`` counter (if any) and emit one ``kind``
+        event under ``job``'s identity."""
+        if count:
+            self.metrics.counter(count, job.tenant).inc()
+        if self.events.enabled:
+            self.events.emit(lifecycle_event(
+                kind, corr=job.corr_id, tenant=job.tenant,
+                fingerprint=job.fingerprint, job=job.job_id,
+                **fields))
+
+    def _observe(self, phase: str, job: Job, seconds: float) -> None:
+        self.metrics.histogram(phase, job.tenant,
+                               LATENCY_BUCKETS).observe(seconds)
 
     # -- queries ----------------------------------------------------------
 
@@ -263,6 +273,16 @@ class SimulationService:
             await asyncio.wait_for(job.done_event.wait(), timeout)
         return job.record()
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Service-wide totals of the per-tenant counters — a
+        read-only view of the registry."""
+        totals = dict.fromkeys(TOTALS, 0)
+        for (kind, name, _), inst in self.metrics.instruments():
+            if kind == "counter":
+                totals[name] += int(inst.value)
+        return totals
+
     def stats(self) -> dict:
         states: Dict[str, int] = {}
         for job in self.jobs.values():
@@ -272,11 +292,33 @@ class SimulationService:
             "running": self._running,
             "runs_dir": str(self.registry.root),
             "jobs": {"total": len(self.jobs), **states},
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "cache": self.cache.stats(),
             "admission": self.admission.snapshot(),
-            "metrics": self.metrics.snapshot(self.gauges()),
+            "metrics": self._metrics_snapshot(),
         }
+
+    def _metrics_snapshot(self) -> dict:
+        """The registry by tenant, as ``/stats`` serves it and
+        ``repro top`` renders it."""
+        counters: Dict[str, Dict[str, int]] = {
+            name: {} for name in COUNTER_METRICS}
+        latency: Dict[str, Dict[str, dict]] = {}
+        tenants = set()
+        for (kind, name, tenant), inst in self.metrics.instruments():
+            tenants.add(tenant)
+            if kind == "counter":
+                counters[name][tenant] = int(inst.value)
+            else:
+                latency.setdefault(name, {})[tenant] = {
+                    "count": inst.count,
+                    "sum": inst.sum,
+                    "p50": inst.quantile(0.50),
+                    "p95": inst.quantile(0.95),
+                    "p99": inst.quantile(0.99),
+                }
+        return {"tenants": sorted(tenants), "counters": counters,
+                "latency": latency, "gauges": self.gauges()}
 
     def gauges(self) -> dict:
         """Scrape-time gauge values (queue depth per tenant, active
@@ -293,7 +335,19 @@ class SimulationService:
 
     def metrics_text(self) -> str:
         """The Prometheus exposition ``GET /metrics`` serves."""
-        return self.metrics.render(self.gauges())
+        # gauges exist only for the scrape, so a tenant that drained
+        # its queue drops out instead of reading a stale depth
+        scrape = MetricsRegistry()
+        gauges = self.gauges()
+        for name, value in gauges.items():
+            per_tenant = value if isinstance(value, dict) else {"": value}
+            for tenant, reading in per_tenant.items():
+                scrape.gauge(name, tenant).set(reading)
+        families = [(f"repro_service_{name}", "gauge", {name: {}})
+                    for name in gauges]
+        return (render_prometheus(scrape, families, "tenant")
+                + render_prometheus(self.metrics, METRIC_FAMILIES,
+                                    "tenant"))
 
     # -- cancellation -----------------------------------------------------
 
@@ -353,8 +407,7 @@ class SimulationService:
     async def _execute(self, job: Job) -> None:
         fingerprint = job.fingerprint
         job.queue_wait_s = max(time.time() - job.submitted, 0.0)
-        self.metrics.observe("queue_wait", job.tenant,
-                             job.queue_wait_s)
+        self._observe("queue_wait", job, job.queue_wait_s)
         # late hit: another service sharing this registry (or an
         # earlier leader of a different name) may have archived the
         # key between submit and dispatch
@@ -371,15 +424,8 @@ class SimulationService:
         job.state = RUNNING
         job.started = time.time()
         self.execution_log.append(job.job_id)
-        self.counters["executions"] += 1
-        self.metrics.inc("executions", job.tenant)
-        if self.events.enabled:
-            self.events.emit(
-                EV_EXECUTING, corr=job.corr_id, tenant=job.tenant,
-                fingerprint=fingerprint, job=job.job_id,
-                queue_wait_s=round(job.queue_wait_s, 6))
-        log_record(self._log, EV_EXECUTING, corr=job.corr_id,
-                   job=job.job_id, tenant=job.tenant)
+        self._event("executing", job, count="executions",
+                    queue_wait_s=round(job.queue_wait_s, 6))
         telemetry = self._telemetry_for(job)
         tracer = RecordingTracer(self.config.trace_events) \
             if self.config.trace_events > 0 else None
@@ -395,8 +441,7 @@ class SimulationService:
         except Exception as exc:  # noqa: BLE001 — job, not service, fails
             error = f"{type(exc).__name__}: {exc}"
         job.execution_s = time.time() - job.started
-        self.metrics.observe("execution", job.tenant,
-                             job.execution_s)
+        self._observe("execution", job, job.execution_s)
         entry = self.cache.flight.finish(fingerprint)
         followers = entry.followers if entry is not None else []
         if job.cancel_event.is_set():
@@ -451,13 +496,8 @@ class SimulationService:
         job.result = result_summary(record)
         job.source = source
         if source == SOURCE_CACHE:
-            self.counters["cache_hits"] += 1
-            self.metrics.inc("cache_hits", job.tenant)
-            if self.events.enabled:
-                self.events.emit(
-                    EV_CACHE_HIT, corr=job.corr_id,
-                    tenant=job.tenant, fingerprint=job.fingerprint,
-                    job=job.job_id, run_id=job.run_id or "")
+            self._event("cache_hit", job, count="cache_hits",
+                        run_id=job.run_id or "")
         self._finish(job, DONE, source=source)
 
     def _finish(self, job: Job, state: str,
@@ -470,27 +510,12 @@ class SimulationService:
         job.finished = time.time()
         if job.admitted:
             self.admission.release(job)
-        if state == DONE:
-            self.counters["completed"] += 1
-            self.metrics.inc("completed", job.tenant)
-        elif state == FAILED:
-            self.counters["failed"] += 1
-            self.metrics.inc("failed", job.tenant)
-        elif state == CANCELLED:
-            self.counters["cancelled"] += 1
-            self.metrics.inc("cancelled", job.tenant)
-        kind = {DONE: EV_DONE, FAILED: EV_FAILED,
-                CANCELLED: EV_CANCELLED}.get(state, EV_DONE)
-        if self.events.enabled:
-            self.events.emit(kind, corr=job.corr_id,
-                             tenant=job.tenant,
-                             fingerprint=job.fingerprint,
-                             job=job.job_id, source=job.source,
-                             run_id=job.run_id or "",
-                             error=job.error)
-        log_record(self._log, kind, corr=job.corr_id,
-                   job=job.job_id, source=job.source,
-                   error=job.error)
+        # a terminal state names its own event kind (and, but for
+        # ``done``, its counter)
+        self._event(state, job,
+                    count="completed" if state == DONE else state,
+                    source=job.source, run_id=job.run_id or "",
+                    error=job.error)
         job.done_event.set()
         if all(j.terminal for j in self.jobs.values()):
             self._idle.set()

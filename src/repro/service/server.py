@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -39,7 +40,8 @@ from ..errors import (
     ReproError,
     ServiceError,
 )
-from ..obsplane import get_logger, log_record
+from ..observability.events import LogTracer
+from ..observability.tracer import TraceEvent
 from .scheduler import ServiceConfig, SimulationService
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -73,7 +75,7 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._log = get_logger("repro.service.http")
+        self._log = LogTracer("repro.service.http")
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -106,8 +108,11 @@ class ServiceServer:
             except Exception as exc:  # noqa: BLE001 — mapped to status
                 status, payload = _error_payload(exc)
             await self._respond(writer, status, payload)
-            log_record(self._log, "http", method=method, path=path,
-                       status=status)
+            if self._log.enabled:
+                self._log.emit(TraceEvent(
+                    "http", time.monotonic_ns(),
+                    args={"method": method, "path": path,
+                          "status": status}))
         finally:
             try:
                 writer.close()

@@ -1,14 +1,16 @@
-"""Live telemetry: metrics registry, time-series sampling, run
-registry, regression gating.
+"""Telemetry — *aggregates*: metrics registry, time-series sampling,
+run registry, regression gating.
 
-Where :mod:`repro.observability` answers "what happened" after the fact
-(event traces, FMR breakdowns, postmortems), this package answers "what
-is happening and how does it compare":
+Where :mod:`repro.observability` keeps *records* — "what happened",
+one event at a time (traces, the event log, postmortems) — this
+package keeps the aggregates: "how much, and compared to what":
 
-* :mod:`~repro.telemetry.metrics` — partition-scoped counters, gauges
-  and histograms behind a pay-as-you-go
-  :class:`~repro.telemetry.metrics.MetricsRegistry` (null by default,
-  like the tracer),
+* :mod:`~repro.telemetry.metrics` — the one instrument model:
+  counters, gauges and histograms scoped by partition (a simulation)
+  or tenant (the service) behind a
+  :class:`~repro.telemetry.metrics.MetricsRegistry` (null by default
+  for a simulation, like the tracer), plus the Prometheus text
+  rendering behind ``GET /metrics``,
 * :mod:`~repro.telemetry.sampler` — a cycle-keyed
   :class:`~repro.telemetry.sampler.Sampler` emitting deterministic
   per-partition time-series, bit-identical between the in-process loop
@@ -30,6 +32,7 @@ from .metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetricsRegistry,
+    render_prometheus,
 )
 from .regression import (
     GateReport,
@@ -57,7 +60,6 @@ from .sampler import (
     SAMPLE_FIELDS,
     Sampler,
     Telemetry,
-    telemetry_from_env,
 )
 
 __all__ = [
@@ -67,13 +69,13 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
+    "render_prometheus",
     "SAMPLE_FIELDS",
     "Sampler",
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
     "LiveStatus",
-    "telemetry_from_env",
     "RunRegistry",
     "RunComparison",
     "run_record",

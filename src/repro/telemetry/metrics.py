@@ -7,8 +7,9 @@ histograms (receiver in-flight depths) — cheap enough to leave on for
 long runs, and a :class:`~repro.telemetry.sampler.Sampler` that turns
 them into deterministic time-series.
 
-Every instrument is scoped to a partition (the ``part`` label).  That
-is not cosmetic: under the process backend each partition's worker owns
+Every instrument carries one scope label: the partition (``part``) for
+a simulation, the tenant for the service.  For a simulation that is
+not cosmetic: under the process backend each partition's worker owns
 exactly the instruments labelled with its partition, which is what lets
 the coordinator merge per-worker registries back into one with no
 double counting — the same ownership rule the state-fragment merge
@@ -19,14 +20,19 @@ Like the tracer, the default is a :data:`NULL_METRICS` registry whose
 guards on that flag, so an uninstrumented run pays one attribute read
 per potential update (``bench_observability`` pins the cost under 5%).
 
-All values are derived from *modelled* host time and token counts —
-never python wall time — so identical runs produce identical metrics on
-any backend.
+Which registry object an instrument lives in decides what it may hold.
+A simulation's ``Telemetry.registry`` is *target-deterministic*: every
+value derives from modelled host time and token counts — never python
+wall time — so identical runs produce identical metrics on any backend,
+and its snapshot is part of the result digest.  The service's registry
+is *host observation*: wall-clock latencies and request counts,
+always on, exported through ``/stats`` and :func:`render_prometheus`
+(``GET /metrics``) and never digested.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: default histogram bucket upper bounds (the last bucket is +inf)
 DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
@@ -91,6 +97,24 @@ class Histogram:
         self.count += 1
         self.sum += value
 
+    def quantile(self, q: float) -> float:
+        """Estimated q-quantile (0..1) by interpolating within the
+        landing bucket; 0.0 when empty."""
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        seen = 0.0
+        lower = 0.0
+        for bound, inside in zip(self.bounds, self.buckets):
+            if seen + inside >= rank:
+                frac = (rank - seen) / inside if inside else 0.0
+                return lower + (bound - lower) * frac
+            seen += inside
+            lower = bound
+        # landed past the last finite bound: report that bound (the
+        # honest answer is "at least this much")
+        return self.bounds[-1]
+
     def as_dict(self) -> dict:
         return {
             "bounds": list(self.bounds),
@@ -116,33 +140,33 @@ class MetricsRegistry:
 
     # -- instrument access ------------------------------------------------
 
-    def counter(self, name: str, part: str = "") -> Counter:
-        key = ("counter", name, part)
+    def _get(self, kind: str, make, name: str, part: str, *args):
+        key = (kind, name, part)
         inst = self._instruments.get(key)
         if inst is None:
-            inst = self._instruments[key] = Counter(name, part)
+            inst = self._instruments[key] = make(name, part, *args)
         return inst
 
+    def counter(self, name: str, part: str = "") -> Counter:
+        return self._get("counter", Counter, name, part)
+
     def gauge(self, name: str, part: str = "") -> Gauge:
-        key = ("gauge", name, part)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = self._instruments[key] = Gauge(name, part)
-        return inst
+        return self._get("gauge", Gauge, name, part)
 
     def histogram(self, name: str, part: str = "",
                   bounds: Tuple[float, ...] = DEFAULT_BUCKETS
                   ) -> Histogram:
-        key = ("histogram", name, part)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = self._instruments[key] = Histogram(name, part, bounds)
-        return inst
+        return self._get("histogram", Histogram, name, part, bounds)
 
     def value(self, kind: str, name: str, part: str = "") -> float:
         """Current value of a counter/gauge (0.0 when untouched)."""
         inst = self._instruments.get((kind, name, part))
         return inst.value if inst is not None else 0.0
+
+    def instruments(self) -> Iterator[Tuple[_Key, object]]:
+        """Every ``((kind, name, part), instrument)``, in
+        deterministic sorted order."""
+        return iter(sorted(self._instruments.items()))
 
     # -- snapshots --------------------------------------------------------
 
@@ -151,8 +175,7 @@ class MetricsRegistry:
         partition's), in deterministic sorted order."""
         out: Dict[str, dict] = {"counters": {}, "gauges": {},
                                 "histograms": {}}
-        for (kind, name, p), inst in sorted(
-                self._instruments.items()):
+        for (kind, name, p), inst in self.instruments():
             if part is not None and p != part:
                 continue
             key = f"{name}|{p}"
@@ -169,20 +192,17 @@ class MetricsRegistry:
         """Restore instruments from :meth:`snapshot` output.  With
         ``part`` given, only that partition's instruments are loaded
         (the coordinator's per-worker merge)."""
-        for key, value in state.get("counters", {}).items():
-            name, p = key.rsplit("|", 1)
-            if part is not None and p != part:
-                continue
+        def owned(section: str):
+            for key, value in state.get(section, {}).items():
+                name, p = key.rsplit("|", 1)
+                if part is None or p == part:
+                    yield name, p, value
+
+        for name, p, value in owned("counters"):
             self.counter(name, p).value = value
-        for key, value in state.get("gauges", {}).items():
-            name, p = key.rsplit("|", 1)
-            if part is not None and p != part:
-                continue
+        for name, p, value in owned("gauges"):
             self.gauge(name, p).value = value
-        for key, entry in state.get("histograms", {}).items():
-            name, p = key.rsplit("|", 1)
-            if part is not None and p != part:
-                continue
+        for name, p, entry in owned("histograms"):
             hist = self.histogram(name, p,
                                   bounds=tuple(entry["bounds"]))
             hist.buckets = list(entry["buckets"])
@@ -218,16 +238,71 @@ class NullMetricsRegistry(MetricsRegistry):
 
     enabled = False
 
-    def counter(self, name: str, part: str = ""):  # pragma: no cover
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, part: str = ""):  # pragma: no cover
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, part: str = "",
-                  bounds=DEFAULT_BUCKETS):  # pragma: no cover
+    def _get(self, kind, make, name, part, *args):  # pragma: no cover
         return _NULL_INSTRUMENT
 
 
 #: shared default registry — attach sites use this instead of None checks
 NULL_METRICS = NullMetricsRegistry()
+
+
+# -- the Prometheus text exposition ------------------------------------------
+
+def _label(name: str, value: object) -> str:
+    """``name="value"`` with the value escaped per the text format."""
+    text = str(value).replace("\\", "\\\\").replace('"', '\\"') \
+        .replace("\n", "\\n")
+    return f'{name}="{text}"'
+
+
+def _number(value: float) -> str:
+    return str(int(value)) if value == int(value) else repr(value)
+
+
+def render_prometheus(
+        registry: MetricsRegistry,
+        families: Sequence[Tuple[str, str,
+                                 Mapping[str, Mapping[str, str]]]],
+        label: str = "part") -> str:
+    """The Prometheus text exposition (version 0.0.4) of ``registry``.
+
+    Each ``(metric, kind, members)`` row of ``families`` renders one
+    metric family: ``members`` maps the instrument names that belong
+    to it to the fixed labels each contributes (``{}`` for none); the
+    instrument's scope becomes the ``label`` label when non-empty.  A
+    counter or gauge family with no instrument yet renders a bare
+    ``metric 0``.
+    """
+    lines: List[str] = []
+    instruments = list(registry.instruments())
+
+    def sample(name: str, pairs: List[str], value: str) -> None:
+        labels = "{" + ",".join(pairs) + "}" if pairs else ""
+        lines.append(f"{name}{labels} {value}")
+
+    for metric, kind, members in families:
+        lines.append(f"# TYPE {metric} {kind}")
+        empty = True
+        for (inst_kind, name, scope), inst in instruments:
+            if inst_kind != kind or name not in members:
+                continue
+            empty = False
+            pairs = [_label(k, v) for k, v in members[name].items()]
+            if scope:
+                pairs.append(_label(label, scope))
+            if kind != "histogram":
+                sample(metric, pairs, _number(inst.value))
+                continue
+            cumulative = 0
+            for bound, inside in zip(inst.bounds, inst.buckets):
+                cumulative += inside
+                sample(f"{metric}_bucket",
+                       pairs + [_label("le", f"{bound:g}")],
+                       str(cumulative))
+            sample(f"{metric}_bucket", pairs + [_label("le", "+Inf")],
+                   str(inst.count))
+            sample(f"{metric}_sum", pairs, f"{inst.sum:.9g}")
+            sample(f"{metric}_count", pairs, str(inst.count))
+        if empty and kind != "histogram":
+            lines.append(f"{metric} 0")
+    return "\n".join(lines) + "\n"

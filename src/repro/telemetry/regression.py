@@ -158,136 +158,75 @@ def check_run(record: dict, registry: RunRegistry,
     return []
 
 
+#: the committed measurements' own bounds: per results file, one
+#: ``(key, op, bound)`` row per check.  ``op`` names what must hold —
+#: ``"<="`` / ``">="`` against ``bound``, or ``"true"`` for a
+#: functional flag.  ``bound`` is a number, or ``(key, default)``
+#: naming the field of the same file that carries it (``default``
+#: None: no bound, no check).  A missing file or key is never a
+#: violation.
+BENCH_CHECKS = {
+    # null sinks against the untraced run; live sinks against the
+    # clean JIT run of the same design
+    "BENCH_trace_overhead.json": (
+        ("null_overhead_pct", "<=", ("bound_pct", 5.0)),
+        ("null_metrics_overhead_pct", "<=", ("bound_pct", 5.0)),
+        ("process_null_overhead_pct", "<=", ("bound_pct", 5.0)),
+        ("recording_vs_jit_x", "<=", ("recording_vs_jit_bound_x", 2.0)),
+        ("sampling_vs_jit_pct", "<=",
+         ("sampling_vs_jit_bound_pct", 25.0))),
+    "BENCH_token_plane.json": (
+        ("packed_codec_speedup", ">=", 5.0),
+        ("detail_bit_identical", "true", None)),
+    "BENCH_fuzz_corpus.json": (
+        ("compile_failures", "<=", 0.0),
+        ("distinct_fingerprints", ">=", ("scenarios", None)),
+        ("shapes_covered", ">=", ("shapes_total", None))),
+    "BENCH_service.json": (
+        ("cached_speedup", ">=", ("cached_speedup_floor", 10.0)),
+        ("detail_bit_identical", "true", None),
+        # repeats re-simulated: the cache failed its one job
+        ("executions", "<=", ("distinct_configs", None))),
+    "BENCH_service_metrics.json": (
+        ("metrics_scrape_ok", "true", None),
+        ("corr_joined", "true", None),
+        ("events_logged", ">=", 1.0)),
+    "BENCH_socket_tier.json": (
+        ("socket_batching_speedup", ">=", 1.0),
+        ("detail_bit_identical", "true", None)),
+    "BENCH_stepjit.json": (
+        ("speedup", ">=", ("speedup_floor", 5.0)),
+        ("detail_bit_identical", "true", None)),
+}
+
+
 def check_bench_files(results_dir: Union[str, Path],
                       threshold: float = DEFAULT_THRESHOLD
                       ) -> List[Violation]:
     """Validate committed benchmark measurements against their own
-    bounds."""
-    results_dir = Path(results_dir)
+    bounds (:data:`BENCH_CHECKS`)."""
     violations: List[Violation] = []
-
-    def load(name: str) -> Optional[dict]:
+    for name, checks in BENCH_CHECKS.items():
         try:
-            return json.loads((results_dir / name).read_text())
+            payload = json.loads((Path(results_dir) / name).read_text())
         except (OSError, json.JSONDecodeError):
-            return None
-
-    trace = load("BENCH_trace_overhead.json")
-    if trace is not None:
-        null_bound = trace.get("bound_pct", 5.0)
-        # null sinks against the untraced run; live sinks against the
-        # clean JIT run of the same design
-        for metric, bound in (
-                ("null_overhead_pct", null_bound),
-                ("null_metrics_overhead_pct", null_bound),
-                ("process_null_overhead_pct", null_bound),
-                ("recording_vs_jit_x",
-                 trace.get("recording_vs_jit_bound_x", 2.0)),
-                ("sampling_vs_jit_pct",
-                 trace.get("sampling_vs_jit_bound_pct", 25.0))):
-            value = trace.get(metric)
-            if value is not None and value > bound:
+            continue
+        for key, op, bound in checks:
+            value = payload.get(key)
+            if value is None:
+                continue
+            if op == "true":
+                if not value:
+                    violations.append(
+                        Violation(name, key, 1.0, 0.0, 0.0))
+                continue
+            if isinstance(bound, tuple):
+                bound = payload.get(*bound)
+                if bound is None:
+                    continue
+            if value > bound if op == "<=" else value < bound:
                 violations.append(Violation(
-                    "BENCH_trace_overhead.json", metric,
-                    bound, value, 0.0))
-    token_plane = load("BENCH_token_plane.json")
-    if token_plane is not None:
-        value = token_plane.get("packed_codec_speedup")
-        if value is not None and value < 5.0:
-            violations.append(Violation(
-                "BENCH_token_plane.json", "packed_codec_speedup",
-                5.0, value, 0.0))
-        identical = token_plane.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_token_plane.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-    fuzz_corpus = load("BENCH_fuzz_corpus.json")
-    if fuzz_corpus is not None:
-        failures = fuzz_corpus.get("compile_failures")
-        if failures is not None and failures > 0:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "compile_failures",
-                0.0, float(failures), 0.0))
-        scenarios = fuzz_corpus.get("scenarios")
-        distinct = fuzz_corpus.get("distinct_fingerprints")
-        if scenarios is not None and distinct is not None \
-                and distinct < scenarios:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "distinct_fingerprints",
-                float(scenarios), float(distinct), 0.0))
-        covered = fuzz_corpus.get("shapes_covered")
-        total = fuzz_corpus.get("shapes_total")
-        if covered is not None and total is not None \
-                and covered < total:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "shapes_covered",
-                float(total), float(covered), 0.0))
-    service = load("BENCH_service.json")
-    if service is not None:
-        floor = service.get("cached_speedup_floor", 10.0)
-        speedup = service.get("cached_speedup")
-        if speedup is not None and speedup < floor:
-            violations.append(Violation(
-                "BENCH_service.json", "cached_speedup",
-                floor, speedup, 0.0))
-        identical = service.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_service.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-        executions = service.get("executions")
-        distinct = service.get("distinct_configs")
-        if executions is not None and distinct is not None \
-                and executions > distinct:
-            # repeats re-simulated: the cache failed its one job
-            violations.append(Violation(
-                "BENCH_service.json", "executions",
-                float(distinct), float(executions), 0.0))
-    service_metrics = load("BENCH_service_metrics.json")
-    if service_metrics is not None:
-        bound = service_metrics.get("bound_pct", 5.0)
-        value = service_metrics.get("null_plane_overhead_pct")
-        if value is not None and value > bound:
-            violations.append(Violation(
-                "BENCH_service_metrics.json",
-                "null_plane_overhead_pct", bound, value, 0.0))
-        for flag in ("metrics_scrape_ok", "corr_joined"):
-            value = service_metrics.get(flag)
-            if value is not None and not value:
-                violations.append(Violation(
-                    "BENCH_service_metrics.json", flag,
-                    1.0, 0.0, 0.0))
-        events = service_metrics.get("events_logged")
-        if events is not None and events < 1:
-            violations.append(Violation(
-                "BENCH_service_metrics.json", "events_logged",
-                1.0, float(events), 0.0))
-    socket_tier = load("BENCH_socket_tier.json")
-    if socket_tier is not None:
-        speedup = socket_tier.get("socket_batching_speedup")
-        if speedup is not None and speedup < 1.0:
-            violations.append(Violation(
-                "BENCH_socket_tier.json",
-                "socket_batching_speedup", 1.0, speedup, 0.0))
-        identical = socket_tier.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_socket_tier.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-    stepjit = load("BENCH_stepjit.json")
-    if stepjit is not None:
-        floor = stepjit.get("speedup_floor", 5.0)
-        speedup = stepjit.get("speedup")
-        if speedup is not None and speedup < floor:
-            violations.append(Violation(
-                "BENCH_stepjit.json", "speedup",
-                floor, speedup, 0.0))
-        identical = stepjit.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_stepjit.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
+                    name, key, float(bound), float(value), 0.0))
     return violations
 
 

@@ -233,19 +233,23 @@ class RunRegistry:
             data = self._rebuild_index()
         return data
 
-    def _rebuild_index(self) -> Dict[str, dict]:
-        entries: Dict[str, dict] = {}
+    def _scan(self):
+        """Every readable ``(path, record)`` under the root."""
         if not self.root.is_dir():
-            return entries
+            return
         for path in sorted(self.root.glob("*/run.json")):
             try:
                 record = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
-            if record.get("format") != RUN_FORMAT:
-                continue
-            entries[path.parent.name] = self._index_entry(record, path)
-        self._write_index(entries)
+            if record.get("format") == RUN_FORMAT:
+                yield path, record
+
+    def _rebuild_index(self) -> Dict[str, dict]:
+        entries = {path.parent.name: self._index_entry(record, path)
+                   for path, record in self._scan()}
+        if self.root.is_dir():
+            self._write_index(entries)
         return entries
 
     def _write_index(self, entries: Dict[str, dict]) -> None:
@@ -277,18 +281,8 @@ class RunRegistry:
 
     def list_runs(self) -> List[dict]:
         """Every archived record, oldest first."""
-        records = []
-        if not self.root.is_dir():
-            return records
-        for path in sorted(self.root.glob("*/run.json")):
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if record.get("format") == RUN_FORMAT:
-                records.append(record)
-        records.sort(key=lambda r: r.get("created", 0.0))
-        return records
+        return sorted((record for _, record in self._scan()),
+                      key=lambda r: r.get("created", 0.0))
 
     def _matching_ids(self, fingerprint: str) -> List[str]:
         """Run ids sharing ``fingerprint``, oldest first, via the

@@ -26,7 +26,6 @@ as its ``telemetry`` argument.  The default is :data:`NULL_TELEMETRY`
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -121,15 +120,20 @@ class Sampler:
             },
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        self.interval = state.get("interval", self.interval)
-        self._next = {name: int(cycle)
-                      for name, cycle in state.get("next", {}).items()}
-        self.series = {
-            name: [(int(cycle), dict(values))
-                   for cycle, values in points]
-            for name, points in state.get("series", {}).items()
-        }
+    def load_state_dict(self, state: dict,
+                        part: Optional[str] = None) -> None:
+        """Restore :meth:`state_dict` output; with ``part``, overlay
+        only that partition's cursor and series."""
+        if part is None:
+            self.interval = state.get("interval", self.interval)
+            self._next, self.series = {}, {}
+        for name, cycle in state.get("next", {}).items():
+            if part in (None, name):
+                self._next[name] = int(cycle)
+        for name, points in state.get("series", {}).items():
+            if part in (None, name):
+                self.series[name] = [(int(cycle), dict(values))
+                                     for cycle, values in points]
 
 
 class LiveStatus:
@@ -267,14 +271,7 @@ class Telemetry:
         only the series, cursor and instruments of the partition the
         worker owns are taken, mirroring the state-fragment ownership
         rule."""
-        sampler_state = state.get("sampler", {})
-        series = sampler_state.get("series", {}).get(part)
-        if series is not None:
-            self.sampler.series[part] = [
-                (int(cycle), dict(values)) for cycle, values in series]
-        nxt = sampler_state.get("next", {}).get(part)
-        if nxt is not None:
-            self.sampler._next[part] = int(nxt)
+        self.sampler.load_state_dict(state.get("sampler", {}), part)
         self.registry.load_snapshot(state.get("metrics", {}),
                                     part=part)
 
@@ -285,11 +282,7 @@ class NullTelemetry(Telemetry):
     enabled = False
 
     def __init__(self):
-        self.registry = NULL_METRICS
-        self.sampler = Sampler(NULL_METRICS)
-        self.live = None
-        self.annotations = {}
-        self.target_cycles = None
+        super().__init__(registry=NULL_METRICS)
 
     def on_pass(self, sim, part) -> None:  # pragma: no cover
         pass
@@ -301,13 +294,3 @@ class NullTelemetry(Telemetry):
 #: shared default session — attach sites use this instead of None checks
 NULL_TELEMETRY = NullTelemetry()
 
-
-def telemetry_from_env() -> Optional[Telemetry]:
-    """A :class:`Telemetry` configured by ``REPRO_METRICS`` (the sample
-    interval in target cycles), or None when the variable is unset —
-    the ambient way to turn sampling on for tools that do not plumb a
-    session themselves."""
-    raw = os.environ.get("REPRO_METRICS", "").strip()
-    if not raw:
-        return None
-    return Telemetry(sample_every=max(1, int(raw)))

@@ -11,8 +11,7 @@ import time
 import pytest
 
 from repro.errors import HostDeadError, WorkerError
-from repro.obsplane import (EV_HOST_DEPLOY, EV_WORKER_SPAWN, EventLog,
-                            mint_corr_id, read_events)
+from repro.observability import EventLog, mint_corr_id, read_events
 from repro.parallel import (ProcessBackend, fork_available,
                             socket_available)
 
@@ -59,9 +58,11 @@ def test_failed_run_leaves_no_process_or_socket_dir(
 
     spawned = list(read_events(
         tmp_path / "ev.jsonl", corr=sim.corr_id,
-        kinds=[EV_WORKER_SPAWN, EV_HOST_DEPLOY]))
-    workers = [e["worker_pid"] for e in spawned if "worker_pid" in e]
-    agents = [e["agent_pid"] for e in spawned if "agent_pid" in e]
+        kinds=["worker_spawn", "host_deploy"]))
+    workers = [e.args["worker_pid"] for e in spawned
+               if "worker_pid" in e.args]
+    agents = [e.args["agent_pid"] for e in spawned
+              if "agent_pid" in e.args]
     assert len(workers) == len(sim.partitions)
     assert len(agents) == n_agents
 

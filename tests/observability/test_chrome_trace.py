@@ -7,7 +7,6 @@ from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.observability import (
     RecordingTracer,
     TraceEvent,
-    export_chrome_trace,
     iter_chrome_records,
     stream_chrome_trace,
     to_chrome_trace,
@@ -78,7 +77,7 @@ class TestExport:
         """Acceptance criterion: a traced 2-partition exact run exports
         a loadable Chrome trace JSON."""
         tracer = _traced_run(cycles=30)
-        path = export_chrome_trace(tracer.events,
+        path = stream_chrome_trace(tracer.events,
                                    tmp_path / "trace.json")
         loaded = json.loads(path.read_text())
         assert loaded["displayTimeUnit"] == "ns"
@@ -87,7 +86,7 @@ class TestExport:
                 "channel_fire"} <= kinds
 
     def test_creates_parent_directories(self, tmp_path):
-        path = export_chrome_trace([], tmp_path / "deep" / "t.json")
+        path = stream_chrome_trace([], tmp_path / "deep" / "t.json")
         assert path.exists()
         assert json.loads(path.read_text())["traceEvents"] == []
 

@@ -1,4 +1,4 @@
-"""Shared fixtures for the observability-plane tests."""
+"""Shared fixtures for the service/farm observability tests."""
 
 import pytest
 

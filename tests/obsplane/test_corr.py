@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obsplane import (
-    EV_WORKER_EXIT,
-    EV_WORKER_SPAWN,
+from repro.observability import (
+    CORR_ENV,
     EventLog,
     current_corr_id,
     mint_corr_id,
     propagate_corr_id,
     read_events,
 )
-from repro.obsplane.corr import CORR_ENV
 from repro.parallel import fork_available, socket_available
 
 from ..parallel.conftest import build_star_sim
@@ -84,18 +82,18 @@ class TestBackendPropagation:
         sim.run(CYCLES, backend="process")
         sim.events.close()
         spawns = list(read_events(path, corr=corr,
-                                  kinds=[EV_WORKER_SPAWN]))
+                                  kinds=["worker_spawn"]))
         exits = list(read_events(path, corr=corr,
-                                 kinds=[EV_WORKER_EXIT]))
-        assert {e["part"] for e in spawns} == set(sim.partitions)
-        assert {e["part"] for e in exits} == set(sim.partitions)
+                                 kinds=["worker_exit"]))
+        assert {e.part for e in spawns} == set(sim.partitions)
+        assert {e.part for e in exits} == set(sim.partitions)
         for entry in spawns:
-            assert entry["worker_pid"] > 0
+            assert entry.args["worker_pid"] > 0
         # exitcode 0 on a clean self-exit, -SIGTERM when the
         # coordinator reaps after collecting fragments — either way
         # the worker was observed and reported
         for entry in exits:
-            assert entry["exitcode"] is not None
+            assert entry.args["exitcode"] is not None
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_failed_run_still_logs_every_worker_exit(self, tmp_path):
@@ -112,8 +110,8 @@ class TestBackendPropagation:
             ProcessBackend(
                 worker_faults={"fpga1": ("kill", 4)}).run(sim, CYCLES)
         sim.events.close()
-        exits = {e["part"]: e for e in read_events(
-            path, corr=sim.corr_id, kinds=[EV_WORKER_EXIT])}
+        exits = {e.part: e.args for e in read_events(
+            path, corr=sim.corr_id, kinds=["worker_exit"])}
         assert set(exits) == set(sim.partitions)
         assert exits["fpga1"]["exitcode"] == -9
         assert all(e["exitcode"] is not None for e in exits.values())

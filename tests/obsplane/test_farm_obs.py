@@ -10,10 +10,7 @@ import pytest
 
 from repro.farm import FarmManager, FarmSpec, HostSpec
 from repro.firrtl import print_circuit
-from repro.obsplane import (
-    EV_HOST_DEATH,
-    EV_HOST_DEPLOY,
-    EV_HOST_REPLACE,
+from repro.observability import (
     EventLog,
     mint_corr_id,
     read_events,
@@ -68,16 +65,16 @@ class TestFarmCorrAndEvents:
             == {corr}
 
         deploys = list(read_events(path, corr=corr,
-                                   kinds=[EV_HOST_DEPLOY]))
+                                   kinds=["host_deploy"]))
         deaths = list(read_events(path, corr=corr,
-                                  kinds=[EV_HOST_DEATH]))
+                                  kinds=["host_death"]))
         replaces = list(read_events(path, corr=corr,
-                                    kinds=[EV_HOST_REPLACE]))
+                                    kinds=["host_replace"]))
         # both placements deployed agents; h1 died once; one re-place
-        assert {e["host"] for e in deploys} >= {"h0", "h1", "h2"}
-        assert [e["host"] for e in deaths] == ["h1"]
+        assert {e.args["host"] for e in deploys} >= {"h0", "h1", "h2"}
+        assert [e.args["host"] for e in deaths] == ["h1"]
         assert len(replaces) == 1
-        assert "h1" not in replaces[0]["hosts"]
+        assert "h1" not in replaces[0].args["hosts"]
         assert mp.active_children() == []
 
     def test_agent_forked_workers_log_spawn_with_host(self, tmp_path):
@@ -98,10 +95,10 @@ class TestFarmCorrAndEvents:
         spawns = list(read_events(path, corr=corr,
                                   kinds=["worker_spawn"]))
         parts = set(build_star_sim(3).partitions)
-        assert {e["part"] for e in spawns} == parts
+        assert {e.part for e in spawns} == parts
         # every spawn names the virtual host whose agent forked it
-        assert all(e["host"].startswith("h") for e in spawns)
-        assert all(e["backend"] == "farm" for e in spawns)
+        assert all(e.args["host"].startswith("h") for e in spawns)
+        assert all(e.args["backend"] == "farm" for e in spawns)
 
 
 class TestFarmJobKind:
@@ -136,5 +133,5 @@ class TestFarmJobKind:
         assert all(v.startswith("compiled")
                    for v in obs["step_plane"].values())
         deaths = list(read_events(tmp_path / "ev.jsonl", corr=corr,
-                                  kinds=[EV_HOST_DEATH]))
-        assert [e["host"] for e in deaths] == ["h1"]
+                                  kinds=["host_death"]))
+        assert [e.args["host"] for e in deaths] == ["h1"]

@@ -9,17 +9,11 @@ import json
 
 import pytest
 
-from repro.obsplane import (
-    EV_ADMITTED,
-    EV_CACHE_HIT,
-    EV_DONE,
-    EV_EXECUTING,
-    EV_QUEUED,
-    EV_REJECTED,
-    EV_SUBMITTED,
+from repro.observability import (
+    export_job_trace,
     read_events,
+    stitch_job_trace,
 )
-from repro.obsplane.stitch import export_job_trace, stitch_job_trace
 from repro.service import ServiceConfig, ServiceThread, TenantQuota
 from repro.telemetry import RunRegistry
 
@@ -51,10 +45,10 @@ class TestServiceObservability:
             assert record[phase] is not None and record[phase] >= 0.0
 
         entries = list(read_events(tmp_path / "ev.jsonl", corr=corr))
-        kinds = [e["kind"] for e in entries]
-        assert kinds[:4] == [EV_SUBMITTED, EV_ADMITTED, EV_QUEUED,
-                             EV_EXECUTING]
-        assert kinds[-1] == EV_DONE
+        kinds = [e.kind for e in entries]
+        assert kinds[:4] == ["submitted", "admitted", "queued",
+                             "executing"]
+        assert kinds[-1] == "done"
 
         run_record = RunRegistry(tmp_path / "runs").load(
             record["run_id"])
@@ -79,9 +73,9 @@ class TestServiceObservability:
         assert second["source"] == "cache"
         assert second["corr_id"] != first["corr_id"]
         hits = list(read_events(tmp_path / "ev.jsonl",
-                                kinds=[EV_CACHE_HIT]))
-        assert [e["corr"] for e in hits] == [second["corr_id"]]
-        assert hits[0]["run_id"] == first["run_id"]
+                                kinds=["cache_hit"]))
+        assert [e.args["corr"] for e in hits] == [second["corr_id"]]
+        assert hits[0].args["run_id"] == first["run_id"]
 
     def test_metrics_endpoint(self, service, make_config):
         client = service.client()
@@ -123,13 +117,13 @@ class TestServiceObservability:
         finally:
             thread.stop()
         rejected = list(read_events(tmp_path / "ev.jsonl",
-                                    kinds=[EV_REJECTED]))
+                                    kinds=["rejected"]))
         assert len(rejected) == 1
-        assert rejected[0]["corr"].startswith("corr-")
+        assert rejected[0].args["corr"].startswith("corr-")
         submitted = list(read_events(tmp_path / "ev.jsonl",
-                                     kinds=[EV_SUBMITTED]))
-        assert [e["corr"] for e in submitted] \
-            == [rejected[0]["corr"]]
+                                     kinds=["submitted"]))
+        assert [e.args["corr"] for e in submitted] \
+            == [rejected[0].args["corr"]]
 
     def test_export_job_trace_file(self, service, make_config,
                                    tmp_path):

@@ -6,14 +6,16 @@ from __future__ import annotations
 import pytest
 
 from repro.observability.chrome_trace import iter_chrome_records
-from repro.observability.tracer import TraceEvent
-from repro.obsplane.stitch import (
-    dict_to_event,
-    event_to_dict,
+from repro.observability.stitch import (
     fabric_events,
     partition_events,
     service_spans,
     stitch_job_trace,
+)
+from repro.observability.tracer import (
+    TraceEvent,
+    dict_to_event,
+    event_to_dict,
 )
 
 JOB = {
@@ -29,6 +31,15 @@ class TestEventDicts:
         event = TraceEvent(kind="pass", ts_ns=5.0, dur_ns=2.0,
                            part="base", scope="sim",
                            args={"cycle": 3})
+        assert dict_to_event(event_to_dict(event)) == event
+
+    def test_flat_form_omits_unset_fields(self):
+        """One serialisation for log lines and archives: record
+        fields only when set, args flattened beside them."""
+        event = TraceEvent(kind="queued", ts_ns=7,
+                           args={"corr": "c", "wall": 1.5})
+        assert event_to_dict(event) == {
+            "kind": "queued", "ts_ns": 7, "corr": "c", "wall": 1.5}
         assert dict_to_event(event_to_dict(event)) == event
 
     def test_dict_to_event_defaults(self):
@@ -60,13 +71,13 @@ class TestServiceSpans:
 
 class TestFabricEvents:
     def test_track_routing(self):
-        entries = [
+        entries = [dict_to_event(entry) for entry in (
             {"kind": "host_deploy", "wall": 100.6, "host": "h0",
              "corr": "corr-abc"},
             {"kind": "worker_spawn", "wall": 100.7, "part": "base",
              "corr": "corr-abc"},
             {"kind": "queued", "wall": 100.1, "corr": "corr-abc"},
-        ]
+        )]
         events = fabric_events(JOB, entries)
         by_kind = {e.kind: e for e in events}
         assert by_kind["host_deploy"].part == "host:h0"
@@ -77,7 +88,7 @@ class TestFabricEvents:
         assert by_kind["queued"].ts_ns == pytest.approx(0.1e9)
 
     def test_entries_without_wall_skipped(self):
-        assert fabric_events(JOB, [{"kind": "queued"}]) == []
+        assert fabric_events(JOB, [TraceEvent("queued", 0)]) == []
 
 
 class TestPartitionEvents:
@@ -112,8 +123,8 @@ class TestPartitionEvents:
 
 class TestStitchAndHashing:
     def test_stitched_stream_is_time_ordered(self):
-        entries = [{"kind": "queued", "wall": 100.1,
-                    "corr": "corr-abc"}]
+        entries = [TraceEvent("queued", 0, args={
+            "wall": 100.1, "corr": "corr-abc"})]
         events = stitch_job_trace(JOB, None, entries)
         stamps = [e.ts_ns for e in events]
         assert stamps == sorted(stamps)

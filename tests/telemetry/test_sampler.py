@@ -14,7 +14,6 @@ from repro.telemetry import (
     MetricsRegistry,
     Sampler,
     Telemetry,
-    telemetry_from_env,
 )
 
 
@@ -104,13 +103,6 @@ class TestTelemetrySession:
         assert parent.registry.partitions() == ["fpga1"]
         assert parent.sampler.series["fpga1"] \
             == donor.sampler.series["fpga1"]
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert telemetry_from_env() is None
-        monkeypatch.setenv("REPRO_METRICS", "35")
-        session = telemetry_from_env()
-        assert session.enabled and session.sample_every == 35
 
 
 class TestAnnotations:
