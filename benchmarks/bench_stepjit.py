@@ -3,8 +3,8 @@
 Measures the wavefront hot loop with the compiled step functions
 (`repro.harness.stepjit`) on and off, on the Sec. V-A 24-core ring-NoC
 case study plus three mill-generated ring scenarios, and writes
-``results/BENCH_stepjit.json``.  ``repro regress`` pins two claims from
-the committed artifact:
+``results/BENCH_stepjit.json``.  ``repro regress`` pins three claims
+from the committed artifact:
 
 * **speedup floor** — the 24-core case study must run at least
   ``speedup_floor`` (5x) faster per target cycle with the JIT on.  The
@@ -16,6 +16,13 @@ the committed artifact:
 * **identity** — the JIT-on and JIT-off runs of every measured
   configuration produce bit-identical functional digests (tokens,
   per-partition cycles, the full FMR ``detail``, recorded outputs).
+* **hardened floor** — an 8-tile ring whose links all carry the
+  reliable layer over a seeded fault schedule compiles like a clean one
+  (``link.transmit`` is a call-out in the generated code) and must run
+  at least ``hardened_speedup_floor`` (2x) faster than the interpreter,
+  digest-identical (``detail["reliability"]`` included).  The margin is
+  smaller than the clean case by construction: both sides spend most of
+  a cycle inside the same layer and injector.
 
 Methodology: for each configuration one JIT and one interpreter
 simulation are built, both warmed past compile/caching effects
@@ -34,12 +41,15 @@ from pathlib import Path
 from repro.fireripper import FAST, FireRipper, NoCPartitionSpec, PartitionSpec
 from repro.fuzz import GeneratorKnobs, functional_digest, generate_scenario, make_sim
 from repro.platform import QSFP_AURORA
+from repro.reliability import FaultSpec, harden_links
+from repro.targets.soc import make_ring_noc_soc
 
 SEED = 7
 WARMUP = 100
 WINDOW = 700
 REPS = 3
 SPEEDUP_FLOOR = 5.0
+HARDENED_SPEEDUP_FLOOR = 2.0
 MILL_TILES = ((2, "small"), (4, "medium"), (6, "large"))
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -60,6 +70,19 @@ def _build_24core():
     spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(groups))
     return FireRipper(spec).compile(circuit).build_simulation(
         QSFP_AURORA, host_freq_mhz=30.0, record_outputs=True)
+
+
+def _build_hardened_ring8():
+    """8 TinyCore tiles on a ring NoC, 2 FPGAs of 4 + base, every link
+    hardened over a seeded drop/corrupt/spike schedule."""
+    spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(
+        [[0, 1, 2, 3], [4, 5, 6, 7]]))
+    sim = FireRipper(spec).compile(
+        make_ring_noc_soc(8, messages_per_tile=2)).build_simulation(
+            QSFP_AURORA, host_freq_mhz=30.0, record_outputs=True)
+    harden_links(sim, FaultSpec(seed=SEED, drop_rate=0.02,
+                                corrupt_rate=0.02, spike_rate=0.02))
+    return sim
 
 
 def _measure(build, warmup=WARMUP, window=WINDOW, reps=REPS):
@@ -112,6 +135,7 @@ def test_stepjit_speedup(paper_scale):
     mill = {}
     for tiles, tag in MILL_TILES:
         mill[tag] = _measure(_mill_case(tiles), window=window)
+    hardened = _measure(_build_hardened_ring8, window=window)
 
     payload = {
         "seed": SEED,
@@ -124,6 +148,10 @@ def test_stepjit_speedup(paper_scale):
         "speedup": case["speedup"],
         "detail_bit_identical": case["detail_bit_identical"] and all(
             m["detail_bit_identical"] for m in mill.values()),
+        "hardened_ring8": hardened,
+        "hardened_speedup": hardened["speedup"],
+        "hardened_speedup_floor": HARDENED_SPEEDUP_FLOOR,
+        "hardened_bit_identical": hardened["detail_bit_identical"],
     }
     RESULTS.mkdir(parents=True, exist_ok=True)
     (RESULTS / "BENCH_stepjit.json").write_text(
@@ -135,9 +163,15 @@ def test_stepjit_speedup(paper_scale):
     for tag, m in mill.items():
         print(f"  mill {tag}: {m['speedup']}x "
               f"({m['partitions']} partitions)")
+    print(f"  hardened ring8: {hardened['jit_cycles_per_s']} cyc/s vs "
+          f"{hardened['interp_cycles_per_s']} cyc/s interpreted "
+          f"({hardened['speedup']}x)")
 
     assert payload["detail_bit_identical"]
     assert case["speedup"] >= SPEEDUP_FLOOR
     # the mill scenarios are trend-watching (smaller designs amortize
     # less per kernel call) but must never regress past the interpreter
     assert all(m["speedup"] > 1.0 for m in mill.values())
+    assert hardened["detail_bit_identical"]
+    assert hardened["fused_kernel_partitions"] == hardened["partitions"]
+    assert hardened["speedup"] >= HARDENED_SPEEDUP_FLOOR

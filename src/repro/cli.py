@@ -257,8 +257,14 @@ def cmd_reliability(args) -> int:
     baseline = build()
     base_result = baseline.run(args.cycles)
 
+    supervised = []  # one per (re)build; the last carried the run home
+
+    def build_supervised():
+        supervised.append(build(fault_spec))
+        return supervised[-1]
+
     supervisor = RunSupervisor(
-        lambda: build(fault_spec),
+        build_supervised,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         max_rollbacks=args.max_rollbacks,
@@ -269,6 +275,7 @@ def cmd_reliability(args) -> int:
     layer = "raw (unreliable)" if args.unreliable else "reliable"
     print(f"supervised {result.target_cycles} target cycles over "
           f"{layer} {TRANSPORTS[args.transport].name} links")
+    _print_step_plane(supervised[-1])
     print(f"fault schedule: seed={fault_spec.seed} "
           f"drop={fault_spec.drop_rate} corrupt={fault_spec.corrupt_rate} "
           f"spike={fault_spec.spike_rate} flaps={len(fault_spec.flaps)}")

@@ -17,7 +17,12 @@ through one or more execution configurations, and raises
   on the same functional result as an uninterrupted run.
 * :func:`check_faults` — a run over fault-injected links hardened by
   the reliable link layer must survive (no give-up, no deadlock) and
-  deliver the same functional result as the clean run, never faster.
+  deliver the same functional result as the clean run, never faster —
+  and bit-for-bit the digest of the same hardened run interpreted.
+
+:func:`check_identity` and :func:`check_faults` also fail when a
+partition did not take the compiled step plane, so the next JIT cliff
+shows up as a shrunk corpus file instead of a slow run.
 
 Backends that cannot run on the host (no ``fork``, no sockets) or
 cannot take the topology are *skipped*, not failed — the oracles
@@ -40,6 +45,7 @@ from ..errors import (
     UnsupportedTopologyError,
 )
 from ..harness import MonolithicSimulation
+from ..harness.stepjit import stepjit_enabled
 from ..reliability import FaultSpec, capture_state, harden_links, restore_state
 from . import generator
 from .generator import Scenario
@@ -80,6 +86,20 @@ def functional_digest(sim, result) -> dict:
         "detail": result.detail,
         "outputs": outputs,
     }
+
+
+def _require_compiled(oracle: str, backend: str, sim,
+                      scenario: Scenario) -> None:
+    """Fail when a partition of ``sim``'s last run was not compiled
+    (unless the JIT was switched off for the whole run)."""
+    missed = {name: verdict
+              for name, verdict in sorted(sim.last_jit_report.items())
+              if not verdict.startswith("compiled")}
+    if missed and stepjit_enabled(sim):
+        raise FuzzFailure(
+            oracle, backend,
+            f"partitions left the compiled step plane: {missed}",
+            scenario=scenario.to_dict())
 
 
 def _first_diff(ref: dict, got: dict, prefix: str = "") -> str:
@@ -127,6 +147,7 @@ def check_identity(scenario: Scenario,
                 UnsupportedTopologyError) as exc:
             skipped[backend] = str(exc)
             continue
+        _require_compiled("identity", backend, sim, scenario)
         if perturb is not None:
             perturb(backend, sim, result)
         digests[backend] = functional_digest(sim, result)
@@ -276,7 +297,9 @@ def check_faults(scenario: Scenario) -> dict:
     and require the run to survive with clean-run functional results.
 
     The timing overlay may only get *slower* (retries burn link time);
-    payloads, cycle counts and token ordering must be untouched."""
+    payloads, cycle counts and token ordering must be untouched.  The
+    hardened run's full digest (``detail`` included) must equal the
+    same scenario's under ``stepjit=False``."""
     fault = dict(scenario.params.get("fault") or {})
     spec = FaultSpec(
         seed=scenario.seed * 1_000_003 + scenario.index,
@@ -290,16 +313,29 @@ def check_faults(scenario: Scenario) -> dict:
     clean_result = clean_sim.run(scenario.cycles)
     clean = functional_digest(clean_sim, clean_result)
 
-    hard_sim = generator.make_sim(scenario)
-    harden_links(hard_sim, spec)
-    try:
-        hard_result = hard_sim.run(scenario.cycles)
-    except ReproError as exc:
+    def hardened(stepjit: Optional[bool]):
+        sim = generator.make_sim(scenario)
+        harden_links(sim, spec)
+        sim.stepjit = stepjit
+        try:
+            return sim, sim.run(scenario.cycles)
+        except ReproError as exc:
+            raise FuzzFailure(
+                "faults", "",
+                f"hardened run did not survive the fault schedule: "
+                f"{type(exc).__name__}: {exc}",
+                scenario=scenario.to_dict())
+
+    hard_sim, hard_result = hardened(None)
+    _require_compiled("faults", "", hard_sim, scenario)
+    hard = functional_digest(hard_sim, hard_result)
+    interp = functional_digest(*hardened(False))
+    if interp != hard:
         raise FuzzFailure(
             "faults", "",
-            f"hardened run did not survive the fault schedule: "
-            f"{type(exc).__name__}: {exc}", scenario=scenario.to_dict())
-    hard = functional_digest(hard_sim, hard_result)
+            "hardened run differs between the compiled step plane and "
+            "the interpreter: " + _first_diff(interp, hard),
+            scenario=scenario.to_dict())
     # the timing breakdown legitimately differs (retries); compare the
     # payload-carrying fields
     keys = ("target_cycles", "per_partition_cycles", "outputs")

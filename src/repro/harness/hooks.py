@@ -21,18 +21,21 @@ from ..observability.fmr import FMRSpans
 from ..observability.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..libdn.token import Token
+    from ..libdn.codec import TokenCodec
     from .partitioned import Link, TransmitResult
 
 
 class ReliabilityLayer(Protocol):
     """What a reliable link layer must provide (see
-    :class:`~repro.reliability.link.ReliableLinkLayer`)."""
+    :class:`~repro.reliability.link.ReliableLinkLayer`).  A token
+    crosses the hook path the way it crosses a clean wire: as the
+    packed ``word`` of the source channel, with that channel's
+    ``codec`` for anything that needs to find a port in it."""
 
     stats: dict
 
-    def transmit(self, link: "Link", depart_ns: float, width_bits: int,
-                 token: "Token") -> "TransmitResult": ...
+    def transmit(self, link: "Link", depart_ns: float, word: int,
+                 codec: "TokenCodec") -> "TransmitResult": ...
 
     def state_dict(self) -> dict: ...
 
@@ -41,14 +44,14 @@ class ReliabilityLayer(Protocol):
 
 class TransportInjector(Protocol):
     """A transport-attached fault injector (see
-    :class:`~repro.reliability.faults.FaultInjector`)."""
+    :class:`~repro.reliability.faults.FaultInjector`); same packed
+    ``word`` + source ``codec`` token plane as the layer above."""
 
     def outcome(self, link_key: str, seq: int, attempt: int,
-                depart_ns: float, token: "Token"): ...
+                depart_ns: float, word: int, codec: "TokenCodec"): ...
 
-    def raw_transmit(self, link: "Link", depart_ns: float,
-                     width_bits: int,
-                     token: "Token") -> "TransmitResult": ...
+    def raw_transmit(self, link: "Link", depart_ns: float, word: int,
+                     codec: "TokenCodec") -> "TransmitResult": ...
 
 
 class SwitchFabric(Protocol):

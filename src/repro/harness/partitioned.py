@@ -39,7 +39,7 @@ from typing import (
 )
 
 from ..errors import DeadlockError, SimulationError, TransportError
-from ..libdn.codec import INCOMPATIBLE, TokenCodec, repack, repack_plan
+from ..libdn.codec import TokenCodec, repack, repack_plan
 from ..libdn.fame5 import FAME5Host
 from ..libdn.token import Channel, Token
 from ..libdn.wrapper import LIBDNHost
@@ -148,13 +148,15 @@ class Partition:
 class TransmitResult:
     """Outcome of pushing one token onto a link.
 
+    ``word`` is the packed token as the receiver got it, still in the
+    source channel's layout (the harness repacks it to the peer's).
     ``retry_delay_ns`` is the extra time the link was held busy by
     retransmissions (reliable links); it is added to the link occupancy
     so degraded links show up as a lower achieved simulation rate.
     """
 
     arrive_ns: float
-    token: Token
+    word: int
     delivered: bool
     retries: int = 0
     retry_delay_ns: float = 0.0
@@ -175,7 +177,10 @@ class Link:
     attach sites.  When a reliable layer is set, every token goes
     through CRC/sequence/ack-retry framing and injected transport
     faults are recovered (at a timing cost) instead of corrupting or
-    deadlocking the simulation.
+    deadlocking the simulation.  Hooks see the token the way the wire
+    does — the source channel's packed word plus its codec — so a
+    hardened link repacks to the peer layout by the same bit moves as
+    a clean one.
     """
 
     src: Tuple[str, str]  # (partition name, output channel name)
@@ -212,14 +217,10 @@ class Link:
         """Stable identity used to derive deterministic fault schedules."""
         return f"{self.src[0]}.{self.src[1]}->{self.dst[0]}.{self.dst[1]}"
 
-    def map_token(self, token: Token) -> Token:
-        if not self.rename:
-            return token
-        return {self.rename.get(k, k): v for k, v in token.items()}
-
-    def transmit(self, depart_ns: float, width_bits: int,
-                 token: Token) -> TransmitResult:
-        """Move one token across the link starting at ``depart_ns``.
+    def transmit(self, depart_ns: float, word: int,
+                 codec: TokenCodec) -> TransmitResult:
+        """Move one packed token (``word``, laid out by the source
+        channel's ``codec``) across the link starting at ``depart_ns``.
 
         Dispatches to the reliable link layer when one is attached, then
         to a fault injector when the transport carries one, and falls
@@ -228,12 +229,12 @@ class Link:
         hooks = self.hooks
         if hooks.reliability is not None:
             return hooks.reliability.transmit(
-                self, depart_ns, width_bits, token)
+                self, depart_ns, word, codec)
         if hooks.injector is not None:
             return hooks.injector.raw_transmit(
-                self, depart_ns, width_bits, token)
+                self, depart_ns, word, codec)
         return TransmitResult(
-            depart_ns + self.transport.wire_ns(width_bits), token, True)
+            depart_ns + self.transport.wire_ns(codec.width), word, True)
 
 
 class _OutOp:
@@ -243,7 +244,7 @@ class _OutOp:
 
     __slots__ = ("full", "codec", "width", "dep_keys", "link", "switch",
                  "clean", "tx_ns", "rx_ns", "occupancy_ns", "wire_ns",
-                 "repack", "dst_codec", "dst_part_name", "consume_q")
+                 "repack", "dst_part_name", "consume_q")
 
     def __init__(self, full: str, codec: TokenCodec,
                  dep_keys: Tuple[Tuple[str, str], ...]):
@@ -259,7 +260,6 @@ class _OutOp:
         self.occupancy_ns = 0.0
         self.wire_ns = 0.0
         self.repack = None
-        self.dst_codec: Optional[TokenCodec] = None
         self.dst_part_name = ""
         #: the destination channel's consume-time deque, resolved at
         #: schedule-compile time so the credit path never builds a
@@ -291,6 +291,15 @@ class _UnitPlan:
         self.ctr_stall = None
         self.ctr_bridge = None
         self.ctr_tx = None
+
+    def count(self, attr: str, name: str, registry) -> None:
+        """Inc the ``ctr_*`` counter ``attr``, creating it on first use
+        (the compiled step plane fills and reads the same slots)."""
+        ctr = getattr(self, attr)
+        if ctr is None:
+            ctr = registry.counter(name, self.part.name)
+            setattr(self, attr, ctr)
+        ctr.inc()
 
 
 class _PartPlan:
@@ -395,7 +404,6 @@ class PartitionedSimulation:
         #: honoured, then shared by the inproc loop and process workers
         self._schedule: Optional[List[_PartPlan]] = None
         self._plan_by_part: Dict[str, _PartPlan] = {}
-        self._unit_plan_index: Dict[Tuple[str, str], _UnitPlan] = {}
         #: whether isolated fast-mode partitions may batch several target
         #: cycles per scheduling pass (set per run; off under telemetry
         #: sampling and stop callbacks, which observe pass granularity)
@@ -432,7 +440,6 @@ class PartitionedSimulation:
     # -- setup ---------------------------------------------------------------
 
     def _validate(self, seed_boundary: bool) -> None:
-        link_dsts = {l.dst for l in self.links}
         for link in self.links:
             src_part, src_chan = link.src
             dst_part, dst_chan = link.dst
@@ -440,65 +447,41 @@ class PartitionedSimulation:
                     or dst_part not in self.partitions:
                 raise TransportError(f"link references unknown partition: "
                                      f"{link.src} -> {link.dst}")
-            if src_chan not in self.partitions[src_part] \
-                    .channel_names("out"):
+            if link.src not in self._out_channel_by_key:
                 raise TransportError(
                     f"{src_part} has no output channel {src_chan!r}")
-            if dst_chan not in self.partitions[dst_part] \
-                    .channel_names("in"):
+            if link.dst not in self._in_channel_by_key:
                 raise TransportError(
                     f"{dst_part} has no input channel {dst_chan!r}")
-        for p in self.partitions.values():
-            for chan in p.channel_names("in"):
-                key = (p.name, chan)
-                fed = key in link_dsts or key in self.sources
-                if not fed:
-                    raise TransportError(
-                        f"input channel {key} has no link and no source"
-                    )
+            try:  # a destination port no source port feeds raises here
+                repack_plan(self._out_channel_by_key[link.src].codec,
+                            self._in_channel_by_key[link.dst].codec,
+                            link.rename)
+            except TransportError as exc:
+                raise TransportError(f"link {link.key}: {exc}") from None
+        for key in self._in_channel_by_key:
+            if key not in self._dst_link_count and key not in self.sources:
+                raise TransportError(
+                    f"input channel {key} has no link and no source")
         if seed_boundary:
             for link in self.links:
                 # the all-zero token packs to the zero word
-                self._deliver_word(link.dst, 0, 0.0)
-
-    @staticmethod
-    def _resolve(part: Partition, chan: str, direction: str):
-        for prefix, unit in part.units:
-            if chan.startswith(prefix):
-                base = chan[len(prefix):]
-                table = (unit.in_channels if direction == "in"
-                         else unit.out_channels)
-                if base in table:
-                    return prefix, unit, base
-        raise SimulationError(
-            f"{part.name}: no {direction} channel {chan!r}")
+                self._in_channel_by_key[link.dst].put_word(0)
+                self._arrivals.setdefault(link.dst, deque()).append(0.0)
 
     # -- token movement ----------------------------------------------------------
 
-    def _deliver(self, dst: Tuple[str, str], token: Token,
-                 arrival_ns: float) -> None:
-        self._in_channel_by_key[dst].put(token)
-        self._arrivals.setdefault(dst, deque()).append(arrival_ns)
-
-    def _deliver_word(self, dst: Tuple[str, str], word: int,
-                      arrival_ns: float) -> None:
-        self._in_channel_by_key[dst].put_word(word)
-        self._arrivals.setdefault(dst, deque()).append(arrival_ns)
-
-    def _feed_sources(self, part: Partition) -> None:
-        """Fill every empty source-fed input channel of ``part`` with the
-        next token (packed straight into the channel queue)."""
-        self.ensure_schedule()
+    def _feed_sources(self, source_ops: List[tuple]) -> None:
+        """Fill every empty source-fed input channel of ``source_ops``
+        (a partition's or a unit's) with the next token, packed straight
+        into the channel queue.  The schedule compile pre-created every
+        arrival deque."""
         arrivals = self._arrivals
-        for key, channel, source, unit in \
-                self._plan_by_part[part.name].source_ops:
+        for key, channel, source, unit in source_ops:
             if not channel.queue:
                 channel.put_word(
                     source.next_word(unit.target_cycle, channel.codec))
-                queue = arrivals.get(key)
-                if queue is None:
-                    queue = arrivals[key] = deque()
-                queue.append(0.0)
+                arrivals[key].append(0.0)
 
     def apply_link_delivery(self, link: Link, word: int,
                             arrive_ns: float, rx_ns: float) -> None:
@@ -536,14 +519,6 @@ class PartitionedSimulation:
         if self.router is not None:
             self.router.consumed(key, ns)
 
-    def _head_arrival(self, key: Tuple[str, str]) -> float:
-        queue = self._arrivals.get(key)
-        return queue[0] if queue else 0.0
-
-    def _pop_arrival(self, key: Tuple[str, str]) -> float:
-        queue = self._arrivals.get(key)
-        return queue.popleft() if queue else 0.0
-
     # -- schedule compilation ---------------------------------------------------
 
     def ensure_schedule(self) -> List[_PartPlan]:
@@ -572,7 +547,6 @@ class PartitionedSimulation:
         ``inject_faults``) honoured at O(channels) cost."""
         schedule: List[_PartPlan] = []
         self._plan_by_part = {}
-        self._unit_plan_index = {}
         # pre-create the arrival and consume-time deques so both the
         # interpreter and the compiled step functions mutate the same
         # objects (the step plane binds them at compile time); an empty
@@ -628,7 +602,6 @@ class PartitionedSimulation:
                         op.wire_ns = link.transport.wire_ns(op.width)
                         op.repack = repack_plan(
                             ch.codec, dst_ch.codec, link.rename)
-                        op.dst_codec = dst_ch.codec
                         op.dst_part_name = link.dst[0]
                         if credited:
                             op.consume_q = consume[link.dst]
@@ -643,13 +616,11 @@ class PartitionedSimulation:
                                 and len(part.units) == 1)
                 pplan.unit_plans.append(up)
                 pplan.source_ops.extend(up.source_ops)
-                self._unit_plan_index[(part.name, prefix)] = up
             schedule.append(pplan)
             self._plan_by_part[part.name] = pplan
         self._schedule = schedule
 
-    def _compile_step_fns(self, only=None, eval_dedup: bool = True
-                          ) -> None:
+    def _compile_step_fns(self, only=None) -> None:
         """Build the compiled step plane for the current schedule (see
         :mod:`repro.harness.stepjit`).  Must run after ``_batching`` is
         set — the generator specializes the batch loop on it.  Eligible
@@ -663,20 +634,13 @@ class PartitionedSimulation:
                 for name in self.partitions}
             return
         self._step_fns, self.last_jit_report = compile_step_functions(
-            self, only=only, eval_dedup=eval_dedup)
+            self, only=only)
 
     # -- main loop ----------------------------------------------------------------
 
     #: isolated-partition batching cap per scheduling pass: bounds how
     #: long a worker can go without reporting progress to the supervisor
     _BATCH_LIMIT = 4096
-
-    def _process_unit(self, part: Partition, prefix: str,
-                      unit: LIBDNHost) -> bool:
-        """Compatibility entry: one unbatched pass over one unit."""
-        self.ensure_schedule()
-        return self._run_unit(self._unit_plan_index[(part.name, prefix)],
-                              None)
 
     def _run_unit(self, up: _UnitPlan,
                   target_cycles: Optional[int]) -> bool:
@@ -729,12 +693,8 @@ class PartitionedSimulation:
                 credit_wait = start - dep_start
                 spans.credit_stall_ns += credit_wait
                 if credit_wait and self._metrics_on:
-                    ctr = up.ctr_stall
-                    if ctr is None:
-                        ctr = up.ctr_stall = \
-                            self.telemetry.registry.counter(
-                                "credit_stalls", part.name)
-                    ctr.inc()
+                    up.count("ctr_stall", "credit_stalls",
+                             self.telemetry.registry)
                 if credit_wait and self._trace:
                     self.tracer.emit(TraceEvent(
                         "credit_stall", ts_ns=dep_start,
@@ -746,12 +706,8 @@ class PartitionedSimulation:
                     # tap): drained by wide DMA batches, effectively free
                     part.busy_until = start
                     if self._metrics_on:
-                        ctr = up.ctr_bridge
-                        if ctr is None:
-                            ctr = up.ctr_bridge = \
-                                self.telemetry.registry.counter(
-                                    "bridge_outputs", part.name)
-                        ctr.inc()
+                        up.count("ctr_bridge", "bridge_outputs",
+                                 self.telemetry.registry)
                     if self.record_outputs:
                         self.output_log.setdefault(
                             (part.name, op.full), []).append(
@@ -774,31 +730,21 @@ class PartitionedSimulation:
                     depart = op.switch.traverse(depart, op.width)
                 if op.clean:
                     # ideal lossless wire: the transmit outcome is fully
-                    # determined by the precompiled constants, and the
-                    # token crosses as a packed word (repacked to the
-                    # peer layout by bit moves when the layouts differ)
+                    # determined by the precompiled constants
                     arrive_ns = depart + op.wire_ns
                     delivered = True
                     retries = 0
                     retry_delay = 0.0
-                    if op.repack is INCOMPATIBLE:
-                        mapped_word = op.dst_codec.encode(
-                            link.map_token(op.codec.decode(word)))
-                    else:
-                        mapped_word = repack(word, op.repack)
                 else:
-                    # reliability layer / fault injector attached: these
-                    # hooks inspect and may corrupt per-port values, so
-                    # the token crosses the hook path as a dict
-                    res = link.transmit(depart, op.width,
-                                        op.codec.decode(word))
+                    # reliability layer / fault injector attached: the
+                    # hooks get the packed word and the source codec,
+                    # and hand back the word the receiver saw
+                    res = link.transmit(depart, word, op.codec)
                     arrive_ns = res.arrive_ns
+                    word = res.word
                     delivered = res.delivered
                     retries = res.retries
                     retry_delay = res.retry_delay_ns
-                    if delivered:
-                        mapped_word = op.dst_codec.encode(
-                            link.map_token(res.token))
                 # retransmissions hold the link busy beyond the clean
                 # occupancy window
                 link.next_free += retry_delay
@@ -815,9 +761,13 @@ class PartitionedSimulation:
                               "retries": retries,
                               "retry_delay_ns": retry_delay}))
                 if delivered:
-                    # receive-side deserialization is priced at the
-                    # destination's host clock; remote destinations go
-                    # through the router (process backend)
+                    # the token crosses as a packed word, repacked to
+                    # the peer layout by bit moves when the layouts
+                    # differ.  Receive-side deserialization is priced
+                    # at the destination's host clock; remote
+                    # destinations go through the router (process
+                    # backend)
+                    mapped_word = repack(word, op.repack)
                     router = self.router
                     if router is not None \
                             and not router.is_local(op.dst_part_name):
@@ -833,12 +783,8 @@ class PartitionedSimulation:
                 link.tokens += 1
                 self.total_tokens += 1
                 if self._metrics_on:
-                    ctr = up.ctr_tx
-                    if ctr is None:
-                        ctr = up.ctr_tx = \
-                            self.telemetry.registry.counter(
-                                "tokens_tx", part.name)
-                    ctr.inc()
+                    up.count("ctr_tx", "tokens_tx",
+                             self.telemetry.registry)
             advanced = False
             if unit.can_advance():
                 host_cycle_ns = up.host_cycle_ns
@@ -883,14 +829,7 @@ class PartitionedSimulation:
             batched += 1
             if batched >= self._BATCH_LIMIT:
                 break
-            for key, channel, source, src_unit in up.source_ops:
-                if not channel.queue:
-                    channel.put_word(source.next_word(
-                        src_unit.target_cycle, channel.codec))
-                    queue = arrivals.get(key)
-                    if queue is None:
-                        queue = arrivals[key] = deque()
-                    queue.append(0.0)
+            self._feed_sources(up.source_ops)
         return progress
 
     def _step_partition(self, pplan: _PartPlan,
@@ -902,7 +841,7 @@ class PartitionedSimulation:
             progress = step(target_cycles)
         else:
             progress = False
-            self._feed_sources(pplan.part)
+            self._feed_sources(pplan.source_ops)
             for up in pplan.unit_plans:
                 if up.unit.target_cycle >= target_cycles:
                     continue
@@ -920,6 +859,12 @@ class PartitionedSimulation:
             backend: str = "auto") -> SimulationResult:
         """Run until every partition reaches ``target_cycles`` (or ``stop``
         returns True); raises :class:`DeadlockError` if progress halts.
+
+        A ``stop`` callback *observes*: it is called between passes and
+        may read any harness state (``output_log``, the frontier, the
+        timing cursors, a cancel flag), but must not write RTL or
+        channel state — the compiled step plane carries a settle across
+        passes on both of its tiers.
 
         ``backend`` selects the execution engine: ``"auto"`` honours the
         ``REPRO_BACKEND`` environment variable (``process`` runs each
@@ -965,10 +910,8 @@ class PartitionedSimulation:
         self.invalidate_schedule()
         schedule = self.ensure_schedule()
         self._batching = stop is None and not self._metrics_on
-        # build the compiled step plane against the fresh schedule; a
-        # stop callback may poke RTL state between passes, so the
-        # redundant-eval elision is disabled under one
-        self._compile_step_fns(eval_dedup=stop is None)
+        # build the compiled step plane against the fresh schedule
+        self._compile_step_fns()
         passes = 0
         while self.frontier_cycle() < target_cycles:
             if stop is not None and stop(self):

@@ -33,7 +33,9 @@ What the generated function inlines:
 * **token pushes** — repack plans emitted as literal bit-move
   expressions, destination channel/arrival queues bound directly for
   local deliveries, the router's ``deliver_remote`` bound for the
-  process backends;
+  process backends, and a hardened or faulted link's ``transmit`` and
+  a switch fabric's ``traverse`` called out to (the call-out rule
+  below);
 * **the advance** — input pops, pokes, comb+tick, fire-FSM re-arm and
   target-cycle bump, plus the isolated-partition batching loop when the
   schedule marks the unit batchable.
@@ -71,12 +73,15 @@ event              interpreter site                  instrument
                                                      ``rx_depth``
 ``target_cycle``   ``_run_unit``, timed advance
 ``advance``        ``LIBDNHost.advance``
+``link_retry``     ``ReliableLinkLayer.transmit``
 =================  ================================  ================
 
-The wrapper's two come out of ``_emit_fire`` / ``_emit_advance`` and
-their kernel-tier twins in ``_emit_unit_kernel`` (replay path
-included), ``target_cycle`` out of ``_emit_advance_timing``, the rest
-out of ``_emit_out_op``.  Same order, same field values (the wrapper's
+The wrapper's two come out of ``_emit_fire`` / ``_emit_kernel_fire``
+(replay path included) and ``_emit_advance``, ``target_cycle`` out of
+``_emit_advance_timing``, the rest out of ``_emit_out_op`` /
+``_emit_delivery`` — except ``link_retry``, which the reliable layer
+emits itself inside the ``link.transmit`` call-out, as it does under
+the interpreter.  Same order, same field values (the wrapper's
 clock is the partition's busy cursor, carried in the ``busy`` local),
 and each instrument is created on first use through the interpreter's
 own caches (``_UnitPlan.ctr_*``, ``sim._rx_instruments``), so the
@@ -87,13 +92,24 @@ tier's stale-comb-env contract below does not touch them.  The sampler
 itself runs where it always did: ``_step_partition`` calls
 ``telemetry.on_pass`` after the step function returns.
 
-Reliability layers, fault injectors, switch fabrics, capacity-bounded
-channels and dict-incompatible peer layouts are still rejected by
-:func:`partition_jit_reason`, and the harness falls back to the
-interpreted ``_run_unit`` for them (per partition, not globally).  A
-runtime guard keeps even compiled partitions exact: a unit whose
-outbox is unexpectedly non-empty (e.g. a checkpoint captured
-mid-``host_step``) delegates that pass to the interpreter.
+**The call-out rule.**  Nothing attached to a run selects its engine.
+A reliability layer, a fault injector and a switch fabric are stateful
+objects with their own checkpoint, stats and trace contracts, so they
+are called, not inlined: ``_emit_out_op`` prints ``switch.traverse``
+and ``link.transmit(depart, word, codec)`` at the points ``_run_unit``
+makes them (busy cursor published first — ``transmit`` can raise
+``LinkGiveUpError``) and reads ``retries`` / ``retry_delay_ns`` /
+``delivered`` / ``word`` back from the result.  The token crosses the
+hook path as it crosses a clean wire, as a packed word, so the peer
+repack is the same literal bit moves.  :func:`partition_jit_reason`
+keeps the two reasons a *unit* cannot be compiled (no
+``step_bindings``; RTL engine built ``compiled=False``), and a runtime
+guard keeps compiled partitions exact: a unit whose outbox is
+unexpectedly non-empty (e.g. a checkpoint captured mid-``host_step``)
+delegates that pass to the interpreter — otherwise the differential
+reference and the ``stepjit=False`` / ``REPRO_STEPJIT=0`` /
+``--no-jit`` engine.  Both tiers carry a settle across passes, which
+is why ``run``'s ``stop`` callbacks observe and do not write.
 
 Bit-exactness contract: for every partition the compiled function
 performs the *same mutations in the same order* as ``_run_unit`` — same
@@ -116,7 +132,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..libdn.codec import INCOMPATIBLE
 from ..observability.tracer import TraceEvent
 from ..rtl.elaborate import FlatAssign
 from ..rtl.engine import _ref_names
@@ -144,7 +159,7 @@ def stepjit_enabled(sim=None) -> bool:
 
 
 # --------------------------------------------------------------------------
-# eligibility: the clean-hooks guard
+# eligibility: the two structural reasons
 # --------------------------------------------------------------------------
 
 
@@ -157,35 +172,15 @@ def _unit_jit_reason(sim, up) -> Optional[str]:
     rtl = getattr(unit, "sim", None)
     if rtl is None or not getattr(rtl, "compiled", False):
         return f"{label}: RTL engine runs interpreted (compiled=False)"
-    for ch in list(unit.in_channels.values()) \
-            + list(unit.out_channels.values()):
-        if ch.capacity is not None:
-            return (f"{label}: channel {ch.name!r} carries a host "
-                    f"capacity bound")
-    for op in up.out_ops.values():
-        link = op.link
-        if link is None:
-            continue
-        if not op.clean:
-            return (f"{label}: link {link.key} has a reliability layer "
-                    f"or fault injector")
-        if op.switch is not None:
-            return f"{label}: link {link.key} crosses a switch fabric"
-        if op.repack is INCOMPATIBLE:
-            return (f"{label}: link {link.key} peer layouts need the "
-                    f"dict fallback")
-        if sim._in_channel_by_key[link.dst].capacity is not None:
-            return (f"{label}: link {link.key} destination channel is "
-                    f"capacity-bounded")
     return None
 
 
 def partition_jit_reason(sim, pplan) -> Optional[str]:
     """Why a partition must stay on the interpreter (None = JIT-able).
 
-    A partition is eligible when every unit/link is on the clean fast
-    path.  The attached sinks do not matter: the generator compiles
-    the tracer and telemetry emit sites in when they are live."""
+    Only a unit itself can disqualify it; nothing attached to a run
+    does (live sinks are compiled in, hardened or faulted links and
+    switch hops are call-outs)."""
     for up in pplan.unit_plans:
         reason = _unit_jit_reason(sim, up)
         if reason is not None:
@@ -232,54 +227,36 @@ def _f(value: float) -> str:
     return repr(float(value))
 
 
+def _field(word: str, offset: int, mask: int) -> str:
+    """One port's value out of a packed word, as source."""
+    return f"({word} >> {offset}) & {mask}" if offset else f"{word} & {mask}"
+
+
 def _unpack_lines(env: str, word: str, fields) -> List[str]:
-    out = []
-    for port, offset, mask in fields:
-        if offset:
-            out.append(f"{env}[{port!r}] = ({word} >> {offset}) & {mask}")
-        else:
-            out.append(f"{env}[{port!r}] = {word} & {mask}")
-    return out
+    return [f"{env}[{port!r}] = {_field(word, offset, mask)}"
+            for port, offset, mask in fields]
 
 
-def _pack_expr(env: str, fields) -> str:
-    if not fields:
-        return "0"
-    parts = []
-    for port, offset, _mask in fields:
-        if offset:
-            parts.append(f"{env}[{port!r}] << {offset}")
-        else:
-            parts.append(f"{env}[{port!r}]")
-    return " | ".join(parts)
+def _pack_expr(ref: Callable[[str], str], fields) -> str:
+    """A packed word built from ``ref(port)`` per port, as source."""
+    return " | ".join(f"{ref(port)} << {offset}" if offset else ref(port)
+                      for port, offset, _mask in fields) or "0"
 
 
 def _repack_expr(word: str, plan) -> str:
     """Inline a repack plan's bit moves (``plan`` is a tuple of
     ``(src_offset, mask, dst_offset)`` moves; identity is handled by
     the caller)."""
-    parts = []
-    for s_off, mask, d_off in plan:
-        if s_off:
-            expr = f"(({word} >> {s_off}) & {mask})"
-        else:
-            expr = f"({word} & {mask})"
-        if d_off:
-            expr = f"{expr} << {d_off}"
-        parts.append(expr)
-    return " | ".join(parts) if parts else "0"
+    return " | ".join(
+        f"({_field(word, s_off, mask)})" + (f" << {d_off}" if d_off else "")
+        for s_off, mask, d_off in plan) or "0"
 
 
 def _token_dict_expr(word: str, fields) -> str:
     """Inline ``codec.decode(word)`` as a dict literal (same key order:
     spec order)."""
-    items = []
-    for port, offset, mask in fields:
-        if offset:
-            items.append(f"{port!r}: ({word} >> {offset}) & {mask}")
-        else:
-            items.append(f"{port!r}: {word} & {mask}")
-    return "{" + ", ".join(items) + "}"
+    return "{" + ", ".join(f"{port!r}: {_field(word, offset, mask)}"
+                           for port, offset, mask in fields) + "}"
 
 
 # --------------------------------------------------------------------------
@@ -426,9 +403,7 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
     for fields in pack_lists:
         for port, _off, _msk in fields:
             note_load(port)  # e.g. a register driven straight to a port
-        parts = [f"{ident(p)} << {off}" if off else ident(p)
-                 for p, off, _m in fields]
-        rets.append("(" + " | ".join(parts) + ")" if parts else "0")
+        rets.append(f"({_pack_expr(ident, fields)})" if fields else "0")
 
     if converged:
         rets.append("_q")
@@ -477,20 +452,16 @@ def _unit_kernels(unit, fire_plans):
         kern = (None,
                 _compile_kernel(elab, [], True, f"adv:{tag}", refs_of),
                 None)
-    try:
-        unit._stepjit_kernels = kern
-    except (AttributeError, TypeError):  # slotted host: rebuild per compile
-        pass
+    unit._stepjit_kernels = kern
     return kern
 
 
 class _PartitionCodegen:
     """Emits one partition's ``_step(target_cycles)`` function."""
 
-    def __init__(self, sim, pplan, eval_dedup: bool = True):
+    def __init__(self, sim, pplan):
         self.sim = sim
         self.pplan = pplan
-        self.eval_dedup = eval_dedup
         self.b = _Binder()
         self.w = _Writer()
         part = pplan.part
@@ -506,10 +477,8 @@ class _PartitionCodegen:
                    if router is not None else None)
         self.router = router
         #: one mutable dirty cell per generic-tier unit (keyed by unit
-        #: index), part of the bindings; True means the RTL env may be
-        #: unsettled (eval needed before a no-dep fire can re-pack).
-        #: Kernel-tier units need no dirty tracking — their kernels
-        #: never depend on a settled env.
+        #: index), part of the bindings.  Kernel-tier units need no
+        #: dirty tracking — their kernels never depend on a settled env.
         self.dirty_cells: Dict[int, list] = {}
         #: unit indexes running on fused RTL kernels (for the report)
         self.kernel_units: List[int] = []
@@ -530,10 +499,9 @@ class _PartitionCodegen:
 
     # -- fragments --------------------------------------------------------
 
-    def _feed_lines(self, source_ops) -> List[Tuple[int, str]]:
+    def _emit_feed(self, L: int, source_ops) -> None:
         """Source feeding: the ``_feed_sources`` body, inlined."""
-        b = self.b
-        out = []
+        w, b = self.w, self.b
         for key, channel, source, unit in source_ops:
             SQ = b.bind(channel.queue, "sq")
             CH = b.bind(channel, "ch")
@@ -541,29 +509,24 @@ class _PartitionCodegen:
             SU = b.bind(unit, "u")
             CD = b.bind(channel.codec, "cd")
             AQ = b.bind(self.sim._arrivals[key], "aq")
-            out.append((0, f"if not {SQ}:"))
-            out.append((1, f"{SQ}.append({NW}({SU}.target_cycle, {CD}))"))
-            out.append((1, f"{CH}.total_enqueued += 1"))
-            out.append((1, f"{AQ}.append(0.0)"))
-        return out
+            w.emit(L, f"if not {SQ}:")
+            w.emit(L + 1, f"{SQ}.append({NW}({SU}.target_cycle, {CD}))")
+            w.emit(L + 1, f"{CH}.total_enqueued += 1")
+            w.emit(L + 1, f"{AQ}.append(0.0)")
 
-    def _sync_out(self) -> str:
-        return (f"{self.PT}.busy_until = busy; "
-                f"{self.SP}.link_wait_ns = lw; "
-                f"{self.SP}.credit_stall_ns = cs; "
-                f"{self.SP}.serdes_ns = sd; "
-                f"{self.SP}.compute_ns = cp; "
-                f"{self.SP}.sync_ns = sy; "
-                f"{self.SIM}.total_tokens = tt")
-
-    def _sync_in(self) -> str:
-        return (f"busy = {self.PT}.busy_until; "
-                f"lw = {self.SP}.link_wait_ns; "
-                f"cs = {self.SP}.credit_stall_ns; "
-                f"sd = {self.SP}.serdes_ns; "
-                f"cp = {self.SP}.compute_ns; "
-                f"sy = {self.SP}.sync_ns; "
-                f"tt = {self.SIM}.total_tokens")
+    def _cursor_stmts(self, load: bool) -> List[str]:
+        """The cursors a step carries in locals — the partition's busy
+        cursor, its FMR spans, the simulation's token count — loaded
+        from (or stored back to) the objects that own them."""
+        pairs = [("busy", f"{self.PT}.busy_until"),
+                 ("lw", f"{self.SP}.link_wait_ns"),
+                 ("cs", f"{self.SP}.credit_stall_ns"),
+                 ("sd", f"{self.SP}.serdes_ns"),
+                 ("cp", f"{self.SP}.compute_ns"),
+                 ("sy", f"{self.SP}.sync_ns"),
+                 ("tt", f"{self.SIM}.total_tokens")]
+        return [f"{local} = {attr}" if load else f"{attr} = {local}"
+                for local, attr in pairs]
 
     def _emit_event(self, L: int, kind: str, ts: str, dur: str,
                     part: str, scope: str, args: str) -> None:
@@ -623,17 +586,14 @@ class _PartitionCodegen:
                     for line in _unpack_lines(ENV, "_h", fields):
                         w.emit(Lf, line)
             w.emit(Lf, f"{C}({ENV}, {MEMS})")
-            if self.eval_dedup:
-                w.emit(Lf, f"dty{uid} = False")
+            w.emit(Lf, f"dty{uid} = False")
         else:
             Lf = L + 1
-            if self.eval_dedup:
-                w.emit(Lf, f"if dty{uid}:")
-                w.emit(Lf + 1, f"{C}({ENV}, {MEMS})")
-                w.emit(Lf + 1, f"dty{uid} = False")
-            else:
-                w.emit(Lf, f"{C}({ENV}, {MEMS})")
-        w.emit(Lf, f"{wvar} = {_pack_expr(ENV, pack_fields)}")
+            w.emit(Lf, f"if dty{uid}:")
+            w.emit(Lf + 1, f"{C}({ENV}, {MEMS})")
+            w.emit(Lf + 1, f"dty{uid} = False")
+        w.emit(Lf, f"{wvar} = "
+               + _pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
         w.emit(Lf, f"{OQ}.append({wvar})")
         w.emit(Lf, f"{OC}.total_enqueued += 1")
         w.emit(Lf, f"{F}[{name!r}] = True")
@@ -724,58 +684,96 @@ class _PartitionCodegen:
         w.emit(Lo, f"busy = _st + {_f(op.tx_ns)}")
         w.emit(Lo, f"_nf = {LK}.next_free")
         w.emit(Lo, "_dep = busy if busy > _nf else _nf")
-        w.emit(Lo, f"{LK}.next_free = _dep + {_f(op.occupancy_ns)}")
-        w.emit(Lo, f"_arr = _dep + {_f(op.wire_ns)}")
-        if op.repack is None:
-            mw = wvar
+        occ = _f(op.occupancy_ns)
+        w.emit(Lo, f"{LK}.next_free = _dep + {occ}")
+        if op.switch is not None:
+            # switched Ethernet: contend on the shared backplane
+            SW = b.bind(op.switch.traverse, "sw")
+            w.emit(Lo, f"_dep = {SW}(_dep, {op.width})")
+        if op.clean:
+            # ideal lossless wire: the outcome is the precompiled
+            # constants
+            w.emit(Lo, f"_arr = _dep + {_f(op.wire_ns)}")
+            word, held = wvar, occ
+            outcome = '"retries": 0, "retry_delay_ns": 0.0}'
         else:
-            mw = "_mw"
-            w.emit(Lo, f"_mw = {_repack_expr(wvar, op.repack)}")
-        w.emit(Lo, f"{LK}.busy_ns += {_f(op.occupancy_ns)}")
+            # reliability layer / fault injector: ``link.transmit`` is
+            # a call-out, made where the interpreter makes it and with
+            # the partition's cursor published as the interpreter has
+            # it by then (the call runs foreign code and can raise
+            # ``LinkGiveUpError``); retransmissions hold the link busy
+            # beyond the clean occupancy window
+            TX = b.bind(link.transmit, "tx")
+            CD = b.bind(op.codec, "cd")
+            w.emit(Lo, f"{self.PT}.busy_until = busy")
+            w.emit(Lo, f"_r = {TX}(_dep, {wvar}, {CD})")
+            w.emit(Lo, "_arr = _r.arrive_ns")
+            w.emit(Lo, "_rd = _r.retry_delay_ns")
+            w.emit(Lo, "_rw = _r.word")
+            w.emit(Lo, f"{LK}.next_free += _rd")
+            word, held = "_rw", f"{occ} + _rd"
+            outcome = '"retries": _r.retries, "retry_delay_ns": _rd}'
+        if op.repack is not None:
+            w.emit(Lo, f"_mw = {_repack_expr(word, op.repack)}")
+            word = "_mw"
+        w.emit(Lo, f"{LK}.busy_ns += {held}")
         self._emit_event(
             Lo, "token_tx", "_st", repr(op.tx_ns), part.name, op.full,
             f'{{"link": {link.key!r}, "width": {op.width!r}, '
             f'"serdes_ns": {op.tx_ns!r}, "wire_ns": {op.wire_ns!r}, '
             f'"occupancy_ns": {op.occupancy_ns!r}, '
-            f'"queue_wait_ns": _dep - busy, '
-            f'"retries": 0, "retry_delay_ns": 0.0}}')
+            f'"queue_wait_ns": _dep - busy, ' + outcome)
+        if op.clean:
+            self._emit_delivery(Lo, op, word)
+        else:
+            w.emit(Lo, "if _r.delivered:")
+            self._emit_delivery(Lo + 1, op, word)
+            w.emit(Lo, "else:")
+            w.emit(Lo + 1, f"{self.SIM}.dropped_tokens += 1")
+        w.emit(Lo, f"{LK}.tokens += 1")
+        w.emit(Lo, "tt += 1")
+        self._emit_count(Lo, up, "ctr_tx", "tokens_tx")
+
+    def _emit_delivery(self, Lo: int, op, mw: str) -> None:
+        """Hand the repacked word ``mw`` to the destination: the
+        router's ``deliver_remote`` for a peer process, otherwise
+        ``apply_link_delivery`` inlined."""
+        w, b, sim = self.w, self.b, self.sim
+        link = op.link
+        LK = b.bind(link, "lk")
         rx = _f(op.rx_ns)
         if self.router is not None \
                 and not self.router.is_local(op.dst_part_name):
             RD = b.bind(self.router.deliver_remote, "rd")
             w.emit(Lo, f"{RD}({LK}, {mw}, _arr + {rx}, {rx})")
-        else:
-            # apply_link_delivery, inlined
-            dst_ch = sim._in_channel_by_key[link.dst]
-            DQ2 = b.bind(dst_ch.queue, "xq")
-            DC = b.bind(dst_ch, "xc")
-            AQ2 = b.bind(sim._arrivals[link.dst], "aq")
-            DH = b.bind(link.depth_hist, "dh")
-            DHG = b.bind(link.depth_hist.get, "dhg")
-            w.emit(Lo, f"{DQ2}.append({mw})")
-            w.emit(Lo, f"{DC}.total_enqueued += 1")
-            w.emit(Lo, f"{AQ2}.append(_arr + {rx})")
-            w.emit(Lo, f"_d = {self.LEN}({AQ2})")
-            w.emit(Lo, f"{DH}[_d] = {DHG}(_d, 0) + 1")
-            if self.metrics:
-                # the receiving partition's pair, created on first
-                # delivery through the cache apply_link_delivery fills
-                dp = link.dst[0]
-                w.emit(Lo, f"_i = {self.RXG}({dp!r})")
-                w.emit(Lo, "if _i is None:")
-                w.emit(Lo + 1, f"_i = {self.RX}[{dp!r}] = ("
-                               f"{self.RGC}('tokens_rx', {dp!r}), "
-                               f"{self.RGH}('rx_depth', {dp!r}))")
-                w.emit(Lo, "_i[0].inc()")
-                w.emit(Lo, "_i[1].observe(_d)")
-            self._emit_event(
-                Lo, "token_rx", f"_arr + {rx}", "0.0", link.dst[0],
-                link.dst[1],
-                f'{{"link": {link.key!r}, "rx_serdes_ns": {op.rx_ns!r}, '
-                f'"depth": _d}}')
-        w.emit(Lo, f"{LK}.tokens += 1")
-        w.emit(Lo, "tt += 1")
-        self._emit_count(Lo, up, "ctr_tx", "tokens_tx")
+            return
+        dst_ch = sim._in_channel_by_key[link.dst]
+        DQ2 = b.bind(dst_ch.queue, "xq")
+        DC = b.bind(dst_ch, "xc")
+        AQ2 = b.bind(sim._arrivals[link.dst], "aq")
+        DH = b.bind(link.depth_hist, "dh")
+        DHG = b.bind(link.depth_hist.get, "dhg")
+        w.emit(Lo, f"{DQ2}.append({mw})")
+        w.emit(Lo, f"{DC}.total_enqueued += 1")
+        w.emit(Lo, f"{AQ2}.append(_arr + {rx})")
+        w.emit(Lo, f"_d = {self.LEN}({AQ2})")
+        w.emit(Lo, f"{DH}[_d] = {DHG}(_d, 0) + 1")
+        if self.metrics:
+            # the receiving partition's pair, created on first
+            # delivery through the cache apply_link_delivery fills
+            dp = link.dst[0]
+            w.emit(Lo, f"_i = {self.RXG}({dp!r})")
+            w.emit(Lo, "if _i is None:")
+            w.emit(Lo + 1, f"_i = {self.RX}[{dp!r}] = ("
+                           f"{self.RGC}('tokens_rx', {dp!r}), "
+                           f"{self.RGH}('rx_depth', {dp!r}))")
+            w.emit(Lo, "_i[0].inc()")
+            w.emit(Lo, "_i[1].observe(_d)")
+        self._emit_event(
+            Lo, "token_rx", f"_arr + {rx}", "0.0", link.dst[0],
+            link.dst[1],
+            f'{{"link": {link.key!r}, "rx_serdes_ns": {op.rx_ns!r}, '
+            f'"depth": _d}}')
 
     def _emit_advance_timing(self, La: int, up) -> None:
         """The advance's timing bookkeeping: arrival pops, link-wait
@@ -815,221 +813,114 @@ class _PartitionCodegen:
         else:
             w.emit(La, f"busy = _st + {hc}")
 
-    def _emit_advance(self, L: int, uid: int, up, names: dict,
-                      batch: bool) -> None:
-        """The fireFSM advance: pops, pokes, comb+tick, re-arm."""
+    def _emit_advance(self, L: int, up, names: dict, then: List[str],
+                      settle: Optional[List[str]] = None,
+                      keyword: str = "if") -> None:
+        """The fireFSM advance (``unit.advance()``, inlined): timing,
+        input pops + pokes, the tier's ``settle`` lines, re-arm, cycle
+        bumps; ``then`` closes the block.  ``settle=None`` prints the
+        kernel tier's fused advance instead (``if _tk:``): the ``cyc``
+        kernel already ticked over inputs that repeat, and the fire's
+        enqueue cancelled the re-arm's dequeue."""
         w, b = self.w, self.b
-        unit = up.unit
-        F, ENV, MEMS, C, T, RTL, U = (
-            names["F"], names["ENV"], names["MEMS"], names["C"],
-            names["T"], names["RTL"], names["U"])
-        fire_names = [e[0] for e in names["fire_plans"]]
+        F, ENV = names["F"], names["ENV"]
+        fused = settle is None
         in_qs = [b.bind(ch.queue, "iq") for ch, _ in names["in_plans"]]
-        conds = [f"{F}[{n!r}]" for n in fire_names] + list(in_qs)
-        w.emit(L, "if " + (" and ".join(conds) if conds else "True")
-               + ":")
+        conds = [f"{F}[{e[0]!r}]" for e in names["fire_plans"]] + in_qs
+        w.emit(L, "if _tk:" if fused else f"{keyword} "
+               + (" and ".join(conds) if conds else "True") + ":")
         La = L + 1
         self._emit_advance_timing(La, up)
-        # unit.advance(), inlined
-        for ch, fields in names["in_plans"]:
-            IQ = b.bind(ch.queue, "iq")
-            w.emit(La, f"_w = {IQ}.popleft()")
-            for line in _unpack_lines(ENV, "_w", fields):
+        for iq, (_ch, fields) in zip(in_qs, names["in_plans"]):
+            w.emit(La, f"{iq}.popleft()" if fused
+                   else f"_w = {iq}.popleft()")
+            for line in () if fused else _unpack_lines(ENV, "_w", fields):
                 w.emit(La, line)
-        w.emit(La, f"{C}({ENV}, {MEMS})")
-        w.emit(La, f"{T}({ENV}, {MEMS})")
-        w.emit(La, f"{RTL}.cycle += 1")
-        for n in unit._fired:
-            w.emit(La, f"{F}[{n!r}] = False")
-        for ch in names["out_channels"]:
-            OQ = b.bind(ch.queue, "oq")
-            w.emit(La, f"if {OQ}:")
-            w.emit(La + 1, f"{OQ}.popleft()")
-        w.emit(La, f"{U}.target_cycle += 1")
+        for line in settle or ():
+            w.emit(La, line)
+        w.emit(La, f"{names['RTL']}.cycle += 1")
+        if not fused:
+            for n in up.unit._fired:
+                w.emit(La, f"{F}[{n!r}] = False")
+            for ch in names["out_channels"]:
+                OQ = b.bind(ch.queue, "oq")
+                w.emit(La, f"if {OQ}:")
+                w.emit(La + 1, f"{OQ}.popleft()")
+        w.emit(La, f"{names['U']}.target_cycle += 1")
         self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
-        if self.eval_dedup:
-            w.emit(La, f"dty{uid} = True")
-        if batch:
-            w.emit(La, "advanced = True")
+        for line in then:
+            w.emit(La, line)
 
-    def _emit_fallback(self, Lu: int, uid: int, up, names: dict,
-                       guard: str, use_dty: bool,
-                       qs: Optional[str] = None) -> None:
-        """The interpreter delegation block behind a runtime guard."""
-        w = self.w
-        UP = self.b.bind(up, "up")
-        w.emit(Lu, f"if {guard}:")
-        w.emit(Lu + 1, self._sync_out())
-        w.emit(Lu + 1, "try:")
-        w.emit(Lu + 2, f"if {self.RI}({UP}, target_cycles):")
-        w.emit(Lu + 3, "progress = True")
-        w.emit(Lu + 1, "finally:")
-        w.emit(Lu + 2, self._sync_in())
-        if use_dty:
-            w.emit(Lu + 1, f"dty{uid} = True")
-        if qs is not None:
-            # the interpreter may have moved RTL state behind the
-            # kernels' back: drop the quiescence cache
-            w.emit(Lu + 1, f"{qs}[0] = False")
-
-    def _emit_unit_kernel(self, L: int, uid: int, up, names: dict,
-                          kern) -> None:
-        """Kernel-tier unit pass: fused RTL kernels replace the generic
-        comb/tick calls.  When the pending input words equal the
-        currently-poked values (every field), the fire and the advance
-        share ONE settle (the ``cyc`` kernel) — otherwise the pass
-        splits into the cone-reduced ``fire`` kernel and, after the
-        pokes, a second kernel call for the tick."""
-        w, b, sim = self.w, self.b, self.sim
-        unit = up.unit
-        F, ENV, MEMS, RTL, U = (names["F"], names["ENV"], names["MEMS"],
-                                names["RTL"], names["U"])
+    def _emit_kernel_fire(self, Lb: int, uid: int, up, names: dict
+                          ) -> None:
+        """Kernel-tier fire fragment.  When the pending input words
+        equal the currently-poked values (every field), the fire and
+        the advance share ONE settle (the ``cyc`` kernel, ``_tk``) —
+        replayed from the quiescence cell while the tick sits at a
+        fixed point — otherwise the cone-reduced ``fire`` kernel runs
+        and the advance settles again after the pokes."""
+        w, b = self.w, self.b
+        F, ENV, MEMS, KF, KC, QS, in_qs = (names[n] for n in (
+            "F", "ENV", "MEMS", "KF", "KC", "QS", "in_qs"))
         fire_plans = names["fire_plans"]
-        in_plans = names["in_plans"]
         k = len(fire_plans)
-        if k:
-            KF = b.bind(kern[0], "kf")
-            # the split-path advance calls cyc too, words ignored
-            KA = KC = b.bind(kern[2], "kc")
+        wvars = ", ".join(f"w{uid}_{j}" for j in range(k))
+        w.emit(Lb, f"if not {F}[{fire_plans[0][0]!r}]:")
+        Lf = Lb + 1
+        # fused-settle eligibility: every pending input word decodes
+        # to the value its port already holds
+        eq_terms: List[str] = []
+        peeks: List[str] = []
+        for i, (_ch, fields) in enumerate(names["in_plans"]):
+            hv = f"_h{i}"
+            peeks.append(f"{hv} = {in_qs[i]}[0]")
+            eq_terms += [f"{ENV}[{port!r}] == {_field(hv, off, msk)}"
+                         for port, off, msk in fields]
+        if in_qs:
+            w.emit(Lf, "if " + " and ".join(in_qs) + ":")
+            for line in peeks:
+                w.emit(Lf + 1, line)
+            w.emit(Lf + 1, "_tk = "
+                   + (" and ".join(eq_terms) if eq_terms else "True"))
         else:
-            KA = b.bind(kern[1], "ka")
-        in_qs = [b.bind(ch.queue, "iq") for ch, _ in in_plans]
-        batch = bool(up.batchable and sim._batching)
-        #: quiescence cell: [converged, word0, ..., word(k-1)] — True
-        #: plus cached words means the previous settle hit a tick fixed
-        #: point, so a repeat-input cycle replays the words and skips
-        #: the kernel call entirely
-        QS = None
-        if k:
-            QS = b.bind([False] + [0] * k, "qs")
-        w.emit(L, f"# unit {up.prefix}{unit.name}: fused RTL kernels")
-        w.emit(L, f"if {U}.target_cycle < target_cycles:")
-        Lu = L + 1
-        # runtime guard: outbox state or non-uniform fire flags mean a
-        # shape the kernels do not model (e.g. a checkpoint captured
-        # mid-host_step) — delegate that pass to the interpreter
-        guard = f"{U}.outbox"
-        if k >= 2:
-            n0 = fire_plans[0][0]
-            guard += "".join(f" or {F}[{n0!r}] != {F}[{e[0]!r}]"
-                             for e in fire_plans[1:])
-        self._emit_fallback(Lu, uid, up, names, guard, use_dty=False,
-                            qs=QS)
-        w.emit(Lu, "else:")
-        Lb = Lu + 1
-        if batch:
-            w.emit(Lb, "batched = 0")
-            w.emit(Lb, "while True:")
-            Lb += 1
+            w.emit(Lf, "_tk = True")
+        w.emit(Lf, "if _tk:")
+        w.emit(Lf + 1, f"if {QS}[0]:")
         for j in range(k):
-            w.emit(Lb, f"w{uid}_{j} = None")
-        w.emit(Lb, "_tk = False")
-        if k:
-            wvars = ", ".join(f"w{uid}_{j}" for j in range(k))
-            w.emit(Lb, f"if not {F}[{fire_plans[0][0]!r}]:")
-            Lf = Lb + 1
-            # fused-settle eligibility: every pending input word decodes
-            # to the value its port already holds
-            eq_terms: List[str] = []
-            peeks: List[str] = []
-            for i, (_ch, fields) in enumerate(in_plans):
-                hv = f"_h{i}"
-                peeks.append(f"{hv} = {in_qs[i]}[0]")
-                for port, off, msk in fields:
-                    if off:
-                        eq_terms.append(
-                            f"{ENV}[{port!r}] == ({hv} >> {off}) & {msk}")
-                    else:
-                        eq_terms.append(f"{ENV}[{port!r}] == {hv} & {msk}")
-            if in_qs:
-                w.emit(Lf, "if " + " and ".join(in_qs) + ":")
-                for line in peeks:
-                    w.emit(Lf + 1, line)
-                w.emit(Lf + 1, "_tk = "
-                       + (" and ".join(eq_terms) if eq_terms else "True"))
-            else:
-                w.emit(Lf, "_tk = True")
-            w.emit(Lf, "if _tk:")
-            w.emit(Lf + 1, f"if {QS}[0]:")
-            for j in range(k):
-                w.emit(Lf + 2, f"w{uid}_{j} = {QS}[{j + 1}]")
-            w.emit(Lf + 1, "else:")
-            w.emit(Lf + 2, f"{wvars}, _cv = {KC}({ENV}, {MEMS})")
-            w.emit(Lf + 2, f"{QS}[0] = _cv")
-            for j in range(k):
-                w.emit(Lf + 2, f"{QS}[{j + 1}] = w{uid}_{j}")
-            for entry in fire_plans:
-                OC = b.bind(entry[1], "oc")
-                # the fire's enqueue and the advance's dequeue cancel;
-                # only the channel's token counter survives
-                w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
-            w.emit(Lf, "else:")
-            w.emit(Lf + 1, f"{wvars} = {KF}({ENV}, {MEMS})")
-            w.emit(Lf + 1, f"{QS}[0] = False")
-            for j, entry in enumerate(fire_plans):
-                OQ = b.bind(entry[1].queue, "oq")
-                OC = b.bind(entry[1], "oc")
-                w.emit(Lf + 1, f"{OQ}.append(w{uid}_{j})")
-                w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
-                w.emit(Lf + 1, f"{F}[{entry[0]!r}] = True")
-            w.emit(Lf, "progress = True")
-            for entry in fire_plans:
-                self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
-        # process fired tokens in fire (outbox) order
+            w.emit(Lf + 2, f"w{uid}_{j} = {QS}[{j + 1}]")
+        w.emit(Lf + 1, "else:")
+        w.emit(Lf + 2, f"{wvars}, _cv = {KC}({ENV}, {MEMS})")
+        w.emit(Lf + 2, f"{QS}[0] = _cv")
+        for j in range(k):
+            w.emit(Lf + 2, f"{QS}[{j + 1}] = w{uid}_{j}")
+        for entry in fire_plans:
+            OC = b.bind(entry[1], "oc")
+            # the fire's enqueue and the advance's dequeue cancel;
+            # only the channel's token counter survives
+            w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
+        w.emit(Lf, "else:")
+        w.emit(Lf + 1, f"{wvars} = {KF}({ENV}, {MEMS})")
+        w.emit(Lf + 1, f"{QS}[0] = False")
         for j, entry in enumerate(fire_plans):
-            self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
-        if batch:
-            w.emit(Lb, "advanced = False")
-        # the advance: fused (tick already committed by the cyc kernel)
-        # or split (pokes + the adv kernel)
-        w.emit(Lb, "if _tk:")
-        La = Lb + 1
-        self._emit_advance_timing(La, up)
-        for iq in in_qs:
-            w.emit(La, f"{iq}.popleft()")
-        w.emit(La, f"{RTL}.cycle += 1")
-        w.emit(La, f"{U}.target_cycle += 1")
-        self._emit_wrapper_event(La, "advance", up, "")
-        w.emit(La, "progress = True")
-        if batch:
-            w.emit(La, "advanced = True")
-        conds = [f"{F}[{e[0]!r}]" for e in fire_plans] + list(in_qs)
-        w.emit(Lb, "elif " + (" and ".join(conds) if conds else "True")
-               + ":")
-        self._emit_advance_timing(La, up)
-        for i, (ch, fields) in enumerate(in_plans):
-            w.emit(La, f"_w = {in_qs[i]}.popleft()")
-            for line in _unpack_lines(ENV, "_w", fields):
-                w.emit(La, line)
-        w.emit(La, f"{KA}({ENV}, {MEMS})")
-        if QS is not None:
-            # a changed-input tick: cached words no longer match
-            w.emit(La, f"{QS}[0] = False")
-        w.emit(La, f"{RTL}.cycle += 1")
-        for n in unit._fired:
-            w.emit(La, f"{F}[{n!r}] = False")
-        for ch in names["out_channels"]:
-            OQ = b.bind(ch.queue, "oq")
-            w.emit(La, f"if {OQ}:")
-            w.emit(La + 1, f"{OQ}.popleft()")
-        w.emit(La, f"{U}.target_cycle += 1")
-        self._emit_wrapper_event(La, "advance", up, "")
-        w.emit(La, "progress = True")
-        if batch:
-            w.emit(La, "advanced = True")
-        if batch:
-            limit = sim._BATCH_LIMIT
-            w.emit(Lb, f"if not advanced or {U}.target_cycle >= "
-                       f"target_cycles:")
-            w.emit(Lb + 1, "break")
-            w.emit(Lb, "batched += 1")
-            w.emit(Lb, f"if batched >= {limit}:")
-            w.emit(Lb + 1, "break")
-            for level, line in self._feed_lines(up.source_ops):
-                w.emit(Lb + level, line)
+            OQ = b.bind(entry[1].queue, "oq")
+            OC = b.bind(entry[1], "oc")
+            w.emit(Lf + 1, f"{OQ}.append(w{uid}_{j})")
+            w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
+            w.emit(Lf + 1, f"{F}[{entry[0]!r}] = True")
+        w.emit(Lf, "progress = True")
+        for entry in fire_plans:
+            self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
 
     def _emit_unit(self, L: int, uid: int, up) -> None:
+        """One unit's pass, both tiers: header, outbox guard +
+        interpreter fallback, batch loop, fire, out-ops, advance.  A
+        tier supplies only its fire fragment and the advance's
+        ``settle`` lines (``stale`` drops the settle it carries across
+        passes): the generic tier the engine's ``comb``/``tick`` pair
+        behind a dirty flag; the kernel tier (dep-free units on a
+        compiled engine) fused, cone-reduced RTL kernels plus the fused
+        single-settle advance ahead of the shared split-path one."""
         w, b, sim = self.w, self.b, self.sim
         unit = up.unit
         bindings = unit.step_bindings()
@@ -1044,73 +935,111 @@ class _PartitionCodegen:
             "out_channels": bindings["out_channels"],
             "up": up,
         }
-        # kernel tier: dep-free (fast-mode) units on a compiled engine
-        # get fused, cone-reduced RTL kernels instead of the generic
-        # comb/tick pair
-        if bindings["rtl"].compiled \
-                and all(not entry[2] for entry in bindings["fire_plans"]):
-            kern = _unit_kernels(unit, bindings["fire_plans"])
-            self.kernel_units.append(uid)
-            self._emit_unit_kernel(L, uid, up, names, kern)
-            return
-        names["C"] = b.bind(bindings["comb"], "c")
-        names["T"] = b.bind(bindings["tick"], "t")
-        if self.eval_dedup:
-            cell = [True]
-            self.dirty_cells[uid] = cell
-            b.bind(cell, "dc")
-        U = names["U"]
-        batch = bool(up.batchable and sim._batching)
-        w.emit(L, f"if {U}.target_cycle < target_cycles:")
-        Lu = L + 1
+        U, F = names["U"], names["F"]
+        settle_args = f"({names['ENV']}, {names['MEMS']})"
+        fire_plans = names["fire_plans"]
+        k = len(fire_plans)
         # runtime guard: a non-empty outbox means state the generated
         # code does not model (e.g. a checkpoint captured between a fire
         # and its drain) — delegate this unit's pass to the interpreter
-        self._emit_fallback(Lu, uid, up, names, f"{U}.outbox",
-                            use_dty=self.eval_dedup)
+        guard = f"{U}.outbox"
+        kernel = bindings["rtl"].compiled \
+            and all(not entry[2] for entry in fire_plans)
+        if kernel:
+            kern = _unit_kernels(unit, fire_plans)
+            self.kernel_units.append(uid)
+            if k:
+                names["KF"] = b.bind(kern[0], "kf")
+                # the split-path advance calls cyc too, words ignored
+                KA = names["KC"] = b.bind(kern[2], "kc")
+            else:
+                KA = b.bind(kern[1], "ka")
+            names["in_qs"] = [b.bind(ch.queue, "iq")
+                              for ch, _ in names["in_plans"]]
+            stale = []
+            if k:
+                #: quiescence cell: [converged, word0, ..., word(k-1)]
+                #: — True plus cached words means the previous settle
+                #: hit a tick fixed point, so a repeat-input cycle
+                #: replays the words and skips the kernel call entirely
+                names["QS"] = b.bind([False] + [0] * k, "qs")
+                stale = [f"{names['QS']}[0] = False"]
+                # non-uniform fire flags: a shape the kernels do not
+                # model either
+                guard += "".join(
+                    f" or {F}[{fire_plans[0][0]!r}] != {F}[{e[0]!r}]"
+                    for e in fire_plans[1:])
+            # a changed-input tick: the cached words no longer match
+            settle, dirty = [KA + settle_args] + stale, []
+            w.emit(L, f"# unit {up.prefix}{unit.name}: fused RTL kernels")
+        else:
+            names["C"] = b.bind(bindings["comb"], "c")
+            T = b.bind(bindings["tick"], "t")
+            #: dirty cell: True means the RTL env may be unsettled (eval
+            #: needed before a no-dep fire can re-pack)
+            self.dirty_cells[uid] = cell = [True]
+            b.bind(cell, "dc")
+            settle = [names["C"] + settle_args, T + settle_args]
+            stale = dirty = [f"dty{uid} = True"]
+        batch = bool(up.batchable and sim._batching)
+        then = dirty + (["advanced = True"] if batch else [])
+        w.emit(L, f"if {U}.target_cycle < target_cycles:")
+        Lu = L + 1
+        w.emit(Lu, f"if {guard}:")
+        w.emit(Lu + 1, "; ".join(self._cursor_stmts(load=False)))
+        w.emit(Lu + 1, "try:")
+        w.emit(Lu + 2, f"if {self.RI}({b.bind(up, 'up')}, target_cycles):")
+        w.emit(Lu + 3, "progress = True")
+        w.emit(Lu + 1, "finally:")
+        w.emit(Lu + 2, "; ".join(self._cursor_stmts(load=True)))
+        for line in stale:  # the interpreter moved RTL state
+            w.emit(Lu + 1, line)
         w.emit(Lu, "else:")
         Lb = Lu + 1
         if batch:
             w.emit(Lb, "batched = 0")
             w.emit(Lb, "while True:")
             Lb += 1
-        fire_plans = names["fire_plans"]
-        for j in range(len(fire_plans)):
+        for j in range(k):
             w.emit(Lb, f"w{uid}_{j} = None")
-        for j, entry in enumerate(fire_plans):
-            self._emit_fire(Lb, uid, j, entry, names)
+        if kernel:
+            w.emit(Lb, "_tk = False")
+            if k:
+                self._emit_kernel_fire(Lb, uid, up, names)
+        else:
+            for j, entry in enumerate(fire_plans):
+                self._emit_fire(Lb, uid, j, entry, names)
         # process fired tokens in fire (outbox) order
         for j, entry in enumerate(fire_plans):
             self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
         if batch:
             w.emit(Lb, "advanced = False")
-        self._emit_advance(Lb, uid, up, names, batch)
+        if kernel:
+            self._emit_advance(Lb, up, names, then)
+        self._emit_advance(Lb, up, names, then, settle,
+                           "elif" if kernel else "if")
         if batch:
-            limit = sim._BATCH_LIMIT
             w.emit(Lb, f"if not advanced or {U}.target_cycle >= "
                        f"target_cycles:")
             w.emit(Lb + 1, "break")
             w.emit(Lb, "batched += 1")
-            w.emit(Lb, f"if batched >= {limit}:")
+            w.emit(Lb, f"if batched >= {sim._BATCH_LIMIT}:")
             w.emit(Lb + 1, "break")
-            for level, line in self._feed_lines(up.source_ops):
-                w.emit(Lb + level, line)
+            self._emit_feed(Lb, up.source_ops)
 
     # -- whole function ---------------------------------------------------
 
     def generate(self) -> Tuple[str, Dict[str, object]]:
-        w, b = self.w, self.b
         # emit the body first so the binder discovers every name, then
         # assemble the header (bindings ride in as default args: every
         # pre-bound object is a LOAD_FAST in the hot loop)
-        body = _Writer()
-        self.w = body
         Lt = 3  # body statements sit inside ``_step``'s ``try:``
-        for level, line in self._feed_lines(self.pplan.source_ops):
-            body.emit(Lt + level, line)
+        self._emit_feed(Lt, self.pplan.source_ops)
         for uid, up in enumerate(self.pplan.unit_plans):
             self._emit_unit(Lt, uid, up)
-        self.w = w
+        body, w = self.w.lines, _Writer()
+        dirty = [(f"dty{uid}", f"{self.b.bind(cell, 'dc')}[0]")
+                 for uid, cell in self.dirty_cells.items()]
         w.emit(0, "def _make(_B):")
         w.emit(1, "def _step(")
         w.emit(2, "target_cycles,")
@@ -1118,44 +1047,29 @@ class _PartitionCodegen:
             w.emit(2, f"{name}=_B[{name!r}],")
         w.emit(1, "):")
         w.emit(2, "progress = False")
-        w.emit(2, f"busy = {self.PT}.busy_until")
-        w.emit(2, f"lw = {self.SP}.link_wait_ns")
-        w.emit(2, f"cs = {self.SP}.credit_stall_ns")
-        w.emit(2, f"sd = {self.SP}.serdes_ns")
-        w.emit(2, f"cp = {self.SP}.compute_ns")
-        w.emit(2, f"sy = {self.SP}.sync_ns")
-        w.emit(2, f"tt = {self.SIM}.total_tokens")
-        for uid, cell in self.dirty_cells.items():
-            w.emit(2, f"dty{uid} = {self.b.bind(cell, 'dc')}[0]")
+        for stmt in self._cursor_stmts(load=True) \
+                + [f"{local} = {cell}" for local, cell in dirty]:
+            w.emit(2, stmt)
         w.emit(2, "try:")
-        if not body.lines:
-            w.emit(3, "pass")
-        self.w.lines.extend(body.lines)
+        w.lines.extend(body or ["    " * Lt + "pass"])
         w.emit(2, "finally:")
-        w.emit(3, f"{self.PT}.busy_until = busy")
-        w.emit(3, f"{self.SP}.link_wait_ns = lw")
-        w.emit(3, f"{self.SP}.credit_stall_ns = cs")
-        w.emit(3, f"{self.SP}.serdes_ns = sd")
-        w.emit(3, f"{self.SP}.compute_ns = cp")
-        w.emit(3, f"{self.SP}.sync_ns = sy")
-        w.emit(3, f"{self.SIM}.total_tokens = tt")
-        for uid, cell in self.dirty_cells.items():
-            w.emit(3, f"{self.b.bind(cell, 'dc')}[0] = dty{uid}")
+        for stmt in self._cursor_stmts(load=False) \
+                + [f"{cell} = {local}" for local, cell in dirty]:
+            w.emit(3, stmt)
         w.emit(2, "return progress")
         w.emit(1, "return _step")
         return "\n".join(w.lines) + "\n", dict(self.b.values)
 
 
-def generate_partition_source(sim, pplan, eval_dedup: bool = True
+def generate_partition_source(sim, pplan
                               ) -> Tuple[str, Dict[str, object]]:
     """Generate one partition's step-function source plus the binding
     table its default arguments are resolved from.  The caller must
     have checked :func:`partition_jit_reason` first."""
-    return _PartitionCodegen(sim, pplan, eval_dedup=eval_dedup).generate()
+    return _PartitionCodegen(sim, pplan).generate()
 
 
-def compile_step_functions(sim, only: Optional[Set[str]] = None,
-                           eval_dedup: bool = True
+def compile_step_functions(sim, only: Optional[Set[str]] = None
                            ) -> Tuple[Dict[str, Callable],
                                       Dict[str, str]]:
     """Compile every eligible partition of ``sim``'s current schedule
@@ -1166,9 +1080,7 @@ def compile_step_functions(sim, only: Optional[Set[str]] = None,
     ``report`` maps every partition to a human-readable compile verdict
     (also stored by the harness as ``last_jit_report``).  ``only``
     restricts compilation to the named partitions (a process worker
-    compiles just its own).  ``eval_dedup=False`` disables the
-    dirty-flag eval elision (used when a ``stop`` callback could mutate
-    RTL state between passes behind the generated code's back)."""
+    compiles just its own)."""
     fns: Dict[str, Callable] = {}
     report: Dict[str, str] = {}
     for pplan in sim.ensure_schedule():
@@ -1180,7 +1092,7 @@ def compile_step_functions(sim, only: Optional[Set[str]] = None,
         if reason is not None:
             report[name] = f"interpreted: {reason}"
             continue
-        cg = _PartitionCodegen(sim, pplan, eval_dedup=eval_dedup)
+        cg = _PartitionCodegen(sim, pplan)
         src, bindings = cg.generate()
         namespace: Dict[str, object] = {}
         exec(compile(src, f"<stepjit:{name}>", "exec"), namespace)
@@ -1191,7 +1103,7 @@ def compile_step_functions(sim, only: Optional[Set[str]] = None,
     return fns, report
 
 
-def generate_sources(sim, eval_dedup: bool = True
+def generate_sources(sim
                      ) -> Dict[str, Tuple[Optional[str], Optional[str]]]:
     """Per-partition ``(source, reject_reason)`` for inspection
     (``repro jit --dump``); exactly one of the pair is None."""
@@ -1201,7 +1113,6 @@ def generate_sources(sim, eval_dedup: bool = True
         if reason is not None:
             out[pplan.part.name] = (None, reason)
         else:
-            src, _ = generate_partition_source(
-                sim, pplan, eval_dedup=eval_dedup)
+            src, _ = generate_partition_source(sim, pplan)
             out[pplan.part.name] = (src, None)
     return out

@@ -10,7 +10,7 @@ fired.  :class:`LIBDNHost` wraps one RTL :class:`~repro.rtl.Simulator`;
 the way the FAME-5 transform threads duplicate modules.
 """
 
-from .codec import INCOMPATIBLE, TokenCodec, codec_for, repack, repack_plan
+from .codec import TokenCodec, codec_for, repack, repack_plan
 from .token import Channel, ChannelSpec, Token, zeros_token
 from .wrapper import LIBDNHost
 from .fame5 import FAME5Host
@@ -23,7 +23,6 @@ __all__ = [
     "codec_for",
     "repack",
     "repack_plan",
-    "INCOMPATIBLE",
     "zeros_token",
     "LIBDNHost",
     "FAME5Host",

@@ -19,18 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..errors import SimulationError
+from ..errors import SimulationError, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .token import ChannelSpec, Token
 
 #: One bit-move of a repack: (src_offset, mask, dst_offset).
 Move = Tuple[int, int, int]
-
-#: Sentinel plan for peers whose layouts cannot be repacked bit-wise
-#: (a destination port the source does not feed); callers fall back to
-#: the dict path, which reports the missing ports exactly as before.
-INCOMPATIBLE = object()
 
 
 class TokenCodec:
@@ -93,10 +88,12 @@ def repack_plan(src: TokenCodec, dst: TokenCodec,
     ``dst``-layout word, applying the link's port ``rename`` map.
 
     Returns ``None`` when the layouts coincide (the common case: peers
-    declare the same ports in the same order), a tuple of
-    :data:`Move` entries otherwise, or :data:`INCOMPATIBLE` when some
-    destination port would be left unfed (the caller's dict fallback
-    then raises the same missing-port error the unpacked path did).
+    declare the same ports in the same order) and a tuple of
+    :data:`Move` entries otherwise.  A destination port no source port
+    feeds is a wiring mistake, not a layout: it raises
+    :class:`~repro.errors.TransportError` naming the ports (the harness
+    builds every link's plan at construction, so a mis-wired link never
+    reaches its first token).
     """
     rename = rename or {}
     dst_fields = {port: (offset, mask) for port, offset, mask in dst.fields}
@@ -105,12 +102,16 @@ def repack_plan(src: TokenCodec, dst: TokenCodec,
     for port, offset, mask in src.fields:
         target = rename.get(port, port)
         if target not in dst_fields:
-            continue  # mirrors map_token: unknown keys are dropped
+            continue  # a source port the peer does not declare is dropped
         d_offset, d_mask = dst_fields[target]
         moves.append((offset, mask & d_mask, d_offset))
         fed.add(target)
     if len(fed) != len(dst_fields):
-        return INCOMPATIBLE
+        raise TransportError(
+            f"destination ports {sorted(set(dst_fields) - fed)} of "
+            f"channel {dst.spec.name!r} are fed by no source port "
+            f"(channel {src.spec.name!r} sends "
+            f"{[rename.get(p, p) for p, _, _ in src.fields]})")
     # identity iff every src field maps to the same offset with its full
     # mask: the word can then be forwarded untouched (src bits beyond
     # the dst width cannot exist — the word is bounded by src.width)

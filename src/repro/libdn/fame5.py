@@ -15,7 +15,7 @@ channels of the wrapped module, namespaced ``t<i>:<channel>``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..rtl.engine import Simulator
@@ -88,10 +88,6 @@ class FAME5Host:
         thread, base = self._split(channel)
         self.threads[thread].deliver(base, token)
 
-    def deliver_word(self, channel: str, word: int) -> None:
-        thread, base = self._split(channel)
-        self.threads[thread].deliver_word(base, word)
-
     def seed_inputs(self) -> None:
         for t in self.threads:
             t.seed_inputs()
@@ -102,22 +98,6 @@ class FAME5Host:
             out.extend((f"t{i}:{name}", token)
                        for name, token in t.drain_outbox())
         return out
-
-    def drain_outbox_words(self) -> List[Tuple[str, int]]:
-        out: List[Tuple[str, int]] = []
-        for i, t in enumerate(self.threads):
-            out.extend((f"t{i}:{name}", word)
-                       for name, word in t.drain_outbox_words())
-        return out
-
-    def step_bindings(self) -> List[dict]:
-        """Per-thread fast-path bindings for the compiled step plane
-        (see :meth:`~repro.libdn.wrapper.LIBDNHost.step_bindings`).
-
-        The harness schedules FAME-5 threads as individual units, so the
-        step generator binds each thread separately; this aggregate view
-        exists for tooling that inspects a host as a whole."""
-        return [t.step_bindings() for t in self.threads]
 
     # -- observability ---------------------------------------------------------
 

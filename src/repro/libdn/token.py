@@ -1,9 +1,9 @@
 """Tokens and latency-insensitive channels.
 
 A *token* carries one target cycle's worth of values for every port mapped
-to a channel.  Channels are unbounded FIFOs by default (the bounded-ness of
-real LI-BDNs matters for host buffer sizing, which the platform layer
-models separately); a capacity can be set to study backpressure.
+to a channel.  Channels are unbounded FIFOs: the bound a real LI-BDN
+places on in-flight tokens is the harness's ``channel_capacity`` credit
+window (priced by the timing overlay), not a queue limit here.
 
 Internally a channel queue holds *packed words* — one Python int per
 token, laid out by the spec's :class:`~repro.libdn.codec.TokenCodec` —
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, Sequence, Tuple
 
 from ..errors import SimulationError
 from .codec import TokenCodec, codec_for
@@ -64,12 +64,11 @@ def zeros_token(spec: ChannelSpec) -> Token:
 class Channel:
     """FIFO of packed token words for one :class:`ChannelSpec`."""
 
-    __slots__ = ("spec", "codec", "capacity", "queue", "total_enqueued")
+    __slots__ = ("spec", "codec", "queue", "total_enqueued")
 
-    def __init__(self, spec: ChannelSpec, capacity: Optional[int] = None):
+    def __init__(self, spec: ChannelSpec):
         self.spec = spec
         self.codec: TokenCodec = codec_for(spec)
-        self.capacity = capacity
         self.queue: Deque[int] = deque()
         self.total_enqueued = 0
 
@@ -77,22 +76,11 @@ class Channel:
     def name(self) -> str:
         return self.spec.name
 
-    def can_put(self) -> bool:
-        return self.capacity is None or len(self.queue) < self.capacity
-
     def put(self, token: Token) -> None:
-        if not self.can_put():
-            raise SimulationError(
-                f"channel {self.name!r} overflow (capacity {self.capacity})"
-            )
         self.queue.append(self.codec.encode(token))
         self.total_enqueued += 1
 
     def put_word(self, word: int) -> None:
-        if self.capacity is not None and len(self.queue) >= self.capacity:
-            raise SimulationError(
-                f"channel {self.name!r} overflow (capacity {self.capacity})"
-            )
         self.queue.append(word)
         self.total_enqueued += 1
 

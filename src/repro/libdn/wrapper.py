@@ -154,10 +154,6 @@ class LIBDNHost:
         """Enqueue a token arriving on an input channel."""
         self.in_channels[channel].put(token)
 
-    def deliver_word(self, channel: str, word: int) -> None:
-        """Enqueue an already-packed token word (harness hot path)."""
-        self.in_channels[channel].put_word(word)
-
     def seed_inputs(self) -> None:
         """Prime every input channel with one all-zero token (fast-mode
         initialization; injects one cycle of latency at the boundary)."""

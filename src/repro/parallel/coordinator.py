@@ -480,6 +480,15 @@ class ProcessBackend:
 
                 min_frontier = min(s.frontier
                                    for s in states.values())
+                # a crash strictly inside the segment fires even when
+                # the first report already shows the segment done (the
+                # one-cycle-per-pass in-process loop would have crashed
+                # on the way); one *at* its end fires at the next entry
+                if crash_cycle is not None and not stopping \
+                        and crash_cycle < target_cycles \
+                        and min_frontier >= crash_cycle:
+                    broadcast(endpoints, ("abort", "crash"))
+                    raise InjectedCrash(crash_cycle)
                 if not stopping and min_frontier >= target_cycles:
                     # fence: running the wavefront through this pass
                     # guarantees every effect-bearing frame (all emitted
@@ -494,10 +503,6 @@ class ProcessBackend:
                            for s in states.values()):
                         break
                     continue
-                if crash_cycle is not None \
-                        and min_frontier >= crash_cycle:
-                    broadcast(endpoints, ("abort", "crash"))
-                    raise InjectedCrash(crash_cycle)
 
                 k_star = self._deadlock_pass(states)
                 if k_star is not None:

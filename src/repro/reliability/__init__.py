@@ -34,8 +34,8 @@ from .faults import (
     FaultInjector,
     FaultSpec,
     FaultyTransport,
-    corrupt_token,
-    token_crc,
+    corrupt_word,
+    word_crc,
 )
 from .link import (
     ReliableLinkConfig,
@@ -62,8 +62,8 @@ __all__ = [
     "FaultInjector",
     "FaultyTransport",
     "AttemptOutcome",
-    "token_crc",
-    "corrupt_token",
+    "word_crc",
+    "corrupt_word",
     "ReliableLinkConfig",
     "ReliableLinkLayer",
     "harden_links",

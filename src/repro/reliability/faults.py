@@ -24,20 +24,24 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..harness.partitioned import Link, TransmitResult
-from ..libdn.token import Token
+from ..libdn.codec import TokenCodec
 from ..platform.transport import TransportModel
 
 
-def token_crc(token: Token) -> int:
-    """CRC-32 of a canonical serialization of one token's payload."""
-    payload = ";".join(
-        f"{name}={token[name]}" for name in sorted(token)).encode()
-    return zlib.crc32(payload)
+def word_crc(word: int, codec: TokenCodec) -> int:
+    """CRC-32 of one packed token as it crosses the wire: the word's
+    fixed-width little-endian bytes."""
+    return zlib.crc32(word.to_bytes(codec.nbytes, "little"))
 
 
-def corrupt_token(token: Token, port: str, bit: int) -> Token:
-    """Return a copy of ``token`` with one bit of ``port`` flipped."""
-    return {**token, port: token[port] ^ (1 << bit)}
+def corrupt_word(word: int, codec: TokenCodec, port: str,
+                 bit: int) -> int:
+    """Return ``word`` with bit ``bit`` of ``port`` flipped.  The flip
+    is masked to the port at its codec offset, so it can never spill
+    into a neighbouring port (a flip past the port's width is lost, as
+    it would be when the receiver re-masks the field)."""
+    offset, mask = {n: (o, m) for n, o, m in codec.fields}[port]
+    return word ^ (((1 << bit) & mask) << offset)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,8 @@ class FaultInjector:
         self.spec = spec
 
     def outcome(self, link_key: str, seq: int, attempt: int,
-                depart_ns: float, token: Token) -> AttemptOutcome:
+                depart_ns: float, word: int,
+                codec: TokenCodec) -> AttemptOutcome:
         spec = self.spec
         for start, duration in spec.flaps:
             if start <= depart_ns < start + duration:
@@ -96,7 +101,7 @@ class FaultInjector:
         if roll < spec.drop_rate:
             return AttemptOutcome(dropped=True)
         if roll < spec.drop_rate + spec.corrupt_rate:
-            ports = sorted(token)
+            ports = sorted(codec.spec.port_names)
             return AttemptOutcome(
                 corrupt_port=ports[rng.randrange(len(ports))],
                 corrupt_bit=0)
@@ -105,21 +110,22 @@ class FaultInjector:
                 extra_latency_ns=spec.spike_ns * (0.5 + rng.random()))
         return AttemptOutcome()
 
-    def raw_transmit(self, link: Link, depart_ns: float,
-                     width_bits: int, token: Token) -> TransmitResult:
+    def raw_transmit(self, link: Link, depart_ns: float, word: int,
+                     codec: TokenCodec) -> TransmitResult:
         """Single-shot transmission with no recovery: drops and flaps
         lose the token (the LI-BDN downstream will starve and the run
         deadlocks), corruption delivers a wrong payload.  This is the
         failure mode the reliable link layer exists to prevent."""
-        out = self.outcome(link.key, link.tokens, 0, depart_ns, token)
+        out = self.outcome(link.key, link.tokens, 0, depart_ns, word,
+                           codec)
         if out.dropped or out.link_down_until is not None:
-            return TransmitResult(depart_ns, token, False)
+            return TransmitResult(depart_ns, word, False)
         if out.corrupt_port is not None:
-            token = corrupt_token(token, out.corrupt_port,
-                                  out.corrupt_bit)
-        arrive = (depart_ns + link.transport.wire_ns(width_bits)
+            word = corrupt_word(word, codec, out.corrupt_port,
+                                out.corrupt_bit)
+        arrive = (depart_ns + link.transport.wire_ns(codec.width)
                   + out.extra_latency_ns)
-        return TransmitResult(arrive, token, True)
+        return TransmitResult(arrive, word, True)
 
 
 class FaultyTransport:

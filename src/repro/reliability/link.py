@@ -21,15 +21,15 @@ from typing import Optional
 
 from ..errors import LinkGiveUpError, TransportError
 from ..harness.partitioned import Link, PartitionedSimulation, TransmitResult
-from ..libdn.token import Token
+from ..libdn.codec import TokenCodec
 from ..observability.tracer import TraceEvent
 from .faults import (
     AttemptOutcome,
     FaultInjector,
     FaultSpec,
     FaultyTransport,
-    corrupt_token,
-    token_crc,
+    corrupt_word,
+    word_crc,
 )
 
 
@@ -78,25 +78,27 @@ class ReliableLinkLayer:
         return min(cfg.timeout_ns * cfg.backoff ** attempt,
                    cfg.max_backoff_ns)
 
-    def transmit(self, link: Link, depart_ns: float, width_bits: int,
-                 token: Token) -> TransmitResult:
-        """Deliver ``token`` across ``link`` no matter what the injector
+    def transmit(self, link: Link, depart_ns: float, word: int,
+                 codec: TokenCodec) -> TransmitResult:
+        """Deliver the packed token ``word`` (laid out by the source
+        channel's ``codec``) across ``link`` no matter what the injector
         throws at it (up to ``max_retries``), accumulating the retry
         delay into the returned timing."""
         cfg = self.config
         injector: Optional[FaultInjector] = link.hooks.injector
         tracer = link.hooks.tracer
-        crc = token_crc(token)
+        crc = word_crc(word, codec)
         seq = self.tx_seq
         attempt = 0
         now = depart_ns
         while True:
-            out = (injector.outcome(link.key, seq, attempt, now, token)
+            out = (injector.outcome(link.key, seq, attempt, now, word,
+                                    codec)
                    if injector is not None else AttemptOutcome())
             if out.clean:
                 if out.extra_latency_ns:
                     self.stats["spikes"] += 1
-                wire = (link.transport.wire_ns(width_bits)
+                wire = (link.transport.wire_ns(codec.width)
                         + out.extra_latency_ns + cfg.ack_overhead_ns)
                 if seq != self.rx_seq:
                     raise TransportError(
@@ -107,30 +109,26 @@ class ReliableLinkLayer:
                 self.stats["delivered"] += 1
                 retry_delay = now - depart_ns
                 self.stats["retry_delay_ns"] += retry_delay
-                return TransmitResult(now + wire, token, True,
+                return TransmitResult(now + wire, word, True,
                                       retries=attempt,
                                       retry_delay_ns=retry_delay)
+            next_try = now + self._retry_wait_ns(attempt)
             if out.link_down_until is not None:
-                self.stats["flap_stalls"] += 1
-                reason = "flap"
+                reason, stat = "flap", "flap_stalls"
                 # the sender keeps timing out until the link is back up
-                next_try = max(out.link_down_until,
-                               now + self._retry_wait_ns(attempt))
+                next_try = max(out.link_down_until, next_try)
             elif out.corrupt_port is not None:
-                received = corrupt_token(token, out.corrupt_port,
-                                         out.corrupt_bit)
-                if token_crc(received) == crc:  # pragma: no cover
+                received = corrupt_word(word, codec, out.corrupt_port,
+                                        out.corrupt_bit)
+                if word_crc(received, codec) == crc:  # pragma: no cover
                     # a CRC-32 collision on a single-bit flip cannot
                     # happen, but fail loudly rather than deliver garbage
                     raise TransportError(
                         f"link {link.key}: undetected corruption")
-                self.stats["crc_rejects"] += 1
-                reason = "crc_reject"
-                next_try = now + self._retry_wait_ns(attempt)
-            else:  # dropped
-                self.stats["drops_recovered"] += 1
-                reason = "drop"
-                next_try = now + self._retry_wait_ns(attempt)
+                reason, stat = "crc_reject", "crc_rejects"
+            else:
+                reason, stat = "drop", "drops_recovered"
+            self.stats[stat] += 1
             self.stats["retries"] += 1
             if tracer.enabled:
                 tracer.emit(TraceEvent(

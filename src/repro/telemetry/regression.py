@@ -196,7 +196,9 @@ BENCH_CHECKS = {
         ("detail_bit_identical", "true", None)),
     "BENCH_stepjit.json": (
         ("speedup", ">=", ("speedup_floor", 5.0)),
-        ("detail_bit_identical", "true", None)),
+        ("detail_bit_identical", "true", None),
+        ("hardened_speedup", ">=", ("hardened_speedup_floor", 2.0)),
+        ("hardened_bit_identical", "true", None)),
 }
 
 

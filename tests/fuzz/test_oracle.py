@@ -15,7 +15,9 @@ from repro.fuzz import (
     make_sim,
     run_oracles,
 )
+from repro.fuzz import oracle
 from repro.fuzz.oracle import _first_diff
+from repro.harness import stepjit
 from repro.parallel.coordinator import fork_available
 
 SEED = 7
@@ -96,6 +98,26 @@ class TestIdentity:
         assert info.value.scenario == pipeline_scenario.to_dict()
 
 
+    def test_partition_off_the_step_plane_is_caught(
+            self, pipeline_scenario, monkeypatch):
+        """The next JIT cliff surfaces as a failure, not a slow run."""
+        real = stepjit.partition_jit_reason
+        monkeypatch.setattr(
+            stepjit, "partition_jit_reason",
+            lambda sim, pplan: "a new cliff" if pplan.part.name == "base"
+            else real(sim, pplan))
+        with pytest.raises(FuzzFailure) as info:
+            check_identity(pipeline_scenario, backends=("inproc",))
+        assert info.value.oracle == "identity"
+        assert "'base': 'interpreted: a new cliff'" in str(info.value)
+        with pytest.raises(FuzzFailure, match="a new cliff"):
+            check_faults(pipeline_scenario.clone(
+                fault={"drop_rate": 0.1}))
+        # a run that asked for the interpreter is not a cliff
+        monkeypatch.setenv("REPRO_STEPJIT", "0")
+        check_identity(pipeline_scenario, backends=("inproc",))
+
+
 class TestFastmode:
     def test_pipeline_relationship_holds(self, pipeline_scenario):
         notes = check_fastmode(pipeline_scenario)
@@ -132,6 +154,25 @@ class TestFaults:
         notes = check_faults(faulty_scenario)
         assert notes["status"] == "ok"
         assert notes["fault_rate"] > 0
+
+    def test_interpreter_disagreement_is_caught(self, faulty_scenario,
+                                                monkeypatch):
+        """The hardened scenario runs a third time under
+        ``stepjit=False``; its full digest must equal the JIT's."""
+        real = oracle.functional_digest
+
+        def skewed(sim, result):
+            digest = real(sim, result)
+            if sim.stepjit is False:
+                digest["detail"]["fmr"]["base"] += 1e-9
+            return digest
+
+        monkeypatch.setattr(oracle, "functional_digest", skewed)
+        with pytest.raises(FuzzFailure) as info:
+            check_faults(faulty_scenario)
+        assert info.value.oracle == "faults"
+        assert "interpreter" in str(info.value)
+        assert "detail.fmr.base" in str(info.value)
 
     def test_fault_free_schedule_skipped(self, pipeline_scenario):
         clean = pipeline_scenario.clone(

@@ -7,6 +7,14 @@ recorded output stream) must match bit for bit.  The same holds on
 the process backend, which exercises the worker-side compile path
 (`only=` restriction) and the socket wire under the JIT.
 
+The same scenarios are replayed over hardened links (drop + corrupt +
+spike + one flap, recovered by the reliable layer) and over raw faulted
+ones (corrupted payloads delivered, then the ``DeadlockError`` a drop
+ends in): ``link.transmit`` is a call-out in the generated code, so
+every partition still compiles and the event list (``link_retry``
+included), ``detail["telemetry"]``, ``detail["reliability"]``, the
+digest and a deadlock's postmortem all equal the interpreter's.
+
 These are the tests the bit-exactness contract in
 ``repro.harness.stepjit`` points at: the generated code may reorder
 nothing observable, on any backend.
@@ -17,10 +25,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import DeadlockError
 from repro.fuzz import functional_digest, load_repro, make_sim
 from repro.observability import RecordingTracer
 from repro.parallel.coordinator import fork_available
+from repro.platform import ETHERNET_100G, SwitchFabric
 from repro.telemetry import Telemetry
+
+# the hardened (drop + corrupt + spike + one flap) and raw-faulted link
+# preparations of the fixed-design differentials
+from ..harness.test_stepjit import _harden, _inject
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -71,17 +85,28 @@ def test_corpus_jit_matches_across_process_backends(path):
     assert dig_jit == dig_int
 
 
-def _replay_observed(path, backend, stepjit):
-    """Replay traced + sampled; what an observer sees of the run."""
+def _replay_observed(path, backend, stepjit, prepare=None, sinks=True):
+    """Replay traced + sampled (or with the null sinks), optionally
+    over ``prepare``d links; what an observer sees of the run — a
+    deadlock's message and postmortem included."""
     scenario, _ = load_repro(path)
     tracer = RecordingTracer()
     sim = make_sim(scenario, telemetry=Telemetry(sample_every=5),
-                   tracer=tracer)
+                   tracer=tracer) if sinks else make_sim(scenario)
     sim.stepjit = stepjit
-    result = sim.run(scenario.cycles, backend=backend)
+    if prepare is not None:
+        prepare(sim)
+    deadlock = None
+    try:
+        result = sim.run(scenario.cycles, backend=backend)
+    except DeadlockError as exc:
+        result = sim.result()
+        deadlock = (str(exc), exc.postmortem.channels,
+                    [repr(e) for e in exc.postmortem.events])
     return sim, ([repr(e) for e in tracer.events], tracer.total_emitted,
-                 json.dumps(result.detail["telemetry"]),
-                 functional_digest(sim, result))
+                 json.dumps(result.detail.get("telemetry", {})),
+                 functional_digest(sim, result),
+                 result.detail.get("reliability"), deadlock)
 
 
 @pytest.mark.parametrize("backend", [
@@ -100,6 +125,52 @@ def test_corpus_observed_run_matches_interpreter(path, backend):
             for n, v in sim.last_jit_report.items()} \
         == {n: v.rsplit(",", 1)[0]
             for n, v in clean.last_jit_report.items()}
+
+
+@pytest.mark.parametrize("sinks", [True, False], ids=["observed", "null"])
+@pytest.mark.parametrize("prepare", [_harden, _inject],
+                         ids=["hardened", "raw-faulted"])
+@pytest.mark.parametrize("backend", [
+    "inproc", pytest.param("process", marks=needs_fork)])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_faulted_links_match_interpreter(path, backend, prepare,
+                                                sinks):
+    """Nothing attached to a link selects the engine: hardened and raw
+    faulted replays compile every partition and match the interpreter
+    on everything an observer sees."""
+    sim, observed = _replay_observed(path, backend, True, prepare, sinks)
+    assert observed == _replay_observed(
+        path, backend, False, prepare, sinks)[1]
+    reliability, deadlock = observed[4:]
+    if prepare is _harden:
+        assert deadlock is None
+        assert sum(s["retries"] for s in reliability.values()) > 0
+    if deadlock is None or backend == "inproc":
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+
+
+def _switch(sim):
+    """Route every link through one shared Ethernet switch fabric."""
+    shared = ETHERNET_100G.with_switch(SwitchFabric())
+    for link in sim.links:
+        link.transport = shared
+        link.refresh_transport_hooks()
+
+
+@pytest.mark.parametrize("sinks", [True, False], ids=["observed", "null"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_switched_links_match_interpreter(path, sinks):
+    """A switch hop is one ``traverse`` call-out (in-process: a fabric
+    shared across source partitions is not distributable)."""
+    sim, observed = _replay_observed(path, "inproc", True, _switch, sinks)
+    ref, expected = _replay_observed(path, "inproc", False, _switch, sinks)
+    assert observed == expected
+    assert all(v.startswith("compiled")
+               for v in sim.last_jit_report.values())
+    fabric, ref_fabric = (s.links[0].hooks.switch for s in (sim, ref))
+    assert fabric.tokens == ref_fabric.tokens > 0
+    assert fabric.next_free == ref_fabric.next_free
 
 
 @needs_fork

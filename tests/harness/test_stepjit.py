@@ -1,11 +1,15 @@
 """Compiled step plane: selection knobs, eligibility guard, codegen
-output, fused-kernel cache, and runtime-fallback identity."""
+output, fused-kernel cache, runtime-fallback identity, and the
+call-outs (hardened / faulted links, switch hops) matching the
+interpreter."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from repro.errors import DeadlockError, LinkGiveUpError, TransportError
 from repro.fireripper import (
     EXACT,
     FAST,
@@ -14,8 +18,8 @@ from repro.fireripper import (
     PartitionGroup,
     PartitionSpec,
 )
-from repro.fuzz import functional_digest
-from repro.harness import MonolithicSimulation
+from repro.fuzz import functional_digest, load_repro, make_sim
+from repro.harness import MonolithicSimulation, PartitionedSimulation
 from repro.harness.stepjit import (
     generate_sources,
     partition_jit_reason,
@@ -25,23 +29,30 @@ from repro.harness.stepjit import (
 from repro.observability import RecordingTracer, TraceEvent
 from repro.parallel.coordinator import fork_available
 from repro.platform import QSFP_AURORA
-from repro.reliability import FaultSpec, harden_links
+from repro.reliability import (
+    FaultSpec,
+    ReliableLinkConfig,
+    harden_links,
+    inject_faults,
+)
 from repro.reliability.checkpoint import capture_state, restore_state
 from repro.rtl import Simulator, engine
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
 from repro.telemetry import Telemetry
 
+from ..platform.test_extensions import _ethernet_sim
+
+
+CORPUS = sorted(
+    (Path(__file__).parent.parent / "fuzz" / "corpus").glob("*.json"))
+
 
 def _fused_sim():
     """A simulation containing at least one fused-kernel-tier unit
     (dep-free output channels): a committed NoC fuzz scenario."""
-    from pathlib import Path
-
-    from repro.fuzz import load_repro, make_sim
-    corpus = Path(__file__).parent.parent / "fuzz" / "corpus"
     scenario, _ = load_repro(
-        sorted(corpus.glob("fastmode-*.json"))[0])
+        next(p for p in CORPUS if p.name.startswith("fastmode-")))
     return make_sim(scenario)
 
 
@@ -113,9 +124,8 @@ class TestEligibility:
     def test_clean_fast_sim_is_eligible(self):
         assert all(r is None for r in self._reasons(_build()).values())
 
-    def test_tracer_rejects(self):
-        """The id pins the old cliff; the contract is now the opposite:
-        a traced partition is eligible and compiles its emit sites."""
+    def test_traced_partition_compiles_its_emit_sites(self):
+        """A traced partition is eligible and compiles its emit sites."""
         sim = _build(tracer=RecordingTracer())
         assert all(r is None for r in self._reasons(sim).values())
         sim.run(20)
@@ -123,8 +133,8 @@ class TestEligibility:
                    for v in sim.last_jit_report.values())
         assert sim.tracer.total_emitted > 0
 
-    def test_telemetry_rejects(self):
-        """Same flip for telemetry sampling."""
+    def test_sampled_partition_compiles(self):
+        """So is a partition under telemetry sampling."""
         sim = _build(telemetry=Telemetry(sample_every=10))
         assert all(r is None for r in self._reasons(sim).values())
         result = sim.run(20)
@@ -133,17 +143,45 @@ class TestEligibility:
         assert result.detail["telemetry"]["series"]
 
     def test_reliability_layer_rejects(self):
+        """Not any more: a hardened link compiles (``link.transmit``
+        is a call-out) and matches the interpreter bit for bit."""
         sim = _build()
         harden_links(sim, FaultSpec(seed=3, drop_rate=0.2))
-        reasons = self._reasons(sim)
-        assert any(r and "reliability layer" in r
-                   for r in reasons.values())
-        # ...and the run still matches the interpreter bit for bit
-        # (the guard forces those partitions onto _run_unit)
+        assert all(r is None for r in self._reasons(sim).values())
         ref = _build()
         harden_links(ref, FaultSpec(seed=3, drop_rate=0.2))
         ref.stepjit = False
         assert _digest(sim) == _digest(ref)
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+        assert sum(s["retries"] for s in
+                   sim.result().detail["reliability"].values()) > 0
+
+    def test_nothing_attached_to_a_run_selects_the_engine(self):
+        """Every corpus scenario — clean, hardened, raw-faulted — and
+        the switched star is eligible on every partition."""
+        spec = FaultSpec(seed=3, drop_rate=0.1, corrupt_rate=0.1)
+        for path in CORPUS:
+            for prepare in (None, harden_links, inject_faults):
+                sim = make_sim(load_repro(path)[0])
+                if prepare is not None:
+                    prepare(sim, spec)
+                assert set(self._reasons(sim).values()) == {None}, path
+        assert set(self._reasons(_switched_star()()).values()) == {None}
+
+    def test_unfed_destination_port_raises_at_construction(self):
+        """A mis-wired link used to cost its partition the JIT and then
+        raise on its first token; now it never builds."""
+        sim = _build()
+        link = sim.links[0]
+        src_port = sim._out_channel_by_key[link.src].spec.port_names[0]
+        link.rename = {src_port: "nowhere"}
+        with pytest.raises(TransportError) as exc:
+            PartitionedSimulation(
+                list(sim.partitions.values()), sim.links,
+                sources=sim.sources)
+        assert link.key in str(exc.value)
+        assert repr(src_port) in str(exc.value)
 
 
 class TestGeneratedSources:
@@ -156,10 +194,9 @@ class TestGeneratedSources:
             assert "def _make(_B):" in src
             assert "def _step(" in src
 
-    def test_reject_reason_instead_of_source(self):
-        """The id pins the old cliff: sinks no longer reject.  A live
-        sink's emit sites are in the source; the null sinks leave no
-        trace of either in it."""
+    def test_live_sinks_are_in_the_source_null_sinks_are_not(self):
+        """A live sink's emit sites are in the source; the null sinks
+        leave no trace of either in it."""
         sources = generate_sources(_build(
             tracer=RecordingTracer(), telemetry=Telemetry(sample_every=10)))
         for src, reason in sources.values():
@@ -258,21 +295,32 @@ class TestGeneratedSources:
         assert before == after
 
 
-def _observe(build, cycles, jit, backend="inproc", prepare=None):
-    """Run ``build(tracer=, telemetry=)`` traced + sampled; returns the
-    sim and everything an observer can see of the run.  Events are
+def _observe(build, cycles, jit, backend="inproc", prepare=None,
+             sinks=True):
+    """Run ``build(tracer=, telemetry=)`` traced + sampled (or with the
+    null sinks); returns the sim and everything an observer can see of
+    the run, a deadlock's message and postmortem included.  Events are
     compared through ``repr`` so an int/float drift in a field shows."""
     tracer = RecordingTracer()
-    sim = build(tracer=tracer, telemetry=Telemetry(sample_every=7))
+    sim = build(tracer=tracer, telemetry=Telemetry(sample_every=7)) \
+        if sinks else build()
     sim.stepjit = jit
     if prepare is not None:
         prepare(sim)
-    result = sim.run(cycles, backend=backend)
+    deadlock = None
+    try:
+        result = sim.run(cycles, backend=backend)
+    except DeadlockError as exc:
+        result = sim.result()
+        deadlock = (str(exc), exc.postmortem.channels,
+                    [repr(e) for e in exc.postmortem.events])
     return sim, {
         "events": [repr(e) for e in tracer.events],
         "total_emitted": tracer.total_emitted,
-        "telemetry": json.dumps(result.detail["telemetry"]),
+        "telemetry": json.dumps(result.detail.get("telemetry", {})),
+        "reliability": result.detail.get("reliability"),
         "digest": functional_digest(sim, result),
+        "deadlock": deadlock,
     }
 
 
@@ -286,6 +334,34 @@ def _ring8(mode):
         return design.build_simulation(
             QSFP_AURORA, record_outputs=True, **kwargs)
     return build
+
+
+def _switched_star():
+    """The 4-tile star of ``tests/platform/test_extensions.py``: every
+    link crosses one shared Ethernet switch fabric."""
+    spec = PartitionSpec(mode=FAST,
+                         noc=NoCPartitionSpec.make([[0, 1], [2, 3]]))
+    design = FireRipper(spec).compile(
+        make_ring_noc_soc(4, messages_per_tile=3))
+    return lambda **kwargs: _ethernet_sim(
+        design, record_outputs=True, **kwargs)[0]
+
+
+#: drop + corrupt + spike + one flap, recovered by the reliable layer
+HARD_FAULTS = FaultSpec(seed=11, drop_rate=0.1, corrupt_rate=0.1,
+                        spike_rate=0.1, flaps=((20_000.0, 15_000.0),))
+#: unprotected: corrupted tokens are delivered, then a drop starves
+#: the receiver and the run dies with a ``DeadlockError``
+RAW_FAULTS = FaultSpec(seed=2, drop_rate=0.02, corrupt_rate=0.1,
+                       spike_rate=0.1)
+
+
+def _harden(sim):
+    harden_links(sim, HARD_FAULTS)
+
+
+def _inject(sim):
+    inject_faults(sim, RAW_FAULTS)
 
 
 BACKENDS = ["inproc", pytest.param("process", marks=pytest.mark.skipif(
@@ -334,6 +410,69 @@ class TestObservedIdentity:
         _, interp = _observe(build, 40, False, backend, prepare)
         assert jit == interp
 
+    BUILDS = {"ring8": (_ring8(FAST), 200),
+              "pair-fast": (lambda **kw: _build(**kw), 80),
+              "pair-exact": (lambda **kw: _build(mode=EXACT, **kw), 80)}
+
+    @pytest.mark.parametrize("sinks", [True, False],
+                             ids=["observed", "null"])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_hardened_links_compile_and_match(self, backend, name, sinks):
+        """``link.transmit`` is a call-out: the layer's retries, its
+        ``link_retry`` events and ``detail["reliability"]`` are the
+        interpreter's."""
+        build, cycles = self.BUILDS[name]
+        sim, jit = _observe(build, cycles, True, backend, _harden, sinks)
+        _, interp = _observe(build, cycles, False, backend, _harden, sinks)
+        assert jit == interp
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+        stats = jit["reliability"].values()
+        for key in ("drops_recovered", "crc_rejects", "spikes",
+                    "flap_stalls"):
+            assert sum(s[key] for s in stats) > 0, key
+        if sinks:
+            assert any("'link_retry'" in e for e in jit["events"])
+
+    @pytest.mark.parametrize("sinks", [True, False],
+                             ids=["observed", "null"])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_raw_faulted_links_compile_and_match(self, backend, name,
+                                                 sinks):
+        """Unprotected faults: the corrupted payloads, the dropped
+        token, the ``DeadlockError`` it ends in and that error's
+        postmortem event ring are the interpreter's."""
+        build, cycles = self.BUILDS[name]
+        sim, jit = _observe(build, cycles, True, backend, _inject, sinks)
+        _, interp = _observe(build, cycles, False, backend, _inject, sinks)
+        assert jit == interp
+        assert jit["deadlock"] is not None
+        if backend == "inproc":
+            assert sim.dropped_tokens > 0
+            assert all(v.startswith("compiled")
+                       for v in sim.last_jit_report.values())
+            assert bool(jit["deadlock"][2]) == sinks
+
+
+class TestSwitchedIdentity:
+    """A switch hop is one ``traverse`` call-out.  In-process only: a
+    fabric shared across source partitions is not distributable."""
+
+    @pytest.mark.parametrize("sinks", [True, False],
+                             ids=["observed", "null"])
+    @pytest.mark.parametrize("prepare", [None, _harden],
+                             ids=["plain", "hardened"])
+    def test_switched_star_compiles_and_matches(self, prepare, sinks):
+        build = _switched_star()
+        sim, jit = _observe(build, 300, True, "inproc", prepare, sinks)
+        ref, interp = _observe(build, 300, False, "inproc", prepare, sinks)
+        assert jit == interp
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
+        fabric, ref_fabric = (s.links[0].hooks.switch for s in (sim, ref))
+        assert fabric.tokens == ref_fabric.tokens > 0
+        assert fabric.next_free == ref_fabric.next_free
+
 
 class TestRuntimeIdentity:
     def test_outbox_fallback_stays_identical(self):
@@ -351,7 +490,10 @@ class TestRuntimeIdentity:
             sims.append(_digest(sim, 20))
         assert sims[0] == sims[1]
 
-    def test_stop_callback_disables_eval_dedup_but_not_identity(self):
+    def test_stop_callback_observes_without_changing_the_run(self):
+        """The one contract for both tiers: a stop callback reads the
+        simulation between passes (it must not write RTL state — the
+        compiled plane caches settles across passes)."""
         seen = []
 
         def stop(sim):
@@ -381,6 +523,48 @@ class TestRuntimeIdentity:
         d_resumed = _digest(resumed, 60)
         assert d_resumed["detail"] == d_straight["detail"]
         assert d_resumed["outputs"] == d_straight["outputs"]
+
+    def test_checkpoint_roundtrip_on_a_hardened_link_under_jit(self):
+        """The layer's sequence numbers and stats ride the checkpoint;
+        a mid-run restore under the JIT lands where the straight
+        hardened run and the interpreter's resumed run land."""
+        def hardened():
+            sim = _build()
+            _harden(sim)
+            return sim
+
+        d_straight = _digest(hardened(), 80)
+        first = hardened()
+        first.run(37)
+        state = json.loads(json.dumps(capture_state(first)))
+        resumed = {}
+        for jit in (True, False):
+            sim = hardened()
+            sim.stepjit = jit
+            sim.run(9)  # stale compiled plans + progress to overwrite
+            restore_state(sim, state)
+            resumed[jit] = _digest(sim, 80)
+            assert all(v.startswith("compiled" if jit else "disabled")
+                       for v in sim.last_jit_report.values())
+        assert resumed[True] == resumed[False]
+        assert resumed[True]["outputs"] == d_straight["outputs"]
+        assert resumed[True]["detail"]["reliability"] \
+            == d_straight["detail"]["reliability"]
+
+    def test_link_give_up_leaves_the_interpreters_state(self):
+        """``link.transmit`` can raise; the partition's cursor, spans
+        and the link's counters are then what the interpreter leaves."""
+        left = {}
+        for jit in (True, False):
+            sim = _build()
+            harden_links(sim, FaultSpec(seed=5, drop_rate=0.6),
+                         ReliableLinkConfig(max_retries=2))
+            sim.stepjit = jit
+            with pytest.raises(LinkGiveUpError):
+                sim.run(80)
+            assert sim.total_tokens > 0  # it got somewhere first
+            left[jit] = json.dumps(capture_state(sim), sort_keys=True)
+        assert left[True] == left[False]
 
     def test_exact_mode_matches_interpreter(self):
         on, off = _build(mode=EXACT), _build(mode=EXACT)

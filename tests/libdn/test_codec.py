@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TransportError
 from repro.libdn import (
-    INCOMPATIBLE,
     Channel,
     ChannelSpec,
     TokenCodec,
@@ -123,9 +122,13 @@ class TestRepack:
         assert repack(src.encode(token), plan) == expected
 
     def test_unfed_destination_port_is_incompatible(self):
+        """No plan exists: a typed error names the unfed ports."""
         src = codec_for(ChannelSpec.make("ch", [("a", 8)]))
         dst = codec_for(ChannelSpec.make("peer", [("a", 8), ("b", 8)]))
-        assert repack_plan(src, dst) is INCOMPATIBLE
+        with pytest.raises(TransportError, match=r"\['b'\].*'peer'"):
+            repack_plan(src, dst)
+        with pytest.raises(TransportError, match=r"\['a', 'b'\]"):
+            repack_plan(src, dst, {"a": "z"})
 
     def test_dropped_source_port_still_repacks(self):
         src = codec_for(ChannelSpec.make("ch", [("a", 8), ("b", 8)]))
@@ -144,37 +147,13 @@ class TestRepack:
 # -- channel integration ------------------------------------------------------
 
 class TestChannelWords:
-    @settings(max_examples=100, deadline=None)
-    @given(layout_and_token(), st.integers(1, 4))
-    def test_capacity_bounds_word_queue(self, case, capacity):
-        spec, token = case
-        ch = Channel(spec, capacity=capacity)
-        for _ in range(capacity):
-            ch.put(token)
-        with pytest.raises(SimulationError, match="overflow"):
-            ch.put(token)
-        with pytest.raises(SimulationError, match="overflow"):
-            ch.put_word(0)
-        assert len(ch) == capacity
-        assert ch.head() == token
-        assert ch.head_word() == ch.codec.encode(token)
-        for _ in range(capacity):
-            assert ch.get() == token
-        assert ch.total_enqueued == capacity
-
     def test_word_api_round_trips_through_dict_api(self):
         spec = ChannelSpec.make("ch", [("lo", 4), ("hi", 4)])
         ch = Channel(spec)
         ch.put_word(0xA5)
+        ch.put({"lo": 1, "hi": 2})
+        assert len(ch) == ch.total_enqueued == 2
         assert ch.head() == {"lo": 5, "hi": 0xA}
-        assert ch.get_word() == 0xA5
+        assert ch.head_word() == ch.get_word() == 0xA5
+        assert ch.get() == {"lo": 1, "hi": 2}
         assert not ch.has_token()
-
-    def test_overflow_raises_before_encoding(self):
-        """Capacity errors take precedence over malformed tokens, as
-        they did when queues held dicts."""
-        spec = ChannelSpec.make("ch", [("a", 4)])
-        ch = Channel(spec, capacity=1)
-        ch.put({"a": 1})
-        with pytest.raises(SimulationError, match="overflow"):
-            ch.put({"wrong": 1})

@@ -46,13 +46,6 @@ class TestChannel:
         with pytest.raises(SimulationError):
             ch.put({"a": 1})
 
-    def test_capacity_enforced(self):
-        ch = Channel(_spec(), capacity=1)
-        ch.put({"a": 0, "b": 0})
-        assert not ch.can_put()
-        with pytest.raises(SimulationError):
-            ch.put({"a": 0, "b": 0})
-
     def test_enqueue_counter(self):
         ch = Channel(_spec())
         ch.put({"a": 0, "b": 0})

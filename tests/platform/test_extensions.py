@@ -23,7 +23,9 @@ from repro.rtl import Simulator, VCDWriter, dump_vcd
 from repro.targets.soc import make_ring_noc_soc
 
 
-def _ethernet_sim(design):
+def _ethernet_sim(design, **kwargs):
+    """``design`` with every link on one shared switch fabric (also the
+    switched build of ``tests/harness/test_stepjit.py``)."""
     links, fabric = make_switched_links(design.plan.links)
     partitions = []
     sources = {}
@@ -38,7 +40,7 @@ def _ethernet_sim(design):
             sources[(name, chan_name)] = ConstantSource(
                 {p: 0 for p in spec.port_names})
     return PartitionedSimulation(partitions, links, sources=sources,
-                                 seed_boundary=True), fabric
+                                 seed_boundary=True, **kwargs), fabric
 
 
 class TestSwitchedEthernet:

@@ -232,6 +232,10 @@ class TestCancellation:
         async def scenario(service):
             job = await service.submit(make_config(cycles=500_000))
             await wait_for(lambda: job.state == "running")
+            # "running" is set before the executor thread has parsed,
+            # compiled and built; give it time to reach the step loop
+            # (seconds short of finishing) so the cancel lands mid-run
+            await asyncio.sleep(0.25)
             await service.cancel(job.job_id)
             await service.wait(job.job_id, timeout=60)
             return job, service

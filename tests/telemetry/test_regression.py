@@ -174,16 +174,23 @@ class TestCheckBenchFiles:
             "speedup": 3.2,
             "speedup_floor": 5.0,
             "detail_bit_identical": False,
+            "hardened_speedup": 1.4,
+            "hardened_speedup_floor": 2.0,
+            "hardened_bit_identical": False,
         }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] == [
-            "speedup", "detail_bit_identical"]
+            "speedup", "detail_bit_identical",
+            "hardened_speedup", "hardened_bit_identical"]
 
     def test_stepjit_clean_passes(self, tmp_path):
         (tmp_path / "BENCH_stepjit.json").write_text(json.dumps({
             "speedup": 19.5,
             "speedup_floor": 5.0,
             "detail_bit_identical": True,
+            "hardened_speedup": 4.3,
+            "hardened_speedup_floor": 2.0,
+            "hardened_bit_identical": True,
         }))
         assert check_bench_files(tmp_path) == []
 

@@ -73,6 +73,8 @@ class TestReliability:
         assert "outputs bit-identical to fault-free run: yes" in out
         assert "drops_recovered=" in out
         assert "% of fault-free" in out
+        # hardened links are no reason to leave the compiled plane
+        assert "step plane: 2/2 partition(s) compiled" in out
 
     def test_crash_injection_rolls_back(self, circuit_file, capsys,
                                         tmp_path):
@@ -84,6 +86,8 @@ class TestReliability:
         assert rc == 0
         assert "rollbacks: 1" in out
         assert "[crash@70]" in out
+        # reported for the simulation rebuilt after the rollback
+        assert out.count("step plane: 2/2 partition(s) compiled") == 1
         assert (tmp_path / "checkpoint-0.json").exists()
 
     def test_unreliable_drops_deadlock(self, circuit_file, capsys):
