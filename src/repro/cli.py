@@ -209,14 +209,22 @@ def cmd_jit(args) -> int:
             continue
         lines = len(src.splitlines())
         print(f"{name}: compiled, {lines} lines")
+        kernels = [(prefix + unit.name, kernel)
+                   for prefix, unit in sim.partitions[name].units
+                   for kernel in getattr(unit, "_stepjit_kernels", ()) or ()
+                   if kernel is not None]
+        for _, kernel in kernels:
+            st = kernel._stepjit_stats
+            printed = st["cone"] - st["aliases"] - st["inlined"]
+            print(f"  kernel {st['kernel']}: {st['cone']} cone assigns -> "
+                  f"{printed} printed ({st['aliases']} aliases folded, "
+                  f"{st['inlined']} nodes inlined), {st['masks_elided']} "
+                  f"masks elided, {st['statements']} statements")
         if args.dump:
             print(src)
-            for prefix, unit in sim.partitions[name].units:
-                for kernel in getattr(unit, "_stepjit_kernels", ()) or ():
-                    ksrc = getattr(kernel, "_stepjit_source", None)
-                    if ksrc:
-                        print(f"# kernel for {prefix}{unit.name}")
-                        print(ksrc)
+            for label, kernel in kernels:
+                print(f"# kernel for {label}")
+                print(kernel._stepjit_source)
     return 0
 
 

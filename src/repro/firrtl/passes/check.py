@@ -52,7 +52,7 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
             raise IRError(f"{module.name}: duplicate declaration {name!r}")
         declared.add(name)
 
-    mems = {m.name for m in module.memories()}
+    mems = {m.name: m for m in module.memories()}
     insts: Dict[str, str] = {i.name: i.module for i in module.instances()}
     inputs = {p.name for p in module.input_ports}
     widths = module.signal_widths()
@@ -88,6 +88,15 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
             check_expr(s.addr)
             check_expr(s.data)
             check_expr(s.en)
+            # nothing masks a write: the engines would store the
+            # out-of-range word and every read port's Ref would
+            # mis-declare it
+            if s.data.width > mems[s.mem].width:
+                raise IRError(
+                    f"{module.name}: write port {s.mem}[{s.addr}] stores "
+                    f"{s.data.width}-bit data into a "
+                    f"{mems[s.mem].width}-bit memory"
+                )
         elif isinstance(s, DefNode):
             check_expr(s.expr)
         elif isinstance(s, Connect):

@@ -913,7 +913,11 @@ class PartitionedSimulation:
         # build the compiled step plane against the fresh schedule
         self._compile_step_fns()
         passes = 0
-        while self.frontier_cycle() < target_cycles:
+        # frontier_cycle() once per pass is a property + generator per
+        # partition; the loop reads the same minimum off one flat list
+        units = [unit for part in self.partitions.values()
+                 for _, unit in part.units]
+        while min([u.target_cycle for u in units]) < target_cycles:
             if stop is not None and stop(self):
                 break
             progress = False

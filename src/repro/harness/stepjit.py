@@ -45,13 +45,14 @@ the **fused RTL kernel tier**: per-unit ``fire``/``cyc`` functions
 compiled from the flattened elaboration that evaluate only the live
 cone of the output/tick references, carry every intermediate in
 locals, and commit just registers/memories back to the env
-(:func:`_compile_kernel`; cached as ``unit._stepjit_kernels``).  The
-``cyc`` kernel also reports whether the register/memory state reached
-a fixed point — while it holds and the unit's inputs repeat, the step
-function skips RTL evaluation entirely and replays the cached output
-words (exact: pure logic over equal state and equal inputs cannot
-differ).  See the "kernel tier" comment block below for the env
-staleness contract this buys speed with.
+(:func:`repro.rtl.kernel.compile_kernel`, which optimises the cone as
+a netlist before printing it; cached as ``unit._stepjit_kernels``).
+The ``cyc`` kernel also reports whether the register/memory state
+reached a fixed point — while it holds and the unit's inputs repeat,
+the step function skips RTL evaluation entirely and replays the cached
+output words (exact: pure logic over equal state and equal inputs
+cannot differ).  :mod:`repro.rtl.kernel` states each pass's soundness
+rule and the env staleness contract this buys speed with.
 
 **The hook-set rule.**  The step function is generated for the sinks
 that are attached when it is compiled (``run()`` recompiles the step
@@ -88,7 +89,7 @@ own caches (``_UnitPlan.ctr_*``, ``sim._rx_instruments``), so the
 registry snapshot lists the same instruments and a fallback pass
 increments the same objects.  Events and samples read only the timing
 overlay and the cycle counters, never the RTL env, so the kernel
-tier's stale-comb-env contract below does not touch them.  The sampler
+tier's stale-comb-env contract does not touch them.  The sampler
 itself runs where it always did: ``_step_partition`` calls
 ``telemetry.on_pass`` after the step function returns.
 
@@ -133,9 +134,7 @@ import os
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..observability.tracer import TraceEvent
-from ..rtl.elaborate import FlatAssign
-from ..rtl.engine import _ref_names
-from ..rtl.eval import CODEGEN_HELPERS, compile_expr, mask
+from ..rtl.kernel import pack_expr, unit_kernels
 
 __all__ = [
     "stepjit_enabled",
@@ -237,12 +236,6 @@ def _unpack_lines(env: str, word: str, fields) -> List[str]:
             for port, offset, mask in fields]
 
 
-def _pack_expr(ref: Callable[[str], str], fields) -> str:
-    """A packed word built from ``ref(port)`` per port, as source."""
-    return " | ".join(f"{ref(port)} << {offset}" if offset else ref(port)
-                      for port, offset, _mask in fields) or "0"
-
-
 def _repack_expr(word: str, plan) -> str:
     """Inline a repack plan's bit moves (``plan`` is a tuple of
     ``(src_offset, mask, dst_offset)`` moves; identity is handled by
@@ -257,203 +250,6 @@ def _token_dict_expr(word: str, fields) -> str:
     spec order)."""
     return "{" + ", ".join(f"{port!r}: {_field(word, offset, mask)}"
                            for port, offset, mask in fields) + "}"
-
-
-# --------------------------------------------------------------------------
-# fused RTL kernels (the specialization tier below the step functions)
-# --------------------------------------------------------------------------
-#
-# The RTL engine's generic ``_comb`` settles *every* combinational signal
-# and writes each one back into the env dict; its ``_tick`` then re-reads
-# the settled values out of the env, one dict lookup per reference.  For
-# a dep-free (fast-mode) unit the harness only ever observes three
-# projections of that work: the packed output words, the register/memory
-# next-state, and the env entries that hold registers and top inputs.
-# The kernels below specialize exactly those projections:
-#
-# * the live cone is computed per kernel (dead assigns are dropped),
-# * every intermediate stays a Python local end-to-end — the env is
-#   read once per referenced register/input and written only for
-#   register commits,
-# * the tick next-state expressions read the comb *locals* directly
-#   instead of round-tripping through the env,
-# * the packed output words are built from locals and returned.
-#
-# Two kernels per unit: ``fire(env, mems) -> words`` (pack cone only)
-# and ``cyc(env, mems) -> words`` (the fused single-settle cycle: when
-# the next input words equal the currently-poked values, one comb settle
-# serves both the fire and the advance — eval is pure, so the second
-# settle the interpreter performs is provably identical).  ``cyc`` is
-# also the advance of the split path, which pokes first and ignores the
-# words: it is the tick cone + commit plus a few pack shifts, and
-# compiling that cone once instead of twice is most of the codegen
-# time.  A unit with no output channel gets a bare ``adv(env, mems)``.
-#
-# Consequence (documented contract): compiled kernels do *not* write
-# combinational intermediates back into the RTL env, so signal peeks
-# between passes may observe stale comb values on kernel-tier units.
-# Registers, memories, inputs, output tokens, timing spans and every
-# checkpointable harness structure stay bit-identical — a restored
-# checkpoint re-settles from registers and inputs on the next pass.
-# Use ``REPRO_STEPJIT=0`` (or ``--no-jit``) for signal-level debugging.
-
-
-def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
-                    refs_of, converged: bool = False):
-    """Generate one specialized kernel for ``elab``.
-
-    ``pack_lists`` is a list of pack-field lists (one per output
-    channel, in fire order); the kernel returns the packed words in
-    that order (a bare int for one channel).  ``do_tick`` fuses the
-    register/memory commit into the same settle.  ``converged``
-    appends a quiescence flag to the return value: True when the tick
-    was a fixed point (every register next-value equals its current
-    value and every enabled memory write re-writes the stored word) —
-    the caller may then skip the next settle entirely if the inputs
-    repeat, because pure logic over equal state and equal inputs
-    reproduces the same words and the same fixed point.  ``refs_of``
-    maps an expression to the names it references; a unit's kernels
-    share one memo, so each expression is walked once."""
-    ids: Dict[str, str] = {}
-
-    def ident(name: str) -> str:
-        if name not in ids:
-            ids[name] = f"v{len(ids)}"
-        return ids[name]
-
-    comb_targets = {a.name for a in elab.assigns}
-
-    # live cone: pack ports plus (when ticking) every name the
-    # register-next / memory-write expressions reference
-    live: Set[str] = set()
-    for fields in pack_lists:
-        for port, _off, _msk in fields:
-            live.add(port)
-    tick_regs = [r for r in elab.regs.values() if r.next is not None]
-    if do_tick:
-        for reg in tick_regs:
-            live.update(refs_of(reg.next))
-        for mw in elab.writes:
-            live.update(refs_of(mw.en))
-            live.update(refs_of(mw.addr))
-            live.update(refs_of(mw.data))
-    kept = []
-    for a in reversed(elab.assigns):  # assigns are in topo order
-        if a.name in live:
-            kept.append(a)
-            if isinstance(a, FlatAssign):
-                live.update(refs_of(a.expr))
-            else:  # FlatMemRead
-                live.update(refs_of(a.addr))
-    kept.reverse()
-
-    loads: List[str] = []
-    seen_loads: Set[str] = set()
-
-    def note_load(name: str) -> None:
-        if name not in comb_targets and name not in seen_loads:
-            seen_loads.add(name)
-            loads.append(name)
-
-    def compile_with_loads(expr) -> str:
-        for leaf in refs_of(expr):
-            note_load(leaf)
-        return compile_expr(expr, ident)
-
-    body: List[str] = []
-    for a in kept:
-        if isinstance(a, FlatAssign):
-            body.append(f"    {ident(a.name)} = {compile_with_loads(a.expr)}")
-        else:
-            addr = compile_with_loads(a.addr)
-            body.append(
-                f"    {ident(a.name)} = mems[{a.mem!r}][({addr}) % {a.depth}]"
-            )
-
-    tick_lines: List[str] = []
-    commit_lines: List[str] = []
-    if do_tick:
-        for i, reg in enumerate(tick_regs):
-            code = compile_with_loads(reg.next)
-            tick_lines.append(f"    n{i} = ({code}) & {mask(reg.width)}")
-            commit_lines.append(f"    env[{reg.name!r}] = n{i}")
-        for j, mw in enumerate(elab.writes):
-            en = compile_with_loads(mw.en)
-            addr = compile_with_loads(mw.addr)
-            data = compile_with_loads(mw.data)
-            tick_lines.append(
-                f"    w{j} = (({addr}) % {mw.depth}, {data}) if {en} else None")
-            commit_lines.append(
-                f"    if w{j} is not None: mems[{mw.mem!r}][w{j}[0]] = w{j}[1]")
-        if converged:
-            # fixed-point test against the *pre-commit* values (the
-            # locals still hold them here); short-circuits on the first
-            # live register, so active cycles pay almost nothing
-            terms = []
-            for i, reg in enumerate(tick_regs):
-                note_load(reg.name)  # unreferenced regs still compare
-                terms.append(f"n{i} == {ident(reg.name)}")
-            for j, mw in enumerate(elab.writes):
-                terms.append(f"(w{j} is None or "
-                             f"mems[{mw.mem!r}][w{j}[0]] == w{j}[1])")
-            tick_lines.append("    _q = " + (" and ".join(terms)
-                                             if terms else "True"))
-
-    rets: List[str] = []
-    for fields in pack_lists:
-        for port, _off, _msk in fields:
-            note_load(port)  # e.g. a register driven straight to a port
-        rets.append(f"({_pack_expr(ident, fields)})" if fields else "0")
-
-    if converged:
-        rets.append("_q")
-    prologue = [f"    {ident(n)} = env[{n!r}]" for n in loads]
-    lines = prologue + body + tick_lines + commit_lines
-    if rets:
-        lines.append("    return " + ", ".join(rets))
-    if not lines:
-        lines = ["    pass"]
-    src = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
-           + "\n".join(lines) + "\n")
-    namespace: Dict[str, object] = dict(CODEGEN_HELPERS)
-    exec(compile(src, f"<stepjit-kernel:{tag}>", "exec"), namespace)
-    fn = namespace["_k"]
-    fn._stepjit_source = src  # for ``repro jit --dump``
-    return fn
-
-
-def _unit_kernels(unit, fire_plans):
-    """(fire, adv, cyc) kernels for ``unit``, cached on the unit (the
-    elaboration and channel layouts are immutable per host).  A unit
-    with output channels gets ``fire`` and ``cyc`` — its split-path
-    advance calls ``cyc`` and ignores the words; only a unit with none
-    needs a bare ``adv``."""
-    cached = getattr(unit, "_stepjit_kernels", None)
-    if cached is not None:
-        return cached
-    elab = unit.sim.elab
-    pack_lists = [entry[3] for entry in fire_plans]
-    tag = unit.name
-    memo: Dict[int, Tuple[str, ...]] = {}
-
-    def refs_of(expr) -> Tuple[str, ...]:
-        names = memo.get(id(expr))
-        if names is None:
-            names = memo[id(expr)] = tuple(_ref_names(expr))
-        return names
-
-    if pack_lists:
-        kern = (_compile_kernel(elab, pack_lists, False, f"fire:{tag}",
-                                refs_of),
-                None,
-                _compile_kernel(elab, pack_lists, True, f"cyc:{tag}",
-                                refs_of, converged=True))
-    else:
-        kern = (None,
-                _compile_kernel(elab, [], True, f"adv:{tag}", refs_of),
-                None)
-    unit._stepjit_kernels = kern
-    return kern
 
 
 class _PartitionCodegen:
@@ -593,7 +389,7 @@ class _PartitionCodegen:
             w.emit(Lf + 1, f"{C}({ENV}, {MEMS})")
             w.emit(Lf + 1, f"dty{uid} = False")
         w.emit(Lf, f"{wvar} = "
-               + _pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
+               + pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
         w.emit(Lf, f"{OQ}.append({wvar})")
         w.emit(Lf, f"{OC}.total_enqueued += 1")
         w.emit(Lf, f"{F}[{name!r}] = True")
@@ -946,7 +742,12 @@ class _PartitionCodegen:
         kernel = bindings["rtl"].compiled \
             and all(not entry[2] for entry in fire_plans)
         if kernel:
-            kern = _unit_kernels(unit, fire_plans)
+            # cached on the unit: the elaboration and channel layouts
+            # are immutable per host
+            kern = getattr(unit, "_stepjit_kernels", None)
+            if kern is None:
+                kern = unit._stepjit_kernels = unit_kernels(
+                    unit.sim.elab, [e[3] for e in fire_plans], unit.name)
             self.kernel_units.append(uid)
             if k:
                 names["KF"] = b.bind(kern[0], "kf")

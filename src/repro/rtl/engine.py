@@ -207,10 +207,14 @@ def _compile(elab: Elaboration):
             seen_loads.add(name)
             loads.append(name)
 
+    # no range oracle: every leaf is unbounded, so every mask the
+    # reference applies to a leaf-dependent value is printed
+    local_ref = lambda name, truth: (ident(name), None)  # noqa: E731
+
     def compile_with_loads(expr) -> str:
         for leaf_name in _ref_names(expr):
             note_load(leaf_name)
-        return compile_expr(expr, ident)
+        return compile_expr(expr, local_ref)[0]
 
     body: List[str] = []
     for a in elab.assigns:
@@ -235,19 +239,19 @@ def _compile(elab: Elaboration):
         comb_src = f"def _comb({sig}):\n    pass\n"
 
     # tick: read settled values straight from env (simple and correct)
-    env_ref = lambda name: f"env[{name!r}]"  # noqa: E731
+    env_ref = lambda name, truth: (f"env[{name!r}]", None)  # noqa: E731
     tick_lines: List[str] = []
     commit_lines: List[str] = []
     for i, reg in enumerate(elab.regs.values()):
         if reg.next is None:
             continue
-        code = compile_expr(reg.next, env_ref)
+        code = compile_expr(reg.next, env_ref)[0]
         tick_lines.append(f"    n{i} = ({code}) & {mask(reg.width)}")
         commit_lines.append(f"    env[{reg.name!r}] = n{i}")
     for j, w in enumerate(elab.writes):
-        en = compile_expr(w.en, env_ref)
-        addr = compile_expr(w.addr, env_ref)
-        data = compile_expr(w.data, env_ref)
+        en = compile_expr(w.en, env_ref, truth=True)[0]
+        addr = compile_expr(w.addr, env_ref)[0]
+        data = compile_expr(w.data, env_ref)[0]
         tick_lines.append(
             f"    w{j} = (({addr}) % {w.depth}, {data}) if {en} else None")
         commit_lines.append(

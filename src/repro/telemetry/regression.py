@@ -198,7 +198,9 @@ BENCH_CHECKS = {
         ("speedup", ">=", ("speedup_floor", 5.0)),
         ("detail_bit_identical", "true", None),
         ("hardened_speedup", ">=", ("hardened_speedup_floor", 2.0)),
-        ("hardened_bit_identical", "true", None)),
+        ("hardened_bit_identical", "true", None),
+        ("streaming_speedup", ">=", ("streaming_speedup_floor", 5.0)),
+        ("streaming_bit_identical", "true", None)),
 }
 
 

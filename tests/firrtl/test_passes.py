@@ -7,8 +7,10 @@ from repro.firrtl import ModuleBuilder, make_circuit, mux
 from repro.firrtl.ast import (
     Connect,
     DefInstance,
+    DefMemory,
     LocalTarget,
     Lit,
+    MemWritePort,
     Port,
     Ref,
 )
@@ -60,6 +62,26 @@ class TestCheck:
                     Connect(LocalTarget("o"), Lit(0, 1))])
         with pytest.raises(IRError):
             check_circuit(Circuit("T", [m]))
+
+    def test_write_data_wider_than_its_memory(self):
+        """Nothing masks a write, so the word would be stored whole and
+        every read port would mis-declare it."""
+        def module(data_width):
+            return Module(
+                "T", [Port("d", "input", data_width),
+                      Port("o", "output", 1)],
+                [DefMemory("m", 4, 8),
+                 MemWritePort("m", Lit(1, 2), Ref("d", data_width),
+                              Lit(1, 1)),
+                 Connect(LocalTarget("o"), Lit(0, 1))])
+
+        check_circuit(Circuit("T", [module(8)]))
+        check_circuit(Circuit("T", [module(3)]))
+        with pytest.raises(
+                IRError,
+                match=r"write port m\[.*\] stores 9-bit data into a "
+                      r"8-bit memory"):
+            check_circuit(Circuit("T", [module(9)]))
 
 
 class TestCombDeps:

@@ -295,6 +295,59 @@ class TestGeneratedSources:
         assert before == after
 
 
+def test_first_quiescent_cycle_matches_the_interpreter():
+    """The boot ring halts.  Per partition, the first cycle whose
+    ``cyc`` kernel reports a tick fixed point is the first cycle across
+    which the interpreter's registers and memories stop moving."""
+    from repro.rtl.kernel import unit_kernels
+
+    cycles = 160
+
+    def units(sim):
+        return [unit for part in sim.partitions.values()
+                for _, unit in part.units]
+
+    jit, flags = _ring_sim(), {}
+    for unit in units(jit):
+        fire, adv, cyc = unit_kernels(
+            unit.sim.elab,
+            [entry[3] for entry in unit.step_bindings()["fire_plans"]],
+            unit.name)
+
+        def spy(env, mems, unit=unit, cyc=cyc):
+            out = cyc(env, mems)
+            flags.setdefault(unit.name, []).append(
+                (unit.target_cycle, out[-1]))
+            return out
+
+        # the generator binds whatever the unit's kernel cache holds
+        unit._stepjit_kernels = (fire, adv, spy)
+    jit.run(cycles, backend="inproc")
+    assert all(v.startswith("compiled")
+               for v in jit.last_jit_report.values())
+
+    interp, states = _ring_sim(), {}
+    interp.stepjit = False
+
+    def record(sim):
+        for unit in units(sim):
+            rtl = unit.sim
+            states.setdefault(unit.name, {}).setdefault(
+                unit.target_cycle,
+                ({r: rtl.env[r] for r in rtl.elab.regs},
+                 {k: list(v) for k, v in rtl.mem_state.items()}))
+        return False
+
+    interp.run(cycles, stop=record, backend="inproc")
+    for name, seen in flags.items():
+        first = next(c for c, quiescent in seen if quiescent)
+        still = states[name]
+        assert first == next(c for c in sorted(still)
+                             if still[c] == still.get(c + 1)), name
+        assert 0 < first < cycles - 1
+    assert set(flags) == set(states)
+
+
 def _observe(build, cycles, jit, backend="inproc", prepare=None,
              sinks=True):
     """Run ``build(tracer=, telemetry=)`` traced + sampled (or with the

@@ -177,11 +177,15 @@ class TestCheckBenchFiles:
             "hardened_speedup": 1.4,
             "hardened_speedup_floor": 2.0,
             "hardened_bit_identical": False,
+            "streaming_speedup": 4.7,
+            "streaming_speedup_floor": 5.0,
+            "streaming_bit_identical": False,
         }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] == [
             "speedup", "detail_bit_identical",
-            "hardened_speedup", "hardened_bit_identical"]
+            "hardened_speedup", "hardened_bit_identical",
+            "streaming_speedup", "streaming_bit_identical"]
 
     def test_stepjit_clean_passes(self, tmp_path):
         (tmp_path / "BENCH_stepjit.json").write_text(json.dumps({
@@ -191,6 +195,9 @@ class TestCheckBenchFiles:
             "hardened_speedup": 4.3,
             "hardened_speedup_floor": 2.0,
             "hardened_bit_identical": True,
+            "streaming_speedup": 6.3,
+            "streaming_speedup_floor": 5.0,
+            "streaming_bit_identical": True,
         }))
         assert check_bench_files(tmp_path) == []
 

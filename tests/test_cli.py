@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -160,6 +161,35 @@ class TestProfile:
         assert "FMR breakdown" in out
         assert "link_wait" in out
         assert "bottleneck:" in out
+
+
+class TestJit:
+    def test_every_kernel_explains_itself(self, tmp_path, capsys):
+        """One line per fused kernel: what the netlist passes did to
+        the cone before it was printed."""
+        from repro.targets.soc import make_ring_noc_soc
+
+        path = tmp_path / "ring.fir"
+        path.write_text(print_circuit(
+            make_ring_noc_soc(2, messages_per_tile=2)))
+        rc = main(["jit", str(path), "--mode", "fast",
+                   "--extract", "router0,conv0,tile0",
+                   "--extract", "router1,conv1,tile1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "def _k(" not in out  # sources only under --dump
+        kernels = re.findall(
+            r"^  kernel (\w+):(\w+): (\d+) cone assigns -> (\d+) printed "
+            r"\((\d+) aliases folded, (\d+) nodes inlined\), "
+            r"(\d+) masks elided, (\d+) statements$", out, re.M)
+        assert sorted((kind, part) for kind, part, *_ in kernels) == sorted(
+            (kind, part) for part in ("base", "fpga0", "fpga1")
+            for kind in ("cyc", "fire"))
+        for _kind, _part, *counts in kernels:
+            cone, printed, aliases, inlined, _, _ = map(int, counts)
+            assert printed == cone - aliases - inlined
+        assert all(int(k[4]) and int(k[5]) and int(k[6])
+                   for k in kernels if k[0] == "cyc")
 
 
 class TestTelemetryCLI:
