@@ -1,8 +1,7 @@
 """Process-backend benchmarks: sweep-level speedup, token plane, wire.
 
 Measured numbers land in ``results/BENCH_parallel_speedup.json``.  One
-claim is pinned there (the wire-layer batching claim lives in the
-socket section below):
+claim is pinned there:
 
 * **Independent sweep points scale with ``--jobs``.**  A 4-partition
   sweep through :func:`repro.parallel.fanout` must beat the sequential
@@ -13,10 +12,9 @@ socket section below):
   too (on one core the process backend pays IPC for no gain; with one
   core per partition it is the paper's whole premise).  The
   in-simulation message counters (``ProcessBackend.last_wire_stats``)
-  are recorded alongside: the lock-step LI-BDN wavefront flushes at
-  every blocking point, so the *achieved* batch size on a given
-  topology is a property of its boundary width, not of the flush
-  interval.
+  are recorded alongside: the lock-step LI-BDN wavefront writes one
+  record per peer per pass, so effects carried per record is a
+  property of the topology's boundary width.
 
 The backend's *correctness* under every configuration is pinned by
 ``tests/parallel`` (bit-identity with the in-process harness); this
@@ -42,7 +40,6 @@ CYCLES = 120
 REPEATS = 3
 SWEEP_POINTS = 4
 JOBS = min(4, os.cpu_count() or 1)
-BATCH = 16            # the backend's default flush interval
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -108,7 +105,7 @@ def _build(design, seed=1):
 def test_multi_partition_sweep_speedup_with_jobs():
     design = _design()
 
-    # per-point wall-clock, both backends, plus achieved wire batching
+    # per-point wall-clock, both backends, plus the wire counters
     inproc_s = _timed(
         lambda: _build(design).run(CYCLES, backend="inproc"))
     backend = ProcessBackend()
@@ -174,8 +171,6 @@ from repro.libdn import ChannelSpec, codec_for
 from repro.libdn.codec import repack, repack_plan
 
 TOKENS = 100_000
-RECORDS = 20_000
-RECORD_BYTES = 120
 
 
 def _write_token_plane(payload):
@@ -268,17 +263,11 @@ def test_token_plane_bit_identity():
 # -- socket tier --------------------------------------------------------------
 #
 # Measured numbers land in ``results/BENCH_socket_tier.json``; the
-# ``repro regress`` gate checks them.  Two claims are pinned:
-#
-# * coalescing length-prefixed records into one socket send beats one
-#   syscall per record (the reason SocketChannel stages into ``_tx``
-#   and the conduit batches ``flush_interval`` frames per record),
-# * the unix-domain family is bit-identical to the in-process loop too
-#   (the tcp default is the token-plane verdict above).
+# ``repro regress`` gate checks them.  One claim is pinned: the
+# unix-domain family is bit-identical to the in-process loop too (the
+# tcp default is the token-plane verdict above).
 
-import socket as _socket
-
-from repro.parallel import SocketChannel, socket_available
+from repro.parallel import socket_available
 
 
 def _write_socket_tier(payload):
@@ -287,63 +276,6 @@ def _write_socket_tier(payload):
     merged = json.loads(path.read_text()) if path.exists() else {}
     merged.update(payload)
     path.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-def _drain_socket_records(sock, n, conn):
-    chan = SocketChannel(sock, peer="bench")
-    got = 0
-    while got < n and not chan.closed:
-        got += len(chan.drain())
-    conn.send(("done", got))
-
-
-def _ship_socket(records_per_send):
-    """Wall time to move RECORDS length-prefixed records over a local
-    socket pair, ``records_per_send`` records per sendall; the child
-    parses them back through SocketChannel.drain."""
-    import struct
-
-    ctx = mp.get_context("fork")
-    ours, theirs = _socket.socketpair()
-    parent_conn, child_conn = ctx.Pipe()
-    child = ctx.Process(target=_drain_socket_records,
-                        args=(theirs, RECORDS, child_conn),
-                        daemon=True)
-    child.start()
-    theirs.close()
-    child_conn.close()
-    record = struct.pack("<I", RECORD_BYTES) + bytes(RECORD_BYTES)
-    batch = record * records_per_send
-    t0 = time.perf_counter()
-    for _ in range(RECORDS // records_per_send):
-        ours.sendall(batch)
-    assert parent_conn.recv()[1] == RECORDS
-    elapsed = time.perf_counter() - t0
-    child.join(5.0)
-    ours.close()
-    parent_conn.close()
-    return elapsed
-
-
-@pytest.mark.skipif(not socket_available(),
-                    reason="needs stream sockets")
-def test_socket_tier_batched_sends_beat_per_record_syscalls():
-    per_record_s = min(_ship_socket(1) for _ in range(5))
-    batched_s = min(_ship_socket(BATCH) for _ in range(5))
-    speedup = per_record_s / batched_s
-    payload = {
-        "wire_records": RECORDS,
-        "wire_record_bytes": RECORD_BYTES,
-        "records_per_send": BATCH,
-        "socket_per_record_s": per_record_s,
-        "socket_batched_s": batched_s,
-        "socket_batching_speedup": speedup,
-    }
-    _write_socket_tier(payload)
-    print(f"\nsocket wire: {RECORDS} records, one send each "
-          f"{per_record_s:.3f}s vs {BATCH}/send {batched_s:.3f}s "
-          f"({speedup:.2f}x)")
-    assert speedup > 1.0, payload
 
 
 @pytest.mark.skipif(not socket_available("unix"),

@@ -9,11 +9,37 @@ partition boundary illegal, mirroring FireRipper's user feedback).
 
 from __future__ import annotations
 
+import os
 from typing import List, Optional, Sequence
 
 
 class ReproError(Exception):
     """Base class for all library errors."""
+
+
+class EnvSettingError(ReproError):
+    """Environment variable ``variable`` holds a ``value`` its setting
+    cannot take (``REPRO_HEARTBEAT_TIMEOUT=soon``)."""
+
+    def __init__(self, variable: str, value: str, expected: str):
+        self.variable = variable
+        self.value = value
+        super().__init__(f"{variable}={value!r}: expected {expected}")
+
+
+def env_number(variable: str, default, cast=float):
+    """The ``float`` (or ``cast=int``) environment variable
+    ``variable`` holds, ``default`` when unset or empty; anything else
+    raises :class:`EnvSettingError`."""
+    raw = os.environ.get(variable, "").strip()
+    if not raw:
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        raise EnvSettingError(
+            variable, raw,
+            "an integer" if cast is int else "a number") from None
 
 
 class IRError(ReproError):
@@ -90,6 +116,20 @@ class WorkerError(SimulationError):
         self.reason = reason
         super().__init__(
             f"worker {partition!r} {reason}: {message}")
+
+
+def rebuild_error(label: str, exc_type: str, message: str):
+    """Rebuild an exception a forked child reported by class name: the
+    :class:`ReproError` subclass ``exc_type`` names, when a bare
+    message constructs one, else a :class:`WorkerError` blaming
+    ``label`` (the partition or task the child ran)."""
+    exc_cls = globals().get(exc_type)
+    if isinstance(exc_cls, type) and issubclass(exc_cls, ReproError):
+        try:
+            return exc_cls(message)
+        except TypeError:
+            pass
+    return WorkerError(label, "raised", f"{exc_type}: {message}")
 
 
 class BackendUnavailableError(SimulationError):

@@ -63,14 +63,11 @@ class FarmBackend(ProcessBackend):
 
     def __init__(self, spec: FarmSpec,
                  colocate: Iterable[Iterable[str]] = (),
-                 flush_interval: int = 16,
-                 window: Optional[int] = None,
                  heartbeat_timeout: float = 30.0,
                  worker_faults: Optional[Dict[str, tuple]] = None,
                  host_faults: Optional[Dict[str, int]] = None,
                  socket_family: Optional[str] = None):
-        super().__init__(flush_interval=flush_interval, window=window,
-                         heartbeat_timeout=heartbeat_timeout,
+        super().__init__(heartbeat_timeout=heartbeat_timeout,
                          worker_faults=worker_faults,
                          socket_family=socket_family)
         self.spec = spec
@@ -231,7 +228,6 @@ class FarmManager:
                  colocate: Iterable[Iterable[str]] = (),
                  checkpoint_every: int = 100,
                  max_rollbacks: int = 3,
-                 flush_interval: int = 16,
                  heartbeat_timeout: float = 30.0,
                  host_faults: Optional[Dict[str, int]] = None,
                  worker_faults: Optional[Dict[str, tuple]] = None,
@@ -243,7 +239,6 @@ class FarmManager:
         self.max_rollbacks = max_rollbacks
         self.backend = FarmBackend(
             spec, colocate=colocate,
-            flush_interval=flush_interval,
             heartbeat_timeout=heartbeat_timeout,
             host_faults=host_faults,
             worker_faults=worker_faults,

@@ -24,7 +24,6 @@ with each stuck unit's channel state.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -38,7 +37,8 @@ from typing import (
     Union,
 )
 
-from ..errors import DeadlockError, SimulationError, TransportError
+from ..errors import (DeadlockError, SimulationError, TransportError,
+                      env_number)
 from ..libdn.codec import TokenCodec, repack, repack_plan
 from ..libdn.fame5 import FAME5Host
 from ..libdn.token import Channel, Token
@@ -271,8 +271,8 @@ class _UnitPlan:
     """Precompiled schedule slot for one LI-BDN unit."""
 
     __slots__ = ("part", "prefix", "unit", "out_ops", "in_keys",
-                 "consume_keys", "host_cycle_ns", "batchable",
-                 "source_ops", "ctr_stall", "ctr_bridge", "ctr_tx")
+                 "consume_keys", "host_cycle_ns",
+                 "ctr_stall", "ctr_bridge", "ctr_tx")
 
     def __init__(self, part: Partition, prefix: str, unit: LIBDNHost):
         self.part = part
@@ -282,9 +282,6 @@ class _UnitPlan:
         self.in_keys: Tuple[Tuple[str, str], ...] = ()
         self.consume_keys: Tuple[Tuple[str, str], ...] = ()
         self.host_cycle_ns = part.host_cycle_ns
-        self.batchable = False
-        #: (key, channel, source, unit) for this unit's source-fed inputs
-        self.source_ops: List[tuple] = []
         #: telemetry counters, resolved lazily on first use so the hot
         #: loop skips the registry lookup and the instrument-creation
         #: order stays identical to the uncached code
@@ -310,7 +307,8 @@ class _PartPlan:
     def __init__(self, part: Partition):
         self.part = part
         self.unit_plans: List[_UnitPlan] = []
-        #: flattened source ops in the legacy feeding order
+        #: (key, channel, source, unit) per source-fed input channel,
+        #: in unit then channel order
         self.source_ops: List[tuple] = []
 
 
@@ -338,8 +336,8 @@ class PartitionedSimulation:
         #: how many trailing events a deadlock postmortem keeps
         #: (``REPRO_POSTMORTEM_RING`` overrides the default of 64)
         if postmortem_events is None:
-            postmortem_events = int(os.environ.get(
-                "REPRO_POSTMORTEM_RING", "") or 64)
+            postmortem_events = env_number(
+                "REPRO_POSTMORTEM_RING", 64, int)
         self.postmortem_events = postmortem_events
         self.partitions: Dict[str, Partition] = {}
         for p in partitions:
@@ -404,10 +402,6 @@ class PartitionedSimulation:
         #: honoured, then shared by the inproc loop and process workers
         self._schedule: Optional[List[_PartPlan]] = None
         self._plan_by_part: Dict[str, _PartPlan] = {}
-        #: whether isolated fast-mode partitions may batch several target
-        #: cycles per scheduling pass (set per run; off under telemetry
-        #: sampling and stop callbacks, which observe pass granularity)
-        self._batching = False
         #: compiled step plane (harness/stepjit.py): per-partition
         #: exec-compiled step functions, recompiled alongside the
         #: schedule; partitions missing from the table run interpreted
@@ -473,7 +467,7 @@ class PartitionedSimulation:
 
     def _feed_sources(self, source_ops: List[tuple]) -> None:
         """Fill every empty source-fed input channel of ``source_ops``
-        (a partition's or a unit's) with the next token, packed straight
+        (a partition's) with the next token, packed straight
         into the channel queue.  The schedule compile pre-created every
         arrival deque."""
         arrivals = self._arrivals
@@ -558,10 +552,7 @@ class PartitionedSimulation:
                 arrivals[key] = deque()
         consume = self._consume_times
         credited = self.channel_capacity is not None
-        linked_parts = set()
         for link in self.links:
-            linked_parts.add(link.src[0])
-            linked_parts.add(link.dst[0])
             if credited and link.dst not in consume:
                 consume[link.dst] = deque()
         for part in self.partitions.values():
@@ -572,7 +563,7 @@ class PartitionedSimulation:
                     key = (part.name, prefix + base)
                     source = self.sources.get(key)
                     if source is not None:
-                        up.source_ops.append((key, ch, source, unit))
+                        pplan.source_ops.append((key, ch, source, unit))
                 up.in_keys = tuple(
                     (part.name, prefix + base) for base in unit.in_channels)
                 up.consume_keys = tuple(
@@ -606,26 +597,16 @@ class PartitionedSimulation:
                         if credited:
                             op.consume_q = consume[link.dst]
                     up.out_ops[base] = op
-                # isolated fast-mode partitions (all inputs source-fed,
-                # all outputs bridge taps, single unit) advance with no
-                # peer interaction at all: they may batch several target
-                # cycles per scheduling pass without changing any
-                # observable (credit exactness needs links; trace order
-                # needs multiple units)
-                up.batchable = (part.name not in linked_parts
-                                and len(part.units) == 1)
                 pplan.unit_plans.append(up)
-                pplan.source_ops.extend(up.source_ops)
             schedule.append(pplan)
             self._plan_by_part[part.name] = pplan
         self._schedule = schedule
 
     def _compile_step_fns(self, only=None) -> None:
         """Build the compiled step plane for the current schedule (see
-        :mod:`repro.harness.stepjit`).  Must run after ``_batching`` is
-        set — the generator specializes the batch loop on it.  Eligible
-        partitions land in ``_step_fns``; the rest stay interpreted,
-        with the verdicts recorded in ``last_jit_report``."""
+        :mod:`repro.harness.stepjit`).  Eligible partitions land in
+        ``_step_fns``; the rest stay interpreted, with the verdicts
+        recorded in ``last_jit_report``."""
         from .stepjit import compile_step_functions, stepjit_enabled
         self._step_fns = {}
         if not stepjit_enabled(self):
@@ -638,198 +619,181 @@ class PartitionedSimulation:
 
     # -- main loop ----------------------------------------------------------------
 
-    #: isolated-partition batching cap per scheduling pass: bounds how
-    #: long a worker can go without reporting progress to the supervisor
-    _BATCH_LIMIT = 4096
-
     def _run_unit(self, up: _UnitPlan,
                   target_cycles: Optional[int]) -> bool:
+        """One unit's slot in a pass, interpreted.  ``target_cycles`` is
+        not read (the caller checked the unit is short of it); the step
+        plane prints this call, with it, into every step function."""
         part = up.part
         unit = up.unit
         progress = False
         spans = part.hooks.spans
         arrivals = self._arrivals
-        batched = 0
-        while True:
-            if unit.try_fire_outputs():
-                progress = True
-            for base, word in unit.drain_outbox_words():
-                op = up.out_ops[base]
-                dep_arrival = 0.0
-                for key in op.dep_keys:
-                    queue = arrivals.get(key)
-                    if queue and queue[0] > dep_arrival:
-                        dep_arrival = queue[0]
-                # time the host idles before it can even look at this
-                # token: waiting for dependent inputs is link-wait,
-                # waiting for channel credit beyond that is a credit
-                # stall
-                dep_start = max(part.busy_until, dep_arrival)
-                spans.link_wait_ns += dep_start - part.busy_until
-                start = dep_start
-                link = op.link
-                if link is not None and self.channel_capacity is not None:
-                    consumed = op.consume_q
-                    credit_index = link.tokens - self.channel_capacity
-                    if credit_index >= 0:
-                        rel = credit_index - self._consume_base.get(
-                            link.dst, 0)
-                        if 0 <= rel < len(consumed):
-                            start = max(start, consumed[rel])
-                        elif rel >= len(consumed) and consumed:
-                            start = max(start, consumed[-1])
-                        # future credit indices for this link only grow,
-                        # so once it is the sole feeder of dst every
-                        # entry below ``rel`` is dead — trim, keeping the
-                        # newest entry for the receiver-behind fallback
-                        # above.
-                        if self._dst_link_count.get(link.dst) == 1 \
-                                and rel > 0 and consumed:
-                            drop = min(rel, len(consumed) - 1)
-                            for _ in range(drop):
-                                consumed.popleft()
-                            self._consume_base[link.dst] = \
-                                self._consume_base.get(link.dst, 0) + drop
-                credit_wait = start - dep_start
-                spans.credit_stall_ns += credit_wait
-                if credit_wait and self._metrics_on:
-                    up.count("ctr_stall", "credit_stalls",
-                             self.telemetry.registry)
-                if credit_wait and self._trace:
-                    self.tracer.emit(TraceEvent(
-                        "credit_stall", ts_ns=dep_start,
-                        dur_ns=credit_wait,
-                        part=part.name, scope=op.full,
-                        args={"link": link.key, "tokens": link.tokens}))
-                if link is None:
-                    # external observation channel (a FireSim bridge
-                    # tap): drained by wide DMA batches, effectively free
-                    part.busy_until = start
-                    if self._metrics_on:
-                        up.count("ctr_bridge", "bridge_outputs",
-                                 self.telemetry.registry)
-                    if self.record_outputs:
-                        self.output_log.setdefault(
-                            (part.name, op.full), []).append(
-                                op.codec.decode(word))
-                    if self._trace:
-                        self.tracer.emit(TraceEvent(
-                            "bridge_output", ts_ns=start, part=part.name,
-                            scope=op.full,
-                            args={"cycle": unit.target_cycle}))
-                    continue
-                tx_ns = op.tx_ns
-                spans.serdes_ns += tx_ns
-                end = start + tx_ns
-                part.busy_until = end
-                depart = end if end > link.next_free else link.next_free
-                occupancy = op.occupancy_ns
-                link.next_free = depart + occupancy
-                if op.switch is not None:
-                    # switched Ethernet: contend on the shared backplane
-                    depart = op.switch.traverse(depart, op.width)
-                if op.clean:
-                    # ideal lossless wire: the transmit outcome is fully
-                    # determined by the precompiled constants
-                    arrive_ns = depart + op.wire_ns
-                    delivered = True
-                    retries = 0
-                    retry_delay = 0.0
-                else:
-                    # reliability layer / fault injector attached: the
-                    # hooks get the packed word and the source codec,
-                    # and hand back the word the receiver saw
-                    res = link.transmit(depart, word, op.codec)
-                    arrive_ns = res.arrive_ns
-                    word = res.word
-                    delivered = res.delivered
-                    retries = res.retries
-                    retry_delay = res.retry_delay_ns
-                # retransmissions hold the link busy beyond the clean
-                # occupancy window
-                link.next_free += retry_delay
-                link.busy_ns += occupancy + retry_delay
-                if self._trace:
-                    self.tracer.emit(TraceEvent(
-                        "token_tx", ts_ns=start, dur_ns=tx_ns,
-                        part=part.name, scope=op.full,
-                        args={"link": link.key, "width": op.width,
-                              "serdes_ns": tx_ns,
-                              "wire_ns": op.wire_ns,
-                              "occupancy_ns": occupancy,
-                              "queue_wait_ns": depart - end,
-                              "retries": retries,
-                              "retry_delay_ns": retry_delay}))
-                if delivered:
-                    # the token crosses as a packed word, repacked to
-                    # the peer layout by bit moves when the layouts
-                    # differ.  Receive-side deserialization is priced
-                    # at the destination's host clock; remote
-                    # destinations go through the router (process
-                    # backend)
-                    mapped_word = repack(word, op.repack)
-                    router = self.router
-                    if router is not None \
-                            and not router.is_local(op.dst_part_name):
-                        router.deliver_remote(
-                            link, mapped_word,
-                            arrive_ns + op.rx_ns, op.rx_ns)
-                    else:
-                        self.apply_link_delivery(
-                            link, mapped_word,
-                            arrive_ns + op.rx_ns, op.rx_ns)
-                else:
-                    self.dropped_tokens += 1
-                link.tokens += 1
-                self.total_tokens += 1
+        if unit.try_fire_outputs():
+            progress = True
+        for base, word in unit.drain_outbox_words():
+            op = up.out_ops[base]
+            dep_arrival = 0.0
+            for key in op.dep_keys:
+                queue = arrivals.get(key)
+                if queue and queue[0] > dep_arrival:
+                    dep_arrival = queue[0]
+            # time the host idles before it can even look at this
+            # token: waiting for dependent inputs is link-wait,
+            # waiting for channel credit beyond that is a credit
+            # stall
+            dep_start = max(part.busy_until, dep_arrival)
+            spans.link_wait_ns += dep_start - part.busy_until
+            start = dep_start
+            link = op.link
+            if link is not None and self.channel_capacity is not None:
+                consumed = op.consume_q
+                credit_index = link.tokens - self.channel_capacity
+                if credit_index >= 0:
+                    rel = credit_index - self._consume_base.get(
+                        link.dst, 0)
+                    if 0 <= rel < len(consumed):
+                        start = max(start, consumed[rel])
+                    elif rel >= len(consumed) and consumed:
+                        start = max(start, consumed[-1])
+                    # future credit indices for this link only grow,
+                    # so once it is the sole feeder of dst every
+                    # entry below ``rel`` is dead — trim, keeping the
+                    # newest entry for the receiver-behind fallback
+                    # above.
+                    if self._dst_link_count.get(link.dst) == 1 \
+                            and rel > 0 and consumed:
+                        drop = min(rel, len(consumed) - 1)
+                        for _ in range(drop):
+                            consumed.popleft()
+                        self._consume_base[link.dst] = \
+                            self._consume_base.get(link.dst, 0) + drop
+            credit_wait = start - dep_start
+            spans.credit_stall_ns += credit_wait
+            if credit_wait and self._metrics_on:
+                up.count("ctr_stall", "credit_stalls",
+                         self.telemetry.registry)
+            if credit_wait and self._trace:
+                self.tracer.emit(TraceEvent(
+                    "credit_stall", ts_ns=dep_start,
+                    dur_ns=credit_wait,
+                    part=part.name, scope=op.full,
+                    args={"link": link.key, "tokens": link.tokens}))
+            if link is None:
+                # external observation channel (a FireSim bridge
+                # tap): drained by wide DMA batches, effectively free
+                part.busy_until = start
                 if self._metrics_on:
-                    up.count("ctr_tx", "tokens_tx",
+                    up.count("ctr_bridge", "bridge_outputs",
                              self.telemetry.registry)
-            advanced = False
-            if unit.can_advance():
-                host_cycle_ns = up.host_cycle_ns
-                input_ready = 0.0
-                for key in up.in_keys:
-                    queue = arrivals.get(key)
-                    if queue:
-                        arrival = queue.popleft()
-                        if arrival > input_ready:
-                            input_ready = arrival
-                start = part.busy_until \
-                    if part.busy_until > input_ready else input_ready
-                spans.link_wait_ns += start - part.busy_until
-                if self.channel_capacity is not None:
-                    # only link-fed channels are read back by the credit
-                    # logic; recording source-fed ones would grow forever
-                    for key in up.consume_keys:
-                        self._record_consume(key, start + host_cycle_ns)
-                spans.compute_ns += host_cycle_ns
-                spans.sync_ns += part.advance_overhead_ns
+                if self.record_outputs:
+                    self.output_log.setdefault(
+                        (part.name, op.full), []).append(
+                            op.codec.decode(word))
                 if self._trace:
                     self.tracer.emit(TraceEvent(
-                        "target_cycle", ts_ns=start,
-                        dur_ns=(host_cycle_ns
-                                + part.advance_overhead_ns),
-                        part=part.name, scope=up.prefix + unit.name,
-                        args={"cycle": unit.target_cycle,
-                              "input_wait_ns": start - part.busy_until}))
-                part.busy_until = (start + host_cycle_ns
-                                   + part.advance_overhead_ns)
-                unit.advance()
-                progress = True
-                advanced = True
-            # isolated fast-mode partitions may run several target
-            # cycles per scheduling pass: no links touch them, so no
-            # observable (timing, spans, output log, arrivals) depends
-            # on the pass boundary
-            if (not advanced or target_cycles is None
-                    or not up.batchable or not self._batching
-                    or unit.target_cycle >= target_cycles):
-                break
-            batched += 1
-            if batched >= self._BATCH_LIMIT:
-                break
-            self._feed_sources(up.source_ops)
+                        "bridge_output", ts_ns=start, part=part.name,
+                        scope=op.full,
+                        args={"cycle": unit.target_cycle}))
+                continue
+            tx_ns = op.tx_ns
+            spans.serdes_ns += tx_ns
+            end = start + tx_ns
+            part.busy_until = end
+            depart = end if end > link.next_free else link.next_free
+            occupancy = op.occupancy_ns
+            link.next_free = depart + occupancy
+            if op.switch is not None:
+                # switched Ethernet: contend on the shared backplane
+                depart = op.switch.traverse(depart, op.width)
+            if op.clean:
+                # ideal lossless wire: the transmit outcome is fully
+                # determined by the precompiled constants
+                arrive_ns = depart + op.wire_ns
+                delivered = True
+                retries = 0
+                retry_delay = 0.0
+            else:
+                # reliability layer / fault injector attached: the
+                # hooks get the packed word and the source codec,
+                # and hand back the word the receiver saw
+                res = link.transmit(depart, word, op.codec)
+                arrive_ns = res.arrive_ns
+                word = res.word
+                delivered = res.delivered
+                retries = res.retries
+                retry_delay = res.retry_delay_ns
+            # retransmissions hold the link busy beyond the clean
+            # occupancy window
+            link.next_free += retry_delay
+            link.busy_ns += occupancy + retry_delay
+            if self._trace:
+                self.tracer.emit(TraceEvent(
+                    "token_tx", ts_ns=start, dur_ns=tx_ns,
+                    part=part.name, scope=op.full,
+                    args={"link": link.key, "width": op.width,
+                          "serdes_ns": tx_ns,
+                          "wire_ns": op.wire_ns,
+                          "occupancy_ns": occupancy,
+                          "queue_wait_ns": depart - end,
+                          "retries": retries,
+                          "retry_delay_ns": retry_delay}))
+            if delivered:
+                # the token crosses as a packed word, repacked to
+                # the peer layout by bit moves when the layouts
+                # differ.  Receive-side deserialization is priced
+                # at the destination's host clock; remote
+                # destinations go through the router (process
+                # backend)
+                mapped_word = repack(word, op.repack)
+                router = self.router
+                if router is not None \
+                        and not router.is_local(op.dst_part_name):
+                    router.deliver_remote(
+                        link, mapped_word,
+                        arrive_ns + op.rx_ns, op.rx_ns)
+                else:
+                    self.apply_link_delivery(
+                        link, mapped_word,
+                        arrive_ns + op.rx_ns, op.rx_ns)
+            else:
+                self.dropped_tokens += 1
+            link.tokens += 1
+            self.total_tokens += 1
+            if self._metrics_on:
+                up.count("ctr_tx", "tokens_tx",
+                         self.telemetry.registry)
+        if unit.can_advance():
+            host_cycle_ns = up.host_cycle_ns
+            input_ready = 0.0
+            for key in up.in_keys:
+                queue = arrivals.get(key)
+                if queue:
+                    arrival = queue.popleft()
+                    if arrival > input_ready:
+                        input_ready = arrival
+            start = part.busy_until \
+                if part.busy_until > input_ready else input_ready
+            spans.link_wait_ns += start - part.busy_until
+            if self.channel_capacity is not None:
+                # only link-fed channels are read back by the credit
+                # logic; recording source-fed ones would grow forever
+                for key in up.consume_keys:
+                    self._record_consume(key, start + host_cycle_ns)
+            spans.compute_ns += host_cycle_ns
+            spans.sync_ns += part.advance_overhead_ns
+            if self._trace:
+                self.tracer.emit(TraceEvent(
+                    "target_cycle", ts_ns=start,
+                    dur_ns=(host_cycle_ns
+                            + part.advance_overhead_ns),
+                    part=part.name, scope=up.prefix + unit.name,
+                    args={"cycle": unit.target_cycle,
+                          "input_wait_ns": start - part.busy_until}))
+            part.busy_until = (start + host_cycle_ns
+                               + part.advance_overhead_ns)
+            unit.advance()
+            progress = True
         return progress
 
     def _step_partition(self, pplan: _PartPlan,
@@ -909,7 +873,6 @@ class PartitionedSimulation:
         # hook swaps (harden_links, inject_faults) land here
         self.invalidate_schedule()
         schedule = self.ensure_schedule()
-        self._batching = stop is None and not self._metrics_on
         # build the compiled step plane against the fresh schedule
         self._compile_step_fns()
         passes = 0

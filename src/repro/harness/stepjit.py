@@ -37,8 +37,7 @@ What the generated function inlines:
   a switch fabric's ``traverse`` called out to (the call-out rule
   below);
 * **the advance** — input pops, pokes, comb+tick, fire-FSM re-arm and
-  target-cycle bump, plus the isolated-partition batching loop when the
-  schedule marks the unit batchable.
+  target-cycle bump.
 
 Dep-free units (NoC routers, FAST-extracted tiles) additionally take
 the **fused RTL kernel tier**: per-unit ``fire``/``cyc`` functions
@@ -609,12 +608,12 @@ class _PartitionCodegen:
         else:
             w.emit(La, f"busy = _st + {hc}")
 
-    def _emit_advance(self, L: int, up, names: dict, then: List[str],
+    def _emit_advance(self, L: int, up, names: dict, dirty: List[str],
                       settle: Optional[List[str]] = None,
                       keyword: str = "if") -> None:
         """The fireFSM advance (``unit.advance()``, inlined): timing,
         input pops + pokes, the tier's ``settle`` lines, re-arm, cycle
-        bumps; ``then`` closes the block.  ``settle=None`` prints the
+        bumps; ``dirty`` closes the block.  ``settle=None`` prints the
         kernel tier's fused advance instead (``if _tk:``): the ``cyc``
         kernel already ticked over inputs that repeat, and the fire's
         enqueue cancelled the re-arm's dequeue."""
@@ -645,7 +644,7 @@ class _PartitionCodegen:
         w.emit(La, f"{names['U']}.target_cycle += 1")
         self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
-        for line in then:
+        for line in dirty:
             w.emit(La, line)
 
     def _emit_kernel_fire(self, Lb: int, uid: int, up, names: dict
@@ -710,14 +709,14 @@ class _PartitionCodegen:
 
     def _emit_unit(self, L: int, uid: int, up) -> None:
         """One unit's pass, both tiers: header, outbox guard +
-        interpreter fallback, batch loop, fire, out-ops, advance.  A
+        interpreter fallback, fire, out-ops, advance.  A
         tier supplies only its fire fragment and the advance's
         ``settle`` lines (``stale`` drops the settle it carries across
         passes): the generic tier the engine's ``comb``/``tick`` pair
         behind a dirty flag; the kernel tier (dep-free units on a
         compiled engine) fused, cone-reduced RTL kernels plus the fused
         single-settle advance ahead of the shared split-path one."""
-        w, b, sim = self.w, self.b, self.sim
+        w, b = self.w, self.b
         unit = up.unit
         bindings = unit.step_bindings()
         names = {
@@ -782,8 +781,6 @@ class _PartitionCodegen:
             b.bind(cell, "dc")
             settle = [names["C"] + settle_args, T + settle_args]
             stale = dirty = [f"dty{uid} = True"]
-        batch = bool(up.batchable and sim._batching)
-        then = dirty + (["advanced = True"] if batch else [])
         w.emit(L, f"if {U}.target_cycle < target_cycles:")
         Lu = L + 1
         w.emit(Lu, f"if {guard}:")
@@ -797,10 +794,6 @@ class _PartitionCodegen:
             w.emit(Lu + 1, line)
         w.emit(Lu, "else:")
         Lb = Lu + 1
-        if batch:
-            w.emit(Lb, "batched = 0")
-            w.emit(Lb, "while True:")
-            Lb += 1
         for j in range(k):
             w.emit(Lb, f"w{uid}_{j} = None")
         if kernel:
@@ -813,20 +806,10 @@ class _PartitionCodegen:
         # process fired tokens in fire (outbox) order
         for j, entry in enumerate(fire_plans):
             self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
-        if batch:
-            w.emit(Lb, "advanced = False")
         if kernel:
-            self._emit_advance(Lb, up, names, then)
-        self._emit_advance(Lb, up, names, then, settle,
+            self._emit_advance(Lb, up, names, dirty)
+        self._emit_advance(Lb, up, names, dirty, settle,
                            "elif" if kernel else "if")
-        if batch:
-            w.emit(Lb, f"if not advanced or {U}.target_cycle >= "
-                       f"target_cycles:")
-            w.emit(Lb + 1, "break")
-            w.emit(Lb, "batched += 1")
-            w.emit(Lb, f"if batched >= {sim._BATCH_LIMIT}:")
-            w.emit(Lb + 1, "break")
-            self._emit_feed(Lb, up.source_ops)
 
     # -- whole function ---------------------------------------------------
 

@@ -3,10 +3,11 @@
 FireAxe's premise is that partitions run *concurrently* on separate
 FPGAs; this package gives the reproduction the same shape in software.
 Each partition's LI-BDN host runs in its own forked worker process
-(``worker``), cross-partition tokens travel as batched effect frames
-with credit-based flow control (``channels``), struct-packed into
-records over TCP / unix-domain stream sockets (``socket_transport`` —
-the one data plane, within a host and across farm hosts), a
+(``worker``), cross-partition tokens travel as effect frames — one
+per peer per pass, which is all the lock-step wavefront can have in
+flight (``channels``) — struct-packed into records over TCP /
+unix-domain stream sockets (``socket_transport`` — the one data
+plane, within a host and across farm hosts), a
 coordinator spawns/supervises the workers and merges their state
 fragments back into the parent simulation (``coordinator``), and an
 experiment-level pool fans independent sweep points across bounded
@@ -25,7 +26,7 @@ from .coordinator import (BACKEND_ALIASES, VALID_BACKENDS,
                           ProcessBackend, auto_backend,
                           fork_available, normalize_backend,
                           unsupported_reason)
-from .channels import Conduit, EffectFrame, FrameInbox, FramePacker
+from .channels import Conduit, EffectFrame, FramePacker
 from .socket_transport import (SocketChannel, connect_with_backoff,
                                establish_channels, make_listeners,
                                socket_available)
@@ -41,7 +42,6 @@ __all__ = [
     "unsupported_reason",
     "Conduit",
     "EffectFrame",
-    "FrameInbox",
     "FramePacker",
     "SocketChannel",
     "connect_with_backoff",

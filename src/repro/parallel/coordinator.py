@@ -43,10 +43,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import errors as _errors
 from ..errors import (BackendUnavailableError, DeadlockError,
                       SimulationError, UnknownBackendError,
-                      UnsupportedTopologyError, WorkerError)
+                      UnsupportedTopologyError, WorkerError,
+                      env_number, rebuild_error)
 from ..observability.postmortem import DeadlockPostmortem
 from ..observability.events import lifecycle_event
 from ..observability.tracer import (NULL_TRACER, RecordingTracer,
@@ -56,7 +56,8 @@ from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
 from .channels import FramePacker
 from .socket_transport import (default_family, make_listeners,
-                               socket_available, socket_timeouts)
+                               resolve_family, socket_available,
+                               socket_timeouts)
 from .worker import close_all, worker_main
 
 
@@ -134,14 +135,10 @@ def auto_backend(sim) -> Optional["ProcessBackend"]:
         return None
     if unsupported_reason(sim) is not None:
         return None
-    kwargs = {}
-    flush = os.environ.get("REPRO_FLUSH_INTERVAL")
-    if flush:
-        kwargs["flush_interval"] = max(1, int(flush))
-    timeout = os.environ.get("REPRO_HEARTBEAT_TIMEOUT")
-    if timeout:
-        kwargs["heartbeat_timeout"] = float(timeout)
-    return ProcessBackend(**kwargs)
+    timeout = env_number("REPRO_HEARTBEAT_TIMEOUT", None)
+    if timeout is None:
+        return ProcessBackend()
+    return ProcessBackend(heartbeat_timeout=timeout)
 
 
 class _WorkerState:
@@ -253,11 +250,6 @@ class ProcessBackend:
     """Runs a partitioned simulation with one OS process per partition.
 
     Args:
-        flush_interval: passes batched into one wire record per peer
-            (frame batching; also the progress-report batch size).
-        window: max unacknowledged passes in flight per peer before a
-            sender blocks (credit flow control); default
-            ``2 * flush_interval``.
         heartbeat_timeout: seconds of *total* silence from a worker
             (no frames for peers implies progress reports or heartbeats
             for the coordinator) before it is declared hung.
@@ -267,8 +259,11 @@ class ProcessBackend:
             or ``"unix"``; defaults to the ``REPRO_SOCKET_FAMILY``
             environment variable, then tcp.
 
-    Linked workers exchange struct-packed frame batches over stream
-    sockets (see :mod:`repro.parallel.socket_transport`); control and
+    Linked workers exchange one struct-packed frame per pass over
+    stream sockets (:mod:`repro.parallel.worker` says why the
+    lock-step wavefront needs no batching, window or acknowledgement
+    on top; :mod:`repro.parallel.socket_transport` is the carrier);
+    control and
     coordinator-side liveness stay on pipes.  Sockets are the only
     data plane because the end-to-end ledger picked them: pickled
     pipes measured ~10-15% slower and shared-memory rings 2.6-6.4x
@@ -277,27 +272,20 @@ class ProcessBackend:
     wire".
     """
 
-    def __init__(self, flush_interval: int = 16,
-                 window: Optional[int] = None,
-                 heartbeat_timeout: float = 30.0,
+    def __init__(self, heartbeat_timeout: float = 30.0,
                  worker_faults: Optional[Dict[str, tuple]] = None,
                  socket_family: Optional[str] = None):
-        self.flush_interval = max(1, flush_interval)
-        self.window = window
         self.heartbeat_timeout = heartbeat_timeout
         self.worker_faults = dict(worker_faults or {})
         if socket_family is None:
             socket_family = default_family()
-        if socket_family not in ("tcp", "unix"):
-            raise ValueError(
-                f"unknown socket family {socket_family!r} "
-                "(tcp or unix)")
+        resolve_family(socket_family)  # an unknown name fails here
         self.socket_family = socket_family
         self._backend_label = "process"
         self._listeners: Dict[str, object] = {}
         self._socket_tmpdir: Optional[str] = None
         #: per-worker wire accounting from the last completed run —
-        #: {partition: {"messages_sent": ..., "frames_pushed": ...}};
+        #: {partition: {"messages_sent": ..., "effects_sent": ...}};
         #: benchmark instrumentation, never part of simulation state
         self.last_wire_stats: Dict[str, dict] = {}
         #: per-worker corr-id echo from the last completed run — the
@@ -361,8 +349,6 @@ class ProcessBackend:
         self._socket_tmpdir = tmpdir
         connect_timeout, read_timeout = socket_timeouts()
         shared = {
-            "flush_interval": self.flush_interval,
-            "window": self.window,
             "heartbeat_s": min(2.0, self.heartbeat_timeout / 4),
             "packer": FramePacker.from_sim(sim),
             "socket": {
@@ -619,7 +605,7 @@ class ProcessBackend:
         heartbeat silence."""
         for name, state in states.items():
             if state.failed is not None:
-                return self._raised_error(name, *state.failed)
+                return rebuild_error(name, *state.failed)
         if not quiescing:
             lost = [(name, state) for name, state in states.items()
                     if state.dead and state.fragment is None
@@ -641,18 +627,6 @@ class ProcessBackend:
                     f"no message for more than "
                     f"{self.heartbeat_timeout}s")
         return None
-
-    @staticmethod
-    def _raised_error(name, exc_type, message):
-        exc_cls = getattr(_errors, exc_type, None)
-        if exc_cls is not None \
-                and isinstance(exc_cls, type) \
-                and issubclass(exc_cls, _errors.ReproError):
-            try:
-                return exc_cls(message)
-            except TypeError:
-                pass
-        return WorkerError(name, "raised", f"{exc_type}: {message}")
 
     # -- terminal assembly ----------------------------------------------------
 

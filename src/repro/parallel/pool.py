@@ -19,13 +19,9 @@ import multiprocessing as mp
 import os
 from typing import Callable, List, Optional, Sequence
 
-from .. import errors as _errors
-from ..errors import WorkerError
+from ..errors import WorkerError, rebuild_error
 from . import worker as _worker_mod
-
-
-def _fork_available() -> bool:
-    return "fork" in mp.get_all_start_methods()
+from .coordinator import fork_available
 
 
 def _pool_child(thunks, queue, send_conn) -> None:
@@ -46,17 +42,6 @@ def _pool_child(thunks, queue, send_conn) -> None:
     os._exit(0)
 
 
-def _rebuild_error(task_label: str, exc_type: str, message: str):
-    exc_cls = getattr(_errors, exc_type, None)
-    if exc_cls is not None and isinstance(exc_cls, type) \
-            and issubclass(exc_cls, _errors.ReproError):
-        try:
-            return exc_cls(message)
-        except TypeError:
-            pass
-    return WorkerError(task_label, "raised", f"{exc_type}: {message}")
-
-
 def fanout(thunks: Sequence[Callable[[], object]], jobs: int,
            labels: Optional[Sequence[str]] = None) -> List[object]:
     """Run every thunk, at most ``jobs`` concurrently, returning their
@@ -72,7 +57,7 @@ def fanout(thunks: Sequence[Callable[[], object]], jobs: int,
     labels = list(labels) if labels is not None \
         else [f"task-{i}" for i in range(len(thunks))]
     if jobs is None or jobs <= 1 or len(thunks) <= 1 \
-            or not _fork_available() or _worker_mod.IN_WORKER:
+            or not fork_available() or _worker_mod.IN_WORKER:
         return [thunk() for thunk in thunks]
     jobs = min(jobs, len(thunks))
     ctx = mp.get_context("fork")
@@ -107,7 +92,7 @@ def fanout(thunks: Sequence[Callable[[], object]], jobs: int,
                 if msg[1]:
                     results[msg[0]] = msg[2]
                 elif first_error is None:
-                    first_error = _rebuild_error(
+                    first_error = rebuild_error(
                         labels[msg[0]], msg[2], msg[3])
         if first_error is not None:
             raise first_error
@@ -124,9 +109,5 @@ def fanout(thunks: Sequence[Callable[[], object]], jobs: int,
                 proc.terminate()
         for proc in procs:
             proc.join(5.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        _worker_mod.close_all(conns)
         queue.close()

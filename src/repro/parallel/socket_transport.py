@@ -1,6 +1,6 @@
 """Stream-socket carrier of the process backend's data plane.
 
-Cross-partition frame batches travel as length-prefixed binary records
+Cross-partition effect frames travel as length-prefixed binary records
 (coded by :class:`~repro.parallel.channels.FramePacker` — lossless by
 construction, so the carrier is invisible in the results) over TCP or
 Unix-domain stream sockets, within one host and across farm hosts
@@ -42,7 +42,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SocketSetupError
+from ..errors import SocketSetupError, env_number
 
 _LEN = struct.Struct("<I")
 
@@ -73,11 +73,10 @@ def socket_available(family_name: Optional[str] = None) -> bool:
 
 def socket_timeouts() -> Tuple[float, float]:
     """(connect, read) timeouts in seconds, environment-overridable."""
-    connect = float(os.environ.get(
-        "REPRO_SOCKET_CONNECT_TIMEOUT", "") or DEFAULT_CONNECT_TIMEOUT)
-    read = float(os.environ.get(
-        "REPRO_SOCKET_READ_TIMEOUT", "") or DEFAULT_READ_TIMEOUT)
-    return connect, read
+    return (env_number("REPRO_SOCKET_CONNECT_TIMEOUT",
+                       DEFAULT_CONNECT_TIMEOUT),
+            env_number("REPRO_SOCKET_READ_TIMEOUT",
+                       DEFAULT_READ_TIMEOUT))
 
 
 def resolve_family(name: str) -> int:

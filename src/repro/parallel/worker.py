@@ -18,22 +18,32 @@ processing, while leaving the expensive part — evaluating the
 partition's RTL and pricing its timing overlay — to run concurrently
 across workers.  The dependency graph of (pass, partition) points is
 acyclic, so the wavefront can never deadlock on itself; a worker that
-must block first flushes every buffered outgoing frame, keeping peers
+must block first flushes every staged outgoing byte, keeping peers
 fed.
+
+The same rule is the wire's only flow control.  A worker emits frame
+``k`` after applying every peer's ``k-1`` (or ``k``), and a peer emits
+that frame only after applying ours, so each stream runs at most one
+pass ahead of its reader: one frame per (peer, pass), written when the
+pass ends, consumed in arrival order (a stream socket is a FIFO; a
+frame whose pass number is not the next one is a
+:class:`~repro.errors.SimulationError`).
 
 A finished worker (its partition reached the target cycle) keeps
 cycling *service passes*: it emits empty frames so slower peers can keep
-advancing, paced by the flow-control window, until the coordinator
-broadcasts a stop.  Service passes perform no simulation work and
-mutate no state, so the final merged state is deterministic.
+advancing — paced, like any pass, by the frames it applies first —
+until the coordinator broadcasts a stop.  Service passes perform no
+simulation work and mutate no state, so the final merged state is
+deterministic.
 
 Control protocol (worker -> coordinator, over the control pipe; every
 message travels in a ``(partition, message)`` envelope so an endpoint
 that fronts several workers — a farm host agent — relays it as is):
 
 ``("progress", name, [(pass, frontier, progressed), ...], metrics)``
-    batched per-pass progress; flushed on no-progress passes so the
-    coordinator can detect global deadlock quickly.  ``metrics`` is a
+    per-pass progress, ``REPORT_BATCH`` passes a message; flushed on
+    no-progress passes so the coordinator can detect global deadlock
+    quickly.  ``metrics`` is a
     :class:`~repro.parallel.channels.MetricFrame` with the sample
     points taken since the previous report (None when telemetry is
     off) — live status rides the existing control pipe, no extra
@@ -56,17 +66,20 @@ import signal
 import time
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..observability.tracer import RecordingTracer
 from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
-from .channels import Conduit, EffectFrame, FrameInbox, MetricFrame
+from .channels import Conduit, EffectFrame, MetricFrame
 from .socket_transport import SocketChannel, establish_channels
 
 #: set in forked children so backend auto-selection never recurses
 IN_WORKER = False
+
+#: passes per ``progress`` message on the control pipe
+REPORT_BATCH = 16
 
 
 def close_all(closables) -> None:
@@ -93,11 +106,11 @@ class _Abort(Exception):
 class Router:
     """The harness's remote-effect sink while running inside a worker.
 
-    Installed as ``sim.router``; the partitioned harness consults it in
-    ``_deliver_link`` (token bound for a peer partition) and
-    ``_record_consume`` (credit return for a channel fed by a peer's
-    link).  Effects accumulate into one :class:`EffectFrame` per linked
-    peer per pass.
+    Installed as ``sim.router``; the harness (both step tiers) hands
+    it every token bound for a peer partition (``deliver_remote``) and
+    ``_record_consume`` every credit return for a channel fed by a
+    peer's link (``consumed``).  Effects accumulate into one
+    :class:`EffectFrame` per linked peer per pass.
     """
 
     def __init__(self, sim, me: str):
@@ -149,7 +162,6 @@ class PartitionWorker:
         self.max_passes = max_passes
         self.ctl_recv = ctl_recv
         self.ctl_send = ctl_send
-        self.flush_interval = flush_interval = options["flush_interval"]
         self.heartbeat_s = options["heartbeat_s"]
         self.die: Optional[Tuple[str, int]] = options["die"]
         self.pass_no = 0
@@ -167,26 +179,23 @@ class PartitionWorker:
         # through the coordinator's pre-bound rendezvous listeners.
         # Sockets signal peer death natively (EOF), so the channels
         # double as the peer-liveness watch.
-        self.packer = packer = options["packer"]
+        self.packer = options["packer"]
         self._finalizing = False
         self.conduits: Dict[str, Conduit] = {}
-        self.inboxes: Dict[str, FrameInbox] = {}
+        #: per peer, the frames received and not yet applied, in
+        #: arrival (= pass) order
+        self.inboxes: Dict[str, Deque[EffectFrame]] = {}
         self._wait_conns = [ctl_recv]
         channels = establish_channels(
             name, self.peers_before, self.peers_after,
             options["socket"])
         for peer in self.peers:
             chan = channels[peer]
-            conduit = Conduit(
-                chan, peer, packer,
-                flush_interval=flush_interval,
-                window=options["window"],
-                wait_step=(lambda p=peer: self._transport_wait_step(p)))
             self._wait_conns.append(chan)
-            conduit.ack_source = (lambda p=peer: self._take_ack(p))
-            self.conduits[peer] = conduit
-            self.inboxes[peer] = FrameInbox(
-                peer, ack_every=max(1, flush_interval // 2))
+            self.conduits[peer] = Conduit(
+                chan, self.packer,
+                wait_step=(lambda p=peer: self._transport_wait_step(p)))
+            self.inboxes[peer] = deque()
 
         # the wavefront schedule is compiled per-process: the parent
         # dispatched to the backend before compiling its own, and the
@@ -195,7 +204,6 @@ class PartitionWorker:
         # parent — they bind the parent's pre-fork objects)
         sim.invalidate_schedule()
         sim.ensure_schedule()
-        sim._batching = not sim._metrics_on
 
         #: pass number fence from the coordinator's stop broadcast:
         #: run the wavefront through this pass, then finalize (ensures
@@ -242,11 +250,6 @@ class PartitionWorker:
     def frontier(self) -> int:
         return self.part.target_cycle
 
-    def _take_ack(self, peer: str) -> int:
-        through = self.inboxes[peer].applied_through
-        self.inboxes[peer].note_ack_sent(through)
-        return through
-
     def _flush_all(self) -> None:
         for peer, conduit in self.conduits.items():
             try:
@@ -254,8 +257,7 @@ class PartitionWorker:
             except (BrokenPipeError, OSError):
                 # the peer exited; it has already applied everything it
                 # needed from us (a worker only finalizes past the stop
-                # fence) or the run is aborting — drop the frames
-                conduit.buffer = []
+                # fence) or the run is aborting
                 self._dead_peers.add(peer)
         self._flush_reports()
 
@@ -294,14 +296,9 @@ class PartitionWorker:
 
     def _drain_socket(self, chan: SocketChannel) -> None:
         peer = chan.peer
+        inbox = self.inboxes[peer]
         for payload in chan.drain():
-            msg = self.packer.unpack(payload, peer)
-            if msg[0] == "frames":
-                _, frames, ack = msg
-                self.inboxes[peer].offer(frames)
-                self.conduits[peer].note_ack(ack)
-            else:
-                self.conduits[peer].note_ack(msg[1])
+            inbox.append(self.packer.unpack(payload, peer))
         if chan.closed:
             self._dead_peers.add(peer)
             if chan in self._wait_conns:
@@ -311,7 +308,7 @@ class PartitionWorker:
         """One polite spin of a conduit blocked on a backpressured
         socket: keep every other stream moving (the peer that cannot
         accept our bytes is itself blocked until someone reads its),
-        then tell the writer whether to abandon the batch (the receiver
+        then tell the writer whether to abandon the frame (the receiver
         will never read it again)."""
         for conn in _conn_wait(self._wait_conns, timeout=0.0005):
             self._drain(conn)
@@ -320,7 +317,7 @@ class PartitionWorker:
 
     def _wait_until(self, pred) -> None:
         """Block until ``pred()`` — flushing first so peers never starve
-        on our buffered frames, and heartbeating while idle."""
+        on our staged bytes, and heartbeating while idle."""
         last_beat = time.monotonic()
         while not pred():
             self._flush_all()
@@ -348,22 +345,22 @@ class PartitionWorker:
         if pass_no <= 0:
             return
         inbox = self.inboxes[peer]
-        if not inbox.has(pass_no):
-            self._wait_until(lambda: inbox.has(pass_no))
-        frame = inbox.take(pass_no)
+        if not inbox:
+            self._wait_until(lambda: inbox)
+        frame = inbox.popleft()
+        if frame.pass_no != pass_no:
+            # bytes from outside this process: the stream is a FIFO and
+            # the peer numbers its passes as we do, so anything but the
+            # next pass means the two ends disagree about the schedule
+            raise SimulationError(
+                f"frame stream from {peer!r} to {self.name!r} out of "
+                f"order: expected pass {pass_no}, got {frame.pass_no}")
         sim = self.sim
         for idx, _dst, word, arrive_ns, rx_ns in frame.deliveries:
             sim.apply_link_delivery(sim.links[idx], word,
                                     arrive_ns, rx_ns)
         for key, ns in frame.credits:
             sim._consume_times.setdefault(key, deque()).append(ns)
-        due = inbox.standalone_ack_due()
-        if due is not None:
-            try:
-                self.conduits[peer].send_ack(due)
-            except (BrokenPipeError, OSError):
-                self._dead_peers.add(peer)
-            inbox.note_ack_sent(due)
 
     def _own_pass(self) -> bool:
         # the serial loop's per-partition body (sampling hook
@@ -374,24 +371,18 @@ class PartitionWorker:
         return self.sim._step_partition(
             self.sim._plan_by_part[self.name], self.target_cycles)
 
-    def _emit_frames(self, pass_no: int) -> None:
+    def _emit_frames(self) -> None:
         for peer in self.peers:
-            conduit = self.conduits[peer]
-            if not conduit.window_open(pass_no) \
-                    and peer not in self._dead_peers:
-                self._wait_until(
-                    lambda c=conduit, p=peer: c.window_open(pass_no)
-                    or p in self._dead_peers)
             if peer not in self._dead_peers:
                 try:
-                    conduit.push(self.router.out[peer])
+                    self.conduits[peer].push(self.router.out[peer])
                 except (BrokenPipeError, OSError):
                     self._dead_peers.add(peer)
 
     def _report(self, pass_no: int, progress: bool) -> None:
         reached = self.frontier() >= self.target_cycles
         self._reports.append((pass_no, self.frontier(), progress))
-        if (len(self._reports) >= self.flush_interval
+        if (len(self._reports) >= REPORT_BATCH
                 or (not progress and not reached)
                 or (reached and not self._reported_reached)):
             self._flush_reports()
@@ -443,7 +434,7 @@ class PartitionWorker:
             self._maybe_die(k)
             self.router.begin_pass(k)
             progress = self._own_pass()
-            self._emit_frames(k)
+            self._emit_frames()
             self._report(k, progress)
             # serial parity: the pass budget only binds while this
             # partition still has work (a finished worker's service
@@ -491,8 +482,6 @@ class PartitionWorker:
                                      for c in self.conduits.values()),
                 "effects_sent": sum(c.effects_sent
                                     for c in self.conduits.values()),
-                "frames_pushed": sum(c.pushed_through
-                                     for c in self.conduits.values()),
             },
         }
 
@@ -539,13 +528,6 @@ def worker_main(sim, name, target_cycles, max_passes, options,
         # receiver that has already finalized
         worker._finalizing = True
         worker._flush_all()
-        # final standalone acks: a peer may still be blocked on its
-        # flow-control window for a pass we applied but never acked
-        for peer, inbox in worker.inboxes.items():
-            try:
-                worker.conduits[peer].send_ack(inbox.applied_through)
-            except (BrokenPipeError, OSError):
-                pass
         worker._send_ctl(("done", worker.fragment()))
     except _Abort as abort:
         if abort.reason == "deadlock":

@@ -1,10 +1,14 @@
 """Partitioned co-simulation harness: wiring, timing overlay, deadlock."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError, TransportError
 from repro.firrtl import make_circuit
 from repro.fireripper import EXACT, FAST, FireRipper, PartitionGroup, PartitionSpec
+from repro.fuzz.oracle import functional_digest
 from repro.harness import (
     ConstantSource,
     FunctionSource,
@@ -61,6 +65,25 @@ class TestWiringValidation:
             [part], [], sources={("p", "in"): src}, record_outputs=True)
         sim.run(6)
         assert part.host.sim.peek("sum") == sum(values)
+
+    @pytest.mark.parametrize("stepjit", [True, False])
+    def test_isolated_partition_digest_is_pinned(self, stepjit):
+        """One unlinked single-unit partition — the shape that used to
+        run several target cycles per pass — gives, on both executors,
+        the digest recorded before that loop was deleted."""
+        src = FunctionSource(lambda c: {"in_valid": c % 3 != 2,
+                                        "in_bits": (c * 37) & 0xFFFF})
+        sim = PartitionedSimulation(
+            [self._consumer_partition()], [],
+            sources={("p", "in"): src}, record_outputs=True)
+        sim.stepjit = stepjit
+        digest = functional_digest(sim, sim.run(40))
+        assert sim.last_jit_report["p"].startswith(
+            "compiled" if stepjit else "disabled")
+        assert hashlib.sha256(json.dumps(
+            digest, sort_keys=True).encode()).hexdigest() == (
+            "3c65d03bf0f72152a1208116384cfc15"
+            "09ce58bb44755026a24679929f2bae71")
 
 
 class TestTimingOverlay:

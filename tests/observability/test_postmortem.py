@@ -76,6 +76,13 @@ class TestPostmortemCapture:
         exc = _deadlock(sim)
         assert 1 <= len(exc.postmortem.events) <= 3
 
+    def test_unparsable_env_ring_size_is_typed(self, monkeypatch):
+        from repro.errors import EnvSettingError
+        monkeypatch.setenv("REPRO_POSTMORTEM_RING", "many")
+        with pytest.raises(EnvSettingError,
+                           match="REPRO_POSTMORTEM_RING='many'"):
+            _fig2a_sim()
+
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_POSTMORTEM_RING", "3")
         sim = _fig2a_sim(postmortem_events=7)

@@ -61,6 +61,86 @@ def build_star_sim(n_leaves: int = 2, mode=EXACT, **kwargs):
         QSFP_AURORA, **kwargs)
 
 
+def make_free_middle_circuit(with_tail: bool = True):
+    """``mid`` is a free-running counter with no inputs: it feeds the
+    top (and the tail) over one-directional links, so nothing paces it
+    but its own passes.  With the tail, top and tail close an
+    exact-mode combinational loop that costs them two passes per
+    cycle — ``mid``, between them in partition order, reaches any
+    target in half their passes and serves empty frames both ways."""
+    mb = ModuleBuilder("Mid")
+    cnt = mb.reg("cnt", 8, init=3)
+    mb.connect(cnt, cnt.read() + cnt.read() + 1)
+    mb.connect(mb.output("to_top", 8), cnt)
+    if with_tail:
+        mb.connect(mb.output("to_tail", 8), cnt)
+    children = [mb.build()]
+
+    tb = ModuleBuilder("Top")
+    stim = tb.input("stim", 8)
+    r = tb.reg("r", 8, init=7)
+    mid = tb.inst("mid", children[0])
+    if with_tail:
+        cb = ModuleBuilder("Tail")
+        i0 = cb.input("i0", 8)
+        m0 = cb.input("m0", 8)
+        state = cb.reg("state", 8, init=5)
+        cb.connect(cb.output("o0", 8), state.read() ^ i0.read())
+        cb.connect(state, state.read() + i0.read() + m0.read())
+        children.append(cb.build())
+        tail = tb.inst("tail", children[1])
+        tb.connect(tail["i0"], r)
+        tb.connect(tail["m0"], mid["to_tail"])
+        feedback = tail["o0"].read()
+    else:
+        feedback = r.read()
+    tb.connect(r, (feedback ^ stim.read()) + mid["to_top"].read())
+    tb.connect(tb.output("obs", 8), r)
+    return make_circuit(tb.build(), children)
+
+
+def build_free_middle_sim(with_tail: bool = True):
+    names = ["mid", "tail"] if with_tail else ["mid"]
+    spec = PartitionSpec(mode=EXACT, groups=[
+        PartitionGroup.make(name, [name]) for name in names])
+    design = FireRipper(spec).compile(
+        make_free_middle_circuit(with_tail))
+    return design.build_simulation(
+        QSFP_AURORA, record_outputs=True,
+        sources={("base", "io_in"): stim_source()})
+
+
+def build_fame5_sim():
+    """Star SoC with three tiles FAME-5 threaded onto one FPGA."""
+    from repro.targets.soc import make_star_soc
+    groups = [PartitionGroup.make(f"g{i}", [f"tile{i}"])
+              for i in range(3)]
+    design = FireRipper(PartitionSpec(mode=EXACT, groups=groups)
+                        ).compile(make_star_soc(3, messages_per_tile=5))
+    return design.build_simulation(
+        QSFP_AURORA, record_outputs=True,
+        fame5_merge={"tilefpga": [g.name for g in groups]})
+
+
+#: bit-identity inputs beyond the stars, by what they put on the wire
+SHAPES = {
+    # a finished worker serving peers before and after it
+    "middle_finishes_first": build_free_middle_sim,
+    # one link, one direction: the reverse stream carries credits only
+    "one_way_link": lambda: build_free_middle_sim(with_tail=False),
+    # several LI-BDN units behind one worker
+    "fame5": build_fame5_sim,
+}
+
+
+def build_sim(shape):
+    """A star of ``shape`` leaves, or the :data:`SHAPES` entry of that
+    name."""
+    if isinstance(shape, int):
+        return build_star_sim(shape)
+    return SHAPES[shape]()
+
+
 @pytest.fixture
 def star_sim_factory():
     return build_star_sim

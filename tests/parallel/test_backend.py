@@ -32,7 +32,7 @@ from repro.reliability import (
 from repro.rtl import Simulator
 from repro.targets.combo import WIDTH, make_comb_left, make_comb_right
 
-from .conftest import OnFarm, build_star_sim
+from .conftest import SHAPES, OnFarm, build_sim, build_star_sim
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process backend needs fork")
@@ -69,11 +69,11 @@ def _deadlock_sim():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("n_leaves", [1, 2, 3])
-    def test_detail_matches_inproc(self, n_leaves):
-        s1 = build_star_sim(n_leaves)
+    @pytest.mark.parametrize("shape", [1, 2, 3, *SHAPES])
+    def test_detail_matches_inproc(self, shape):
+        s1 = build_sim(shape)
         r1 = s1.run(12, backend="inproc")
-        s2 = build_star_sim(n_leaves)
+        s2 = build_sim(shape)
         r2 = ProcessBackend().run(s2, 12)
         assert r2.detail == r1.detail
         assert r2.target_cycles == r1.target_cycles
@@ -102,14 +102,18 @@ class TestBitIdentity:
         assert r2.detail == r1.detail
         assert s2.output_log == s1.output_log
 
-    def test_tiny_flush_interval_same_results(self):
-        """Per-token messaging (flush_interval=1) changes wire traffic
-        only — never results."""
-        s1 = build_star_sim(2)
-        r1 = s1.run(8, backend="inproc")
-        s2 = build_star_sim(2)
-        r2 = ProcessBackend(flush_interval=1).run(s2, 8)
-        assert r2.detail == r1.detail
+    def test_middle_partition_finishes_first(self):
+        """The premise of the ``middle_finishes_first`` shape: ``mid``
+        has a peer on each side of it in partition order, and is done
+        while both still have cycles to run."""
+        sim = build_sim("middle_finishes_first")
+        assert list(sim.partitions) == ["base", "mid", "tail"]
+        seen = []
+        sim.run(12, backend="inproc", stop=lambda s: seen.append(
+            {n: p.target_cycle for n, p in s.partitions.items()}))
+        at_mid_done = next(cycles for cycles in seen
+                           if cycles["mid"] == 12)
+        assert at_mid_done["base"] < 12 and at_mid_done["tail"] < 12
 
     def test_run_backend_process_dispatches(self):
         s1 = build_star_sim(2)

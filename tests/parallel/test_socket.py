@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.errors import (
+    EnvSettingError,
     SimulationError,
     SocketSetupError,
     UnknownBackendError,
@@ -328,6 +329,25 @@ class TestBackendSelection:
         assert normalize_backend(" Process ") == "process"
         with pytest.raises(UnknownBackendError):
             normalize_backend(None)
+
+    @pytest.mark.parametrize("variable", [
+        "REPRO_HEARTBEAT_TIMEOUT", "REPRO_SOCKET_CONNECT_TIMEOUT",
+        "REPRO_SOCKET_READ_TIMEOUT"])
+    def test_unparsable_env_timeout_names_variable_and_value(
+            self, monkeypatch, variable):
+        """A bad setting fails typed at dispatch, not as a bare
+        ``ValueError`` from inside the run."""
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv(variable, "soon")
+        with pytest.raises(EnvSettingError,
+                           match=f"{variable}='soon'") as err:
+            build_star_sim().run(20)
+        assert (err.value.variable, err.value.value) == (variable,
+                                                         "soon")
+
+    def test_unknown_socket_family_is_setup_error(self):
+        with pytest.raises(SocketSetupError, match="carrier-pigeon"):
+            ProcessBackend(socket_family="carrier-pigeon")
 
 
 @pytest.mark.skipif(not (fork_available() and socket_available()),

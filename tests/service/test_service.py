@@ -90,8 +90,7 @@ class TestCache:
 
         job, service = run_scenario(scenario, service_config)
         cached = service.registry.load(job.run_id)
-        # identical code path: the service always wires a stop hook,
-        # which disables wavefront batching
+        # identical code path: the service always wires a stop hook
         outcome = execute_config(job.config,
                                  should_stop=lambda: False)
         fresh = run_record(outcome.result, name="pair",

@@ -101,21 +101,19 @@ class TestCheckBenchFiles:
             "recording_vs_jit_x": 1.4, "sampling_vs_jit_pct": 18.0}))
         assert check_bench_files(tmp_path) == []
 
-    def test_batching_slower_than_per_token_flags(self, tmp_path):
-        (tmp_path / "BENCH_socket_tier.json").write_text(
-            json.dumps({"socket_batching_speedup": 0.8}))
-        violations = check_bench_files(tmp_path)
-        assert [v.metric for v in violations] \
-            == ["socket_batching_speedup"]
-
     def test_token_plane_below_floors_flags(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 4.2,
             "detail_bit_identical": False,
         }))
+        # ... and the unix-socket family's identity verdict
+        (tmp_path / "BENCH_socket_tier.json").write_text(json.dumps({
+            "detail_bit_identical": False}))
         violations = check_bench_files(tmp_path)
-        assert [v.metric for v in violations] == [
-            "packed_codec_speedup", "detail_bit_identical"]
+        assert [(v.source, v.metric) for v in violations] == [
+            ("BENCH_token_plane.json", "packed_codec_speedup"),
+            ("BENCH_token_plane.json", "detail_bit_identical"),
+            ("BENCH_socket_tier.json", "detail_bit_identical")]
 
     def test_token_plane_at_floors_passes(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
