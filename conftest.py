@@ -1,4 +1,10 @@
-"""Repo-wide pytest configuration: the opt-in per-test watchdog.
+"""Repo-wide pytest configuration: the Hypothesis policy and the
+opt-in per-test watchdog.
+
+Tier-1 is a function of the commit: every property test draws the same
+examples on every run (``derandomize``) and keeps no example database,
+so a gate cannot pass on one run and fail on the next.  A host without
+Hypothesis still collects the non-property tests.
 
 Set ``REPRO_TEST_TIMEOUT`` (seconds) to fail any single test that
 hangs — CI uses this for the process backend and the parallel
@@ -13,6 +19,14 @@ import os
 import signal
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("repro", derandomize=True, database=None)
+    settings.load_profile("repro")
 
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 

@@ -127,6 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else args.jobs
     registry = None
     if args.archive is not None:
+        from ..service.executor import normalize_config
         from ..telemetry import RunRegistry
         registry = RunRegistry(args.archive)
 
@@ -142,7 +143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if registry is not None and session.results:
                 path = registry.archive(
                     session.results[-1], name=name,
-                    config={"experiment": name})
+                    config=normalize_config(
+                        {"kind": "experiment", "experiment": name}))
                 text += f"\n[archived {path}]"
         else:
             text = run_experiment(name)

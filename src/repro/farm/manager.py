@@ -26,7 +26,7 @@ results stay bit-identical to every other backend.  The farm adds:
 :class:`FarmManager` is the porcelain the ``repro farm`` CLI drives:
 ``plan`` prints a placement, ``launch`` wraps a supervised run and
 archives the result (placement, per-host FMR, surviving hosts) into
-the run registry.
+the run registry under the fingerprint of the job config it was given.
 """
 
 from __future__ import annotations
@@ -213,32 +213,38 @@ class FarmReport:
 
 
 class FarmManager:
-    """Porcelain for the ``repro farm`` CLI and programmatic callers.
+    """Porcelain for the ``repro farm`` CLI, the service's farm kind
+    and programmatic callers.
 
     Args:
         build: zero-argument simulation factory (the supervisor
             rebuilds through it after a rollback).
-        spec: the farm manifest.
-        colocate: see :class:`FarmBackend`.
-        checkpoint_every / max_rollbacks: supervisor knobs.
-        host_faults / worker_faults: fault-injection hooks.
+        config: the normalized farm job
+            (:func:`~repro.service.executor.normalize_config`) — the
+            job's only home: the manifest, the co-location groups, the
+            checkpoint interval, the injected host kill and the cycle
+            count are all read from it, and ``launch`` archives under
+            its fingerprint, so the record describes what ran.
+        max_rollbacks: supervisor knob.
+        host_faults / worker_faults: fault-injection hooks for what a
+            job config cannot say (a second host kill, a worker fault).
     """
 
-    def __init__(self, build, spec: FarmSpec,
-                 colocate: Iterable[Iterable[str]] = (),
-                 checkpoint_every: int = 100,
+    def __init__(self, build, config: dict,
                  max_rollbacks: int = 3,
                  heartbeat_timeout: float = 30.0,
                  host_faults: Optional[Dict[str, int]] = None,
                  worker_faults: Optional[Dict[str, tuple]] = None,
                  socket_family: Optional[str] = None):
         self.build = build
-        self.spec = spec
-        self.colocate = [list(g) for g in colocate]
-        self.checkpoint_every = checkpoint_every
+        self.config = config
+        self.spec = FarmSpec.from_dict(config["hosts"])
         self.max_rollbacks = max_rollbacks
+        host_faults = dict(host_faults or {})
+        if config["kill_host"]:
+            host_faults[config["kill_host"]] = config["kill_at_pass"]
         self.backend = FarmBackend(
-            spec, colocate=colocate,
+            self.spec, colocate=config["colocate"],
             heartbeat_timeout=heartbeat_timeout,
             host_faults=host_faults,
             worker_faults=worker_faults,
@@ -248,18 +254,20 @@ class FarmManager:
         """Place (a fresh build of) the design without running it."""
         if sim is None:
             sim = self.build()
-        return place_sim(sim, self.spec, self.colocate)
+        return place_sim(sim, self.spec, self.config["colocate"])
 
-    def launch(self, target_cycles: int, registry=None,
-               run_name: str = "farm") -> FarmReport:
-        """Run to ``target_cycles`` under supervision; survives host
-        deaths by rollback + re-placement onto the survivors."""
+    def launch(self, registry=None, run_name: str = "farm") -> FarmReport:
+        """Run the job to its ``cycles`` under supervision; survives
+        host deaths by rollback + re-placement onto the survivors.
+        The archive fingerprints the job config itself, so a farm run
+        shares its key with the same job submitted to the service and
+        never with another design."""
         supervisor = RunSupervisor(
             self.build,
-            checkpoint_every=self.checkpoint_every,
+            checkpoint_every=self.config["checkpoint_every"],
             max_rollbacks=self.max_rollbacks,
             backend=self.backend)
-        sup_report = supervisor.run(target_cycles)
+        sup_report = supervisor.run(self.config["cycles"])
         report = FarmReport(
             supervisor=sup_report,
             placements=list(self.backend.placements),
@@ -270,8 +278,5 @@ class FarmManager:
         if registry is not None:
             report.archive_path = registry.archive(
                 sup_report.result, name=run_name, backend="farm",
-                config={"hosts": self.spec.to_dict(),
-                        "target_cycles": target_cycles,
-                        "colocate": self.colocate},
-                extra={"farm": report.to_extra()})
+                config=self.config, extra={"farm": report.to_extra()})
         return report

@@ -44,11 +44,14 @@ Each pass and the one sentence that makes it sound:
   returns ``(code, bits)``; leaf bounds come from the storage sites
   that actually mask (a register commit and its checked init, ``poke``
   and the token-field unpack for a top input, the masked memory image)
-  and never from a declared wire width, and a memory with a write port
-  whose data is wider than the memory (``check_module`` rejects one; a
-  hand-built ``Elaboration`` can still carry it) reads as unbounded.
-  A mask whose operand provably fits is not printed, the
-  register-commit mask included.
+  and never from a declared wire width.  The declared widths the
+  kernel does believe are the ones ``check_module`` proved for every
+  parsed design — a write port's data fits its memory, so a read port
+  yields at most the memory's width — re-checked at the kernel's own
+  door: :func:`compile_kernel` refuses a hand-built ``Elaboration``
+  that breaks the rule (:class:`~repro.errors.IRError`) instead of
+  computing a wrong cycle.  A mask whose operand provably fits is not
+  printed, the register-commit mask included.
 * **one-pass commit + quiescence** — ``_q = True``, then per register
   ``if n != v: env[k] = n; _q = False`` and per write port the same
   shape under its enable: a store that would not change the stored
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+from ..errors import IRError
 from ..firrtl.ast import Expr, PrimOp, Ref
 from .elaborate import Elaboration, FlatAssign
 from .eval import CODEGEN_HELPERS, Printed, compile_expr, mask
@@ -130,6 +134,11 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
     The function carries its source as ``_stepjit_source`` and the
     generator's counters as ``_stepjit_stats``."""
+    for mw in elab.writes:
+        if mw.data.width > elab.mems[mw.mem].width:
+            raise IRError(
+                f"{elab.top}: write port stores {mw.data.width}-bit data "
+                f"into the {elab.mems[mw.mem].width}-bit memory {mw.mem!r}")
     scan = scan or expr_scanner()
     tick_regs = [r for r in elab.regs.values()
                  if r.next is not None] if do_tick else []
@@ -158,9 +167,6 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
             uses[name] = uses.get(name, 0) + 1
 
     written = {mw.mem for mw in elab.writes}
-    #: a memory some write port can store an over-wide word into
-    wide = {mw.mem for mw in elab.writes
-            if mw.data.width > elab.mems[mw.mem].width}
     stats = {"kernel": tag, "cone": len(kept), "aliases": 0,
              "inlined": 0, "masks_elided": 0}
     ids: Dict[object, str] = {}
@@ -213,7 +219,7 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
         if isinstance(a, FlatAssign):
             return compile_expr(a.expr, name_of, truth, stats)
         return (f"{bound(a.mem)}[{index(a.addr, a.depth)}]",
-                None if a.mem in wide else elab.mems[a.mem].width)
+                elab.mems[a.mem].width)
 
     for a in kept:
         names, height = scan(_driver(a))

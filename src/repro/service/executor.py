@@ -1,6 +1,6 @@
-"""Execute one service job config synchronously.
+"""The job config — the one description of a job — and its execution.
 
-A job config is a plain JSON dict naming what to run.  Two kinds:
+A job config is a plain JSON dict naming what to run.  Three kinds:
 
 * ``{"kind": "simulate", ...}`` — compile a circuit (from a ``circuit``
   file path or inline ``circuit_text``), partition it per ``extract``,
@@ -17,7 +17,11 @@ A job config is a plain JSON dict naming what to run.  Two kinds:
 fingerprinted, so semantically identical requests — one spelling
 ``cycles`` explicitly, one relying on the default — hash to the same
 cache key.  This is the function that decides cache identity; keep it
-deterministic and order-insensitive.
+deterministic and order-insensitive.  Its output is what every door
+builds from (:func:`compile_design`, :func:`build_simulation`,
+``FarmManager(build, config)`` — the service and every CLI verb alike) and what
+every archive site hands to ``RunRegistry.archive``, so one job has one
+fingerprint wherever it ran.
 
 ``should_stop`` threads the service's cancellation signal into the
 harness's per-pass ``stop`` hook, so a cancel lands within one
@@ -50,23 +54,26 @@ TRANSPORTS = {
     "ethernet": ETHERNET_100G,
 }
 
-SIMULATE_DEFAULTS = {
+#: the job facts both simulate-shaped kinds share (the CLI's flags read
+#: their defaults from here, through ``SIMULATE_DEFAULTS``)
+_JOB_DEFAULTS = {
     "mode": "exact",
     "transport": "qsfp",
     "freq": 30.0,
     "cycles": 1000,
-    "backend": "auto",
 }
 
+SIMULATE_DEFAULTS = {**_JOB_DEFAULTS, "backend": "auto"}
+
+#: the farm places the run itself, so it takes no ``backend``
 FARM_DEFAULTS = {
-    "mode": "exact",
-    "transport": "qsfp",
-    "freq": 30.0,
-    "cycles": 1000,
+    **_JOB_DEFAULTS,
     "checkpoint_every": 100,
     "kill_host": "",
     "kill_at_pass": 0,
 }
+
+_DEFAULTS = {"simulate": SIMULATE_DEFAULTS, "farm": FARM_DEFAULTS}
 
 
 @dataclass
@@ -101,42 +108,14 @@ def _normalize_extract(extract) -> List[List[str]]:
 
 def normalize_config(config: dict) -> dict:
     """Validate and canonicalize a job config — defaults filled, types
-    coerced — so the fingerprint of two equivalent requests matches."""
+    coerced — so the fingerprint of two equivalent requests matches.
+    The output is the one description of a job: what the service
+    queues, what every CLI verb builds from, and what every archive
+    site fingerprints."""
     if not isinstance(config, dict):
         raise ServiceError(f"job config must be a dict, got "
                            f"{type(config).__name__}")
     kind = config.get("kind", "simulate")
-    if kind == "simulate":
-        normalized = {"kind": "simulate"}
-        if "circuit_text" in config:
-            normalized["circuit_text"] = str(config["circuit_text"])
-        elif "circuit" in config:
-            normalized["circuit"] = str(config["circuit"])
-        else:
-            raise ServiceError(
-                "simulate config wants 'circuit' (a file path) or "
-                "'circuit_text' (inline IR)")
-        normalized["extract"] = _normalize_extract(
-            config.get("extract"))
-        for key, default in SIMULATE_DEFAULTS.items():
-            value = config.get(key, default)
-            normalized[key] = type(default)(value)
-        if normalized["transport"] not in TRANSPORTS:
-            raise ServiceError(
-                f"unknown transport {normalized['transport']!r}; "
-                f"valid: {', '.join(sorted(TRANSPORTS))}")
-        # a typo is refused here (UnknownBackendError), not after the
-        # job has held a queue slot; every spelling of one backend
-        # shares one cache entry
-        normalized["backend"] = normalize_backend(normalized["backend"])
-        if normalized["cycles"] < 1:
-            raise ServiceError("cycles must be >= 1")
-        unknown = set(config) - set(normalized) - {"extract"}
-        if unknown:
-            raise ServiceError(
-                f"unknown simulate config key(s): "
-                f"{', '.join(sorted(unknown))}")
-        return normalized
     if kind == "experiment":
         name = config.get("experiment")
         if not name or not isinstance(name, str):
@@ -148,71 +127,80 @@ def normalize_config(config: dict) -> dict:
                 f"unknown experiment config key(s): "
                 f"{', '.join(sorted(unknown))}")
         return {"kind": "experiment", "experiment": name}
+    if kind not in _DEFAULTS:
+        raise ServiceError(
+            f"unknown job kind {kind!r}; valid: simulate, experiment, "
+            f"farm")
+    normalized = {"kind": kind}
+    if "circuit_text" in config:
+        normalized["circuit_text"] = str(config["circuit_text"])
+    elif "circuit" in config:
+        normalized["circuit"] = str(config["circuit"])
+    else:
+        raise ServiceError(
+            f"{kind} config wants 'circuit' (a file path) or "
+            f"'circuit_text' (inline IR)")
+    normalized["extract"] = _normalize_extract(config.get("extract"))
     if kind == "farm":
-        normalized = {"kind": "farm"}
-        if "circuit_text" in config:
-            normalized["circuit_text"] = str(config["circuit_text"])
-        elif "circuit" in config:
-            normalized["circuit"] = str(config["circuit"])
-        else:
-            raise ServiceError(
-                "farm config wants 'circuit' (a file path) or "
-                "'circuit_text' (inline IR)")
-        normalized["extract"] = _normalize_extract(
-            config.get("extract"))
         # the manifest is canonicalized through FarmSpec so two
         # spellings of the same farm fingerprint identically
         from ..farm import FarmSpec
         normalized["hosts"] = FarmSpec.from_dict(
             config.get("hosts") or {}).to_dict()
-        colocate = config.get("colocate", [])
-        if colocate:
-            normalized["colocate"] = _normalize_extract(colocate)
-        else:
-            normalized["colocate"] = []
-        for key, default in FARM_DEFAULTS.items():
-            value = config.get(key, default)
-            normalized[key] = type(default)(value)
-        if normalized["transport"] not in TRANSPORTS:
-            raise ServiceError(
-                f"unknown transport {normalized['transport']!r}; "
-                f"valid: {', '.join(sorted(TRANSPORTS))}")
-        if normalized["cycles"] < 1:
-            raise ServiceError("cycles must be >= 1")
-        unknown = set(config) - set(normalized) \
-            - {"extract", "hosts", "colocate"}
-        if unknown:
-            raise ServiceError(
-                f"unknown farm config key(s): "
-                f"{', '.join(sorted(unknown))}")
-        return normalized
-    raise ServiceError(
-        f"unknown job kind {kind!r}; valid: simulate, experiment, "
-        f"farm")
+        colocate = config.get("colocate")
+        normalized["colocate"] = \
+            _normalize_extract(colocate) if colocate else []
+    for key, default in _DEFAULTS[kind].items():
+        normalized[key] = type(default)(config.get(key, default))
+    if normalized["transport"] not in TRANSPORTS:
+        raise ServiceError(
+            f"unknown transport {normalized['transport']!r}; "
+            f"valid: {', '.join(sorted(TRANSPORTS))}")
+    if "backend" in normalized:
+        # a typo is refused here (UnknownBackendError), not after the
+        # job has held a queue slot; every spelling of one backend
+        # shares one cache entry
+        normalized["backend"] = normalize_backend(normalized["backend"])
+    if normalized["cycles"] < 1:
+        raise ServiceError("cycles must be >= 1")
+    unknown = set(config) - set(normalized)
+    if unknown:
+        raise ServiceError(
+            f"unknown {kind} config key(s): "
+            f"{', '.join(sorted(unknown))}")
+    return normalized
 
 
-def build_simulation(config: dict, telemetry=None, tracer=None):
-    """Compile and wire the partitioned simulation a normalized
-    simulate config describes (no run)."""
+def compile_design(config: dict, **compile_args):
+    """Parse and FireRipper-compile the circuit a normalized simulate
+    or farm config names (``compile_args`` reach
+    :meth:`FireRipper.compile`: the report's profile and transport)."""
     if "circuit_text" in config:
         text = config["circuit_text"]
     else:
-        path = Path(config["circuit"])
         try:
-            text = path.read_text()
+            text = Path(config["circuit"]).read_text()
         except OSError as exc:
             raise ServiceError(f"cannot read circuit "
                                f"{config['circuit']!r}: {exc}")
-    circuit = parse_circuit(text)
     groups = [PartitionGroup.make(f"fpga{i}", paths)
               for i, paths in enumerate(config["extract"])]
     spec = PartitionSpec(mode=config["mode"], groups=groups)
-    design = FireRipper(spec).compile(circuit)
+    return FireRipper(spec).compile(parse_circuit(text), **compile_args)
+
+
+def build_simulation(config: dict, design=None, **sinks):
+    """Wire the partitioned simulation a normalized simulate or farm
+    config describes (no run), compiling it first unless the caller
+    hands back the ``design`` :func:`compile_design` made of this
+    config — a rebuild after a rollback re-wires, it does not re-parse.
+    ``sinks`` — ``record_outputs`` / ``tracer`` / ``telemetry`` — are
+    forwarded to the one ``design.build_simulation``."""
+    if design is None:
+        design = compile_design(config)
     return design.build_simulation(
         TRANSPORTS[config["transport"]],
-        host_freq_mhz=config["freq"],
-        telemetry=telemetry,
-        tracer=tracer)
+        host_freq_mhz=config["freq"], **sinks)
 
 
 def _obs_extra(corr_id: str, worker_corr, tracer,
@@ -249,9 +237,10 @@ def execute_config(config: dict, telemetry=None,
     the execution fabric land in ``events``, and captured trace spans
     are archived under the record's ``obs`` extra for stitching."""
     kind = config.get("kind", "simulate")
+    design = compile_design(config) if kind in _DEFAULTS else None
 
     def build():
-        sim = build_simulation(config, telemetry=telemetry,
+        sim = build_simulation(config, design, telemetry=telemetry,
                                tracer=tracer)
         sim.corr_id = corr_id
         if events is not None:
@@ -271,18 +260,12 @@ def execute_config(config: dict, telemetry=None,
             extra=_obs_extra(corr_id, sim.last_worker_corr, tracer,
                              sim.last_jit_report) or None)
     if kind == "farm":
-        # imported lazily, mirroring the experiment branch
-        from ..farm import FarmManager, FarmSpec
         if should_stop is not None and should_stop():
             raise ServiceError("cancelled before start")
-        spec = FarmSpec.from_dict(config["hosts"])
-        host_faults = {config["kill_host"]: config["kill_at_pass"]} \
-            if config["kill_host"] else None
-        manager = FarmManager(
-            build, spec, colocate=config["colocate"],
-            checkpoint_every=config["checkpoint_every"],
-            host_faults=host_faults)
-        report = manager.launch(config["cycles"])
+        # imported lazily, mirroring the experiment branch
+        from ..farm import FarmManager
+        manager = FarmManager(build, config)
+        report = manager.launch()
         extra = {"farm": report.to_extra(),
                  **_obs_extra(corr_id, manager.backend.last_worker_corr,
                               tracer, manager.backend.last_jit_report)}

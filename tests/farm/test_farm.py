@@ -16,9 +16,9 @@ import pytest
 from repro.errors import HostDeadError, PlacementError
 from repro.farm import FarmBackend, FarmManager, FarmSpec, HostSpec
 from repro.parallel import fork_available, socket_available
-from repro.telemetry import RunRegistry
+from repro.telemetry import RunRegistry, config_fingerprint
 
-from ..parallel.conftest import build_star_sim
+from ..parallel.conftest import build_star_sim, star_farm_job
 
 CYCLES = 300
 
@@ -88,14 +88,13 @@ class TestFarmManager:
         rollback + re-placement, stays bit-identical, and archives
         placement + per-host FMR."""
         reference = build_star_sim(3).run(CYCLES, backend="inproc")
-        spec = three_host_spec()
-        manager = FarmManager(
-            lambda: build_star_sim(3), spec,
-            checkpoint_every=100, heartbeat_timeout=15.0,
-            host_faults={"h1": 5})
+        job = star_farm_job(three_host_spec(), 3, CYCLES,
+                            checkpoint_every=100,
+                            kill_host="h1", kill_at_pass=5)
+        manager = FarmManager(lambda: build_star_sim(3), job,
+                              heartbeat_timeout=15.0)
         registry = RunRegistry(tmp_path / "runs")
-        report = manager.launch(CYCLES, registry=registry,
-                                run_name="loss-demo")
+        report = manager.launch(registry=registry, run_name="loss-demo")
 
         assert report.result.detail == reference.detail
         assert report.supervisor.rollbacks == 1
@@ -112,6 +111,8 @@ class TestFarmManager:
 
         record = registry.load(str(report.archive_path))
         assert record["backend"] == "farm"
+        # the record describes what ran: the kill is part of the job
+        assert record["config"] == job
         farm = record["farm"]
         assert farm["rollbacks"] == 1
         assert farm["dead_hosts"] == ["h1"]
@@ -122,21 +123,79 @@ class TestFarmManager:
         assert mp.active_children() == []
 
     def test_clean_launch_archives_single_placement(self, tmp_path):
-        manager = FarmManager(lambda: build_star_sim(3),
-                              two_host_spec(), checkpoint_every=100)
+        manager = FarmManager(
+            lambda: build_star_sim(3),
+            star_farm_job(two_host_spec(), 3, CYCLES,
+                          checkpoint_every=100))
         registry = RunRegistry(tmp_path / "runs")
-        report = manager.launch(CYCLES, registry=registry)
+        report = manager.launch(registry=registry)
         assert report.supervisor.rollbacks == 0
         assert len(report.placements) == 1
         assert report.dead_hosts == []
         record = registry.load(str(report.archive_path))
         assert record["farm"]["live_hosts"] == ["h0", "h1"]
 
+    def test_archive_fingerprint_is_the_job_not_the_farm(self, tmp_path):
+        """Two designs launched on one manifest must not share a
+        trajectory (``repro regress`` judges a run against the runs of
+        its fingerprint); the same job twice must."""
+        registry = RunRegistry(tmp_path / "runs")
+        fingerprints = []
+        for leaves in (3, 3, 2):
+            job = star_farm_job(three_host_spec(), leaves, 120)
+            manager = FarmManager(lambda n=leaves: build_star_sim(n), job)
+            report = manager.launch(registry=registry)
+            record = registry.load(str(report.archive_path))
+            assert record["fingerprint"] == config_fingerprint(job)
+            fingerprints.append(record["fingerprint"])
+        assert fingerprints[0] == fingerprints[1] != fingerprints[2]
+
     def test_plan_places_without_running(self):
         manager = FarmManager(lambda: build_star_sim(3),
-                              two_host_spec())
+                              star_farm_job(two_host_spec(), 3))
         placement = manager.plan()
         assert sorted(placement.assignment) == \
             ["base", "fpga1", "fpga2", "fpga3"]
         assert len(placement.hosts_used()) == 2
+        assert mp.active_children() == []
+
+
+class TestFarmCli:
+    def test_launch_flags_reach_the_job(self, tmp_path, capsys,
+                                        monkeypatch):
+        """Every ``farm launch`` flag that is a job fact lands in the
+        one config the manager runs from and the record archives."""
+        import json
+
+        from repro.cli import main
+        from repro.firrtl import print_circuit
+
+        from ..parallel.conftest import make_star_circuit
+
+        circuit = tmp_path / "star.fir"
+        circuit.write_text(print_circuit(make_star_circuit(3)))
+        hosts = tmp_path / "hosts.json"
+        hosts.write_text(json.dumps(three_host_spec().to_dict()))
+        reports = []
+        launch = FarmManager.launch
+        monkeypatch.setattr(
+            FarmManager, "launch",
+            lambda self, **kw: reports.append(launch(self, **kw))
+            or reports[-1])
+        runs = tmp_path / "runs"
+        assert main(["farm", "launch", str(circuit),
+                     "--extract", "leaf0", "--extract", "leaf1",
+                     "--extract", "leaf2", "--hosts", str(hosts),
+                     "--cycles", "120", "--checkpoint-every", "40",
+                     "--kill-host", "h1:5", "--heartbeat-timeout", "15",
+                     "--archive", "n", "--runs-dir", str(runs)]) == 0
+        (report,) = reports
+        assert report.dead_hosts == ["h1"]
+        # the initial checkpoint plus one per 40-cycle segment
+        assert report.supervisor.checkpoints == 1 + 120 // 40
+        (record,) = RunRegistry(runs).list_runs()
+        config = record["config"]
+        assert (config["checkpoint_every"], config["cycles"]) == (40, 120)
+        assert (config["kill_host"], config["kill_at_pass"]) == ("h1", 5)
+        assert record["fingerprint"] == config_fingerprint(config)
         assert mp.active_children() == []

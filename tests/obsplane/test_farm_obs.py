@@ -18,7 +18,8 @@ from repro.observability import (
 from repro.parallel import fork_available, socket_available
 from repro.service.executor import execute_config, normalize_config
 
-from ..parallel.conftest import build_star_sim, make_star_circuit
+from ..parallel.conftest import (build_star_sim, make_star_circuit,
+                                 star_farm_job)
 
 CYCLES = 300
 
@@ -49,11 +50,13 @@ class TestFarmCorrAndEvents:
             sim.events = log
             return sim
 
-        manager = FarmManager(build, three_host_spec(),
-                              checkpoint_every=100,
-                              heartbeat_timeout=15.0,
-                              host_faults={"h1": 5})
-        report = manager.launch(CYCLES)
+        manager = FarmManager(
+            build,
+            star_farm_job(three_host_spec(), 3, CYCLES,
+                          checkpoint_every=100,
+                          kill_host="h1", kill_at_pass=5),
+            heartbeat_timeout=15.0)
+        report = manager.launch()
         log.close()
         assert report.supervisor.rollbacks == 1
         assert report.dead_hosts == ["h1"]
@@ -88,9 +91,10 @@ class TestFarmCorrAndEvents:
             sim.events = log
             return sim
 
-        manager = FarmManager(build, three_host_spec(),
-                              heartbeat_timeout=15.0)
-        manager.launch(CYCLES)
+        manager = FarmManager(
+            build, star_farm_job(three_host_spec(), 3, CYCLES),
+            heartbeat_timeout=15.0)
+        manager.launch()
         log.close()
         spawns = list(read_events(path, corr=corr,
                                   kinds=["worker_spawn"]))

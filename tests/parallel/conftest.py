@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.firrtl import ModuleBuilder, make_circuit
+from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.harness import FunctionSource
 from repro.parallel import ProcessBackend
 from repro.platform import QSFP_AURORA
+from repro.service.executor import normalize_config
 
 STIM = [3, 9, 250, 0, 7, 8, 1, 2, 200, 17, 4, 99]
 
@@ -59,6 +60,18 @@ def build_star_sim(n_leaves: int = 2, mode=EXACT, **kwargs):
     kwargs.setdefault("sources", {("base", "io_in"): stim_source()})
     return star_design(n_leaves, mode).build_simulation(
         QSFP_AURORA, **kwargs)
+
+
+def star_farm_job(spec, n_leaves: int = 2, cycles: int = 300,
+                  **facts) -> dict:
+    """The normalized farm job of the star design on the manifest
+    ``spec`` — what a ``FarmManager`` is built from, runs and
+    fingerprints (``facts``: ``checkpoint_every``, ``kill_host`` ...)."""
+    return normalize_config({
+        "kind": "farm",
+        "circuit_text": print_circuit(make_star_circuit(n_leaves)),
+        "extract": [f"leaf{k}" for k in range(n_leaves)],
+        "hosts": spec.to_dict(), "cycles": cycles, **facts})
 
 
 def make_free_middle_circuit(with_tail: bool = True):

@@ -10,9 +10,11 @@ op, plus pins on the structure of the printed source.
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import IRError
 from repro.firrtl.ast import Lit, PRIM_OPS, PrimOp, Ref
 from repro.firrtl.parser import _WIDTH_RULES
 from repro.rtl import Simulator, elaborate
@@ -38,10 +40,7 @@ INPUTS = {"i0": 8, "i1": 5, "i2": 1, "i3": 12}
 #: register -> (width, init); narrower than most next-states
 REGS = {"r0": (8, 200), "r1": (3, 0), "r2": (1, 1), "r3": (16, 0)}
 #: memory -> (depth, width); ``m1`` has a depth no address range fits
-#: and ``m2`` takes over-wide writes, which ``check_module`` rejects
-#: and only a hand-built elaboration can carry
 MEMS = {"m0": (4, 8), "m1": (5, 4), "m2": (4, 4)}
-OVER_WIDE = "m2"
 
 
 @st.composite
@@ -89,8 +88,6 @@ def netlists(draw):
             mem, addr = expr_or_read
             depth, width = MEMS[mem]
             assigns.append(FlatMemRead(name, mem, addr, depth, width))
-            # the read port's Ref declares the memory's width, which
-            # an over-wide write makes a lie the kernel must not trust
             signals.append(Ref(name, width))
         else:
             assigns.append(FlatAssign(name, expr_or_read))
@@ -111,9 +108,9 @@ def netlists(draw):
     writes = []
     for mem, (depth, width) in MEMS.items():
         for _ in range(draw(st.integers(1, 2))):
-            data = operand(24 if mem == OVER_WIDE else width)
-            writes.append(FlatMemWrite(mem, depth, operand(), data,
-                                       operand(1)))
+            # data fits the memory, as ``check_module`` guarantees
+            writes.append(FlatMemWrite(mem, depth, operand(),
+                                       operand(width), operand(1)))
     outs = draw(st.lists(st.sampled_from(signals[len(INPUTS):]),
                          min_size=1, max_size=4, unique=True))
     # output ports are aliases of what they export, as elaboration
@@ -206,31 +203,40 @@ def test_quiescence_flag_under_held_inputs(elab, values):
     _run_against_interpreter(elab, [values] * 12)
 
 
-def test_over_wide_write_makes_the_memory_read_unbounded():
-    """An 8-bit word stored into a 4-bit memory comes back whole on
-    every engine, so the sum keeps its 5-bit mask and the inversion
-    its ``~``."""
-    rd = Ref("rd", 4)
+def test_over_wide_write_chain_is_a_typed_error():
+    """The PR 18 defect, directed: a 9-bit sum written into the 4-bit
+    ``m2``, read back and written on into the well-declared ``m0``,
+    reached ``r0`` unmasked (256 where the interpreter holds 0).  The
+    kernel believes the widths ``check_module`` proved, so the chain is
+    refused by name instead of compiled."""
+    i = Ref("i", 8)
     elab = Elaboration(
-        "Wide", {"i": 8}, {"sum": 5, "inv": 4},
+        "Chain", {"i": 8}, {"o": 8},
+        [FlatAssign("n0", PrimOp("add", (i, i), 9)),
+         FlatMemRead("rd2", "m2", Lit(0, 1), 4, 4),
+         FlatMemRead("rd0", "m0", Lit(0, 1), 4, 8),
+         FlatAssign("o", Ref("r0", 8))],
+        {"r0": FlatReg("r0", 8, 0, Ref("rd0", 8))},
+        {"m2": FlatMem("m2", 4, 4), "m0": FlatMem("m0", 4, 8)},
+        [FlatMemWrite("m2", 4, Lit(0, 1), Ref("n0", 9), Lit(1, 1)),
+         FlatMemWrite("m0", 4, Lit(0, 1), Ref("rd2", 4), Lit(1, 1))],
+        {"i": 8, "o": 8, "n0": 9, "rd2": 4, "rd0": 8, "r0": 8})
+    with pytest.raises(IRError, match=r"9-bit data.*4-bit memory 'm2'"):
+        unit_kernels(elab, [[("o", 0, 255)]], "chain")
+
+
+def test_over_wide_write_port_is_refused_at_compile_kernel():
+    """At the kernel's door, not at the first wrong cycle: even the
+    fire kernel, which commits nothing, refuses the elaboration."""
+    elab = Elaboration(
+        "Wide", {"i": 8}, {"o": 4},
         [FlatMemRead("rd", "m", Lit(0, 1), 2, 4),
-         FlatAssign("sum", PrimOp("add", (rd, Lit(1, 4)), 5)),
-         FlatAssign("inv", PrimOp("not", (rd,), 4))],
+         FlatAssign("o", Ref("rd", 4))],
         {}, {"m": FlatMem("m", 2, 4)},
         [FlatMemWrite("m", 2, Lit(0, 1), Ref("i", 8), Lit(1, 1))],
-        {"i": 8, "sum": 5, "inv": 4, "rd": 4})
-    pack_lists = [[("sum", 0, 31)], [("inv", 0, 15)]]
-    _, _, cyc = unit_kernels(elab, pack_lists, "wide")
-    ref = Simulator(elab, compiled=False)
-    env, mems = dict(ref.env), {"m": [0, 0]}
-    for value in (255, 255, 3):
-        env["i"] = value
-        ref.poke("i", value)
-        ref.eval()
-        want = (ref.env["sum"], ref.env["inv"])
-        ref.tick()
-        assert cyc(env, mems)[:2] == want
-        assert mems == ref.mem_state
+        {"i": 8, "o": 4, "rd": 4})
+    with pytest.raises(IRError, match=r"8-bit data.*4-bit memory 'm'"):
+        compile_kernel(elab, [[("o", 0, 15)]], False, "fire:wide")
 
 
 # -- the printed source ----------------------------------------------------
