@@ -118,17 +118,27 @@ class WorkerError(SimulationError):
             f"worker {partition!r} {reason}: {message}")
 
 
-def rebuild_error(label: str, exc_type: str, message: str):
+def error_report(exc: BaseException, message: Optional[str] = None):
+    """What a forked child ships of ``exc`` for :func:`rebuild_error`
+    (``args`` of library errors only: others' may not pickle)."""
+    return (type(exc).__name__, str(exc) if message is None else message,
+            exc.args if isinstance(exc, ReproError) else ())
+
+
+def rebuild_error(label: str, exc_type: str, message: str,
+                  args: tuple = ()):
     """Rebuild an exception a forked child reported by class name: the
-    :class:`ReproError` subclass ``exc_type`` names, when a bare
-    message constructs one, else a :class:`WorkerError` blaming
-    ``label`` (the partition or task the child ran)."""
+    :class:`ReproError` subclass ``exc_type`` names, when the bare
+    message or else the child's ``exc.args`` construct one, else a
+    :class:`WorkerError` blaming ``label`` (the partition or task the
+    child ran)."""
     exc_cls = globals().get(exc_type)
     if isinstance(exc_cls, type) and issubclass(exc_cls, ReproError):
-        try:
-            return exc_cls(message)
-        except TypeError:
-            pass
+        for ctor_args in ((message,), args):
+            try:
+                return exc_cls(*ctor_args)
+            except TypeError:
+                pass
     return WorkerError(label, "raised", f"{exc_type}: {message}")
 
 
@@ -336,6 +346,10 @@ class LinkGiveUpError(TransportError):
         self.link = link
         self.seq = seq
         self.attempts = attempts
-        super().__init__(
-            f"link {link}: token seq={seq} undeliverable after "
-            f"{attempts} attempts")
+        # ``args`` stay the constructor's, so the error survives a
+        # pickle and a worker's report (``rebuild_error``)
+        super().__init__(link, seq, attempts)
+
+    def __str__(self) -> str:
+        return (f"link {self.link}: token seq={self.seq} undeliverable "
+                f"after {self.attempts} attempts")

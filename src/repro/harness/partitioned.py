@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import is_
 from typing import (
     Callable,
     Deque,
@@ -51,6 +52,7 @@ from ..platform.transport import TransportModel
 from ..telemetry.sampler import NULL_TELEMETRY, Telemetry
 from .hooks import LinkHooks, PartitionHooks
 from .metrics import SimulationResult
+from .stepjit import compile_step_functions, stepjit_enabled
 
 HostLike = Union[LIBDNHost, FAME5Host]
 
@@ -271,7 +273,7 @@ class _UnitPlan:
     """Precompiled schedule slot for one LI-BDN unit."""
 
     __slots__ = ("part", "prefix", "unit", "out_ops", "in_keys",
-                 "consume_keys", "host_cycle_ns",
+                 "consume_keys", "host_cycle_ns", "settle",
                  "ctr_stall", "ctr_bridge", "ctr_tx")
 
     def __init__(self, part: Partition, prefix: str, unit: LIBDNHost):
@@ -282,6 +284,9 @@ class _UnitPlan:
         self.in_keys: Tuple[Tuple[str, str], ...] = ()
         self.consume_keys: Tuple[Tuple[str, str], ...] = ()
         self.host_cycle_ns = part.host_cycle_ns
+        #: the settle a step function carries across passes, cold at
+        #: ``run()`` entry: [settled, kernel-tier replay word per output]
+        self.settle: list = [False] + [0] * len(unit.out_channels)
         #: telemetry counters, resolved lazily on first use so the hot
         #: loop skips the registry lookup and the instrument-creation
         #: order stays identical to the uncached code
@@ -302,7 +307,7 @@ class _UnitPlan:
 class _PartPlan:
     """Per-partition slice of the compiled wavefront schedule."""
 
-    __slots__ = ("part", "unit_plans", "source_ops")
+    __slots__ = ("part", "unit_plans", "source_ops", "step")
 
     def __init__(self, part: Partition):
         self.part = part
@@ -310,6 +315,19 @@ class _PartPlan:
         #: (key, channel, source, unit) per source-fed input channel,
         #: in unit then channel order
         self.source_ops: List[tuple] = []
+        #: compiled step function (stepjit.py); None = interpreted
+        self.step: Optional[Callable[[int], bool]] = None
+
+
+@dataclass
+class _Plane:
+    """The compiled plane: the hook set it was printed from, the
+    wavefront schedule, and whether its step functions are built yet
+    (DESIGN "The compiled step plane")."""
+
+    hooks: list
+    schedule: List[_PartPlan]
+    stepped: bool = False
 
 
 class PartitionedSimulation:
@@ -397,15 +415,10 @@ class PartitionedSimulation:
                     self._in_channel_by_key[(part.name, prefix + base)] = ch
                 for base, ch in unit.out_channels.items():
                     self._out_channel_by_key[(part.name, prefix + base)] = ch
-        #: precompiled wavefront schedule; rebuilt at every run() entry so
-        #: post-construction hook swaps (harden_links, inject_faults) are
-        #: honoured, then shared by the inproc loop and process workers
-        self._schedule: Optional[List[_PartPlan]] = None
-        self._plan_by_part: Dict[str, _PartPlan] = {}
-        #: compiled step plane (harness/stepjit.py): per-partition
-        #: exec-compiled step functions, recompiled alongside the
-        #: schedule; partitions missing from the table run interpreted
-        self._step_fns: Dict[str, Callable[[int], bool]] = {}
+        #: the compiled plane, built (``ensure_schedule``) and dropped
+        #: (``load_partition_state``) by the rule in DESIGN "The compiled
+        #: step plane"
+        self._plane: Optional[_Plane] = None
         #: per-partition compile verdicts of the last step-plane build
         self.last_jit_report: Dict[str, str] = {}
         #: tri-state JIT override: None honours ``REPRO_STEPJIT``,
@@ -515,32 +528,49 @@ class PartitionedSimulation:
 
     # -- schedule compilation ---------------------------------------------------
 
+    def _hook_set(self) -> list:
+        """Everything ``_compile_schedule`` and the step-plane generator
+        read besides the topology, in a fixed order; a plane remembers
+        the one it was printed from and compares by identity."""
+        hooks = [self.tracer, self.telemetry, self.router,
+                 self.record_outputs, self.channel_capacity,
+                 stepjit_enabled(self)]
+        for link in self.links:
+            hooks += (link.transport, link.hooks.reliability,
+                      link.hooks.injector, link.hooks.switch)
+        return hooks
+
     def ensure_schedule(self) -> List[_PartPlan]:
-        """Compile (or return) the precompiled wavefront schedule."""
-        if self._schedule is None:
-            self._compile_schedule()
-        return self._schedule
+        """The compiled plane's wavefront schedule, through the one
+        door: recompiled when the attached hook set is not, object for
+        object, the one the plane was printed from (O(links))."""
+        hooks = self._hook_set()
+        plane = self._plane
+        if plane is None or not all(map(is_, hooks, plane.hooks)):
+            self._rx_instruments = {}
+            plane = self._plane = _Plane(hooks, self._compile_schedule())
+        return plane.schedule
 
-    def invalidate_schedule(self) -> None:
-        """Drop the compiled schedule and the step functions built
-        against it (rebuilt on next use); call after swapping link
-        transports or hooks outside ``run``, and after any wholesale
-        state replacement (checkpoint restore) — the step functions
-        close over live env/queue objects and must re-bind."""
-        self._schedule = None
-        self._step_fns = {}
-        self._rx_instruments = {}
+    def _enter_plane(self) -> List[_PartPlan]:
+        """What ``run()`` and a process worker step: the schedule with
+        its step functions built (once per plane) and no settle carried
+        in from an earlier entry."""
+        schedule = self.ensure_schedule()
+        if not self._plane.stepped:
+            fns, self.last_jit_report = compile_step_functions(self)
+            for pplan in schedule:
+                pplan.step = fns.get(pplan.part.name)
+            self._plane.stepped = True
+        for pplan in schedule:
+            for up in pplan.unit_plans:
+                up.settle[0] = False
+        return schedule
 
-    def _compile_schedule(self) -> None:
+    def _compile_schedule(self) -> List[_PartPlan]:
         """Resolve the static (unit, channel, link, source) topology into
-        flat per-unit op lists.  Everything derived here is a pure
-        function of the topology and the currently attached transports
-        and hooks, so the per-pass loop only touches preresolved
-        objects and constants.  ``run`` recompiles at every entry, which
-        keeps post-construction hook swaps (``harden_links``,
-        ``inject_faults``) honoured at O(channels) cost."""
+        flat per-unit op lists, so the per-pass loop only touches
+        preresolved objects and constants."""
         schedule: List[_PartPlan] = []
-        self._plan_by_part = {}
         # pre-create the arrival and consume-time deques so both the
         # interpreter and the compiled step functions mutate the same
         # objects (the step plane binds them at compile time); an empty
@@ -599,23 +629,7 @@ class PartitionedSimulation:
                     up.out_ops[base] = op
                 pplan.unit_plans.append(up)
             schedule.append(pplan)
-            self._plan_by_part[part.name] = pplan
-        self._schedule = schedule
-
-    def _compile_step_fns(self, only=None) -> None:
-        """Build the compiled step plane for the current schedule (see
-        :mod:`repro.harness.stepjit`).  Eligible partitions land in
-        ``_step_fns``; the rest stay interpreted, with the verdicts
-        recorded in ``last_jit_report``."""
-        from .stepjit import compile_step_functions, stepjit_enabled
-        self._step_fns = {}
-        if not stepjit_enabled(self):
-            self.last_jit_report = {
-                name: "disabled (REPRO_STEPJIT / stepjit override)"
-                for name in self.partitions}
-            return
-        self._step_fns, self.last_jit_report = compile_step_functions(
-            self, only=only)
+        return schedule
 
     # -- main loop ----------------------------------------------------------------
 
@@ -800,7 +814,7 @@ class PartitionedSimulation:
                         target_cycles: int) -> bool:
         """One partition's slot in a wavefront pass — the body the
         in-process loop and the process backend's workers share."""
-        step = self._step_fns.get(pplan.part.name)
+        step = pplan.step
         if step is not None:
             progress = step(target_cycles)
         else:
@@ -869,12 +883,7 @@ class PartitionedSimulation:
         if self._metrics_on:
             self.telemetry.target_cycles = max(
                 self.telemetry.target_cycles or 0, target_cycles)
-        # recompile the flat op schedule: post-construction transport or
-        # hook swaps (harden_links, inject_faults) land here
-        self.invalidate_schedule()
-        schedule = self.ensure_schedule()
-        # build the compiled step plane against the fresh schedule
-        self._compile_step_fns()
+        schedule = self._enter_plane()
         passes = 0
         # frontier_cycle() once per pass is a property + generator per
         # partition; the loop reads the same minimum off one flat list

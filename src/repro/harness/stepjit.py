@@ -23,7 +23,7 @@ What the generated function inlines:
 * **redundant-eval elision** — ``eval`` is a pure function of the
   signal env and register/memory state, so a fire whose output channel
   has no comb deps only needs an eval when something changed since the
-  last settle (a dep poke or a ``tick``).  A per-unit dirty flag makes
+  last settle (a dep poke or a ``tick``).  A per-unit settled flag makes
   every later no-dep fire of the same settle a pure re-pack — in fast
   mode this collapses k+1 evals per target cycle to 1;
 * **the timing overlay** — serdes/occupancy/wire/credit arithmetic with
@@ -54,8 +54,8 @@ cannot differ).  :mod:`repro.rtl.kernel` states each pass's soundness
 rule and the env staleness contract this buys speed with.
 
 **The hook-set rule.**  The step function is generated for the sinks
-that are attached when it is compiled (``run()`` recompiles the step
-plane at every entry): a live tracer gets its ``TraceEvent``
+that are attached when it is compiled (DESIGN "The compiled step
+plane" says when that is): a live tracer gets its ``TraceEvent``
 construction and the pre-bound ``tracer.emit`` generated in at the
 interpreter's seven emit sites, live telemetry gets its counter incs
 and the depth observe, and a null sink gets nothing — no emit, no
@@ -108,8 +108,9 @@ guard keeps compiled partitions exact: a unit whose outbox is
 unexpectedly non-empty (e.g. a checkpoint captured mid-``host_step``)
 delegates that pass to the interpreter — otherwise the differential
 reference and the ``stepjit=False`` / ``REPRO_STEPJIT=0`` /
-``--no-jit`` engine.  Both tiers carry a settle across passes, which
-is why ``run``'s ``stop`` callbacks observe and do not write.
+``--no-jit`` engine.  Both tiers carry a settle across passes (never
+across ``run()`` entries), which is why ``run``'s ``stop`` callbacks
+observe and do not write.
 
 Bit-exactness contract: for every partition the compiled function
 performs the *same mutations in the same order* as ``_run_unit`` — same
@@ -130,7 +131,7 @@ the generated source.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..observability.tracer import TraceEvent
 from ..rtl.kernel import pack_expr, unit_kernels
@@ -161,18 +162,6 @@ def stepjit_enabled(sim=None) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _unit_jit_reason(sim, up) -> Optional[str]:
-    """Why one unit plan cannot be compiled (None when it can)."""
-    unit = up.unit
-    label = f"{up.prefix}{unit.name}"
-    if getattr(unit, "step_bindings", None) is None:
-        return f"{label}: host exposes no step_bindings fast path"
-    rtl = getattr(unit, "sim", None)
-    if rtl is None or not getattr(rtl, "compiled", False):
-        return f"{label}: RTL engine runs interpreted (compiled=False)"
-    return None
-
-
 def partition_jit_reason(sim, pplan) -> Optional[str]:
     """Why a partition must stay on the interpreter (None = JIT-able).
 
@@ -180,9 +169,13 @@ def partition_jit_reason(sim, pplan) -> Optional[str]:
     does (live sinks are compiled in, hardened or faulted links and
     switch hops are call-outs)."""
     for up in pplan.unit_plans:
-        reason = _unit_jit_reason(sim, up)
-        if reason is not None:
-            return reason
+        unit = up.unit
+        label = f"{up.prefix}{unit.name}"
+        if getattr(unit, "step_bindings", None) is None:
+            return f"{label}: host exposes no step_bindings fast path"
+        rtl = getattr(unit, "sim", None)
+        if rtl is None or not getattr(rtl, "compiled", False):
+            return f"{label}: RTL engine runs interpreted (compiled=False)"
     return None
 
 
@@ -271,10 +264,9 @@ class _PartitionCodegen:
         self.RC = (b.bind(router.consumed, "rc")
                    if router is not None else None)
         self.router = router
-        #: one mutable dirty cell per generic-tier unit (keyed by unit
-        #: index), part of the bindings.  Kernel-tier units need no
-        #: dirty tracking — their kernels never depend on a settled env.
-        self.dirty_cells: Dict[int, list] = {}
+        #: generic-tier unit index -> its plan's settle cell (``[0]``
+        #: rides in a local).  Kernel-tier units index theirs in place.
+        self.settle_cells: Dict[int, list] = {}
         #: unit indexes running on fused RTL kernels (for the report)
         self.kernel_units: List[int] = []
         #: the attached hook set, fixed for this compile: a live sink
@@ -381,12 +373,12 @@ class _PartitionCodegen:
                     for line in _unpack_lines(ENV, "_h", fields):
                         w.emit(Lf, line)
             w.emit(Lf, f"{C}({ENV}, {MEMS})")
-            w.emit(Lf, f"dty{uid} = False")
+            w.emit(Lf, f"stl{uid} = True")
         else:
             Lf = L + 1
-            w.emit(Lf, f"if dty{uid}:")
+            w.emit(Lf, f"if not stl{uid}:")
             w.emit(Lf + 1, f"{C}({ENV}, {MEMS})")
-            w.emit(Lf + 1, f"dty{uid} = False")
+            w.emit(Lf + 1, f"stl{uid} = True")
         w.emit(Lf, f"{wvar} = "
                + pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
         w.emit(Lf, f"{OQ}.append({wvar})")
@@ -713,7 +705,7 @@ class _PartitionCodegen:
         tier supplies only its fire fragment and the advance's
         ``settle`` lines (``stale`` drops the settle it carries across
         passes): the generic tier the engine's ``comb``/``tick`` pair
-        behind a dirty flag; the kernel tier (dep-free units on a
+        behind a settled flag; the kernel tier (dep-free units on a
         compiled engine) fused, cone-reduced RTL kernels plus the fused
         single-settle advance ahead of the shared split-path one."""
         w, b = self.w, self.b
@@ -758,11 +750,10 @@ class _PartitionCodegen:
                               for ch, _ in names["in_plans"]]
             stale = []
             if k:
-                #: quiescence cell: [converged, word0, ..., word(k-1)]
-                #: — True plus cached words means the previous settle
-                #: hit a tick fixed point, so a repeat-input cycle
-                #: replays the words and skips the kernel call entirely
-                names["QS"] = b.bind([False] + [0] * k, "qs")
+                #: quiescence cell: converged plus cached words means
+                #: the previous settle hit a tick fixed point, so a
+                #: repeat-input cycle replays them and skips the kernel
+                names["QS"] = b.bind(up.settle, "qs")
                 stale = [f"{names['QS']}[0] = False"]
                 # non-uniform fire flags: a shape the kernels do not
                 # model either
@@ -775,12 +766,12 @@ class _PartitionCodegen:
         else:
             names["C"] = b.bind(bindings["comb"], "c")
             T = b.bind(bindings["tick"], "t")
-            #: dirty cell: True means the RTL env may be unsettled (eval
-            #: needed before a no-dep fire can re-pack)
-            self.dirty_cells[uid] = cell = [True]
-            b.bind(cell, "dc")
+            #: settle cell: False means the RTL env may be unsettled
+            #: (eval needed before a no-dep fire can re-pack)
+            self.settle_cells[uid] = up.settle
+            b.bind(up.settle, "dc")
             settle = [names["C"] + settle_args, T + settle_args]
-            stale = dirty = [f"dty{uid} = True"]
+            stale = dirty = [f"stl{uid} = False"]
         w.emit(L, f"if {U}.target_cycle < target_cycles:")
         Lu = L + 1
         w.emit(Lu, f"if {guard}:")
@@ -822,8 +813,8 @@ class _PartitionCodegen:
         for uid, up in enumerate(self.pplan.unit_plans):
             self._emit_unit(Lt, uid, up)
         body, w = self.w.lines, _Writer()
-        dirty = [(f"dty{uid}", f"{self.b.bind(cell, 'dc')}[0]")
-                 for uid, cell in self.dirty_cells.items()]
+        cells = [(f"stl{uid}", f"{self.b.bind(cell, 'dc')}[0]")
+                 for uid, cell in self.settle_cells.items()]
         w.emit(0, "def _make(_B):")
         w.emit(1, "def _step(")
         w.emit(2, "target_cycles,")
@@ -832,13 +823,13 @@ class _PartitionCodegen:
         w.emit(1, "):")
         w.emit(2, "progress = False")
         for stmt in self._cursor_stmts(load=True) \
-                + [f"{local} = {cell}" for local, cell in dirty]:
+                + [f"{local} = {cell}" for local, cell in cells]:
             w.emit(2, stmt)
         w.emit(2, "try:")
         w.lines.extend(body or ["    " * Lt + "pass"])
         w.emit(2, "finally:")
         for stmt in self._cursor_stmts(load=False) \
-                + [f"{cell} = {local}" for local, cell in dirty]:
+                + [f"{cell} = {local}" for local, cell in cells]:
             w.emit(3, stmt)
         w.emit(2, "return progress")
         w.emit(1, "return _step")
@@ -853,23 +844,26 @@ def generate_partition_source(sim, pplan
     return _PartitionCodegen(sim, pplan).generate()
 
 
-def compile_step_functions(sim, only: Optional[Set[str]] = None
-                           ) -> Tuple[Dict[str, Callable],
-                                      Dict[str, str]]:
+def compile_step_functions(sim) -> Tuple[Dict[str, Callable],
+                                         Dict[str, str]]:
     """Compile every eligible partition of ``sim``'s current schedule
     into a step function.
 
     Returns ``(step_fns, report)``: ``step_fns`` maps partition name to
     the compiled ``_step(target_cycles) -> progressed`` callable;
     ``report`` maps every partition to a human-readable compile verdict
-    (also stored by the harness as ``last_jit_report``).  ``only``
-    restricts compilation to the named partitions (a process worker
-    compiles just its own)."""
+    (also stored by the harness as ``last_jit_report``).  Under a
+    router (a process worker) only the partition local to it is
+    compiled: peers' passes arrive as effect frames."""
+    if not stepjit_enabled(sim):
+        return {}, {name: "disabled (REPRO_STEPJIT / stepjit override)"
+                    for name in sim.partitions}
     fns: Dict[str, Callable] = {}
     report: Dict[str, str] = {}
+    router = sim.router
     for pplan in sim.ensure_schedule():
         name = pplan.part.name
-        if only is not None and name not in only:
+        if router is not None and not router.is_local(name):
             report[name] = "skipped: not scheduled in this process"
             continue
         reason = partition_jit_reason(sim, pplan)
@@ -894,9 +888,6 @@ def generate_sources(sim
     out: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
     for pplan in sim.ensure_schedule():
         reason = partition_jit_reason(sim, pplan)
-        if reason is not None:
-            out[pplan.part.name] = (None, reason)
-        else:
-            src, _ = generate_partition_source(sim, pplan)
-            out[pplan.part.name] = (src, None)
+        src = None if reason else generate_partition_source(sim, pplan)[0]
+        out[pplan.part.name] = (src, reason)
     return out

@@ -93,11 +93,9 @@ class LIBDNHost:
         bodies against the objects returned here.  Everything in the
         dict is *the* live object (not a copy): the precompiled fire
         plans, the fired-flag dict, the RTL engine's signal environment
-        and compiled comb/tick functions.  The contract is that these
-        objects are mutated in place for the lifetime of one compiled
-        schedule — any wholesale replacement (a checkpoint restore, an
-        engine reset) must invalidate the schedule so the generator
-        re-binds.
+        and compiled comb/tick functions, mutated in place for the life
+        of a compiled plane (DESIGN "The compiled step plane" names the
+        one function that replaces them and drops the plane).
 
         ``comb``/``tick`` are the engine's generic pair for a host
         whose outputs carry combinational deps.  They are ``None`` when

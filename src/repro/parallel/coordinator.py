@@ -155,8 +155,8 @@ class _WorkerState:
         self.postmortem = None
         self.dead = False
         self.exitcode: Optional[int] = None
-        #: (exception type name, message) from a "failed" report
-        self.failed: Optional[Tuple[str, str]] = None
+        #: (exception type name, message, args) from a "failed" report
+        self.failed: Optional[tuple] = None
         #: modelled time position from the last piggybacked metric
         #: frame (live status rendering only)
         self.busy_ns = 0.0
@@ -576,7 +576,7 @@ class ProcessBackend:
         elif kind == "postmortem":
             state.postmortem = msg[1]
         elif kind == "failed" and state.failed is None:
-            state.failed = (msg[2], msg[3])
+            state.failed = msg[2:]
         elif kind == "dead":
             # relayed by the endpoint fronting this worker
             state.dead = True

@@ -19,7 +19,7 @@ import multiprocessing as mp
 import os
 from typing import Callable, List, Optional, Sequence
 
-from ..errors import WorkerError, rebuild_error
+from ..errors import WorkerError, error_report, rebuild_error
 from . import worker as _worker_mod
 from .coordinator import fork_available
 
@@ -34,8 +34,7 @@ def _pool_child(thunks, queue, send_conn) -> None:
             send_conn.send((idx, True, thunks[idx]()))
         except BaseException as exc:  # noqa: BLE001 — shipped to parent
             try:
-                send_conn.send((idx, False, type(exc).__name__,
-                                str(exc)))
+                send_conn.send((idx, False, *error_report(exc)))
             except (BrokenPipeError, OSError):
                 os._exit(1)
     send_conn.close()
@@ -92,8 +91,7 @@ def fanout(thunks: Sequence[Callable[[], object]], jobs: int,
                 if msg[1]:
                     results[msg[0]] = msg[2]
                 elif first_error is None:
-                    first_error = rebuild_error(
-                        labels[msg[0]], msg[2], msg[3])
+                    first_error = rebuild_error(labels[msg[0]], *msg[2:])
         if first_error is not None:
             raise first_error
         missing = [i for i in range(len(thunks)) if i not in results]

@@ -54,7 +54,8 @@ that fronts several workers — a farm host agent — relays it as is):
 ``("done", fragment)``  — final state fragment, after a stop.
 ``("postmortem", payload)`` — stuck-channel snapshot, after a deadlock
     abort.
-``("failed", name, exc_type, message)`` — local failure.
+``("failed", name, exc_type, message, args)`` — local failure
+    (:func:`~repro.errors.error_report`).
 
 Coordinator -> worker: ``("stop",)`` and ``("abort", reason)``.
 """
@@ -68,7 +69,7 @@ from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..errors import SimulationError
+from ..errors import SimulationError, error_report
 from ..observability.tracer import RecordingTracer
 from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
@@ -197,14 +198,6 @@ class PartitionWorker:
                 wait_step=(lambda p=peer: self._transport_wait_step(p)))
             self.inboxes[peer] = deque()
 
-        # the wavefront schedule is compiled per-process: the parent
-        # dispatched to the backend before compiling its own, and the
-        # hooks/links may have changed since any inherited compile
-        # (invalidate also drops any step functions inherited from the
-        # parent — they bind the parent's pre-fork objects)
-        sim.invalidate_schedule()
-        sim.ensure_schedule()
-
         #: pass number fence from the coordinator's stop broadcast:
         #: run the wavefront through this pass, then finalize (ensures
         #: every peer's effect-bearing frame has been applied)
@@ -239,11 +232,12 @@ class PartitionWorker:
             sim._trace = True
             sim._install_tracer()
 
-        # compiled step plane for this partition only (the wavefront
-        # protocol runs peer passes through frame application, never
-        # through their step functions); compiled last so the guard
-        # sees the final tracer/telemetry/router configuration
-        sim._compile_step_fns(only={name})
+        # this partition's slot of the compiled plane: the router and
+        # tracer installed above are part of the hook set, so the door
+        # rebuilds whatever plane the fork inherited (peers' passes
+        # arrive as frames, never through their step functions)
+        self.pplan = next(p for p in sim._enter_plane()
+                          if p.part is self.part)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -368,8 +362,7 @@ class PartitionWorker:
         # state here bit-identical to it
         if self.part.target_cycle >= self.target_cycles:
             return False
-        return self.sim._step_partition(
-            self.sim._plan_by_part[self.name], self.target_cycles)
+        return self.sim._step_partition(self.pplan, self.target_cycles)
 
     def _emit_frames(self) -> None:
         for peer in self.peers:
@@ -536,8 +529,8 @@ def worker_main(sim, name, target_cycles, max_passes, options,
         import traceback
         tail = traceback.format_exc(limit=-3)
         try:
-            ctl_send.send((name, ("failed", name, type(exc).__name__,
-                                  f"{exc}\n{tail}".rstrip())))
+            ctl_send.send((name, ("failed", name, *error_report(
+                exc, f"{exc}\n{tail}".rstrip()))))
         except (BrokenPipeError, OSError):
             pass
         os._exit(1)

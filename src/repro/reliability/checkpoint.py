@@ -127,9 +127,10 @@ def load_partition_state(sim: PartitionedSimulation, name: str,
                          state: dict) -> None:
     """Overlay a :func:`partition_state` snapshot of ``name`` onto
     ``sim``, replacing everything that partition owns and nothing
-    else.  The held queues are replaced wholesale, so a compiled
-    schedule bound to the old ones must be invalidated by the caller
-    before the next pass."""
+    else — queues, envs and histograms wholesale, so the compiled
+    plane bound to the old ones is dropped here (DESIGN "The compiled
+    step plane")."""
+    sim._plane = None
     part = sim.partitions[name]
     part.busy_until = state["busy_until"]
     part.host.load_state_dict(state["host"])
@@ -212,10 +213,6 @@ def restore_state(sim: PartitionedSimulation, state: dict) -> None:
         load_partition_state(sim, name, part_state)
     sim.total_tokens = state["total_tokens"]
     sim.dropped_tokens = state["dropped_tokens"]
-    # the held queues were replaced wholesale; any compiled schedule
-    # (and its step functions) binds the old deque objects, so force a
-    # rebuild before the next pass
-    sim.invalidate_schedule()
 
 
 def write_checkpoint(state: dict, path: Union[str, Path]) -> Path:

@@ -157,8 +157,7 @@ class TestLinkWidth:
         sim = build_star_sim(2)  # fpga2's boundary is 4 bits wide
         widths = {(a, b): w for a, b, w in sim_links(sim)}
         assert widths[("base", "fpga2")] == widths[("fpga2", "base")] == 4
-        sim.ensure_schedule()
-        for plan in sim._schedule:
+        for plan in sim.ensure_schedule():
             for unit_plan in plan.unit_plans:
                 for op in unit_plan.out_ops.values():
                     if op.link is not None:

@@ -5,7 +5,7 @@ functions on and off — and the full functional digest (tokens, per-
 partition cycles, the complete FMR ``detail`` breakdown, and the
 recorded output stream) must match bit for bit.  The same holds on
 the process backend, which exercises the worker-side compile path
-(`only=` restriction) and the socket wire under the JIT.
+(its own partition only) and the socket wire under the JIT.
 
 The same scenarios are replayed over hardened links (drop + corrupt +
 spike + one flap, recovered by the reliable layer) and over raw faulted

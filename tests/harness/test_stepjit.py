@@ -19,7 +19,8 @@ from repro.fireripper import (
     PartitionSpec,
 )
 from repro.fuzz import functional_digest, load_repro, make_sim
-from repro.harness import MonolithicSimulation, PartitionedSimulation
+from repro.harness import (MonolithicSimulation, PartitionedSimulation,
+                           partitioned)
 from repro.harness.stepjit import (
     generate_sources,
     partition_jit_reason,
@@ -28,7 +29,7 @@ from repro.harness.stepjit import (
 )
 from repro.observability import RecordingTracer, TraceEvent
 from repro.parallel.coordinator import fork_available
-from repro.platform import QSFP_AURORA
+from repro.platform import HOST_PCIE, QSFP_AURORA
 from repro.reliability import (
     FaultSpec,
     ReliableLinkConfig,
@@ -77,6 +78,31 @@ def _digest(sim, cycles=40, **run_kwargs):
     return functional_digest(sim, sim.run(cycles, **run_kwargs))
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counting spy on the compiled-plane build: ``planes`` compiled
+    (one schedule each) and their ``steps`` (step-function builds)."""
+    counts = {"planes": 0, "steps": 0}
+
+    def counting(key, fn):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(
+        PartitionedSimulation, "_compile_schedule",
+        counting("planes", PartitionedSimulation._compile_schedule))
+    monkeypatch.setattr(
+        partitioned, "compile_step_functions",
+        counting("steps", partitioned.compile_step_functions))
+    return counts
+
+
+def _since(counts, before):
+    return {key: counts[key] - before[key] for key in counts}
+
+
 class TestSelection:
     def test_default_is_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_STEPJIT", raising=False)
@@ -113,7 +139,7 @@ class TestSelection:
                    for v in on.last_jit_report.values())
         assert all(v.startswith("disabled")
                    for v in off.last_jit_report.values())
-        assert off._step_fns == {}
+        assert all(p.step is None for p in off.ensure_schedule())
 
 
 class TestEligibility:
@@ -560,9 +586,9 @@ class TestRuntimeIdentity:
         assert d_jit == d_int
         assert seen  # the callback really ran under the JIT
 
-    def test_checkpoint_roundtrip_under_jit(self):
-        """Restore replaces queue objects wholesale; the compiled plans
-        bound to the old deques must be invalidated and rebuilt."""
+    def test_checkpoint_roundtrip_under_jit(self, builds):
+        """Restore replaces queue objects wholesale; the plane bound to
+        the old deques is dropped, and the next entry builds its own."""
         straight = _build()
         d_straight = _digest(straight, 60)
 
@@ -570,10 +596,12 @@ class TestRuntimeIdentity:
         first.run(30)
         state = capture_state(first)
         resumed = _build()
-        resumed.run(9)  # stale compiled plans + progress to overwrite
+        # a compiled plane + progress to overwrite
+        resumed.run(9, backend="inproc")
         restore_state(resumed, state)
-        assert resumed._step_fns == {}
-        d_resumed = _digest(resumed, 60)
+        before = dict(builds)
+        d_resumed = _digest(resumed, 60, backend="inproc")
+        assert _since(builds, before) == {"planes": 1, "steps": 1}
         assert d_resumed["detail"] == d_straight["detail"]
         assert d_resumed["outputs"] == d_straight["outputs"]
 
@@ -614,7 +642,8 @@ class TestRuntimeIdentity:
                          ReliableLinkConfig(max_retries=2))
             sim.stepjit = jit
             with pytest.raises(LinkGiveUpError):
-                sim.run(80)
+                # in-process: a failed process run merges nothing back
+                sim.run(80, backend="inproc")
             assert sim.total_tokens > 0  # it got somewhere first
             left[jit] = json.dumps(capture_state(sim), sort_keys=True)
         assert left[True] == left[False]
@@ -623,6 +652,81 @@ class TestRuntimeIdentity:
         on, off = _build(mode=EXACT), _build(mode=EXACT)
         off.stepjit = False
         assert _digest(on) == _digest(off)
+
+
+#: recoverable without a reliable layer: nothing is dropped, so the
+#: run completes (with deterministically wronged tokens)
+SOFT_FAULTS = FaultSpec(seed=3, corrupt_rate=0.2, spike_rate=0.2)
+
+
+def _swap_transport(sim):
+    for link in sim.links:
+        link.transport = HOST_PCIE
+        link.refresh_transport_hooks()
+
+
+def _restore_cycle_30(sim):
+    first = _build()
+    first.run(30, backend="inproc")
+    restore_state(sim, json.loads(json.dumps(capture_state(first))))
+
+
+#: what may change between two ``run()`` entries of one simulation
+CHANGES = {
+    "harden_links": _harden,
+    "inject_faults": lambda sim: inject_faults(sim, SOFT_FAULTS),
+    "stepjit_off": lambda sim: setattr(sim, "stepjit", False),
+    "record_outputs": lambda sim: setattr(sim, "record_outputs", True),
+    "transport_swap": _swap_transport,
+    "restore_state": _restore_cycle_30,
+}
+
+
+class TestPlaneLifecycle:
+    """The compiled plane is a function of (topology, attached hook
+    set): built once, rebuilt exactly when that set changes or the
+    state it binds is replaced — no caller invalidates anything."""
+
+    def test_unchanged_entries_build_once(self, builds):
+        """``ring24_stream``'s partitioning (4 x 6 tiles + base): one
+        ``run(1)`` and twelve 1000-cycle windows share one plane."""
+        spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(
+            [list(range(i, i + 6)) for i in range(0, 24, 6)]))
+        sim = FireRipper(spec).compile(
+            make_ring_noc_soc(24, messages_per_tile=2)
+        ).build_simulation(QSFP_AURORA)
+        sim.run(1, backend="inproc")
+        for _ in range(12):
+            sim.run(sim.frontier_cycle() + 1000, backend="inproc")
+        assert builds == {"planes": 1, "steps": 1}
+        assert sim.frontier_cycle() == 12001
+
+    @pytest.mark.parametrize("warm", [0, 25])
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_a_change_between_entries_rebuilds_once(
+            self, builds, change, warm):
+        """Entry, change, entry: exactly one rebuild, and the result is
+        the interpreter's for the same sequence — which, when the first
+        entry stepped nothing, is a fresh simulation configured that
+        way from cycle 0."""
+        mutate = CHANGES[change]
+
+        def entries(jit):
+            sim = _build(record_outputs=False)
+            sim.stepjit = jit
+            sim.run(warm, backend="inproc")
+            mutate(sim)
+            before = dict(builds)
+            return (_digest(sim, 60, backend="inproc"),
+                    _since(builds, before))
+
+        digest, rebuilt = entries(None)
+        assert rebuilt == {"planes": 1, "steps": 1}
+        assert digest == entries(False)[0]
+        if not warm:
+            fresh = _build(record_outputs=False)
+            mutate(fresh)
+            assert digest == _digest(fresh, 60, backend="inproc")
 
 
 class TestGenericPairOnFirstUse:
@@ -640,6 +744,8 @@ class TestGenericPairOnFirstUse:
             return real(elab)
 
         monkeypatch.setattr(engine, "_compile", counting)
+        # the spy sees this process only, not a forked worker's engine
+        monkeypatch.setenv("REPRO_BACKEND", "inproc")
         return tops
 
     def test_kernel_tier_never_generates_it(self, generated):

@@ -17,7 +17,7 @@ from repro.errors import (
     WorkerError,
 )
 from repro.firrtl import make_circuit
-from repro.fireripper import FAST
+from repro.fireripper import EXACT, FAST
 from repro.harness import Link, Partition, PartitionedSimulation
 from repro.libdn import ChannelSpec, LIBDNHost
 from repro.parallel import ProcessBackend, auto_backend, fork_available
@@ -114,6 +114,29 @@ class TestBitIdentity:
         at_mid_done = next(cycles for cycles in seen
                            if cycles["mid"] == 12)
         assert at_mid_done["base"] < 12 and at_mid_done["tail"] < 12
+
+    @pytest.mark.parametrize("segments", [
+        ("inproc", "process", "inproc"), ("process", "inproc")],
+        ids="-".join)
+    @pytest.mark.parametrize("mode", [EXACT, FAST], ids=["exact", "fast"])
+    def test_mixed_backend_segments_on_one_simulation(
+            self, segments, mode):
+        """Segments of one simulation on alternating backends, JIT on,
+        default ``channel_capacity``: the merge replaces every queue a
+        compiled plane binds, so the next in-process entry must not
+        step the plane the previous one left."""
+        from repro.fuzz import functional_digest
+
+        straight = build_star_sim(2, mode=mode)
+        want = functional_digest(
+            straight, straight.run(10 * len(segments), backend="inproc"))
+        sim = build_star_sim(2, mode=mode)
+        for i, backend in enumerate(segments, 1):
+            result = sim.run(10 * i, backend=backend)
+            assert sim.last_run_backend == backend
+        assert functional_digest(sim, result) == want
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())
 
     def test_run_backend_process_dispatches(self):
         s1 = build_star_sim(2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LinkGiveUpError
+from repro.parallel.coordinator import fork_available
 from repro.reliability import (
     FaultSpec,
     ReliableLinkConfig,
@@ -67,12 +68,16 @@ class TestRecovery:
             rates.append(sim.run(150).rate_hz)
         assert rates[0] > rates[1] > rates[2]
 
-    def test_retry_budget_exhaustion_raises(self, build_pair):
+    @pytest.mark.parametrize("backend", ["inproc", pytest.param(
+        "process", marks=pytest.mark.skipif(
+            not fork_available(), reason="needs os.fork"))])
+    def test_retry_budget_exhaustion_raises(self, build_pair, backend):
+        """Typed, with its fields, from a worker process too."""
         sim = build_pair()
         harden_links(sim, FaultSpec(seed=1, drop_rate=1.0),
                      ReliableLinkConfig(max_retries=4))
         with pytest.raises(LinkGiveUpError) as err:
-            sim.run(50)
+            sim.run(50, backend=backend)
         assert err.value.attempts == 5
         assert "undeliverable" in str(err.value)
 

@@ -13,7 +13,7 @@ from repro.service import (
     TenantQuota,
     execute_config,
 )
-from repro.telemetry import RunRegistry
+from repro.telemetry import LiveStatus, RunRegistry
 from repro.telemetry.runs import run_record
 
 
@@ -227,19 +227,25 @@ class TestCancellation:
         assert service.counters["executions"] == 0
 
     def test_cancel_mid_run_stops_within_a_pass(self, make_config,
-                                                service_config):
+                                                tmp_path):
+        config = ServiceConfig(workers=1, runs_dir=tmp_path / "runs",
+                               live_dir=tmp_path / "live")
+
+        def stepping(job):
+            # "running" is set before the executor thread has parsed,
+            # compiled and built; the live-status file (what ``repro
+            # watch --job`` reads) says when the step loop is under way
+            status = LiveStatus.read(job.live_path or "")
+            return status is not None and status["frontier_cycle"] > 0
+
         async def scenario(service):
             job = await service.submit(make_config(cycles=500_000))
-            await wait_for(lambda: job.state == "running")
-            # "running" is set before the executor thread has parsed,
-            # compiled and built; give it time to reach the step loop
-            # (seconds short of finishing) so the cancel lands mid-run
-            await asyncio.sleep(0.25)
+            await wait_for(lambda: stepping(job))
             await service.cancel(job.job_id)
             await service.wait(job.job_id, timeout=60)
             return job, service
 
-        job, service = run_scenario(scenario, service_config)
+        job, service = run_scenario(scenario, config)
         assert job.state == "cancelled"
         assert job.result["partial"] is True
         assert 0 < job.result["target_cycles"] < 500_000
