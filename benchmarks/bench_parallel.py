@@ -269,40 +269,3 @@ def test_token_plane_bit_identity():
     assert identical
     assert mp.active_children() == []
 
-
-# -- socket tier --------------------------------------------------------------
-#
-# Measured numbers land in ``results/BENCH_socket_tier.json``; the
-# ``repro regress`` gate checks them.  One claim is pinned: the
-# unix-domain family is bit-identical to the in-process loop too (the
-# tcp default is the token-plane verdict above).
-
-from repro.parallel import socket_available
-
-
-def _write_socket_tier(payload):
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    path = RESULTS / "BENCH_socket_tier.json"
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    merged.update(payload)
-    path.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-@pytest.mark.skipif(not socket_available("unix"),
-                    reason="needs unix-domain sockets")
-def test_socket_tier_unix_family_bit_identity():
-    design = _design(2)
-    r_inproc = _build(design).run(CYCLES, backend="inproc")
-    r_unix = ProcessBackend(socket_family="unix").run(
-        _build(design), CYCLES)
-    identical = r_inproc.detail == r_unix.detail
-    payload = {
-        "identity_partitions": 3,
-        "identity_cycles": CYCLES,
-        "detail_bit_identical": identical,
-    }
-    _write_socket_tier(payload)
-    print(f"\ninproc-vs-process(unix) detail bit-identity over "
-          f"{CYCLES} cycles: {identical}")
-    assert identical
-    assert mp.active_children() == []

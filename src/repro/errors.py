@@ -232,10 +232,9 @@ class TransportError(ReproError):
 
 
 class SocketSetupError(TransportError):
-    """The socket transport's rendezvous failed: a peer's listener
-    never became reachable within the connect timeout (after bounded
-    exponential-backoff retries), a hello handshake timed out, or the
-    configured family/address is unusable on this host."""
+    """The process backend could not make its data plane: a
+    ``socket.socketpair()`` call failed (e.g. the process ran out of
+    file descriptors).  The pairs already made are closed first."""
 
 
 class FarmError(ReproError):

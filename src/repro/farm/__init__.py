@@ -13,9 +13,9 @@ into the supervisor's ordinary rollback + re-place path, and collects
 fragments, telemetry and per-host FMR back into the run registry
 (``manager``).
 
-Cross-host partition traffic travels over the socket transport tier
-(:mod:`repro.parallel.socket_transport`); intra-host traffic over
-pipes.  Results stay bit-identical to every other backend.
+Partition traffic, same host or not, travels over the process
+backend's stream-socket pairs (:mod:`repro.parallel.socket_transport`).
+Results stay bit-identical to every other backend.
 """
 
 from .hosts import (DEFAULT_LINK_CLASS, LINK_CLASSES, FarmSpec,

@@ -9,9 +9,11 @@ its workers down exactly the way a machine loss would: workers see
 their control pipe EOF and exit, peers on other hosts see their
 sockets close, and the manager sees the agent's sentinel fire.
 
-Workers exchange frames over the process backend's stream sockets,
-same host or not (the manager binds the rendezvous before forking the
-agents).  The agent itself is a pure relay:
+Workers exchange frames over the process backend's stream-socket
+pairs, same host or not: the manager makes every pair before forking
+the agents, each agent keeps its own workers' ends, hands them on when
+it forks the workers and then closes its copies.  The agent itself is
+a pure relay:
 
 * worker -> manager: every ``(partition, message)`` envelope forwards
   unchanged; a worker death as ``(partition, ("dead", exitcode))``.
@@ -50,14 +52,14 @@ def host_agent_main(sim, host: str, target_cycles: int,
     Args:
         host: this virtual host's name.
         options: ``worker_main`` option dict per partition placed here
-            (each gets one worker).
+            (each gets one worker, with its data-plane ends).
         die_at_pass: injected whole-host fault trigger, or None.
         ctl_recv / ctl_send: the manager-facing control pipe ends.
-        unrelated_conns: other agents' pipe ends to close (fork
-            hygiene — EOF propagation needs every stray copy closed).
+        unrelated_conns: other agents' pipe and socket ends to close
+            (fork hygiene — EOF propagation needs every stray copy
+            closed).
     """
     close_all(unrelated_conns)
-    parts = list(options)
     # adopt the request's correlation id before forking workers: they
     # inherit the environment
     if sim.corr_id:
@@ -65,10 +67,6 @@ def host_agent_main(sim, host: str, target_cycles: int,
 
     workers = fork_workers(sim, options, target_cycles, max_passes,
                            host=host, backend="farm")
-    # every rendezvous listener was inherited across two forks; the
-    # workers own their copies now, the agent's are strays (all the
-    # per-partition plans share one listener map)
-    close_all(options[parts[0]]["socket"]["listeners"].values())
 
     def shutdown(signum, frame) -> None:
         # the manager's reap: a worker still alive now is hung (the

@@ -4,8 +4,8 @@
 :class:`~repro.parallel.ProcessBackend` whose endpoints are *host
 agents* (:mod:`repro.farm.deploy`), each fronting the partition
 workers placed on it.  The supervision loop, the spawner, the data
-plane (stream sockets whose rendezvous the manager binds pre-fork),
-the merge and the cleanup are the process backend's, unchanged, so
+plane (stream-socket pairs the manager makes before forking), the
+merge and the cleanup are the process backend's, unchanged, so
 results stay bit-identical to every other backend.  The farm adds:
 
 * **placement / re-placement bookkeeping** — every run re-places the
@@ -65,11 +65,9 @@ class FarmBackend(ProcessBackend):
                  colocate: Iterable[Iterable[str]] = (),
                  heartbeat_timeout: float = 30.0,
                  worker_faults: Optional[Dict[str, tuple]] = None,
-                 host_faults: Optional[Dict[str, int]] = None,
-                 socket_family: Optional[str] = None):
+                 host_faults: Optional[Dict[str, int]] = None):
         super().__init__(heartbeat_timeout=heartbeat_timeout,
-                         worker_faults=worker_faults,
-                         socket_family=socket_family)
+                         worker_faults=worker_faults)
         self.spec = spec
         self.colocate = [list(g) for g in colocate]
         self.host_faults = dict(host_faults or {})
@@ -120,7 +118,9 @@ class FarmBackend(ProcessBackend):
              (host, target_cycles, max_passes,
               {part: options[part] for part in parts},
               self.host_faults.get(host)),
-             {"host": host, "parts": ",".join(parts)})
+             {"host": host, "parts": ",".join(parts)},
+             [end for part in parts
+              for end in options[part]["ends"].values()])
             for host, parts in sorted(placement.by_host().items())],
             daemon=False)
 
@@ -234,8 +234,7 @@ class FarmManager:
                  max_rollbacks: int = 3,
                  heartbeat_timeout: float = 30.0,
                  host_faults: Optional[Dict[str, int]] = None,
-                 worker_faults: Optional[Dict[str, tuple]] = None,
-                 socket_family: Optional[str] = None):
+                 worker_faults: Optional[Dict[str, tuple]] = None):
         self.build = build
         self.config = config
         self.spec = FarmSpec.from_dict(config["hosts"])
@@ -247,8 +246,7 @@ class FarmManager:
             self.spec, colocate=config["colocate"],
             heartbeat_timeout=heartbeat_timeout,
             host_faults=host_faults,
-            worker_faults=worker_faults,
-            socket_family=socket_family)
+            worker_faults=worker_faults)
 
     def plan(self, sim=None) -> Placement:
         """Place (a fresh build of) the design without running it."""

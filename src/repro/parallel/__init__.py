@@ -5,11 +5,12 @@ FPGAs; this package gives the reproduction the same shape in software.
 Each partition's LI-BDN host runs in its own forked worker process
 (``worker``), cross-partition tokens travel as effect frames — one
 per peer per pass, which is all the lock-step wavefront can have in
-flight (``channels``) — struct-packed into records over TCP /
-unix-domain stream sockets (``socket_transport`` — the one data
-plane, within a host and across farm hosts), a
-coordinator spawns/supervises the workers and merges their state
-fragments back into the parent simulation (``coordinator``), and an
+flight (``channels``) — struct-packed into records over one stream
+socket pair per linked partition pair, made before the fork
+(``socket_transport`` — the one data plane, within a host and across
+farm hosts), a coordinator spawns/supervises the workers and merges
+their state fragments back into the parent simulation
+(``coordinator``), and an
 experiment-level pool fans independent sweep points across bounded
 jobs (``pool``).
 
@@ -27,9 +28,7 @@ from .coordinator import (BACKEND_ALIASES, VALID_BACKENDS,
                           fork_available, normalize_backend,
                           unsupported_reason)
 from .channels import Conduit, EffectFrame, FramePacker
-from .socket_transport import (SocketChannel, connect_with_backoff,
-                               establish_channels, make_listeners,
-                               socket_available)
+from .socket_transport import SocketChannel
 from .pool import fanout
 
 __all__ = [
@@ -44,9 +43,5 @@ __all__ = [
     "EffectFrame",
     "FramePacker",
     "SocketChannel",
-    "connect_with_backoff",
-    "establish_channels",
-    "make_listeners",
-    "socket_available",
     "fanout",
 ]

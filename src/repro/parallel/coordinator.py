@@ -2,11 +2,11 @@
 
 ``ProcessBackend.run`` forks one worker process per partition (the
 simulation object is inherited by ``fork``, so compiled artefacts,
-token sources and closures need no pickling), binds the rendezvous
-listeners through which every pair of *linked* partitions connects its
-stream socket, wires a control pipe pair per worker, and then plays
-supervisor.  What it supervises are *endpoints* (:class:`Endpoint`,
-forked by the one spawner :func:`fork_endpoints`): a child process,
+token sources and closures need no pickling) after making one stream
+socket pair per pair of *linked* partitions and one control pipe pair
+per worker, and then plays supervisor.  What it supervises are
+*endpoints* (:class:`Endpoint`, forked by the one spawner
+:func:`fork_endpoints`): a child process,
 its control pipe pair and sentinel, and the partitions it fronts — one
 worker here, a host agent fronting several workers in
 :class:`~repro.farm.FarmBackend`, which runs this same loop.  The
@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import shutil
+import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import (BackendUnavailableError, DeadlockError,
-                      SimulationError, UnknownBackendError,
-                      UnsupportedTopologyError, WorkerError,
-                      env_number, rebuild_error)
+                      SimulationError, SocketSetupError,
+                      UnknownBackendError, UnsupportedTopologyError,
+                      WorkerError, env_number, rebuild_error)
 from ..observability.postmortem import DeadlockPostmortem
 from ..observability.events import lifecycle_event
 from ..observability.tracer import (NULL_TRACER, RecordingTracer,
@@ -55,9 +55,6 @@ from ..reliability.checkpoint import load_partition_state
 from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
 from .channels import FramePacker
-from .socket_transport import (default_family, make_listeners,
-                               resolve_family, socket_available,
-                               socket_timeouts)
 from .worker import close_all, worker_main
 
 
@@ -131,7 +128,7 @@ def auto_backend(sim) -> Optional["ProcessBackend"]:
     mode = normalize_backend(raw, source="REPRO_BACKEND")
     if mode in ("auto", "inproc"):
         return None
-    if not fork_available() or not socket_available():
+    if not fork_available():
         return None
     if unsupported_reason(sim) is not None:
         return None
@@ -196,36 +193,68 @@ def broadcast(endpoints, msg) -> None:
             pass
 
 
+def reap(procs) -> None:
+    """Terminate and join every started process: ``SIGTERM``, one
+    shared 5 s grace, then ``SIGKILL``."""
+    procs = list(procs)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    deadline = time.monotonic() + 5.0
+    for proc in procs:
+        proc.join(max(0.0, deadline - time.monotonic()))
+    for proc in procs:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(5.0)
+
+
 def fork_endpoints(sim, role: str, spawn_kind: str, children,
                    daemon: bool = True) -> List[Endpoint]:
     """The one spawner: fork one child per ``(name, parts, target,
-    args, fields)`` entry, each behind its own control pipe pair.
+    args, fields, ends)`` entry, each behind its own control pipe pair.
 
     ``target`` runs as ``target(sim, *args, ctl_recv=..., ctl_send=...,
-    unrelated_conns=...)`` — the simulation is inherited by ``fork``,
-    and closing ``unrelated_conns`` (its siblings' pipe ends) is what
-    makes any single death an EOF everywhere else.  Each start is
-    logged as a ``spawn_kind`` event: ``fields`` plus ``<role>_pid``.
+    unrelated_conns=...)`` — the simulation is inherited by ``fork``.
+    ``ends`` are the data-plane socket ends of the partitions the child
+    fronts.  One rule covers pipes and pairs alike: a child closes
+    every end it inherited that is not its own (``unrelated_conns``),
+    and the parent closes its copies of the children's ends once they
+    are forked (or the fork failed), which is what makes any single
+    death an EOF everywhere else.  Each start is logged as a
+    ``spawn_kind`` event: ``fields`` plus ``<role>_pid``.  A start that
+    fails reaps the children already started and raises
+    :class:`~repro.errors.WorkerError`.
     """
     ctx = mp.get_context("fork")
     #: per child: (child -> parent, parent -> child), each (recv, send)
     pipes = [(ctx.Pipe(duplex=False), ctx.Pipe(duplex=False))
              for _ in children]
-    all_conns = [conn for up, down in pipes for conn in up + down]
+    ends = [end for *_, child_ends in children for end in child_ends]
+    inherited = [conn for up, down in pipes for conn in up + down] + ends
     endpoints = []
-    for (name, parts, target, args, fields), (up, down) in zip(
+    for (name, parts, target, args, fields, child_ends), (up, down) in zip(
             children, pipes):
+        own = {id(down[0]), id(up[1])} | {id(end) for end in child_ends}
         proc = ctx.Process(
             target=target, args=(sim, *args),
             kwargs={"ctl_recv": down[0], "ctl_send": up[1],
-                    "unrelated_conns": [
-                        c for c in all_conns
-                        if c is not down[0] and c is not up[1]]},
+                    "unrelated_conns": [c for c in inherited
+                                        if id(c) not in own]},
             name=f"repro-{role}-{name}", daemon=daemon)
         endpoints.append(
             Endpoint(name, parts, proc, up[0], down[1], fields))
-    for ep in endpoints:
-        ep.proc.start()
+    try:
+        for ep in endpoints:
+            ep.proc.start()
+    except OSError as exc:  # fork refused: EAGAIN, ENOMEM
+        started = [ep.proc for ep in endpoints if ep.proc.pid is not None]
+        reap(started)
+        close_all(inherited + started)
+        raise WorkerError(endpoints[len(started)].name, "spawn-failed",
+                          f"cannot start the {role}: {exc}") from exc
+    finally:
+        close_all(ends)
     for ep, (up, down) in zip(endpoints, pipes):
         ep.fields = dict(ep.fields, **{f"{role}_pid": ep.proc.pid})
         emit_event(sim, spawn_kind, **ep.fields)
@@ -242,7 +271,7 @@ def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
     return fork_endpoints(sim, "worker", "worker_spawn", [
         (name, [name], worker_main,
          (name, target_cycles, max_passes, worker_options),
-         dict(fields, part=name))
+         dict(fields, part=name), worker_options["ends"].values())
         for name, worker_options in options.items()])
 
 
@@ -255,15 +284,12 @@ class ProcessBackend:
             for the coordinator) before it is declared hung.
         worker_faults: test hook — ``{partition: (mode, pass_no)}``
             where mode is ``"kill"``, ``"raise"`` or ``"hang"``.
-        socket_family: ``"tcp"`` (loopback TCP with ``TCP_NODELAY``)
-            or ``"unix"``; defaults to the ``REPRO_SOCKET_FAMILY``
-            environment variable, then tcp.
 
-    Linked workers exchange one struct-packed frame per pass over
-    stream sockets (:mod:`repro.parallel.worker` says why the
-    lock-step wavefront needs no batching, window or acknowledgement
-    on top; :mod:`repro.parallel.socket_transport` is the carrier);
-    control and
+    Linked workers exchange one struct-packed frame per pass over the
+    stream-socket pair made for them before the fork
+    (:mod:`repro.parallel.worker` says why the lock-step wavefront
+    needs no batching, window or acknowledgement on top;
+    :mod:`repro.parallel.socket_transport` is the carrier); control and
     coordinator-side liveness stay on pipes.  Sockets are the only
     data plane because the end-to-end ledger picked them: pickled
     pipes measured ~10-15% slower and shared-memory rings 2.6-6.4x
@@ -273,17 +299,10 @@ class ProcessBackend:
     """
 
     def __init__(self, heartbeat_timeout: float = 30.0,
-                 worker_faults: Optional[Dict[str, tuple]] = None,
-                 socket_family: Optional[str] = None):
+                 worker_faults: Optional[Dict[str, tuple]] = None):
         self.heartbeat_timeout = heartbeat_timeout
         self.worker_faults = dict(worker_faults or {})
-        if socket_family is None:
-            socket_family = default_family()
-        resolve_family(socket_family)  # an unknown name fails here
-        self.socket_family = socket_family
         self._backend_label = "process"
-        self._listeners: Dict[str, object] = {}
-        self._socket_tmpdir: Optional[str] = None
         #: per-worker wire accounting from the last completed run —
         #: {partition: {"messages_sent": ..., "effects_sent": ...}};
         #: benchmark instrumentation, never part of simulation state
@@ -304,18 +323,14 @@ class ProcessBackend:
             raise BackendUnavailableError(
                 "process backend needs the 'fork' start method "
                 "(unavailable on this platform)")
-        if not socket_available(self.socket_family):
-            raise BackendUnavailableError(
-                f"process backend needs {self.socket_family} stream "
-                "sockets (unavailable on this host)")
         reason = unsupported_reason(sim)
         if reason is not None:
             raise UnsupportedTopologyError(reason)
+        sim.last_run_backend = self._backend_label
         if sim.telemetry.enabled:
             sim.telemetry.target_cycles = max(
                 sim.telemetry.target_cycles or 0, target_cycles)
         if sim.frontier_cycle() >= target_cycles:
-            sim.last_run_backend = self._backend_label
             self._finish_telemetry(sim)
             return sim.result()
         if crash_cycle is not None \
@@ -326,45 +341,32 @@ class ProcessBackend:
     # -- plumbing -------------------------------------------------------------
 
     def _worker_options(self, sim) -> Dict[str, dict]:
-        """Per-partition ``worker_main`` option dicts, with the data
-        plane's rendezvous bound: one listener per partition that a
-        higher-order linked peer will connect down to, created before
-        forking so every child inherits it live.  Shared with the farm
-        manager, whose agents hand the same dicts to their workers."""
-        names = list(sim.partitions)
-        order = {name: i for i, name in enumerate(names)}
-        #: each linked pair, lower-order partition (the listener's
-        #: owner) first
-        pairs = {(a, b) if order[a] < order[b] else (b, a)
-                 for a, b in ((link.src[0], link.dst[0])
-                              for link in sim.links) if a != b}
-        owners: Dict[str, int] = {}
-        for name in names:
-            backlog = sum(1 for owner, _ in pairs if owner == name)
-            if backlog:
-                owners[name] = backlog
-        listeners, addresses, tmpdir = make_listeners(
-            owners, self.socket_family)
-        self._listeners = listeners
-        self._socket_tmpdir = tmpdir
-        connect_timeout, read_timeout = socket_timeouts()
+        """Per-partition ``worker_main`` option dicts, each carrying its
+        own ends of the data plane keyed by peer: one
+        ``socket.socketpair()`` per linked partition pair, made before
+        forking.  Shared with the farm manager, whose agents hand the
+        same dicts to their workers.  A failed ``socketpair()`` (fd
+        exhaustion) closes the pairs already made and raises
+        :class:`~repro.errors.SocketSetupError`."""
         shared = {
             "heartbeat_s": min(2.0, self.heartbeat_timeout / 4),
             "packer": FramePacker.from_sim(sim),
-            "socket": {
-                "family": self.socket_family,
-                "listeners": listeners,
-                "addresses": addresses,
-                "connect_timeout": connect_timeout,
-                "read_timeout": read_timeout,
-            },
         }
-        return {name: dict(shared, die=self.worker_faults.get(name))
-                for name in names}
-
-    def _close_listeners(self) -> None:
-        close_all(self._listeners.values())
-        self._listeners = {}
+        ends: Dict[str, Dict[str, socket.socket]] = {
+            name: {} for name in sim.partitions}
+        try:
+            for link in sim.links:
+                a, b = link.src[0], link.dst[0]
+                if a != b and b not in ends[a]:
+                    ends[a][b], ends[b][a] = socket.socketpair()
+        except OSError as exc:
+            close_all(end for peers in ends.values()
+                      for end in peers.values())
+            raise SocketSetupError(
+                f"cannot make a data-plane socket pair: {exc}") from exc
+        return {name: dict(shared, ends=ends[name],
+                           die=self.worker_faults.get(name))
+                for name in sim.partitions}
 
     def _spawn(self, sim, target_cycles: int,
                max_passes: int) -> List[Endpoint]:
@@ -377,27 +379,11 @@ class ProcessBackend:
         """Terminate, reap and unplumb every child unconditionally —
         the one place a child's exit is final, so the one place its
         ``worker_exit`` record (with the exit code) is written."""
-        procs = [ep.proc for ep in endpoints]
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + 5.0
-        for proc in procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
-        for proc in procs:
-            if proc.is_alive():
-                proc.kill()
-                proc.join(5.0)
+        reap(ep.proc for ep in endpoints)
         for ep in endpoints:
-            close_all((ep.recv, ep.send))
             emit_event(sim, "worker_exit", **ep.fields,
                        exitcode=ep.proc.exitcode)
-        # children are reaped; the parent owns the unix-socket
-        # rendezvous directory
-        self._close_listeners()
-        if self._socket_tmpdir is not None:
-            shutil.rmtree(self._socket_tmpdir, ignore_errors=True)
-            self._socket_tmpdir = None
+            close_all((ep.recv, ep.send, ep.proc))
 
     # -- the supervision loop -------------------------------------------------
 
@@ -412,22 +398,19 @@ class ProcessBackend:
         classified (:meth:`_find_failure`)."""
         from multiprocessing.connection import wait as conn_wait
 
-        endpoints = self._spawn(sim, target_cycles, max_passes)
-        # children inherited the rendezvous listeners across fork; the
-        # owners keep their copies open until their accept phase ends
-        self._close_listeners()
-        now = time.monotonic()
-        states = {name: _WorkerState(part.target_cycle, now)
-                  for name, part in sim.partitions.items()}
-        watched = {}
-        for ep in endpoints:
-            watched[ep.recv] = watched[ep.proc.sentinel] = ep
-        stopping = False
-        aborting: Optional[str] = None
-        abort_at = 0.0
-        tick = min(1.0, max(0.05, self.heartbeat_timeout / 4))
-
+        endpoints: List[Endpoint] = []
         try:
+            endpoints = self._spawn(sim, target_cycles, max_passes)
+            now = time.monotonic()
+            states = {name: _WorkerState(part.target_cycle, now)
+                      for name, part in sim.partitions.items()}
+            watched = {}
+            for ep in endpoints:
+                watched[ep.recv] = watched[ep.proc.sentinel] = ep
+            stopping = False
+            aborting: Optional[str] = None
+            abort_at = 0.0
+            tick = min(1.0, max(0.05, self.heartbeat_timeout / 4))
             while True:
                 waitables = [item for item, ep in watched.items()
                              if not ep.dead]
@@ -441,8 +424,12 @@ class ProcessBackend:
                     else:
                         self._on_death(ep, states, now)
                 if sim.telemetry.live is not None:
-                    sim.telemetry.live.update(
-                        self._live_payload(sim, states))
+                    # the parent's partitions are stale while workers
+                    # run: the reports' frontiers and times stand in
+                    sim.telemetry.live.update(sim.telemetry.live_payload(
+                        sim, partitions={n: s.frontier
+                                         for n, s in states.items()},
+                        wall_ns=max(s.busy_ns for s in states.values())))
 
                 failure = self._find_failure(
                     sim, endpoints, states, now,
@@ -509,28 +496,8 @@ class ProcessBackend:
             n: fragments[n]["jit"] for n in sim.partitions}
         sim.last_jit_report = dict(self.last_jit_report)
         self._merge(sim, fragments)
-        sim.last_run_backend = self._backend_label
         self._finish_telemetry(sim)
         return sim.result()
-
-    def _live_payload(self, sim, states) -> dict:
-        """Live status assembled from piggybacked metric frames — the
-        parent's partition objects are stale while workers run."""
-        wall_ns = max((s.busy_ns for s in states.values()),
-                      default=0.0)
-        frontier = min((s.frontier for s in states.values()),
-                       default=0)
-        rate_hz = frontier / wall_ns * 1e9 if wall_ns > 0 else 0.0
-        return {
-            "status": "running",
-            "backend": self._backend_label,
-            "frontier_cycle": frontier,
-            "target_cycles": sim.telemetry.target_cycles,
-            "wall_ns": wall_ns,
-            "rate_hz": rate_hz,
-            "partitions": {name: state.frontier
-                           for name, state in states.items()},
-        }
 
     @staticmethod
     def _finish_telemetry(sim) -> None:

@@ -74,7 +74,7 @@ from ..observability.tracer import RecordingTracer
 from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
 from .channels import Conduit, EffectFrame, MetricFrame
-from .socket_transport import SocketChannel, establish_channels
+from .socket_transport import SocketChannel
 
 #: set in forked children so backend auto-selection never recurses
 IN_WORKER = False
@@ -84,11 +84,13 @@ REPORT_BATCH = 16
 
 
 def close_all(closables) -> None:
-    """Close pipe ends / sockets, ignoring the ones already gone."""
+    """Close pipe ends, sockets and reaped processes, ignoring the ones
+    already gone (and a process that outlived ``SIGKILL``: it keeps its
+    sentinel)."""
     for item in closables:
         try:
             item.close()
-        except OSError:
+        except (OSError, ValueError):
             pass
 
 
@@ -176,8 +178,8 @@ class PartitionWorker:
         self.peers_before = [p for p in by_order if order[p] < me_idx]
         self.peers_after = [p for p in by_order if order[p] > me_idx]
 
-        # data plane: one socket channel per linked peer, established
-        # through the coordinator's pre-bound rendezvous listeners.
+        # data plane: one socket channel per linked peer, over the end
+        # of the pair the coordinator made for us before forking.
         # Sockets signal peer death natively (EOF), so the channels
         # double as the peer-liveness watch.
         self.packer = options["packer"]
@@ -187,11 +189,8 @@ class PartitionWorker:
         #: arrival (= pass) order
         self.inboxes: Dict[str, Deque[EffectFrame]] = {}
         self._wait_conns = [ctl_recv]
-        channels = establish_channels(
-            name, self.peers_before, self.peers_after,
-            options["socket"])
         for peer in self.peers:
-            chan = channels[peer]
+            chan = SocketChannel(options["ends"][peer], peer)
             self._wait_conns.append(chan)
             self.conduits[peer] = Conduit(
                 chan, self.packer,
@@ -499,9 +498,9 @@ def worker_main(sim, name, target_cycles, max_passes, options,
                 ctl_recv, ctl_send, unrelated_conns) -> None:
     """Entry point of a forked worker process.
 
-    ``unrelated_conns`` is every pipe end belonging to other workers;
-    closing them here is what lets peers and the coordinator observe a
-    clean EOF the moment any single worker dies.
+    ``unrelated_conns`` is every pipe end and socket end belonging to
+    other workers; closing them here is what lets peers and the
+    coordinator observe a clean EOF the moment any single worker dies.
     """
     global IN_WORKER
     IN_WORKER = True

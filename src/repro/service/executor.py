@@ -25,7 +25,8 @@ fingerprint wherever it ran.
 
 ``should_stop`` threads the service's cancellation signal into the
 harness's per-pass ``stop`` hook, so a cancel lands within one
-wavefront pass instead of after the run.
+wavefront pass instead of after the run — except on the ``process``
+backend, which takes no stop hook and cancels before start only.
 """
 
 from __future__ import annotations
@@ -250,9 +251,13 @@ def execute_config(config: dict, telemetry=None,
     if kind == "simulate":
         sim = build()
         stop = None
-        if should_stop is not None:
+        if should_stop is not None and config["backend"] != "process":
             def stop(_sim, _check=should_stop):  # noqa: F811
                 return _check()
+        elif should_stop is not None and should_stop():
+            # the process backend takes no stop hook: like the farm and
+            # experiment kinds, it cancels before start only
+            raise ServiceError("cancelled before start")
         result = sim.run(config["cycles"], stop=stop,
                          backend=config["backend"])
         return ExecutionOutcome(

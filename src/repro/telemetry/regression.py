@@ -19,7 +19,7 @@ Three kinds of checks, all threshold-configurable:
   fingerprint (the latest prior run of the same workload).
 * :func:`check_bench_files` — validate the committed
   ``results/BENCH_*.json`` measurements against their own bounds (the
-  null-tracer overhead cap, the unix-socket family's bit-identity, the
+  null-tracer overhead cap, the inproc-vs-process bit-identity, the
   fuzz corpus compiling collision-free over every shape).
 
 The CI ``bench-regression`` job runs all of this via ``repro regress``
@@ -191,8 +191,6 @@ BENCH_CHECKS = {
         ("metrics_scrape_ok", "true", None),
         ("corr_joined", "true", None),
         ("events_logged", ">=", 1.0)),
-    "BENCH_socket_tier.json": (
-        ("detail_bit_identical", "true", None),),
     "BENCH_stepjit.json": (
         ("speedup", ">=", ("speedup_floor", 5.0)),
         ("detail_bit_identical", "true", None),

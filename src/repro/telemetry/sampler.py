@@ -216,10 +216,19 @@ class Telemetry:
         if self.live is not None:
             self.live.update(self.live_payload(sim))
 
-    def live_payload(self, sim, status: str = "running") -> dict:
-        frontier = sim.frontier_cycle()
-        wall_ns = max((p.busy_until
-                       for p in sim.partitions.values()), default=0.0)
+    def live_payload(self, sim, status: str = "running",
+                     partitions: Optional[Dict[str, int]] = None,
+                     wall_ns: float = 0.0) -> dict:
+        """The live-status record of ``sim``: its per-partition cycles
+        and modelled wall time, or the ``partitions`` / ``wall_ns`` a
+        coordinator passes for partitions that run in worker processes
+        — then annotated."""
+        if partitions is None:
+            partitions = {name: p.target_cycle
+                          for name, p in sim.partitions.items()}
+            wall_ns = max((p.busy_until
+                           for p in sim.partitions.values()), default=0.0)
+        frontier = min(partitions.values())
         rate_hz = frontier / wall_ns * 1e9 if wall_ns > 0 else 0.0
         payload = {
             "status": status,
@@ -228,8 +237,7 @@ class Telemetry:
             "target_cycles": self.target_cycles,
             "wall_ns": wall_ns,
             "rate_hz": rate_hz,
-            "partitions": {name: p.target_cycle
-                           for name, p in sim.partitions.items()},
+            "partitions": partitions,
         }
         for key, value in self.annotations.items():
             payload.setdefault(key, value)

@@ -1,27 +1,30 @@
-"""Nothing outlives a failed distributed run: every process the event
-log saw spawned — agents, and the workers *they* forked, which
+"""Nothing outlives a distributed run: every process the event log saw
+spawned — agents, and the workers *they* forked, which
 ``mp.active_children()`` cannot see — is gone within the heartbeat
-timeout, and the unix-socket rendezvous directory is removed."""
+timeout, and the parent holds exactly the file descriptors it held
+before (pipe ends, data-plane socket pairs and process sentinels
+included), whether the run succeeded, failed, or never got its
+children forked."""
 
 from __future__ import annotations
 
-import tempfile
+import multiprocessing as mp
+import os
+import socket
 import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
-from repro.errors import HostDeadError, WorkerError
+from repro.errors import HostDeadError, SocketSetupError, WorkerError
 from repro.observability import EventLog, mint_corr_id, read_events
-from repro.parallel import (ProcessBackend, fork_available,
-                            socket_available)
+from repro.parallel import ProcessBackend, fork_available
 
 from ..parallel.conftest import build_star_sim, farm_backend
 
 HEARTBEAT_S = 5.0
 
-pytestmark = pytest.mark.skipif(
-    not (fork_available() and socket_available("unix")),
-    reason="needs fork + unix sockets")
+pytestmark = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
 
 def _alive(pid: int) -> bool:
@@ -34,27 +37,24 @@ def _alive(pid: int) -> bool:
     return state != "Z"
 
 
-@pytest.mark.parametrize("make_backend, faults, error, n_agents", [
-    (farm_backend, {"host_faults": {"h1": 5}}, HostDeadError, 2),
-    (farm_backend, {"worker_faults": {"fpga1": ("kill", 4)}},
-     WorkerError, 2),
-    (farm_backend, {"worker_faults": {"fpga1": ("hang", 4)}},
-     WorkerError, 2),
-    (ProcessBackend, {"worker_faults": {"fpga1": ("kill", 4)}},
-     WorkerError, 0),
-], ids=["farm-host-kill", "farm-worker-kill", "farm-worker-hang",
-        "process-worker-kill"])
-def test_failed_run_leaves_no_process_or_socket_dir(
-        make_backend, faults, error, n_agents, tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+def _fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _run_leaves_nothing(make_backend, faults, error, n_agents,
+                        tmp_path):
     sim = build_star_sim(2)
     sim.corr_id = mint_corr_id()
+    backend = make_backend(heartbeat_timeout=HEARTBEAT_S, **faults)
+    before = _fds()
     sim.events = EventLog(tmp_path / "ev.jsonl")
-    backend = make_backend(heartbeat_timeout=HEARTBEAT_S,
-                           socket_family="unix", **faults)
-    with pytest.raises(error):
+    if error is None:
         backend.run(sim, 300)
+    else:
+        with pytest.raises(error):
+            backend.run(sim, 300)
     sim.events.close()
+    assert _fds() == before
 
     spawned = list(read_events(
         tmp_path / "ev.jsonl", corr=sim.corr_id,
@@ -72,4 +72,72 @@ def test_failed_run_leaves_no_process_or_socket_dir(
         time.sleep(0.05)
         survivors = [pid for pid in survivors if _alive(pid)]
     assert survivors == []
-    assert list(tmp_path.glob("repro-sock-*")) == []
+
+
+@pytest.mark.parametrize("make_backend, faults, error, n_agents", [
+    (farm_backend, {"host_faults": {"h1": 5}}, HostDeadError, 2),
+    (farm_backend, {"worker_faults": {"fpga1": ("kill", 4)}},
+     WorkerError, 2),
+    (farm_backend, {"worker_faults": {"fpga1": ("hang", 4)}},
+     WorkerError, 2),
+    (ProcessBackend, {"worker_faults": {"fpga1": ("kill", 4)}},
+     WorkerError, 0),
+], ids=["farm-host-kill", "farm-worker-kill", "farm-worker-hang",
+        "process-worker-kill"])
+def test_failed_run_leaves_no_process_or_socket_dir(
+        make_backend, faults, error, n_agents, tmp_path):
+    _run_leaves_nothing(make_backend, faults, error, n_agents, tmp_path)
+
+
+@pytest.mark.parametrize("make_backend, n_agents", [
+    (farm_backend, 2), (ProcessBackend, 0)], ids=["farm", "process"])
+def test_successful_run_leaves_no_process_or_fd(make_backend, n_agents,
+                                                tmp_path):
+    _run_leaves_nothing(make_backend, {}, None, n_agents, tmp_path)
+
+
+def test_failed_spawn_reaps_started_children_and_closes_pairs(
+        monkeypatch):
+    """The second worker's ``Process.start`` raises after the pairs
+    and pipes exist and the first worker runs: the error is typed, the
+    first worker is reaped, and every fd is closed."""
+    real_start = BaseProcess.start
+    started = []
+
+    def start(proc):
+        if started:
+            raise OSError("fork refused")
+        real_start(proc)
+        started.append(proc.pid)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    sim = build_star_sim(2)
+    before = _fds()
+    with pytest.raises(WorkerError, match="spawn-failed") as err:
+        ProcessBackend().run(sim, 300)
+    assert err.value.partition == list(sim.partitions)[1]
+    assert _fds() == before
+    assert not _alive(started[0])
+    assert mp.active_children() == []
+
+
+def test_failed_socketpair_is_setup_error_and_closes_pairs(monkeypatch):
+    """fd exhaustion at the second pair: the first pair is closed and
+    the run fails typed before anything is forked."""
+    real_socketpair = socket.socketpair
+    made = []
+
+    def socketpair():
+        if made:
+            raise OSError(24, "Too many open files")
+        made.append(real_socketpair())
+        return made[-1]
+
+    monkeypatch.setattr(socket, "socketpair", socketpair)
+    sim = build_star_sim(2)
+    before = _fds()
+    with pytest.raises(SocketSetupError, match="Too many open files"):
+        ProcessBackend().run(sim, 300)
+    assert _fds() == before
+    assert len(made) == 1
+    assert mp.active_children() == []

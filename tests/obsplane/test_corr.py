@@ -18,7 +18,7 @@ from repro.observability import (
     propagate_corr_id,
     read_events,
 )
-from repro.parallel import fork_available, socket_available
+from repro.parallel import fork_available
 
 from ..parallel.conftest import build_star_sim
 
@@ -34,8 +34,7 @@ BACKENDS = [
                      not fork_available(), reason="needs fork")),
     pytest.param("process-socket", id="process-socket",
                  marks=pytest.mark.skipif(
-                     not (fork_available() and socket_available()),
-                     reason="needs fork + sockets")),
+                     not fork_available(), reason="needs fork")),
 ]
 
 

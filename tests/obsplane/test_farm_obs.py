@@ -15,7 +15,7 @@ from repro.observability import (
     mint_corr_id,
     read_events,
 )
-from repro.parallel import fork_available, socket_available
+from repro.parallel import fork_available
 from repro.service.executor import execute_config, normalize_config
 
 from ..parallel.conftest import (build_star_sim, make_star_circuit,
@@ -24,8 +24,7 @@ from ..parallel.conftest import (build_star_sim, make_star_circuit,
 CYCLES = 300
 
 pytestmark = pytest.mark.skipif(
-    not (fork_available() and socket_available()),
-    reason="farm runs need fork + sockets")
+    not fork_available(), reason="farm runs need fork")
 
 
 def three_host_spec():

@@ -17,10 +17,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.libdn import ChannelSpec, codec_for
 from repro.parallel import (Conduit, EffectFrame, FramePacker,
-                            ProcessBackend, SocketChannel,
-                            connect_with_backoff)
-from repro.parallel.socket_transport import (DEFAULT_MAX_PENDING,
-                                             resolve_family)
+                            ProcessBackend, SocketChannel)
+from repro.parallel.socket_transport import DEFAULT_MAX_PENDING
 from repro.parallel.worker import PartitionWorker, close_all
 
 from .conftest import build_star_sim
@@ -151,20 +149,17 @@ def _record(payload: bytes) -> bytes:
 @pytest.fixture
 def base_worker():
     """The star design's ``base`` worker built in this process, with
-    the test holding the raw socket its one peer (``fpga1``) would."""
+    the test holding the other end of its pair — the end its one peer
+    (``fpga1``) would."""
     sim = build_star_sim(1)
-    backend = ProcessBackend()
-    options = backend._worker_options(sim)["base"]
-    plan = options["socket"]
-    peer = connect_with_backoff(
-        resolve_family(plan["family"]), plan["addresses"]["base"])
-    peer.sendall(_record(b"fpga1"))   # the hello naming the connector
+    options = ProcessBackend()._worker_options(sim)
+    peer = options["fpga1"]["ends"]["base"]
     ctl_recv, ctl_send = mp.Pipe(duplex=False)
     worker = PartitionWorker(sim, "base", 10, 100,
-                             ctl_recv, ctl_send, options)
+                             ctl_recv, ctl_send, options["base"])
     yield worker, peer
-    close_all([peer, ctl_recv, ctl_send, *worker._wait_conns])
-    backend._close_listeners()
+    close_all([ctl_recv, ctl_send, *(end for o in options.values()
+                                     for end in o["ends"].values())])
 
 
 class TestWorkerReceive:

@@ -7,11 +7,13 @@ import json
 import pytest
 
 from repro.errors import QuotaExceededError
+from repro.parallel import fork_available
 from repro.service import (
     ServiceConfig,
     SimulationService,
     TenantQuota,
     execute_config,
+    normalize_config,
 )
 from repro.telemetry import LiveStatus, RunRegistry
 from repro.telemetry.runs import run_record
@@ -268,6 +270,26 @@ class TestCancellation:
 
 
 class TestJobKinds:
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_process_backend_job_runs_to_done(self, make_config,
+                                              service_config):
+        """The process backend takes no stop hook, so a live-service
+        job on it cancels before start only — and otherwise runs, to
+        the same detail as the in-process loop."""
+        async def scenario(service):
+            job = await service.submit(make_config(backend="process"))
+            await service.wait(job.job_id, timeout=60)
+            return job, service
+
+        job, service = run_scenario(scenario, service_config)
+        assert job.state == "done", job.error
+        record = service.registry.load(job.run_id)
+        assert record["backend"] == "process"
+        inproc = execute_config(normalize_config(
+            make_config(backend="inproc")))
+        assert record["detail"] \
+            == json.loads(json.dumps(inproc.result.detail))
+
     def test_unknown_experiment_fails_the_job(self, service_config):
         async def scenario(service):
             job = await service.submit({"kind": "experiment",

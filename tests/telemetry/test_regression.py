@@ -106,14 +106,10 @@ class TestCheckBenchFiles:
             "packed_codec_speedup": 4.2,
             "detail_bit_identical": False,
         }))
-        # ... and the unix-socket family's identity verdict
-        (tmp_path / "BENCH_socket_tier.json").write_text(json.dumps({
-            "detail_bit_identical": False}))
         violations = check_bench_files(tmp_path)
         assert [(v.source, v.metric) for v in violations] == [
             ("BENCH_token_plane.json", "packed_codec_speedup"),
-            ("BENCH_token_plane.json", "detail_bit_identical"),
-            ("BENCH_socket_tier.json", "detail_bit_identical")]
+            ("BENCH_token_plane.json", "detail_bit_identical")]
 
     def test_token_plane_at_floors_passes(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
+from repro.parallel import fork_available
 from repro.platform import QSFP_AURORA
 from repro.targets import make_comb_pair_circuit
 from repro.telemetry import (
@@ -17,12 +18,12 @@ from repro.telemetry import (
 )
 
 
-def _run(telemetry, cycles=120):
+def _run(telemetry, cycles=120, backend="auto"):
     spec = PartitionSpec(mode=EXACT, groups=[
         PartitionGroup.make("fpga1", ["right"])])
     design = FireRipper(spec).compile(make_comb_pair_circuit())
     sim = design.build_simulation(QSFP_AURORA, telemetry=telemetry)
-    return sim.run(cycles)
+    return sim.run(cycles, backend=backend)
 
 
 class TestSampler:
@@ -116,6 +117,25 @@ class TestAnnotations:
         assert payload["job"] == "job-000042"
         assert payload["tenant"] == "alice"
         assert payload["status"] == "done"
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_annotations_reach_every_process_backend_payload(
+            self, tmp_path, monkeypatch):
+        """The coordinator builds its mid-run payloads through the same
+        builder, so ``repro watch --job`` keeps the job's identity on a
+        process run too."""
+        payloads = []
+        monkeypatch.setattr(
+            LiveStatus, "update",
+            lambda self, payload, force=False: payloads.append(payload))
+        telemetry = Telemetry(sample_every=50,
+                              live_path=tmp_path / "live.json",
+                              annotations={"job": "j"})
+        _run(telemetry, cycles=300, backend="process")
+        assert [p["status"] for p in payloads][-1] == "done"
+        assert "running" in [p["status"] for p in payloads]
+        assert all(p["job"] == "j" and p["backend"] == "process"
+                   for p in payloads)
 
     def test_annotations_never_override_harness_fields(self):
         telemetry = Telemetry(sample_every=50,
