@@ -1,4 +1,4 @@
-"""Process-backend benchmarks: sweep-level speedup, token plane, wire.
+"""Process-backend benchmark: sweep-level speedup and the wire.
 
 Measured numbers land in ``results/BENCH_parallel_speedup.json``.  One
 claim is pinned there:
@@ -163,109 +163,3 @@ def test_multi_partition_sweep_speedup_with_jobs():
     assert effects >= messages  # every message earns its syscall
     assert speedup > 1.0, payload
     assert mp.active_children() == []
-
-
-# -- token plane --------------------------------------------------------------
-#
-# Measured numbers land in ``results/BENCH_token_plane.json``; the
-# ``bench-tokenplane`` CI job feeds them to ``repro regress``.  Two
-# claims are pinned:
-#
-# * the packed codec moves tokens >= 5x faster than dict tokens did,
-# * both backends produce bit-identical ``SimulationResult.detail``.
-
-import pickle
-from collections import deque
-
-from repro.libdn import ChannelSpec, codec_for
-from repro.libdn.codec import repack, repack_plan
-
-TOKENS = 100_000
-
-
-def _write_token_plane(payload):
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    path = RESULTS / "BENCH_token_plane.json"
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    merged.update(payload)
-    path.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-def _hop_times(n_ports, width):
-    """Seconds to move TOKENS tokens across one cross-partition hop —
-    enqueue, the link's port rename, wire serialization, dequeue at the
-    peer — on the dict plane vs the packed plane.  The consume-side
-    env writes are excluded: both planes do identical per-port work
-    there; the codec replaced the *movement*."""
-    spec = ChannelSpec.make(
-        "io", [(f"io_{i}", width) for i in range(n_ports)])
-    dst_spec = ChannelSpec.make(
-        "in", [(f"p_{i}", width) for i in range(n_ports)])
-    codec, dst_codec = codec_for(spec), codec_for(dst_spec)
-    rename = {f"io_{i}": f"p_{i}" for i in range(n_ports)}
-    plan = repack_plan(codec, dst_codec, rename)
-    token = {f"io_{i}": (0xABCD1234 * (i + 1)) & ((1 << width) - 1)
-             for i in range(n_ports)}
-    word = codec.encode(token)
-    q1, q2 = deque(), deque()
-
-    def dict_plane():
-        for _ in range(TOKENS):
-            q1.append(dict(token))
-            t = q1.popleft()
-            mapped = {rename.get(k, k): v for k, v in t.items()}
-            wire = pickle.dumps(mapped)
-            q2.append(dict(pickle.loads(wire)))
-            q2.popleft()
-
-    def packed_plane():
-        nbytes = dst_codec.nbytes
-        for _ in range(TOKENS):
-            q1.append(word)
-            w = q1.popleft()
-            mapped = repack(w, plan)
-            wire = mapped.to_bytes(nbytes, "little")
-            q2.append(int.from_bytes(wire, "little"))
-            q2.popleft()
-
-    return _timed(dict_plane), _timed(packed_plane)
-
-
-def test_token_plane_packed_codec_beats_dict_tokens():
-    results = {}
-    for n_ports, width in [(3, 32), (8, 32), (16, 32)]:
-        dict_s, packed_s = _hop_times(n_ports, width)
-        results[f"{n_ports}x{width}"] = {
-            "dict_s": dict_s,
-            "packed_s": packed_s,
-            "speedup": dict_s / packed_s,
-        }
-    worst = min(r["speedup"] for r in results.values())
-    payload = {
-        "tokens_per_hop_run": TOKENS,
-        "codec_hops": results,
-        "packed_codec_speedup": worst,
-    }
-    _write_token_plane(payload)
-    for name, r in results.items():
-        print(f"\ncodec hop {name}: dict {r['dict_s']:.3f}s vs packed "
-              f"{r['packed_s']:.3f}s ({r['speedup']:.1f}x)")
-    assert worst >= 5.0, payload
-
-
-def test_token_plane_bit_identity():
-    design = _design(2)
-    r_inproc = _build(design).run(CYCLES, backend="inproc")
-    r_process = ProcessBackend().run(_build(design), CYCLES)
-    identical = r_inproc.detail == r_process.detail
-    payload = {
-        "identity_partitions": 3,
-        "identity_cycles": CYCLES,
-        "detail_bit_identical": identical,
-    }
-    _write_token_plane(payload)
-    print(f"\ninproc-vs-process detail bit-identity over {CYCLES} "
-          f"cycles: {identical}")
-    assert identical
-    assert mp.active_children() == []
-

@@ -1,151 +1,8 @@
-"""Simulation-service bench: cold vs cached latency, mixed-tenant
-throughput.
+"""Kept for ``IDENTITY_KEYS`` only: the end-to-end ledger's
+``service_mix`` child imports it from here (``benchmarks/e2e/child.py``)."""
 
-Drives a real :class:`~repro.service.ServiceThread` (asyncio service +
-JSON-over-HTTP endpoint) the way a fleet of tenants would:
-
-* **cold vs cached** — the same config submitted twice; the first
-  simulates and archives, the second must be served from
-  ``results/runs`` at submit time.  The gated floor is a 10x latency
-  drop (in practice it is orders of magnitude).
-* **mixed-tenant workload** — three tenants submit a stream in which
-  every config appears twice (50% repeats).  Repeats must never
-  re-simulate: the execution counter may not exceed the number of
-  distinct configs (repeats coalesce onto the in-flight leader or hit
-  the archive).
-* **bit-identity** — the record a cache hit serves equals, field for
-  field, what a fresh execution of the same config produces; the
-  deterministic timing overlay makes replaying redundant.
-
-Results land in ``results/BENCH_service.json``; ``repro regress``
-gates the speedup floor, the bit-identity flag and the
-no-re-simulation invariant.  Wall-clock latencies are reported for
-trend-watching.
-"""
-
-import json
-import tempfile
-import time
-from pathlib import Path
-
-from repro.firrtl import print_circuit
-from repro.service import (
-    ServiceConfig,
-    ServiceThread,
-    execute_config,
-    normalize_config,
-)
-from repro.targets import make_comb_pair_circuit
-from repro.telemetry import RunRegistry, config_fingerprint
-from repro.telemetry.runs import run_record
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-
-SPEEDUP_FLOOR = 10.0
 #: physics fields of a run record that must match bit-for-bit between
 #: a cached record and a fresh execution of the same config
 IDENTITY_KEYS = ("target_cycles", "wall_ns", "rate_hz",
                  "tokens_transferred", "per_partition_cycles",
                  "detail", "fingerprint", "config")
-
-
-def _config(circuit_text: str, cycles: int) -> dict:
-    return {"kind": "simulate", "circuit_text": circuit_text,
-            "extract": ["right"], "cycles": cycles}
-
-
-def _bit_identical(registry: RunRegistry, config: dict) -> bool:
-    normalized = normalize_config(config)
-    cached = registry.latest(config_fingerprint(normalized))
-    # identical code path: the service always wires a stop hook
-    outcome = execute_config(normalized, should_stop=lambda: False)
-    fresh = json.loads(json.dumps(run_record(
-        outcome.result, config=normalized)))
-    return all(cached[key] == fresh[key] for key in IDENTITY_KEYS)
-
-
-def test_service_cache_throughput(paper_scale):
-    distinct = 12 if paper_scale else 6
-    tenants = ("alice", "bob", "carol")
-    circuit_text = print_circuit(make_comb_pair_circuit())
-
-    with tempfile.TemporaryDirectory() as tmp:
-        runs_dir = Path(tmp) / "runs"
-        thread = ServiceThread(ServiceConfig(workers=2,
-                                             runs_dir=runs_dir))
-        try:
-            client = thread.client()
-
-            # cold vs cached latency on one probe config
-            probe = _config(circuit_text, 2000)
-            t0 = time.perf_counter()
-            job = client.submit(probe, tenant="alice", name="probe")
-            record = client.wait(job["job_id"], timeout=300)
-            cold_s = time.perf_counter() - t0
-            assert record["source"] == "execution"
-            t0 = time.perf_counter()
-            hit = client.submit(probe, tenant="bob")
-            cached_s = time.perf_counter() - t0
-            assert hit["source"] == "cache"
-            assert hit["run_id"] == record["run_id"]
-
-            # mixed-tenant stream: every config submitted twice
-            configs = [_config(circuit_text, 2500 + i)
-                       for i in range(distinct)]
-            base = client.stats()["counters"]
-            t0 = time.perf_counter()
-            ids = [client.submit(configs[i % distinct],
-                                 tenant=tenants[i % len(tenants)],
-                                 priority=i % 3)["job_id"]
-                   for i in range(distinct * 2)]
-            for job_id in ids:
-                terminal = client.wait(job_id, timeout=300)
-                assert terminal["state"] == "done"
-            elapsed = time.perf_counter() - t0
-            counters = client.stats()["counters"]
-            executions = counters["executions"] - base["executions"]
-            served = (counters["cache_hits"] - base["cache_hits"]
-                      + counters["coalesced"] - base["coalesced"])
-
-            identical = _bit_identical(RunRegistry(runs_dir), probe)
-        finally:
-            thread.stop()
-
-    speedup = cold_s / cached_s if cached_s > 0 else float("inf")
-    payload = {
-        "workers": 2,
-        "cold_latency_ms": round(cold_s * 1e3, 3),
-        "cached_latency_ms": round(cached_s * 1e3, 3),
-        "cached_speedup": round(speedup, 1),
-        "cached_speedup_floor": SPEEDUP_FLOOR,
-        "jobs_submitted": distinct * 2,
-        "distinct_configs": distinct,
-        "repeat_fraction": 0.5,
-        "tenants": len(tenants),
-        "executions": executions,
-        "repeats_served_without_executing": served,
-        "jobs_per_s": round(distinct * 2 / elapsed, 1)
-        if elapsed > 0 else None,
-        "detail_bit_identical": identical,
-    }
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    path = RESULTS / "BENCH_service.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    print()
-    print(f"service cache ({payload['workers']} workers):")
-    print(f"  cold submit+wait: {payload['cold_latency_ms']:.1f} ms   "
-          f"cached submit: {payload['cached_latency_ms']:.2f} ms   "
-          f"speedup {payload['cached_speedup']:.0f}x "
-          f"(floor {SPEEDUP_FLOOR:.0f}x)")
-    print(f"  mixed workload: {payload['jobs_submitted']} jobs, "
-          f"{distinct} distinct, {len(tenants)} tenants -> "
-          f"{executions} execution(s), {served} served from "
-          f"cache/flight at {payload['jobs_per_s']} jobs/s")
-    print(f"  cached record bit-identical to fresh run: "
-          f"{'yes' if identical else 'NO'}")
-
-    assert speedup >= SPEEDUP_FLOOR
-    assert executions <= distinct
-    assert executions + served == distinct * 2
-    assert identical

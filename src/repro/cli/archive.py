@@ -61,12 +61,8 @@ def cmd_runs_gc(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    report = run_gate(results_dir=args.results_dir,
-                      threshold=args.threshold,
-                      inject_slowdown=args.inject_slowdown,
-                      update=args.update,
-                      runs_dir=args.runs_dir)
-    print(report.to_text(args.threshold))
+    report = run_gate(results_dir=args.results_dir, update=args.update)
+    print(report.to_text())
     return 0 if report.ok else 1
 
 
@@ -105,19 +101,11 @@ def register(subs) -> None:
     p.set_defaults(fn=cmd_runs_gc)
 
     p = subs.add_parser(
-        "regress", parents=[runs_dir()],
-        help="regression gate: canonical modelled rates vs the committed "
-             "baseline, benchmark bounds, and (opt-in, with --runs-dir) "
-             "the newest archived run against its trajectory")
+        "regress",
+        help="regression gate: canonical modelled rates == the committed "
+             "baseline (exact)")
     p.add_argument("--results-dir", default="results")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="allowed fractional rate degradation "
-                        "(default: 0.10)")
-    p.add_argument("--inject-slowdown", type=float, default=0.0,
-                   metavar="FRAC",
-                   help="scale measured rates down by FRAC — the CI "
-                        "self-test proving the gate trips")
     p.add_argument("--update", action="store_true",
                    help="rewrite the baseline from this measurement "
                         "instead of checking")
-    p.set_defaults(fn=cmd_regress, runs_dir=None)
+    p.set_defaults(fn=cmd_regress)

@@ -10,8 +10,8 @@ pass ``--out DIR`` to also write one ``.txt`` file per experiment,
 ``--profile`` to append a host-time profile (FMR component split and
 dominant bottleneck) per experiment, collected from every partitioned
 run the experiment performs, ``--archive DIR`` to archive each
-experiment's final partitioned run into a run registry (so ``repro
-compare`` / ``repro regress`` can track experiment trajectories across
+experiment's final partitioned run into a run registry (so ``repro runs
+list --fingerprint`` / ``repro compare`` can track an experiment across
 sessions), and ``--jobs N`` to run independent experiments in up to
 ``N`` forked worker processes (``--profile`` and ``--archive`` force
 sequential execution: both aggregate in-process state that cannot

@@ -5,8 +5,10 @@ the run supervisor all emit :class:`TraceEvent` records through a
 :class:`Tracer`.  The default sink is :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False``; every emit site guards on that flag, so
 an untraced run does not even construct the event objects — tracing is
-strictly pay-as-you-go (the ``bench_observability`` check pins the
-null-tracer overhead under 5%).
+strictly pay-as-you-go.  On the compiled step plane a null sink costs
+nothing at all: it prints the same step functions as no sink
+(``tests/harness/test_stepjit.py::TestGeneratedSources::
+test_null_sinks_print_the_untraced_plane``).
 
 Event kinds (see DESIGN.md for the full schema):
 

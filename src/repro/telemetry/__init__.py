@@ -1,5 +1,5 @@
 """Telemetry — *aggregates*: metrics registry, time-series sampling,
-run registry, regression gating.
+run registry, the modelled-rate gate.
 
 Where :mod:`repro.observability` keeps *records* — "what happened",
 one event at a time (traces, the event log, postmortems) — this
@@ -21,8 +21,8 @@ package keeps the aggregates: "how much, and compared to what":
 * :mod:`~repro.telemetry.runs` — the persistent
   :class:`~repro.telemetry.runs.RunRegistry` under ``results/runs/``
   and the ``repro compare`` diff (rate delta + FMR attribution),
-* :mod:`~repro.telemetry.regression` — the regression detector behind
-  ``repro regress`` and the CI ``bench-regression`` gate.
+* :mod:`~repro.telemetry.regression` — the exact modelled-rate gate
+  behind ``repro regress``.
 """
 
 from .metrics import (
@@ -37,9 +37,7 @@ from .metrics import (
 from .regression import (
     GateReport,
     Violation,
-    check_bench_files,
     check_rates,
-    check_run,
     load_baseline,
     measure_canonical,
     run_gate,
@@ -86,8 +84,6 @@ __all__ = [
     "Violation",
     "measure_canonical",
     "check_rates",
-    "check_run",
-    "check_bench_files",
     "load_baseline",
     "save_baseline",
     "run_gate",

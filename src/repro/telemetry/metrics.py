@@ -17,8 +17,11 @@ already uses for links and arrival queues.
 
 Like the tracer, the default is a :data:`NULL_METRICS` registry whose
 ``enabled`` flag is ``False``; every instrument site in the harness
-guards on that flag, so an uninstrumented run pays one attribute read
-per potential update (``bench_observability`` pins the cost under 5%).
+guards on that flag, so an uninstrumented interpreted run pays one
+attribute read per potential update, and the compiled step plane
+prints nothing for it (``TestGeneratedSources::
+test_null_sinks_print_the_untraced_plane`` in
+``tests/harness/test_stepjit.py``).
 
 Which registry object an instrument lives in decides what it may hold.
 A simulation's ``Telemetry.registry`` is *target-deterministic*: every

@@ -3,8 +3,8 @@
 Every archived run lands under ``results/runs/<run_id>/run.json`` with
 its config fingerprint, backend, headline numbers, per-partition FMR
 breakdown and (when telemetry was on) the sampled metric series.  The
-registry is the memory the regression detector checks new runs against,
-and what ``repro compare A B`` diffs:
+registry is the service's result cache, and what ``repro compare A B``
+diffs:
 
 * the **rate delta** between two runs, and
 * the **FMR attribution** of that delta — which overhead component
@@ -294,8 +294,7 @@ class RunRegistry:
 
     def trajectory(self, fingerprint: str) -> List[dict]:
         """Archived runs sharing one config fingerprint, oldest
-        first — the history a new run of that config is judged
-        against."""
+        first."""
         records = []
         for run_id in self._matching_ids(fingerprint):
             try:

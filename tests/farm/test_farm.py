@@ -136,8 +136,8 @@ class TestFarmManager:
 
     def test_archive_fingerprint_is_the_job_not_the_farm(self, tmp_path):
         """Two designs launched on one manifest must not share a
-        trajectory (``repro regress`` judges a run against the runs of
-        its fingerprint); the same job twice must."""
+        fingerprint (the service cache and ``repro runs list
+        --fingerprint`` group runs by it); the same job twice must."""
         registry = RunRegistry(tmp_path / "runs")
         fingerprints = []
         for leaves in (3, 3, 2):

@@ -33,6 +33,9 @@ from repro.fuzz import (
 )
 
 SEED = 11
+#: the corpus ``repro fuzz run --seed 7 --budget 40`` (CI's fuzz-smoke)
+#: mills
+SMOKE_CORPUS = [generate_scenario(7, i) for i in range(40)]
 
 
 class TestScenario:
@@ -72,13 +75,16 @@ class TestDeterminism:
             assert derive_spec(a) == derive_spec(b)
 
     def test_different_indices_differ(self):
-        prints = {generate_scenario(SEED, i).fingerprint
-                  for i in range(20)}
-        assert len(prints) > 10
+        """Every scenario of the CI smoke corpus is a distinct target."""
+        prints = {sc.fingerprint for sc in SMOKE_CORPUS}
+        assert len(prints) == len(SMOKE_CORPUS)
 
     def test_shapes_all_reachable(self):
-        shapes = {generate_scenario(SEED, i).shape for i in range(60)}
-        assert shapes == set(ALL_SHAPES)
+        """The CI smoke corpus covers every shape, and every scenario
+        in it partitions."""
+        assert {sc.shape for sc in SMOKE_CORPUS} == set(ALL_SHAPES)
+        for sc in SMOKE_CORPUS:
+            assert len(make_design(sc).partitions) >= 2, sc.fingerprint
 
     def test_fingerprints_stable_across_hash_seeds(self):
         """The audit: builders must not leak set/dict iteration order.

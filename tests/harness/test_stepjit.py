@@ -27,7 +27,7 @@ from repro.harness.stepjit import (
     stepjit_enabled,
     generate_partition_source,
 )
-from repro.observability import RecordingTracer, TraceEvent
+from repro.observability import NullTracer, RecordingTracer, TraceEvent
 from repro.parallel.coordinator import fork_available
 from repro.platform import HOST_PCIE, QSFP_AURORA
 from repro.reliability import (
@@ -40,7 +40,7 @@ from repro.reliability.checkpoint import capture_state, restore_state
 from repro.rtl import Simulator, engine
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
-from repro.telemetry import Telemetry
+from repro.telemetry import NullTelemetry, Telemetry
 
 from ..platform.test_extensions import _ethernet_sim
 
@@ -263,6 +263,28 @@ class TestGeneratedSources:
                 f"_{hint}{i}" for i, hint in enumerate(want)]
             for flag in ("_trace", "_metrics_on", ".enabled"):
                 assert flag not in src
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: _build(**kw), lambda **kw: _build(mode=EXACT, **kw),
+        lambda **kw: _ring8(FAST)(**kw)],
+        ids=["generic-fast", "generic-exact", "kernel"])
+    def test_null_sinks_print_the_untraced_plane(self, build):
+        """What makes a null sink free: a ``NullTracer`` +
+        ``NullTelemetry`` build prints byte-identical step-function
+        sources and binds the same table (names, order, object types)
+        as a build with no sink at all.  A process worker compiles its
+        partition through the same ``compile_step_functions``."""
+        plain, null = build(), build(tracer=NullTracer(),
+                                     telemetry=NullTelemetry())
+        assert generate_sources(null) == generate_sources(plain)
+        for ours, theirs in zip(plain.ensure_schedule(),
+                                null.ensure_schedule()):
+            src, bindings = generate_partition_source(plain, ours)
+            null_src, null_bindings = generate_partition_source(
+                null, theirs)
+            assert null_src == src
+            assert [(k, type(v)) for k, v in null_bindings.items()] \
+                == [(k, type(v)) for k, v in bindings.items()]
 
     def test_emit_sites_never_read_the_rtl_env(self):
         """Kernel-tier units leave combinational intermediates in the

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import math
 import re
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.firrtl import parse_circuit, print_circuit
 from repro.targets import make_comb_pair_circuit
+from repro.telemetry import load_baseline, save_baseline
 
 
 @pytest.fixture
@@ -264,15 +266,21 @@ class TestTelemetryCLI:
 
     def test_regress_fails_on_injected_slowdown(self, tmp_path,
                                                 capsys):
+        """The gate is exact: a baseline one ulp above a measured rate
+        exits 1."""
         results = tmp_path / "results"
         assert main(["regress", "--results-dir", str(results),
                      "--update"]) == 0
         capsys.readouterr()
-        rc = main(["regress", "--results-dir", str(results),
-                   "--inject-slowdown", "0.15"])
+        rates = load_baseline(results)
+        rates["pair_fast_qsfp"] = math.nextafter(
+            rates["pair_fast_qsfp"], math.inf)
+        save_baseline(rates, results)
+        rc = main(["regress", "--results-dir", str(results)])
         out = capsys.readouterr().out
         assert rc == 1
         assert "REGRESSIONS" in out
+        assert "pair_fast_qsfp" in out.split("REGRESSIONS")[1]
 
 
 class TestAutoPartition:

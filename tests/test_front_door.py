@@ -116,9 +116,7 @@ VERBS = {
     "partition": ("circuit --extract --mode --out", {"mode": "exact"}),
     "profile": ("circuit --cycles --extract --freq --mode --transport",
                 {**_JOB, "cycles": 200}),
-    "regress": (
-        "--inject-slowdown --results-dir --runs-dir --threshold --update",
-        {"runs_dir": None}),
+    "regress": ("--results-dir --update", {}),
     "reliability": (
         "circuit --checkpoint-dir --checkpoint-every --corrupt-rate "
         "--crash-at --cycles --drop-rate --extract --flap --freq "

@@ -2,9 +2,12 @@
 
 ``benchmarks/e2e/`` is the benchmark of record and only a
 ``[benchmark]`` PR may edit it, so every ``from repro… import …`` it
-contains is a name this package must keep exporting.  Tier-1 collects
-``tests/`` only; this test is what makes a refactor that moves one of
-those names fail here instead of in the benchmark pipeline.
+contains is a name this package must keep exporting, and every
+``from benchmarks… import …`` reaching outside ``benchmarks/e2e`` is a
+name that module must keep.  Tier-1 collects ``tests/`` only; this test
+is what makes a refactor that moves one of those names fail here
+instead of in the benchmark pipeline.  ``ast.walk`` descends into
+function bodies, so a function-level import is pinned too.
 """
 
 from __future__ import annotations
@@ -18,13 +21,20 @@ import pytest
 LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
 
+def _pinned(module: str) -> bool:
+    top = module.split(".")[0]
+    return top == "repro" or (
+        top == "benchmarks" and not module.startswith("benchmarks.e2e"))
+
+
 def pinned_imports():
-    """Every ``(file, module, name)`` the ledger imports from repro."""
+    """Every ``(file, module, name)`` the ledger imports from repro or
+    from ``benchmarks`` outside the ledger itself."""
     pins = set()
     for path in sorted(LEDGER.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and (node.module or "").split(".")[0] == "repro":
+                    and _pinned(node.module or ""):
                 pins.update((path.name, node.module, alias.name)
                             for alias in node.names)
     return sorted(pins)
