@@ -261,31 +261,26 @@ class FuzzFailure(SimulationError):
     (or modes, or a checkpoint round-trip, or a fault-hardened run)
     disagree.
 
-    Carries the minimized scenario so the failure is replayable:
-    ``repro fuzz replay <repro_path>`` re-runs the exact (circuit,
-    partition-spec, input-program, seed) tuple through the same oracle.
+    Carries the normalized job config the oracle ran, so the failure is
+    replayable: a campaign writes it into a repro file that ``repro fuzz
+    replay`` re-runs through the same oracle, and the service takes it
+    as a job as is.
 
     Attributes:
         oracle: which oracle tripped (``identity``, ``fastmode``,
             ``checkpoint``, ``faults``).
         backend: the backend whose result diverged from the in-process
             reference (empty for single-backend oracles).
-        scenario: the minimized scenario as a JSON-able dict.
-        repro_path: where the replayable repro file was written (None
-            when shrinking/persisting was disabled).
+        config: the normalized job config that disagreed.
     """
 
     def __init__(self, oracle: str, backend: str, message: str,
-                 scenario: Optional[dict] = None,
-                 repro_path: Optional[str] = None):
+                 config: Optional[dict] = None):
         self.oracle = oracle
         self.backend = backend
-        self.scenario = dict(scenario or {})
-        self.repro_path = repro_path
+        self.config = dict(config or {})
         where = f" on backend {backend!r}" if backend else ""
-        suffix = f" (repro: {repro_path})" if repro_path else ""
-        super().__init__(
-            f"fuzz oracle {oracle!r} failed{where}: {message}{suffix}")
+        super().__init__(f"fuzz oracle {oracle!r} failed{where}: {message}")
 
 
 class ServiceError(ReproError):

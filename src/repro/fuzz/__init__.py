@@ -6,7 +6,9 @@ valid partitioned designs (pipelines, NoC SoCs, FAME-5 star SoCs,
 width-parametric pairs), and differential oracles require every
 execution backend, partitioning mode, checkpoint round-trip, and
 hardened faulty link to agree on the result.  Failures are shrunk to
-minimal replayable JSON repros and kept in a corpus.
+minimal replayable JSON repros and kept in a corpus.  A scenario is a
+normalized job config (:func:`scenario_config`), built through
+``repro.service.executor`` like every other job.
 """
 
 from .generator import (
@@ -16,10 +18,8 @@ from .generator import (
     build_scenario_circuit,
     derive_spec,
     generate_scenario,
-    make_design,
-    make_sim,
     num_partitions,
-    partition_spec,
+    scenario_config,
     shrink_candidates,
 )
 from .oracle import (
@@ -51,10 +51,8 @@ __all__ = [
     "generate_scenario",
     "build_scenario_circuit",
     "derive_spec",
-    "partition_spec",
     "num_partitions",
-    "make_design",
-    "make_sim",
+    "scenario_config",
     "shrink_candidates",
     "BACKENDS",
     "ORACLES",

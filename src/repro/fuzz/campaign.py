@@ -1,15 +1,16 @@
 """Fuzz campaigns: drive the mill, minimize what breaks, keep repros.
 
 A campaign walks scenario indices ``start_index .. start_index +
-budget - 1`` for one seed, runs the configured oracles on each, and on
-disagreement shrinks the scenario and writes a replayable JSON repro
-into the corpus directory.  Repro files are self-contained: the
-scenario, the derived partition spec (for human eyes — replay
-re-derives it), the failure, and the shrink trail.
+budget - 1`` for one seed, runs the configured oracles on each
+scenario's job config, and on disagreement shrinks the scenario and
+writes a replayable JSON repro into the corpus directory.  A repro
+file is self-contained: the normalized job config (what replay runs,
+and a job the service takes as is), the failure, the scenario it was
+milled from, and the shrink trail.
 
-``replay`` loads a repro and runs the same oracles on the exact same
-(circuit, partition-spec, input-program, seed) tuple — a fixed repro
-replays clean, an open one raises the original :class:`FuzzFailure`.
+``replay`` loads a repro and runs the same oracles on its config — a
+fixed repro replays clean, an open one raises the original
+:class:`FuzzFailure`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FuzzFailure, ReproError
 from ..harness.metrics import SimulationResult
-from . import generator
-from .generator import GeneratorKnobs, Scenario
+from .generator import (GeneratorKnobs, Scenario, generate_scenario,
+                        scenario_config)
 from .oracle import BACKENDS, ORACLES, Perturbation, run_oracles
-from .shrink import ShrinkResult, probe, shrink
+from .shrink import ShrinkResult, shrink
 
 REPRO_FORMAT = "fireaxe-repro-fuzz-repro"
-REPRO_VERSION = 1
+REPRO_VERSION = 2
 
 
 @dataclass
@@ -67,6 +68,7 @@ class ScenarioOutcome:
     shape: str
     fingerprint: str
     status: str  # ok | failed | error
+    cycles: int = 0
     notes: Dict[str, dict] = field(default_factory=dict)
     message: str = ""
     repro_path: Optional[str] = None
@@ -124,23 +126,22 @@ def save_repro(corpus_dir: Union[str, Path], scenario: Scenario,
     payload = {
         "format": REPRO_FORMAT,
         "version": REPRO_VERSION,
-        "scenario": scenario.to_dict(),
-        "spec": generator.derive_spec(scenario),
-        "num_partitions": generator.num_partitions(scenario),
+        "config": scenario_config(scenario),
         "failure": {
             "oracle": failure.oracle,
             "backend": failure.backend,
             "message": str(failure),
         },
+        "scenario": scenario.to_dict(),
     }
-    if original is not None and original.to_dict() != scenario.to_dict():
-        payload["original_scenario"] = original.to_dict()
     if shrink_result is not None:
         payload["shrink"] = {
             "rounds": shrink_result.rounds,
             "attempts": shrink_result.attempts,
             "trail": shrink_result.trail,
         }
+    if original is not None and original.to_dict() != scenario.to_dict():
+        payload.setdefault("shrink", {})["original"] = original.to_dict()
     path = corpus / (f"{failure.oracle}-s{scenario.seed}-"
                      f"i{scenario.index}-{scenario.fingerprint}.json")
     tmp = path.with_suffix(".json.tmp")
@@ -149,8 +150,9 @@ def save_repro(corpus_dir: Union[str, Path], scenario: Scenario,
     return path
 
 
-def load_repro(path: Union[str, Path]) -> Tuple[Scenario, dict]:
-    """Read a repro file; returns (scenario, full payload)."""
+def load_repro(path: Union[str, Path]) -> dict:
+    """Read a repro file; returns its payload, ``config`` normalized."""
+    from ..service.executor import normalize_config  # see oracle._executor
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -161,8 +163,9 @@ def load_repro(path: Union[str, Path]) -> Tuple[Scenario, dict]:
     if payload.get("version") != REPRO_VERSION:
         raise ReproError(
             f"fuzz repro version {payload.get('version')} unsupported "
-            f"(this build reads {REPRO_VERSION})")
-    return Scenario.from_dict(payload["scenario"]), payload
+            f"(this build reads {REPRO_VERSION}, whose repro is a job "
+            f"config)")
+    return {**payload, "config": normalize_config(payload["config"])}
 
 
 def list_corpus(corpus_dir: Union[str, Path]) -> List[dict]:
@@ -172,17 +175,18 @@ def list_corpus(corpus_dir: Union[str, Path]) -> List[dict]:
     if not corpus.is_dir():
         return entries
     for path in sorted(corpus.glob("*.json")):
-        scenario, payload = load_repro(path)
+        payload = load_repro(path)
+        config, scenario = payload["config"], payload["scenario"]
         entries.append({
             "path": str(path),
             "oracle": payload["failure"]["oracle"],
             "backend": payload["failure"]["backend"],
-            "shape": scenario.shape,
-            "seed": scenario.seed,
-            "index": scenario.index,
-            "num_partitions": payload.get(
-                "num_partitions", generator.num_partitions(scenario)),
-            "cycles": scenario.cycles,
+            "shape": scenario["shape"],
+            "seed": scenario["seed"],
+            "index": scenario["index"],
+            "num_partitions": len(config.get("noc")
+                                  or config["extract"]) + 1,
+            "cycles": config["cycles"],
         })
     return entries
 
@@ -194,10 +198,11 @@ def replay(path: Union[str, Path],
 
     Raises the scenario's :class:`FuzzFailure` if it still reproduces.
     """
-    scenario, payload = load_repro(path)
+    payload = load_repro(path)
     if oracles is None:
         oracles = (payload["failure"]["oracle"],)
-    return run_oracles(scenario, oracles=oracles, backends=backends)
+    return run_oracles(payload["config"], oracles=oracles,
+                       backends=backends)
 
 
 # --------------------------------------------------------------------------
@@ -227,16 +232,15 @@ def run_campaign(config: FuzzConfig,
     t0 = time.monotonic()
 
     def check(sc: Scenario):
-        return run_oracles(sc, oracles=config.oracles,
+        return run_oracles(scenario_config(sc), oracles=config.oracles,
                            backends=config.backends, perturb=perturb)
 
     for index in range(config.start_index,
                        config.start_index + config.budget):
-        scenario = generator.generate_scenario(config.seed, index,
-                                               config.knobs)
+        scenario = generate_scenario(config.seed, index, config.knobs)
         outcome = ScenarioOutcome(index=index, shape=scenario.shape,
                                   fingerprint=scenario.fingerprint,
-                                  status="ok")
+                                  status="ok", cycles=scenario.cycles)
         try:
             outcome.notes = check(scenario)
         except FuzzFailure as failure:
@@ -281,14 +285,9 @@ def run_campaign(config: FuzzConfig,
 
 def _summary_result(report: CampaignReport) -> SimulationResult:
     """Aggregate the campaign into one archivable result record."""
-    total_cycles = 0
-    total_tokens = 0
-    for o in report.outcomes:
-        identity = o.notes.get("identity") or {}
-        total_tokens += int(identity.get("tokens") or 0)
-        sc = generator.generate_scenario(report.config.seed, o.index,
-                                         report.config.knobs)
-        total_cycles += sc.cycles
+    total_cycles = sum(o.cycles for o in report.outcomes)
+    total_tokens = sum(int((o.notes.get("identity") or {}).get("tokens")
+                           or 0) for o in report.outcomes)
     return SimulationResult(
         target_cycles=total_cycles, wall_ns=report.elapsed_s * 1e9,
         rate_hz=(total_cycles / report.elapsed_s

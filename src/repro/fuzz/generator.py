@@ -2,9 +2,11 @@
 
 A :class:`Scenario` is the unit of fuzzing: one (circuit,
 partition-spec, input-program, seed) tuple, fully determined by
-``(seed, index, shape, params, cycles)`` and JSON round-trippable, so a
-failing scenario can be committed to a corpus and replayed bit-exactly
-years later.
+``(seed, index, shape, params, cycles)`` and JSON round-trippable.
+:func:`scenario_config` turns it into a normalized job config — the
+one description a job has (``repro.service.executor``) — which is what
+the oracles run, what a repro file stores, and what the service can
+take as a job.
 
 Determinism contract (enforced by tests/fuzz/test_generator.py):
 
@@ -18,6 +20,9 @@ Determinism contract (enforced by tests/fuzz/test_generator.py):
   ``random.Random(f"{seed}/{index}/spec")`` clamped to the current
   ``params`` — a shrunk scenario (fewer lanes, fewer tiles) always has
   a valid spec without storing one,
+* ``scenario_config(scenario)`` is a pure function of the scenario:
+  the printed circuit, the derived spec, the transport, the cycle count
+  and the seeded fault schedule,
 * identical scenarios produce byte-identical circuits across processes
   and ``PYTHONHASHSEED`` values
   (:func:`~repro.firrtl.fingerprint.circuit_fingerprint` pins this).
@@ -33,21 +38,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..fireripper import (
-    EXACT,
-    FAST,
-    FireRipper,
-    NoCPartitionSpec,
-    PartitionGroup,
-    PartitionSpec,
-)
-from ..firrtl import ModuleBuilder, make_circuit
+from ..fireripper import EXACT, FAST
+from ..firrtl import ModuleBuilder, make_circuit, print_circuit
 from ..firrtl.circuit import Circuit, Module
-from ..platform import PCIE_P2P, QSFP_AURORA
 from ..targets.primitives import (
     make_queue,
     make_rv_consumer,
@@ -64,9 +61,10 @@ from ..targets.soc import (
 SCENARIO_FORMAT = "fireaxe-repro-fuzz-scenario"
 SCENARIO_VERSION = 1
 
-#: transports a scenario may price its links through (functional
-#: results are transport-independent; the timing overlay is not)
-TRANSPORTS = {"qsfp": QSFP_AURORA, "pcie": PCIE_P2P}
+#: the ``executor.TRANSPORTS`` names a scenario prices its links through
+#: (functional results are transport-independent; the timing overlay
+#: is not)
+_TRANSPORT_CHOICES = ("pcie", "qsfp")
 
 ALL_SHAPES = ("pipeline", "ring", "torus", "star", "widepair", "rocket")
 
@@ -178,8 +176,6 @@ def _sample_pipeline(rng: random.Random, knobs: GeneratorKnobs) -> dict:
         "uniform": uniform,
         "fanout": fanout,
         "block": rng.random() < 0.5,
-        "transport": rng.choice(sorted(TRANSPORTS)),
-        "fault": _sample_fault(rng),
     }
 
 
@@ -193,30 +189,18 @@ def _sample_fault(rng: random.Random) -> dict:
 
 
 def _sample_noc(rng: random.Random, knobs: GeneratorKnobs) -> dict:
-    return {
-        "n_tiles": rng.randint(2, knobs.max_tiles),
-        "messages": rng.randint(1, knobs.max_messages),
-        "transport": rng.choice(sorted(TRANSPORTS)),
-        "fault": _sample_fault(rng),
-    }
+    return {"n_tiles": rng.randint(2, knobs.max_tiles),
+            "messages": rng.randint(1, knobs.max_messages)}
 
 
 def _sample_widepair(rng: random.Random, knobs: GeneratorKnobs) -> dict:
-    return {
-        "width": rng.choice([8, 16, 24, 32, 48, 64]),
-        "comb": rng.random() < 0.4,
-        "transport": rng.choice(sorted(TRANSPORTS)),
-        "fault": _sample_fault(rng),
-    }
+    return {"width": rng.choice([8, 16, 24, 32, 48, 64]),
+            "comb": rng.random() < 0.4}
 
 
 def _sample_rocket(rng: random.Random, knobs: GeneratorKnobs) -> dict:
-    return {
-        "boot_loops": rng.randint(3, 20),
-        "messages": rng.randint(2, 8),
-        "transport": rng.choice(sorted(TRANSPORTS)),
-        "fault": _sample_fault(rng),
-    }
+    return {"boot_loops": rng.randint(3, 20),
+            "messages": rng.randint(2, 8)}
 
 
 _SAMPLERS = {
@@ -236,7 +220,9 @@ def generate_scenario(seed: int, index: int,
     rng = random.Random(f"{seed}/{index}")
     shape = rng.choice(sorted(knobs.shapes))
     params = _SAMPLERS[shape](rng, knobs)
-    params["max_groups"] = knobs.max_groups
+    # every shape then draws how its links are priced and faulted
+    params.update(transport=rng.choice(_TRANSPORT_CHOICES),
+                  fault=_sample_fault(rng), max_groups=knobs.max_groups)
     cycles = rng.randint(knobs.min_cycles, knobs.max_cycles)
     return Scenario(seed=seed, index=index, shape=shape, params=params,
                     cycles=cycles)
@@ -435,14 +421,14 @@ def _derive_pipeline_spec(rng: random.Random, params: dict) -> dict:
         groups.append(paths)
     spec: Dict[str, object] = {
         "mode": rng.choice([EXACT, EXACT, FAST]),
-        "groups": groups,
+        "extract": groups,
     }
     # FAME-5 merge: only whole-lane groups of identical lanes qualify
     if (params["uniform"] and not params["fanout"]
             and len(whole_lane_groups) >= 2 and rng.random() < 0.5
             and spec["mode"] == EXACT):
         spec["fame5"] = {
-            "merged": [f"g{gi}" for gi, _ in whole_lane_groups]}
+            "m0": [f"fpga{gi}" for gi, _ in whole_lane_groups]}
     return spec
 
 
@@ -472,22 +458,21 @@ def _derive_star_spec(rng: random.Random, params: dict) -> dict:
     tiles = sorted(rng.sample(range(n_tiles), n_groups))
     spec: Dict[str, object] = {
         "mode": EXACT,
-        "groups": [[f"tile{i}"] for i in tiles],
+        "extract": [[f"tile{i}"] for i in tiles],
     }
     if n_groups >= 2 and rng.random() < 0.5:
-        spec["fame5"] = {"merged": [f"g{gi}"
-                                    for gi in range(n_groups)]}
+        spec["fame5"] = {"m0": [f"fpga{gi}" for gi in range(n_groups)]}
     return spec
 
 
 def _derive_widepair_spec(rng: random.Random, params: dict) -> dict:
     mode = EXACT if params["comb"] else rng.choice([EXACT, FAST])
-    return {"mode": mode, "groups": [["right"]]}
+    return {"mode": mode, "extract": [["right"]]}
 
 
 def _derive_rocket_spec(rng: random.Random, params: dict) -> dict:
     return {"mode": rng.choice([EXACT, FAST]),
-            "groups": [["rockettile"]]}
+            "extract": [["rockettile"]]}
 
 
 _SPEC_DERIVERS = {
@@ -501,7 +486,8 @@ _SPEC_DERIVERS = {
 
 
 def derive_spec(scenario: Scenario) -> dict:
-    """The scenario's partition spec as a JSON-able description.
+    """The scenario's partition spec in job-config terms: ``mode``,
+    ``extract`` or ``noc``, and an optional ``fame5`` merge.
 
     Deterministic: drawn from ``Random(f"{seed}/{index}/spec")`` and
     clamped to the current params, so shrinking params keeps the spec
@@ -511,58 +497,35 @@ def derive_spec(scenario: Scenario) -> dict:
     return _SPEC_DERIVERS[scenario.shape](rng, scenario.params)
 
 
-def partition_spec(scenario: Scenario) -> PartitionSpec:
-    desc = derive_spec(scenario)
-    if "noc" in desc:
-        return PartitionSpec(mode=desc["mode"],
-                             noc=NoCPartitionSpec.make(desc["noc"]))
-    groups = [PartitionGroup.make(f"g{i}", paths)
-              for i, paths in enumerate(desc["groups"])]
-    return PartitionSpec(mode=desc["mode"], groups=groups)
-
-
 def num_partitions(scenario: Scenario) -> int:
     """Extracted groups plus the base partition (before FAME-5
     merging) — the "tile count" the shrinker minimizes."""
     desc = derive_spec(scenario)
-    n = len(desc.get("noc", ()) or desc.get("groups", ()))
-    return n + 1
+    return len(desc.get("noc") or desc["extract"]) + 1
 
 
-def make_design(scenario: Scenario, mode: Optional[str] = None):
-    """FireRipper-compile the scenario (optionally forcing a mode)."""
-    spec = partition_spec(scenario)
-    if mode is not None and mode != spec.mode:
-        if spec.noc is not None:
-            spec = PartitionSpec(mode=mode, noc=spec.noc)
-        else:
-            spec = PartitionSpec(mode=mode, groups=spec.groups)
-    return FireRipper(spec).compile(build_scenario_circuit(scenario))
+def scenario_config(scenario: Scenario) -> dict:
+    """The scenario as a normalized ``simulate`` job config.
 
-
-def make_sim(scenario: Scenario, mode: Optional[str] = None,
-             telemetry=None, tracer=None):
-    """A ready-to-run PartitionedSimulation for the scenario."""
-    design = make_design(scenario, mode=mode)
-    desc = derive_spec(scenario)
-    fame5 = None
-    merged = desc.get("fame5", {}).get("merged")
-    if merged and (mode is None or mode == desc["mode"]):
-        fame5 = {"m0": list(merged)}
-    transport = TRANSPORTS[scenario.params.get("transport", "qsfp")]
-    return design.build_simulation(
-        transport, record_outputs=True, fame5_merge=fame5,
-        telemetry=telemetry, tracer=tracer)
-
-
-def has_done_output(scenario: Scenario) -> bool:
-    """Whether the target raises a ``done`` top-level output (the
-    exact-vs-fast oracle needs one)."""
-    return scenario.shape != "widepair"
-
-
-def has_fame5(scenario: Scenario) -> bool:
-    return bool(derive_spec(scenario).get("fame5"))
+    ``faults`` carries the scenario's seeded schedule (seed
+    ``seed * 1_000_003 + index``) and is absent when every rate is
+    zero; the faults oracle hardens links over it, the others run the
+    config without it.
+    """
+    # imported here: see ``oracle._executor``
+    from ..service.executor import normalize_config
+    config = {
+        "kind": "simulate",
+        "circuit_text": print_circuit(build_scenario_circuit(scenario)),
+        **derive_spec(scenario),
+        "transport": scenario.params["transport"],
+        "cycles": scenario.cycles,
+    }
+    fault = scenario.params.get("fault") or {}
+    if any(fault.values()):
+        config["faults"] = {
+            "seed": scenario.seed * 1_000_003 + scenario.index, **fault}
+    return normalize_config(config)
 
 
 # --------------------------------------------------------------------------

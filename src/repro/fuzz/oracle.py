@@ -1,7 +1,8 @@
 """Differential oracles — the scenario mill's back half.
 
-Each oracle takes one :class:`~repro.fuzz.generator.Scenario`, runs it
-through one or more execution configurations, and raises
+Each oracle takes one normalized job config (a scenario's
+:func:`~repro.fuzz.generator.scenario_config`), runs it through one or
+more execution configurations, and raises
 :class:`~repro.errors.FuzzFailure` when the configurations disagree:
 
 * :func:`check_identity` — the same compiled design run on both
@@ -15,11 +16,12 @@ through one or more execution configurations, and raises
 * :func:`check_checkpoint` — a mid-run capture, JSON round-trip,
   restore onto a freshly built simulation, and continuation must land
   on the same functional result as an uninterrupted run.
-* :func:`check_faults` — a run over fault-injected links hardened by
-  the reliable link layer must survive (no give-up, no deadlock) and
-  deliver the same functional result as the clean run, never faster —
-  and bit-for-bit the digest of the same hardened run interpreted.
+* :func:`check_faults` — the config itself, every link hardened over
+  its seeded ``faults`` schedule, must survive (no give-up, no
+  deadlock) and deliver the clean twin's functional result, never
+  faster — and bit-for-bit the digest of the same run interpreted.
 
+The other three run the clean twin (the config without ``faults``).
 :func:`check_identity` and :func:`check_faults` also fail when a
 partition did not take the compiled step plane, so the next JIT cliff
 shows up as a shrunk corpus file instead of a slow run.
@@ -28,27 +30,26 @@ Backends that cannot run on the host (no ``fork``, no sockets) or
 cannot take the topology are *skipped*, not failed — the oracles
 measure agreement among the configurations that can run.
 
-Oracles re-build the simulation for every configuration rather than
-reusing one (a run mutates simulator state); determinism of the
-generator makes the rebuilds equivalent.
+An oracle compiles once per (config, mode) through the executor and
+re-wires a fresh simulation for every run (a run mutates simulator
+state), as the farm does after a rollback.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import (
     BackendUnavailableError,
+    CompileError,
     FuzzFailure,
     ReproError,
     UnsupportedTopologyError,
 )
 from ..harness import MonolithicSimulation
 from ..harness.stepjit import stepjit_enabled
-from ..reliability import FaultSpec, capture_state, harden_links, restore_state
-from . import generator
-from .generator import Scenario
+from ..reliability import FaultSpec, capture_state, restore_state
 
 #: every execution backend the differential harness covers
 BACKENDS = ("inproc", "process")
@@ -88,8 +89,35 @@ def functional_digest(sim, result) -> dict:
     }
 
 
+def _twin(config: dict, mode: Optional[str] = None) -> dict:
+    """The clean twin of ``config`` (no ``faults``), optionally in
+    another partitioning ``mode`` — which drops a ``fame5`` merge, since
+    a merge is drawn for the config's own mode."""
+    twin = {k: v for k, v in config.items() if k != "faults"}
+    if mode is not None and mode != config["mode"]:
+        twin.pop("fame5", None)
+        twin["mode"] = mode
+    return twin
+
+
+def _executor():
+    """``repro.service.executor``, the one builder a job has — imported
+    on first use: the service package pulls in asyncio and the process
+    backend, which ``import repro.fuzz`` (the ledger imports
+    :func:`functional_digest`) must not pay for."""
+    from ..service import executor
+    return executor
+
+
+def _build(config: dict, design=None):
+    """A fresh simulation of ``config``, its outputs recorded (the
+    digest compares them)."""
+    return _executor().build_simulation(config, design,
+                                        record_outputs=True)
+
+
 def _require_compiled(oracle: str, backend: str, sim,
-                      scenario: Scenario) -> None:
+                      config: dict) -> None:
     """Fail when a partition of ``sim``'s last run was not compiled
     (unless the JIT was switched off for the whole run)."""
     missed = {name: verdict
@@ -99,7 +127,7 @@ def _require_compiled(oracle: str, backend: str, sim,
         raise FuzzFailure(
             oracle, backend,
             f"partitions left the compiled step plane: {missed}",
-            scenario=scenario.to_dict())
+            config=config)
 
 
 def _first_diff(ref: dict, got: dict, prefix: str = "") -> str:
@@ -132,22 +160,24 @@ def _first_diff(ref: dict, got: dict, prefix: str = "") -> str:
 # --------------------------------------------------------------------------
 
 
-def check_identity(scenario: Scenario,
+def check_identity(config: dict,
                    backends: Sequence[str] = BACKENDS,
                    perturb: Optional[Perturbation] = None) -> dict:
-    """Run the scenario on every backend; all must agree bit-for-bit
+    """Run the clean twin on every backend; all must agree bit-for-bit
     with the in-process reference."""
+    clean = _twin(config)
+    design = _executor().compile_design(clean)
     digests: Dict[str, dict] = {}
     skipped: Dict[str, str] = {}
     for backend in backends:
-        sim = generator.make_sim(scenario)
+        sim = _build(clean, design)
         try:
-            result = sim.run(scenario.cycles, backend=backend)
+            result = sim.run(clean["cycles"], backend=backend)
         except (BackendUnavailableError,
                 UnsupportedTopologyError) as exc:
             skipped[backend] = str(exc)
             continue
-        _require_compiled("identity", backend, sim, scenario)
+        _require_compiled("identity", backend, sim, config)
         if perturb is not None:
             perturb(backend, sim, result)
         digests[backend] = functional_digest(sim, result)
@@ -155,14 +185,13 @@ def check_identity(scenario: Scenario,
         raise FuzzFailure(
             "identity", "inproc",
             f"in-process reference could not run: "
-            f"{skipped.get('inproc', 'unknown')}",
-            scenario=scenario.to_dict())
+            f"{skipped.get('inproc', 'unknown')}", config=config)
     reference = digests["inproc"]
     for backend, digest in digests.items():
         if digest != reference:
             raise FuzzFailure(
                 "identity", backend, _first_diff(reference, digest),
-                scenario=scenario.to_dict())
+                config=config)
     return {"compared": sorted(digests), "skipped": skipped,
             "tokens": reference["tokens"]}
 
@@ -176,9 +205,9 @@ def _done_log(sim):
     return sim.output_log.get(("base", "io_out"), [])
 
 
-def _partitioned_done(scenario: Scenario, mode: str) -> Tuple[int, dict]:
+def _partitioned_done(config: dict, mode: str) -> Tuple[int, dict]:
     """(done cycle, done token) of the partitioned run in ``mode``."""
-    sim = generator.make_sim(scenario, mode=mode)
+    sim = _build(_twin(config, mode))
 
     def stop(s) -> bool:
         log = _done_log(s)
@@ -191,29 +220,28 @@ def _partitioned_done(scenario: Scenario, mode: str) -> Tuple[int, dict]:
     raise FuzzFailure(
         "fastmode", "",
         f"done never observed within {MAX_DONE_CYCLES} cycles in "
-        f"{mode}-mode partitioned run", scenario=scenario.to_dict())
+        f"{mode}-mode partitioned run", config=config)
 
 
-def check_fastmode(scenario: Scenario) -> dict:
+def check_fastmode(config: dict) -> dict:
     """Exact-mode must match monolithic cycle-for-cycle; fast-mode may
     run the target ahead but never finishes *earlier* than exact, and
     both must deliver the same final payload."""
-    if not generator.has_done_output(scenario):
+    circuit = _executor().load_circuit(config)
+    if not any(p.name == "done" for p in circuit.top_module.output_ports):
         return {"status": "skipped", "reason": "target has no done output"}
-    from ..errors import CompileError
-    mono = MonolithicSimulation(
-        generator.build_scenario_circuit(scenario))
+    mono = MonolithicSimulation(circuit)
     mono_cycles = mono.run_until(
         "done", 1, max_cycles=MAX_DONE_CYCLES).target_cycles
 
-    exact_cycles, exact_token = _partitioned_done(scenario, mode="exact")
+    exact_cycles, exact_token = _partitioned_done(config, mode="exact")
     if exact_cycles != mono_cycles:
         raise FuzzFailure(
             "fastmode", "",
             f"exact-mode done cycle {exact_cycles} != monolithic "
-            f"{mono_cycles}", scenario=scenario.to_dict())
+            f"{mono_cycles}", config=config)
     try:
-        fast_cycles, fast_token = _partitioned_done(scenario, mode="fast")
+        fast_cycles, fast_token = _partitioned_done(config, mode="fast")
     except CompileError as exc:
         # some boundaries are exact-only (combinational chains); that is
         # a property of the target, not a disagreement
@@ -224,13 +252,12 @@ def check_fastmode(scenario: Scenario) -> dict:
             "fastmode", "",
             f"fast-mode finished at cycle {fast_cycles}, undershooting "
             f"exact-mode at {exact_cycles} — fast-mode must never be "
-            f"early", scenario=scenario.to_dict())
+            f"early", config=config)
     if fast_token != exact_token:
         raise FuzzFailure(
             "fastmode", "",
             "fast-mode final payload differs from exact-mode: "
-            + _first_diff(exact_token, fast_token),
-            scenario=scenario.to_dict())
+            + _first_diff(exact_token, fast_token), config=config)
     return {"status": "ok", "mono_cycles": mono_cycles,
             "exact_cycles": exact_cycles, "fast_cycles": fast_cycles}
 
@@ -240,7 +267,7 @@ def check_fastmode(scenario: Scenario) -> dict:
 # --------------------------------------------------------------------------
 
 
-def check_checkpoint(scenario: Scenario,
+def check_checkpoint(config: dict,
                      perturb_state: Optional[Callable[[dict], dict]] = None
                      ) -> dict:
     """Capture at the midpoint, JSON-round-trip, restore onto a fresh
@@ -256,22 +283,23 @@ def check_checkpoint(scenario: Scenario,
     multi-lane pipelines.  FAME-5 restore is likewise only functionally
     exact (threads re-interleave).
     """
-    mid = max(1, scenario.cycles // 2)
+    clean = _twin(config)
+    design = _executor().compile_design(clean)
+    cycles = clean["cycles"]
+    mid = max(1, cycles // 2)
 
-    straight_sim = generator.make_sim(scenario)
-    straight = functional_digest(straight_sim,
-                                 straight_sim.run(scenario.cycles))
+    straight_sim = _build(clean, design)
+    straight = functional_digest(straight_sim, straight_sim.run(cycles))
 
-    first = generator.make_sim(scenario)
+    first = _build(clean, design)
     first.run(mid)
     state = json.loads(json.dumps(capture_state(first)))
     if perturb_state is not None:
         state = perturb_state(state)
 
-    resumed_sim = generator.make_sim(scenario)
+    resumed_sim = _build(clean, design)
     restore_state(resumed_sim, state)
-    resumed = functional_digest(resumed_sim,
-                                resumed_sim.run(scenario.cycles))
+    resumed = functional_digest(resumed_sim, resumed_sim.run(cycles))
 
     keys = ("target_cycles", "tokens", "per_partition_cycles",
             "outputs")
@@ -281,10 +309,9 @@ def check_checkpoint(scenario: Scenario,
         raise FuzzFailure(
             "checkpoint", "",
             f"resumed run diverged from straight run (capture at cycle "
-            f"{mid}): " + _first_diff(a, b),
-            scenario=scenario.to_dict())
+            f"{mid}): " + _first_diff(a, b), config=config)
     return {"status": "ok", "capture_cycle": mid,
-            "fame5": generator.has_fame5(scenario)}
+            "fame5": "fame5" in config}
 
 
 # --------------------------------------------------------------------------
@@ -292,50 +319,45 @@ def check_checkpoint(scenario: Scenario,
 # --------------------------------------------------------------------------
 
 
-def check_faults(scenario: Scenario) -> dict:
-    """Harden every link, inject the scenario's seeded fault schedule,
-    and require the run to survive with clean-run functional results.
+def check_faults(config: dict) -> dict:
+    """Build the config — every link hardened over its seeded ``faults``
+    schedule — and require the run to survive with the clean twin's
+    functional results.
 
     The timing overlay may only get *slower* (retries burn link time);
     payloads, cycle counts and token ordering must be untouched.  The
     hardened run's full digest (``detail`` included) must equal the
-    same scenario's under ``stepjit=False``."""
-    fault = dict(scenario.params.get("fault") or {})
-    spec = FaultSpec(
-        seed=scenario.seed * 1_000_003 + scenario.index,
-        drop_rate=float(fault.get("drop_rate", 0.0)),
-        corrupt_rate=float(fault.get("corrupt_rate", 0.0)),
-        spike_rate=float(fault.get("spike_rate", 0.0)))
+    same config's under ``stepjit=False``."""
+    spec = FaultSpec(**config.get("faults", {}))
     if spec.fault_rate == 0.0:
         return {"status": "skipped", "reason": "fault-free schedule"}
 
-    clean_sim = generator.make_sim(scenario)
-    clean_result = clean_sim.run(scenario.cycles)
+    cycles = config["cycles"]
+    design = _executor().compile_design(_twin(config))
+    clean_sim = _build(_twin(config), design)
+    clean_result = clean_sim.run(cycles)
     clean = functional_digest(clean_sim, clean_result)
 
     def hardened(stepjit: Optional[bool]):
-        sim = generator.make_sim(scenario)
-        harden_links(sim, spec)
+        sim = _build(config, design)
         sim.stepjit = stepjit
         try:
-            return sim, sim.run(scenario.cycles)
+            return sim, sim.run(cycles)
         except ReproError as exc:
             raise FuzzFailure(
                 "faults", "",
                 f"hardened run did not survive the fault schedule: "
-                f"{type(exc).__name__}: {exc}",
-                scenario=scenario.to_dict())
+                f"{type(exc).__name__}: {exc}", config=config)
 
     hard_sim, hard_result = hardened(None)
-    _require_compiled("faults", "", hard_sim, scenario)
+    _require_compiled("faults", "", hard_sim, config)
     hard = functional_digest(hard_sim, hard_result)
     interp = functional_digest(*hardened(False))
     if interp != hard:
         raise FuzzFailure(
             "faults", "",
             "hardened run differs between the compiled step plane and "
-            "the interpreter: " + _first_diff(interp, hard),
-            scenario=scenario.to_dict())
+            "the interpreter: " + _first_diff(interp, hard), config=config)
     # the timing breakdown legitimately differs (retries); compare the
     # payload-carrying fields
     keys = ("target_cycles", "per_partition_cycles", "outputs")
@@ -345,14 +367,13 @@ def check_faults(scenario: Scenario) -> dict:
         raise FuzzFailure(
             "faults", "",
             "hardened run's functional results differ from the clean "
-            "run: " + _first_diff(a, b), scenario=scenario.to_dict())
+            "run: " + _first_diff(a, b), config=config)
     if hard_result.wall_ns < clean_result.wall_ns:
         raise FuzzFailure(
             "faults", "",
             f"hardened run was faster than the clean run "
             f"({hard_result.wall_ns} < {clean_result.wall_ns} ns) — "
-            f"retries cannot reduce link time",
-            scenario=scenario.to_dict())
+            f"retries cannot reduce link time", config=config)
     return {"status": "ok", "fault_rate": spec.fault_rate,
             "retries": hard_result.detail.get("reliability", {})}
 
@@ -369,7 +390,7 @@ _ORACLE_FNS = {
 }
 
 
-def run_oracles(scenario: Scenario,
+def run_oracles(config: dict,
                 oracles: Sequence[str] = ORACLES,
                 backends: Sequence[str] = BACKENDS,
                 perturb: Optional[Perturbation] = None) -> Dict[str, dict]:
@@ -383,8 +404,8 @@ def run_oracles(scenario: Scenario,
     notes: Dict[str, dict] = {}
     for name in oracles:
         if name == "identity":
-            notes[name] = check_identity(scenario, backends=backends,
+            notes[name] = check_identity(config, backends=backends,
                                          perturb=perturb)
         else:
-            notes[name] = _ORACLE_FNS[name](scenario)
+            notes[name] = _ORACLE_FNS[name](config)
     return notes

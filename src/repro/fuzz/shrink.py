@@ -23,7 +23,7 @@ from . import generator
 from .generator import Scenario
 
 #: a checker runs the oracles on one scenario and raises FuzzFailure on
-#: disagreement (e.g. ``lambda sc: run_oracles(sc, oracles=["identity"])``)
+#: disagreement (e.g. ``lambda sc: run_oracles(scenario_config(sc))``)
 Checker = Callable[[Scenario], object]
 
 

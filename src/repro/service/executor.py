@@ -3,8 +3,11 @@
 A job config is a plain JSON dict naming what to run.  Three kinds:
 
 * ``{"kind": "simulate", ...}`` — compile a circuit (from a ``circuit``
-  file path or inline ``circuit_text``), partition it per ``extract``,
-  and run it on one of the execution backends (``auto``, ``inproc``,
+  file path or inline ``circuit_text``), partition it per ``extract``
+  (module groups) or ``noc`` (router-index groups), optionally merge
+  extract groups onto one FPGA (``fame5``) and harden every link over a
+  seeded fault schedule (``faults``, :class:`FaultSpec`'s fields), and
+  run it on one of the execution backends (``auto``, ``inproc``,
   ``process``),
 * ``{"kind": "experiment", "experiment": NAME}`` — one of the paper's
   table/figure experiments; the final partitioned run it performs is
@@ -31,13 +34,14 @@ backend, which takes no stop hook and cancels before start only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ServiceError
-from ..fireripper import FireRipper, PartitionGroup, PartitionSpec
-from ..firrtl import parse_circuit
+from ..fireripper import (FireRipper, NoCPartitionSpec, PartitionGroup,
+                          PartitionSpec)
+from ..firrtl import Circuit, parse_circuit
 from ..observability.tracer import event_to_dict
 from ..parallel import normalize_backend
 from ..platform import (
@@ -46,6 +50,7 @@ from ..platform import (
     PCIE_P2P,
     QSFP_AURORA,
 )
+from ..reliability import FaultSpec, harden_links
 
 #: transport name -> modelled transport profile (the CLI shares this)
 TRANSPORTS = {
@@ -76,6 +81,9 @@ FARM_DEFAULTS = {
 
 _DEFAULTS = {"simulate": SIMULATE_DEFAULTS, "farm": FARM_DEFAULTS}
 
+#: the ``faults`` key is FaultSpec's own fields, defaults included
+_FAULT_DEFAULTS = {f.name: f.default for f in fields(FaultSpec)}
+
 
 @dataclass
 class ExecutionOutcome:
@@ -105,6 +113,51 @@ def _normalize_extract(extract) -> List[List[str]]:
             raise ServiceError("empty extract group")
         groups.append(paths)
     return groups
+
+
+def _group_name(index: int) -> str:
+    return f"fpga{index}"
+
+
+def _normalize_noc(noc) -> List[List[int]]:
+    if not isinstance(noc, (list, tuple)) or not noc or not all(
+            isinstance(group, (list, tuple)) and group for group in noc):
+        raise ServiceError("'noc' wants a non-empty list of non-empty "
+                           "router-index lists (one per FPGA)")
+    return [[int(index) for index in group] for group in noc]
+
+
+def _normalize_fame5(fame5, n_groups: int) -> Dict[str, List[str]]:
+    """Merged name -> two or more extract groups, each merged once."""
+    if not isinstance(fame5, dict) or not fame5 or not all(
+            isinstance(group, (list, tuple)) and len(group) >= 2
+            for group in fame5.values()):
+        raise ServiceError("'fame5' wants {merged name: [two or more "
+                           "extract groups]}")
+    members = [m for group in fame5.values() for m in group]
+    valid = [_group_name(i) for i in range(n_groups)]
+    if not all(m in valid for m in members) \
+            or len(set(members)) < len(members):
+        raise ServiceError(f"fame5 merges {members}; each must be one of "
+                           f"the extract groups {valid}, merged once")
+    return {str(name): list(group) for name, group in fame5.items()}
+
+
+def _normalize_faults(faults) -> dict:
+    """Every FaultSpec field, defaults filled; the rates are of disjoint
+    outcomes, so each lies in [0, 1] and they sum to at most 1."""
+    if not isinstance(faults, dict) or set(faults) - set(_FAULT_DEFAULTS):
+        raise ServiceError(f"'faults' wants FaultSpec fields: "
+                           f"{', '.join(_FAULT_DEFAULTS)}")
+    normalized = {
+        key: [[float(x) for x in window] for window in faults.get(key, d)]
+        if isinstance(d, tuple) else type(d)(faults.get(key, d))
+        for key, d in _FAULT_DEFAULTS.items()}
+    rates = [v for k, v in normalized.items() if k.endswith("_rate")]
+    if not all(0.0 <= rate <= 1.0 for rate in rates) or sum(rates) > 1.0:
+        raise ServiceError(f"fault rates {rates} must each lie in [0, 1] "
+                           f"and sum to at most 1")
+    return normalized
 
 
 def normalize_config(config: dict) -> dict:
@@ -141,7 +194,14 @@ def normalize_config(config: dict) -> dict:
         raise ServiceError(
             f"{kind} config wants 'circuit' (a file path) or "
             f"'circuit_text' (inline IR)")
-    normalized["extract"] = _normalize_extract(config.get("extract"))
+    if kind == "simulate" and ("noc" in config) == ("extract" in config):
+        raise ServiceError(
+            "simulate config wants exactly one of 'extract' (module "
+            "groups) and 'noc' (router-index groups)")
+    if kind == "simulate" and "noc" in config:
+        normalized["noc"] = _normalize_noc(config["noc"])
+    else:
+        normalized["extract"] = _normalize_extract(config.get("extract"))
     if kind == "farm":
         # the manifest is canonicalized through FarmSpec so two
         # spellings of the same farm fingerprint identically
@@ -164,6 +224,13 @@ def normalize_config(config: dict) -> dict:
         normalized["backend"] = normalize_backend(normalized["backend"])
     if normalized["cycles"] < 1:
         raise ServiceError("cycles must be >= 1")
+    # the mill is the only caller with values for these, so only a
+    # simulate config takes them; an absent key stays absent
+    if kind == "simulate" and "fame5" in config:
+        normalized["fame5"] = _normalize_fame5(
+            config["fame5"], len(normalized.get("extract", ())))
+    if kind == "simulate" and "faults" in config:
+        normalized["faults"] = _normalize_faults(config["faults"])
     unknown = set(config) - set(normalized)
     if unknown:
         raise ServiceError(
@@ -172,22 +239,35 @@ def normalize_config(config: dict) -> dict:
     return normalized
 
 
+def load_circuit(config: dict) -> Circuit:
+    """Parse the circuit a normalized simulate or farm config names."""
+    if "circuit_text" in config:
+        return parse_circuit(config["circuit_text"])
+    try:
+        return parse_circuit(Path(config["circuit"]).read_text())
+    except OSError as exc:
+        raise ServiceError(f"cannot read circuit "
+                           f"{config['circuit']!r}: {exc}")
+
+
+def partition_spec(config: dict) -> PartitionSpec:
+    """The one place a :class:`PartitionSpec` is made from a job
+    description: ``extract`` group ``i`` is partition ``fpga{i}``,
+    ``noc`` router-index groups go to the NoC-partition-mode selector."""
+    if "noc" in config:
+        return PartitionSpec(mode=config["mode"],
+                             noc=NoCPartitionSpec.make(config["noc"]))
+    groups = [PartitionGroup.make(_group_name(i), paths)
+              for i, paths in enumerate(config["extract"])]
+    return PartitionSpec(mode=config["mode"], groups=groups)
+
+
 def compile_design(config: dict, **compile_args):
     """Parse and FireRipper-compile the circuit a normalized simulate
     or farm config names (``compile_args`` reach
     :meth:`FireRipper.compile`: the report's profile and transport)."""
-    if "circuit_text" in config:
-        text = config["circuit_text"]
-    else:
-        try:
-            text = Path(config["circuit"]).read_text()
-        except OSError as exc:
-            raise ServiceError(f"cannot read circuit "
-                               f"{config['circuit']!r}: {exc}")
-    groups = [PartitionGroup.make(f"fpga{i}", paths)
-              for i, paths in enumerate(config["extract"])]
-    spec = PartitionSpec(mode=config["mode"], groups=groups)
-    return FireRipper(spec).compile(parse_circuit(text), **compile_args)
+    return FireRipper(partition_spec(config)).compile(
+        load_circuit(config), **compile_args)
 
 
 def build_simulation(config: dict, design=None, **sinks):
@@ -195,13 +275,17 @@ def build_simulation(config: dict, design=None, **sinks):
     config describes (no run), compiling it first unless the caller
     hands back the ``design`` :func:`compile_design` made of this
     config — a rebuild after a rollback re-wires, it does not re-parse.
-    ``sinks`` — ``record_outputs`` / ``tracer`` / ``telemetry`` — are
-    forwarded to the one ``design.build_simulation``."""
+    ``fame5`` merges reach the one ``design.build_simulation``, and
+    ``faults`` harden every link over that seeded schedule.  ``sinks``
+    — ``record_outputs`` / ``tracer`` / ``telemetry`` — are forwarded."""
     if design is None:
         design = compile_design(config)
-    return design.build_simulation(
-        TRANSPORTS[config["transport"]],
-        host_freq_mhz=config["freq"], **sinks)
+    sim = design.build_simulation(
+        TRANSPORTS[config["transport"]], host_freq_mhz=config["freq"],
+        fame5_merge=config.get("fame5"), **sinks)
+    if "faults" in config:
+        harden_links(sim, FaultSpec(**config["faults"]))
+    return sim
 
 
 def _obs_extra(corr_id: str, worker_corr, tracer,

@@ -24,11 +24,11 @@ from repro.fireripper.extract import (
 from repro.fuzz.generator import (
     ALL_SHAPES,
     GeneratorKnobs,
-    build_scenario_circuit,
     generate_scenario,
-    partition_spec,
+    scenario_config,
 )
 from repro.rtl import Simulator
+from repro.service.executor import load_circuit, partition_spec
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
 
@@ -290,11 +290,11 @@ def _reference_compile(monkeypatch, spec, circuit):
 
 def _mill_cases():
     for shape in ALL_SHAPES:
-        scenario = generate_scenario(
-            14, 0, GeneratorKnobs(shapes=(shape,)))
+        config = scenario_config(generate_scenario(
+            14, 0, GeneratorKnobs(shapes=(shape,))))
         yield pytest.param(
-            lambda s=scenario: (partition_spec(s),
-                                build_scenario_circuit(s)), id=shape)
+            lambda c=config: (partition_spec(c), load_circuit(c)),
+            id=shape)
     for mode in ("fast", "exact"):
         yield pytest.param(
             lambda m=mode: (

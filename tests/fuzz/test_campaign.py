@@ -17,9 +17,12 @@ from repro.fuzz import (
     replay,
     run_campaign,
     save_repro,
+    scenario_config,
 )
 from repro.fuzz.shrink import ShrinkResult
+from repro.parallel import normalize_backend
 from repro.parallel.coordinator import fork_available
+from repro.service import normalize_config
 from repro.telemetry import RunRegistry
 
 COMMITTED_CORPUS = Path(__file__).parent / "corpus"
@@ -76,10 +79,10 @@ class TestCampaign:
         assert report.stopped_early
         failed = report.failures[0]
         assert failed.repro_path is not None
-        scenario, payload = load_repro(failed.repro_path)
+        payload = load_repro(failed.repro_path)
         assert payload["failure"]["oracle"] == "identity"
         assert payload["failure"]["backend"] == "process"
-        assert payload["num_partitions"] <= 2
+        assert len(payload["config"]["extract"]) <= 1
         assert "shrink" in payload
         # the planted bug lives in the perturbation, not the repo:
         # replaying without it comes back clean
@@ -90,25 +93,25 @@ class TestCampaign:
 class TestReproFiles:
     def test_save_load_roundtrip(self, tmp_path):
         sc = generate_scenario(7, 0, FAST_KNOBS)
-        failure = FuzzFailure("identity", "process-shm", "planted",
-                              scenario=sc.to_dict())
+        failure = FuzzFailure("identity", "process", "planted",
+                              config=scenario_config(sc))
         original = generate_scenario(7, 1, FAST_KNOBS)
         result = ShrinkResult(scenario=sc, failure=failure, rounds=2,
                               attempts=7, trail=["abc:3p", "def:2p"])
         path = save_repro(tmp_path, sc, failure, original=original,
                           shrink_result=result)
-        loaded, payload = load_repro(path)
-        assert loaded == sc
-        assert payload["original_scenario"] == original.to_dict()
+        payload = load_repro(path)
+        assert sorted(payload) == ["config", "failure", "format",
+                                   "scenario", "shrink", "version"]
+        assert payload["config"] == scenario_config(sc)
+        assert payload["scenario"] == sc.to_dict()
+        assert payload["shrink"]["original"] == original.to_dict()
         assert payload["shrink"]["attempts"] == 7
-        assert payload["spec"] is not None
 
     def test_list_corpus_summarizes(self, tmp_path):
         assert list_corpus(tmp_path / "missing") == []
         sc = generate_scenario(7, 2, FAST_KNOBS)
-        save_repro(tmp_path, sc,
-                   FuzzFailure("faults", "", "planted",
-                               scenario=sc.to_dict()))
+        save_repro(tmp_path, sc, FuzzFailure("faults", "", "planted"))
         entries = list_corpus(tmp_path)
         assert len(entries) == 1
         assert entries[0]["oracle"] == "faults"
@@ -123,14 +126,13 @@ class TestReproFiles:
         with pytest.raises(ReproError):
             load_repro(bad)
         sc = generate_scenario(7, 0, FAST_KNOBS)
-        path = save_repro(tmp_path, sc,
-                          FuzzFailure("identity", "", "x",
-                                      scenario=sc.to_dict()))
+        path = save_repro(tmp_path, sc, FuzzFailure("identity", "", "x"))
         payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ReproError):
-            load_repro(path)
+        # a v1 repro (a Scenario dict, no config) has no reader
+        for version in (1, 99):
+            path.write_text(json.dumps({**payload, "version": version}))
+            with pytest.raises(ReproError, match="unsupported"):
+                load_repro(path)
 
 
 @pytest.mark.fuzz
@@ -159,3 +161,16 @@ def test_committed_corpus_replays_clean(path):
     notes = replay(path, backends=("inproc", "process")
                    if fork_available() else ("inproc",))
     assert notes  # the oracle ran and did not raise
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_committed_corpus_spells_canonical_names(path):
+    """A corpus file is a normalized job config spelled with canonical
+    names only: normalizing it is the identity, and every backend it
+    names is already its own canonical spelling."""
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2
+    assert normalize_config(payload["config"]) == payload["config"]
+    for backend in (payload["config"]["backend"],
+                    payload["failure"]["backend"]):
+        assert not backend or normalize_backend(backend) == backend

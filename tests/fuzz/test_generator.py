@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.firrtl import circuit_fingerprint
+from repro.firrtl import circuit_fingerprint, parse_circuit
 from repro.firrtl.passes.check import check_circuit
 from repro.fuzz import (
     ALL_SHAPES,
@@ -26,11 +26,11 @@ from repro.fuzz import (
     build_scenario_circuit,
     derive_spec,
     generate_scenario,
-    make_design,
     num_partitions,
-    partition_spec,
+    scenario_config,
     shrink_candidates,
 )
+from repro.service.executor import compile_design, partition_spec
 
 SEED = 11
 #: the corpus ``repro fuzz run --seed 7 --budget 40`` (CI's fuzz-smoke)
@@ -73,6 +73,7 @@ class TestDeterminism:
             assert circuit_fingerprint(build_scenario_circuit(a)) \
                 == circuit_fingerprint(build_scenario_circuit(b))
             assert derive_spec(a) == derive_spec(b)
+            assert scenario_config(a) == scenario_config(b)
 
     def test_different_indices_differ(self):
         """Every scenario of the CI smoke corpus is a distinct target."""
@@ -84,7 +85,8 @@ class TestDeterminism:
         in it partitions."""
         assert {sc.shape for sc in SMOKE_CORPUS} == set(ALL_SHAPES)
         for sc in SMOKE_CORPUS:
-            assert len(make_design(sc).partitions) >= 2, sc.fingerprint
+            assert len(compile_design(scenario_config(sc)).partitions) \
+                >= 2, sc.fingerprint
 
     def test_fingerprints_stable_across_hash_seeds(self):
         """The audit: builders must not leak set/dict iteration order.
@@ -123,7 +125,7 @@ class TestDeterminism:
         sc = generate_scenario(SEED, 5)
         shrunk = sc.clone(max_groups=1)
         spec = derive_spec(shrunk)
-        n = len(spec.get("noc", ()) or spec.get("groups", ()))
+        n = len(spec.get("noc") or spec["extract"])
         assert n == 1
 
 
@@ -133,14 +135,16 @@ class TestDeterminism:
        index=st.integers(min_value=0, max_value=10_000))
 def test_every_generated_circuit_is_valid(seed, index):
     """Property: any (seed, index) yields a circuit that passes the IR
-    checker and has at least one legal partition spec — FireRipper
-    compiles it without error."""
+    checker and a job config with a legal partition spec — FireRipper
+    compiles it without error, from the printed circuit text."""
     scenario = generate_scenario(seed, index)
     circuit = build_scenario_circuit(scenario)
     check_circuit(circuit)
-    spec = partition_spec(scenario)
-    assert spec.num_fpgas == num_partitions(scenario)
-    design = make_design(scenario)
+    config = scenario_config(scenario)
+    assert circuit_fingerprint(parse_circuit(config["circuit_text"])) \
+        == circuit_fingerprint(circuit)
+    assert partition_spec(config).num_fpgas == num_partitions(scenario)
+    design = compile_design(config)
     assert len(design.partitions) >= 2
 
 
@@ -151,7 +155,7 @@ class TestShrinkCandidates:
             for cand in shrink_candidates(sc):
                 assert cand.shape == sc.shape
                 check_circuit(build_scenario_circuit(cand))
-                make_design(cand)
+                compile_design(scenario_config(cand))
 
     def test_candidates_get_no_bigger(self):
         for index in range(12):

@@ -10,6 +10,7 @@ from repro.fuzz import (
     num_partitions,
     probe,
     run_oracles,
+    scenario_config,
     shrink,
 )
 from repro.parallel.coordinator import fork_available
@@ -31,8 +32,7 @@ def multi_partition_scenario():
 
 
 def always_failing(sc):
-    raise FuzzFailure("identity", "process", "planted disagreement",
-                      scenario=sc.to_dict())
+    raise FuzzFailure("identity", "process", "planted disagreement")
 
 
 class TestProbe:
@@ -83,11 +83,9 @@ class TestShrink:
 
         def counted(s):
             calls.append(s)
-            raise FuzzFailure("identity", "", "planted",
-                              scenario=s.to_dict())
+            raise FuzzFailure("identity", "", "planted")
 
-        failure = FuzzFailure("identity", "", "planted",
-                              scenario=sc.to_dict())
+        failure = FuzzFailure("identity", "", "planted")
         result = shrink(sc, counted, failure=failure, max_attempts=5)
         assert result.attempts <= 5
         assert len(calls) <= 5
@@ -99,8 +97,7 @@ class TestShrink:
 
         def fails_when_multi_lane(s):
             if len(s.params["lanes"]) >= 2:
-                raise FuzzFailure("identity", "", "needs two lanes",
-                                  scenario=s.to_dict())
+                raise FuzzFailure("identity", "", "needs two lanes")
 
         if len(sc.params["lanes"]) < 2:
             pytest.skip("picked scenario is single-lane")
@@ -118,7 +115,7 @@ def test_injected_backend_bug_minimizes_to_two_partitions():
             result.tokens_transferred += 1
 
     def check(sc):
-        return run_oracles(sc, oracles=("identity",),
+        return run_oracles(scenario_config(sc), oracles=("identity",),
                            backends=("inproc", "process"),
                            perturb=perturb)
 

@@ -15,6 +15,10 @@ every partition still compiles and the event list (``link_retry``
 included), ``detail["telemetry"]``, ``detail["reliability"]``, the
 digest and a deadlock's postmortem all equal the interpreter's.
 
+Every replay builds the repro config's clean twin (its ``faults``
+key dropped), so the link preparations here never stack on top of the
+scenario's own fault schedule.
+
 These are the tests the bit-exactness contract in
 ``repro.harness.stepjit`` points at: the generated code may reorder
 nothing observable, on any backend.
@@ -26,15 +30,17 @@ from pathlib import Path
 import pytest
 
 from repro.errors import DeadlockError
-from repro.fuzz import functional_digest, load_repro, make_sim
+from repro.fuzz import functional_digest
 from repro.observability import RecordingTracer
 from repro.parallel.coordinator import fork_available
 from repro.platform import ETHERNET_100G, SwitchFabric
+from repro.service.executor import build_simulation
 from repro.telemetry import Telemetry
 
 # the hardened (drop + corrupt + spike + one flap) and raw-faulted link
-# preparations of the fixed-design differentials
-from ..harness.test_stepjit import _harden, _inject
+# preparations of the fixed-design differentials, and the repro config
+# they are applied to
+from ..harness.test_stepjit import _clean_config, _harden, _inject
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -43,10 +49,10 @@ needs_fork = pytest.mark.skipif(
 
 
 def _replay(path, backend, stepjit):
-    scenario, _ = load_repro(path)
-    sim = make_sim(scenario)
+    config = _clean_config(path)
+    sim = build_simulation(config, record_outputs=True)
     sim.stepjit = stepjit
-    result = sim.run(scenario.cycles, backend=backend)
+    result = sim.run(config["cycles"], backend=backend)
     return sim, result, functional_digest(sim, result)
 
 
@@ -89,16 +95,17 @@ def _replay_observed(path, backend, stepjit, prepare=None, sinks=True):
     """Replay traced + sampled (or with the null sinks), optionally
     over ``prepare``d links; what an observer sees of the run — a
     deadlock's message and postmortem included."""
-    scenario, _ = load_repro(path)
+    config = _clean_config(path)
     tracer = RecordingTracer()
-    sim = make_sim(scenario, telemetry=Telemetry(sample_every=5),
-                   tracer=tracer) if sinks else make_sim(scenario)
+    observers = {"telemetry": Telemetry(sample_every=5),
+                 "tracer": tracer} if sinks else {}
+    sim = build_simulation(config, record_outputs=True, **observers)
     sim.stepjit = stepjit
     if prepare is not None:
         prepare(sim)
     deadlock = None
     try:
-        result = sim.run(scenario.cycles, backend=backend)
+        result = sim.run(config["cycles"], backend=backend)
     except DeadlockError as exc:
         result = sim.result()
         deadlock = (str(exc), exc.postmortem.channels,

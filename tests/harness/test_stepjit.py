@@ -18,7 +18,7 @@ from repro.fireripper import (
     PartitionGroup,
     PartitionSpec,
 )
-from repro.fuzz import functional_digest, load_repro, make_sim
+from repro.fuzz import functional_digest, load_repro
 from repro.harness import (MonolithicSimulation, PartitionedSimulation,
                            partitioned)
 from repro.harness.stepjit import (
@@ -38,6 +38,7 @@ from repro.reliability import (
 )
 from repro.reliability.checkpoint import capture_state, restore_state
 from repro.rtl import Simulator, engine
+from repro.service.executor import build_simulation
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
 from repro.telemetry import NullTelemetry, Telemetry
@@ -52,9 +53,20 @@ CORPUS = sorted(
 def _fused_sim():
     """A simulation containing at least one fused-kernel-tier unit
     (dep-free output channels): a committed NoC fuzz scenario."""
-    scenario, _ = load_repro(
+    return _corpus_sim(
         next(p for p in CORPUS if p.name.startswith("fastmode-")))
-    return make_sim(scenario)
+
+
+def _clean_config(path):
+    """A committed repro's job config without its fault schedule, so
+    the link preparations here never stack on top of it."""
+    config = load_repro(path)["config"]
+    config.pop("faults", None)
+    return config
+
+
+def _corpus_sim(path):
+    return build_simulation(_clean_config(path), record_outputs=True)
 
 
 def _build(mode=FAST, **kwargs):
@@ -189,7 +201,7 @@ class TestEligibility:
         spec = FaultSpec(seed=3, drop_rate=0.1, corrupt_rate=0.1)
         for path in CORPUS:
             for prepare in (None, harden_links, inject_faults):
-                sim = make_sim(load_repro(path)[0])
+                sim = _corpus_sim(path)
                 if prepare is not None:
                     prepare(sim, spec)
                 assert set(self._reasons(sim).values()) == {None}, path

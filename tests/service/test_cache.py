@@ -61,6 +61,62 @@ class TestNormalize:
             normalize_config({"kind": "simulate",
                               "extract": ["right"]})
 
+    def test_mill_keys_normalize_once(self, make_config):
+        """``noc``, ``fame5`` and ``faults`` are canonicalized — the
+        fault schedule to every FaultSpec field — and absent stays
+        absent."""
+        assert not {"noc", "fame5", "faults"} \
+            & set(normalize_config(make_config()))
+        config = normalize_config(make_config(
+            extract=["a", "b"], fame5={"m0": ("fpga1", "fpga0")},
+            faults={"seed": "3", "drop_rate": 0, "flaps": [(5, 1)]}))
+        assert config["fame5"] == {"m0": ["fpga1", "fpga0"]}
+        assert config["faults"] == {
+            "seed": 3, "drop_rate": 0.0, "corrupt_rate": 0.0,
+            "spike_rate": 0.0, "spike_ns": 20000.0,
+            "flaps": [[5.0, 1.0]]}
+        noc = make_config(noc=[("1", 2)])
+        del noc["extract"]
+        noc = normalize_config(noc)
+        assert noc["noc"] == [[1, 2]] and "extract" not in noc
+        for normalized in (config, noc):
+            assert normalize_config(normalized) == normalized
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"noc": [[0]]}, "exactly one of"),
+        ({"extract": None}, "exactly one of"),
+        ({"extract": None, "noc": [[0], []]}, "router-index"),
+        ({"extract": ["a", "b"], "fame5": {"m0": ["fpga0", "tile1"]}},
+         "one of the extract groups"),
+        ({"extract": None, "noc": [[0], [1]],
+          "fame5": {"m0": ["fpga0", "fpga1"]}}, "one of the extract groups"),
+        ({"extract": ["a", "b"], "fame5": {"m0": ["fpga0", "fpga0"]}},
+         "merged once"),
+        ({"extract": ["a", "b", "c"],
+          "fame5": {"m0": ["fpga0", "fpga1"], "m1": ["fpga1", "fpga2"]}},
+         "merged once"),
+        ({"extract": ["a", "b"], "fame5": {"m0": ["fpga0"]}},
+         "two or more"),
+        ({"faults": {"seed": 1, "drop": 0.1}}, "FaultSpec fields"),
+        ({"faults": {"drop_rate": 1.5}}, "must each lie in"),
+        ({"faults": {"spike_rate": -0.1}}, "must each lie in"),
+        ({"faults": {"drop_rate": 0.6, "corrupt_rate": 0.5}},
+         "must each lie in"),
+        ({"kind": "farm", "hosts": {"hosts": [{"name": "h", "cores": 2}]},
+          "faults": {"drop_rate": 0.1}}, "unknown farm config key"),
+    ], ids=["extract-and-noc", "neither", "empty-noc-group",
+            "fame5-unknown-group", "fame5-on-noc", "fame5-twice-in-merge",
+            "fame5-in-two-merges", "fame5-merge-of-one",
+            "faults-unknown-field", "fault-rate-above-1",
+            "fault-rate-negative", "fault-rates-sum-above-1",
+            "farm-takes-no-faults"])
+    def test_mill_keys_refused_at_submit(self, make_config, overrides,
+                                         match):
+        config = {k: v for k, v in make_config(**overrides).items()
+                  if v is not None}
+        with pytest.raises(ServiceError, match=match):
+            normalize_config(config)
+
     def test_experiment_config_is_minimal(self):
         normalized = normalize_config({"kind": "experiment",
                                        "experiment": "table1"})

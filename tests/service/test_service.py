@@ -3,6 +3,7 @@ priorities, cancellation, and bit-identity of cached results."""
 
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.errors import QuotaExceededError
 from repro.parallel import fork_available
 from repro.service import (
     ServiceConfig,
+    ServiceThread,
     SimulationService,
     TenantQuota,
     execute_config,
@@ -313,3 +315,32 @@ class TestJobKinds:
         assert stats["counters"]["executions"] == 1
         assert stats["cache"]["fills"] == 1
         assert "admission" in stats
+
+
+CORPUS = sorted(
+    (Path(__file__).parent.parent / "fuzz" / "corpus").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_mill_repro_runs_as_a_service_job(path, tmp_path):
+    """A committed repro's config is a job as is: the service runs it
+    to the result a direct ``execute_config`` gives, and a resubmit is
+    a cache hit."""
+    config = json.loads(path.read_text())["config"]
+    thread = ServiceThread(ServiceConfig(workers=1,
+                                         runs_dir=tmp_path / "runs"))
+    try:
+        client = thread.client()
+        cold = client.wait(client.submit(config)["job_id"], timeout=120)
+        hit = client.submit(config)
+    finally:
+        thread.stop()
+    assert (cold["state"], cold["source"]) == ("done", "execution"), cold
+    assert (hit["state"], hit["source"]) == ("done", "cache")
+    assert hit["run_id"] == cold["run_id"]
+    record = RunRegistry(tmp_path / "runs").load(cold["run_id"])
+    direct = execute_config(normalize_config(config)).result
+    keys = ("target_cycles", "tokens_transferred",
+            "per_partition_cycles", "detail")
+    assert {k: record[k] for k in keys} \
+        == json.loads(json.dumps({k: getattr(direct, k) for k in keys}))

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,18 @@ def test_pinned_import_resolves(source, module, name):
     if not hasattr(target, name):
         # ``from package import submodule``
         importlib.import_module(f"{module}.{name}")
+
+
+def test_importing_the_mill_stays_light():
+    """Every ledger child imports ``repro.fuzz`` (for
+    ``functional_digest``) before it measures, so the mill reaches the
+    executor only on first use: importing it must not load the service
+    package (asyncio, HTTP) or the process backend, which would show up
+    in every workload's ``peak_rss_mb``."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.fuzz; print(sorted("
+         "m for m in ('repro.service', 'repro.parallel', 'asyncio') "
+         "if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
