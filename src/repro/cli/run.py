@@ -177,7 +177,7 @@ def cmd_trace(args) -> int:
           f"{result.rate_khz:.2f} kHz over "
           f"{TRANSPORTS[config['transport']].name}")
     print_step_plane(sim)
-    print(f"trace: kept {len(tracer.events)} of "
+    print(f"trace: kept {len(tracer)} of "
           f"{tracer.total_emitted} events")
     for kind, count in sorted(tracer.counts().items()):
         print(f"  {kind:14s} {count}")

@@ -827,8 +827,17 @@ class PartitionedSimulation:
         if self._metrics_on:
             # the sampler sees each partition right after its slot in
             # the pass, on every backend, which is what makes the
-            # series bit-identical across them
-            self.telemetry.on_pass(self, pplan.part)
+            # series bit-identical across them.  It is called only
+            # when a unit reached the partition's next sample cycle (a
+            # partition's cycle is its slowest unit's, so ``on_pass``
+            # decides) or live status wants every pass
+            telemetry = self.telemetry
+            sampler = telemetry.sampler
+            part = pplan.part
+            if telemetry.live is not None \
+                    or pplan.unit_plans[0].unit.target_cycle >= \
+                    sampler.next_at.get(part.name, sampler.interval):
+                telemetry.on_pass(self, part)
         return progress
 
     def run(self, target_cycles: int,

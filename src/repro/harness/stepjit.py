@@ -55,15 +55,24 @@ rule and the env staleness contract this buys speed with.
 
 **The hook-set rule.**  The step function is generated for the sinks
 that are attached when it is compiled (DESIGN "The compiled step
-plane" says when that is): a live tracer gets its ``TraceEvent``
-construction and the pre-bound ``tracer.emit`` generated in at the
-interpreter's seven emit sites, live telemetry gets its counter incs
-and the depth observe, and a null sink gets nothing — no emit, no
-binding, no flag check.  An observed partition therefore runs the same
-code as a clean one plus exactly what it asked for, on both tiers:
+plane" says when that is) and prints only what changes per event.  A
+live tracer gets the interpreter's seven emit sites, each split into a
+static :class:`~repro.observability.tracer.TraceSite` bound once (kind,
+part, scope, arg keys, static arg values) and one flat row appended
+per event, ``(site, ts, dur, *dynamic_args)``, through the appender
+``tracer.row_sink()`` returned at plane build — a ``RecordingTracer``'s
+is its ring's own ``append``, so an event costs one tuple and one C
+call; the rows printed in a call are added to ``tracer.total_emitted``
+once, on the way out.  Live telemetry gets its instruments bumped as
+fields: ``counter.value += 1.0`` for ``inc()`` and, for the depth,
+``buckets[bisect_left(bounds, d)] += 1``, ``count += 1``, ``sum += d``
+— ``Histogram.observe``'s own rule.  A null sink gets nothing — no
+row, no binding, no flag check.  An observed partition therefore runs
+the same code as a clean one plus exactly what it asked for, on both
+tiers:
 
 =================  ================================  ================
-event              interpreter site                  instrument
+event (site)       interpreter site                  field bumps
 =================  ================================  ================
 ``channel_fire``   ``LIBDNHost.try_fire_outputs``
 ``credit_stall``   ``_run_unit``, credit wait > 0    ``credit_stalls``
@@ -73,7 +82,7 @@ event              interpreter site                  instrument
                                                      ``rx_depth``
 ``target_cycle``   ``_run_unit``, timed advance
 ``advance``        ``LIBDNHost.advance``
-``link_retry``     ``ReliableLinkLayer.transmit``
+``link_retry``     ``ReliableLinkLayer.transmit``    (emitted, no site)
 =================  ================================  ================
 
 The wrapper's two come out of ``_emit_fire`` / ``_emit_kernel_fire``
@@ -89,8 +98,10 @@ registry snapshot lists the same instruments and a fallback pass
 increments the same objects.  Events and samples read only the timing
 overlay and the cycle counters, never the RTL env, so the kernel
 tier's stale-comb-env contract does not touch them.  The sampler
-itself runs where it always did: ``_step_partition`` calls
-``telemetry.on_pass`` after the step function returns.
+itself runs where it always did, after the step function returns:
+``_step_partition`` compares the partition against its next sample
+cycle and calls ``telemetry.on_pass`` only when it got there (or live
+status is attached).
 
 **The call-out rule.**  Nothing attached to a run selects its engine.
 A reliability layer, a fault injector and a switch fabric are stateful
@@ -131,9 +142,10 @@ the generated source.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..observability.tracer import TraceEvent
+from ..observability.tracer import ROW, TraceSite
 from ..rtl.kernel import pack_expr, unit_kernels
 
 __all__ = [
@@ -237,6 +249,10 @@ def _repack_expr(word: str, plan) -> str:
         for s_off, mask, d_off in plan) or "0"
 
 
+class _Src(str):
+    """A trace arg printed as source: read when the event fires."""
+
+
 def _token_dict_expr(word: str, fields) -> str:
     """Inline ``codec.decode(word)`` as a dict literal (same key order:
     spec order)."""
@@ -275,14 +291,15 @@ class _PartitionCodegen:
         self.trace = sim._trace
         self.metrics = sim._metrics_on
         if self.trace:
-            self.EV = b.bind(TraceEvent, "ev")
-            self.EM = b.bind(sim.tracer.emit, "em")
+            self.EM = b.bind(sim.tracer.row_sink(), "em")
+            self.TR = b.bind(sim.tracer, "tr")
         if self.metrics:
             registry = sim.telemetry.registry
             self.RGC = b.bind(registry.counter, "rgc")
             self.RGH = b.bind(registry.histogram, "rgh")
             self.RX = b.bind(sim._rx_instruments, "rx")
             self.RXG = b.bind(sim._rx_instruments.get, "rxg")
+            self.BL = b.bind(bisect_left, "bl")
 
     # -- fragments --------------------------------------------------------
 
@@ -316,13 +333,22 @@ class _PartitionCodegen:
                 for local, attr in pairs]
 
     def _emit_event(self, L: int, kind: str, ts: str, dur: str,
-                    part: str, scope: str, args: str) -> None:
+                    part: str, scope: str, args) -> None:
         """One trace emit site (live tracer only): the interpreter's
-        ``tracer.emit(TraceEvent(...))`` with the static fields folded
-        to literals; ``ts``/``dur``/``args`` are source expressions."""
+        ``tracer.emit(TraceEvent(...))`` split into a :class:`TraceSite`
+        bound once (kind, part, scope, arg keys, static arg values) and
+        a row of what changes per event, appended to the sink.
+        ``ts``/``dur`` are source expressions; ``args`` is ``(key,
+        value)`` pairs in the interpreter's key order, a :class:`_Src`
+        value being read when the event fires."""
         if self.trace:
-            self.w.emit(L, f"{self.EM}({self.EV}({kind!r}, {ts}, {dur}, "
-                           f"{part!r}, {scope!r}, {args}))")
+            site = TraceSite(kind, part, scope, [
+                (key, ROW if isinstance(value, _Src) else value)
+                for key, value in args])
+            row = [self.b.bind(site, "ts"), ts, dur] + [
+                value for _, value in args if isinstance(value, _Src)]
+            self.w.emit(L, f"{self.EM}(({', '.join(row)}))")
+            self.w.emit(L, "te += 1")
 
     def _emit_count(self, L: int, up, attr: str, name: str) -> None:
         """One per-unit counter inc (live telemetry only).  The counter
@@ -337,7 +363,7 @@ class _PartitionCodegen:
             w.emit(L, "if _ct is None:")
             w.emit(L + 1, f"_ct = {UP}.{attr} = "
                           f"{self.RGC}({name!r}, {up.part.name!r})")
-            w.emit(L, "_ct.inc()")
+            w.emit(L, "_ct.value += 1.0")
 
     def _emit_wrapper_event(self, L: int, kind: str, up, scope: str
                             ) -> None:
@@ -347,7 +373,7 @@ class _PartitionCodegen:
         generated code carries in ``busy``."""
         U = self.b.bind(up.unit, "u")
         self._emit_event(L, kind, "busy", "0.0", up.unit.name, scope,
-                         f'{{"cycle": {U}.target_cycle}}')
+                         [("cycle", _Src(f"{U}.target_cycle"))])
 
     def _emit_fire(self, L: int, uid: int, j: int, entry, names: dict
                    ) -> None:
@@ -449,7 +475,7 @@ class _PartitionCodegen:
                        + _token_dict_expr(wvar, op.codec.fields) + ")")
             self._emit_event(
                 Lo, "bridge_output", "_ds", "0.0", part.name, op.full,
-                f'{{"cycle": {b.bind(up.unit, "u")}.target_cycle}}')
+                [("cycle", _Src(f"{b.bind(up.unit, 'u')}.target_cycle"))])
             return
         w.emit(Lo, "_st = _ds")
         LK = b.bind(link, "lk")
@@ -464,7 +490,7 @@ class _PartitionCodegen:
             self._emit_count(Lo + 1, up, "ctr_stall", "credit_stalls")
             self._emit_event(
                 Lo + 1, "credit_stall", "_ds", "_cw", part.name, op.full,
-                f'{{"link": {link.key!r}, "tokens": {LK}.tokens}}')
+                [("link", link.key), ("tokens", _Src(f"{LK}.tokens"))])
         else:
             w.emit(Lo, "cs += _st - _ds")
         w.emit(Lo, f"sd += {_f(op.tx_ns)}")
@@ -482,7 +508,7 @@ class _PartitionCodegen:
             # constants
             w.emit(Lo, f"_arr = _dep + {_f(op.wire_ns)}")
             word, held = wvar, occ
-            outcome = '"retries": 0, "retry_delay_ns": 0.0}'
+            outcome = [("retries", 0), ("retry_delay_ns", 0.0)]
         else:
             # reliability layer / fault injector: ``link.transmit`` is
             # a call-out, made where the interpreter makes it and with
@@ -499,17 +525,18 @@ class _PartitionCodegen:
             w.emit(Lo, "_rw = _r.word")
             w.emit(Lo, f"{LK}.next_free += _rd")
             word, held = "_rw", f"{occ} + _rd"
-            outcome = '"retries": _r.retries, "retry_delay_ns": _rd}'
+            outcome = [("retries", _Src("_r.retries")),
+                       ("retry_delay_ns", _Src("_rd"))]
         if op.repack is not None:
             w.emit(Lo, f"_mw = {_repack_expr(word, op.repack)}")
             word = "_mw"
         w.emit(Lo, f"{LK}.busy_ns += {held}")
         self._emit_event(
             Lo, "token_tx", "_st", repr(op.tx_ns), part.name, op.full,
-            f'{{"link": {link.key!r}, "width": {op.width!r}, '
-            f'"serdes_ns": {op.tx_ns!r}, "wire_ns": {op.wire_ns!r}, '
-            f'"occupancy_ns": {op.occupancy_ns!r}, '
-            f'"queue_wait_ns": _dep - busy, ' + outcome)
+            [("link", link.key), ("width", op.width),
+             ("serdes_ns", op.tx_ns), ("wire_ns", op.wire_ns),
+             ("occupancy_ns", op.occupancy_ns),
+             ("queue_wait_ns", _Src("_dep - busy"))] + outcome)
         if op.clean:
             self._emit_delivery(Lo, op, word)
         else:
@@ -554,13 +581,17 @@ class _PartitionCodegen:
             w.emit(Lo + 1, f"_i = {self.RX}[{dp!r}] = ("
                            f"{self.RGC}('tokens_rx', {dp!r}), "
                            f"{self.RGH}('rx_depth', {dp!r}))")
-            w.emit(Lo, "_i[0].inc()")
-            w.emit(Lo, "_i[1].observe(_d)")
+            # Counter.inc and Histogram.observe, as field bumps
+            w.emit(Lo, "_i[0].value += 1.0")
+            w.emit(Lo, "_rh = _i[1]")
+            w.emit(Lo, f"_rh.buckets[{self.BL}(_rh.bounds, _d)] += 1")
+            w.emit(Lo, "_rh.count += 1")
+            w.emit(Lo, "_rh.sum += _d")
         self._emit_event(
             Lo, "token_rx", f"_arr + {rx}", "0.0", link.dst[0],
             link.dst[1],
-            f'{{"link": {link.key!r}, "rx_serdes_ns": {op.rx_ns!r}, '
-            f'"depth": _d}}')
+            [("link", link.key), ("rx_serdes_ns", op.rx_ns),
+             ("depth", _Src("_d"))])
 
     def _emit_advance_timing(self, La: int, up) -> None:
         """The advance's timing bookkeeping: arrival pops, link-wait
@@ -593,8 +624,8 @@ class _PartitionCodegen:
             La, "target_cycle", "_st",
             repr(up.host_cycle_ns + part.advance_overhead_ns),
             part.name, up.prefix + up.unit.name,
-            f'{{"cycle": {b.bind(up.unit, "u")}.target_cycle, '
-            f'"input_wait_ns": _st - busy}}')
+            [("cycle", _Src(f"{b.bind(up.unit, 'u')}.target_cycle")),
+             ("input_wait_ns", _Src("_st - busy"))])
         if ovh:
             w.emit(La, f"busy = _st + {hc} + {_f(ovh)}")
         else:
@@ -815,6 +846,16 @@ class _PartitionCodegen:
         body, w = self.w.lines, _Writer()
         cells = [(f"stl{uid}", f"{self.b.bind(cell, 'dc')}[0]")
                  for uid, cell in self.settle_cells.items()]
+        load = self._cursor_stmts(load=True) \
+            + [f"{local} = {cell}" for local, cell in cells]
+        store = self._cursor_stmts(load=False) \
+            + [f"{cell} = {local}" for local, cell in cells]
+        if self.trace:
+            # rows printed this call, added once on the way out (an
+            # interpreter pass or a call-out adds its own events there
+            # as it emits them)
+            load.append("te = 0")
+            store.append(f"{self.TR}.total_emitted += te")
         w.emit(0, "def _make(_B):")
         w.emit(1, "def _step(")
         w.emit(2, "target_cycles,")
@@ -822,14 +863,12 @@ class _PartitionCodegen:
             w.emit(2, f"{name}=_B[{name!r}],")
         w.emit(1, "):")
         w.emit(2, "progress = False")
-        for stmt in self._cursor_stmts(load=True) \
-                + [f"{local} = {cell}" for local, cell in cells]:
+        for stmt in load:
             w.emit(2, stmt)
         w.emit(2, "try:")
         w.lines.extend(body or ["    " * Lt + "pass"])
         w.emit(2, "finally:")
-        for stmt in self._cursor_stmts(load=False) \
-                + [f"{cell} = {local}" for local, cell in cells]:
+        for stmt in store:
             w.emit(3, stmt)
         w.emit(2, "return progress")
         w.emit(1, "return _step")

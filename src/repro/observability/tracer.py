@@ -5,7 +5,8 @@ the run supervisor all emit :class:`TraceEvent` records through a
 :class:`Tracer`.  The default sink is :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False``; every emit site guards on that flag, so
 an untraced run does not even construct the event objects — tracing is
-strictly pay-as-you-go.  On the compiled step plane a null sink costs
+strictly pay-as-you-go.  On the compiled step plane a live sink costs
+one tuple append per event (see *Rows* below) and a null sink costs
 nothing at all: it prints the same step functions as no sink
 (``tests/harness/test_stepjit.py::TestGeneratedSources::
 test_null_sinks_print_the_untraced_plane``).
@@ -51,13 +52,24 @@ python wall time).  Lifecycle kinds (``submitted`` ..
 ``host_replace``, built by
 :func:`~repro.observability.events.lifecycle_event`) are stamped with
 ``time.monotonic_ns`` and carry the wall clock as ``args["wall"]``.
+
+**Rows.**  ``TraceEvent`` is the only record anyone reads, and
+``emit(event)`` the protocol of every emitter but one: the compiled
+step plane prints each of its emit sites as a static
+:class:`TraceSite` and hands the sink flat rows, ``(site, ts_ns,
+dur_ns, *dynamic_args)``, through the appender :meth:`Tracer.row_sink`
+returns.  The base sink builds the event and calls ``emit``;
+:class:`RecordingTracer` stores the row as it is and builds its
+``TraceEvent`` when the event is read, equal to the one the
+interpreter emits in every field, arg-key order and ``repr``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 
 @dataclass
@@ -79,6 +91,45 @@ class TraceEvent:
     part: str = ""
     scope: str = ""
     args: Dict[str, object] = field(default_factory=dict)
+
+
+#: a :class:`TraceSite` arg whose value rides in the row
+ROW = object()
+
+
+class TraceSite:
+    """One compiled emit site: what every event it prints shares.
+
+    ``args`` is ``((key, value), ...)`` in printed order, ``value``
+    being :data:`ROW` for an arg read when the event fires; those ride
+    in the row after ``ts_ns`` and ``dur_ns``, in the same order.
+    """
+
+    __slots__ = ("kind", "part", "scope", "args")
+
+    def __init__(self, kind: str, part: str, scope: str, args):
+        self.kind = kind
+        self.part = part
+        self.scope = scope
+        self.args = tuple(args)
+
+    def event(self, row: tuple) -> TraceEvent:
+        """The :class:`TraceEvent` of one of this site's rows."""
+        dynamic = iter(row[3:])
+        return TraceEvent(
+            self.kind, row[1], row[2], self.part, self.scope,
+            {key: next(dynamic) if value is ROW else value
+             for key, value in self.args})
+
+
+def _event(entry) -> TraceEvent:
+    """A ring entry as an event: emitted events are stored as they
+    are, step-plane rows are built."""
+    return entry if type(entry) is not tuple else entry[0].event(entry)
+
+
+def _kind(entry) -> str:
+    return entry.kind if type(entry) is not tuple else entry[0].kind
 
 
 def event_to_dict(event: TraceEvent) -> dict:
@@ -120,9 +171,23 @@ class Tracer:
 
     #: emit sites skip event construction entirely when False
     enabled: bool = True
+    #: the compiled step plane adds the rows it printed here, once per
+    #: step call (``RecordingTracer.emit`` counts its events here too)
+    total_emitted: int = 0
 
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
+
+    def row_sink(self) -> Callable[[tuple], None]:
+        """The appender a compiled step plane prints its rows into,
+        taken once per plane build.  By default each row becomes its
+        :class:`TraceEvent` and goes through :meth:`emit`, so any sink
+        takes rows unchanged."""
+        emit = self.emit
+
+        def sink(row: tuple) -> None:
+            emit(row[0].event(row))
+        return sink
 
     def recent(self, n: int) -> List[TraceEvent]:
         """Last ``n`` events this tracer retained (empty by default)."""
@@ -148,6 +213,10 @@ NULL_TRACER = NullTracer()
 class RecordingTracer(Tracer):
     """Keeps events in memory, optionally as a bounded ring buffer.
 
+    The ring holds emitted events and step-plane rows side by side (the
+    row appender is the ring's own ``append``); every reader returns
+    :class:`TraceEvent` s, building a row's when it is read.
+
     Args:
         capacity: maximum events retained (oldest dropped first);
             ``None`` keeps everything.
@@ -155,16 +224,20 @@ class RecordingTracer(Tracer):
 
     def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: Deque[Union[TraceEvent, tuple]] = deque(
+            maxlen=capacity)
         self.total_emitted = 0
 
     def emit(self, event: TraceEvent) -> None:
         self._events.append(event)
         self.total_emitted += 1
 
+    def row_sink(self) -> Callable[[tuple], None]:
+        return self._events.append
+
     @property
     def events(self) -> List[TraceEvent]:
-        return list(self._events)
+        return [_event(entry) for entry in self._events]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -172,16 +245,20 @@ class RecordingTracer(Tracer):
     def recent(self, n: int) -> List[TraceEvent]:
         if n <= 0:
             return []
-        return list(self._events)[-n:]
+        tail = list(islice(reversed(self._events), n))
+        tail.reverse()
+        return [_event(entry) for entry in tail]
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self._events if e.kind == kind]
+        return [_event(entry) for entry in self._events
+                if _kind(entry) == kind]
 
     def counts(self) -> Dict[str, int]:
         """Retained event count per kind."""
-        return dict(Counter(e.kind for e in self._events))
+        return dict(Counter(map(_kind, self._events)))
 
     def clear(self) -> None:
+        # in place: a compiled plane holds the ring's bound append
         self._events.clear()
         self.total_emitted = 0
 

@@ -625,11 +625,15 @@ class ProcessBackend:
         frontier = min(states[n].postmortem["frontier"]
                        for n in sim.partitions)
         if sim.tracer.enabled:
-            sim.tracer.emit(TraceEvent(
+            deadlock = TraceEvent(
                 "deadlock",
                 ts_ns=max(states[n].postmortem["busy_until"]
                           for n in sim.partitions),
-                args={"host_passes": k_star, "frontier": frontier}))
+                args={"host_passes": k_star, "frontier": frontier})
+            sim.tracer.emit(deadlock)
+            # the ring ends with the deadlock itself, as the serial
+            # loop's does
+            events.append(deadlock)
         postmortem = DeadlockPostmortem(
             host_passes=k_star,
             frontier_cycle=frontier,

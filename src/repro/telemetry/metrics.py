@@ -18,8 +18,10 @@ already uses for links and arrival queues.
 Like the tracer, the default is a :data:`NULL_METRICS` registry whose
 ``enabled`` flag is ``False``; every instrument site in the harness
 guards on that flag, so an uninstrumented interpreted run pays one
-attribute read per potential update, and the compiled step plane
-prints nothing for it (``TestGeneratedSources::
+attribute read per potential update.  The compiled step plane prints a
+live registry's updates as field bumps (``counter.value += 1.0``, the
+histogram's bucket/count/sum) and prints nothing for the null one
+(``TestGeneratedSources::
 test_null_sinks_print_the_untraced_plane`` in
 ``tests/harness/test_stepjit.py``).
 
@@ -35,6 +37,7 @@ always on, exported through ``/stats`` and :func:`render_prometheus`
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: default histogram bucket upper bounds (the last bucket is +inf)
@@ -77,6 +80,8 @@ class Histogram:
     ``buckets[i]`` counts observations ``<= bounds[i]``; the trailing
     bucket counts the rest.  Bounds are fixed at construction so two
     histograms of the same instrument always merge bucket-for-bucket.
+    The landing bucket is ``bisect_left(bounds, value)``, the one rule
+    :meth:`observe` and the compiled step plane's printed bump share.
     """
 
     __slots__ = ("name", "part", "bounds", "buckets", "count", "sum")
@@ -91,12 +96,7 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                break
-        else:
-            self.buckets[-1] += 1
+        self.buckets[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
 

@@ -56,17 +56,20 @@ class Sampler:
         self.interval = interval
         #: partition -> ordered sample series
         self.series: Dict[str, List[SeriesPoint]] = {}
-        #: partition -> next target cycle at which to sample
-        self._next: Dict[str, int] = {}
+        #: partition -> next target cycle at which to sample (absent:
+        #: ``interval``); the harness compares against it before it
+        #: calls in, so a pass that crosses no threshold costs one
+        #: lookup
+        self.next_at: Dict[str, int] = {}
 
     def on_pass(self, sim, part) -> None:
         """Called by the harness right after ``part``'s slot in a pass;
         takes a sample when the partition crossed its next threshold."""
         cycle = part.target_cycle
-        if cycle < self._next.get(part.name, self.interval):
+        if cycle < self.next_at.get(part.name, self.interval):
             return
         self.take(sim, part)
-        self._next[part.name] = \
+        self.next_at[part.name] = \
             (cycle // self.interval + 1) * self.interval
 
     def take(self, sim, part) -> SeriesPoint:
@@ -110,7 +113,7 @@ class Sampler:
         return {
             "interval": self.interval,
             "next": {name: cycle
-                     for name, cycle in sorted(self._next.items())
+                     for name, cycle in sorted(self.next_at.items())
                      if part in (None, name)},
             "series": {
                 name: [[cycle, dict(sorted(values.items()))]
@@ -126,10 +129,10 @@ class Sampler:
         only that partition's cursor and series."""
         if part is None:
             self.interval = state.get("interval", self.interval)
-            self._next, self.series = {}, {}
+            self.next_at, self.series = {}, {}
         for name, cycle in state.get("next", {}).items():
             if part in (None, name):
-                self._next[name] = int(cycle)
+                self.next_at[name] = int(cycle)
         for name, points in state.get("series", {}).items():
             if part in (None, name):
                 self.series[name] = [(int(cycle), dict(values))

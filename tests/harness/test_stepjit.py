@@ -27,7 +27,9 @@ from repro.harness.stepjit import (
     stepjit_enabled,
     generate_partition_source,
 )
-from repro.observability import NullTracer, RecordingTracer, TraceEvent
+from repro.observability import (NullTracer, RecordingTracer,
+                                 stream_chrome_trace)
+from repro.observability.tracer import TraceSite
 from repro.parallel.coordinator import fork_available
 from repro.platform import HOST_PCIE, QSFP_AURORA
 from repro.reliability import (
@@ -233,26 +235,38 @@ class TestGeneratedSources:
             assert "def _step(" in src
 
     def test_live_sinks_are_in_the_source_null_sinks_are_not(self):
-        """A live sink's emit sites are in the source; the null sinks
-        leave no trace of either in it."""
-        sources = generate_sources(_build(
-            tracer=RecordingTracer(), telemetry=Telemetry(sample_every=10)))
-        for src, reason in sources.values():
-            assert reason is None
-            for kind in ("channel_fire", "advance", "credit_stall",
-                         "token_tx", "target_cycle"):
-                assert f"({kind!r}, " in src, kind
-            assert ".ctr_tx" in src and ".ctr_stall" in src
-        assert "'bridge_output'" in sources["base"][0]
-        assert ".ctr_bridge" in sources["base"][0]
-        assert any("'token_rx'" in src and "'rx_depth'" in src
-                   for src, _ in sources.values())
+        """A live sink's emit sites are static sites bound into the
+        step function, its rows plain tuples and its instruments field
+        bumps — no event, no instrument method in the source; the null
+        sinks leave no trace of either in it."""
+        sim = _build(tracer=RecordingTracer(),
+                     telemetry=Telemetry(sample_every=10))
+        kinds, sources = {}, {}
+        for pplan in sim.ensure_schedule():
+            name = pplan.part.name
+            sources[name], bindings = generate_partition_source(sim, pplan)
+            kinds[name] = {v.kind for v in bindings.values()
+                           if isinstance(v, TraceSite)}
+            for call in ("TraceEvent(", ".inc()", ".observe("):
+                assert call not in sources[name], call
+            assert {"channel_fire", "advance", "credit_stall", "token_tx",
+                    "target_cycle"} <= kinds[name]
+            assert ".ctr_tx" in sources[name] \
+                and ".ctr_stall" in sources[name]
+        assert set().union(*kinds.values()) == {
+            "channel_fire", "advance", "credit_stall", "token_tx",
+            "token_rx", "target_cycle", "bridge_output"}
+        assert "bridge_output" in kinds["base"]
+        assert ".ctr_bridge" in sources["base"]
+        assert any("token_rx" in kinds[name] and "'rx_depth'" in src
+                   for name, src in sources.items())
         clean = _build()
         for pplan in clean.ensure_schedule():
             src, bindings = generate_partition_source(clean, pplan)
-            assert "_ev" not in src and "_em" not in src
-            assert "_rgc" not in src and ".ctr_" not in src
-            assert TraceEvent not in bindings.values()
+            assert "_em" not in src and "_rgc" not in src
+            assert ".ctr_" not in src and "te += 1" not in src
+            assert not any(isinstance(v, TraceSite)
+                           for v in bindings.values())
 
     # the null-sink binding tables of the comb-pair build, as generated
     # before the emit sites existed
@@ -312,7 +326,7 @@ class TestGeneratedSources:
             names = [n for n, v in bindings.items()
                      if any(v is obj for obj in state)]
             sites = [line for line in src.splitlines()
-                     if re.search(r"_ev\d|\.inc\(\)|\.observe\(", line)]
+                     if re.search(r"_em\d|\.value \+=|_rh\.", line)]
             assert names and sites
             for line in sites:
                 assert not re.search(
@@ -522,6 +536,60 @@ class TestObservedIdentity:
         sim, jit = _observe(build, 40, True, backend, prepare)
         _, interp = _observe(build, 40, False, backend, prepare)
         assert jit == interp
+
+    def test_bounded_ring_of_rows_and_events(self, backend):
+        """A 64-entry ring over a run that emits thousands of events.
+        The outbox-guard fallback puts interpreter-emitted events among
+        the plane's rows; what the ring retains, its tail, its per-kind
+        counts and ``total_emitted`` are the interpreter's, at the seam
+        and at the end."""
+        def seen(jit):
+            tracer = RecordingTracer(capacity=64)
+            sim = _ring8(FAST)(tracer=tracer,
+                               telemetry=Telemetry(sample_every=7))
+            sim.stepjit = jit
+            sim.run(5, backend="inproc")
+            for part in sim.partitions.values():
+                for _, unit in part.units:
+                    unit.try_fire_outputs()
+            views = []
+            for cycles in (7, 200):
+                sim.run(cycles, backend=backend)
+                views.append({
+                    "events": [repr(e) for e in tracer.events],
+                    "recent": [repr(e) for e in tracer.recent(5)],
+                    "counts": tracer.counts(),
+                    "total_emitted": tracer.total_emitted,
+                    "stored": {type(e).__name__ for e in tracer._events}})
+            return views
+
+        jit, interp = seen(True), seen(False)
+        stored = [view.pop("stored") for view in jit]
+        assert [view.pop("stored") for view in interp] \
+            == [{"TraceEvent"}] * 2
+        assert jit == interp
+        assert [len(view["events"]) for view in jit] == [64, 64]
+        # a process run merges what each worker's own 64-ring kept
+        assert jit[1]["total_emitted"] > 5 * 64
+        if backend == "inproc":
+            # at the seam: the rows the plane appended beside the
+            # events the fallback pass emitted
+            assert stored[0] == {"tuple", "TraceEvent"}
+
+    def test_chrome_trace_bytes_match(self, backend, tmp_path):
+        """The Chrome export of the traced ring8 is the interpreter's,
+        byte for byte."""
+        traces = []
+        for jit in (True, False):
+            tracer = RecordingTracer()
+            sim = _ring8(FAST)(tracer=tracer)
+            sim.stepjit = jit
+            sim.run(120, backend=backend)
+            path = stream_chrome_trace(tracer.events,
+                                       tmp_path / f"jit{jit:d}.json")
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
+        assert b'"token_rx"' in traces[0]
 
     BUILDS = {"ring8": (_ring8(FAST), 200),
               "pair-fast": (lambda **kw: _build(**kw), 80),

@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.telemetry import (
     NULL_METRICS,
     Counter,
@@ -10,6 +13,28 @@ from repro.telemetry import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
+from repro.telemetry.metrics import DEFAULT_BUCKETS
+
+_NUMBERS = st.integers(-100, 200) | st.floats(-1e6, 1e6)
+_BOUNDS = st.just(DEFAULT_BUCKETS) | st.lists(
+    st.integers(-10, 80) | st.floats(-10, 80), min_size=1, max_size=8,
+    unique=True).map(sorted).map(tuple)
+
+
+def _loop_observe(bounds, values):
+    """The bucket rule ``Histogram.observe`` had before it bisected:
+    the first bound the value does not exceed, else the overflow."""
+    buckets, count, total = [0] * (len(bounds) + 1), 0, 0.0
+    for value in values:
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                buckets[i] += 1
+                break
+        else:
+            buckets[-1] += 1
+        count += 1
+        total += value
+    return buckets, count, total
 
 
 class TestInstruments:
@@ -33,6 +58,20 @@ class TestInstruments:
         assert h.count == 4
         assert h.sum == 15
         assert h.as_dict()["bounds"] == [1, 4]
+
+    @given(st.data())
+    def test_one_bucket_rule(self, data):
+        """``observe`` lands every value where the old loop did: on a
+        bound, between bounds, past the last one, negative, int or
+        float — and count and sum follow."""
+        bounds = data.draw(_BOUNDS)
+        values = data.draw(st.lists(
+            st.sampled_from(bounds) | st.just(bounds[-1] + 1)
+            | st.just(-abs(bounds[0]) - 1) | _NUMBERS, max_size=40))
+        h = Histogram("depth", "p0", bounds=bounds)
+        for value in values:
+            h.observe(value)
+        assert (h.buckets, h.count, h.sum) == _loop_observe(bounds, values)
 
 
 class TestRegistry:
