@@ -146,10 +146,10 @@ def register(subs) -> None:
         help="run the placed design under supervision; host deaths roll "
              "back and re-place onto the survivors")
     p.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                   help="seconds of agent silence before a host is dead")
+                   help="seconds of worker silence before it is hung")
     p.add_argument("--kill-host", action="append", metavar="HOST:PASS",
-                   help="SIGKILL this host's agent when a worker reaches "
-                        "wavefront pass PASS (repeatable)")
+                   help="the manager SIGKILLs this host's workers when one "
+                        "of them reaches wavefront pass PASS (repeatable)")
     p.add_argument("--archive", metavar="NAME",
                    help="archive the run (placement, per-host FMR) under "
                         "--runs-dir with this name")

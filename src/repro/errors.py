@@ -170,12 +170,13 @@ class UnknownBackendError(SimulationError):
 
 
 class HostDeadError(WorkerError):
-    """A farm virtual host died or went silent, taking every partition
-    worker placed on it down with it.
+    """A farm virtual host was lost: the manager pulled it by
+    SIGKILLing every partition worker placed on it, and one of them
+    died with its work outstanding.
 
-    Raised by the farm manager after it has aborted the surviving
-    hosts and reaped every agent, so (like :class:`WorkerError`) the
-    supervisor's ordinary rollback/re-place path applies.
+    Raised by the farm manager's supervision loop, which then aborts
+    and reaps every remaining worker, so (like :class:`WorkerError`)
+    the supervisor's ordinary rollback/re-place path applies.
 
     Attributes:
         host: name of the lost host.

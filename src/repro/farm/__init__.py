@@ -6,12 +6,11 @@ FireSim's manager owns the corresponding deploy/supervise machinery.
 This package reproduces that layer in software, with no real cluster
 needed: hosts are declared in a JSON manifest (``hosts``), FireSim-
 style topology passes place partitions to minimize the modelled
-cross-host cut (``placement``), each placed host becomes a *virtual
-host* — an OS process that forks the partition workers placed on it
-(``deploy``) — and a manager supervises the agents, turns a host loss
+cross-host cut (``placement``), and a manager (``manager``) forks the
+partition workers onto their *virtual hosts* — a host is a label on
+the workers placed on it — supervises them directly, turns a host loss
 into the supervisor's ordinary rollback + re-place path, and collects
-fragments, telemetry and per-host FMR back into the run registry
-(``manager``).
+fragments, telemetry and per-host FMR back into the run registry.
 
 Partition traffic, same host or not, travels over the process
 backend's stream-socket pairs (:mod:`repro.parallel.socket_transport`).

@@ -55,7 +55,7 @@ class HostSpec:
     name: str
     cores: int = 4
     memory_gb: float = 16.0
-    #: flips to False when the farm manager reaps the host's agent;
+    #: flips to False when the farm manager pulls the host;
     #: dead hosts are excluded from re-placement after a rollback
     alive: bool = True
 

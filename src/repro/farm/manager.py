@@ -1,26 +1,18 @@
 """Farm manager: place, deploy, supervise, collect.
 
-:class:`FarmBackend` is the run-farm execution engine — a
-:class:`~repro.parallel.ProcessBackend` whose endpoints are *host
-agents* (:mod:`repro.farm.deploy`), each fronting the partition
-workers placed on it.  The supervision loop, the spawner, the data
-plane (stream-socket pairs the manager makes before forking), the
-merge and the cleanup are the process backend's, unchanged, so
-results stay bit-identical to every other backend.  The farm adds:
+:class:`FarmBackend` is the run-farm execution engine: a
+:class:`~repro.parallel.ProcessBackend` whose partition workers carry
+a virtual-host label.  Spawner, supervision loop, data plane, merge
+and cleanup are the process backend's, unchanged, so results stay
+bit-identical to every other backend.  The farm adds:
 
 * **placement / re-placement bookkeeping** — every run re-places the
-  design onto the farm's live hosts (:mod:`repro.farm.placement`) and
-  forks one agent per placed host;
-* **host-death classification** — an agent that dies with work
-  outstanding, or goes silent, is a
-  :class:`~repro.errors.HostDeadError` (a ``WorkerError``), raised
-  after the host is marked dead in the :class:`~repro.farm.hosts.
-  FarmSpec`.  That lands a whole-host loss on the
-  :class:`~repro.reliability.supervisor.RunSupervisor`'s ordinary
-  rollback path: restore the last checkpoint, and the next ``run``
-  re-places onto the survivors;
-* **the ping/pong agent probe** that makes agent silence observable
-  while its workers are quiet;
+  design onto the farm's live hosts (:mod:`repro.farm.placement`);
+* **host loss** — pulling a host SIGKILLs every worker placed on it,
+  and a lost worker on a pulled host is a
+  :class:`~repro.errors.HostDeadError` (a ``WorkerError``), which the
+  :class:`~repro.reliability.supervisor.RunSupervisor` rolls back like
+  any other: restore the last checkpoint, re-place onto the survivors;
 * **per-host FMR** — the partition breakdown summed by hosting host.
 
 :class:`FarmManager` is the porcelain the ``repro farm`` CLI drives:
@@ -35,18 +27,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import HostDeadError
-from ..parallel.coordinator import (Endpoint, ProcessBackend,
-                                    broadcast, emit_event,
-                                    fork_endpoints)
+from ..parallel.coordinator import (ProcessBackend, Worker, emit_event,
+                                    fork_workers)
 from ..reliability.supervisor import RunSupervisor, SupervisorReport
-from .deploy import host_agent_main
 from .hosts import FarmSpec
 from .placement import Placement, place_sim
 
 
 class FarmBackend(ProcessBackend):
     """Distributed execution across simulated hosts: the process
-    backend's supervision loop over host-agent endpoints (what the
+    backend's supervision loop over workers placed on hosts (what the
     farm adds to it is listed in the module docstring).
 
     Args:
@@ -54,9 +44,10 @@ class FarmBackend(ProcessBackend):
             prices cross-host links with its link classes.
         colocate: partition groups that must share a host (e.g.
             FAME-5 instance-multithreading candidates).
-        host_faults: test hook — ``{host: pass_no}``; the host's agent
-            SIGKILLs itself (a whole-host loss) when any of its
-            workers reports reaching that wavefront pass.
+        host_faults: test hook — ``{host: pass_no}``; the manager pulls
+            the host (SIGKILLs every worker placed on it, a whole-host
+            loss) when any of those workers reports reaching that
+            wavefront pass.
         Remaining arguments as for
             :class:`~repro.parallel.ProcessBackend`.
     """
@@ -72,7 +63,6 @@ class FarmBackend(ProcessBackend):
         self.colocate = [list(g) for g in colocate]
         self.host_faults = dict(host_faults or {})
         self._backend_label = "farm"
-        self._last_ping = 0.0
         #: placement of the last (attempted) run
         self.last_placement: Optional[Placement] = None
         #: every placement this backend computed, in order (a re-run
@@ -95,9 +85,9 @@ class FarmBackend(ProcessBackend):
         return result
 
     def _spawn(self, sim, target_cycles: int,
-               max_passes: int) -> List[Endpoint]:
-        """(Re-)place the design on the live hosts and fork one agent
-        endpoint per placed host, fronting that host's partitions."""
+               max_passes: int) -> Dict[str, Worker]:
+        """(Re-)place the design on the live hosts, log one deploy per
+        placed host and fork every worker, tagged with its host."""
         placement = place_sim(sim, self.spec, self.colocate)
         # the supervisor runs once per checkpoint segment; only record
         # the placement when it actually changed (it does after a host
@@ -110,61 +100,40 @@ class FarmBackend(ProcessBackend):
                            hosts=",".join(sorted(placement.by_host())),
                            assignment=dict(placement.assignment))
         self.last_placement = placement
-        options = self._worker_options(sim)
-        # agents fork the partition workers, so they cannot be
-        # daemonic; they exit when reaped (SIGTERM) or on manager EOF
-        return fork_endpoints(sim, "agent", "host_deploy", [
-            (host, parts, host_agent_main,
-             (host, target_cycles, max_passes,
-              {part: options[part] for part in parts},
-              self.host_faults.get(host)),
-             {"host": host, "parts": ",".join(parts)},
-             [end for part in parts
-              for end in options[part]["ends"].values()])
-            for host, parts in sorted(placement.by_host().items())],
-            daemon=False)
+        for host, parts in sorted(placement.by_host().items()):
+            emit_event(sim, "host_deploy", host=host,
+                       parts=",".join(parts))
+        return fork_workers(
+            sim, self._worker_options(sim), target_cycles, max_passes,
+            {part: {"host": host, "backend": self._backend_label}
+             for part, host in placement.assignment.items()})
 
-    def _find_failure(self, sim, endpoints, states, now,
-                      quiescing: bool):
-        """Host-level verdicts around the worker-level ones: an agent
-        that died with work outstanding is a lost host (its workers
-        died *because* it did, so it is checked first); an agent that
-        stops answering the ping/pong probe is a lost host too."""
-        outstanding = [ep for ep in endpoints
-                       if any(states[p].fragment is None
-                              for p in ep.parts)]
-        if not quiescing:
-            for ep in outstanding:
-                if ep.dead:
-                    return self._host_dead(
-                        sim, ep.name, "died",
-                        f"host agent exited with code "
-                        f"{ep.proc.exitcode}, taking partition(s) "
-                        f"{', '.join(ep.parts)} down")
-        failure = super()._find_failure(sim, endpoints, states, now,
-                                        quiescing)
-        if failure is not None:
-            return failure
-        # workers are checked individually above (their heartbeats
-        # relay through the agent), agents through the probe — sent
-        # often enough that a live agent never looks silent
-        if now - self._last_ping >= self.heartbeat_timeout / 4:
-            self._last_ping = now
-            broadcast(endpoints, ("ping",))
-        for ep in outstanding:
-            if not ep.dead \
-                    and now - ep.last_seen > self.heartbeat_timeout:
-                return self._host_dead(
-                    sim, ep.name, "heartbeat-timeout",
-                    f"no message from the host agent for more than "
-                    f"{self.heartbeat_timeout}s")
-        return None
-
-    def _host_dead(self, sim, host: str, reason: str,
-                   message: str) -> HostDeadError:
-        self.spec.mark_dead(host)
-        emit_event(sim, "host_death", host=host, reason=reason)
-        return HostDeadError(host, reason, message)
+    def _find_failure(self, sim, states, now, quiescing: bool):
+        """Host-level verdicts before the worker-level ones.  A host
+        whose fault trigger one of its workers' reports reached is
+        pulled: marked dead, and every worker placed on it SIGKILLed.
+        A lost worker on a pulled host is then a lost host — checked
+        first, since its peers elsewhere fail *because* it died."""
+        host_of = self.last_placement.assignment
+        for worker in states.values():
+            host = host_of[worker.name]
+            trigger = self.host_faults.get(host)
+            if trigger is not None and self.spec.hosts[host].alive \
+                    and worker.max_reported >= trigger:
+                self.spec.mark_dead(host)
+                for other in states.values():
+                    if host_of[other.name] == host:
+                        other.proc.kill()
+        for worker in states.values():
+            host = host_of[worker.name]
+            if worker.dead and worker.fragment is None \
+                    and not self.spec.hosts[host].alive:
+                emit_event(sim, "host_death", host=host, reason="died")
+                return HostDeadError(
+                    host, "died", f"the manager pulled the host; its "
+                    f"worker {worker.name!r} exited with code "
+                    f"{worker.proc.exitcode}")
+        return super()._find_failure(sim, states, now, quiescing)
 
     @staticmethod
     def _host_fmr(result, part_host) -> Dict[str, Dict[str, float]]:

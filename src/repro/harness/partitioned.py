@@ -397,7 +397,7 @@ class PartitionedSimulation:
         #: ("inproc" / "process" / "farm")
         self.last_run_backend: Optional[str] = None
         #: request-scoped correlation id (set by the service executor);
-        #: backends propagate it into every worker/agent they fork
+        #: backends propagate it into every worker they fork
         self.corr_id: str = ""
         #: lifecycle-event sink (worker spawns/exits, host events);
         #: the null default keeps every emit a single flag check

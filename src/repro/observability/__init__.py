@@ -17,7 +17,7 @@ for the system around it (service, backends, farm) alike; the
   sinks: the JSONL event log (``repro tail``) and its stderr twin
   (``REPRO_LOG_LEVEL``),
 * :mod:`~repro.observability.corr` — request-scoped correlation IDs,
-  minted at ``service.submit`` and propagated into every worker/agent
+  minted at ``service.submit`` and propagated into every worker
   subprocess via ``REPRO_CORR_ID`` (each worker echoes it back in its
   result fragment),
 * :mod:`~repro.observability.stitch` — cross-process trace stitching:

@@ -2,8 +2,8 @@
 
 One simulation request fans out across many artifacts — a service job
 record, an archived run, a live-status file, trace events, and (under
-the distributed backends) one OS process per partition plus one agent
-per farm host.  The correlation ID is the single join key across all
+the distributed backends, the farm included) one OS process per
+partition.  The correlation ID is the single join key across all
 of them: minted once at ``service.submit`` (or by any caller that
 wants joinable artifacts), carried on the simulation object
 (``sim.corr_id``), copied into every worker's option dict by the
@@ -20,8 +20,8 @@ from __future__ import annotations
 import os
 import uuid
 
-#: environment variable carrying the correlation ID into worker and
-#: agent subprocesses (exec'd tooling under a worker inherits it too)
+#: environment variable carrying the correlation ID into worker
+#: subprocesses (exec'd tooling under a worker inherits it too)
 CORR_ENV = "REPRO_CORR_ID"
 
 
@@ -33,7 +33,7 @@ def mint_corr_id() -> str:
 def current_corr_id() -> str:
     """The correlation ID of the enclosing request, if any.
 
-    Inside a worker/agent subprocess this is whatever the coordinator
+    Inside a worker subprocess this is whatever the coordinator
     exported via :data:`CORR_ENV`; empty when no request scope is
     active.
     """

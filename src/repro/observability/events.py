@@ -1,7 +1,7 @@
 """Lifecycle events: the JSONL event log and its stderr twin.
 
 The system around a simulation — the service scheduler, the backend
-coordinators, the farm agents — reports what happened through the same
+coordinators, the farm manager — reports what happened through the same
 :class:`~repro.observability.tracer.TraceEvent` record and the same
 :class:`~repro.observability.tracer.Tracer` sink protocol as the
 simulation itself (the lifecycle kinds are listed in the tracer's kind
@@ -15,7 +15,7 @@ table).  This module holds what is particular to them:
   (:func:`~repro.observability.tracer.event_to_dict` plus a per-process
   ``seq`` and the writing ``pid``), append-only.  Entries are single
   ``write()`` calls on an ``O_APPEND`` stream, so concurrent writers
-  (coordinator + forked agents) interleave whole lines, never bytes,
+  (coordinator + forked workers) interleave whole lines, never bytes,
 * :class:`LogTracer` is the stderr sink over stdlib :mod:`logging`
   (level from ``REPRO_LOG_LEVEL``, default ``WARNING`` — the library
   stays silent unless asked), printing the lines ``repro tail`` prints,
@@ -84,7 +84,7 @@ class EventLog(Tracer):
     """Append-only JSONL sink.
 
     The file handle is opened lazily *per process*: a forked child
-    (worker, agent) inheriting the object reopens its own ``O_APPEND``
+    (a worker) inheriting the object reopens its own ``O_APPEND``
     stream on first emit instead of sharing the parent's buffered
     handle — appends from any number of processes interleave whole
     lines.

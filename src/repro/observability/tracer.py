@@ -39,9 +39,9 @@ kind                    meaning
 ``failed``              execution raised; the error rides along
 ``cancelled``           the job was cancelled (queued or running)
 ``worker_spawn``        a backend coordinator forked a partition worker
-``worker_exit``         a partition worker (or host agent) was reaped
-``host_deploy``         the farm manager forked a host agent
-``host_death``          a host died (agent exit or heartbeat timeout)
+``worker_exit``         a coordinator reaped a partition worker (once each)
+``host_deploy``         the farm manager placed partitions on a host
+``host_death``          a worker of a host the manager pulled died
 ``host_replace``        the run re-placed onto the surviving hosts
 ``http``                the service endpoint served one exchange
 ======================  =====================================================

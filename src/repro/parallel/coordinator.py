@@ -4,13 +4,11 @@
 simulation object is inherited by ``fork``, so compiled artefacts,
 token sources and closures need no pickling) after making one stream
 socket pair per pair of *linked* partitions and one control pipe pair
-per worker, and then plays supervisor.  What it supervises are
-*endpoints* (:class:`Endpoint`, forked by the one spawner
-:func:`fork_endpoints`): a child process,
-its control pipe pair and sentinel, and the partitions it fronts — one
-worker here, a host agent fronting several workers in
-:class:`~repro.farm.FarmBackend`, which runs this same loop.  The
-supervisor:
+per worker, and then plays supervisor over one :class:`Worker` record
+per partition (forked by the one spawner :func:`fork_workers`): the
+process, its control pipe pair and sentinel, and what its reports
+said.  :class:`~repro.farm.FarmBackend` runs this same loop over the
+same workers, each placed on a virtual host.  The supervisor:
 
 * tracks per-worker progress reports to detect global completion,
   LI-BDN deadlock (no worker progressed past pass ``k*`` — the same
@@ -40,7 +38,6 @@ import multiprocessing as mp
 import os
 import socket
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import (BackendUnavailableError, DeadlockError,
@@ -49,8 +46,7 @@ from ..errors import (BackendUnavailableError, DeadlockError,
                       WorkerError, env_number, rebuild_error)
 from ..observability.postmortem import DeadlockPostmortem
 from ..observability.events import lifecycle_event
-from ..observability.tracer import (NULL_TRACER, RecordingTracer,
-                                    TraceEvent)
+from ..observability.tracer import RecordingTracer, TraceEvent
 from ..reliability.checkpoint import load_partition_state
 from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
@@ -138,20 +134,25 @@ def auto_backend(sim) -> Optional["ProcessBackend"]:
     return ProcessBackend(heartbeat_timeout=timeout)
 
 
-class _WorkerState:
-    __slots__ = ("frontier", "last_true_pass", "max_reported",
-                 "last_seen", "fragment", "postmortem", "dead",
-                 "exitcode", "failed", "busy_ns")
+class Worker:
+    """One forked partition worker: its process, its control pipe pair,
+    the identity fields of its spawn/exit events, and the supervision
+    state the coordinator folds its control messages into."""
 
-    def __init__(self, frontier: int, now: float):
+    def __init__(self, name: str, proc, recv, send, fields: dict,
+                 frontier: int):
+        self.name = name
+        self.proc = proc
+        self.recv = recv        # parent-side end of worker -> parent
+        self.send = send        # parent-side end of parent -> worker
+        self.fields = fields
         self.frontier = frontier
         self.last_true_pass = 0
         self.max_reported = 0
-        self.last_seen = now
+        self.last_seen = time.monotonic()
         self.fragment = None
         self.postmortem = None
         self.dead = False
-        self.exitcode: Optional[int] = None
         #: (exception type name, message, args) from a "failed" report
         self.failed: Optional[tuple] = None
         #: modelled time position from the last piggybacked metric
@@ -166,29 +167,13 @@ def emit_event(sim, kind: str, **fields) -> None:
                                         **fields))
 
 
-@dataclass
-class Endpoint:
-    """One supervised child process: its control pipe pair and the
-    partitions it fronts — a partition worker fronts its own, a farm
-    host agent every partition placed on its host."""
-
-    name: str
-    parts: List[str]
-    proc: mp.Process
-    recv: object            # parent-side end of child -> parent
-    send: object            # parent-side end of parent -> child
-    fields: dict            # identity fields of its spawn/exit events
-    last_seen: float = field(default_factory=time.monotonic)
-    dead: bool = False
-
-
-def broadcast(endpoints, msg) -> None:
-    """Send ``msg`` down to every endpoint not known dead."""
-    for ep in endpoints:
-        if ep.dead:
+def broadcast(workers, msg) -> None:
+    """Send ``msg`` down to every worker not known dead."""
+    for worker in workers:
+        if worker.dead:
             continue
         try:
-            ep.send.send(msg)
+            worker.send.send(msg)
         except (BrokenPipeError, OSError):
             pass
 
@@ -209,70 +194,62 @@ def reap(procs) -> None:
             proc.join(5.0)
 
 
-def fork_endpoints(sim, role: str, spawn_kind: str, children,
-                   daemon: bool = True) -> List[Endpoint]:
-    """The one spawner: fork one child per ``(name, parts, target,
-    args, fields, ends)`` entry, each behind its own control pipe pair.
+def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
+                 max_passes: int,
+                 fields: Dict[str, dict]) -> Dict[str, Worker]:
+    """The one spawner: fork one partition worker per entry of
+    ``options`` (its ``worker_main`` option dict, data-plane ends
+    included), each behind its own control pipe pair.
 
-    ``target`` runs as ``target(sim, *args, ctl_recv=..., ctl_send=...,
-    unrelated_conns=...)`` — the simulation is inherited by ``fork``.
-    ``ends`` are the data-plane socket ends of the partitions the child
-    fronts.  One rule covers pipes and pairs alike: a child closes
-    every end it inherited that is not its own (``unrelated_conns``),
-    and the parent closes its copies of the children's ends once they
-    are forked (or the fork failed), which is what makes any single
-    death an EOF everywhere else.  Each start is logged as a
-    ``spawn_kind`` event: ``fields`` plus ``<role>_pid``.  A start that
-    fails reaps the children already started and raises
+    One rule covers pipes and pairs alike: a worker closes every end it
+    inherited that is not its own (``unrelated_conns``), and the parent
+    closes its copies of the workers' ends once they are forked (or
+    the fork failed), which is what makes any single death an EOF
+    everywhere else.  Each start is logged as a ``worker_spawn`` event:
+    ``fields[name]`` plus ``part`` and ``worker_pid``.  A start that
+    fails reaps the workers already started and raises
     :class:`~repro.errors.WorkerError`.
     """
     ctx = mp.get_context("fork")
-    #: per child: (child -> parent, parent -> child), each (recv, send)
+    #: per worker: (worker -> parent, parent -> worker), each (recv, send)
     pipes = [(ctx.Pipe(duplex=False), ctx.Pipe(duplex=False))
-             for _ in children]
-    ends = [end for *_, child_ends in children for end in child_ends]
+             for _ in options]
+    ends = [end for opts in options.values()
+            for end in opts["ends"].values()]
     inherited = [conn for up, down in pipes for conn in up + down] + ends
-    endpoints = []
-    for (name, parts, target, args, fields, child_ends), (up, down) in zip(
-            children, pipes):
-        own = {id(down[0]), id(up[1])} | {id(end) for end in child_ends}
+    workers: Dict[str, Worker] = {}
+    for (name, opts), (up, down) in zip(options.items(), pipes):
+        own = {id(down[0]), id(up[1])} | {
+            id(end) for end in opts["ends"].values()}
         proc = ctx.Process(
-            target=target, args=(sim, *args),
+            target=worker_main,
+            args=(sim, name, target_cycles, max_passes, opts),
             kwargs={"ctl_recv": down[0], "ctl_send": up[1],
                     "unrelated_conns": [c for c in inherited
                                         if id(c) not in own]},
-            name=f"repro-{role}-{name}", daemon=daemon)
-        endpoints.append(
-            Endpoint(name, parts, proc, up[0], down[1], fields))
+            name=f"repro-worker-{name}", daemon=True)
+        workers[name] = Worker(name, proc, up[0], down[1],
+                               dict(fields[name], part=name),
+                               sim.partitions[name].target_cycle)
     try:
-        for ep in endpoints:
-            ep.proc.start()
+        for worker in workers.values():
+            worker.proc.start()
     except OSError as exc:  # fork refused: EAGAIN, ENOMEM
-        started = [ep.proc for ep in endpoints if ep.proc.pid is not None]
+        started = [w.proc for w in workers.values()
+                   if w.proc.pid is not None]
         reap(started)
         close_all(inherited + started)
-        raise WorkerError(endpoints[len(started)].name, "spawn-failed",
-                          f"cannot start the {role}: {exc}") from exc
+        raise WorkerError(list(workers)[len(started)], "spawn-failed",
+                          f"cannot start the worker: {exc}") from exc
     finally:
         close_all(ends)
-    for ep, (up, down) in zip(endpoints, pipes):
-        ep.fields = dict(ep.fields, **{f"{role}_pid": ep.proc.pid})
-        emit_event(sim, spawn_kind, **ep.fields)
-        # the child owns these ends now; closing them here is what
+    for worker, (up, down) in zip(workers.values(), pipes):
+        worker.fields["worker_pid"] = worker.proc.pid
+        emit_event(sim, "worker_spawn", **worker.fields)
+        # the worker owns these ends now; closing them here is what
         # turns its death into an EOF on the parent's ends
         close_all((up[1], down[0]))
-    return endpoints
-
-
-def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
-                 max_passes: int, **fields) -> List[Endpoint]:
-    """One partition-worker endpoint per entry of ``options`` (its
-    ``worker_main`` option dict)."""
-    return fork_endpoints(sim, "worker", "worker_spawn", [
-        (name, [name], worker_main,
-         (name, target_cycles, max_passes, worker_options),
-         dict(fields, part=name), worker_options["ends"].values())
-        for name, worker_options in options.items()])
+    return workers
 
 
 class ProcessBackend:
@@ -344,9 +321,8 @@ class ProcessBackend:
         """Per-partition ``worker_main`` option dicts, each carrying its
         own ends of the data plane keyed by peer: one
         ``socket.socketpair()`` per linked partition pair, made before
-        forking.  Shared with the farm manager, whose agents hand the
-        same dicts to their workers.  A failed ``socketpair()`` (fd
-        exhaustion) closes the pairs already made and raises
+        forking.  A failed ``socketpair()`` (fd exhaustion) closes the
+        pairs already made and raises
         :class:`~repro.errors.SocketSetupError`."""
         shared = {
             "heartbeat_s": min(2.0, self.heartbeat_timeout / 4),
@@ -369,60 +345,57 @@ class ProcessBackend:
                 for name in sim.partitions}
 
     def _spawn(self, sim, target_cycles: int,
-               max_passes: int) -> List[Endpoint]:
-        """One worker endpoint per partition."""
-        return fork_workers(sim, self._worker_options(sim),
-                            target_cycles, max_passes,
-                            backend=self._backend_label)
+               max_passes: int) -> Dict[str, Worker]:
+        """One worker per partition."""
+        return fork_workers(
+            sim, self._worker_options(sim), target_cycles, max_passes,
+            {name: {"backend": self._backend_label}
+             for name in sim.partitions})
 
-    def _cleanup(self, sim, endpoints) -> None:
-        """Terminate, reap and unplumb every child unconditionally —
-        the one place a child's exit is final, so the one place its
+    def _cleanup(self, sim, workers) -> None:
+        """Terminate, reap and unplumb every worker unconditionally —
+        the one place a worker's exit is final, so the one place its
         ``worker_exit`` record (with the exit code) is written."""
-        reap(ep.proc for ep in endpoints)
-        for ep in endpoints:
-            emit_event(sim, "worker_exit", **ep.fields,
-                       exitcode=ep.proc.exitcode)
-            close_all((ep.recv, ep.send, ep.proc))
+        reap(w.proc for w in workers)
+        for worker in workers:
+            emit_event(sim, "worker_exit", **worker.fields,
+                       exitcode=worker.proc.exitcode)
+            close_all((worker.recv, worker.send, worker.proc))
 
     # -- the supervision loop -------------------------------------------------
 
     def _run(self, sim, target_cycles, max_passes, crash_cycle):
         """The one supervision loop, for every backend built on this
-        class.  It supervises the endpoints :meth:`_spawn` forked,
-        whose workers' control messages arrive — directly or relayed
-        — in ``(partition, message)`` envelopes.  Completion (the stop
-        fence), LI-BDN deadlock, injected crashes and every failure
-        verdict are decided here from the per-partition view;
-        subclasses only change what an endpoint is and how its loss is
-        classified (:meth:`_find_failure`)."""
+        class, over the workers :meth:`_spawn` forked.  Completion (the
+        stop fence), LI-BDN deadlock, injected crashes and every
+        failure verdict are decided here from the per-partition view;
+        subclasses only change where workers are placed and how a loss
+        is classified (:meth:`_find_failure`)."""
         from multiprocessing.connection import wait as conn_wait
 
-        endpoints: List[Endpoint] = []
+        states: Dict[str, Worker] = {}
         try:
-            endpoints = self._spawn(sim, target_cycles, max_passes)
-            now = time.monotonic()
-            states = {name: _WorkerState(part.target_cycle, now)
-                      for name, part in sim.partitions.items()}
+            states = self._spawn(sim, target_cycles, max_passes)
+            workers = states.values()
             watched = {}
-            for ep in endpoints:
-                watched[ep.recv] = watched[ep.proc.sentinel] = ep
+            for worker in workers:
+                watched[worker.recv] = watched[worker.proc.sentinel] = worker
             stopping = False
             aborting: Optional[str] = None
             abort_at = 0.0
             tick = min(1.0, max(0.05, self.heartbeat_timeout / 4))
             while True:
-                waitables = [item for item, ep in watched.items()
-                             if not ep.dead]
+                waitables = [item for item, worker in watched.items()
+                             if not worker.dead]
                 ready = conn_wait(waitables, timeout=tick) \
                     if waitables else []
                 now = time.monotonic()
                 for item in ready:
-                    ep = watched[item]
-                    if item is ep.recv:
-                        self._drain(ep, states, now)
+                    worker = watched[item]
+                    if item is worker.recv:
+                        self._drain(worker, now)
                     else:
-                        self._on_death(ep, states, now)
+                        self._on_death(worker, now)
                 if sim.telemetry.live is not None:
                     # the parent's partitions are stale while workers
                     # run: the reports' frontiers and times stand in
@@ -432,10 +405,9 @@ class ProcessBackend:
                         wall_ns=max(s.busy_ns for s in states.values())))
 
                 failure = self._find_failure(
-                    sim, endpoints, states, now,
-                    stopping or aborting is not None)
+                    sim, states, now, stopping or aborting is not None)
                 if failure is not None:
-                    broadcast(endpoints, ("abort", "fatal"))
+                    broadcast(workers, ("abort", "fatal"))
                     raise failure
 
                 if aborting == "deadlock":
@@ -460,7 +432,7 @@ class ProcessBackend:
                 if crash_cycle is not None and not stopping \
                         and crash_cycle < target_cycles \
                         and min_frontier >= crash_cycle:
-                    broadcast(endpoints, ("abort", "crash"))
+                    broadcast(workers, ("abort", "crash"))
                     raise InjectedCrash(crash_cycle)
                 if not stopping and min_frontier >= target_cycles:
                     # fence: running the wavefront through this pass
@@ -469,7 +441,7 @@ class ProcessBackend:
                     # or before its last report) has been applied
                     fence = max(s.max_reported
                                 for s in states.values()) + 1
-                    broadcast(endpoints, ("stop", fence))
+                    broadcast(workers, ("stop", fence))
                     stopping = True
                 if stopping:
                     if all(s.fragment is not None
@@ -479,11 +451,11 @@ class ProcessBackend:
 
                 k_star = self._deadlock_pass(states)
                 if k_star is not None:
-                    broadcast(endpoints, ("abort", "deadlock"))
+                    broadcast(workers, ("abort", "deadlock"))
                     aborting = "deadlock"
                     abort_at = now
         finally:
-            self._cleanup(sim, endpoints)
+            self._cleanup(sim, states.values())
 
         fragments = {n: s.fragment for n, s in states.items()}
         self.last_wire_stats = {
@@ -505,64 +477,47 @@ class ProcessBackend:
                 sim.telemetry.target_cycles or 0):
             sim.telemetry.finish(sim)
 
-    def _drain(self, ep, states, now) -> None:
-        """Fold every pending ``(partition, message)`` envelope of one
-        endpoint into the supervision state; partition ``None`` is the
-        endpoint itself answering a probe (it only proves it alive)."""
+    @staticmethod
+    def _drain(state, now) -> None:
+        """Fold every pending control message of one worker into its
+        record."""
         while True:
             try:
-                if not ep.recv.poll():
+                if not state.recv.poll():
                     return
-                part, msg = ep.recv.recv()
+                msg = state.recv.recv()
             except (EOFError, OSError):
                 return  # the sentinel handler owns death accounting
-            ep.last_seen = now
-            if part is not None:
-                self._apply_msg(states[part], msg, now)
+            state.last_seen = now
+            kind = msg[0]
+            if kind == "progress":
+                for pass_no, frontier, progressed in msg[2]:
+                    if pass_no > state.max_reported:
+                        state.max_reported = pass_no
+                    if progressed and pass_no > state.last_true_pass:
+                        state.last_true_pass = pass_no
+                    state.frontier = frontier
+                if len(msg) > 3 and msg[3] is not None:
+                    state.busy_ns = msg[3].busy_ns
+                    state.frontier = max(state.frontier,
+                                         msg[3].frontier)
+            elif kind == "heartbeat":
+                state.frontier = max(state.frontier, msg[3])
+            elif kind == "done":
+                state.fragment = msg[1]
+            elif kind == "postmortem":
+                state.postmortem = msg[1]
+            elif kind == "failed" and state.failed is None:
+                state.failed = msg[2:]
 
-    @staticmethod
-    def _apply_msg(state, msg, now) -> None:
-        """Fold one worker control message into its state record."""
-        state.last_seen = now
-        kind = msg[0]
-        if kind == "progress":
-            for pass_no, frontier, progressed in msg[2]:
-                if pass_no > state.max_reported:
-                    state.max_reported = pass_no
-                if progressed and pass_no > state.last_true_pass:
-                    state.last_true_pass = pass_no
-                state.frontier = frontier
-            if len(msg) > 3 and msg[3] is not None:
-                state.busy_ns = msg[3].busy_ns
-                state.frontier = max(state.frontier,
-                                     msg[3].frontier)
-        elif kind == "heartbeat":
-            state.frontier = max(state.frontier, msg[3])
-        elif kind == "done":
-            state.fragment = msg[1]
-        elif kind == "postmortem":
-            state.postmortem = msg[1]
-        elif kind == "failed" and state.failed is None:
-            state.failed = msg[2:]
-        elif kind == "dead":
-            # relayed by the endpoint fronting this worker
-            state.dead = True
-            if msg[1] is not None:
-                state.exitcode = msg[1]
+    def _on_death(self, state, now) -> None:
+        """A worker's process exited: reap it, then fold whatever it
+        sent before it went."""
+        state.proc.join(1.0)
+        self._drain(state, now)
+        state.dead = True
 
-    def _on_death(self, ep, states, now) -> None:
-        """An endpoint's process exited: everything it fronts that has
-        not reported its own exit went down with it."""
-        ep.proc.join(1.0)
-        self._drain(ep, states, now)
-        ep.dead = True
-        for part in ep.parts:
-            state = states[part]
-            state.dead = True
-            if state.exitcode is None:
-                state.exitcode = ep.proc.exitcode
-
-    def _find_failure(self, sim, endpoints, states, now,
+    def _find_failure(self, sim, states, now,
                       quiescing: bool) -> Optional[SimulationError]:
         """The first fatal worker condition in partition order, as the
         error to raise: a reported exception, then a death — primary
@@ -578,10 +533,10 @@ class ProcessBackend:
                     if state.dead and state.fragment is None
                     and state.postmortem is None]
             for name, state in lost:
-                if state.exitcode not in (0, 3):
+                if state.proc.exitcode not in (0, 3):
                     return WorkerError(
                         name, "died", "worker process exited with "
-                        f"code {state.exitcode}")
+                        f"code {state.proc.exitcode}")
             if lost:
                 return WorkerError(
                     lost[0][0], "died", "worker process exited after "

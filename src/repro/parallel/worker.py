@@ -36,9 +36,8 @@ until the coordinator broadcasts a stop.  Service passes perform no
 simulation work and mutate no state, so the final merged state is
 deterministic.
 
-Control protocol (worker -> coordinator, over the control pipe; every
-message travels in a ``(partition, message)`` envelope so an endpoint
-that fronts several workers — a farm host agent — relays it as is):
+Control protocol (worker -> coordinator, over the worker's own control
+pipe, which tells the coordinator who spoke — no envelope):
 
 ``("progress", name, [(pass, frontier, progressed), ...], metrics)``
     per-pass progress, ``REPORT_BATCH`` passes a message; flushed on
@@ -57,7 +56,7 @@ that fronts several workers — a farm host agent — relays it as is):
 ``("failed", name, exc_type, message, args)`` — local failure
     (:func:`~repro.errors.error_report`).
 
-Coordinator -> worker: ``("stop",)`` and ``("abort", reason)``.
+Coordinator -> worker: ``("stop", fence)`` and ``("abort", reason)``.
 """
 
 from __future__ import annotations
@@ -256,7 +255,7 @@ class PartitionWorker:
 
     def _send_ctl(self, msg) -> None:
         try:
-            self.ctl_send.send((self.name, msg))
+            self.ctl_send.send(msg)
         except (BrokenPipeError, OSError):
             os._exit(3)
 
@@ -528,8 +527,8 @@ def worker_main(sim, name, target_cycles, max_passes, options,
         import traceback
         tail = traceback.format_exc(limit=-3)
         try:
-            ctl_send.send((name, ("failed", name, *error_report(
-                exc, f"{exc}\n{tail}".rstrip()))))
+            ctl_send.send(("failed", name, *error_report(
+                exc, f"{exc}\n{tail}".rstrip())))
         except (BrokenPipeError, OSError):
             pass
         os._exit(1)

@@ -317,7 +317,7 @@ def execute_config(config: dict, telemetry=None,
     ``should_stop`` fires) and return the outcome.
 
     ``corr_id``/``events``/``tracer`` thread the observability plane
-    through: the correlation id rides into every worker and agent the
+    through: the correlation id rides into every worker the
     run forks (and is echoed back per partition), lifecycle events for
     the execution fabric land in ``events``, and captured trace spans
     are archived under the record's ``obs`` extra for stitching."""

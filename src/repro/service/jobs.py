@@ -73,7 +73,7 @@ class Job:
     error: str = ""
     live_path: Optional[str] = None
     #: request-scoped correlation id, minted at submit and propagated
-    #: into every worker/agent subprocess the job touches
+    #: into every worker subprocess the job touches
     corr_id: str = ""
     submitted: float = field(default_factory=time.time)
     started: Optional[float] = None

@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..errors import SimulationError
 from .metrics import MetricsRegistry, NULL_METRICS
 
 #: one series entry: (target cycle, {metric name: value})
@@ -51,7 +52,8 @@ class Sampler:
 
     def __init__(self, registry: MetricsRegistry, interval: int = 50):
         if interval < 1:
-            raise ValueError("sample interval must be >= 1")
+            raise SimulationError(
+                f"sample interval must be >= 1 (got {interval})")
         self.registry = registry
         self.interval = interval
         #: partition -> ordered sample series

@@ -1,15 +1,16 @@
-"""Nothing outlives a distributed run: every process the event log saw
-spawned — agents, and the workers *they* forked, which
-``mp.active_children()`` cannot see — is gone within the heartbeat
-timeout, and the parent holds exactly the file descriptors it held
-before (pipe ends, data-plane socket pairs and process sentinels
-included), whether the run succeeded, failed, or never got its
-children forked."""
+"""Nothing outlives a distributed run and every worker's exit is on
+record: each worker the event log saw spawned — the farm's too, all
+direct children of the caller — is gone within the heartbeat timeout
+and has exactly one ``worker_exit`` naming its partition, and the
+parent holds exactly the file descriptors it held before (pipe ends,
+data-plane socket pairs and process sentinels included), whether the
+run succeeded, failed, or never got its children forked."""
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import socket
 import time
 from multiprocessing.process import BaseProcess
@@ -41,8 +42,7 @@ def _fds() -> set:
     return set(os.listdir("/proc/self/fd"))
 
 
-def _run_leaves_nothing(make_backend, faults, error, n_agents,
-                        tmp_path):
+def _run_leaves_nothing(make_backend, faults, error, reason, tmp_path):
     sim = build_star_sim(2)
     sim.corr_id = mint_corr_id()
     backend = make_backend(heartbeat_timeout=HEARTBEAT_S, **faults)
@@ -51,49 +51,57 @@ def _run_leaves_nothing(make_backend, faults, error, n_agents,
     if error is None:
         backend.run(sim, 300)
     else:
-        with pytest.raises(error):
+        with pytest.raises(error) as err:
             backend.run(sim, 300)
+        # exactly that type: a hung or killed farm worker is not a
+        # lost host
+        assert type(err.value) is error
+        assert err.value.reason == reason
     sim.events.close()
     assert _fds() == before
 
-    spawned = list(read_events(
-        tmp_path / "ev.jsonl", corr=sim.corr_id,
-        kinds=["worker_spawn", "host_deploy"]))
-    workers = [e.args["worker_pid"] for e in spawned
-               if "worker_pid" in e.args]
-    agents = [e.args["agent_pid"] for e in spawned
-              if "agent_pid" in e.args]
-    assert len(workers) == len(sim.partitions)
-    assert len(agents) == n_agents
+    events = list(read_events(tmp_path / "ev.jsonl", corr=sim.corr_id,
+                              kinds=["worker_spawn", "worker_exit"]))
+    spawned = {e.args["worker_pid"]: e.part for e in events
+               if e.kind == "worker_spawn"}
+    exits = [e for e in events if e.kind == "worker_exit"]
+    assert sorted(spawned.values()) == sorted(sim.partitions)
+    # one exit record per spawn, matched by pid, naming its partition
+    assert sorted(e.args["worker_pid"] for e in exits) == sorted(spawned)
+    assert all(e.part == spawned[e.args["worker_pid"]] for e in exits)
+    for host in faults.get("host_faults", {}):
+        codes = [e.args["exitcode"] for e in exits
+                 if e.args.get("host") == host]
+        assert codes and set(codes) == {-signal.SIGKILL}
 
     deadline = time.monotonic() + HEARTBEAT_S
-    survivors = workers + agents
+    survivors = list(spawned)
     while survivors and time.monotonic() < deadline:
         time.sleep(0.05)
         survivors = [pid for pid in survivors if _alive(pid)]
     assert survivors == []
+    assert mp.active_children() == []
 
 
-@pytest.mark.parametrize("make_backend, faults, error, n_agents", [
-    (farm_backend, {"host_faults": {"h1": 5}}, HostDeadError, 2),
+@pytest.mark.parametrize("make_backend, faults, error, reason", [
+    (farm_backend, {"host_faults": {"h1": 5}}, HostDeadError, "died"),
     (farm_backend, {"worker_faults": {"fpga1": ("kill", 4)}},
-     WorkerError, 2),
+     WorkerError, "died"),
     (farm_backend, {"worker_faults": {"fpga1": ("hang", 4)}},
-     WorkerError, 2),
+     WorkerError, "heartbeat-timeout"),
     (ProcessBackend, {"worker_faults": {"fpga1": ("kill", 4)}},
-     WorkerError, 0),
+     WorkerError, "died"),
 ], ids=["farm-host-kill", "farm-worker-kill", "farm-worker-hang",
         "process-worker-kill"])
 def test_failed_run_leaves_no_process_or_socket_dir(
-        make_backend, faults, error, n_agents, tmp_path):
-    _run_leaves_nothing(make_backend, faults, error, n_agents, tmp_path)
+        make_backend, faults, error, reason, tmp_path):
+    _run_leaves_nothing(make_backend, faults, error, reason, tmp_path)
 
 
-@pytest.mark.parametrize("make_backend, n_agents", [
-    (farm_backend, 2), (ProcessBackend, 0)], ids=["farm", "process"])
-def test_successful_run_leaves_no_process_or_fd(make_backend, n_agents,
-                                                tmp_path):
-    _run_leaves_nothing(make_backend, {}, None, n_agents, tmp_path)
+@pytest.mark.parametrize("make_backend", [farm_backend, ProcessBackend],
+                         ids=["farm", "process"])
+def test_successful_run_leaves_no_process_or_fd(make_backend, tmp_path):
+    _run_leaves_nothing(make_backend, {}, None, None, tmp_path)
 
 
 def test_failed_spawn_reaps_started_children_and_closes_pairs(

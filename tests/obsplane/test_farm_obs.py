@@ -1,6 +1,7 @@
-"""Farm-level observability: the correlation ID rides through host
-agents into partition workers (two forks deep), and host lifecycle
-events — deploy, death, re-placement — land in the event log."""
+"""Farm-level observability: the correlation ID rides into every
+partition worker the farm manager forks onto a virtual host, and host
+lifecycle events — deploy, death, re-placement — land in the event
+log."""
 
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class TestFarmCorrAndEvents:
                                   kinds=["host_death"]))
         replaces = list(read_events(path, corr=corr,
                                     kinds=["host_replace"]))
-        # both placements deployed agents; h1 died once; one re-place
+        # both placements were deployed; h1 died once; one re-place
         assert {e.args["host"] for e in deploys} >= {"h0", "h1", "h2"}
         assert [e.args["host"] for e in deaths] == ["h1"]
         assert len(replaces) == 1
@@ -80,6 +81,9 @@ class TestFarmCorrAndEvents:
         assert mp.active_children() == []
 
     def test_agent_forked_workers_log_spawn_with_host(self, tmp_path):
+        """The manager forks every worker itself; each
+        ``worker_spawn`` names the virtual host the worker was placed
+        on, and the farm backend."""
         path = tmp_path / "ev.jsonl"
         corr = mint_corr_id()
         log = EventLog(path)
@@ -99,7 +103,6 @@ class TestFarmCorrAndEvents:
                                   kinds=["worker_spawn"]))
         parts = set(build_star_sim(3).partitions)
         assert {e.part for e in spawns} == parts
-        # every spawn names the virtual host whose agent forked it
         assert all(e.args["host"].startswith("h") for e in spawns)
         assert all(e.args["backend"] == "farm" for e in spawns)
 

@@ -169,7 +169,7 @@ def make_backend():
 
 def farm_backend(**kwargs):
     """A two-host farm too small for the star design to fit on one
-    host, so its runs genuinely span agents."""
+    host, so its runs genuinely span hosts."""
     from repro.farm import FarmBackend, FarmSpec, HostSpec
     return FarmBackend(
         FarmSpec([HostSpec("h0", cores=2), HostSpec("h1", cores=1)]),
@@ -178,7 +178,7 @@ def farm_backend(**kwargs):
 
 class OnFarm:
     """Mixin: re-run a backend-agnostic test class through the farm —
-    the same supervision loop with host agents as its endpoints."""
+    the same supervision loop over workers placed on two hosts."""
 
     @pytest.fixture
     def make_backend(self):

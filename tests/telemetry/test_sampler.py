@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.parallel import fork_available
 from repro.platform import QSFP_AURORA
@@ -28,7 +29,7 @@ def _run(telemetry, cycles=120, backend="auto"):
 
 class TestSampler:
     def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match=r"\(got 0\)"):
             Sampler(MetricsRegistry(), interval=0)
 
     def test_samples_every_interval_per_partition(self):

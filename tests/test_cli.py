@@ -205,6 +205,14 @@ class TestTelemetryCLI:
         assert "sample point(s) across 2 partition(s)" in out
         assert "every 20 cycles" in out
 
+    def test_simulate_bad_metrics_interval_is_an_error_line(
+            self, circuit_file, capsys):
+        rc = main(["simulate", circuit_file, "--extract", "right",
+                   "--cycles", "10", "--metrics", "-3"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "(got -3)" in err
+
     def test_simulate_archive_then_compare(self, circuit_file,
                                            tmp_path, capsys):
         runs = tmp_path / "runs"
