@@ -131,14 +131,18 @@ def rebuild_error(label: str, exc_type: str, message: str,
     :class:`ReproError` subclass ``exc_type`` names, when the bare
     message or else the child's ``exc.args`` construct one, else a
     :class:`WorkerError` blaming ``label`` (the partition or task the
-    child ran)."""
+    child ran).  A rebuilt error reads as ``message``, even when its
+    constructor formats what it is given."""
     exc_cls = globals().get(exc_type)
     if isinstance(exc_cls, type) and issubclass(exc_cls, ReproError):
         for ctor_args in ((message,), args):
             try:
-                return exc_cls(*ctor_args)
+                exc = exc_cls(*ctor_args)
             except TypeError:
-                pass
+                continue
+            if str(exc) != message:
+                exc.args = (message,)
+            return exc
     return WorkerError(label, "raised", f"{exc_type}: {message}")
 
 

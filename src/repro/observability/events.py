@@ -36,6 +36,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Set, Union
 
@@ -87,7 +88,9 @@ class EventLog(Tracer):
     (a worker) inheriting the object reopens its own ``O_APPEND``
     stream on first emit instead of sharing the parent's buffered
     handle — appends from any number of processes interleave whole
-    lines.
+    lines.  The lock is per process too: a child gets a fresh one
+    (:func:`_relock_in_child`), since one another thread held at the
+    fork would stay held forever there.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -96,6 +99,7 @@ class EventLog(Tracer):
         self._pid: Optional[int] = None
         self._seq = 0
         self._lock = threading.Lock()
+        _LOGS.add(self)
 
     def emit(self, event: TraceEvent) -> None:
         entry = event_to_dict(event)
@@ -122,6 +126,19 @@ class EventLog(Tracer):
             if self._fh is not None and self._pid == os.getpid():
                 self._fh.close()
             self._fh = None
+
+
+#: every live :class:`EventLog`, for :func:`_relock_in_child`
+_LOGS: "weakref.WeakSet[EventLog]" = weakref.WeakSet()
+
+
+def _relock_in_child() -> None:
+    for log in list(_LOGS):
+        log._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_relock_in_child)
 
 
 def open_event_log(path: Optional[Union[str, Path]]) -> Tracer:

@@ -23,7 +23,6 @@ record in the :class:`~repro.telemetry.runs.RunRegistry`, referenced by
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -90,9 +89,6 @@ class Job:
     cancel_requested: bool = False
 
     # -- coordination (not serialized) ------------------------------------
-    #: checked by the executor's stop hook every wavefront pass
-    cancel_event: threading.Event = field(default_factory=threading.Event,
-                                          repr=False, compare=False)
     #: set exactly once when the job reaches a terminal state
     done_event: asyncio.Event = field(default_factory=asyncio.Event,
                                       repr=False, compare=False)

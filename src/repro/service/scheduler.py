@@ -1,10 +1,14 @@
 """The asyncio simulation service: admission -> cache -> workers.
 
 One event loop owns every piece of mutable state (jobs table,
-admission queue, single-flight table, counters); simulations run in
-worker threads via ``asyncio.to_thread`` so the loop stays responsive
-to submissions, status queries and cancels while partitions grind.
-The flow of one submission::
+admission queue, single-flight table, counters); every executed job
+runs ``execute_config`` in its own forked child
+(:func:`~repro.parallel.pool.fork_call`), so concurrent cold jobs do
+not share one interpreter lock and the loop stays responsive to
+submissions, status queries and cancels while partitions grind.  The
+child ships back the outcome (or its typed error); archiving, cache
+fill, coalescing and follower promotion stay in the parent.  The flow
+of one submission::
 
     submit(config)
       normalize + fingerprint ............ executor.normalize_config
@@ -14,24 +18,30 @@ The flow of one submission::
     worker pops highest priority
       late cache check (a sibling service sharing the registry
       may have filled the key meanwhile)
-      execute on the configured backend; the job's cancel event is
-      polled by the harness stop hook every wavefront pass
+      fork the job child; it executes on the configured backend (a
+      process or farm job forks its own workers from there) while the
+      loop awaits its pipe
       archive = cache fill; complete leader + followers
 
 Cancellation: a queued job completes as ``cancelled`` immediately (its
-heap entry is popped and skipped later); a running job's cancel event
-stops the simulation within one pass.  A cancelled leader's followers
+heap entry is popped and skipped later); a running job's cancel sets
+one anonymous shared byte mapped before the fork, which the harness
+stop hook reads every wavefront pass, so the child stops within one
+pass and reports its partial result.  A cancelled leader's followers
 are requeued — the first becomes the new leader — so one tenant's
-cancel never discards another tenant's accepted request.
+cancel never discards another tenant's accepted request.  A child
+that dies fails only its own job (and, under the failed-leader rule,
+its followers).
 """
 
 from __future__ import annotations
 
 import asyncio
+import mmap
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import JobNotFoundError, ReproError
 from ..observability.corr import mint_corr_id
@@ -41,6 +51,7 @@ from ..observability.events import (
     open_event_log,
 )
 from ..observability.tracer import RecordingTracer, TeeTracer
+from ..parallel.pool import ForkedCall, fork_call
 from ..telemetry import RunRegistry, Telemetry, config_fingerprint
 from ..telemetry.metrics import MetricsRegistry, render_prometheus
 from .admission import AdmissionController, TenantQuota
@@ -97,7 +108,7 @@ METRIC_FAMILIES = (
 class ServiceConfig:
     """Knobs of one service instance."""
 
-    #: concurrent simulation executions
+    #: concurrent simulation executions, each in its own forked child
     workers: int = 2
     #: the registry directory that is both archive and cache
     runs_dir: Union[str, Path] = "results/runs"
@@ -117,6 +128,17 @@ class ServiceConfig:
         default_factory=TenantQuota)
     quotas: Dict[str, TenantQuota] = dataclass_field(
         default_factory=dict)
+
+
+async def _readable(fd: int) -> None:
+    """Wait, without blocking the loop, until ``fd`` is readable."""
+    loop = asyncio.get_running_loop()
+    ready = loop.create_future()
+    loop.add_reader(fd, lambda: ready.done() or ready.set_result(None))
+    try:
+        await ready
+    finally:
+        loop.remove_reader(fd)
 
 
 class SimulationService:
@@ -144,6 +166,9 @@ class SimulationService:
         #: latency histogram per phase.  Exported, never digested.
         self.metrics = MetricsRegistry()
         self._seq = 0
+        #: running job id -> its child and the shared cancel byte the
+        #: child's stop hook reads
+        self._children: Dict[str, Tuple[ForkedCall, mmap.mmap]] = {}
         self._running = False
         self._workers: List[asyncio.Task] = []
         self._work = asyncio.Event()
@@ -357,7 +382,8 @@ class SimulationService:
         if job.terminal:
             return job
         job.cancel_requested = True
-        job.cancel_event.set()
+        if job.job_id in self._children:
+            self._children[job.job_id][1][0] = 1
         if job.state == QUEUED:
             # queued leaders hand their followers to a new leader;
             # queued followers just detach from their entry
@@ -369,8 +395,8 @@ class SimulationService:
             elif entry is not None and job in entry.followers:
                 entry.followers.remove(job)
             self._finish(job, CANCELLED)
-        # RUNNING: the stop hook sees the event within one pass and
-        # the worker completes the cancellation
+        # RUNNING: the child's stop hook sees the byte within one pass
+        # and the worker completes the cancellation
         return job
 
     def _promote_followers(self, fingerprint: str,
@@ -424,18 +450,10 @@ class SimulationService:
         job.state = RUNNING
         job.started = time.time()
         self.execution_log.append(job.job_id)
-        self._event("executing", job, count="executions",
-                    queue_wait_s=round(job.queue_wait_s, 6))
-        telemetry = self._telemetry_for(job)
-        tracer = RecordingTracer(self.config.trace_events) \
-            if self.config.trace_events > 0 else None
         error: Optional[str] = None
         outcome = None
         try:
-            outcome = await asyncio.to_thread(
-                execute_config, job.config, telemetry,
-                job.cancel_event.is_set, corr_id=job.corr_id,
-                events=self.events, tracer=tracer)
+            outcome = await self._run_forked(job)
         except ReproError as exc:
             error = str(exc)
         except Exception as exc:  # noqa: BLE001 — job, not service, fails
@@ -444,7 +462,7 @@ class SimulationService:
         self._observe("execution", job, job.execution_s)
         entry = self.cache.flight.finish(fingerprint)
         followers = entry.followers if entry is not None else []
-        if job.cancel_event.is_set():
+        if job.cancel_requested:
             if outcome is not None:
                 job.result = {
                     "target_cycles": outcome.result.target_cycles,
@@ -471,6 +489,34 @@ class SimulationService:
             if not follower.terminal:
                 self._complete_from_record(follower, record,
                                            SOURCE_COALESCED)
+
+    async def _run_forked(self, job: Job):
+        """``execute_config`` of ``job`` in a forked child: logged as
+        ``executing`` with the child's ``child_pid``, awaited on its
+        pipe, and reaped before this returns or raises."""
+        telemetry = self._telemetry_for(job)
+        tracer = RecordingTracer(self.config.trace_events) \
+            if self.config.trace_events > 0 else None
+        with mmap.mmap(-1, 1) as stop:
+            def execute():
+                return execute_config(
+                    job.config, telemetry, lambda: stop[0] != 0,
+                    corr_id=job.corr_id, events=self.events,
+                    tracer=tracer)
+
+            child = fork_call(
+                execute, job.job_id,
+                [other.conn for other, _ in self._children.values()])
+            self._children[job.job_id] = (child, stop)
+            try:
+                self._event("executing", job, count="executions",
+                            queue_wait_s=round(job.queue_wait_s, 6),
+                            child_pid=child.proc.pid)
+                await _readable(child.conn.fileno())
+                return child.result()
+            finally:
+                del self._children[job.job_id]
+                child.close()
 
     def _telemetry_for(self, job: Job) -> Optional[Telemetry]:
         live_dir = self.config.live_dir

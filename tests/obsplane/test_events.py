@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -121,6 +124,45 @@ class TestEventLog:
         assert len(pids) == 2
         assert len([e for e in entries
                     if e.args["corr"] == "child"]) == 20
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="needs fork")
+    def test_child_forked_while_another_thread_emits(self, tmp_path):
+        """A child forked while another thread holds the log's lock
+        must not inherit it held: its first emit completes."""
+        path = tmp_path / "ev.jsonl"
+        log = EventLog(path)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with log._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                log.emit(lifecycle_event("queued", corr="child"))
+                os._exit(0)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                time.sleep(0.02)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the child hung on its first emit")
+        finally:
+            release.set()
+            holder.join()
+        assert os.waitstatus_to_exitcode(status) == 0
+        log.close()
+        assert [e.args["corr"] for e in read_events(path)] == ["child"]
 
 
 class TestNullAndOpen:

@@ -1,12 +1,15 @@
 """Experiment-level fan-out pool."""
 
+import multiprocessing.connection
 import os
+import signal
 
 import pytest
 
 from repro.errors import DeadlockError, WorkerError
-from repro.parallel import fanout
+from repro.parallel import fanout, fork_available
 from repro.parallel import pool as pool_mod
+from repro.parallel.pool import fork_call
 
 
 class TestFanout:
@@ -48,6 +51,36 @@ class TestFanout:
         pid = os.getpid()
         pids = fanout([os.getpid, os.getpid], jobs=2)
         assert pids == [pid, pid]
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+class TestForkCall:
+    def run(self, thunk):
+        call = fork_call(thunk, "task")
+        try:
+            multiprocessing.connection.wait([call.conn], timeout=30)
+            return call.result()
+        finally:
+            call.close()
+
+    def test_value_comes_from_a_child(self):
+        assert self.run(os.getpid) != os.getpid()
+
+    def test_typed_error_reads_as_the_childs(self):
+        raised = DeadlockError("left waits on right", host_cycle=3)
+
+        def sim_fails():
+            raise raised
+        with pytest.raises(DeadlockError) as err:
+            self.run(sim_fails)
+        assert str(err.value) == str(raised)
+
+    def test_killed_child_names_the_signal(self):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+        with pytest.raises(WorkerError, match="killed by SIGKILL") as err:
+            self.run(die)
+        assert (err.value.partition, err.value.reason) == ("task", "died")
 
 
 class TestRunnerJobs:
