@@ -56,8 +56,8 @@ def cmd_jit(args) -> int:
         print(f"{name}: compiled, {lines} lines")
         kernels = [(prefix + unit.name, kernel)
                    for prefix, unit in sim.partitions[name].units
-                   for kernel in getattr(unit, "_stepjit_kernels", ()) or ()
-                   if kernel is not None]
+                   for fns in getattr(unit.sim.elab, "kernels", {}).values()
+                   for kernel in fns if kernel is not None]
         for _, kernel in kernels:
             st = kernel._stepjit_stats
             printed = st["cone"] - st["aliases"] - st["inlined"]

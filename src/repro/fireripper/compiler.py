@@ -14,7 +14,7 @@ with a chosen transport, and external I/O drivers into a ready
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CompileError
@@ -31,6 +31,7 @@ from ..libdn.fame5 import FAME5Host
 from ..libdn.wrapper import LIBDNHost
 from ..platform.resources import FPGAProfile
 from ..platform.transport import TransportModel
+from ..rtl.elaborate import Elaboration, elaborate
 from ..rtl.engine import Simulator
 from .boundary import BoundaryPlan, plan_boundaries
 from .extract import ExtractedDesign, extract_partitions
@@ -42,16 +43,32 @@ from .spec import EXACT, FAST, PartitionSpec
 
 @dataclass
 class PartitionedDesign:
-    """Output of a FireRipper compile."""
+    """Output of a FireRipper compile.
+
+    Each partition is elaborated once, on its first build, and every
+    later :meth:`build_simulation` hands the same :class:`Elaboration`
+    (and the fused kernels memoized on it) to its new
+    :class:`Simulator` — so a pickled design that has run carries its
+    elaborations and kernels with it."""
 
     spec: PartitionSpec
     extracted: ExtractedDesign
     plan: BoundaryPlan
     report: PartitionReport
+    elaborations: Dict[str, Elaboration] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def partitions(self) -> Dict[str, Circuit]:
         return self.extracted.partitions
+
+    def elaboration(self, name: str) -> Elaboration:
+        """Partition ``name``'s elaboration, made on first use."""
+        elab = self.elaborations.get(name)
+        if elab is None:
+            elab = self.elaborations[name] = elaborate(
+                self.partitions[name])
+        return elab
 
     @property
     def base_name(self) -> str:
@@ -107,12 +124,12 @@ class PartitionedDesign:
             return part, chan
 
         partitions: List[Partition] = []
-        for name, circuit in self.partitions.items():
+        for name in self.partitions:
             if name in group_to_merged:
                 continue  # built as a FAME-5 thread below
             chans = self.plan.channels[name]
-            host = LIBDNHost(Simulator(circuit), chans.in_specs,
-                             chans.out_specs, name=name)
+            host = LIBDNHost(Simulator(self.elaboration(name)),
+                             chans.in_specs, chans.out_specs, name=name)
             freq = (host_freq_mhz.get(name, 30.0)
                     if isinstance(host_freq_mhz, dict) else host_freq_mhz)
             partitions.append(Partition(
@@ -124,7 +141,7 @@ class PartitionedDesign:
                 _, idx = group_to_merged[g]
                 chans = self.plan.channels[g]
                 hosts[idx] = LIBDNHost(
-                    Simulator(self.partitions[g]), chans.in_specs,
+                    Simulator(self.elaboration(g)), chans.in_specs,
                     chans.out_specs, name=g)
             freq = (host_freq_mhz.get(merged, 30.0)
                     if isinstance(host_freq_mhz, dict) else host_freq_mhz)

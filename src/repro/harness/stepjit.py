@@ -45,7 +45,8 @@ compiled from the flattened elaboration that evaluate only the live
 cone of the output/tick references, carry every intermediate in
 locals, and commit just registers/memories back to the env
 (:func:`repro.rtl.kernel.compile_kernel`, which optimises the cone as
-a netlist before printing it; cached as ``unit._stepjit_kernels``).
+a netlist before printing it; memoized on the elaboration, so every
+unit built on one shares them).
 The ``cyc`` kernel also reports whether the register/memory state
 reached a fixed point — while it holds and the unit's inputs repeat,
 the step function skips RTL evaluation entirely and replays the cached
@@ -764,12 +765,8 @@ class _PartitionCodegen:
         kernel = bindings["rtl"].compiled \
             and all(not entry[2] for entry in fire_plans)
         if kernel:
-            # cached on the unit: the elaboration and channel layouts
-            # are immutable per host
-            kern = getattr(unit, "_stepjit_kernels", None)
-            if kern is None:
-                kern = unit._stepjit_kernels = unit_kernels(
-                    unit.sim.elab, [e[3] for e in fire_plans], unit.name)
+            kern = unit_kernels(unit.sim.elab,
+                                [e[3] for e in fire_plans], unit.name)
             self.kernel_units.append(uid)
             if k:
                 names["KF"] = b.bind(kern[0], "kf")

@@ -34,7 +34,7 @@ kind                    meaning
 ``rejected``            admission refused the request (quota)
 ``admitted``            admission accepted the request
 ``queued``              the job entered the priority queue
-``executing``           a worker slot picked the job up
+``executing``           a job child started (``plan``: hit or miss)
 ``done``                the job completed (any source)
 ``failed``              execution raised; the error rides along
 ``cancelled``           the job was cancelled (queued or running)

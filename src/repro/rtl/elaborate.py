@@ -96,7 +96,9 @@ AssignLike = Union[FlatAssign, FlatMemRead]
 
 @dataclass
 class Elaboration:
-    """Flattened, topologically sorted netlist."""
+    """Flattened, topologically sorted netlist, read-only once built:
+    simulators and their fused kernels (memoized here as ``kernels``
+    by :func:`repro.rtl.kernel.unit_kernels`) share one freely."""
 
     top: str
     inputs: Dict[str, int]

@@ -275,17 +275,47 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     stats["statements"] = len(lines)
     src = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
            + "\n".join(lines or ["    pass"]) + "\n")
+    return _load_kernel(src, stats)
+
+
+def _load_kernel(src: str, stats: dict):
+    """The function a printed kernel ``src`` defines, carrying its
+    source and the generator's counters."""
     namespace: Dict[str, object] = dict(CODEGEN_HELPERS)
-    exec(compile(src, f"<stepjit-kernel:{tag}>", "exec"), namespace)
+    exec(compile(src, f"<stepjit-kernel:{stats['kernel']}>", "exec"),
+         namespace)
     fn = namespace["_k"]
     fn._stepjit_source = src  # for ``repro jit --dump``
     fn._stepjit_stats = stats
     return fn
 
 
+class KernelMemo(dict):
+    """``(tag, pack layout) -> (fire, adv, cyc)`` of one elaboration,
+    kept on it as ``elab.kernels``.  It pickles each kernel as its
+    source and stats, not the function: loading re-executes the
+    source, so a loaded elaboration never prints a kernel again."""
+
+    def __reduce__(self):
+        return (_load_memo, ({
+            key: tuple(fn and (fn._stepjit_source, fn._stepjit_stats)
+                       for fn in fns)
+            for key, fns in self.items()},))
+
+
+def _load_memo(printed: dict) -> KernelMemo:
+    return KernelMemo({key: tuple(p and _load_kernel(*p) for p in fns)
+                       for key, fns in printed.items()})
+
+
 def unit_kernels(elab: Elaboration, pack_lists: List[PackFields],
                  tag: str):
-    """``(fire, adv, cyc)`` for one elaboration.  With output words to
+    """``(fire, adv, cyc)`` for one elaboration, made once per
+    ``(tag, pack layout)`` and memoized on it as ``elab.kernels`` (a
+    :class:`KernelMemo`): an elaboration is read-only after
+    ``elaborate()`` and a kernel is a pure function of the
+    ``env``/``mems`` it is handed, so every unit built on one
+    elaboration shares them.  With output words to
     pack: ``fire(env, mems) -> words`` (pack cone only) and
     ``cyc(env, mems) -> words, quiescent`` (the fused single-settle
     cycle: when the next input words equal the currently-poked values,
@@ -296,12 +326,20 @@ def unit_kernels(elab: Elaboration, pack_lists: List[PackFields],
     plus a few pack shifts, and compiling that cone once instead of
     twice is most of the codegen time.  With none, a bare
     ``adv(env, mems)``."""
-    scan = expr_scanner()
-    if pack_lists:
-        return (compile_kernel(elab, pack_lists, False, f"fire:{tag}", scan),
-                None,
-                compile_kernel(elab, pack_lists, True, f"cyc:{tag}", scan))
-    return (None, compile_kernel(elab, [], True, f"adv:{tag}", scan), None)
+    memo = getattr(elab, "kernels", None)
+    if memo is None:
+        memo = elab.kernels = KernelMemo()
+    key = (tag, tuple(tuple(fields) for fields in pack_lists))
+    kern = memo.get(key)
+    if kern is None:
+        scan = expr_scanner()
+        kern = memo[key] = (
+            (compile_kernel(elab, pack_lists, False, f"fire:{tag}", scan),
+             None,
+             compile_kernel(elab, pack_lists, True, f"cyc:{tag}", scan))
+            if pack_lists else
+            (None, compile_kernel(elab, [], True, f"adv:{tag}", scan), None))
+    return kern
 
 
 def _driver(a) -> Expr:

@@ -24,7 +24,8 @@ deterministic and order-insensitive.  Its output is what every door
 builds from (:func:`compile_design`, :func:`build_simulation`,
 ``FarmManager(build, config)`` — the service and every CLI verb alike) and what
 every archive site hands to ``RunRegistry.archive``, so one job has one
-fingerprint wherever it ran.
+fingerprint wherever it ran.  :func:`plan_key` hashes the part of it a
+compile reads, which is what the service's plan cache keys on.
 
 ``should_stop`` threads the service's cancellation signal into the
 harness's per-pass ``stop`` hook, so a cancel lands within one
@@ -51,6 +52,7 @@ from ..platform import (
     QSFP_AURORA,
 )
 from ..reliability import FaultSpec, harden_links
+from ..telemetry import config_fingerprint
 
 #: transport name -> modelled transport profile (the CLI shares this)
 TRANSPORTS = {
@@ -95,7 +97,19 @@ class ExecutionOutcome:
     extra: Optional[dict] = None
 
 
-def _normalize_extract(extract) -> List[List[str]]:
+def _refuse_repeats(groups: list, what: str) -> list:
+    """``groups`` as they are, unless a member appears twice, within
+    one group or across two: a repeat would fingerprint apart from the
+    same partition spelled once."""
+    seen = set()
+    for member in (m for group in groups for m in group):
+        if member in seen:
+            raise ServiceError(f"{what} {member!r} appears more than once")
+        seen.add(member)
+    return groups
+
+
+def _normalize_extract(extract, distinct: bool = True) -> List[List[str]]:
     if not isinstance(extract, (list, tuple)) or not extract:
         raise ServiceError(
             "simulate config wants a non-empty 'extract' list "
@@ -112,7 +126,7 @@ def _normalize_extract(extract) -> List[List[str]]:
         if not paths:
             raise ServiceError("empty extract group")
         groups.append(paths)
-    return groups
+    return _refuse_repeats(groups, "instance path") if distinct else groups
 
 
 def _group_name(index: int) -> str:
@@ -124,7 +138,8 @@ def _normalize_noc(noc) -> List[List[int]]:
             isinstance(group, (list, tuple)) and group for group in noc):
         raise ServiceError("'noc' wants a non-empty list of non-empty "
                            "router-index lists (one per FPGA)")
-    return [[int(index) for index in group] for group in noc]
+    return _refuse_repeats([[int(index) for index in group]
+                            for group in noc], "router index")
 
 
 def _normalize_fame5(fame5, n_groups: int) -> Dict[str, List[str]]:
@@ -209,8 +224,9 @@ def normalize_config(config: dict) -> dict:
         normalized["hosts"] = FarmSpec.from_dict(
             config.get("hosts") or {}).to_dict()
         colocate = config.get("colocate")
+        # overlapping co-location groups merge, so a repeat is allowed
         normalized["colocate"] = \
-            _normalize_extract(colocate) if colocate else []
+            _normalize_extract(colocate, distinct=False) if colocate else []
     for key, default in _DEFAULTS[kind].items():
         normalized[key] = type(default)(config.get(key, default))
     if normalized["transport"] not in TRANSPORTS:
@@ -260,6 +276,22 @@ def partition_spec(config: dict) -> PartitionSpec:
     groups = [PartitionGroup.make(_group_name(i), paths)
               for i, paths in enumerate(config["extract"])]
     return PartitionSpec(mode=config["mode"], groups=groups)
+
+
+#: the normalized keys :func:`compile_design` reads, and so the only
+#: ones a plan's identity hangs on
+PLAN_KEYS = ("kind", "circuit_text", "extract", "noc", "mode")
+
+
+def plan_key(config: dict) -> Optional[str]:
+    """The fingerprint of the design a normalized config compiles to
+    (its :data:`PLAN_KEYS`), or None when no compile may be reused: a
+    ``circuit`` path names a file that can change between jobs, and
+    an experiment compiles its own designs."""
+    if "circuit_text" not in config:
+        return None
+    return config_fingerprint(
+        {key: config[key] for key in PLAN_KEYS if key in config})
 
 
 def compile_design(config: dict, **compile_args):
@@ -312,9 +344,13 @@ def execute_config(config: dict, telemetry=None,
                    should_stop: Optional[Callable[[], bool]] = None,
                    corr_id: str = "",
                    events=None,
-                   tracer=None) -> ExecutionOutcome:
+                   tracer=None,
+                   design=None) -> ExecutionOutcome:
     """Run one normalized job config to completion (or until
-    ``should_stop`` fires) and return the outcome.
+    ``should_stop`` fires) and return the outcome.  A simulate or farm
+    job builds from ``design`` when given one — the
+    :func:`compile_design` of a config with the same :func:`plan_key`
+    — and compiles its own otherwise.
 
     ``corr_id``/``events``/``tracer`` thread the observability plane
     through: the correlation id rides into every worker the
@@ -322,7 +358,8 @@ def execute_config(config: dict, telemetry=None,
     the execution fabric land in ``events``, and captured trace spans
     are archived under the record's ``obs`` extra for stitching."""
     kind = config.get("kind", "simulate")
-    design = compile_design(config) if kind in _DEFAULTS else None
+    if design is None and kind in _DEFAULTS:
+        design = compile_design(config)
 
     def build():
         sim = build_simulation(config, design, telemetry=telemetry,

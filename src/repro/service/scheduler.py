@@ -1,8 +1,8 @@
 """The asyncio simulation service: admission -> cache -> workers.
 
 One event loop owns every piece of mutable state (jobs table,
-admission queue, single-flight table, counters); every executed job
-runs ``execute_config`` in its own forked child
+admission queue, single-flight table, plan cache, counters); every
+executed job runs ``execute_config`` in its own forked child
 (:func:`~repro.parallel.pool.fork_call`), so concurrent cold jobs do
 not share one interpreter lock and the loop stays responsive to
 submissions, status queries and cancels while partitions grind.  The
@@ -18,10 +18,22 @@ of one submission::
     worker pops highest priority
       late cache check (a sibling service sharing the registry
       may have filled the key meanwhile)
-      fork the job child; it executes on the configured backend (a
-      process or farm job forks its own workers from there) while the
-      loop awaits its pipe
-      archive = cache fill; complete leader + followers
+      plan lookup ........................ executor.plan_key -> design
+      fork the job child; on a plan hit it inherits the compiled
+      design, on a miss it compiles one; it executes on the configured
+      backend (a process or farm job forks its own workers from there)
+      while the loop awaits its pipe
+      archive = cache fill; complete leader + followers; a miss's
+      design, pickled after its run, fills the plan cache
+
+The plan cache holds up to :data:`PLAN_CACHE_SIZE` compiled designs by
+:func:`~repro.service.executor.plan_key` — the circuit text, its
+partitioning and its mode, not the run's cycles, backend, transport,
+frequency or faults — each with its partitions' elaborations and fused
+kernels inside.  A job child inherits its entry through the fork, so
+a hit parses, partitions, elaborates and prints no kernel; only the
+step plane is generated per run.  The result cache stays the only
+result cache.
 
 Cancellation: a queued job completes as ``cancelled`` immediately (its
 heap entry is popped and skipped later); a running job's cancel sets
@@ -38,7 +50,9 @@ from __future__ import annotations
 
 import asyncio
 import mmap
+import pickle
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -56,7 +70,8 @@ from ..telemetry import RunRegistry, Telemetry, config_fingerprint
 from ..telemetry.metrics import MetricsRegistry, render_prometheus
 from .admission import AdmissionController, TenantQuota
 from .cache import ResultCache
-from .executor import execute_config, normalize_config
+from .executor import (compile_design, execute_config, normalize_config,
+                       plan_key)
 from .jobs import (
     CANCELLED,
     DONE,
@@ -69,6 +84,10 @@ from .jobs import (
     Job,
     result_summary,
 )
+
+#: compiled designs the plan cache keeps, least recently used first
+#: out (one is a few hundred kB)
+PLAN_CACHE_SIZE = 8
 
 #: log-spaced latency buckets in seconds (le= labels); +Inf implied
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.5, 10.0, 60.0)
@@ -130,6 +149,16 @@ class ServiceConfig:
         default_factory=dict)
 
 
+def _pickled(design) -> Optional[bytes]:
+    """``design`` as bytes for the parent's plan cache, or None when it
+    does not pickle — the job it ran succeeds either way."""
+    try:
+        return pickle.dumps(design, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError,
+            RecursionError):
+        return None
+
+
 async def _readable(fd: int) -> None:
     """Wait, without blocking the loop, until ``fd`` is readable."""
     loop = asyncio.get_running_loop()
@@ -169,6 +198,8 @@ class SimulationService:
         #: running job id -> its child and the shared cancel byte the
         #: child's stop hook reads
         self._children: Dict[str, Tuple[ForkedCall, mmap.mmap]] = {}
+        #: plan key -> compiled design, for job children to inherit
+        self._plans: "OrderedDict[str, object]" = OrderedDict()
         self._running = False
         self._workers: List[asyncio.Task] = []
         self._work = asyncio.Event()
@@ -492,17 +523,27 @@ class SimulationService:
 
     async def _run_forked(self, job: Job):
         """``execute_config`` of ``job`` in a forked child: logged as
-        ``executing`` with the child's ``child_pid``, awaited on its
-        pipe, and reaped before this returns or raises."""
+        ``executing`` with the child's ``child_pid`` and whether its
+        ``plan`` was a hit, awaited on its pipe, and reaped before this
+        returns or raises."""
         telemetry = self._telemetry_for(job)
         tracer = RecordingTracer(self.config.trace_events) \
             if self.config.trace_events > 0 else None
+        key = plan_key(job.config)
+        planned = self._plans.get(key) if key is not None else None
+        if planned is not None:
+            self._plans.move_to_end(key)
+        #: this child compiles a design the plan cache wants
+        fresh = key is not None and planned is None
         with mmap.mmap(-1, 1) as stop:
             def execute():
-                return execute_config(
+                design = compile_design(job.config) if fresh else planned
+                outcome = execute_config(
                     job.config, telemetry, lambda: stop[0] != 0,
                     corr_id=job.corr_id, events=self.events,
-                    tracer=tracer)
+                    tracer=tracer, design=design)
+                # pickled after the run, so its memos are filled
+                return outcome, _pickled(design) if fresh else None
 
             child = fork_call(
                 execute, job.job_id,
@@ -511,12 +552,21 @@ class SimulationService:
             try:
                 self._event("executing", job, count="executions",
                             queue_wait_s=round(job.queue_wait_s, 6),
-                            child_pid=child.proc.pid)
+                            child_pid=child.proc.pid,
+                            plan="miss" if planned is None else "hit")
                 await _readable(child.conn.fileno())
-                return child.result()
+                outcome, blob = child.result()
             finally:
                 del self._children[job.job_id]
                 child.close()
+        if blob is not None and key not in self._plans:
+            # a concurrent miss of the same plan may have filled it:
+            # that blob is dropped unread.  Loading runs on the loop,
+            # once per plan key (tens of ms).
+            self._plans[key] = pickle.loads(blob)
+            while len(self._plans) > PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+        return outcome
 
     def _telemetry_for(self, job: Job) -> Optional[Telemetry]:
         live_dir = self.config.live_dir

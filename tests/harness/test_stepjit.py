@@ -1,5 +1,5 @@
 """Compiled step plane: selection knobs, eligibility guard, codegen
-output, fused-kernel cache, runtime-fallback identity, and the
+output, fused-kernel memo, runtime-fallback identity, and the
 call-outs (hardened / faulted links, switch hops) matching the
 interpreter."""
 
@@ -341,32 +341,34 @@ class TestGeneratedSources:
             step = namespace["_make"](bindings)
             assert callable(step)
 
-    def test_fused_kernels_cached_on_unit(self):
+    def test_fused_kernels_cached_on_elaboration(self):
         # the comb-pair units all carry dep channels, which keeps them
         # on the generic tier; a corpus NoC scenario has dep-free units
         # that take the fused-kernel path
-        # inproc: the cache under inspection lives on this process's
-        # unit objects (a forked worker's compile never reaches them)
+        # inproc: the memo under inspection lives on this process's
+        # elaborations (a forked worker's compile never reaches them)
         sim = _fused_sim()
         sim.run(10, backend="inproc")
-        kernels = [getattr(unit, "_stepjit_kernels", None)
-                   for part in sim.partitions.values()
-                   for _, unit in part.units]
-        cached = [k for k in kernels if k]
-        assert cached, "no unit took the fused-kernel tier"
-        for kern in cached:  # (fire, adv, cyc) tuple per unit
-            assert any(fn is not None for fn in kern)
-            for fn in kern:
-                if fn is not None:
-                    assert "def _k(env, mems" in fn._stepjit_source
-        # a second run reuses the cache (same objects, no recompile)
-        before = [id(k) for k in kernels if k]
+
+        def memos():
+            return [dict(getattr(unit.sim.elab, "kernels", {}))
+                    for part in sim.partitions.values()
+                    for _, unit in part.units]
+
+        before = memos()
+        assert any(before), "no unit took the fused-kernel tier"
+        for memo in before:  # (tag, layout) -> (fire, adv, cyc)
+            for kern in memo.values():
+                assert any(fn is not None for fn in kern)
+                for fn in kern:
+                    if fn is not None:
+                        assert "def _k(env, mems" in fn._stepjit_source
+        # a second run reuses the memo (same objects, no recompile)
         sim.run(20, backend="inproc")
-        after = [id(getattr(unit, "_stepjit_kernels", None))
-                 for part in sim.partitions.values()
-                 for _, unit in part.units
-                 if getattr(unit, "_stepjit_kernels", None)]
-        assert before == after
+        after = memos()
+        assert [m.keys() for m in after] == [m.keys() for m in before]
+        assert all(a[key] is b[key] for a, b in zip(after, before)
+                   for key in b)
 
 
 def test_first_quiescent_cycle_matches_the_interpreter():
@@ -394,8 +396,9 @@ def test_first_quiescent_cycle_matches_the_interpreter():
                 (unit.target_cycle, out[-1]))
             return out
 
-        # the generator binds whatever the unit's kernel cache holds
-        unit._stepjit_kernels = (fire, adv, spy)
+        # the generator binds whatever the elaboration's memo holds
+        (key,) = unit.sim.elab.kernels
+        unit.sim.elab.kernels[key] = (fire, adv, spy)
     jit.run(cycles, backend="inproc")
     assert all(v.startswith("compiled")
                for v in jit.last_jit_report.values())

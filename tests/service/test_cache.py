@@ -117,6 +117,42 @@ class TestNormalize:
         with pytest.raises(ServiceError, match=match):
             normalize_config(config)
 
+    @pytest.mark.parametrize("noc,repeated", [
+        ([[0, 0], [1]], "0"),
+        ([[0, 1], [2, 1]], "1"),
+    ], ids=["within-a-group", "across-groups"])
+    def test_repeated_router_index_refused_at_submit(
+            self, make_config, noc, repeated):
+        """``[[0, 0], [1]]`` would run as ``[[0], [1]]`` under another
+        fingerprint, splitting the result and plan caches."""
+        config = make_config(noc=noc)
+        del config["extract"]
+        with pytest.raises(ServiceError,
+                           match=f"router index {repeated} appears more "
+                                 "than once"):
+            normalize_config(config)
+
+    @pytest.mark.parametrize("extract,repeated", [
+        ([["tile0", "tile0"]], "tile0"),
+        (["tile0,tile1", ["tile1"]], "tile1"),
+    ], ids=["within-a-group", "across-groups"])
+    def test_repeated_instance_path_refused_at_submit(
+            self, make_config, extract, repeated):
+        """Refused at submit, not in a forked child as "an instance
+        path appears in two groups"."""
+        with pytest.raises(ServiceError,
+                           match=f"instance path '{repeated}' appears "
+                                 "more than once"):
+            normalize_config(make_config(extract=extract))
+
+    def test_overlapping_colocate_groups_still_merge(self, make_config):
+        config = normalize_config(make_config(
+            kind="farm", extract=["a", "b", "c"],
+            hosts={"hosts": [{"name": "h", "cores": 4}]},
+            colocate=[["fpga0", "fpga1"], ["fpga1", "fpga2"]]))
+        assert config["colocate"] == [["fpga0", "fpga1"],
+                                      ["fpga1", "fpga2"]]
+
     def test_experiment_config_is_minimal(self):
         normalized = normalize_config({"kind": "experiment",
                                        "experiment": "table1"})
