@@ -8,7 +8,7 @@ claim is pinned there:
   ``EXPERIMENTS``) through :func:`repro.parallel.fanout` must beat the
   sequential run wall-clock (>1x) — the one thing ``parallel/pool.py``
   exists to speed up, measured on the work it speeds up (a sweep of
-  millisecond points costs less than forking the pool).  On a
+  millisecond points costs less than forking a child per point).  On a
   single-core runner there is nothing to overlap onto, so nothing is
   reported.
   The per-point in-process vs process-backend wall-clock is recorded

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional
 from ..errors import HostDeadError
 from ..parallel.coordinator import (ProcessBackend, Worker, emit_event,
                                     fork_workers)
+from ..parallel.pool import exit_reason
 from ..reliability.supervisor import RunSupervisor, SupervisorReport
 from .hosts import FarmSpec
 from .placement import Placement, place_sim
@@ -131,8 +132,8 @@ class FarmBackend(ProcessBackend):
                 emit_event(sim, "host_death", host=host, reason="died")
                 return HostDeadError(
                     host, "died", f"the manager pulled the host; its "
-                    f"worker {worker.name!r} exited with code "
-                    f"{worker.proc.exitcode}")
+                    f"worker {worker.name!r} "
+                    f"{exit_reason(worker.proc.exitcode)}")
         return super()._find_failure(sim, states, now, quiescing)
 
     @staticmethod

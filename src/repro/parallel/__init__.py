@@ -10,9 +10,9 @@ socket pair per linked partition pair, made before the fork
 (``socket_transport`` — the one data plane, within a host and across
 farm hosts), a coordinator spawns/supervises the workers and merges
 their state fragments back into the parent simulation
-(``coordinator``), and an
-experiment-level pool fans independent sweep points across bounded
-jobs (``pool``).
+(``coordinator``), and every child — partition worker, service job or
+fanned-out experiment — is started by one spawner under one close
+rule (``pool``).
 
 The backend is *bit-deterministic*: ``SimulationResult.detail`` (and
 all merged simulation state that feeds checkpoints) is identical to the

@@ -145,7 +145,7 @@ class Conduit:
     The channel may refuse a record (a full staging buffer atop a full
     kernel buffer).  A refused write blocks *politely*: the
     caller-supplied ``wait_step`` must keep the worker live (drain
-    incoming channels, service the control pipe, surface aborts) and
+    incoming channels, service the control connection, surface aborts) and
     returns True when the write should be abandoned instead of retried
     — the peer is dead, or the run is finalizing past the stop fence
     and the remaining frames are empty service frames nobody will read.

@@ -3,12 +3,12 @@
 ``ProcessBackend.run`` forks one worker process per partition (the
 simulation object is inherited by ``fork``, so compiled artefacts,
 token sources and closures need no pickling) after making one stream
-socket pair per pair of *linked* partitions and one control pipe pair
-per worker, and then plays supervisor over one :class:`Worker` record
-per partition (forked by the one spawner :func:`fork_workers`): the
-process, its control pipe pair and sentinel, and what its reports
-said.  :class:`~repro.farm.FarmBackend` runs this same loop over the
-same workers, each placed on a virtual host.  The supervisor:
+socket pair per pair of *linked* partitions, and then plays supervisor
+over one :class:`Worker` record per partition (forked by
+:func:`fork_workers`): the process, its control connection and
+sentinel, and what its reports said.  :class:`~repro.farm.FarmBackend`
+runs this same loop over the same workers, each placed on a virtual
+host.  The supervisor:
 
 * tracks per-worker progress reports to detect global completion,
   LI-BDN deadlock (no worker progressed past pass ``k*`` — the same
@@ -51,6 +51,7 @@ from ..reliability.checkpoint import load_partition_state
 from ..reliability.supervisor import InjectedCrash
 from . import worker as _worker_mod
 from .channels import FramePacker
+from .pool import exit_reason, fork_available, reap, start_child
 from .worker import close_all, worker_main
 
 
@@ -72,10 +73,6 @@ def unsupported_reason(sim) -> Optional[str]:
                 "re-based across worker processes (only "
                 "RecordingTracer or a disabled tracer is supported)")
     return None
-
-
-def fork_available() -> bool:
-    return "fork" in mp.get_all_start_methods()
 
 
 #: canonical backend names, as `normalize_backend` returns them
@@ -135,16 +132,16 @@ def auto_backend(sim) -> Optional["ProcessBackend"]:
 
 
 class Worker:
-    """One forked partition worker: its process, its control pipe pair,
-    the identity fields of its spawn/exit events, and the supervision
-    state the coordinator folds its control messages into."""
+    """One forked partition worker: its process, the parent's end of its
+    control socketpair, the identity fields of its spawn/exit events,
+    and the supervision state the coordinator folds its control
+    messages into."""
 
-    def __init__(self, name: str, proc, recv, send, fields: dict,
+    def __init__(self, name: str, proc, conn, fields: dict,
                  frontier: int):
         self.name = name
         self.proc = proc
-        self.recv = recv        # parent-side end of worker -> parent
-        self.send = send        # parent-side end of parent -> worker
+        self.conn = conn
         self.fields = fields
         self.frontier = frontier
         self.last_true_pass = 0
@@ -173,82 +170,45 @@ def broadcast(workers, msg) -> None:
         if worker.dead:
             continue
         try:
-            worker.send.send(msg)
+            worker.conn.send(msg)
         except (BrokenPipeError, OSError):
             pass
-
-
-def reap(procs) -> None:
-    """Terminate and join every started process: ``SIGTERM``, one
-    shared 5 s grace, then ``SIGKILL``."""
-    procs = list(procs)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    deadline = time.monotonic() + 5.0
-    for proc in procs:
-        proc.join(max(0.0, deadline - time.monotonic()))
-    for proc in procs:
-        if proc.is_alive():
-            proc.kill()
-            proc.join(5.0)
 
 
 def fork_workers(sim, options: Dict[str, dict], target_cycles: int,
                  max_passes: int,
                  fields: Dict[str, dict]) -> Dict[str, Worker]:
-    """The one spawner: fork one partition worker per entry of
-    ``options`` (its ``worker_main`` option dict, data-plane ends
-    included), each behind its own control pipe pair.
-
-    One rule covers pipes and pairs alike: a worker closes every end it
-    inherited that is not its own (``unrelated_conns``), and the parent
-    closes its copies of the workers' ends once they are forked (or
-    the fork failed), which is what makes any single death an EOF
-    everywhere else.  Each start is logged as a ``worker_spawn`` event:
-    ``fields[name]`` plus ``part`` and ``worker_pid``.  A start that
-    fails reaps the workers already started and raises
-    :class:`~repro.errors.WorkerError`.
-    """
+    """Start one daemonic worker per entry of ``options`` (its
+    ``worker_main`` option dict) with :func:`.pool.start_child`,
+    keeping its data-plane ends and its end of one control socketpair;
+    every other end is a socket, which the child parks.  Each start is
+    logged as a ``worker_spawn`` event (``fields[name]``, ``part``,
+    ``worker_pid``).  A refused start reaps the workers already
+    started, closes every end and raises."""
     ctx = mp.get_context("fork")
-    #: per worker: (worker -> parent, parent -> worker), each (recv, send)
-    pipes = [(ctx.Pipe(duplex=False), ctx.Pipe(duplex=False))
-             for _ in options]
-    ends = [end for opts in options.values()
-            for end in opts["ends"].values()]
-    inherited = [conn for up, down in pipes for conn in up + down] + ends
     workers: Dict[str, Worker] = {}
-    for (name, opts), (up, down) in zip(options.items(), pipes):
-        own = {id(down[0]), id(up[1])} | {
-            id(end) for end in opts["ends"].values()}
-        proc = ctx.Process(
-            target=worker_main,
-            args=(sim, name, target_cycles, max_passes, opts),
-            kwargs={"ctl_recv": down[0], "ctl_send": up[1],
-                    "unrelated_conns": [c for c in inherited
-                                        if id(c) not in own]},
-            name=f"repro-worker-{name}", daemon=True)
-        workers[name] = Worker(name, proc, up[0], down[1],
-                               dict(fields[name], part=name),
-                               sim.partitions[name].target_cycle)
+    conns = []
     try:
-        for worker in workers.values():
-            worker.proc.start()
-    except OSError as exc:  # fork refused: EAGAIN, ENOMEM
-        started = [w.proc for w in workers.values()
-                   if w.proc.pid is not None]
+        for name, opts in options.items():
+            conn, ctl = ctx.Pipe()
+            conns.append(conn)
+            proc = start_child(
+                worker_main,
+                (sim, name, target_cycles, max_passes, opts, ctl),
+                name, f"repro-worker-{name}",
+                [ctl, *opts["ends"].values()], daemon=True)
+            workers[name] = Worker(
+                name, proc, conn,
+                dict(fields[name], part=name, worker_pid=proc.pid),
+                sim.partitions[name].target_cycle)
+    except WorkerError:
+        started = [w.proc for w in workers.values()]
         reap(started)
-        close_all(inherited + started)
-        raise WorkerError(list(workers)[len(started)], "spawn-failed",
-                          f"cannot start the worker: {exc}") from exc
-    finally:
-        close_all(ends)
-    for worker, (up, down) in zip(workers.values(), pipes):
-        worker.fields["worker_pid"] = worker.proc.pid
+        close_all(conns + started + [end for opts in options.values()
+                                     for end in opts["ends"].values()])
+        raise
+    for worker in workers.values():
         emit_event(sim, "worker_spawn", **worker.fields)
-        # the worker owns these ends now; closing them here is what
-        # turns its death into an EOF on the parent's ends
-        close_all((up[1], down[0]))
     return workers
 
 
@@ -266,13 +226,12 @@ class ProcessBackend:
     stream-socket pair made for them before the fork
     (:mod:`repro.parallel.worker` says why the lock-step wavefront
     needs no batching, window or acknowledgement on top;
-    :mod:`repro.parallel.socket_transport` is the carrier); control and
-    coordinator-side liveness stay on pipes.  Sockets are the only
-    data plane because the end-to-end ledger picked them: pickled
-    pipes measured ~10-15% slower and shared-memory rings 2.6-6.4x
-    slower (no fd to select on, so a 0.5 ms poll per lock-step round
-    trip) on every shape tried — see DESIGN.md, "Process backend
-    wire".
+    :mod:`repro.parallel.socket_transport` is the carrier); control
+    rides one socketpair per worker.  Sockets are the only data plane
+    because the end-to-end ledger picked them: pickled pipes measured
+    ~10-15% slower and shared-memory rings 2.6-6.4x slower (no fd to
+    select on, so a 0.5 ms poll per lock-step round trip) on every
+    shape tried — see DESIGN.md, "Process backend wire".
     """
 
     def __init__(self, heartbeat_timeout: float = 30.0,
@@ -360,7 +319,7 @@ class ProcessBackend:
         for worker in workers:
             emit_event(sim, "worker_exit", **worker.fields,
                        exitcode=worker.proc.exitcode)
-            close_all((worker.recv, worker.send, worker.proc))
+            close_all((worker.conn, worker.proc))
 
     # -- the supervision loop -------------------------------------------------
 
@@ -379,7 +338,7 @@ class ProcessBackend:
             workers = states.values()
             watched = {}
             for worker in workers:
-                watched[worker.recv] = watched[worker.proc.sentinel] = worker
+                watched[worker.conn] = watched[worker.proc.sentinel] = worker
             stopping = False
             aborting: Optional[str] = None
             abort_at = 0.0
@@ -392,7 +351,7 @@ class ProcessBackend:
                 now = time.monotonic()
                 for item in ready:
                     worker = watched[item]
-                    if item is worker.recv:
+                    if item is worker.conn:
                         self._drain(worker, now)
                     else:
                         self._on_death(worker, now)
@@ -483,9 +442,9 @@ class ProcessBackend:
         record."""
         while True:
             try:
-                if not state.recv.poll():
+                if not state.conn.poll():
                     return
-                msg = state.recv.recv()
+                msg = state.conn.recv()
             except (EOFError, OSError):
                 return  # the sentinel handler owns death accounting
             state.last_seen = now
@@ -535,8 +494,8 @@ class ProcessBackend:
             for name, state in lost:
                 if state.proc.exitcode not in (0, 3):
                     return WorkerError(
-                        name, "died", "worker process exited with "
-                        f"code {state.proc.exitcode}")
+                        name, "died", "worker process "
+                        + exit_reason(state.proc.exitcode))
             if lost:
                 return WorkerError(
                     lost[0][0], "died", "worker process exited after "

@@ -15,7 +15,7 @@ vanishing mid-frame surfaces as ``closed`` with the torn record
 discarded), writes stage into a bounded pending buffer so a slow peer
 backpressures the sender instead of growing memory.  Sockets signal
 peer death natively (EOF / ``ECONNRESET``) and have a file descriptor a
-blocked worker can select on next to its control pipe.
+blocked worker can select on next to its control connection.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class SocketChannel:
     """One established peer stream of length-prefixed packed records.
 
     Non-blocking.  ``fileno`` makes the channel selectable alongside
-    control pipes in ``multiprocessing.connection.wait``.  Reads
+    control connections in ``multiprocessing.connection.wait``.  Reads
     buffer partial records until the rest arrives; a clean or torn EOF
     sets ``closed`` (native peer-death detection).  Writes stage into
     ``_tx`` and drain opportunistically; once ``max_pending`` bytes

@@ -37,7 +37,7 @@ simulation work and mutate no state, so the final merged state is
 deterministic.
 
 Control protocol (worker -> coordinator, over the worker's own control
-pipe, which tells the coordinator who spoke — no envelope):
+socketpair, which tells the coordinator who spoke — no envelope):
 
 ``("progress", name, [(pass, frontier, progressed), ...], metrics)``
     per-pass progress, ``REPORT_BATCH`` passes a message; flushed on
@@ -45,8 +45,8 @@ pipe, which tells the coordinator who spoke — no envelope):
     quickly.  ``metrics`` is a
     :class:`~repro.parallel.channels.MetricFrame` with the sample
     points taken since the previous report (None when telemetry is
-    off) — live status rides the existing control pipe, no extra
-    plumbing.
+    off) — live status rides the existing control connection, no
+    extra plumbing.
 ``("heartbeat", name, pass, frontier)``
     emitted while blocked, so a hung peer is distinguishable from a
     hung self.
@@ -78,7 +78,7 @@ from .socket_transport import SocketChannel
 #: set in forked children so backend auto-selection never recurses
 IN_WORKER = False
 
-#: passes per ``progress`` message on the control pipe
+#: passes per ``progress`` message on the control connection
 REPORT_BATCH = 16
 
 
@@ -154,16 +154,16 @@ class PartitionWorker:
 
     def __init__(self, sim, name: str,
                  target_cycles: int, max_passes: int,
-                 ctl_recv, ctl_send, options: dict):
-        """``options`` is this partition's entry of
+                 ctl, options: dict):
+        """``ctl`` is this worker's end of its control socketpair;
+        ``options`` its entry of
         :meth:`ProcessBackend._worker_options`."""
         self.sim = sim
         self.name = name
         self.part = sim.partitions[name]
         self.target_cycles = target_cycles
         self.max_passes = max_passes
-        self.ctl_recv = ctl_recv
-        self.ctl_send = ctl_send
+        self.ctl = ctl
         self.heartbeat_s = options["heartbeat_s"]
         self.die: Optional[Tuple[str, int]] = options["die"]
         self.pass_no = 0
@@ -187,7 +187,7 @@ class PartitionWorker:
         #: per peer, the frames received and not yet applied, in
         #: arrival (= pass) order
         self.inboxes: Dict[str, Deque[EffectFrame]] = {}
-        self._wait_conns = [ctl_recv]
+        self._wait_conns = [ctl]
         for peer in self.peers:
             chan = SocketChannel(options["ends"][peer], peer)
             self._wait_conns.append(chan)
@@ -255,12 +255,12 @@ class PartitionWorker:
 
     def _send_ctl(self, msg) -> None:
         try:
-            self.ctl_send.send(msg)
+            self.ctl.send(msg)
         except (BrokenPipeError, OSError):
             os._exit(3)
 
     def _drain(self, conn) -> None:
-        if conn is not self.ctl_recv:
+        if conn is not self.ctl:
             self._drain_socket(conn)
             return
         while True:
@@ -283,7 +283,7 @@ class PartitionWorker:
             raise _Abort(self._abort_reason)
 
     def _poll_control(self) -> None:
-        self._drain(self.ctl_recv)
+        self._drain(self.ctl)
         self._raise_control()
 
     def _drain_socket(self, chan: SocketChannel) -> None:
@@ -494,24 +494,20 @@ class PartitionWorker:
 
 
 def worker_main(sim, name, target_cycles, max_passes, options,
-                ctl_recv, ctl_send, unrelated_conns) -> None:
-    """Entry point of a forked worker process.
-
-    ``unrelated_conns`` is every pipe end and socket end belonging to
-    other workers; closing them here is what lets peers and the
-    coordinator observe a clean EOF the moment any single worker dies.
-    """
+                ctl) -> None:
+    """Entry point of a forked worker process, started by
+    :func:`~repro.parallel.pool.start_child`, which has already parked
+    every end that is not this worker's."""
     global IN_WORKER
     IN_WORKER = True
     # adopt the request's correlation id: visible to anything this
     # worker execs, and echoed home in the result fragment
     if sim.corr_id:
         propagate_corr_id(sim.corr_id)
-    close_all(unrelated_conns)
     worker = None
     try:
         worker = PartitionWorker(sim, name, target_cycles, max_passes,
-                                 ctl_recv, ctl_send, options)
+                                 ctl, options)
         worker.loop()
     except _Stop:
         # past the fence the remaining frames are empty service frames;
@@ -527,7 +523,7 @@ def worker_main(sim, name, target_cycles, max_passes, options,
         import traceback
         tail = traceback.format_exc(limit=-3)
         try:
-            ctl_send.send(("failed", name, *error_report(
+            ctl.send(("failed", name, *error_report(
                 exc, f"{exc}\n{tail}".rstrip())))
         except (BrokenPipeError, OSError):
             pass

@@ -545,9 +545,7 @@ class SimulationService:
                 # pickled after the run, so its memos are filled
                 return outcome, _pickled(design) if fresh else None
 
-            child = fork_call(
-                execute, job.job_id,
-                [other.conn for other, _ in self._children.values()])
+            child = fork_call(execute, job.job_id)
             self._children[job.job_id] = (child, stop)
             try:
                 self._event("executing", job, count="executions",

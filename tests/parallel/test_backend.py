@@ -219,6 +219,7 @@ class TestFailureSurfacing:
             backend.run(sim, 40)
         assert err.value.partition == "fpga1"
         assert "died" in str(err.value)
+        assert "killed by SIGKILL" in str(err.value)
         assert _no_orphans()
 
     def test_worker_exception_rebuilt_in_parent(self, make_backend):

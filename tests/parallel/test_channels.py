@@ -154,12 +154,11 @@ def base_worker():
     sim = build_star_sim(1)
     options = ProcessBackend()._worker_options(sim)
     peer = options["fpga1"]["ends"]["base"]
-    ctl_recv, ctl_send = mp.Pipe(duplex=False)
-    worker = PartitionWorker(sim, "base", 10, 100,
-                             ctl_recv, ctl_send, options["base"])
+    ctl, coordinator = mp.Pipe()
+    worker = PartitionWorker(sim, "base", 10, 100, ctl, options["base"])
     yield worker, peer
-    close_all([ctl_recv, ctl_send, *(end for o in options.values()
-                                     for end in o["ends"].values())])
+    close_all([ctl, coordinator, *(end for o in options.values()
+                                   for end in o["ends"].values())])
 
 
 class TestWorkerReceive:
