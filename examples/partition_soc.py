@@ -37,15 +37,13 @@ def main():
     spec = PartitionSpec(mode=FAST,
                          noc=NoCPartitionSpec.make([[0, 1, 2],
                                                     [3, 4, 5]]))
-    design = FireRipper(spec).compile(
-        circuit, profile=XILINX_U250, transport=QSFP_AURORA,
-        host_freq_mhz=30.0)
+    design = FireRipper(spec).compile(circuit)
 
     print("\nautomatically selected partition groups:")
     for group, members in sorted(design.extracted.group_members.items()):
         print(f"  {group}: {', '.join(sorted(members))}")
     print()
-    print(design.report.to_text())
+    print(design.report(XILINX_U250, QSFP_AURORA, 30.0).to_text())
 
     sim = design.build_simulation(QSFP_AURORA, host_freq_mhz=30.0,
                                   record_outputs=True)

@@ -53,11 +53,9 @@ def main():
     for mode in (EXACT, FAST):
         spec = PartitionSpec(mode=mode, groups=[
             PartitionGroup.make("fpga1", ["consumer"])])
-        design = FireRipper(spec).compile(
-            circuit, profile=XILINX_U250, transport=QSFP_AURORA,
-            host_freq_mhz=30.0)
+        design = FireRipper(spec).compile(circuit)
         print(f"\n--- {mode}-mode ---")
-        print(design.report.to_text())
+        print(design.report(XILINX_U250, QSFP_AURORA, 30.0).to_text())
 
         sim = design.build_simulation(QSFP_AURORA, host_freq_mhz=30.0,
                                       record_outputs=True)

@@ -14,11 +14,9 @@ from .common import TRANSPORTS, job, job_config, spec
 
 def cmd_report(args) -> int:
     config = job_config(args)
-    design = executor.compile_design(
-        config, profile=XILINX_U250,
-        transport=TRANSPORTS[config["transport"]],
-        host_freq_mhz=config["freq"])
-    print(design.report.to_text())
+    report = executor.compile_design(config).report(
+        XILINX_U250, TRANSPORTS[config["transport"]], config["freq"])
+    print(report.to_text())
     return 0
 
 
@@ -75,7 +73,9 @@ def cmd_jit(args) -> int:
 
 def register(subs) -> None:
     p = subs.add_parser("report", parents=job(),
-                        help="compile + print feedback")
+                        help="compile, then print interface widths, U250 fit "
+                             "and the expected rate over --transport at "
+                             "--freq")
     p.set_defaults(fn=cmd_report)
 
     p = subs.add_parser("partition", parents=[spec()],

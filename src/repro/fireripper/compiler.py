@@ -3,7 +3,9 @@
 Pipeline (mirrors Sec. III): well-formedness check -> module selection
 (explicit or NoC-partition-mode) -> uniquify/reparent/group/extract ->
 fast-mode target modifications (when requested) -> boundary analysis and
-channel planning (with the exact-mode chain-length check) -> report.
+channel planning (with the exact-mode chain-length check).  Each design
+is compiled once per process, keyed by content: :meth:`FireRipper.compile`
+memoizes it under the circuit's fingerprint and the spec's field values.
 
 The result, :class:`PartitionedDesign`, carries everything needed to
 build and run a multi-FPGA co-simulation:
@@ -19,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CompileError
 from ..firrtl.circuit import Circuit
+from ..firrtl.fingerprint import circuit_fingerprint
 from ..firrtl.passes.check import check_circuit
 from ..harness.partitioned import (
     ConstantSource,
@@ -40,6 +43,11 @@ from .report import PartitionReport, build_report
 from .select import select_explicit, select_noc
 from .spec import EXACT, FAST, PartitionSpec
 
+#: compiled designs each design cache keeps — :data:`DESIGN_MEMO` and
+#: the service's plan cache — least recently used first out (one is a
+#: few hundred kB)
+PLAN_CACHE_SIZE = 8
+
 
 @dataclass
 class PartitionedDesign:
@@ -54,7 +62,6 @@ class PartitionedDesign:
     spec: PartitionSpec
     extracted: ExtractedDesign
     plan: BoundaryPlan
-    report: PartitionReport
     elaborations: Dict[str, Elaboration] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -73,6 +80,16 @@ class PartitionedDesign:
     @property
     def base_name(self) -> str:
         return self.extracted.base_name
+
+    def report(self, profile: Optional[FPGAProfile] = None,
+               transport: Optional[TransportModel] = None,
+               host_freq_mhz: Optional[float] = None) -> PartitionReport:
+        """The user-facing feedback: interface widths, resource
+        estimates (fit-checked against ``profile``) and the expected
+        rate over ``transport`` at ``host_freq_mhz``."""
+        return build_report(self.extracted, self.plan, profile=profile,
+                            transport=transport,
+                            host_freq_mhz=host_freq_mhz)
 
     def build_simulation(
             self,
@@ -180,22 +197,40 @@ class PartitionedDesign:
             telemetry=telemetry)
 
 
+#: (circuit fingerprint, repr of the spec's field values) -> compiled
+#: design, least recently used first: the process-wide memo behind
+#: :meth:`FireRipper.compile`
+DESIGN_MEMO: Dict[Tuple[str, str], PartitionedDesign] = {}
+
+
 class FireRipper:
     """The partitioning compiler (one instance per PartitionSpec)."""
 
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
 
-    def compile(self, circuit: Circuit,
-                profile: Optional[FPGAProfile] = None,
-                transport: Optional[TransportModel] = None,
-                host_freq_mhz: Optional[float] = None) -> PartitionedDesign:
-        """Partition ``circuit`` per the spec.
+    def compile(self, circuit: Circuit) -> PartitionedDesign:
+        """Partition ``circuit`` per the spec, once per process: equal
+        circuit content under equal spec values returns the design the
+        first compile made (:data:`DESIGN_MEMO`), which every later
+        :meth:`~PartitionedDesign.build_simulation` shares.
 
         Raises :class:`~repro.errors.CombChainError` in exact-mode when a
         boundary combinational chain exceeds length two, and
-        :class:`~repro.errors.SelectionError` for bad selections.
+        :class:`~repro.errors.SelectionError` for bad selections; a
+        compile that raises caches nothing.
         """
+        key = (circuit_fingerprint(circuit), repr(self.spec))
+        # each step is one dict operation on str keys, which no thread
+        # interrupts: threads sharing the memo at worst compile a
+        # design twice or evict one early
+        design = DESIGN_MEMO.pop(key, None) or self._compile(circuit)
+        DESIGN_MEMO[key] = design
+        for stale in list(DESIGN_MEMO)[:-PLAN_CACHE_SIZE]:
+            DESIGN_MEMO.pop(stale, None)
+        return design
+
+    def _compile(self, circuit: Circuit) -> PartitionedDesign:
         check_circuit(circuit)
         if self.spec.groups is not None:
             groups = select_explicit(circuit, self.spec.groups)
@@ -218,8 +253,5 @@ class FireRipper:
         for part in extracted.partitions.values():
             check_circuit(part)
         plan = plan_boundaries(extracted, self.spec.mode)
-        report = build_report(extracted, plan, profile=profile,
-                              transport=transport,
-                              host_freq_mhz=host_freq_mhz)
         return PartitionedDesign(spec=self.spec, extracted=extracted,
-                                 plan=plan, report=report)
+                                 plan=plan)

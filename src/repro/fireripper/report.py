@@ -37,10 +37,6 @@ class PartitionReport:
     transport_name: Optional[str] = None
     host_freq_mhz: Optional[float] = None
 
-    @property
-    def max_interface_width(self) -> int:
-        return max(self.interface_widths.values(), default=0)
-
     def to_text(self) -> str:
         lines = [f"FireRipper partition report (mode={self.mode})"]
         lines.append(f"  partitions: {', '.join(self.partition_names)}")

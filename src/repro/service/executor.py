@@ -294,12 +294,11 @@ def plan_key(config: dict) -> Optional[str]:
         {key: config[key] for key in PLAN_KEYS if key in config})
 
 
-def compile_design(config: dict, **compile_args):
+def compile_design(config: dict):
     """Parse and FireRipper-compile the circuit a normalized simulate
-    or farm config names (``compile_args`` reach
-    :meth:`FireRipper.compile`: the report's profile and transport)."""
-    return FireRipper(partition_spec(config)).compile(
-        load_circuit(config), **compile_args)
+    or farm config names (the compile itself is memoized by content,
+    so a ``circuit`` path re-read unchanged reuses its design)."""
+    return FireRipper(partition_spec(config)).compile(load_circuit(config))
 
 
 def build_simulation(config: dict, design=None, **sinks):

@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import JobNotFoundError, ReproError
+from ..fireripper.compiler import PLAN_CACHE_SIZE
 from ..observability.corr import mint_corr_id
 from ..observability.events import (
     LogTracer,
@@ -84,10 +85,6 @@ from .jobs import (
     Job,
     result_summary,
 )
-
-#: compiled designs the plan cache keeps, least recently used first
-#: out (one is a few hundred kB)
-PLAN_CACHE_SIZE = 8
 
 #: log-spaced latency buckets in seconds (le= labels); +Inf implied
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.5, 10.0, 60.0)

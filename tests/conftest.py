@@ -1,4 +1,5 @@
-"""Shared fixtures: small circuits used across the suite.
+"""Shared fixtures: small circuits used across the suite, and an empty
+design memo for every test.
 
 The opt-in ``REPRO_TEST_TIMEOUT`` per-test watchdog lives in the
 repo-root ``conftest.py`` so the benchmarks get it too.
@@ -8,7 +9,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fireripper.compiler import DESIGN_MEMO
 from repro.firrtl import ModuleBuilder, build_circuit, make_circuit, mux
+
+
+@pytest.fixture(autouse=True)
+def _empty_design_memo():
+    """Every test compiles afresh: a kernel-count or spy test never
+    receives a design an earlier test already ran."""
+    DESIGN_MEMO.clear()
 
 
 @pytest.fixture

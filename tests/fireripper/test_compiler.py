@@ -24,10 +24,10 @@ from repro.targets.soc import (
 )
 
 
-def _compile(circuit, mode=EXACT, paths=("right",), **kwargs):
+def _compile(circuit, mode=EXACT, paths=("right",)):
     spec = PartitionSpec(mode=mode, groups=[
         PartitionGroup.make("fpga1", list(paths))])
-    return FireRipper(spec).compile(circuit, **kwargs)
+    return FireRipper(spec).compile(circuit)
 
 
 def _first_done_cycle(sim, max_cycles=60_000):
@@ -163,10 +163,8 @@ class TestTransportsAndReport:
             design.build_simulation({("base", "elsewhere"): QSFP_AURORA})
 
     def test_report_contents(self):
-        design = _compile(make_comb_pair_circuit(), EXACT,
-                          profile=XILINX_U250, transport=QSFP_AURORA,
-                          host_freq_mhz=30.0)
-        report = design.report
+        design = _compile(make_comb_pair_circuit(), EXACT)
+        report = design.report(XILINX_U250, QSFP_AURORA, 30.0)
         assert report.interface_widths[("base", "fpga1")] == 64
         assert report.expected_rate_hz is not None
         text = report.to_text()

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.cli import main
+from repro.fireripper.compiler import DESIGN_MEMO
 from repro.fuzz import functional_digest, generate_scenario, scenario_config
 from repro.harness.stepjit import generate_sources
 from repro.firrtl import print_circuit
@@ -83,6 +84,7 @@ def test_simulations_of_one_design_do_not_alias(name):
     design = compile_design(config)
     first, second = _build(config, design), _build(config, design)
     assert all(a is b for a, b in zip(_elabs(first), _elabs(second)))
+    DESIGN_MEMO.clear()  # so the reference is compiled afresh
     (fresh,) = _run_in_cuts([_build(config)], config["cycles"])
     digests = _run_in_cuts([first, second], config["cycles"])
     assert digests == [fresh, fresh]
@@ -135,5 +137,6 @@ def test_a_pickled_design_runs_without_printing_a_kernel(
     assert generate_sources(again) == sources
     assert _jit_dump(monkeypatch, capsys, tmp_path, loaded) == dump
     assert calls == []
+    DESIGN_MEMO.clear()  # so the design below is compiled afresh
     _build(config, compile_design(config)).run(1, backend="inproc")
     assert calls, "the spy misses a fresh design's kernels"

@@ -16,6 +16,7 @@ from repro.fireripper import (
     PartitionGroup,
     PartitionSpec,
 )
+from repro.fireripper.compiler import DESIGN_MEMO
 from repro.fireripper.extract import (
     ExtractedDesign,
     extract_partitions,
@@ -227,6 +228,9 @@ class TestOwnership:
         circuit = _deep_circuit()
         spec = PartitionSpec(mode=FAST, groups=[
             PartitionGroup.make("g", ["w"])])
+        # a fresh design on every call: the tests mutate what they get,
+        # which the memo would otherwise hand to the next call
+        DESIGN_MEMO.clear()
         return circuit, FireRipper(spec).compile(circuit)
 
     def test_compile_leaves_the_input_untouched(self):
