@@ -9,7 +9,10 @@ Ownership rule: a clone owns its containers (the module dict, each
 module's ``ports``/``stmts`` lists) and its own copy of every mutable
 :class:`Port`/:class:`Stmt`; the expression trees and connect targets
 those statements point at are frozen dataclasses no pass mutates, so
-they are shared.
+they are shared.  Sharing starts before any clone: one
+:func:`~repro.firrtl.parser.parse_circuit` call gives equal expressions
+one tree, across modules too, so an expression is changed by building
+a new one (``dataclasses.replace``), never in place.
 """
 
 from __future__ import annotations

@@ -17,6 +17,14 @@ Expressions use function-call syntax for primitive ops, ``UInt<w>(v)`` for
 literals, bare identifiers for local references, and ``inst.port`` for
 instance ports.  Because reference widths depend on declarations, expression
 parsing happens module-locally after declarations are scanned.
+
+One :func:`parse_circuit` call parses each distinct expression once: its
+trees are memoized under the expression text plus the width every token
+of it resolves to in the current module (``None`` when it names nothing).
+That key is all the parse reads, so a hit is the tree a fresh parse
+would build, and equal expressions anywhere in the circuit share one
+frozen tree.  Every malformed line raises :class:`IRError` naming its
+module and the line.
 """
 
 from __future__ import annotations
@@ -46,9 +54,10 @@ from .ast import (
 )
 from .circuit import Circuit, Module
 
+#: one expression's tokens; characters no alternative matches are
+#: skipped, and :func:`_parse_expr` refuses a text that had any
 _TOKEN_RE = re.compile(
-    r"\s*(UInt<\d+>\(\d+\)|[A-Za-z_][A-Za-z_0-9.$]*|\d+|[(),])"
-)
+    r"UInt<\d+>\(\d+\)|[A-Za-z_][A-Za-z_0-9.$]*|\d+|[(),]")
 
 # width rules mirrored from the builder so parsed PrimOps get correct widths
 _WIDTH_RULES = {
@@ -80,246 +89,214 @@ _WIDTH_RULES = {
     "xorr": lambda ws, ps: 1,
 }
 
+#: integer parameters per op; every op not named here takes none
+_PARAMS = {"bits": 2, "shl": 1, "shr": 1, "pad": 1}
 
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise IRError(f"cannot tokenize expression at: {text[pos:]!r}")
+
+def _parse_expr(text: str, tokens: List[str],
+                scope: Dict[str, int]) -> Expr:
+    """The tree of ``text``, tokenized as ``tokens``, reading reference
+    widths from ``scope``."""
+    if len("".join(tokens)) != len("".join(text.split())):
+        raise IRError(f"cannot tokenize expression {text!r}")
+    tokens = tokens + [""]  # end marker
+    expr, end = _expr(tokens, scope, 0)
+    if tokens[end]:
+        raise IRError(f"trailing tokens: {tokens[end:-1]}")
+    return expr
+
+
+def _expr(tokens: List[str], scope: Dict[str, int],
+          i: int) -> Tuple[Expr, int]:
+    """The expression starting at ``tokens[i]`` and the index after it."""
+    tok = tokens[i]
+    if not tok:
+        raise IRError("unexpected end of expression")
+    i += 1
+    if tok.startswith("UInt<"):
+        width, value = tok[5:-1].split(">(")
+        return Lit(int(value), int(width)), i
+    if tok in PRIM_OPS and tokens[i] == "(":
+        return _primop(tok, tokens, scope, i + 1)
+    width = scope.get(tok)
+    if "." in tok:
+        if width is None:
+            raise IRError(f"unknown instance port {tok!r}")
+        inst, port = tok.split(".", 1)
+        return InstPort(inst, port, width), i
+    if width is None:
+        raise IRError(f"unknown reference {tok!r}")
+    return Ref(tok, width), i
+
+
+def _primop(op: str, tokens: List[str], scope: Dict[str, int],
+            i: int) -> Tuple[Expr, int]:
+    args: List[Expr] = []
+    params: List[int] = []
+    n_args, n_params = PRIM_OPS[op], _PARAMS.get(op, 0)
+    while True:
+        if len(args) < n_args:
+            arg, i = _expr(tokens, scope, i)
+            args.append(arg)
+        elif tokens[i].isdecimal():
+            params.append(int(tokens[i]))
+            i += 1
+        else:
+            raise IRError(f"{op}: parameter {tokens[i]!r} is not a number")
+        tok = tokens[i]
+        i += 1
+        if tok == ")":
             break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _ExprParser:
-    """Recursive-descent expression parser with module-local width lookup."""
-
-    def __init__(self, text: str, widths: Dict[str, int],
-                 inst_widths: Dict[Tuple[str, str], int]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.widths = widths
-        self.inst_widths = inst_widths
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise IRError("unexpected end of expression")
-        if expected is not None and tok != expected:
-            raise IRError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Expr:
-        expr = self._expr()
-        if self.peek() is not None:
-            raise IRError(f"trailing tokens: {self.tokens[self.pos:]}")
-        return expr
-
-    def _expr(self) -> Expr:
-        tok = self.take()
-        lit = re.fullmatch(r"UInt<(\d+)>\((\d+)\)", tok)
-        if lit:
-            return Lit(int(lit.group(2)), int(lit.group(1)))
-        if tok in PRIM_OPS and self.peek() == "(":
-            return self._primop(tok)
-        if "." in tok:
-            inst, port = tok.split(".", 1)
-            key = (inst, port)
-            if key not in self.inst_widths:
-                raise IRError(f"unknown instance port {tok!r}")
-            return InstPort(inst, port, self.inst_widths[key])
-        if tok not in self.widths:
-            raise IRError(f"unknown reference {tok!r}")
-        return Ref(tok, self.widths[tok])
-
-    def _primop(self, op: str) -> Expr:
-        self.take("(")
-        args: List[Expr] = []
-        params: List[int] = []
-        n_args = PRIM_OPS[op]
-        while True:
-            if len(args) < n_args:
-                args.append(self._expr())
-            else:
-                params.append(int(self.take()))
-            tok = self.take()
-            if tok == ")":
-                break
-            if tok != ",":
-                raise IRError(f"expected ',' or ')', got {tok!r}")
-        widths = [a.width for a in args]
-        width = _WIDTH_RULES[op](widths, params)
-        return PrimOp(op, tuple(args), width, tuple(params))
+        if tok != ",":
+            raise IRError(f"expected ',' or ')', got {tok!r}")
+    if len(args) != n_args or len(params) != n_params:
+        raise IRError(f"{op} takes {n_args} args and {n_params} params, "
+                      f"got {len(args)} and {len(params)}")
+    width = _WIDTH_RULES[op]([a.width for a in args], params)
+    return PrimOp(op, tuple(args), width, tuple(params)), i
 
 
 _PORT_RE = re.compile(r"(input|output)\s+(\w+)\s*:\s*UInt<(\d+)>")
-_WIRE_RE = re.compile(r"wire\s+(\w+)\s*:\s*UInt<(\d+)>")
-_REG_RE = re.compile(r"reg\s+(\w+)\s*:\s*UInt<(\d+)>\s*,\s*init\s+(\d+)")
-_MEM_RE = re.compile(
-    r"mem\s+(\w+)\s*:\s*UInt<(\d+)>\[(\d+)\](?:\s+init\s+\[([^\]]*)\])?")
-_READ_RE = re.compile(r"read\s+(\w+)\s*=\s*(\w+)\[(.*)\]\s*$")
-_WRITE_RE = re.compile(r"write\s+(\w+)\[(.*)\]\s*<=\s*(.*)\s+when\s+(.*)$")
-_INST_RE = re.compile(r"inst\s+(\w+)\s+of\s+(\w+)")
-_NODE_RE = re.compile(r"node\s+(\w+)\s*=\s*(.*)$")
+#: body line regex by the line's first word; a line whose first word
+#: is none of these, or whose regex misses, is a connect
+_LINE_RES = {
+    "input": _PORT_RE,
+    "output": _PORT_RE,
+    "wire": re.compile(r"wire\s+(\w+)\s*:\s*UInt<(\d+)>"),
+    "reg": re.compile(r"reg\s+(\w+)\s*:\s*UInt<(\d+)>\s*,\s*init\s+(\d+)"),
+    "mem": re.compile(
+        r"mem\s+(\w+)\s*:\s*UInt<(\d+)>\[(\d+)\](?:\s+init\s+\[([^\]]*)\])?"),
+    "read": re.compile(r"read\s+(\w+)\s*=\s*(\w+)\[(.*)\]\s*$"),
+    "write": re.compile(r"write\s+(\w+)\[(.*)\]\s*<=\s*(.*)\s+when\s+(.*)$"),
+    "inst": re.compile(r"inst\s+(\w+)\s+of\s+(\w+)"),
+    "node": re.compile(r"node\s+(\w+)\s*=\s*(.*)$"),
+}
 _CONNECT_RE = re.compile(r"([\w.]+)\s*<=\s*(.*)$")
+
+#: one module body line: the line, its keyword (``"connect"``, or
+#: ``None`` when nothing matched) and its match
+_Line = Tuple[str, Optional[str], Optional[re.Match]]
+#: expression text -> (its tokens, {the width each token resolves to
+#: -> the tree}); one per :func:`parse_circuit` call
+_Memo = Dict[str, Tuple[List[str], Dict[tuple, Expr]]]
+
+
+def _classify(ln: str) -> _Line:
+    kw = ln.split(None, 1)[0]
+    regex = _LINE_RES.get(kw)
+    m = regex.fullmatch(ln) if regex is not None else None
+    if m is None:
+        m = _CONNECT_RE.fullmatch(ln)
+        kw = "connect" if m is not None else None
+    return ln, kw, m
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text produced by :func:`repro.firrtl.printer.print_circuit`."""
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines
-             if ln.strip() and not ln.strip().startswith(";")]
-    if not lines or not lines[0].strip().startswith("circuit"):
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith(";")]
+    header = lines[0].split() if lines else []
+    if len(header) < 2 or not header[0].startswith("circuit"):
         raise IRError("expected 'circuit <name> :' header")
-    top = lines[0].split()[1]
 
-    # split into module chunks
-    chunks: List[List[str]] = []
+    bodies: List[Tuple[str, List[_Line]]] = []
+    classified: Dict[str, _Line] = {}  # a repeated line matches once
     for ln in lines[1:]:
-        stripped = ln.strip()
-        if stripped.startswith("module "):
-            chunks.append([stripped])
+        if ln.startswith("module "):
+            bodies.append((ln.split()[1], []))
+        elif not bodies:
+            raise IRError(f"statement outside module: {ln!r}")
         else:
-            if not chunks:
-                raise IRError(f"statement outside module: {ln!r}")
-            chunks[-1].append(stripped)
+            line = classified.get(ln)
+            if line is None:
+                line = classified[ln] = _classify(ln)
+            bodies[-1][1].append(line)
 
-    # first pass: collect port signatures (for instance port widths)
-    signatures: Dict[str, Dict[str, int]] = {}
-    names: List[str] = []
-    for chunk in chunks:
-        name = chunk[0].split()[1]
-        names.append(name)
-        sig: Dict[str, int] = {}
-        for ln in chunk[1:]:
-            m = _PORT_RE.fullmatch(ln)
-            if m:
-                sig[m.group(2)] = int(m.group(3))
-        signatures[name] = sig
-
-    modules = [_parse_module(chunk, signatures) for chunk in chunks]
-    return Circuit(top, modules)
+    # port signatures, for instance port widths
+    signatures = {name: {m[2]: int(m[3]) for _, kw, m in body
+                         if kw == "input" or kw == "output"}
+                  for name, body in bodies}
+    memo: _Memo = {}
+    modules = [_parse_module(name, body, signatures, memo)
+               for name, body in bodies]
+    return Circuit(header[1], modules)
 
 
-def _parse_module(chunk: List[str],
-                  signatures: Dict[str, Dict[str, int]]) -> Module:
-    name = chunk[0].split()[1]
+def _parse_module(name: str, body: List[_Line],
+                  signatures: Dict[str, Dict[str, int]],
+                  memo: _Memo) -> Module:
     ports: List[Port] = []
     stmts: List = []
-    widths: Dict[str, int] = {}
-    inst_widths: Dict[Tuple[str, str], int] = {}
+    scope: Dict[str, int] = {}  # local name or "inst.port" -> width
     mem_widths: Dict[str, int] = {}
-    inst_modules: Dict[str, str] = {}
-    # declaration scan
-    body = chunk[1:]
-    for ln in body:
-        for regex, handler in _DECLS:
-            m = regex.fullmatch(ln)
-            if m:
-                handler(m, widths, inst_widths, mem_widths, inst_modules,
-                        signatures)
-                break
 
     def parse_expr(text: str) -> Expr:
-        return _ExprParser(text, widths, inst_widths).parse()
+        entry = memo.get(text)
+        if entry is None:
+            entry = memo[text] = (_TOKEN_RE.findall(text), {})
+        tokens, trees = entry
+        key = tuple(map(scope.get, tokens))
+        expr = trees.get(key)
+        if expr is None:
+            expr = trees[key] = _parse_expr(text, tokens, scope)
+        return expr
 
-    for ln in body:
-        m = _PORT_RE.fullmatch(ln)
-        if m:
-            ports.append(Port(m.group(2), m.group(1), int(m.group(3))))
-            continue
-        m = _WIRE_RE.fullmatch(ln)
-        if m:
-            stmts.append(DefWire(m.group(1), int(m.group(2))))
-            continue
-        m = _REG_RE.fullmatch(ln)
-        if m:
-            stmts.append(DefRegister(m.group(1), int(m.group(2)),
-                                     int(m.group(3))))
-            continue
-        m = _MEM_RE.fullmatch(ln)
-        if m:
-            init = None
-            if m.group(4):
-                init = tuple(int(v) for v in m.group(4).split(","))
-            stmts.append(DefMemory(m.group(1), int(m.group(3)),
-                                   int(m.group(2)), init))
-            continue
-        m = _READ_RE.fullmatch(ln)
-        if m:
-            stmts.append(MemReadPort(m.group(2), m.group(1),
-                                     parse_expr(m.group(3))))
-            continue
-        m = _WRITE_RE.fullmatch(ln)
-        if m:
-            stmts.append(MemWritePort(m.group(1), parse_expr(m.group(2)),
-                                      parse_expr(m.group(3)),
-                                      parse_expr(m.group(4))))
-            continue
-        m = _INST_RE.fullmatch(ln)
-        if m:
-            stmts.append(DefInstance(m.group(1), m.group(2)))
-            continue
-        m = _NODE_RE.fullmatch(ln)
-        if m:
-            expr = parse_expr(m.group(2))
-            stmts.append(DefNode(m.group(1), expr))
-            widths[m.group(1)] = expr.width
-            continue
-        m = _CONNECT_RE.fullmatch(ln)
-        if m:
-            target_text = m.group(1)
-            if "." in target_text:
-                inst, port = target_text.split(".", 1)
-                target = InstTarget(inst, port)
+    ln = None
+    try:
+        # declarations first: an expression may read a name declared
+        # below it (nodes excepted, which enter scope in order)
+        for ln, kw, m in body:
+            if kw == "input" or kw == "output":
+                scope[m[2]] = int(m[3])
+            elif kw == "wire" or kw == "reg":
+                scope[m[1]] = int(m[2])
+            elif kw == "mem":
+                mem_widths[m[1]] = int(m[2])
+            elif kw == "read":
+                if m[2] not in mem_widths:
+                    raise IRError(f"unknown memory {m[2]!r}")
+                scope[m[1]] = mem_widths[m[2]]
+            elif kw == "inst":
+                for port, width in signatures.get(m[2], {}).items():
+                    scope[f"{m[1]}.{port}"] = width
+        for ln, kw, m in body:
+            if kw == "connect":
+                inst, dot, port = m[1].partition(".")
+                target = InstTarget(inst, port) if dot else LocalTarget(inst)
+                stmts.append(Connect(target, parse_expr(m[2])))
+            elif kw == "node":
+                expr = parse_expr(m[2])
+                stmts.append(DefNode(m[1], expr))
+                scope[m[1]] = expr.width
+            elif kw == "input" or kw == "output":
+                ports.append(Port(m[2], kw, int(m[3])))
+            elif kw == "wire":
+                stmts.append(DefWire(m[1], int(m[2])))
+            elif kw == "reg":
+                stmts.append(DefRegister(m[1], int(m[2]), int(m[3])))
+            elif kw == "mem":
+                stmts.append(DefMemory(m[1], int(m[3]), int(m[2]),
+                                       _mem_init(m[4])))
+            elif kw == "read":
+                stmts.append(MemReadPort(m[2], m[1], parse_expr(m[3])))
+            elif kw == "write":
+                stmts.append(MemWritePort(m[1], parse_expr(m[2]),
+                                          parse_expr(m[3]),
+                                          parse_expr(m[4])))
+            elif kw == "inst":
+                stmts.append(DefInstance(m[1], m[2]))
             else:
-                target = LocalTarget(target_text)
-            stmts.append(Connect(target, parse_expr(m.group(2))))
-            continue
-        raise IRError(f"{name}: cannot parse line {ln!r}")
+                raise IRError("cannot parse line")
+    except IRError as exc:
+        raise IRError(f"{name}: line {ln!r}: {exc}") from None
     return Module(name, ports, stmts)
 
 
-def _decl_port(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    widths[m.group(2)] = int(m.group(3))
-
-
-def _decl_wire(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    widths[m.group(1)] = int(m.group(2))
-
-
-def _decl_reg(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    widths[m.group(1)] = int(m.group(2))
-
-
-def _decl_mem(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    mem_widths[m.group(1)] = int(m.group(2))
-
-
-def _decl_read(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    widths[m.group(1)] = mem_widths[m.group(2)]
-
-
-def _decl_inst(m, widths, inst_widths, mem_widths, inst_modules, signatures):
-    inst, mod = m.group(1), m.group(2)
-    inst_modules[inst] = mod
-    for port, w in signatures.get(mod, {}).items():
-        inst_widths[(inst, port)] = w
-
-
-_DECLS = [
-    (_PORT_RE, _decl_port),
-    (_WIRE_RE, _decl_wire),
-    (_REG_RE, _decl_reg),
-    (_MEM_RE, _decl_mem),
-    (_READ_RE, _decl_read),
-    (_INST_RE, _decl_inst),
-]
+def _mem_init(text: Optional[str]) -> Optional[Tuple[int, ...]]:
+    if not text:
+        return None
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise IRError(f"memory init [{text}] is not a list of integers") \
+            from None

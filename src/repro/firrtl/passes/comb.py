@@ -148,12 +148,6 @@ class _ModuleCombAnalysis:
         return frozenset(out)
 
 
-def comb_dependent_pairs(summary: CombSummary) -> List[Tuple[str, str]]:
-    """Flatten a summary into (output, input) dependent pairs, sorted."""
-    pairs = [(o, i) for o, ins in summary.items() for i in sorted(ins)]
-    return sorted(pairs)
-
-
 def classify_ports(module: Module, summary: CombSummary
                    ) -> Dict[str, List[str]]:
     """Split a module's boundary ports into the four LI-BDN channel roles

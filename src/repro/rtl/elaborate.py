@@ -109,10 +109,6 @@ class Elaboration:
     writes: List[FlatMemWrite]
     widths: Dict[str, int]
 
-    @property
-    def comb_signal_count(self) -> int:
-        return len(self.assigns)
-
 
 def elaborate(circuit: Circuit) -> Elaboration:
     """Flatten ``circuit`` and topologically sort its combinational logic."""
