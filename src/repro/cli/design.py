@@ -46,12 +46,12 @@ def cmd_jit(args) -> int:
     enabled = stepjit_enabled(sim)
     print(f"step-plane JIT: {'enabled' if enabled else 'disabled'} "
           f"(REPRO_STEPJIT)")
-    for name, (src, reason) in generate_sources(sim).items():
-        if src is None:
-            print(f"{name}: interpreted — {reason}")
+    src, report = generate_sources(sim)
+    dumps = []
+    for name, verdict in report.items():
+        print(f"{name}: {verdict}")
+        if not verdict.startswith("compiled"):
             continue
-        lines = len(src.splitlines())
-        print(f"{name}: compiled, {lines} lines")
         kernels = [(prefix + unit.name, kernel)
                    for prefix, unit in sim.partitions[name].units
                    for fns in getattr(unit.sim.elab, "kernels", {}).values()
@@ -63,11 +63,12 @@ def cmd_jit(args) -> int:
                   f"{printed} printed ({st['aliases']} aliases folded, "
                   f"{st['inlined']} nodes inlined), {st['masks_elided']} "
                   f"masks elided, {st['statements']} statements")
-        if args.dump:
-            print(src)
-            for label, kernel in kernels:
-                print(f"# kernel for {label}")
-                print(kernel._stepjit_source)
+        dumps += kernels
+    if args.dump:
+        print(src)
+        for label, kernel in dumps:
+            print(f"# kernel for {label}")
+            print(kernel._stepjit_source)
     return 0
 
 
@@ -96,6 +97,6 @@ def register(subs) -> None:
         "jit", parents=job(),
         help="explain/dump the compiled step plane for a design")
     p.add_argument("--dump", action="store_true",
-                   help="print the generated step-function and RTL-kernel "
+                   help="print the generated pass and RTL-kernel "
                         "sources")
     p.set_defaults(fn=cmd_jit)

@@ -284,7 +284,7 @@ class _UnitPlan:
         self.in_keys: Tuple[Tuple[str, str], ...] = ()
         self.consume_keys: Tuple[Tuple[str, str], ...] = ()
         self.host_cycle_ns = part.host_cycle_ns
-        #: the settle a step function carries across passes, cold at
+        #: the settle the compiled pass carries across passes, cold at
         #: ``run()`` entry: [settled, kernel-tier replay word per output]
         self.settle: list = [False] + [0] * len(unit.out_channels)
         #: telemetry counters, resolved lazily on first use so the hot
@@ -307,7 +307,7 @@ class _UnitPlan:
 class _PartPlan:
     """Per-partition slice of the compiled wavefront schedule."""
 
-    __slots__ = ("part", "unit_plans", "source_ops", "step")
+    __slots__ = ("part", "unit_plans", "source_ops")
 
     def __init__(self, part: Partition):
         self.part = part
@@ -315,19 +315,18 @@ class _PartPlan:
         #: (key, channel, source, unit) per source-fed input channel,
         #: in unit then channel order
         self.source_ops: List[tuple] = []
-        #: compiled step function (stepjit.py); None = interpreted
-        self.step: Optional[Callable[[int], bool]] = None
 
 
 @dataclass
 class _Plane:
     """The compiled plane: the hook set it was printed from, the
-    wavefront schedule, and whether its step functions are built yet
-    (DESIGN "The compiled step plane")."""
+    wavefront schedule, and its pass loop once built (DESIGN "The
+    compiled step plane")."""
 
     hooks: list
     schedule: List[_PartPlan]
-    stepped: bool = False
+    #: ``advance(target_cycles, budget) -> (passes, progress)``
+    advance: Optional[Callable[[int, int], Tuple[int, bool]]] = None
 
 
 class PartitionedSimulation:
@@ -431,7 +430,6 @@ class PartitionedSimulation:
         self._validate(seed_boundary)
         self.total_tokens = 0
         self.dropped_tokens = 0
-        self._steps = 0
 
     def _install_tracer(self) -> None:
         """Thread the trace sink through every partition, unit and
@@ -477,18 +475,6 @@ class PartitionedSimulation:
                 self._arrivals.setdefault(link.dst, deque()).append(0.0)
 
     # -- token movement ----------------------------------------------------------
-
-    def _feed_sources(self, source_ops: List[tuple]) -> None:
-        """Fill every empty source-fed input channel of ``source_ops``
-        (a partition's) with the next token, packed straight
-        into the channel queue.  The schedule compile pre-created every
-        arrival deque."""
-        arrivals = self._arrivals
-        for key, channel, source, unit in source_ops:
-            if not channel.queue:
-                channel.put_word(
-                    source.next_word(unit.target_cycle, channel.codec))
-                arrivals[key].append(0.0)
 
     def apply_link_delivery(self, link: Link, word: int,
                             arrive_ns: float, rx_ns: float) -> None:
@@ -551,20 +537,19 @@ class PartitionedSimulation:
             plane = self._plane = _Plane(hooks, self._compile_schedule())
         return plane.schedule
 
-    def _enter_plane(self) -> List[_PartPlan]:
-        """What ``run()`` and a process worker step: the schedule with
-        its step functions built (once per plane) and no settle carried
-        in from an earlier entry."""
+    def _enter_plane(self) -> Callable[[int, int], Tuple[int, bool]]:
+        """What ``run()`` and a process worker step: the plane's pass
+        loop, built once per plane, with no settle carried in from an
+        earlier entry."""
         schedule = self.ensure_schedule()
-        if not self._plane.stepped:
-            fns, self.last_jit_report = compile_step_functions(self)
-            for pplan in schedule:
-                pplan.step = fns.get(pplan.part.name)
-            self._plane.stepped = True
+        plane = self._plane
+        if plane.advance is None:
+            plane.advance, self.last_jit_report = \
+                compile_step_functions(self)
         for pplan in schedule:
             for up in pplan.unit_plans:
                 up.settle[0] = False
-        return schedule
+        return plane.advance
 
     def _compile_schedule(self) -> List[_PartPlan]:
         """Resolve the static (unit, channel, link, source) topology into
@@ -572,7 +557,7 @@ class PartitionedSimulation:
         preresolved objects and constants."""
         schedule: List[_PartPlan] = []
         # pre-create the arrival and consume-time deques so both the
-        # interpreter and the compiled step functions mutate the same
+        # interpreter and the compiled pass mutate the same
         # objects (the step plane binds them at compile time); an empty
         # pre-created deque is indistinguishable from an absent key on
         # every read path
@@ -633,11 +618,10 @@ class PartitionedSimulation:
 
     # -- main loop ----------------------------------------------------------------
 
-    def _run_unit(self, up: _UnitPlan,
-                  target_cycles: Optional[int]) -> bool:
-        """One unit's slot in a pass, interpreted.  ``target_cycles`` is
-        not read (the caller checked the unit is short of it); the step
-        plane prints this call, with it, into every step function."""
+    def _run_unit(self, up: _UnitPlan) -> bool:
+        """One unit's slot in a pass, interpreted (the caller checked the
+        unit is short of its target); the step plane prints this call
+        behind every unit's outbox guard."""
         part = up.part
         unit = up.unit
         progress = False
@@ -810,35 +794,53 @@ class PartitionedSimulation:
             progress = True
         return progress
 
-    def _step_partition(self, pplan: _PartPlan,
-                        target_cycles: int) -> bool:
-        """One partition's slot in a wavefront pass — the body the
-        in-process loop and the process backend's workers share."""
-        step = pplan.step
-        if step is not None:
-            progress = step(target_cycles)
-        else:
-            progress = False
-            self._feed_sources(pplan.source_ops)
-            for up in pplan.unit_plans:
-                if up.unit.target_cycle >= target_cycles:
-                    continue
-                progress |= self._run_unit(up, target_cycles)
-        if self._metrics_on:
-            # the sampler sees each partition right after its slot in
-            # the pass, on every backend, which is what makes the
-            # series bit-identical across them.  It is called only
-            # when a unit reached the partition's next sample cycle (a
-            # partition's cycle is its slowest unit's, so ``on_pass``
-            # decides) or live status wants every pass
-            telemetry = self.telemetry
-            sampler = telemetry.sampler
-            part = pplan.part
-            if telemetry.live is not None \
-                    or pplan.unit_plans[0].unit.target_cycle >= \
-                    sampler.next_at.get(part.name, sampler.interval):
-                telemetry.on_pass(self, part)
+    def _interpret_partition(self, pplan: _PartPlan,
+                             target_cycles: int) -> bool:
+        """One partition's slot in a pass, interpreted: source feeding
+        (into the pre-created arrival deques), then every unit short of
+        ``target_cycles``.  A compiled pass calls it for a partition it
+        cannot print."""
+        arrivals = self._arrivals
+        for key, channel, source, unit in pplan.source_ops:
+            if not channel.queue:
+                channel.put_word(
+                    source.next_word(unit.target_cycle, channel.codec))
+                arrivals[key].append(0.0)
+        progress = False
+        for up in pplan.unit_plans:
+            if up.unit.target_cycle < target_cycles \
+                    and self._run_unit(up):
+                progress = True
         return progress
+
+    def _interpret(self, stepped: List[_PartPlan], target_cycles: int,
+                   budget: int) -> Tuple[int, bool]:
+        """The reference pass loop, the plane's ``advance`` with the JIT
+        off: passes over ``stepped`` while some unit is short of
+        ``target_cycles``, the last pass made progress and fewer than
+        ``budget`` passes have run; returns ``(passes, progress of the
+        last one)``.  The compiled ``_pass`` keeps this contract."""
+        units = [up.unit for pplan in stepped for up in pplan.unit_plans]
+        passes, progress = 0, True
+        while passes < budget and progress \
+                and min([u.target_cycle for u in units]) < target_cycles:
+            progress = False
+            for pplan in stepped:
+                if self._interpret_partition(pplan, target_cycles):
+                    progress = True
+                if self._metrics_on:
+                    # right after the slot, on every backend; entered at
+                    # the next sample cycle (``on_pass`` decides) or for
+                    # live status
+                    telemetry = self.telemetry
+                    sampler = telemetry.sampler
+                    if telemetry.live is not None \
+                            or pplan.unit_plans[0].unit.target_cycle >= \
+                            sampler.next_at.get(pplan.part.name,
+                                                sampler.interval):
+                        telemetry.on_pass(self, pplan.part)
+            passes += 1
+        return passes, progress
 
     def run(self, target_cycles: int,
             stop: Optional[Callable[["PartitionedSimulation"], bool]] = None,
@@ -892,19 +894,18 @@ class PartitionedSimulation:
         if self._metrics_on:
             self.telemetry.target_cycles = max(
                 self.telemetry.target_cycles or 0, target_cycles)
-        schedule = self._enter_plane()
+        advance = self._enter_plane()
         passes = 0
-        # frontier_cycle() once per pass is a property + generator per
-        # partition; the loop reads the same minimum off one flat list
+        # a stop callback is called before every pass, while the
+        # frontier (read off one flat list) is short of the target
         units = [unit for part in self.partitions.values()
                  for _, unit in part.units]
-        while min([u.target_cycle for u in units]) < target_cycles:
-            if stop is not None and stop(self):
-                break
-            progress = False
-            for pplan in schedule:
-                progress |= self._step_partition(pplan, target_cycles)
-            passes += 1
+        while stop is None or (
+                min([u.target_cycle for u in units]) < target_cycles
+                and not stop(self)):
+            ran, progress = advance(
+                target_cycles, max_passes + 1 if stop is None else 1)
+            passes += ran
             if not progress:
                 detail = " ;; ".join(
                     unit.stuck_detail()
@@ -921,6 +922,8 @@ class PartitionedSimulation:
                                     postmortem=self._postmortem(passes))
             if passes > max_passes:
                 raise SimulationError("co-simulation pass budget exhausted")
+            if stop is None:
+                break
         if self._metrics_on and self.frontier_cycle() >= (
                 self.telemetry.target_cycles or 0):
             # only the final segment (supervisor runs pin the overall

@@ -1,4 +1,4 @@
-"""Compiled partition step functions: JIT for the wavefront hot loop.
+"""Compiled pass loop: JIT for the wavefront hot loop.
 
 The precompiled wavefront schedule (`partitioned._compile_schedule`)
 already resolves the static topology into flat op lists, but the
@@ -6,144 +6,80 @@ interpreter (`_run_unit`) still *walks* those lists for every unit on
 every pass: method dispatch into ``try_fire_outputs``, outbox list
 churn, per-token dict lookups, and one redundant RTL ``eval`` per fired
 output channel.  This module instead *generates* one straight-line
-Python step function per partition from its :class:`_PartPlan` and
-``exec``-compiles it — the same strategy the RTL engine uses for its
-comb/tick functions, lifted one layer up, and the same move GSIM and
-LightningSimV2 make for single-node simulation rate.
+function per plane, ``_pass(target_cycles, budget) -> (passes,
+progress)``, and ``exec``-compiles it once (the RTL engine's strategy
+lifted one layer up; GSIM's and LightningSimV2's move).  Every
+partition this process steps is printed in schedule order into one
+``while`` loop (Manticore's static BSP schedule, every deque hop and
+pass boundary kept) that runs while some unit is short of
+``target_cycles``, the last pass made progress and fewer than
+``budget`` passes have run.
 
-What the generated function inlines:
+What a partition's slot inlines (DESIGN "The compiled step plane",
+Tier 1): source feeding; the LI-BDN fire FSM per output channel, with
+the outbox bypassed (the fired word flows to its timing op through a
+local) and a per-unit settled flag that makes every later no-dep fire
+of one settle a pure re-pack (k+1 evals per fast-mode cycle -> 1); the
+timing overlay with every per-op constant folded into a float literal
+and each partition's busy cursor and spans carried in suffixed locals
+(``busy0``, ``lw0``, ...; the token count ``tt`` is shared), loaded
+once per call and stored in its ``finally``; token pushes as literal
+bit-move repacks into bound destination deques (or the router's
+``deliver_remote``); and the advance.  Dep-free units (NoC routers,
+FAST-extracted tiles) take the **fused RTL kernel tier** instead:
+cone-reduced ``fire``/``cyc`` functions from
+:func:`repro.rtl.kernel.compile_kernel` (memoized on the elaboration),
+whose fixed-point flag lets a repeat-input cycle replay cached output
+words; :mod:`repro.rtl.kernel` states the soundness rule and the env
+staleness contract this buys speed with.
 
-* **source feeding** — the empty-queue check and packed refill per
-  source-fed input channel;
-* **unit firing** — the LI-BDN fire FSM per output channel: dep-queue
-  readiness, env pokes by precomputed ``(port, offset, mask)`` fields,
-  the compiled comb function, and word packing, with the outbox
-  bypassed entirely (the fired word flows to the timing op through a
-  local);
-* **redundant-eval elision** — ``eval`` is a pure function of the
-  signal env and register/memory state, so a fire whose output channel
-  has no comb deps only needs an eval when something changed since the
-  last settle (a dep poke or a ``tick``).  A per-unit settled flag makes
-  every later no-dep fire of the same settle a pure re-pack — in fast
-  mode this collapses k+1 evals per target cycle to 1;
-* **the timing overlay** — serdes/occupancy/wire/credit arithmetic with
-  every per-op constant folded into a float literal, the credit-window
-  lookup bound to the live consume deque, and busy-cursor/span
-  accumulation carried in locals (written back once per call);
-* **token pushes** — repack plans emitted as literal bit-move
-  expressions, destination channel/arrival queues bound directly for
-  local deliveries, the router's ``deliver_remote`` bound for the
-  process backends, and a hardened or faulted link's ``transmit`` and
-  a switch fabric's ``traverse`` called out to (the call-out rule
-  below);
-* **the advance** — input pops, pokes, comb+tick, fire-FSM re-arm and
-  target-cycle bump.
+**The hook-set rule.**  The pass is generated for the sinks attached
+when it is compiled (DESIGN "The compiled step plane" says when, and
+tabulates the emit sites) and prints only what changes per event: a
+live tracer's site as a :class:`~repro.observability.tracer.TraceSite`
+bound once plus one row ``(site, ts, dur, *dynamic_args)`` appended
+through ``tracer.row_sink()``, counted into ``total_emitted`` once per
+call; live telemetry's instruments bumped as fields, each created on
+first use through the interpreter's caches; a null sink nothing — no
+row, no binding, no flag check.  Events and samples never read the
+RTL env.  The sampler check is printed right after each partition's
+slot, where the interpreter makes it.
 
-Dep-free units (NoC routers, FAST-extracted tiles) additionally take
-the **fused RTL kernel tier**: per-unit ``fire``/``cyc`` functions
-compiled from the flattened elaboration that evaluate only the live
-cone of the output/tick references, carry every intermediate in
-locals, and commit just registers/memories back to the env
-(:func:`repro.rtl.kernel.compile_kernel`, which optimises the cone as
-a netlist before printing it; memoized on the elaboration, so every
-unit built on one shares them).
-The ``cyc`` kernel also reports whether the register/memory state
-reached a fixed point — while it holds and the unit's inputs repeat,
-the step function skips RTL evaluation entirely and replays the cached
-output words (exact: pure logic over equal state and equal inputs
-cannot differ).  :mod:`repro.rtl.kernel` states each pass's soundness
-rule and the env staleness contract this buys speed with.
+**The call-out rule.**  Nothing attached to a run selects its engine:
+``link.transmit`` (busy cursor published first) and
+``switch.traverse`` are printed as calls where ``_run_unit`` makes
+them.  A call-out into the harness gets every carried cursor it can
+read published before it and every one it can write reloaded after
+it: the interpreter fallback (``_run_unit``) its partition's cursors
+and the token count; a partition that cannot be printed (the
+interpreter's partition body) the token count; the sampler's
+``on_pass`` every cursor, published only.  :func:`partition_jit_reason`
+keeps the two reasons a *unit* cannot be printed (no
+``step_bindings``; RTL engine built ``compiled=False``), and a unit
+whose outbox is unexpectedly non-empty (a checkpoint captured
+mid-``host_step``) delegates its slot to the interpreter — otherwise
+the differential reference and the ``stepjit=False`` engine.  Both
+tiers carry a settle across passes (never across ``run()`` entries),
+which is why ``run``'s ``stop`` callbacks observe and do not write.
 
-**The hook-set rule.**  The step function is generated for the sinks
-that are attached when it is compiled (DESIGN "The compiled step
-plane" says when that is) and prints only what changes per event.  A
-live tracer gets the interpreter's seven emit sites, each split into a
-static :class:`~repro.observability.tracer.TraceSite` bound once (kind,
-part, scope, arg keys, static arg values) and one flat row appended
-per event, ``(site, ts, dur, *dynamic_args)``, through the appender
-``tracer.row_sink()`` returned at plane build — a ``RecordingTracer``'s
-is its ring's own ``append``, so an event costs one tuple and one C
-call; the rows printed in a call are added to ``tracer.total_emitted``
-once, on the way out.  Live telemetry gets its instruments bumped as
-fields: ``counter.value += 1.0`` for ``inc()`` and, for the depth,
-``buckets[bisect_left(bounds, d)] += 1``, ``count += 1``, ``sum += d``
-— ``Histogram.observe``'s own rule.  A null sink gets nothing — no
-row, no binding, no flag check.  An observed partition therefore runs
-the same code as a clean one plus exactly what it asked for, on both
-tiers:
-
-=================  ================================  ================
-event (site)       interpreter site                  field bumps
-=================  ================================  ================
-``channel_fire``   ``LIBDNHost.try_fire_outputs``
-``credit_stall``   ``_run_unit``, credit wait > 0    ``credit_stalls``
-``bridge_output``  ``_run_unit``, bridge tap         ``bridge_outputs``
-``token_tx``       ``_run_unit``, token on the wire  ``tokens_tx``
-``token_rx``       ``apply_link_delivery``           ``tokens_rx``,
-                                                     ``rx_depth``
-``target_cycle``   ``_run_unit``, timed advance
-``advance``        ``LIBDNHost.advance``
-``link_retry``     ``ReliableLinkLayer.transmit``    (emitted, no site)
-=================  ================================  ================
-
-The wrapper's two come out of ``_emit_fire`` / ``_emit_kernel_fire``
-(replay path included) and ``_emit_advance``, ``target_cycle`` out of
-``_emit_advance_timing``, the rest out of ``_emit_out_op`` /
-``_emit_delivery`` — except ``link_retry``, which the reliable layer
-emits itself inside the ``link.transmit`` call-out, as it does under
-the interpreter.  Same order, same field values (the wrapper's
-clock is the partition's busy cursor, carried in the ``busy`` local),
-and each instrument is created on first use through the interpreter's
-own caches (``_UnitPlan.ctr_*``, ``sim._rx_instruments``), so the
-registry snapshot lists the same instruments and a fallback pass
-increments the same objects.  Events and samples read only the timing
-overlay and the cycle counters, never the RTL env, so the kernel
-tier's stale-comb-env contract does not touch them.  The sampler
-itself runs where it always did, after the step function returns:
-``_step_partition`` compares the partition against its next sample
-cycle and calls ``telemetry.on_pass`` only when it got there (or live
-status is attached).
-
-**The call-out rule.**  Nothing attached to a run selects its engine.
-A reliability layer, a fault injector and a switch fabric are stateful
-objects with their own checkpoint, stats and trace contracts, so they
-are called, not inlined: ``_emit_out_op`` prints ``switch.traverse``
-and ``link.transmit(depart, word, codec)`` at the points ``_run_unit``
-makes them (busy cursor published first — ``transmit`` can raise
-``LinkGiveUpError``) and reads ``retries`` / ``retry_delay_ns`` /
-``delivered`` / ``word`` back from the result.  The token crosses the
-hook path as it crosses a clean wire, as a packed word, so the peer
-repack is the same literal bit moves.  :func:`partition_jit_reason`
-keeps the two reasons a *unit* cannot be compiled (no
-``step_bindings``; RTL engine built ``compiled=False``), and a runtime
-guard keeps compiled partitions exact: a unit whose outbox is
-unexpectedly non-empty (e.g. a checkpoint captured mid-``host_step``)
-delegates that pass to the interpreter — otherwise the differential
-reference and the ``stepjit=False`` / ``REPRO_STEPJIT=0`` /
-``--no-jit`` engine.  Both tiers carry a settle across passes (never
-across ``run()`` entries), which is why ``run``'s ``stop`` callbacks
-observe and do not write.
-
-Bit-exactness contract: for every partition the compiled function
-performs the *same mutations in the same order* as ``_run_unit`` — same
-float-op associativity in the timing math, same deque traffic, same
-fired/arrival/credit bookkeeping — so ``SimulationResult`` (including
-``detail``) and all checkpointable state are bit-identical with the
-JIT on or off, on every backend — and so are the recorded event list
-and ``detail["telemetry"]`` when sinks are live.  The differential
-tests in ``tests/fuzz/test_stepjit_corpus.py`` and
-``tests/harness/test_stepjit.py`` pin exactly that.
+Bit-exactness contract: for every partition the compiled pass
+performs the *same mutations in the same order* as ``_run_unit``, so
+``SimulationResult`` (``detail`` included), checkpointable state, the
+event list and ``detail["telemetry"]`` are bit-identical with the JIT
+on or off, on every backend (``tests/fuzz/test_stepjit_corpus.py``,
+``tests/harness/test_stepjit.py``).
 
 Selection: ``REPRO_STEPJIT=0`` (or ``off``/``false``/``no``) disables
 the JIT globally; ``PartitionedSimulation.stepjit`` (the CLI's
 ``--no-jit``) overrides per simulation.  ``repro jit --dump`` prints
-the generated source.
+the generated pass.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..observability.tracer import ROW, TraceSite
@@ -261,18 +197,24 @@ def _token_dict_expr(word: str, fields) -> str:
                            for port, offset, mask in fields) + "}"
 
 
-class _PartitionCodegen:
-    """Emits one partition's ``_step(target_cycles)`` function."""
+class _PassCodegen:
+    """Emits one ``_pass(target_cycles, budget)`` over ``pplans``, the
+    partitions this process steps, in schedule order."""
 
-    def __init__(self, sim, pplan):
+    def __init__(self, sim, pplans):
         self.sim = sim
-        self.pplan = pplan
+        self.pplans = pplans
         self.b = _Binder()
         self.w = _Writer()
-        part = pplan.part
         b = self.b
-        self.PT = b.bind(part, "pt")
-        self.SP = b.bind(part.hooks.spans, "sp")
+        self.reasons = [partition_jit_reason(sim, p) for p in pplans]
+        #: stepped index -> (partition, spans) names of each printed
+        #: partition, whose cursors the pass carries as ``busy{i}`` ...
+        self.owners = {i: (b.bind(p.part, "pt"),
+                           b.bind(p.part.hooks.spans, "sp"))
+                       for i, (p, reason)
+                       in enumerate(zip(pplans, self.reasons))
+                       if reason is None}
         self.SIM = b.bind(sim, "sm")
         self.RI = b.bind(sim._run_unit, "ri")
         self.LEN = b.bind(len, "len")
@@ -286,6 +228,11 @@ class _PartitionCodegen:
         self.settle_cells: Dict[int, list] = {}
         #: unit indexes running on fused RTL kernels (for the report)
         self.kernel_units: List[int] = []
+        #: units printed so far and the stepped index of the partition
+        #: being printed (what suffixes their locals)
+        self.n_units = self.s = 0
+        #: per-partition compile verdict, filled by :meth:`generate`
+        self.report: Dict[str, str] = {}
         #: the attached hook set, fixed for this compile: a live sink
         #: gets its emit sites compiled in, a null sink binds nothing
         #: and emits nothing
@@ -301,11 +248,13 @@ class _PartitionCodegen:
             self.RX = b.bind(sim._rx_instruments, "rx")
             self.RXG = b.bind(sim._rx_instruments.get, "rxg")
             self.BL = b.bind(bisect_left, "bl")
+            self.TEL = b.bind(sim.telemetry, "tel")
+            self.ONP = b.bind(sim.telemetry.on_pass, "onp")
 
     # -- fragments --------------------------------------------------------
 
     def _emit_feed(self, L: int, source_ops) -> None:
-        """Source feeding: the ``_feed_sources`` body, inlined."""
+        """Source feeding: the interpreter partition body's, inlined."""
         w, b = self.w, self.b
         for key, channel, source, unit in source_ops:
             SQ = b.bind(channel.queue, "sq")
@@ -319,19 +268,38 @@ class _PartitionCodegen:
             w.emit(L + 1, f"{CH}.total_enqueued += 1")
             w.emit(L + 1, f"{AQ}.append(0.0)")
 
-    def _cursor_stmts(self, load: bool) -> List[str]:
-        """The cursors a step carries in locals — the partition's busy
-        cursor, its FMR spans, the simulation's token count — loaded
-        from (or stored back to) the objects that own them."""
-        pairs = [("busy", f"{self.PT}.busy_until"),
-                 ("lw", f"{self.SP}.link_wait_ns"),
-                 ("cs", f"{self.SP}.credit_stall_ns"),
-                 ("sd", f"{self.SP}.serdes_ns"),
-                 ("cp", f"{self.SP}.compute_ns"),
-                 ("sy", f"{self.SP}.sync_ns"),
-                 ("tt", f"{self.SIM}.total_tokens")]
+    def _cursor_stmts(self, load: bool, parts=None) -> List[str]:
+        """The cursors a pass carries in locals — the busy cursor and
+        FMR spans of each printed partition in ``parts`` (stepped
+        indexes; default: every one), then the simulation's token count
+        — loaded from (or stored back to) the objects that own them."""
+        pairs = []
+        for i in self.owners if parts is None else parts:
+            PT, SP = self.owners[i]
+            pairs += [(f"busy{i}", f"{PT}.busy_until"),
+                      (f"lw{i}", f"{SP}.link_wait_ns"),
+                      (f"cs{i}", f"{SP}.credit_stall_ns"),
+                      (f"sd{i}", f"{SP}.serdes_ns"),
+                      (f"cp{i}", f"{SP}.compute_ns"),
+                      (f"sy{i}", f"{SP}.sync_ns")]
+        pairs.append(("tt", f"{self.SIM}.total_tokens"))
         return [f"{local} = {attr}" if load else f"{attr} = {local}"
                 for local, attr in pairs]
+
+    def _emit_callout(self, L: int, call: str, parts=None,
+                      writes: bool = True) -> None:
+        """A call-out reading the carried cursors of ``parts``: published
+        before it and, when it ``writes`` them, reloaded after it (also
+        on a raise, so the ``finally`` stores what the callee left)."""
+        w = self.w
+        w.emit(L, "; ".join(self._cursor_stmts(False, parts)))
+        if not writes:
+            w.emit(L, call)
+            return
+        w.emit(L, "try:")
+        w.emit(L + 1, call)
+        w.emit(L, "finally:")
+        w.emit(L + 1, "; ".join(self._cursor_stmts(True, parts)))
 
     def _emit_event(self, L: int, kind: str, ts: str, dur: str,
                     part: str, scope: str, args) -> None:
@@ -371,9 +339,10 @@ class _PartitionCodegen:
         """``channel_fire`` / ``advance``: the events the LI-BDN
         wrapper emits from inside ``try_fire_outputs`` / ``advance``.
         Its clock reads the partition's busy cursor, which the
-        generated code carries in ``busy``."""
+        generated code carries in its ``busy`` local."""
         U = self.b.bind(up.unit, "u")
-        self._emit_event(L, kind, "busy", "0.0", up.unit.name, scope,
+        self._emit_event(L, kind, f"busy{self.s}", "0.0", up.unit.name,
+                         scope,
                          [("cycle", _Src(f"{U}.target_cycle"))])
 
     def _emit_fire(self, L: int, uid: int, j: int, entry, names: dict
@@ -447,8 +416,9 @@ class _PartitionCodegen:
     def _emit_out_op(self, L: int, uid: int, j: int, up, op) -> None:
         """One fired token's timing + delivery (the drain half of
         ``_run_unit``'s while body, for one op)."""
-        w, b, sim = self.w, self.b, self.sim
-        part = self.pplan.part
+        w, b, sim, s = self.w, self.b, self.sim, self.s
+        part = up.part
+        busy = f"busy{s}"
         wvar = f"w{uid}_{j}"
         w.emit(L, f"if {wvar} is not None:")
         Lo = L + 1
@@ -458,12 +428,12 @@ class _PartitionCodegen:
             DQ = b.bind(sim._arrivals[key], "aq")
             w.emit(Lo, f"if {DQ} and {DQ}[0] > _da:")
             w.emit(Lo + 1, f"_da = {DQ}[0]")
-        w.emit(Lo, "_ds = busy if busy > _da else _da")
-        w.emit(Lo, "lw += _ds - busy")
+        w.emit(Lo, f"_ds = {busy} if {busy} > _da else _da")
+        w.emit(Lo, f"lw{s} += _ds - {busy}")
         link = op.link
         if link is None:
             # bridge tap: drained by wide DMA batches, effectively free
-            w.emit(Lo, "busy = _ds")
+            w.emit(Lo, f"{busy} = _ds")
             self._emit_count(Lo, up, "ctr_bridge", "bridge_outputs")
             if sim.record_outputs:
                 OL = b.bind(sim.output_log, "ol")
@@ -486,18 +456,18 @@ class _PartitionCodegen:
         if credited and (self.trace or self.metrics):
             # only a credit window can make the wait non-zero
             w.emit(Lo, "_cw = _st - _ds")
-            w.emit(Lo, "cs += _cw")
+            w.emit(Lo, f"cs{s} += _cw")
             w.emit(Lo, "if _cw:")
             self._emit_count(Lo + 1, up, "ctr_stall", "credit_stalls")
             self._emit_event(
                 Lo + 1, "credit_stall", "_ds", "_cw", part.name, op.full,
                 [("link", link.key), ("tokens", _Src(f"{LK}.tokens"))])
         else:
-            w.emit(Lo, "cs += _st - _ds")
-        w.emit(Lo, f"sd += {_f(op.tx_ns)}")
-        w.emit(Lo, f"busy = _st + {_f(op.tx_ns)}")
+            w.emit(Lo, f"cs{s} += _st - _ds")
+        w.emit(Lo, f"sd{s} += {_f(op.tx_ns)}")
+        w.emit(Lo, f"{busy} = _st + {_f(op.tx_ns)}")
         w.emit(Lo, f"_nf = {LK}.next_free")
-        w.emit(Lo, "_dep = busy if busy > _nf else _nf")
+        w.emit(Lo, f"_dep = {busy} if {busy} > _nf else _nf")
         occ = _f(op.occupancy_ns)
         w.emit(Lo, f"{LK}.next_free = _dep + {occ}")
         if op.switch is not None:
@@ -519,7 +489,7 @@ class _PartitionCodegen:
             # beyond the clean occupancy window
             TX = b.bind(link.transmit, "tx")
             CD = b.bind(op.codec, "cd")
-            w.emit(Lo, f"{self.PT}.busy_until = busy")
+            w.emit(Lo, f"{self.owners[s][0]}.busy_until = {busy}")
             w.emit(Lo, f"_r = {TX}(_dep, {wvar}, {CD})")
             w.emit(Lo, "_arr = _r.arrive_ns")
             w.emit(Lo, "_rd = _r.retry_delay_ns")
@@ -537,7 +507,7 @@ class _PartitionCodegen:
             [("link", link.key), ("width", op.width),
              ("serdes_ns", op.tx_ns), ("wire_ns", op.wire_ns),
              ("occupancy_ns", op.occupancy_ns),
-             ("queue_wait_ns", _Src("_dep - busy"))] + outcome)
+             ("queue_wait_ns", _Src(f"_dep - {busy}"))] + outcome)
         if op.clean:
             self._emit_delivery(Lo, op, word)
         else:
@@ -597,8 +567,9 @@ class _PartitionCodegen:
     def _emit_advance_timing(self, La: int, up) -> None:
         """The advance's timing bookkeeping: arrival pops, link-wait
         and compute spans, credit consume records, busy cursor."""
-        w, b, sim = self.w, self.b, self.sim
+        w, b, sim, s = self.w, self.b, self.sim, self.s
         part = up.part
+        busy = f"busy{s}"
         w.emit(La, "_ir = 0.0")
         for key in up.in_keys:
             IA = b.bind(sim._arrivals[key], "aq")
@@ -606,8 +577,8 @@ class _PartitionCodegen:
             w.emit(La + 1, f"_a = {IA}.popleft()")
             w.emit(La + 1, "if _a > _ir:")
             w.emit(La + 2, "_ir = _a")
-        w.emit(La, "_st = busy if busy > _ir else _ir")
-        w.emit(La, "lw += _st - busy")
+        w.emit(La, f"_st = {busy} if {busy} > _ir else _ir")
+        w.emit(La, f"lw{s} += _st - {busy}")
         hc = _f(up.host_cycle_ns)
         if sim.channel_capacity is not None and up.consume_keys:
             w.emit(La, f"_cn = _st + {hc}")
@@ -617,20 +588,20 @@ class _PartitionCodegen:
                 if self.RC is not None:
                     CK = b.bind(key, "ck")
                     w.emit(La, f"{self.RC}({CK}, _cn)")
-        w.emit(La, f"cp += {hc}")
+        w.emit(La, f"cp{s} += {hc}")
         ovh = part.advance_overhead_ns
         if ovh:
-            w.emit(La, f"sy += {_f(ovh)}")
+            w.emit(La, f"sy{s} += {_f(ovh)}")
         self._emit_event(
             La, "target_cycle", "_st",
             repr(up.host_cycle_ns + part.advance_overhead_ns),
             part.name, up.prefix + up.unit.name,
             [("cycle", _Src(f"{b.bind(up.unit, 'u')}.target_cycle")),
-             ("input_wait_ns", _Src("_st - busy"))])
+             ("input_wait_ns", _Src(f"_st - {busy}"))])
         if ovh:
-            w.emit(La, f"busy = _st + {hc} + {_f(ovh)}")
+            w.emit(La, f"{busy} = _st + {hc} + {_f(ovh)}")
         else:
-            w.emit(La, f"busy = _st + {hc}")
+            w.emit(La, f"{busy} = _st + {hc}")
 
     def _emit_advance(self, L: int, up, names: dict, dirty: List[str],
                       settle: Optional[List[str]] = None,
@@ -731,7 +702,7 @@ class _PartitionCodegen:
         for entry in fire_plans:
             self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
 
-    def _emit_unit(self, L: int, uid: int, up) -> None:
+    def _emit_unit(self, L: int, up) -> None:
         """One unit's pass, both tiers: header, outbox guard +
         interpreter fallback, fire, out-ops, advance.  A
         tier supplies only its fire fragment and the advance's
@@ -741,6 +712,8 @@ class _PartitionCodegen:
         compiled engine) fused, cone-reduced RTL kernels plus the fused
         single-settle advance ahead of the shared split-path one."""
         w, b = self.w, self.b
+        uid = self.n_units
+        self.n_units += 1
         unit = up.unit
         bindings = unit.step_bindings()
         names = {
@@ -803,12 +776,9 @@ class _PartitionCodegen:
         w.emit(L, f"if {U}.target_cycle < target_cycles:")
         Lu = L + 1
         w.emit(Lu, f"if {guard}:")
-        w.emit(Lu + 1, "; ".join(self._cursor_stmts(load=False)))
-        w.emit(Lu + 1, "try:")
-        w.emit(Lu + 2, f"if {self.RI}({b.bind(up, 'up')}, target_cycles):")
-        w.emit(Lu + 3, "progress = True")
-        w.emit(Lu + 1, "finally:")
-        w.emit(Lu + 2, "; ".join(self._cursor_stmts(load=True)))
+        # the interpreter reads and writes this partition's cursors
+        self._emit_callout(Lu + 1, f"if {self.RI}({b.bind(up, 'up')}): "
+                                   "progress = True", [self.s])
         for line in stale:  # the interpreter moved RTL state
             w.emit(Lu + 1, line)
         w.emit(Lu, "else:")
@@ -833,15 +803,46 @@ class _PartitionCodegen:
     # -- whole function ---------------------------------------------------
 
     def generate(self) -> Tuple[str, Dict[str, object]]:
-        # emit the body first so the binder discovers every name, then
-        # assemble the header (bindings ride in as default args: every
-        # pre-bound object is a LOAD_FAST in the hot loop)
-        Lt = 3  # body statements sit inside ``_step``'s ``try:``
-        self._emit_feed(Lt, self.pplan.source_ops)
-        for uid, up in enumerate(self.pplan.unit_plans):
-            self._emit_unit(Lt, uid, up)
+        """Print the pass: each partition's slot and sampler check in
+        schedule order, then the header (bindings ride in as default
+        args: every pre-bound object is a LOAD_FAST in the hot loop)."""
+        Lt, b = 4, self.b  # pass statements sit inside the ``while``
+        for i, pplan in enumerate(self.pplans):
+            start, kernels = len(self.w.lines), len(self.kernel_units)
+            reason = self.reasons[i]
+            if reason is None:
+                self.s = i
+                self._emit_feed(Lt, pplan.source_ops)
+                for up in pplan.unit_plans:
+                    self._emit_unit(Lt, up)
+            else:
+                # a partition that cannot be printed: the interpreter's
+                # body runs its slot
+                IP = b.bind(self.sim._interpret_partition, "ip")
+                self._emit_callout(Lt, f"if {IP}({b.bind(pplan, 'pp')}, "
+                                       "target_cycles): progress = True", [])
+            if self.metrics:
+                # the sampler check, where the interpreter makes it: a
+                # sample reads its partition's cursors, live status
+                # every busy cursor, and neither writes one
+                TEL, U = self.TEL, b.bind(pplan.unit_plans[0].unit, "u")
+                self.w.emit(Lt, f"_sm = {TEL}.sampler")
+                self.w.emit(Lt, f"if {TEL}.live is not None or "
+                                f"{U}.target_cycle >= _sm.next_at.get("
+                                f"{pplan.part.name!r}, _sm.interval):")
+                self._emit_callout(Lt + 1, f"{self.ONP}({self.SIM}, "
+                                   f"{b.bind(pplan.part, 'pt')})",
+                                   writes=False)
+            self.report[pplan.part.name] = (
+                f"interpreted: {reason}" if reason else
+                f"compiled: {len(pplan.unit_plans)} unit(s) "
+                f"({len(self.kernel_units) - kernels} fused-kernel), "
+                f"{len(self.w.lines) - start} lines")
         body, w = self.w.lines, _Writer()
-        cells = [(f"stl{uid}", f"{self.b.bind(cell, 'dc')}[0]")
+        short = " or ".join(
+            f"{b.bind(up.unit, 'u')}.target_cycle < target_cycles"
+            for pplan in self.pplans for up in pplan.unit_plans)
+        cells = [(f"stl{uid}", f"{b.bind(cell, 'dc')}[0]")
                  for uid, cell in self.settle_cells.items()]
         load = self._cursor_stmts(load=True) \
             + [f"{local} = {cell}" for local, cell in cells]
@@ -854,76 +855,68 @@ class _PartitionCodegen:
             load.append("te = 0")
             store.append(f"{self.TR}.total_emitted += te")
         w.emit(0, "def _make(_B):")
-        w.emit(1, "def _step(")
-        w.emit(2, "target_cycles,")
-        for name in self.b.values:
+        w.emit(1, "def _pass(")
+        w.emit(2, "target_cycles, budget,")
+        for name in b.values:
             w.emit(2, f"{name}=_B[{name!r}],")
         w.emit(1, "):")
-        w.emit(2, "progress = False")
+        w.emit(2, "passes = 0")
+        w.emit(2, "progress = True")
         for stmt in load:
             w.emit(2, stmt)
         w.emit(2, "try:")
-        w.lines.extend(body or ["    " * Lt + "pass"])
+        w.emit(3, f"while passes < budget and progress and ({short}):")
+        w.emit(Lt, "progress = False")
+        w.lines.extend(body)
+        w.emit(Lt, "passes += 1")
         w.emit(2, "finally:")
         for stmt in store:
             w.emit(3, stmt)
-        w.emit(2, "return progress")
-        w.emit(1, "return _step")
-        return "\n".join(w.lines) + "\n", dict(self.b.values)
+        w.emit(2, "return passes, progress")
+        w.emit(1, "return _pass")
+        return "\n".join(w.lines) + "\n", dict(b.values)
+
+
+def _stepped(sim) -> list:
+    """The partitions this process steps: every one of the schedule,
+    or under a router (a process worker) the local one — peers' passes
+    arrive as effect frames."""
+    router = sim.router
+    return [p for p in sim.ensure_schedule()
+            if router is None or router.is_local(p.part.name)]
 
 
 def generate_partition_source(sim, pplan
                               ) -> Tuple[str, Dict[str, object]]:
-    """Generate one partition's step-function source plus the binding
-    table its default arguments are resolved from.  The caller must
-    have checked :func:`partition_jit_reason` first."""
-    return _PartitionCodegen(sim, pplan).generate()
+    """One partition's pass — what a process worker compiles — plus
+    the binding table its default arguments are resolved from."""
+    return _PassCodegen(sim, [pplan]).generate()
 
 
-def compile_step_functions(sim) -> Tuple[Dict[str, Callable],
-                                         Dict[str, str]]:
-    """Compile every eligible partition of ``sim``'s current schedule
-    into a step function.
-
-    Returns ``(step_fns, report)``: ``step_fns`` maps partition name to
-    the compiled ``_step(target_cycles) -> progressed`` callable;
-    ``report`` maps every partition to a human-readable compile verdict
-    (also stored by the harness as ``last_jit_report``).  Under a
-    router (a process worker) only the partition local to it is
-    compiled: peers' passes arrive as effect frames."""
+def compile_step_functions(sim) -> Tuple[
+        Callable[[int, int], Tuple[int, bool]], Dict[str, str]]:
+    """The plane's pass loop, printed and ``compile()``d once, and every
+    partition's compile verdict (the harness's ``last_jit_report``):
+    ``(advance, report)``, ``advance(target_cycles, budget) -> (passes,
+    progress)`` being the compiled ``_pass`` or, with the JIT disabled,
+    the harness's interpreter loop with the same contract."""
+    stepped = _stepped(sim)
     if not stepjit_enabled(sim):
-        return {}, {name: "disabled (REPRO_STEPJIT / stepjit override)"
-                    for name in sim.partitions}
-    fns: Dict[str, Callable] = {}
-    report: Dict[str, str] = {}
-    router = sim.router
-    for pplan in sim.ensure_schedule():
-        name = pplan.part.name
-        if router is not None and not router.is_local(name):
-            report[name] = "skipped: not scheduled in this process"
-            continue
-        reason = partition_jit_reason(sim, pplan)
-        if reason is not None:
-            report[name] = f"interpreted: {reason}"
-            continue
-        cg = _PartitionCodegen(sim, pplan)
-        src, bindings = cg.generate()
-        namespace: Dict[str, object] = {}
-        exec(compile(src, f"<stepjit:{name}>", "exec"), namespace)
-        fns[name] = namespace["_make"](bindings)
-        report[name] = (f"compiled: {len(pplan.unit_plans)} unit(s) "
-                        f"({len(cg.kernel_units)} fused-kernel), "
-                        f"{len(src.splitlines())} lines")
-    return fns, report
+        return partial(sim._interpret, stepped), {
+            name: "disabled (REPRO_STEPJIT / stepjit override)"
+            for name in sim.partitions}
+    cg = _PassCodegen(sim, stepped)
+    src, bindings = cg.generate()
+    namespace: Dict[str, object] = {}
+    exec(compile(src, "<stepjit:pass>", "exec"), namespace)
+    report = dict.fromkeys(sim.partitions,
+                           "skipped: not scheduled in this process")
+    report.update(cg.report)
+    return namespace["_make"](bindings), report
 
 
-def generate_sources(sim
-                     ) -> Dict[str, Tuple[Optional[str], Optional[str]]]:
-    """Per-partition ``(source, reject_reason)`` for inspection
-    (``repro jit --dump``); exactly one of the pair is None."""
-    out: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
-    for pplan in sim.ensure_schedule():
-        reason = partition_jit_reason(sim, pplan)
-        src = None if reason else generate_partition_source(sim, pplan)[0]
-        out[pplan.part.name] = (src, reason)
-    return out
+def generate_sources(sim) -> Tuple[str, Dict[str, str]]:
+    """The pass source ``run()`` compiles with the JIT on, and each
+    partition's verdict (``repro jit``)."""
+    cg = _PassCodegen(sim, _stepped(sim))
+    return cg.generate()[0], cg.report

@@ -92,20 +92,10 @@ class Channel:
             raise SimulationError(f"channel {self.name!r} is empty")
         return self.codec.decode(self.queue[0])
 
-    def head_word(self) -> int:
-        if not self.queue:
-            raise SimulationError(f"channel {self.name!r} is empty")
-        return self.queue[0]
-
     def get(self) -> Token:
         if not self.queue:
             raise SimulationError(f"channel {self.name!r} is empty")
         return self.codec.decode(self.queue.popleft())
-
-    def get_word(self) -> int:
-        if not self.queue:
-            raise SimulationError(f"channel {self.name!r} is empty")
-        return self.queue.popleft()
 
     def __len__(self) -> int:
         return len(self.queue)

@@ -88,8 +88,8 @@ class LIBDNHost:
         """Stable fast-path surface for the compiled step plane
         (:mod:`repro.harness.stepjit`).
 
-        The generated per-partition step functions bypass
-        :meth:`try_fire_outputs` / :meth:`advance` and inline their
+        The generated pass (one per plane) bypasses
+        :meth:`try_fire_outputs` / :meth:`advance` and inlines their
         bodies against the objects returned here.  Everything in the
         dict is *the* live object (not a copy): the precompiled fire
         plans, the fired-flag dict, the RTL engine's signal environment

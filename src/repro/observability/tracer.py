@@ -7,7 +7,7 @@ the run supervisor all emit :class:`TraceEvent` records through a
 an untraced run does not even construct the event objects — tracing is
 strictly pay-as-you-go.  On the compiled step plane a live sink costs
 one tuple append per event (see *Rows* below) and a null sink costs
-nothing at all: it prints the same step functions as no sink
+nothing at all: it prints the same pass as no sink
 (``tests/harness/test_stepjit.py::TestGeneratedSources::
 test_null_sinks_print_the_untraced_plane``).
 

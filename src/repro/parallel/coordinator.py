@@ -422,7 +422,7 @@ class ProcessBackend:
         self.last_worker_corr = {
             n: frag["corr"] for n, frag in fragments.items()}
         sim.last_worker_corr = dict(self.last_worker_corr)
-        # each worker compiled its own partition's step function
+        # each worker compiled its own partition's pass
         self.last_jit_report = {
             n: fragments[n]["jit"] for n in sim.partitions}
         sim.last_jit_report = dict(self.last_jit_report)

@@ -230,12 +230,11 @@ class PartitionWorker:
             sim._trace = True
             sim._install_tracer()
 
-        # this partition's slot of the compiled plane: the router and
-        # tracer installed above are part of the hook set, so the door
-        # rebuilds whatever plane the fork inherited (peers' passes
-        # arrive as frames, never through their step functions)
-        self.pplan = next(p for p in sim._enter_plane()
-                          if p.part is self.part)
+        # this partition's pass loop: the router and tracer installed
+        # above are part of the hook set, so the door rebuilds whatever
+        # plane the fork inherited and prints this partition alone
+        # (peers' passes arrive as frames)
+        self.advance = sim._enter_plane()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -355,12 +354,12 @@ class PartitionWorker:
             sim._consume_times.setdefault(key, deque()).append(ns)
 
     def _own_pass(self) -> bool:
-        # the serial loop's per-partition body (sampling hook
-        # included); the wavefront invariant makes the partition-local
-        # state here bit-identical to it
-        if self.part.target_cycle >= self.target_cycles:
-            return False
-        return self.sim._step_partition(self.pplan, self.target_cycles)
+        # one pass of the serial loop, this partition's slot (sampling
+        # check included); the wavefront invariant makes the
+        # partition-local state here bit-identical to it.  A
+        # partition already at its target runs no pass
+        ran, progress = self.advance(self.target_cycles, 1)
+        return ran == 1 and progress
 
     def _emit_frames(self) -> None:
         for peer in self.peers:

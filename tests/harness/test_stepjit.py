@@ -153,7 +153,8 @@ class TestSelection:
                    for v in on.last_jit_report.values())
         assert all(v.startswith("disabled")
                    for v in off.last_jit_report.values())
-        assert all(p.step is None for p in off.ensure_schedule())
+        # the disabled plane's pass loop is the interpreter's
+        assert off._enter_plane().func == off._interpret
 
 
 class TestEligibility:
@@ -227,12 +228,12 @@ class TestEligibility:
 class TestGeneratedSources:
     def test_sources_for_eligible_partitions(self):
         sim = _build()
-        sources = generate_sources(sim)
-        assert set(sources) == set(sim.partitions)
-        for src, reason in sources.values():
-            assert reason is None
-            assert "def _make(_B):" in src
-            assert "def _step(" in src
+        src, report = generate_sources(sim)
+        assert set(report) == set(sim.partitions)
+        assert all(verdict.startswith("compiled")
+                   for verdict in report.values())
+        assert "def _make(_B):" in src
+        assert "def _pass(" in src
 
     def test_live_sinks_are_in_the_source_null_sinks_are_not(self):
         """A live sink's emit sites are static sites bound into the

@@ -154,6 +154,6 @@ class TestChannelWords:
         ch.put({"lo": 1, "hi": 2})
         assert len(ch) == ch.total_enqueued == 2
         assert ch.head() == {"lo": 5, "hi": 0xA}
-        assert ch.head_word() == ch.get_word() == 0xA5
+        assert ch.get() == {"lo": 5, "hi": 0xA}
         assert ch.get() == {"lo": 1, "hi": 2}
         assert not ch.has_token()
