@@ -94,16 +94,6 @@ class Module:
             out[key] = c
         return out
 
-    def signal_width(self, name: str) -> int:
-        """Width of a locally named signal (port/wire/node/reg/mem read)."""
-        w = self.try_signal_width(name)
-        if w is None:
-            raise IRError(f"{self.name}: unknown signal {name!r}")
-        return w
-
-    def try_signal_width(self, name: str) -> Optional[int]:
-        return self.signal_widths().get(name)
-
     def signal_widths(self) -> Dict[str, int]:
         """Name -> width of every locally named signal (the first
         declaration wins, as a scan in declaration order would)."""
@@ -220,16 +210,6 @@ class Circuit:
             mod = self.modules[inst.module]
         assert inst is not None
         return inst
-
-    def parent_of(self, path: str) -> Module:
-        """The module containing the last segment of an instance path."""
-        parts = path.split(".")
-        mod = self.top_module
-        for part in parts[:-1]:
-            mod = self.modules[mod.instance(part).module]
-        # validate the final segment exists
-        mod.instance(parts[-1])
-        return mod
 
     def stats(self) -> Dict[str, int]:
         """Aggregate statement counts across the hierarchy (per definition,

@@ -13,7 +13,7 @@ are processed in topological order so child summaries always exist.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ...errors import IRError
 from ..ast import (
@@ -146,29 +146,3 @@ class _ModuleCombAnalysis:
             if driver is not None:
                 out |= self.deps_of_expr(driver)
         return frozenset(out)
-
-
-def classify_ports(module: Module, summary: CombSummary
-                   ) -> Dict[str, List[str]]:
-    """Split a module's boundary ports into the four LI-BDN channel roles
-    used by exact-mode (Fig. 2b of the paper):
-
-    * ``source_out``: outputs with no combinational input dependencies,
-    * ``sink_out``:   outputs that depend on some input,
-    * ``sink_in``:    inputs feeding some output combinationally,
-    * ``source_in``:  the remaining inputs.
-    """
-    sink_out = sorted(o for o, ins in summary.items() if ins)
-    source_out = sorted(o for o in summary if o not in set(sink_out))
-    sink_in_set: Set[str] = set()
-    for ins in summary.values():
-        sink_in_set |= set(ins)
-    sink_in = sorted(sink_in_set)
-    source_in = sorted(p.name for p in module.input_ports
-                       if p.name not in sink_in_set)
-    return {
-        "source_out": source_out,
-        "sink_out": sink_out,
-        "sink_in": sink_in,
-        "source_in": source_in,
-    }

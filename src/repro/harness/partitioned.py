@@ -273,8 +273,8 @@ class _UnitPlan:
     """Precompiled schedule slot for one LI-BDN unit."""
 
     __slots__ = ("part", "prefix", "unit", "out_ops", "in_keys",
-                 "consume_keys", "host_cycle_ns", "settle",
-                 "ctr_stall", "ctr_bridge", "ctr_tx")
+                 "consume_keys", "host_cycle_ns", "settle", "kernel",
+                 "frame", "ctr_stall", "ctr_bridge", "ctr_tx")
 
     def __init__(self, part: Partition, prefix: str, unit: LIBDNHost):
         self.part = part
@@ -287,12 +287,21 @@ class _UnitPlan:
         #: the settle the compiled pass carries across passes, cold at
         #: ``run()`` entry: [settled, kernel-tier replay word per output]
         self.settle: list = [False] + [0] * len(unit.out_channels)
+        #: the kernel tier's tick kernel over this unit's env (set by
+        #: the printer) and its live frame's ``__next__``, likewise cold
+        self.kernel: Optional[Callable] = None
+        self.frame: Optional[Callable[[], tuple]] = None
         #: telemetry counters, resolved lazily on first use so the hot
         #: loop skips the registry lookup and the instrument-creation
         #: order stays identical to the uncached code
         self.ctr_stall = None
         self.ctr_bridge = None
         self.ctr_tx = None
+
+    def prime(self) -> Callable[[], tuple]:
+        """A fresh kernel frame, reading the registers on first resume."""
+        self.frame = self.kernel().__next__
+        return self.frame
 
     def count(self, attr: str, name: str, registry) -> None:
         """Inc the ``ctr_*`` counter ``attr``, creating it on first use
@@ -539,8 +548,8 @@ class PartitionedSimulation:
 
     def _enter_plane(self) -> Callable[[int, int], Tuple[int, bool]]:
         """What ``run()`` and a process worker step: the plane's pass
-        loop, built once per plane, with no settle carried in from an
-        earlier entry."""
+        loop, built once per plane, with no settle and no kernel frame
+        carried in from an earlier entry."""
         schedule = self.ensure_schedule()
         plane = self._plane
         if plane.advance is None:
@@ -549,6 +558,8 @@ class PartitionedSimulation:
         for pplan in schedule:
             for up in pplan.unit_plans:
                 up.settle[0] = False
+                if up.kernel is not None:
+                    up.prime()
         return plane.advance
 
     def _compile_schedule(self) -> List[_PartPlan]:
@@ -852,8 +863,8 @@ class PartitionedSimulation:
         A ``stop`` callback *observes*: it is called between passes and
         may read any harness state (``output_log``, the frontier, the
         timing cursors, a cancel flag), but must not write RTL or
-        channel state — the compiled step plane carries a settle across
-        passes on both of its tiers.
+        channel state — the compiled step plane carries a settle (and
+        a kernel frame) across passes on both of its tiers.
 
         ``backend`` selects the execution engine: ``"auto"`` honours the
         ``REPRO_BACKEND`` environment variable (``process`` runs each

@@ -27,11 +27,12 @@ once per call and stored in its ``finally``; token pushes as literal
 bit-move repacks into bound destination deques (or the router's
 ``deliver_remote``); and the advance.  Dep-free units (NoC routers,
 FAST-extracted tiles) take the **fused RTL kernel tier** instead:
-cone-reduced ``fire``/``cyc`` functions from
-:func:`repro.rtl.kernel.compile_kernel` (memoized on the elaboration),
-whose fixed-point flag lets a repeat-input cycle replay cached output
-words; :mod:`repro.rtl.kernel` states the soundness rule and the env
-staleness contract this buys speed with.
+cone-reduced ``fire``/``cyc`` kernels from
+:func:`repro.rtl.kernel.compile_kernel` (memoized on the elaboration;
+``cyc`` runs as one live frame per unit, ``_UnitPlan.frame``, resumed
+once a cycle), whose fixed-point flag lets a repeat-input cycle replay
+cached output words; :mod:`repro.rtl.kernel` states the soundness rule
+and the env staleness contract this buys speed with.
 
 **The hook-set rule.**  The pass is generated for the sinks attached
 when it is compiled (DESIGN "The compiled step plane" says when, and
@@ -58,8 +59,9 @@ keeps the two reasons a *unit* cannot be printed (no
 ``step_bindings``; RTL engine built ``compiled=False``), and a unit
 whose outbox is unexpectedly non-empty (a checkpoint captured
 mid-``host_step``) delegates its slot to the interpreter — otherwise
-the differential reference and the ``stepjit=False`` engine.  Both
-tiers carry a settle across passes (never across ``run()`` entries),
+the differential reference and the ``stepjit=False`` engine — and
+re-primes its kernel frame.  Both tiers carry a settle (the kernel
+tier a frame too) across passes, never across ``run()`` entries,
 which is why ``run``'s ``stop`` callbacks observe and do not write.
 
 Bit-exactness contract: for every partition the compiled pass
@@ -226,8 +228,9 @@ class _PassCodegen:
         #: generic-tier unit index -> its plan's settle cell (``[0]``
         #: rides in a local).  Kernel-tier units index theirs in place.
         self.settle_cells: Dict[int, list] = {}
-        #: unit indexes running on fused RTL kernels (for the report)
-        self.kernel_units: List[int] = []
+        #: unit index -> bound unit plan of each unit running on fused
+        #: RTL kernels (its frame rides in ``kn{uid}``)
+        self.kernel_units: Dict[int, str] = {}
         #: units printed so far and the stepped index of the partition
         #: being printed (what suffixes their locals)
         self.n_units = self.s = 0
@@ -680,7 +683,7 @@ class _PassCodegen:
         for j in range(k):
             w.emit(Lf + 2, f"w{uid}_{j} = {QS}[{j + 1}]")
         w.emit(Lf + 1, "else:")
-        w.emit(Lf + 2, f"{wvars}, _cv = {KC}({ENV}, {MEMS})")
+        w.emit(Lf + 2, f"{wvars}, _cv = {KC}()")
         w.emit(Lf + 2, f"{QS}[0] = _cv")
         for j in range(k):
             w.emit(Lf + 2, f"{QS}[{j + 1}] = w{uid}_{j}")
@@ -706,11 +709,12 @@ class _PassCodegen:
         """One unit's pass, both tiers: header, outbox guard +
         interpreter fallback, fire, out-ops, advance.  A
         tier supplies only its fire fragment and the advance's
-        ``settle`` lines (``stale`` drops the settle it carries across
-        passes): the generic tier the engine's ``comb``/``tick`` pair
-        behind a settled flag; the kernel tier (dep-free units on a
-        compiled engine) fused, cone-reduced RTL kernels plus the fused
-        single-settle advance ahead of the shared split-path one."""
+        ``settle`` lines (``stale`` drops the settle, and the frame,
+        it carries across passes): the generic tier the engine's
+        ``comb``/``tick`` pair behind a settled flag; the kernel tier
+        (dep-free units on a compiled engine) fused, cone-reduced RTL
+        kernels plus the fused single-settle advance ahead of the shared
+        split-path one."""
         w, b = self.w, self.b
         uid = self.n_units
         self.n_units += 1
@@ -740,13 +744,13 @@ class _PassCodegen:
         if kernel:
             kern = unit_kernels(unit.sim.elab,
                                 [e[3] for e in fire_plans], unit.name)
-            self.kernel_units.append(uid)
+            self.kernel_units[uid] = b.bind(up, "up")
             if k:
                 names["KF"] = b.bind(kern[0], "kf")
-                # the split-path advance calls cyc too, words ignored
-                KA = names["KC"] = b.bind(kern[2], "kc")
-            else:
-                KA = b.bind(kern[1], "ka")
+            # the split-path advance resumes the frame too, words ignored
+            up.kernel = partial(kern[2] or kern[1], bindings["env"],
+                                bindings["mems"])
+            KA = names["KC"] = f"kn{uid}"
             names["in_qs"] = [b.bind(ch.queue, "iq")
                               for ch, _ in names["in_plans"]]
             stale = []
@@ -762,7 +766,8 @@ class _PassCodegen:
                     f" or {F}[{fire_plans[0][0]!r}] != {F}[{e[0]!r}]"
                     for e in fire_plans[1:])
             # a changed-input tick: the cached words no longer match
-            settle, dirty = [KA + settle_args] + stale, []
+            settle, dirty = [KA + "()"] + stale, []
+            stale = stale + [f"{KA} = {self.kernel_units[uid]}.prime()"]
             w.emit(L, f"# unit {up.prefix}{unit.name}: fused RTL kernels")
         else:
             names["C"] = b.bind(bindings["comb"], "c")
@@ -845,7 +850,9 @@ class _PassCodegen:
         cells = [(f"stl{uid}", f"{b.bind(cell, 'dc')}[0]")
                  for uid, cell in self.settle_cells.items()]
         load = self._cursor_stmts(load=True) \
-            + [f"{local} = {cell}" for local, cell in cells]
+            + [f"{local} = {cell}" for local, cell in cells] \
+            + [f"kn{uid} = {UP}.frame"
+               for uid, UP in self.kernel_units.items()]
         store = self._cursor_stmts(load=False) \
             + [f"{cell} = {local}" for local, cell in cells]
         if self.trace:

@@ -53,15 +53,6 @@ class FAME5Host:
         return obj
 
     @property
-    def n_threads(self) -> int:
-        return len(self.threads)
-
-    @property
-    def cycles_per_target(self) -> int:
-        """Host cycles needed to advance every thread one target cycle."""
-        return len(self.threads)
-
-    @property
     def target_cycle(self) -> int:
         """Target cycle of the slowest thread (the simulation frontier)."""
         return min(t.target_cycle for t in self.threads)

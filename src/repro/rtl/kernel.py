@@ -10,22 +10,26 @@ registers and top inputs — gets a kernel that computes exactly those
 LI-BDN unit on them):
 
 * the live cone is computed per kernel (dead assigns are dropped),
-* every intermediate stays a Python local end-to-end — the env is read
-  once per referenced register/input and written only for register
-  commits,
+* every intermediate stays a Python local end-to-end — the env is
+  written only for register commits,
+* the tick kernel (``cyc``; ``adv`` with no outputs) is a generator
+  whose frame binds the memories and reads the registers on its first
+  resume only, then per resume re-reads the other env names (inputs,
+  undriven names) and yields one cycle's ``(words..., _q)``: a caller
+  primes a fresh frame after anything else writes a register,
 * the tick next-state expressions read the comb *locals* directly
   instead of round-tripping through the env,
 * the packed output words are built from locals and returned.
 
 The cone is then optimised as a netlist *before* it is printed — one
-generator, no verbatim printer kept beside it; ``eval_expr`` and
+printer, no verbatim twin kept beside it; ``eval_expr`` and
 ``Simulator(compiled=False)`` are the reference it is tested against.
 Each pass and the one sentence that makes it sound:
 
 * **alias and literal propagation** — an assign whose printed driver
   is a bare name or literal prints nothing and its readers name the
-  source: a local is never reassigned, so the two names always held
-  the same value.
+  source: no local is reassigned before the register commits that
+  end a cycle, so the two names always held the same value.
 * **single-fanout inlining** — a node referenced exactly once
   (occurrences counted over the kept assigns, register-next,
   write-port and pack expressions) is printed at its use site, in that
@@ -38,7 +42,7 @@ Each pass and the one sentence that makes it sound:
   inside CPython's 200-level parenthesis limit.
 * **memories bound once** — ``m3 = mems['tile0.core.regfile']`` in the
   prologue: ``mems`` maps names to lists that are mutated in place for
-  the length of a call.  ``% depth`` is dropped when the address's
+  the life of a frame.  ``% depth`` is dropped when the address's
   range cannot reach ``depth``.
 * **value-range printing** — :func:`~repro.rtl.eval.compile_expr`
   returns ``(code, bits)``; leaf bounds come from the storage sites
@@ -52,14 +56,15 @@ Each pass and the one sentence that makes it sound:
   that breaks the rule (:class:`~repro.errors.IRError`) instead of
   computing a wrong cycle.  A mask whose operand provably fits is not
   printed, the register-commit mask included.
-* **one-pass commit + quiescence** — ``_q = True``, then per register
-  ``if n != v: env[k] = n; _q = False`` and per write port the same
-  shape under its enable: a store that would not change the stored
-  word is skipped, so the final state is the unconditional commit's,
-  and ``_q`` is False exactly when some register or some enabled write
-  differs from what is stored — a write is compared after the ports
-  before it committed, but the first differing port still sees the
-  untouched memory, so the flag equals the all-at-once comparison.
+* **one-pass commit + quiescence** — ``_q = True``, per write port
+  the shape below under its enable, then per register (last, so all
+  else reads pre-commit locals) ``if n != v: env[k] = v = n; _q =
+  False``: a skipped store would not change the stored word, so the
+  state is the unconditional commit's, and ``_q`` is False exactly when
+  some register or enabled write differs from what is stored — a write
+  is compared after the ports before it committed, but the first
+  differing port still sees the untouched memory, so the flag equals
+  the all-at-once comparison.
 
 Consequence (documented contract): kernels do *not* write
 combinational intermediates back into the RTL env, so signal peeks
@@ -123,8 +128,9 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
     ``pack_lists`` is a list of pack-field lists (one per output
     channel, in fire order); the kernel returns the packed words in
-    that order.  ``do_tick`` fuses the register/memory commit into the
-    same settle and appends a quiescence flag to the return value:
+    that order.  ``do_tick`` makes ``_k`` a generator, one cycle per
+    resume, fusing the register/memory commit into the same settle
+    and yielding the words plus a quiescence flag:
     True when the tick was a fixed point (every register next-value
     equals its current value and every enabled memory write re-writes
     the stored word) — the caller may then skip the next settle
@@ -170,7 +176,9 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     stats = {"kernel": tag, "cone": len(kept), "aliases": 0,
              "inlined": 0, "masks_elided": 0}
     ids: Dict[object, str] = {}
-    prologue: List[str] = []
+    #: loads made once per frame (memories, registers) and per resume
+    prime: List[str] = []
+    reload: List[str] = []
     body: List[str] = []
     #: name -> what its readers print: a local and its range, or the
     #: source an alias folded into
@@ -179,12 +187,12 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     pending: Dict[str, object] = {}
     depth: Dict[str, int] = {}
 
-    def local(key, source: str) -> str:
-        """The local bound to ``source`` in the prologue (once)."""
+    def local(key, source: str, loads: List[str]) -> str:
+        """The local bound to ``source`` in ``loads`` (once)."""
         name = ids.get(key)
         if name is None:
             name = ids[key] = f"v{len(ids)}"
-            prologue.append(f"    {name} = {source}")
+            loads.append(f"    {name} = {source}")
         return name
 
     def name_of(name: str, truth: bool = False) -> Printed:
@@ -200,7 +208,9 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
             reg = elab.regs.get(name)
             bits = elab.inputs.get(name) if reg is None \
                 else max(reg.width, reg.init.bit_length())
-            known = printed[name] = (local(name, f"env[{name!r}]"), bits)
+            loads = prime if do_tick and reg is not None else reload
+            known = printed[name] = (
+                local(name, f"env[{name!r}]", loads), bits)
         return known
 
     def index(addr: Expr, depth: int) -> str:
@@ -213,7 +223,7 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
         return f"{code} % {depth}"
 
     def bound(mem: str) -> str:
-        return local(("mem", mem), f"mems[{mem!r}]")
+        return local(("mem", mem), f"mems[{mem!r}]", prime)
 
     def print_node(a, truth: bool) -> Printed:
         if isinstance(a, FlatAssign):
@@ -240,19 +250,21 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
     if do_tick:
         body.append("    _q = True")
-    for i, reg in enumerate(tick_regs):
+    # a next value naming another register's local is copied before
+    # the commits move it
+    reg_vars = [name_of(reg.name)[0] for reg in tick_regs]
+    commits = []
+    for i, (reg, var) in enumerate(zip(tick_regs, reg_vars)):
         code, bits = compile_expr(reg.next, name_of, False, stats)
         if bits is None or bits > reg.width:
             code = f"{code} & {mask(reg.width)}"
         else:
             stats["masks_elided"] += 1
-        if not code.isalnum():
+        if not code.isalnum() or code in reg_vars and code != var:
             body.append(f"    n{i} = {code}")
             code = f"n{i}"
-        # the local still holds the pre-commit value
-        body.append(f"    if {code} != {name_of(reg.name)[0]}:")
-        body.append(f"        env[{reg.name!r}] = {code}")
-        body.append("        _q = False")
+        if code != var:
+            commits.append((reg.name, var, code))
     for mw in writes:
         en = compile_expr(mw.en, name_of, True, stats)[0]
         addr = index(mw.addr, mw.depth)
@@ -268,10 +280,19 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     rets = [f"({pack_expr(lambda port: name_of(port)[0], fields)})"
             for fields in pack_lists]
     if do_tick:
-        rets.append("_q")
-    lines = prologue + body
-    if rets:
-        lines.append("    return " + ", ".join(rets))
+        body += [f"    _y{j} = {ret}" for j, ret in enumerate(rets)]
+        for name, var, code in commits:
+            body += [f"    if {code} != {var}:",
+                     f"        env[{name!r}] = {var} = {code}",
+                     "        _q = False"]
+        body.append("    yield " + ", ".join(
+            [f"_y{j}" for j in range(len(rets))] + ["_q"]))
+        lines = prime + ["    while True:"] + [
+            "    " + ln for ln in reload + body]
+    else:
+        lines = prime + reload + body
+        if rets:
+            lines.append("    return " + ", ".join(rets))
     stats["statements"] = len(lines)
     src = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
            + "\n".join(lines or ["    pass"]) + "\n")
@@ -313,19 +334,20 @@ def unit_kernels(elab: Elaboration, pack_lists: List[PackFields],
     """``(fire, adv, cyc)`` for one elaboration, made once per
     ``(tag, pack layout)`` and memoized on it as ``elab.kernels`` (a
     :class:`KernelMemo`): an elaboration is read-only after
-    ``elaborate()`` and a kernel is a pure function of the
+    ``elaborate()`` and a kernel (or a frame of one) touches only the
     ``env``/``mems`` it is handed, so every unit built on one
     elaboration shares them.  With output words to
-    pack: ``fire(env, mems) -> words`` (pack cone only) and
-    ``cyc(env, mems) -> words, quiescent`` (the fused single-settle
-    cycle: when the next input words equal the currently-poked values,
-    one comb settle serves both the fire and the advance — eval is
+    pack: ``fire(env, mems) -> words`` (pack cone only) and the
+    generator ``cyc(env, mems)`` yielding ``words, quiescent`` per
+    resume (the fused single-settle cycle: when the next input words
+    equal the currently-poked values, one comb settle serves both the
+    fire and the advance — eval is
     pure, so the second settle the interpreter performs is provably
     identical).  ``cyc`` is also the advance of the split path, which
     pokes first and ignores the words: it is the tick cone + commit
     plus a few pack shifts, and compiling that cone once instead of
     twice is most of the codegen time.  With none, a bare
-    ``adv(env, mems)``."""
+    generator ``adv(env, mems)`` yielding the flag."""
     memo = getattr(elab, "kernels", None)
     if memo is None:
         memo = elab.kernels = KernelMemo()

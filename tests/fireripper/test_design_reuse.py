@@ -4,6 +4,7 @@ simulations built from it share both — and a pickled design carries
 them, source and all, to a process that never printed a kernel."""
 
 import pickle
+from inspect import isgeneratorfunction
 
 import pytest
 
@@ -113,9 +114,10 @@ def _jit_dump(monkeypatch, capsys, tmp_path, design):
 def test_a_pickled_design_runs_without_printing_a_kernel(
         monkeypatch, capsys, tmp_path):
     """After a run, a design pickles with its elaborations and kernel
-    sources; the loaded copy builds and runs to the same digest without
-    one ``compile_kernel`` call, and generates the same step-plane and
-    kernel text."""
+    sources; the loaded copy carries the tick kernels as generator
+    functions, builds and runs to the same digest as a fresh compile
+    without one ``compile_kernel`` call, and generates the same
+    step-plane and kernel text."""
     config = _ring_config(extract=RING_HALVES)
     design = compile_design(config)
     sim = _build(config, design)
@@ -132,6 +134,12 @@ def test_a_pickled_design_runs_without_printing_a_kernel(
                         lambda *a, **k: calls.append(a[3])
                         or compile_kernel(*a, **k))
     again = _build(config, loaded)
+    kernels = [fns for elab in _elabs(again)
+               for fns in getattr(elab, "kernels", {}).values()]
+    assert kernels
+    for fire, adv, cyc in kernels:
+        assert isgeneratorfunction(cyc or adv)
+        assert fire is None or not isgeneratorfunction(fire)
     assert functional_digest(again, again.run(
         config["cycles"], backend="inproc")) == digest
     assert generate_sources(again) == sources

@@ -44,11 +44,6 @@ class TestModule:
         with pytest.raises(IRError):
             m.port("nope")
 
-    def test_signal_width(self):
-        m = _leaf()
-        assert m.signal_width("y") == 4
-        assert m.try_signal_width("missing") is None
-
     def test_fresh_name(self):
         m = _leaf()
         assert m.fresh_name("a") == "a_0"
@@ -81,11 +76,6 @@ class TestCircuit:
         assert inst.module == "Leaf"
         with pytest.raises(IRError):
             c.resolve_path("middle.bogus")
-
-    def test_parent_of(self):
-        c = _two_level()
-        assert c.parent_of("middle.inner").name == "Mid"
-        assert c.parent_of("middle").name == "Top"
 
     def test_clone_is_deep(self):
         c = _two_level()

@@ -21,10 +21,8 @@ from repro.firrtl.passes import (
     instance_adjacency,
     module_topo_order,
 )
-from repro.firrtl.passes.comb import classify_ports
 from repro.firrtl.passes.connectivity import PARENT, connected_closure
 from repro.firrtl.passes.moduledag import instance_counts
-from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
 
 
@@ -124,16 +122,6 @@ class TestCombDeps:
         b.connect(r, r + 1)
         deps = circuit_comb_deps(make_circuit(b.build(), [child]))
         assert deps["Parent"]["pout"] == frozenset({"pin"})
-
-    def test_classify_ports_comb_pair(self):
-        c = make_comb_pair_circuit()
-        deps = circuit_comb_deps(c)
-        left = c.module("CombLeft")
-        roles = classify_ports(left, deps["CombLeft"])
-        assert roles["sink_out"] == ["d"]
-        assert roles["source_out"] == ["s"]
-        assert roles["sink_in"] == ["a"]
-        assert roles["source_in"] == ["e"]
 
 
 class TestModuleDAG:

@@ -5,6 +5,8 @@ interpreter."""
 
 import json
 import re
+from collections import Counter
+from inspect import isgeneratorfunction
 from pathlib import Path
 
 import pytest
@@ -361,9 +363,12 @@ class TestGeneratedSources:
         for memo in before:  # (tag, layout) -> (fire, adv, cyc)
             for kern in memo.values():
                 assert any(fn is not None for fn in kern)
-                for fn in kern:
+                for fn, ticks in zip(kern, (False, True, True)):
                     if fn is not None:
                         assert "def _k(env, mems" in fn._stepjit_source
+                        # the tick kernels are resumable frames, the
+                        # fire kernel a plain function
+                        assert isgeneratorfunction(fn) == ticks
         # a second run reuses the memo (same objects, no recompile)
         sim.run(20, backend="inproc")
         after = memos()
@@ -392,10 +397,10 @@ def test_first_quiescent_cycle_matches_the_interpreter():
             unit.name)
 
         def spy(env, mems, unit=unit, cyc=cyc):
-            out = cyc(env, mems)
-            flags.setdefault(unit.name, []).append(
-                (unit.target_cycle, out[-1]))
-            return out
+            for out in cyc(env, mems):
+                flags.setdefault(unit.name, []).append(
+                    (unit.target_cycle, out[-1]))
+                yield out
 
         # the generator binds whatever the elaboration's memo holds
         (key,) = unit.sim.elab.kernels
@@ -833,6 +838,110 @@ class TestPlaneLifecycle:
             fresh = _build(record_outputs=False)
             mutate(fresh)
             assert digest == _digest(fresh, 60, backend="inproc")
+
+
+#: the kernel-tier units of ``_ring_sim``, one per partition
+RING_KERNEL_UNITS = ["base", "noc0", "noc1"]
+
+
+@pytest.fixture
+def primes(monkeypatch, tmp_path):
+    """Counting spy on kernel-frame primes, a forked worker's included:
+    each prime appends its unit's name to a file."""
+    log = tmp_path / "primes"
+    log.touch()
+    prime = partitioned._UnitPlan.prime
+
+    def spy(up):
+        with open(log, "a") as out:
+            out.write(f"{up.prefix}{up.unit.name}\n")
+        return prime(up)
+
+    monkeypatch.setattr(partitioned._UnitPlan, "prime", spy)
+    return lambda: sorted(log.read_text().split())
+
+
+def _rewind_tile0(sim):
+    """Restart tile 0's program through its RTL env: two registers the
+    kernel frame holds in locals."""
+    env = sim.partitions["noc0"].units[0][1].sim.env
+    env["tile0.core.pc"] = 0
+    env["tile0.core.halted"] = 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestKernelFrameLifecycle:
+    """A kernel-tier unit's tick kernel runs as one live frame that
+    holds its registers in locals.  Like the settle, a frame is never
+    carried across ``run()`` entries: one is primed per kernel unit at
+    every entry, and again after an interpreter fallback."""
+
+    def test_one_prime_per_kernel_unit_per_entry(self, primes, backend):
+        sim = _ring_sim()
+        sim.run(20, backend=backend)
+        assert primes() == RING_KERNEL_UNITS
+        sim.run(60, backend=backend)
+        assert primes() == sorted(RING_KERNEL_UNITS * 2)
+
+    def test_a_stop_callback_run_primes_once(self, primes, backend):
+        """One pass per callback, one frame for the whole run (the
+        process backend refuses a ``stop`` callback)."""
+        if backend == "process":
+            pytest.skip("stop callbacks run in-process only")
+        calls = []
+
+        def stop(sim):
+            calls.append(sim.frontier_cycle())
+            return False
+
+        _ring_sim().run(80, stop=stop, backend=backend)
+        assert len(calls) >= 50
+        assert primes() == RING_KERNEL_UNITS
+
+    def test_a_register_written_between_entries_is_read(self, backend):
+        """Every register and memory word after the next entry is the
+        interpreter's, and differs from a run without the write."""
+        def entries(jit, write):
+            sim = _ring_sim()
+            sim.stepjit = jit
+            sim.run(60, backend=backend)
+            if write:
+                _rewind_tile0(sim)
+            digest = _digest(sim, 200, backend=backend)
+            return digest, [
+                ({r: unit.sim.env[r] for r in unit.sim.elab.regs},
+                 unit.sim.mem_state)
+                for part in sim.partitions.values()
+                for _, unit in part.units]
+
+        written = entries(None, True)
+        assert written == entries(False, True)
+        assert written[1] != entries(None, False)[1]
+
+    def test_a_mid_step_checkpoint_falls_back_and_reprimes(
+            self, primes, backend):
+        """A checkpoint captured between a fire and its drain restores
+        a non-empty outbox: each unit's first pass goes through the
+        interpreter, which moves its registers, and its frame is primed
+        afresh before the kernel resumes."""
+        def resumed(jit):
+            first = _ring_sim()
+            first.run(30, backend="inproc")
+            for part in first.partitions.values():
+                for _, unit in part.units:
+                    unit.try_fire_outputs()
+            state = json.loads(json.dumps(capture_state(first)))
+            sim = _ring_sim()
+            sim.stepjit = jit
+            restore_state(sim, state)
+            before = Counter(primes())
+            digest = _digest(sim, 120, backend=backend)
+            return digest, Counter(primes()) - before
+
+        (digest, primed), (reference, _) = resumed(None), resumed(False)
+        # one prime at entry and one after the fallback, per unit
+        assert primed == Counter(RING_KERNEL_UNITS * 2)
+        assert digest == reference
 
 
 class TestGenericPairOnFirstUse:

@@ -165,23 +165,32 @@ def _state(sim_or_pair):
     return {r: env[r] for r in REGS}, mems
 
 
+def _step_both(ref, fire, frame, env, mems, pack_lists, values):
+    """One cycle of ``values`` on the interpreter and through one
+    resume of the kernel ``frame``; both must agree afterwards."""
+    for port, value in zip(INPUTS, values):
+        ref.poke(port, value)
+        env[port] = ref.env[port]
+    ref.eval()
+    words = tuple(_pack(ref.env, f) for f in pack_lists)
+    assert fire(env, mems) == words
+    quiescent = _tick_is_fixed_point(ref)
+    ref.tick()
+    assert frame() == words + (quiescent,)
+    assert _state((env, mems)) == _state((ref.env, ref.mem_state))
+
+
 def _run_against_interpreter(elab, stimulus):
+    """The whole stimulus through ONE primed frame: register state
+    lives in its locals from the first resume to the last."""
     pack_lists = _pack_lists(elab)
     fire, _, cyc = unit_kernels(elab, pack_lists, "rand")
     ref = Simulator(elab, compiled=False)
     start = Simulator(elab)
     env, mems = start.env, start.mem_state
+    frame = cyc(env, mems).__next__
     for values in stimulus:
-        for port, value in zip(INPUTS, values):
-            ref.poke(port, value)
-            env[port] = ref.env[port]
-        ref.eval()
-        words = tuple(_pack(ref.env, f) for f in pack_lists)
-        assert fire(env, mems) == words
-        quiescent = _tick_is_fixed_point(ref)
-        ref.tick()
-        assert cyc(env, mems) == words + (quiescent,)
-        assert _state((env, mems)) == _state((ref.env, ref.mem_state))
+        _step_both(ref, fire, frame, env, mems, pack_lists, values)
 
 
 _STIMULUS = st.lists(
@@ -201,6 +210,48 @@ def test_quiescence_flag_under_held_inputs(elab, values):
     """Constant inputs drive most netlists into a fixed point, so the
     flag is compared on both of its values."""
     _run_against_interpreter(elab, [values] * 12)
+
+
+@given(elab=netlists(), stimulus=_STIMULUS, pokes=st.lists(
+    st.tuples(*(st.integers(0, mask(w)) for w, _ in REGS.values())),
+    min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_a_reprime_reads_registers_written_from_outside(
+        elab, stimulus, pokes):
+    """The env is authoritative, but a frame reads each register once,
+    on its first resume: a register written from outside between two
+    resumes is seen by a re-primed frame, as the interpreter sees it."""
+    pack_lists = _pack_lists(elab)
+    fire, _, cyc = unit_kernels(elab, pack_lists, "rand")
+    ref = Simulator(elab, compiled=False)
+    start = Simulator(elab)
+    env, mems = start.env, start.mem_state
+    for values in pokes:
+        frame = cyc(env, mems).__next__
+        for cycle in stimulus:
+            _step_both(ref, fire, frame, env, mems, pack_lists, cycle)
+        for (reg, (width, _)), value in zip(REGS.items(), values):
+            ref.env[reg] = env[reg] = value & mask(width)
+    frame = cyc(env, mems).__next__
+    _step_both(ref, fire, frame, env, mems, pack_lists, stimulus[0])
+
+
+def test_a_stale_frame_misses_an_outside_write():
+    """Why the harness re-primes: a frame keeps the register it read
+    on its first resume, whatever the env says later."""
+    r = Ref("r", 8)
+    elab = Elaboration(
+        "Count", {}, {"o": 8}, [FlatAssign("o", r)],
+        {"r": FlatReg("r", 8, 0, PrimOp("add", (r, Lit(1, 8)), 9))},
+        {}, [], {"o": 8, "r": 8})
+    env, mems = {"o": 0, "r": 0}, {}
+    cyc = compile_kernel(elab, [[("o", 0, 255)]], True, "cyc:count")
+    frame = cyc(env, mems).__next__
+    assert frame() == (0, False) and env["r"] == 1
+    env["r"] = 40
+    assert frame() == (1, False) and env["r"] == 2
+    env["r"] = 40
+    assert cyc(env, mems).__next__() == (40, False) and env["r"] == 41
 
 
 def test_over_wide_write_chain_is_a_typed_error():
@@ -264,11 +315,23 @@ def test_ring_kernel_structure():
     cyc = compile_kernel(elab, [fields], True, "cyc:ring")
     src = cyc._stepjit_source
     assert src.startswith("def _k(env, mems")
-    # alias propagation: nothing is copied from one local to another
-    assert not re.search(r"^\s+[vn]\d+ = \w+$", src, re.M)
-    # every memory is bound once, in the prologue
+    prime, loop = src.split("    while True:\n")
+    assert loop.splitlines()[-1].startswith("        yield ")
+    # every register is read once per frame, before the loop, and
+    # nothing else is
+    regs = dict(re.findall(r"^    (v\d+) = env\['([^']+)'\]$", prime, re.M))
+    assert regs and set(regs.values()) <= set(elab.regs)
+    reads = re.findall(r"= env\['([^']+)'\]$", loop, re.M)
+    assert not set(reads) & set(elab.regs)
+    # alias propagation: no local is a copy of a bare name, bar a next
+    # value naming another register's local, copied before the commits
+    # move that local
+    copies = re.findall(r"^\s+([vn]\d+) = (\w+)$", src, re.M)
+    assert all(dst[0] == "n" and name in regs for dst, name in copies)
+    # every memory is bound once per frame, before the loop
     binds = re.findall(r"mems\[('[^']+')\]", src)
     assert binds and len(binds) == len(set(binds))
+    assert "mems[" not in loop
     # every address range fits its power-of-two depth
     assert "%" not in src
     stats = cyc._stepjit_stats
