@@ -6,10 +6,12 @@ ad-hoc ``Optional[object]`` fields and ``getattr`` probing at simulation
 time, each carrier owns one hook container with typed slots; the
 protocols below document exactly what each slot must provide.
 
-Transport-derived hooks (``injector``, ``switch``) are *resolved once*
-— at link construction and again whenever the transport is swapped
-(:meth:`~repro.harness.partitioned.Link.refresh_transport_hooks`) — so
-the per-token hot path does plain attribute reads.
+What a link's transport carries (a fault ``injector``, a shared
+``switch``) is not a slot: :class:`~repro.harness.partitioned.Link`
+reads it off ``link.transport`` wherever it is used, so assigning a
+new transport is all it takes to swap either — the compiled plane
+already rebuilds when a transport changes, and the per-token hot path
+binds what the schedule resolved.
 """
 
 from __future__ import annotations
@@ -64,19 +66,19 @@ class SwitchFabric(Protocol):
     def traverse(self, depart_ns: float, width_bits: int) -> float: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkHooks:
     """Every optional behaviour attached to one link.
 
     ``reliability`` is attached by
-    :func:`~repro.reliability.link.harden_links`; ``injector`` and
-    ``switch`` are resolved from the link's transport; ``tracer`` is
-    installed by the owning simulation.
+    :func:`~repro.reliability.link.harden_links`; ``tracer`` is
+    installed by the owning simulation.  The transport's injector and
+    switch are read off the transport (``Link.injector``,
+    ``Link.switch``); slotted, so assigning either here raises instead
+    of attaching nothing.
     """
 
     reliability: Optional[ReliabilityLayer] = None
-    injector: Optional[TransportInjector] = None
-    switch: Optional[SwitchFabric] = None
     tracer: Tracer = NULL_TRACER
 
 

@@ -50,7 +50,8 @@ from ..observability.postmortem import DeadlockPostmortem
 from ..observability.tracer import NULL_TRACER, TraceEvent, Tracer
 from ..platform.transport import TransportModel
 from ..telemetry.sampler import NULL_TELEMETRY, Telemetry
-from .hooks import LinkHooks, PartitionHooks
+from .hooks import (LinkHooks, PartitionHooks, SwitchFabric,
+                    TransportInjector)
 from .metrics import SimulationResult
 from .stepjit import compile_step_functions, stepjit_enabled
 
@@ -197,14 +198,17 @@ class Link:
     depth_hist: Dict[int, int] = field(default_factory=dict)
     hooks: LinkHooks = field(default_factory=LinkHooks)
 
-    def __post_init__(self) -> None:
-        self.refresh_transport_hooks()
+    @property
+    def injector(self) -> Optional[TransportInjector]:
+        """The fault injector the transport carries, if any — read off
+        the transport itself, so swapping ``transport`` swaps it."""
+        return getattr(self.transport, "injector", None)
 
-    def refresh_transport_hooks(self) -> None:
-        """Re-resolve transport-derived hooks (injector, switch); call
-        after swapping ``transport``."""
-        self.hooks.injector = getattr(self.transport, "injector", None)
-        self.hooks.switch = getattr(self.transport, "switch", None)
+    @property
+    def switch(self) -> Optional[SwitchFabric]:
+        """The shared switch fabric the transport routes through, if
+        any (read off the transport, like :attr:`injector`)."""
+        return getattr(self.transport, "switch", None)
 
     @property
     def reliability(self):
@@ -232,9 +236,9 @@ class Link:
         if hooks.reliability is not None:
             return hooks.reliability.transmit(
                 self, depart_ns, word, codec)
-        if hooks.injector is not None:
-            return hooks.injector.raw_transmit(
-                self, depart_ns, word, codec)
+        injector = self.injector
+        if injector is not None:
+            return injector.raw_transmit(self, depart_ns, word, codec)
         return TransmitResult(
             depart_ns + self.transport.wire_ns(codec.width), word, True)
 
@@ -531,8 +535,7 @@ class PartitionedSimulation:
                  self.record_outputs, self.channel_capacity,
                  stepjit_enabled(self)]
         for link in self.links:
-            hooks += (link.transport, link.hooks.reliability,
-                      link.hooks.injector, link.hooks.switch)
+            hooks += (link.transport, link.hooks.reliability)
         return hooks
 
     def ensure_schedule(self) -> List[_PartPlan]:
@@ -604,11 +607,10 @@ class PartitionedSimulation:
                     if link is not None:
                         dst_part = self.partitions[link.dst[0]]
                         dst_ch = self._in_channel_by_key[link.dst]
-                        hooks = link.hooks
                         op.link = link
-                        op.switch = hooks.switch
-                        op.clean = (hooks.reliability is None
-                                    and hooks.injector is None)
+                        op.switch = link.switch
+                        op.clean = (link.reliability is None
+                                    and link.injector is None)
                         op.tx_ns = (link.transport.serdes_cycles(op.width)
                                     * part.host_cycle_ns)
                         op.rx_ns = (link.transport.serdes_cycles(op.width)

@@ -27,7 +27,7 @@ from .coordinator import (BACKEND_ALIASES, VALID_BACKENDS,
                           ProcessBackend, auto_backend,
                           fork_available, normalize_backend,
                           unsupported_reason)
-from .channels import Conduit, EffectFrame, FramePacker
+from .channels import EffectFrame, FramePacker
 from .socket_transport import SocketChannel
 from .pool import fanout
 
@@ -39,7 +39,6 @@ __all__ = [
     "fork_available",
     "normalize_backend",
     "unsupported_reason",
-    "Conduit",
     "EffectFrame",
     "FramePacker",
     "SocketChannel",

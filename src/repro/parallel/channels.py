@@ -5,14 +5,15 @@ every cross-partition side effect that sender's pass produced for one
 peer — token deliveries (with their modelled arrival times) and
 consume-time records (the credit returns the peer's senders price their
 credit stalls with).  A frame is the unit of ordering *and* the unit on
-the wire: a :class:`Conduit` writes each one as a single
+the wire: the worker writes each one as a single
 :class:`FramePacker`-coded record when the pass that produced it ends,
 and the receiver consumes records in arrival order.
 
 There is no frame-level flow control: the wavefront schedule (see
-``worker``) never lets a stream run more than one pass ahead of its
-reader.  The flow control the target sees is the LI-BDN credit on the
-*token* (``channel_capacity``), priced by the timing overlay.
+``worker``) never lets a stream run more than one frame ahead of its
+reader, so a write never finds an earlier frame still staged.  The
+flow control the target sees is the LI-BDN credit on the *token*
+(``channel_capacity``), priced by the timing overlay.
 
 The bytes travel over the stream sockets of ``socket_transport``.
 Control-plane messages (worker <-> coordinator) are plain tuples whose
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 #: (link index, dst key, packed token word, arrival ns, rx serdes ns)
 Delivery = Tuple[int, Tuple[str, str], int, float, float]
@@ -40,31 +41,6 @@ class EffectFrame:
     pass_no: int
     deliveries: List[Delivery] = field(default_factory=list)
     credits: List[Credit] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.deliveries and not self.credits
-
-
-@dataclass
-class MetricFrame:
-    """Compact telemetry piggybacked on a worker's ``progress``
-    control message (no extra pipes).
-
-    Carries the sample points the worker's cycle-keyed sampler emitted
-    since its previous report, plus the partition's current position.
-    The coordinator uses these only to render live status (``repro
-    watch``); the *authoritative* series ships once, in the worker's
-    final state fragment, which is what gets merged into the parent's
-    telemetry — so live reporting can never perturb the bit-identical
-    result.
-    """
-
-    part: str
-    frontier: int
-    busy_ns: float
-    #: new (target cycle, {metric: value}) points since the last frame
-    samples: List[tuple] = field(default_factory=list)
 
 
 _FRAME_HDR = struct.Struct("<QII")    # pass_no, n_deliveries, n_credits
@@ -135,44 +111,3 @@ class FramePacker:
             credits.append((credit_keys[key_idx], ns))
         return EffectFrame(sender=sender, pass_no=pass_no,
                            deliveries=deliveries, credits=credits)
-
-
-class Conduit:
-    """Outgoing half of one worker->peer frame stream over one
-    :class:`~repro.parallel.socket_transport.SocketChannel`: ``push``
-    is called once per pass and writes that pass's frame as one record.
-
-    The channel may refuse a record (a full staging buffer atop a full
-    kernel buffer).  A refused write blocks *politely*: the
-    caller-supplied ``wait_step`` must keep the worker live (drain
-    incoming channels, service the control connection, surface aborts) and
-    returns True when the write should be abandoned instead of retried
-    — the peer is dead, or the run is finalizing past the stop fence
-    and the remaining frames are empty service frames nobody will read.
-    """
-
-    def __init__(self, channel, packer: FramePacker,
-                 wait_step: Optional[Callable[[], bool]] = None):
-        self.channel = channel
-        self.packer = packer
-        self.wait_step = wait_step or (lambda: False)
-        #: records actually written — one per frame
-        self.messages_sent = 0
-        #: individual effects (deliveries + credits) pushed — per-token
-        #: messaging would pay one record each
-        self.effects_sent = 0
-
-    def push(self, frame: EffectFrame) -> None:
-        self.effects_sent += len(frame.deliveries) + len(frame.credits)
-        payload = self.packer.pack(frame)
-        while not self.channel.try_write(payload):
-            if self.wait_step():
-                return  # abandoned: receiver no longer consumes
-        self.messages_sent += 1
-
-    def flush(self) -> None:
-        """Push bytes a backpressured write left staged: blocked
-        workers call this before waiting, which is what drains the
-        backlog and keeps the wavefront live."""
-        if not self.channel.closed:
-            self.channel.try_flush()

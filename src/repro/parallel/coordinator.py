@@ -59,9 +59,9 @@ def unsupported_reason(sim) -> Optional[str]:
     """Why ``sim`` cannot be distributed, or None if it can."""
     switch_srcs: Dict[int, set] = {}
     for link in sim.links:
-        if link.hooks.switch is not None:
+        if link.switch is not None:
             switch_srcs.setdefault(
-                id(link.hooks.switch), set()).add(link.src[0])
+                id(link.switch), set()).add(link.src[0])
     for srcs in switch_srcs.values():
         if len(srcs) > 1:
             return ("a switch fabric is shared by links of different "
@@ -152,8 +152,8 @@ class Worker:
         self.dead = False
         #: (exception type name, message, args) from a "failed" report
         self.failed: Optional[tuple] = None
-        #: modelled time position from the last piggybacked metric
-        #: frame (live status rendering only)
+        #: modelled time position from the last progress report
+        #: (live status rendering only)
         self.busy_ns = 0.0
 
 
@@ -456,10 +456,7 @@ class ProcessBackend:
                     if progressed and pass_no > state.last_true_pass:
                         state.last_true_pass = pass_no
                     state.frontier = frontier
-                if len(msg) > 3 and msg[3] is not None:
-                    state.busy_ns = msg[3].busy_ns
-                    state.frontier = max(state.frontier,
-                                         msg[3].frontier)
+                state.busy_ns = msg[3]
             elif kind == "heartbeat":
                 state.frontier = max(state.frontier, msg[3])
             elif kind == "done":

@@ -12,10 +12,13 @@ each worker inherits its own ends, keyed by peer, and closes the rest.
 ``drain`` reads whatever bytes are available and returns only
 *complete* records (partial reads simply stay buffered; a peer
 vanishing mid-frame surfaces as ``closed`` with the torn record
-discarded), writes stage into a bounded pending buffer so a slow peer
-backpressures the sender instead of growing memory.  Sockets signal
-peer death natively (EOF / ``ECONNRESET``) and have a file descriptor a
-blocked worker can select on next to its control connection.
+discarded); a write stages its record and sends what the kernel
+takes, and whatever it does not take waits for the next flush.  The
+wavefront schedule bounds a stream to one frame in flight (see
+``worker``), so the staging buffer holds at most one record and needs
+no cap.  Sockets signal peer death natively (EOF / ``ECONNRESET``) and
+have a file descriptor a blocked worker can select on next to its
+control connection.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from typing import List
 
 _LEN = struct.Struct("<I")
 
-#: staged-write cap: a peer this many bytes behind backpressures us
-DEFAULT_MAX_PENDING = 1 << 20
-
 
 class SocketChannel:
     """One established peer stream of length-prefixed packed records.
@@ -37,21 +37,17 @@ class SocketChannel:
     control connections in ``multiprocessing.connection.wait``.  Reads
     buffer partial records until the rest arrives; a clean or torn EOF
     sets ``closed`` (native peer-death detection).  Writes stage into
-    ``_tx`` and drain opportunistically; once ``max_pending`` bytes
-    are staged the channel refuses new records, which is the
-    backpressure signal the conduit's wait-step loop spins on.
+    ``_tx`` and drain opportunistically; a blocked worker flushes the
+    rest before it waits.
     """
 
-    def __init__(self, sock: socket.socket, peer: str = "",
-                 max_pending: int = DEFAULT_MAX_PENDING):
+    def __init__(self, sock: socket.socket, peer: str = ""):
         self.sock = sock
         self.peer = peer
-        self.max_pending = max_pending
         sock.setblocking(False)
         self._rx = bytearray()
         self._tx = bytearray()
         self.closed = False
-        self.records_in = 0
         self.records_out = 0
 
     def fileno(self) -> int:
@@ -85,25 +81,19 @@ class SocketChannel:
             off = start + length
         if off:
             del rx[:off]
-        self.records_in += len(out)
         return out
 
     # -- write side ----------------------------------------------------------
 
-    def try_write(self, payload: bytes) -> bool:
-        """Stage one record unless backpressured; True when accepted.
-        A record written to a dead peer is accepted and dropped — the
-        caller's dead-peer accounting owns that case."""
+    def write(self, payload: bytes) -> None:
+        """Stage one record and send what the kernel takes.  A record
+        written to a dead peer is dropped — the caller's dead-peer
+        accounting owns that case."""
         if self.closed:
-            return True
-        if self._tx:
-            self.try_flush()
-            if len(self._tx) >= self.max_pending:
-                return False
+            return
         self._tx += _LEN.pack(len(payload)) + payload
-        self.records_out += 1
         self.try_flush()
-        return True
+        self.records_out += 1
 
     def try_flush(self) -> bool:
         """Push staged bytes out; True when the backlog fully

@@ -21,13 +21,16 @@ acyclic, so the wavefront can never deadlock on itself; a worker that
 must block first flushes every staged outgoing byte, keeping peers
 fed.
 
-The same rule is the wire's only flow control.  A worker emits frame
-``k`` after applying every peer's ``k-1`` (or ``k``), and a peer emits
-that frame only after applying ours, so each stream runs at most one
-pass ahead of its reader: one frame per (peer, pass), written when the
-pass ends, consumed in arrival order (a stream socket is a FIFO; a
-frame whose pass number is not the next one is a
-:class:`~repro.errors.SimulationError`).
+The same rule is the wire's only flow control.  We emit frame ``k+1``
+to peer ``P`` only after applying a frame ``P`` emitted after applying
+our frame ``k`` (``P``'s ``k+1`` when it comes before us, its ``k``
+when it comes after), so every byte of frame ``k`` has left our socket
+before frame ``k+1`` is written: one frame in flight per stream,
+written when the pass ends, consumed in arrival order (a stream socket
+is a FIFO; a frame whose pass number is not the next one is a
+:class:`~repro.errors.SimulationError`).  A write therefore never
+finds a staged record ahead of it, and nothing on the wire refuses
+or paces one.
 
 A finished worker (its partition reached the target cycle) keeps
 cycling *service passes*: it emits empty frames so slower peers can keep
@@ -39,14 +42,11 @@ deterministic.
 Control protocol (worker -> coordinator, over the worker's own control
 socketpair, which tells the coordinator who spoke — no envelope):
 
-``("progress", name, [(pass, frontier, progressed), ...], metrics)``
+``("progress", name, [(pass, frontier, progressed), ...], busy_until)``
     per-pass progress, ``REPORT_BATCH`` passes a message; flushed on
     no-progress passes so the coordinator can detect global deadlock
-    quickly.  ``metrics`` is a
-    :class:`~repro.parallel.channels.MetricFrame` with the sample
-    points taken since the previous report (None when telemetry is
-    off) — live status rides the existing control connection, no
-    extra plumbing.
+    quickly.  ``busy_until`` is the partition's modelled-time cursor,
+    which live status (``repro watch``) renders.
 ``("heartbeat", name, pass, frontier)``
     emitted while blocked, so a hung peer is distinguishable from a
     hung self.
@@ -72,7 +72,7 @@ from ..errors import SimulationError, error_report
 from ..observability.tracer import RecordingTracer
 from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
-from .channels import Conduit, EffectFrame, MetricFrame
+from .channels import EffectFrame
 from .socket_transport import SocketChannel
 
 #: set in forked children so backend auto-selection never recurses
@@ -182,8 +182,7 @@ class PartitionWorker:
         # Sockets signal peer death natively (EOF), so the channels
         # double as the peer-liveness watch.
         self.packer = options["packer"]
-        self._finalizing = False
-        self.conduits: Dict[str, Conduit] = {}
+        self.channels: Dict[str, SocketChannel] = {}
         #: per peer, the frames received and not yet applied, in
         #: arrival (= pass) order
         self.inboxes: Dict[str, Deque[EffectFrame]] = {}
@@ -191,10 +190,11 @@ class PartitionWorker:
         for peer in self.peers:
             chan = SocketChannel(options["ends"][peer], peer)
             self._wait_conns.append(chan)
-            self.conduits[peer] = Conduit(
-                chan, self.packer,
-                wait_step=(lambda p=peer: self._transport_wait_step(p)))
+            self.channels[peer] = chan
             self.inboxes[peer] = deque()
+        #: individual effects (deliveries + credits) written — per-token
+        #: messaging would pay one record each
+        self.effects_sent = 0
 
         #: pass number fence from the coordinator's stop broadcast:
         #: run the wavefront through this pass, then finalize (ensures
@@ -208,17 +208,11 @@ class PartitionWorker:
         self._dropped0 = sim.dropped_tokens
 
         # only the coordinator renders live status; the worker's
-        # inherited copy must not race it on the same file.  The
-        # samples-sent cursor starts past any series points inherited
-        # from the parent (a resumed run) so only fresh points ride
-        # the progress reports.
-        self._samples_sent = 0
+        # inherited copy must not race it on the same file
         if sim.telemetry.enabled:
             sim.telemetry.live = None
             sim.telemetry.target_cycles = max(
                 sim.telemetry.target_cycles or 0, target_cycles)
-            self._samples_sent = len(
-                sim.telemetry.sampler.series.get(name, []))
 
         # a recording parent tracer is swapped for a fresh one so the
         # fragment ships only the events this run produced
@@ -242,9 +236,10 @@ class PartitionWorker:
         return self.part.target_cycle
 
     def _flush_all(self) -> None:
-        for peer, conduit in self.conduits.items():
+        for peer, chan in self.channels.items():
             try:
-                conduit.flush()
+                if not chan.closed:
+                    chan.try_flush()
             except (BrokenPipeError, OSError):
                 # the peer exited; it has already applied everything it
                 # needed from us (a worker only finalizes past the stop
@@ -294,17 +289,6 @@ class PartitionWorker:
             self._dead_peers.add(peer)
             if chan in self._wait_conns:
                 self._wait_conns.remove(chan)
-
-    def _transport_wait_step(self, peer: str) -> bool:
-        """One polite spin of a conduit blocked on a backpressured
-        socket: keep every other stream moving (the peer that cannot
-        accept our bytes is itself blocked until someone reads its),
-        then tell the writer whether to abandon the frame (the receiver
-        will never read it again)."""
-        for conn in _conn_wait(self._wait_conns, timeout=0.0005):
-            self._drain(conn)
-        self._raise_control()
-        return peer in self._dead_peers or self._finalizing
 
     def _wait_until(self, pred) -> None:
         """Block until ``pred()`` — flushing first so peers never starve
@@ -362,10 +346,16 @@ class PartitionWorker:
         return ran == 1 and progress
 
     def _emit_frames(self) -> None:
+        """Write this pass's frame to every live peer, one record each;
+        the schedule has already drained the previous one (module
+        docstring), so the write never queues behind it."""
         for peer in self.peers:
             if peer not in self._dead_peers:
+                frame = self.router.out[peer]
+                self.effects_sent += (len(frame.deliveries)
+                                      + len(frame.credits))
                 try:
-                    self.conduits[peer].push(self.router.out[peer])
+                    self.channels[peer].write(self.packer.pack(frame))
                 except (BrokenPipeError, OSError):
                     self._dead_peers.add(peer)
 
@@ -381,16 +371,8 @@ class PartitionWorker:
 
     def _flush_reports(self) -> None:
         if self._reports:
-            metrics = None
-            if self.sim._metrics_on:
-                series = self.sim.telemetry.sampler.series.get(
-                    self.name, [])
-                metrics = MetricFrame(
-                    self.name, self.frontier(), self.part.busy_until,
-                    list(series[self._samples_sent:]))
-                self._samples_sent = len(series)
             self._send_ctl(("progress", self.name, self._reports,
-                            metrics))
+                            self.part.busy_until))
             self._reports = []
 
     def _maybe_die(self, pass_no: int) -> None:
@@ -451,11 +433,10 @@ class PartitionWorker:
         sim = self.sim
         return {
             # telemetry included: the merge takes this partition's
-            # series and instruments from here, never from the live
-            # metric frames.  For a channel fed from a peer process
-            # the consume-time queue is the full append sequence (the
-            # feeder's worker trims its own copy and owns the cursor);
-            # the merge recombines them
+            # series and instruments from here.  For a channel fed
+            # from a peer process the consume-time queue is the full
+            # append sequence (the feeder's worker trims its own copy
+            # and owns the cursor); the merge recombines them
             "state": partition_state(sim, self.name),
             "total_delta": sim.total_tokens - self._tokens0,
             "dropped_delta": sim.dropped_tokens - self._dropped0,
@@ -468,10 +449,9 @@ class PartitionWorker:
             "jit": sim.last_jit_report[self.name],
             # wire accounting (benchmarks; never merged into sim state)
             "wire_stats": {
-                "messages_sent": sum(c.messages_sent
-                                     for c in self.conduits.values()),
-                "effects_sent": sum(c.effects_sent
-                                    for c in self.conduits.values()),
+                "messages_sent": sum(c.records_out
+                                     for c in self.channels.values()),
+                "effects_sent": self.effects_sent,
             },
         }
 
@@ -509,10 +489,6 @@ def worker_main(sim, name, target_cycles, max_passes, options,
                                  ctl, options)
         worker.loop()
     except _Stop:
-        # past the fence the remaining frames are empty service frames;
-        # a blocked write may abandon them instead of waiting on a
-        # receiver that has already finalized
-        worker._finalizing = True
         worker._flush_all()
         worker._send_ctl(("done", worker.fragment()))
     except _Abort as abort:

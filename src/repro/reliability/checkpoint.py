@@ -98,7 +98,7 @@ def partition_state(sim: PartitionedSimulation, name: str) -> dict:
             entry["reliability"] = (
                 link.reliability.state_dict()
                 if link.reliability is not None else None)
-            switch = link.hooks.switch
+            switch = link.switch
             entry["switch"] = (
                 {f: getattr(switch, f) for f in _SWITCH_CURSORS}
                 if switch is not None else None)
@@ -148,7 +148,7 @@ def load_partition_state(sim: PartitionedSimulation, name: str,
                     f"saved state expects a reliable link layer on "
                     f"{link.key}; harden the links before restoring")
             link.reliability.load_state_dict(entry["reliability"])
-        switch = link.hooks.switch
+        switch = link.switch
         if (entry["switch"] is None) != (switch is None):
             raise CheckpointError(
                 f"saved state and simulation disagree about a switch "

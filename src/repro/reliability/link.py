@@ -85,7 +85,7 @@ class ReliableLinkLayer:
         throws at it (up to ``max_retries``), accumulating the retry
         delay into the returned timing."""
         cfg = self.config
-        injector: Optional[FaultInjector] = link.hooks.injector
+        injector: Optional[FaultInjector] = link.injector
         tracer = link.hooks.tracer
         crc = word_crc(word, codec)
         seq = self.tx_seq
@@ -159,7 +159,6 @@ def inject_faults(sim: PartitionedSimulation, spec: FaultSpec) -> None:
     injector = FaultInjector(spec)
     for link in sim.links:
         link.transport = FaultyTransport(link.transport, injector)
-        link.refresh_transport_hooks()
 
 
 def harden_links(sim: PartitionedSimulation,

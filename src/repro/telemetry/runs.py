@@ -86,9 +86,9 @@ class RunRegistry:
 
     As a cache substrate the registry keeps an ``index.json`` beside
     the run directories mapping ``run_id`` to its fingerprint,
-    creation time and on-disk size, so fingerprint lookups
-    (:meth:`latest`, :meth:`trajectory`) read one small file plus the
-    matching record instead of parsing every ``run.json``.  Both the
+    creation time and on-disk size, so a fingerprint lookup
+    (:meth:`latest`) reads one small file plus the matching record
+    instead of parsing every ``run.json``.  Both the
     records and the index are written via atomic tmp+rename, so
     concurrent readers never observe a torn file; the index is
     validated against the directory names and rebuilt from a scan
@@ -291,17 +291,6 @@ class RunRegistry:
                    for run_id, entry in self.index().items()
                    if entry.get("fingerprint") == fingerprint]
         return [run_id for _, run_id in sorted(matches)]
-
-    def trajectory(self, fingerprint: str) -> List[dict]:
-        """Archived runs sharing one config fingerprint, oldest
-        first."""
-        records = []
-        for run_id in self._matching_ids(fingerprint):
-            try:
-                records.append(self.load(run_id))
-            except ReproError:
-                continue
-        return records
 
     def latest(self, fingerprint: str) -> Optional[dict]:
         """The newest archived run of one config fingerprint — the

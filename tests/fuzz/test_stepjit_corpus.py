@@ -162,7 +162,6 @@ def _switch(sim):
     shared = ETHERNET_100G.with_switch(SwitchFabric())
     for link in sim.links:
         link.transport = shared
-        link.refresh_transport_hooks()
 
 
 @pytest.mark.parametrize("sinks", [True, False], ids=["observed", "null"])
@@ -175,7 +174,7 @@ def test_corpus_switched_links_match_interpreter(path, sinks):
     assert observed == expected
     assert all(v.startswith("compiled")
                for v in sim.last_jit_report.values())
-    fabric, ref_fabric = (s.links[0].hooks.switch for s in (sim, ref))
+    fabric, ref_fabric = (s.links[0].switch for s in (sim, ref))
     assert fabric.tokens == ref_fabric.tokens > 0
     assert fabric.next_free == ref_fabric.next_free
 

@@ -659,7 +659,7 @@ class TestSwitchedIdentity:
         assert jit == interp
         assert all(v.startswith("compiled")
                    for v in sim.last_jit_report.values())
-        fabric, ref_fabric = (s.links[0].hooks.switch for s in (sim, ref))
+        fabric, ref_fabric = (s.links[0].switch for s in (sim, ref))
         assert fabric.tokens == ref_fabric.tokens > 0
         assert fabric.next_free == ref_fabric.next_free
 
@@ -773,7 +773,6 @@ SOFT_FAULTS = FaultSpec(seed=3, corrupt_rate=0.2, spike_rate=0.2)
 def _swap_transport(sim):
     for link in sim.links:
         link.transport = HOST_PCIE
-        link.refresh_transport_hooks()
 
 
 def _restore_cycle_30(sim):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
@@ -9,6 +11,7 @@ from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
 from repro.harness import FunctionSource
 from repro.parallel import ProcessBackend
 from repro.platform import QSFP_AURORA
+from repro.platform.ethernet import SwitchedEthernetTransport
 from repro.service.executor import normalize_config
 
 STIM = [3, 9, 250, 0, 7, 8, 1, 2, 200, 17, 4, 99]
@@ -53,6 +56,14 @@ def star_design(n_leaves: int = 2, mode=EXACT):
 def stim_source():
     return FunctionSource(
         lambda c: {"stim": STIM[c] if c < len(STIM) else 0})
+
+
+def attach_switches(sim, fabric_for):
+    """Route every link through the fabric ``fabric_for(link)`` names:
+    the link keeps its transport's constants and gains the switch hop."""
+    for link in sim.links:
+        link.transport = SwitchedEthernetTransport(
+            **dataclasses.asdict(link.transport), switch=fabric_for(link))
 
 
 def build_star_sim(n_leaves: int = 2, mode=EXACT, **kwargs):

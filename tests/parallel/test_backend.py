@@ -23,16 +23,20 @@ from repro.libdn import ChannelSpec, LIBDNHost
 from repro.parallel import ProcessBackend, auto_backend, fork_available
 from repro.platform import QSFP_AURORA
 from repro.reliability import (
+    FaultInjector,
     FaultSpec,
+    FaultyTransport,
     InjectedCrash,
     capture_state,
     harden_links,
+    inject_faults,
     restore_state,
 )
 from repro.rtl import Simulator
 from repro.targets.combo import WIDTH, make_comb_left, make_comb_right
 
-from .conftest import SHAPES, OnFarm, build_sim, build_star_sim
+from .conftest import (SHAPES, OnFarm, attach_switches, build_sim,
+                       build_star_sim)
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process backend needs fork")
@@ -147,6 +151,38 @@ class TestBitIdentity:
         assert r2.detail == r1.detail
 
 
+class TestTransportSwap:
+    """A link's injector and switch are read off its transport, so
+    assigning a new transport is the whole swap: no hook refresh is
+    owed, on either backend."""
+
+    SPEC = FaultSpec(seed=11, spike_rate=0.5, spike_ns=5000)
+
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_bare_swap_matches_inject_faults(self, backend):
+        def run(attach):
+            sim = build_star_sim()
+            sim.run(50, backend=backend)  # the plane is built clean
+            attach(sim)
+            return sim.run(100, backend=backend).detail
+
+        def swap(sim):
+            injector = FaultInjector(self.SPEC)
+            for link in sim.links:
+                link.transport = FaultyTransport(link.transport, injector)
+
+        injected = run(lambda sim: inject_faults(sim, self.SPEC))
+        assert run(swap) == injected
+        assert run(lambda sim: None) != injected
+
+    def test_hooks_refuse_a_transport_slot(self):
+        """Attaching an injector to the hooks instead of the transport
+        fails loudly rather than injecting nothing."""
+        link = build_star_sim().links[0]
+        with pytest.raises(AttributeError):
+            link.hooks.injector = FaultInjector(self.SPEC)
+
+
 class TestCheckpointInterop:
     def test_parallel_checkpoint_restores_into_inproc(self):
         """A mid-run snapshot of a process-backed run continues in the
@@ -188,11 +224,10 @@ class TestCheckpointInterop:
 
         def build():
             sim = build_star_sim(2)
-            harden_links(sim, FaultSpec(drop_rate=0.2, seed=11))
             fabrics = {}
-            for link in sim.links:
-                link.hooks.switch = fabrics.setdefault(
-                    link.src[0], SwitchFabric())
+            attach_switches(sim, lambda link: fabrics.setdefault(
+                link.src[0], SwitchFabric()))
+            harden_links(sim, FaultSpec(drop_rate=0.2, seed=11))
             return sim
 
         serial = build()
@@ -324,11 +359,8 @@ class TestBackendSelection:
         from repro.platform.ethernet import SwitchFabric
         sim = build_star_sim(2)
         shared = SwitchFabric()
-        srcs = set()
-        for link in sim.links:
-            link.hooks.switch = shared
-            srcs.add(link.src[0])
-        assert len(srcs) > 1
+        attach_switches(sim, lambda link: shared)
+        assert len({link.src[0] for link in sim.links}) > 1
         with pytest.raises(UnsupportedTopologyError):
             ProcessBackend().run(sim, 6)
         assert auto_backend(sim) is None
@@ -340,10 +372,8 @@ class TestBackendSelection:
 
         def with_fabrics(sim):
             fabrics = {}
-            for link in sim.links:
-                src = link.src[0]
-                link.hooks.switch = \
-                    fabrics.setdefault(src, SwitchFabric())
+            attach_switches(sim, lambda link: fabrics.setdefault(
+                link.src[0], SwitchFabric()))
             return sim
 
         s1 = with_fabrics(build_star_sim(2))

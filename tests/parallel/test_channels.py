@@ -1,31 +1,29 @@
 """Unit tests for the frame message layer: the binary frame codec, the
-conduit's one-record-per-frame writes over a real socket pair, and the
-worker's receive side (arrival-order inbox, pass-number check, torn
-final record).
+worker's one-record-per-frame writes over a real socket pair, its
+receive side (arrival-order inbox, pass-number check, torn final
+record), and the schedule's bound of one frame in flight per stream.
 
 The packer is lossless by construction; these tests pin the invariants
-the backend's bit-identity rests on — exact float/word round trips and
-one record per pushed frame.
+the backend's bit-identity rests on — exact float/word round trips,
+one record per emitted frame, and no write ever queueing behind an
+earlier one.
 """
 
 import multiprocessing as mp
-import socket
 import struct
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.fireripper import FAST, FireRipper, NoCPartitionSpec, PartitionSpec
 from repro.libdn import ChannelSpec, codec_for
-from repro.parallel import (Conduit, EffectFrame, FramePacker,
-                            ProcessBackend, SocketChannel)
-from repro.parallel.socket_transport import DEFAULT_MAX_PENDING
+from repro.parallel import (EffectFrame, FramePacker, ProcessBackend,
+                            SocketChannel, fork_available)
 from repro.parallel.worker import PartitionWorker, close_all
+from repro.platform import QSFP_AURORA
+from repro.targets.soc import make_ring_noc_soc
 
-from .conftest import build_star_sim
-
-
-def _frame(k, deliveries=(), credits=()):
-    return EffectFrame("peer", k, list(deliveries), list(credits))
+from .conftest import build_star_sim, farm_backend
 
 
 def _packer():
@@ -46,47 +44,6 @@ def _packer():
     return FramePacker.from_sim(_Sim())
 
 
-class _Wire:
-    """A conduit writing into one end of a socket pair, and the decoded
-    frames arriving at the other."""
-
-    def __init__(self, max_pending=DEFAULT_MAX_PENDING,
-                 **conduit_kwargs):
-        a, b = socket.socketpair()
-        self.packer = _packer()
-        self.tx = SocketChannel(a, "peer", max_pending=max_pending)
-        self.rx = SocketChannel(b, "peer")
-        self.conduit = Conduit(self.tx, self.packer, **conduit_kwargs)
-
-    def received(self):
-        return [self.packer.unpack(record, "peer")
-                for record in self.rx.drain()]
-
-    def close(self):
-        self.tx.close()
-        self.rx.close()
-
-
-@pytest.fixture
-def wire():
-    wires = []
-
-    def make(**kwargs):
-        wires.append(_Wire(**kwargs))
-        return wires[-1]
-
-    yield make
-    for w in wires:
-        w.close()
-
-
-class TestEffectFrame:
-    def test_empty_detection(self):
-        assert _frame(1).empty
-        assert not _frame(1, deliveries=[(0, ("a", "in"), {}, 0.0, 0.0)]).empty
-        assert not _frame(1, credits=[(("a", "in"), 5.0)]).empty
-
-
 class TestFramePacker:
     def test_frames_round_trip(self):
         packer = _packer()
@@ -100,7 +57,7 @@ class TestFramePacker:
     def test_empty_service_frame_round_trip(self):
         packer = _packer()
         out = packer.unpack(packer.pack(EffectFrame("P0", 8)), "P0")
-        assert out.empty and out.pass_no == 8 and out.sender == "P0"
+        assert out == EffectFrame("P0", 8)
 
     def test_floats_round_trip_exactly(self):
         packer = _packer()
@@ -112,34 +69,6 @@ class TestFramePacker:
         _, _, word, arrive, rx = out.deliveries[0]
         assert (arrive, rx) == (ns, ns)
         assert out.credits[0] == (("P2", "in"), ns)
-
-
-class TestFrameConduit:
-    def test_one_record_per_pushed_frame(self, wire):
-        w = wire()
-        w.conduit.push(EffectFrame(
-            "peer", 1, deliveries=[(0, ("P1", "in"), 7, 1.0, 0.5)]))
-        w.conduit.push(_frame(2))
-        first, second = w.received()   # written at push, in order
-        assert first.deliveries == [(0, ("P1", "in"), 7, 1.0, 0.5)]
-        assert second.pass_no == 2 and second.empty
-        assert w.conduit.messages_sent == 2
-        assert w.conduit.effects_sent == 1
-        w.conduit.flush()               # nothing staged: a no-op
-        assert w.received() == []
-
-    def test_full_buffer_abandons_on_wait_step(self, wire):
-        """A backpressured channel refuses the record; the conduit
-        spins ``wait_step`` until told to abandon the frame."""
-        steps = []
-        w = wire(max_pending=1 << 12,
-                 wait_step=lambda: steps.append(1) or len(steps) >= 3)
-        while w.tx.try_write(b"x" * 1024):  # nobody drains the peer
-            pass
-        w.conduit.push(EffectFrame(
-            "P0", 1, deliveries=[(1, ("P2", "in"), 0, 0.0, 0.0)]))
-        assert len(steps) == 3  # spun until told to abandon
-        assert w.conduit.messages_sent == 0
 
 
 def _record(payload: bytes) -> bytes:
@@ -190,9 +119,89 @@ class TestWorkerReceive:
         torn = _record(worker.packer.pack(EffectFrame("fpga1", 2)))[:-3]
         peer.sendall(whole + torn)
         peer.close()
-        chan = worker.conduits["fpga1"].channel
+        chan = worker.channels["fpga1"]
         while not chan.closed:
             worker._drain(chan)
         assert [f.pass_no for f in worker.inboxes["fpga1"]] == [1]
         assert "fpga1" in worker._dead_peers
         assert chan not in worker._wait_conns
+
+
+class TestFrameConduit:
+    """The worker's stream to one peer: every pass writes one record
+    per peer, effects or not."""
+
+    def test_one_record_per_pushed_frame(self, base_worker):
+        worker, peer = base_worker
+        link = next(link for link in worker.sim.links
+                    if link.dst[0] == "fpga1")
+        worker.router.begin_pass(1)
+        worker.router.deliver_remote(link, 7, 1.0, 0.5)
+        worker._emit_frames()
+        worker.router.begin_pass(2)
+        worker._emit_frames()
+        rx = SocketChannel(peer, "base")
+        first, second = (worker.packer.unpack(record, "base")
+                         for record in rx.drain())
+        assert first.deliveries == [(worker.sim.links.index(link),
+                                     link.dst, 7, 1.0, 0.5)]
+        assert second == EffectFrame("base", 2)
+        assert worker.fragment()["wire_stats"] == {
+            "messages_sent": 2, "effects_sent": 1}
+        worker._flush_all()             # nothing staged: a no-op
+        assert rx.drain() == []
+
+
+@pytest.fixture
+def staged_writes(monkeypatch, tmp_path):
+    """Every record write, a forked worker's included, logged to a file
+    as the number of bytes it found still staged ahead of it."""
+    log = tmp_path / "writes"
+    log.touch()
+    write = SocketChannel.write
+
+    def spy(chan, payload):
+        with open(log, "a") as out:
+            out.write(f"{len(chan._tx)}\n")
+        return write(chan, payload)
+
+    monkeypatch.setattr(SocketChannel, "write", spy)
+    return lambda: [int(n) for n in log.read_text().split()]
+
+
+def _credited_ring(jit: bool):
+    """Three partitions of a 2-tile ring with one credit per channel:
+    every pass's frames carry deliveries one way and credits back."""
+    spec = PartitionSpec(mode=FAST,
+                         noc=NoCPartitionSpec.make([[0], [1]]))
+    sim = FireRipper(spec).compile(
+        make_ring_noc_soc(2, messages_per_tile=2)).build_simulation(
+        QSFP_AURORA, record_outputs=True, channel_capacity=1)
+    sim.stepjit = jit
+    return sim
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="process backend needs fork")
+class TestOneFrameInFlight:
+    """The wavefront schedule lets a stream run one frame ahead of its
+    reader, so the previous frame has always left the sender by the
+    time the next is written: no write finds bytes staged."""
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "interp"])
+    def test_credited_ring_never_stages_behind_a_write(self,
+                                                       staged_writes,
+                                                       jit):
+        sim = _credited_ring(jit)
+        ProcessBackend().run(sim, 200)
+        assert {v.startswith("compiled")
+                for v in sim.last_jit_report.values()} == {jit}
+        writes = staged_writes()
+        assert len(writes) >= 6 * 200  # six streams, a write a pass
+        assert set(writes) == {0}
+
+    def test_farm_run_never_stages_behind_a_write(self, staged_writes):
+        farm_backend().run(build_star_sim(2), 200)
+        writes = staged_writes()
+        assert len(writes) >= 4 * 200  # four streams
+        assert set(writes) == {0}

@@ -1,11 +1,11 @@
-"""The process backend's socket wire: channel framing, backpressure,
+"""The process backend's socket wire: channel framing, staged writes,
 backend selection, and bit-identity with the in-process loop.
 
 The wire's correctness claim: the carrier must be invisible.  These
 tests pin the invariants that rests on — length-prefixed records
 surviving arbitrary fragmentation, torn streams detected as peer death
-rather than corrupt frames, and ``max_pending`` backpressure feeding
-the conduit's wait-step loop instead of deadlocking it.
+rather than corrupt frames, and a record larger than the kernel buffer
+staged and delivered whole.
 """
 
 from __future__ import annotations
@@ -51,14 +51,13 @@ class TestSocketChannel:
         a, b = pair
         tx, rx = SocketChannel(a, "rx"), SocketChannel(b, "tx")
         for payload in (b"alpha", b"", b"x" * 5000):
-            assert tx.try_write(payload)
+            tx.write(payload)
         got = []
         deadline = time.monotonic() + 5.0
         while len(got) < 3 and time.monotonic() < deadline:
             tx.try_flush()
             got += rx.drain()
         assert got == [b"alpha", b"", b"x" * 5000]
-        assert rx.records_in == 3
         assert tx.records_out == 3
 
     def test_partial_reads_reassemble(self, pair):
@@ -97,30 +96,24 @@ class TestSocketChannel:
             rx.drain()
         assert rx.drain() == []
 
-    def test_backpressure_refuses_then_recovers(self, pair):
-        """With the peer not draining, staged bytes hit max_pending
-        and try_write refuses — the signal the conduit's wait-step
-        loop spins on.  Draining the peer un-sticks it."""
+    def test_record_larger_than_the_kernel_buffer_arrives_whole(
+            self, pair):
+        """A write is never refused: what the kernel does not take
+        stays staged, and the record arrives whole while the writer
+        flushes and the peer drains."""
         a, b = pair
-        tx = SocketChannel(a, "rx", max_pending=1 << 12)
-        payload = b"y" * 1024
-        accepted = 0
-        while tx.try_write(payload):
-            accepted += 1
-            assert accepted < 10_000, "backpressure never engaged"
-        rx = SocketChannel(b, "tx")
-        drained = []
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            drained += rx.drain()
-            try:
-                if tx.try_flush():
-                    break
-            except OSError:
-                pytest.fail("peer is alive; flush must not raise")
-        assert tx.try_write(payload)
-        drained += rx.drain()
-        assert set(drained) == {payload}
+        tx, rx = SocketChannel(a, "rx"), SocketChannel(b, "tx")
+        payload = bytes(range(256)) * (1 << 14)  # 4 MiB
+        tx.write(payload)
+        assert tx._tx  # the kernel buffer took only a prefix
+        assert tx.records_out == 1
+        got = []
+        deadline = time.monotonic() + 10.0
+        while not got and time.monotonic() < deadline:
+            got += rx.drain()
+            tx.try_flush()
+        assert got == [payload]
+        assert tx.try_flush() and not tx._tx
 
     def test_write_to_dead_peer_drops_silently(self, pair):
         """Writes to an already-closed channel are accepted and
@@ -132,11 +125,13 @@ class TestSocketChannel:
         deadline = time.monotonic() + 5.0
         while not tx.closed and time.monotonic() < deadline:
             try:
-                tx.try_write(b"z" * 4096)
+                tx.write(b"z" * 4096)
             except OSError:
                 break
         tx.closed = True
-        assert tx.try_write(b"after-death")
+        sent, staged = tx.records_out, len(tx._tx)
+        tx.write(b"after-death")
+        assert (tx.records_out, len(tx._tx)) == (sent, staged)
 
 
 class TestBackendSelection:

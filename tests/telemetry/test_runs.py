@@ -1,4 +1,4 @@
-"""Run registry: archive/load/trajectory, and run comparison."""
+"""Run registry: archive/load/latest, and run comparison."""
 
 import json
 
@@ -68,15 +68,6 @@ class TestRegistry:
                for _ in range(3)]
         assert len(set(ids)) == 3
         assert ids[-1].endswith("-0002")
-
-    def test_trajectory_groups_by_fingerprint(self, result, tmp_path):
-        registry = RunRegistry(tmp_path / "runs")
-        registry.archive(result, name="a", config={"mode": "exact"})
-        registry.archive(result, name="b", config={"mode": "exact"})
-        registry.archive(result, name="c", config={"mode": "fast"})
-        fp = config_fingerprint({"mode": "exact"})
-        assert [r["name"] for r in registry.trajectory(fp)] == ["a", "b"]
-        assert len(registry.list_runs()) == 3
 
     def test_load_rejects_junk(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")

@@ -1,11 +1,10 @@
 """Coverage for smaller public surfaces: FMR metrics, NIC counters,
-derived core parameters, the one-outstanding memory, sweep utilities,
-and the pass framework."""
+derived core parameters, the one-outstanding memory and sweep
+utilities."""
 
 import pytest
 
 from repro.firrtl import make_circuit
-from repro.firrtl.passes.base import FnPass, PassManager
 from repro.fireripper import EXACT, FAST, FireRipper, PartitionGroup, PartitionSpec
 from repro.platform import QSFP_AURORA
 from repro.rtl import Simulator
@@ -108,23 +107,6 @@ class TestSimpleMemory:
             accepted += sim.peek("req_ready") and sim.peek("req_valid")
             sim.tick()
         assert accepted == 1
-
-
-class TestPassFramework:
-    def test_pipeline_runs_in_order(self, counter_circuit):
-        trace = []
-
-        def mk(name):
-            def fn(c):
-                trace.append(name)
-                return c
-            return FnPass(name, fn)
-
-        pm = PassManager([mk("a"), mk("b")]).add(mk("c"))
-        out = pm.run(counter_circuit)
-        assert out is counter_circuit
-        assert trace == ["a", "b", "c"]
-        assert pm.trace == ["a", "b", "c"]
 
 
 class TestSweepUtilities:
