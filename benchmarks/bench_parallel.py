@@ -16,8 +16,9 @@ claim is pinned there:
   core per partition it is the paper's whole premise).  The
   in-simulation message counters (``ProcessBackend.last_wire_stats``)
   are recorded alongside: the lock-step LI-BDN wavefront writes one
-  record per peer per pass, so effects carried per record is a
-  property of the topology's boundary width.
+  record per peer per pass (counted only in passes a worker begins
+  short of its target, so the count repeats run to run), and effects
+  carried per record is a property of the topology's boundary width.
 
 The backend's *correctness* under every configuration is pinned by
 ``tests/parallel`` (bit-identity with the in-process harness); this

@@ -80,12 +80,6 @@ class BoundaryPlan:
     links: List[LinkPlan]
     summaries: Dict[str, CombSummary]
 
-    def interface_width(self, a: str, b: str) -> int:
-        """Total bits crossing between partitions ``a`` and ``b`` (both
-        directions) — the metric swept in Fig. 11/12."""
-        return sum(n.width for n in self.nets
-                   if {n.src, n.dst} == {a, b})
-
     def total_boundary_width(self) -> int:
         return sum(n.width for n in self.nets)
 

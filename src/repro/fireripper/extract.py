@@ -24,7 +24,7 @@ is what lets the LI-BDN channel plan pair them up later.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import IRError, SelectionError
@@ -149,7 +149,7 @@ def _uniquify_path(circuit: Circuit, path: str, counts: Counter) -> None:
                 fresh = f"{base}{i}"
             clone.name = fresh
             circuit.add_module(clone)
-            inst.module = fresh
+            mod.stmts[mod.stmts.index(inst)] = replace(inst, module=fresh)
             counts[child_name] -= 1
             counts[fresh] = 1
             counts.update(sub.module for sub in clone.instances())
@@ -370,7 +370,7 @@ class _WrapperBuilder:
 def _assemble(top_name: str, modules: Iterable[Module]) -> Circuit:
     """One partition's circuit: the modules reachable from its top,
     cloned once, so no two partitions (nor the work copy) share a
-    mutable module, port or statement."""
+    module or a statement list."""
     view = Circuit(top_name, modules)
     view.remove_unreachable()
     return view.clone()

@@ -11,8 +11,9 @@ plumbing) while keeping combinational analysis and elaboration tractable:
   signal has exactly one driving connect,
 * memories have combinational read ports and synchronous write ports.
 
-Expressions are immutable trees; statements are flat, ordered lists inside a
-:class:`~repro.firrtl.circuit.Module`.  Widths are resolved at construction
+Expressions, ports and statements are frozen (shared, never edited: a
+change builds a new one); a :class:`~repro.firrtl.circuit.Module` holds its
+statements in a flat, ordered list.  Widths are resolved at construction
 time (the builder computes them), so passes never need an inference step.
 """
 
@@ -173,7 +174,7 @@ INPUT = "input"
 OUTPUT = "output"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Port(Stmt):
     """Module I/O port."""
 
@@ -192,7 +193,7 @@ class Port(Stmt):
         return self.direction == INPUT
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefWire(Stmt):
     """Named combinational signal driven by a later :class:`Connect`."""
 
@@ -200,7 +201,7 @@ class DefWire(Stmt):
     width: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefNode(Stmt):
     """Named immutable expression (single static assignment)."""
 
@@ -212,7 +213,7 @@ class DefNode(Stmt):
         return self.expr.width
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefRegister(Stmt):
     """Register with synchronous reset to ``init``.
 
@@ -233,7 +234,7 @@ class DefRegister(Stmt):
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefMemory(Stmt):
     """Word-addressed memory with comb reads and sync writes."""
 
@@ -249,7 +250,7 @@ class DefMemory(Stmt):
             raise IRError(f"memory {self.name}: init longer than depth")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemReadPort(Stmt):
     """Combinational read port: defines node ``name`` = ``mem[addr]``."""
 
@@ -258,7 +259,7 @@ class MemReadPort(Stmt):
     addr: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemWritePort(Stmt):
     """Synchronous write port: ``mem[addr] <= data`` when ``en`` at tick."""
 
@@ -268,7 +269,7 @@ class MemWritePort(Stmt):
     en: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefInstance(Stmt):
     """Instantiation of another module in the circuit."""
 
@@ -297,7 +298,7 @@ class InstTarget:
         return f"{self.inst}.{self.port}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Connect(Stmt):
     """Single driving connection ``target <= expr``."""
 

@@ -2,40 +2,27 @@
 
 A :class:`Module` owns an ordered list of statements plus index structures
 (ports, signal widths, instances, connect map) that passes use constantly.
-A :class:`Circuit` is a named set of modules with a designated top.  Both
-are mutable — FireRipper's transforms rewrite them in place on clones.
+A :class:`Circuit` is a named set of modules with a designated top.  The
+containers are mutable — FireRipper's transforms rewrite them in place on
+clones — but what they hold is not.
 
-Ownership rule: a clone owns its containers (the module dict, each
-module's ``ports``/``stmts`` lists) and its own copy of every mutable
-:class:`Port`/:class:`Stmt`; the expression trees and connect targets
-those statements point at are frozen dataclasses no pass mutates, so
-they are shared.  Sharing starts before any clone: one
-:func:`~repro.firrtl.parser.parse_circuit` call gives equal expressions
-one tree, across modules too, so an expression is changed by building
-a new one (``dataclasses.replace``), never in place.
+Ownership rule: a clone owns only its containers (the module dict, each
+module's ``ports``/``stmts`` lists).  Ports, statements, expression trees
+and connect targets are frozen dataclasses, shared by every clone, so a
+transform replaces a list entry, never edits one.  Sharing starts before
+any clone: one :func:`~repro.firrtl.parser.parse_circuit` call gives
+equal expressions one tree and equal lines one statement, across modules
+too, so a changed statement or expression is a new one
+(``dataclasses.replace``).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import IRError
-from . import ast
-from .ast import (
-    Connect,
-    DefInstance,
-    DefMemory,
-    DefNode,
-    DefRegister,
-    DefWire,
-    InstTarget,
-    LocalTarget,
-    MemReadPort,
-    MemWritePort,
-    Port,
-    Stmt,
-)
+from .ast import (Connect, DefInstance, DefMemory, DefNode, DefRegister,
+                  DefWire, MemReadPort, Port, Stmt)
 
 
 class Module:
@@ -131,10 +118,9 @@ class Module:
         return f"{base}_{i}"
 
     def clone(self) -> "Module":
-        """A module that owns its lists, ports and statements (see the
-        ownership rule in the module docstring)."""
-        return Module(self.name, [copy.copy(p) for p in self.ports],
-                      [copy.copy(s) for s in self.stmts])
+        """A module that owns its lists and shares their frozen entries
+        (the ownership rule in the module docstring)."""
+        return Module(self.name, self.ports, self.stmts)
 
     def __repr__(self) -> str:
         return (f"Module({self.name!r}, {len(self.ports)} ports, "
@@ -168,8 +154,7 @@ class Circuit:
 
     def clone(self) -> "Circuit":
         """Clone every module, so transforms never mutate the caller's
-        circuit: containers and statements are owned, the frozen
-        expression trees are shared."""
+        circuit: containers are owned, the frozen statements shared."""
         return Circuit(self.top, (m.clone() for m in self.modules.values()))
 
     def remove_unreachable(self) -> None:

@@ -23,8 +23,9 @@ trees are memoized under the expression text plus the width every token
 of it resolves to in the current module (``None`` when it names nothing).
 That key is all the parse reads, so a hit is the tree a fresh parse
 would build, and equal expressions anywhere in the circuit share one
-frozen tree.  Every malformed line raises :class:`IRError` naming its
-module and the line.
+frozen tree.  Ports and statements are frozen too, and shared the same
+way: one object per body line and the trees it holds.  Every malformed
+line raises :class:`IRError` naming its module and the line.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .ast import (
     Port,
     PrimOp,
     Ref,
+    Stmt,
 )
 from .circuit import Circuit, Module
 
@@ -217,14 +219,15 @@ def parse_circuit(text: str) -> Circuit:
                          if kw == "input" or kw == "output"}
                   for name, body in bodies}
     memo: _Memo = {}
-    modules = [_parse_module(name, body, signatures, memo)
+    built: Dict[tuple, Stmt] = {}  # (line, its trees' ids) -> stmt
+    modules = [_parse_module(name, body, signatures, memo, built)
                for name, body in bodies]
     return Circuit(header[1], modules)
 
 
 def _parse_module(name: str, body: List[_Line],
                   signatures: Dict[str, Dict[str, int]],
-                  memo: _Memo) -> Module:
+                  memo: _Memo, built: Dict[tuple, Stmt]) -> Module:
     ports: List[Port] = []
     stmts: List = []
     scope: Dict[str, int] = {}  # local name or "inst.port" -> width
@@ -260,36 +263,50 @@ def _parse_module(name: str, body: List[_Line],
                 for port, width in signatures.get(m[2], {}).items():
                     scope[f"{m[1]}.{port}"] = width
         for ln, kw, m in body:
-            if kw == "connect":
-                inst, dot, port = m[1].partition(".")
-                target = InstTarget(inst, port) if dot else LocalTarget(inst)
-                stmts.append(Connect(target, parse_expr(m[2])))
-            elif kw == "node":
-                expr = parse_expr(m[2])
-                stmts.append(DefNode(m[1], expr))
-                scope[m[1]] = expr.width
-            elif kw == "input" or kw == "output":
-                ports.append(Port(m[2], kw, int(m[3])))
-            elif kw == "wire":
-                stmts.append(DefWire(m[1], int(m[2])))
-            elif kw == "reg":
-                stmts.append(DefRegister(m[1], int(m[2]), int(m[3])))
-            elif kw == "mem":
-                stmts.append(DefMemory(m[1], int(m[3]), int(m[2]),
-                                       _mem_init(m[4])))
+            if kw == "connect" or kw == "node":
+                exprs = (parse_expr(m[2]),)
             elif kw == "read":
-                stmts.append(MemReadPort(m[2], m[1], parse_expr(m[3])))
+                exprs = (parse_expr(m[3]),)
             elif kw == "write":
-                stmts.append(MemWritePort(m[1], parse_expr(m[2]),
-                                          parse_expr(m[3]),
-                                          parse_expr(m[4])))
-            elif kw == "inst":
-                stmts.append(DefInstance(m[1], m[2]))
+                exprs = tuple(map(parse_expr, m.group(2, 3, 4)))
             else:
-                raise IRError("cannot parse line")
+                exprs = ()
+            # the line and its trees (which ``memo`` keeps alive, so an
+            # id is never reused) are everything the statement holds
+            key = (ln, *map(id, exprs))
+            stmt = built.get(key) or built.setdefault(
+                key, _statement(kw, m, exprs))
+            (ports if isinstance(stmt, Port) else stmts).append(stmt)
+            if kw == "node":
+                scope[m[1]] = stmt.width
     except IRError as exc:
         raise IRError(f"{name}: line {ln!r}: {exc}") from None
     return Module(name, ports, stmts)
+
+
+def _statement(kw: Optional[str], m, exprs: Tuple[Expr, ...]) -> Stmt:
+    """The port or statement one classified body line declares."""
+    if kw == "connect":
+        inst, dot, port = m[1].partition(".")
+        return Connect(InstTarget(inst, port) if dot else LocalTarget(inst),
+                       *exprs)
+    if kw == "node":
+        return DefNode(m[1], *exprs)
+    if kw == "input" or kw == "output":
+        return Port(m[2], kw, int(m[3]))
+    if kw == "wire":
+        return DefWire(m[1], int(m[2]))
+    if kw == "reg":
+        return DefRegister(m[1], int(m[2]), int(m[3]))
+    if kw == "mem":
+        return DefMemory(m[1], int(m[3]), int(m[2]), _mem_init(m[4]))
+    if kw == "read":
+        return MemReadPort(m[2], m[1], *exprs)
+    if kw == "write":
+        return MemWritePort(m[1], *exprs)
+    if kw == "inst":
+        return DefInstance(m[1], m[2])
+    raise IRError("cannot parse line")
 
 
 def _mem_init(text: Optional[str]) -> Optional[Tuple[int, ...]]:

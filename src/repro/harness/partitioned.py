@@ -24,6 +24,7 @@ with each stuck unit's channel state.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from operator import is_
@@ -39,7 +40,7 @@ from typing import (
 )
 
 from ..errors import (DeadlockError, SimulationError, TransportError,
-                      env_number)
+                      UnknownBackendError, env_number)
 from ..libdn.codec import TokenCodec, repack, repack_plan
 from ..libdn.fame5 import FAME5Host
 from ..libdn.token import Channel, Token
@@ -56,6 +57,38 @@ from .metrics import SimulationResult
 from .stepjit import compile_step_functions, stepjit_enabled
 
 HostLike = Union[LIBDNHost, FAME5Host]
+
+#: canonical backend names, as `normalize_backend` returns them (here,
+#: not in ``repro.parallel``, so an inproc run never imports that)
+VALID_BACKENDS = ("auto", "inproc", "process")
+
+#: accepted spellings -> canonical backend name.  The shm/socket
+#: spellings named transport tiers that no longer exist; they arrive
+#: from outside (environments, service configs, committed corpora) and
+#: all mean the one process backend.
+BACKEND_ALIASES = {
+    "auto": "auto",
+    "inproc": "inproc",
+    "process": "process",
+    "proc": "process",
+    "process-shm": "process",
+    "shm": "process",
+    "process-socket": "process",
+    "socket": "process",
+}
+
+
+def normalize_backend(name, source: str = "backend") -> str:
+    """Canonical backend name for ``name``.  An unrecognized spelling
+    raises :class:`~repro.errors.UnknownBackendError` listing every
+    valid name — it must never silently fall through to a different
+    backend than the caller asked for."""
+    key = (name or "").strip().lower() if isinstance(name, str) else name
+    try:
+        return BACKEND_ALIASES[key]
+    except (KeyError, TypeError):
+        raise UnknownBackendError(name, VALID_BACKENDS,
+                                  source=source) from None
 
 
 class TokenSource:
@@ -882,7 +915,6 @@ class PartitionedSimulation:
         ``process-shm`` / ``process-socket`` spellings still mean
         ``process``).
         """
-        from ..parallel import normalize_backend
         resolved = normalize_backend(backend)
         if resolved == "process":
             if stop is not None:
@@ -893,7 +925,12 @@ class PartitionedSimulation:
             from ..parallel import ProcessBackend
             return ProcessBackend().run(
                 self, target_cycles, max_passes=max_passes)
-        if resolved == "auto" and stop is None:
+        # auto leaves this process only for a REPRO_BACKEND naming
+        # process (an unknown name is auto_backend's to refuse); any
+        # other run never imports the process backend
+        raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
+        if resolved == "auto" and stop is None and raw \
+                and BACKEND_ALIASES.get(raw) not in ("auto", "inproc"):
             from ..parallel import auto_backend
             chosen = auto_backend(self)
             if chosen is not None:

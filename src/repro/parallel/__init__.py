@@ -23,9 +23,9 @@ globally with ``REPRO_BACKEND=process`` (unknown names raise
 :class:`~repro.errors.UnknownBackendError`).
 """
 
-from .coordinator import (BACKEND_ALIASES, VALID_BACKENDS,
-                          ProcessBackend, auto_backend,
-                          fork_available, normalize_backend,
+from ..harness.partitioned import (BACKEND_ALIASES, VALID_BACKENDS,
+                                   normalize_backend)
+from .coordinator import (ProcessBackend, auto_backend, fork_available,
                           unsupported_reason)
 from .channels import EffectFrame, FramePacker
 from .socket_transport import SocketChannel

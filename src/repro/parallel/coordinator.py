@@ -42,8 +42,9 @@ from typing import Dict, List, Optional
 
 from ..errors import (BackendUnavailableError, DeadlockError,
                       SimulationError, SocketSetupError,
-                      UnknownBackendError, UnsupportedTopologyError,
-                      WorkerError, env_number, rebuild_error)
+                      UnsupportedTopologyError, WorkerError, env_number,
+                      rebuild_error)
+from ..harness.partitioned import normalize_backend
 from ..observability.postmortem import DeadlockPostmortem
 from ..observability.events import lifecycle_event
 from ..observability.tracer import RecordingTracer, TraceEvent
@@ -73,38 +74,6 @@ def unsupported_reason(sim) -> Optional[str]:
                 "re-based across worker processes (only "
                 "RecordingTracer or a disabled tracer is supported)")
     return None
-
-
-#: canonical backend names, as `normalize_backend` returns them
-VALID_BACKENDS = ("auto", "inproc", "process")
-
-#: accepted spellings -> canonical backend name.  The shm/socket
-#: spellings named transport tiers that no longer exist; they arrive
-#: from outside (environments, service configs, committed corpora) and
-#: all mean the one process backend.
-BACKEND_ALIASES = {
-    "auto": "auto",
-    "inproc": "inproc",
-    "process": "process",
-    "proc": "process",
-    "process-shm": "process",
-    "shm": "process",
-    "process-socket": "process",
-    "socket": "process",
-}
-
-
-def normalize_backend(name, source: str = "backend") -> str:
-    """Canonical backend name for ``name``.  An unrecognized spelling
-    raises :class:`~repro.errors.UnknownBackendError` listing every
-    valid name — it must never silently fall through to a different
-    backend than the caller asked for."""
-    key = (name or "").strip().lower() if isinstance(name, str) else name
-    try:
-        return BACKEND_ALIASES[key]
-    except (KeyError, TypeError):
-        raise UnknownBackendError(name, VALID_BACKENDS,
-                                  source=source) from None
 
 
 def auto_backend(sim) -> Optional["ProcessBackend"]:

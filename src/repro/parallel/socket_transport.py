@@ -48,7 +48,6 @@ class SocketChannel:
         self._rx = bytearray()
         self._tx = bytearray()
         self.closed = False
-        self.records_out = 0
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -93,7 +92,6 @@ class SocketChannel:
             return
         self._tx += _LEN.pack(len(payload)) + payload
         self.try_flush()
-        self.records_out += 1
 
     def try_flush(self) -> bool:
         """Push staged bytes out; True when the backlog fully

@@ -37,7 +37,8 @@ cycling *service passes*: it emits empty frames so slower peers can keep
 advancing — paced, like any pass, by the frames it applies first —
 until the coordinator broadcasts a stop.  Service passes perform no
 simulation work and mutate no state, so the final merged state is
-deterministic.
+deterministic; how many run is host timing, so their frames are not
+counted in ``wire_stats["messages_sent"]``.
 
 Control protocol (worker -> coordinator, over the worker's own control
 socketpair, which tells the coordinator who spoke — no envelope):
@@ -195,6 +196,8 @@ class PartitionWorker:
         #: individual effects (deliveries + credits) written — per-token
         #: messaging would pay one record each
         self.effects_sent = 0
+        #: frames of passes begun short of the target (module docstring)
+        self.messages_sent = 0
 
         #: pass number fence from the coordinator's stop broadcast:
         #: run the wavefront through this pass, then finalize (ensures
@@ -345,15 +348,17 @@ class PartitionWorker:
         ran, progress = self.advance(self.target_cycles, 1)
         return ran == 1 and progress
 
-    def _emit_frames(self) -> None:
+    def _emit_frames(self, counted: bool) -> None:
         """Write this pass's frame to every live peer, one record each;
         the schedule has already drained the previous one (module
-        docstring), so the write never queues behind it."""
+        docstring), so the write never queues behind it.  ``counted``:
+        the pass began short of the target (``messages_sent``)."""
         for peer in self.peers:
             if peer not in self._dead_peers:
                 frame = self.router.out[peer]
                 self.effects_sent += (len(frame.deliveries)
                                       + len(frame.credits))
+                self.messages_sent += counted
                 try:
                     self.channels[peer].write(self.packer.pack(frame))
                 except (BrokenPipeError, OSError):
@@ -405,8 +410,9 @@ class PartitionWorker:
             self._poll_control()
             self._maybe_die(k)
             self.router.begin_pass(k)
+            short = self.frontier() < self.target_cycles
             progress = self._own_pass()
-            self._emit_frames()
+            self._emit_frames(short)
             self._report(k, progress)
             # serial parity: the pass budget only binds while this
             # partition still has work (a finished worker's service
@@ -449,8 +455,7 @@ class PartitionWorker:
             "jit": sim.last_jit_report[self.name],
             # wire accounting (benchmarks; never merged into sim state)
             "wire_stats": {
-                "messages_sent": sum(c.records_out
-                                     for c in self.channels.values()),
+                "messages_sent": self.messages_sent,
                 "effects_sent": self.effects_sent,
             },
         }

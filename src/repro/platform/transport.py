@@ -49,13 +49,6 @@ class TransportModel:
         """Host cycles to (de)serialize one token on one side."""
         return max(1, math.ceil(width_bits / self.flit_bits))
 
-    def token_transfer_ns(self, width_bits: int,
-                          host_freq_mhz: float) -> float:
-        """End-to-end ns for one token: serialize, fly, deserialize."""
-        host_cycle_ns = 1e3 / host_freq_mhz
-        serdes = 2 * self.serdes_cycles(width_bits) * host_cycle_ns
-        return self.wire_ns(width_bits) + serdes
-
     def apply_rate_cap(self, rate_hz: float) -> float:
         """Clamp an achieved simulation rate to the transport's ceiling."""
         if self.rate_cap_hz is None:

@@ -7,6 +7,7 @@ from repro.firrtl import ModuleBuilder, make_circuit
 from repro.fireripper import EXACT, FAST
 from repro.fireripper.boundary import SINK, SOURCE, plan_boundaries
 from repro.fireripper.extract import extract_partitions
+from repro.fireripper.report import build_report
 from repro.targets import make_comb_pair_circuit
 
 
@@ -27,8 +28,9 @@ class TestRoles:
         assert roles["right_f"] == (SINK, SOURCE)
 
     def test_interface_width(self):
-        _, plan = _plan(EXACT)
-        assert plan.interface_width("base", "g") == 64  # 4 x 16 bits
+        design, plan = _plan(EXACT)
+        report = build_report(design, plan)
+        assert report.interface_widths == {("base", "g"): 64}  # 4 x 16
         assert plan.total_boundary_width() == 64
 
 

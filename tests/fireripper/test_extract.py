@@ -1,12 +1,15 @@
 """Extraction transform: uniquify, reparent, grouping, removal."""
 
 import copy
+import dataclasses
+import operator
 
 import pytest
 
 from repro.errors import SelectionError
 from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
-from repro.firrtl.ast import Connect, INPUT, Lit, LocalTarget, Port
+from repro.firrtl.ast import (Connect, DefInstance, INPUT, Lit,
+                              LocalTarget, Port)
 from repro.firrtl.circuit import Circuit, Module
 from repro.firrtl.passes import check_circuit
 from repro.fireripper import (
@@ -221,8 +224,8 @@ def _texts(design):
 
 
 class TestOwnership:
-    """Partitions share frozen expression trees with the input and with
-    each other, and nothing that can be mutated."""
+    """Partitions share frozen ports, statements and expression trees
+    with the input and with each other, and no container."""
 
     def _compile(self):
         circuit = _deep_circuit()
@@ -257,7 +260,25 @@ class TestOwnership:
         for part in design.partitions.values():
             check_circuit(part)
 
+    def test_untouched_statements_are_the_inputs(self):
+        """A clone copies lists, not what is in them: a deep copy
+        anywhere in the compile fails here rather than slowing it."""
+        circuit, design = self._compile()
+        for name in ("Leaf", "Wrap"):
+            want = circuit.module(name)
+            for part in design.partitions.values():
+                if name in part.modules:
+                    got = part.module(name)
+                    assert got.ports is not want.ports
+                    assert got.stmts is not want.stmts
+                    assert len(got.stmts) == len(want.stmts)
+                    assert all(map(operator.is_, got.ports, want.ports))
+                    assert all(map(operator.is_, got.stmts, want.stmts))
+
     def test_mutating_one_partition_moves_nothing_else(self):
+        """A partition's own containers (module dict, module names,
+        port and statement lists) take any edit; the frozen entries
+        they share refuse a field write."""
         circuit, design = self._compile()
         # Leaf is reachable from both tops: the extracted Wrap
         # instantiates it and the base keeps the direct instance
@@ -271,11 +292,17 @@ class TestOwnership:
             leaf = part.module("Leaf")
             leaf.ports.append(Port("extra", INPUT, 3))
             leaf.stmts.append(Connect(LocalTarget("acc"), Lit(0, 8)))
-            leaf.ports[0].width = 5
+            leaf.ports[0] = dataclasses.replace(leaf.ports[0], width=5)
             leaf.name = "Renamed"
             for module in part.modules.values():
-                for inst in module.instances():
-                    inst.module = "Retargeted"
+                module.stmts = [
+                    dataclasses.replace(s, module="Retargeted")
+                    if isinstance(s, DefInstance) else s
+                    for s in module.stmts]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                leaf.ports[1].width = 9
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                leaf.stmts[0].name = "renamed"
             assert print_circuit(part) != before[victim]
             after = _texts(fresh)
             assert all(after[name] == before[name]

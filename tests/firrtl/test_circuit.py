@@ -6,8 +6,17 @@ import pytest
 
 from repro.errors import IRError
 from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
-from repro.firrtl.ast import Expr, InstTarget, LocalTarget
+from repro.firrtl.ast import (INPUT, Connect, DefInstance, DefMemory,
+                              DefNode, DefRegister, DefWire, Expr,
+                              InstTarget, Lit, LocalTarget, MemReadPort,
+                              MemWritePort, Port, Stmt)
 from repro.firrtl.circuit import Circuit, Module
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def _leaf(name="Leaf"):
@@ -77,7 +86,7 @@ class TestCircuit:
         with pytest.raises(IRError):
             c.resolve_path("middle.bogus")
 
-    def test_clone_is_deep(self):
+    def test_clone_owns_its_containers(self):
         c = _two_level()
         before = print_circuit(c)
         clone = c.clone()
@@ -85,40 +94,56 @@ class TestCircuit:
         clone.module("Leaf").ports.append(
             _leaf("Other").ports[0])
         assert len(c.module("Leaf").ports) == 2
-        # every mutable object is the clone's own: containers, ports,
-        # statements
+        # the containers are the clone's own: the module dict, names,
+        # port and statement lists
         mid = clone.module("Mid")
-        mid.ports[0].width = 9
-        mid.instance("inner").module = "Elsewhere"
+        mid.ports[0] = dataclasses.replace(mid.ports[0], width=9)
+        inner = mid.stmts.index(mid.instance("inner"))
+        mid.stmts[inner] = dataclasses.replace(mid.stmts[inner],
+                                               module="Elsewhere")
         mid.stmts.pop()
         mid.name = "Renamed"
         del clone.modules["Leaf"]
         assert print_circuit(c) == before
+        # ...and what they hold is shared
         for name, m in c.modules.items():
             twin = c.clone().module(name)
             assert twin is not m
-            assert all(a is not b for a, b in zip(m.ports, twin.ports))
-            assert all(a is not b for a, b in zip(m.stmts, twin.stmts))
+            assert twin.ports is not m.ports and twin.stmts is not m.stmts
+            assert twin.ports == m.ports and twin.stmts == m.stmts
+            assert all(a is b for a, b in zip(m.ports, twin.ports))
+            assert all(a is b for a, b in zip(m.stmts, twin.stmts))
 
     def test_everything_a_clone_shares_is_frozen(self):
-        """Clones share expression trees and connect targets, which is
-        sound only while no such node can be mutated: a new Expr
-        subclass must be a frozen dataclass too."""
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
-
-        shared = list(subclasses(Expr)) + [LocalTarget, InstTarget]
-        assert len(shared) >= 6
+        """Clones share ports, statements, expression trees and connect
+        targets, which is sound only while none of them can be mutated:
+        a new Stmt or Expr subclass must be a frozen dataclass too."""
+        shared = (list(_subclasses(Expr)) + list(_subclasses(Stmt))
+                  + [LocalTarget, InstTarget])
+        assert len(shared) >= 15
         for cls in shared:
             assert dataclasses.is_dataclass(cls), cls
             assert cls.__dataclass_params__.frozen, cls
-        # ...and shared they are: a clone's connect points at the same
-        # expression object
+        # ...and shared they are: a clone's connect is the same object
         c = _two_level()
-        assert c.clone().module("Leaf").connects()[0].expr \
-            is c.module("Leaf").connects()[0].expr
+        assert c.clone().module("Leaf").connects()[0] \
+            is c.module("Leaf").connects()[0]
+
+    def test_every_port_and_statement_field_refuses_a_write(self):
+        samples = [
+            Port("p", INPUT, 4), DefWire("w", 4), DefNode("n", Lit(1, 4)),
+            DefRegister("r", 4, init=2), DefMemory("m", 4, 8, (1, 2)),
+            MemReadPort("m", "rd", Lit(0, 2)),
+            MemWritePort("m", Lit(0, 2), Lit(3, 8), Lit(1, 1)),
+            DefInstance("i", "Leaf"),
+            Connect(LocalTarget("w"), Lit(0, 4)),
+        ]
+        # one sample per statement class: a new class joins the list
+        assert {type(s) for s in samples} == set(_subclasses(Stmt))
+        for s in samples:
+            for f in dataclasses.fields(s):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(s, f.name, getattr(s, f.name))
 
     def test_remove_unreachable(self):
         c = _two_level()

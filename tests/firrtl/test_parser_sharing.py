@@ -1,6 +1,7 @@
 """One ``parse_circuit`` call parses each distinct expression once and
 shares the tree; every malformed line raises a typed ``IRError``."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -40,12 +41,21 @@ class TestSharing:
         assert a.width == 9 and a.args[0].width == 8
         assert b.width == 5 and b.args[0].width == 4
         assert a is not b
+        # a statement is shared only where its trees are
+        ma, mb = c.modules["A"], c.modules["B"]
+        assert ma.ports[0] is not mb.ports[0]   # input a, 8 vs 4 bits
+        assert ma.ports[1] is mb.ports[1]       # output o : UInt<16>
+        assert not any(map(operator.is_, ma.stmts, mb.stmts))
 
     def test_same_text_same_widths_shares_one_tree(self):
         c = parse_circuit(_circuit(_adder("A", 8), _adder("B", 8)))
         assert _node(c, "A", "n") is _node(c, "B", "n")
         connects = [m.stmts[-1].expr for m in c.modules.values()]
         assert connects[0] is connects[1]
+        # ...and so are the frozen ports and statements holding them
+        ma, mb = c.modules["A"], c.modules["B"]
+        assert all(map(operator.is_, ma.ports, mb.ports))
+        assert all(map(operator.is_, ma.stmts, mb.stmts))
 
     def test_shared_tree_equals_a_fresh_parse(self):
         shared = parse_circuit(_circuit(_adder("A", 8), _adder("B", 8)))

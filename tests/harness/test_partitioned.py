@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError, TransportError
+from repro.errors import (DeadlockError, SimulationError, TransportError,
+                          UnknownBackendError)
 from repro.firrtl import make_circuit
 from repro.fireripper import EXACT, FAST, FireRipper, PartitionGroup, PartitionSpec
 from repro.fuzz.oracle import functional_digest
@@ -226,6 +230,44 @@ class TestRunEdgePaths:
         result = sim.run(50, stop=lambda s: True)
         assert result.target_cycles == 0
         assert result.tokens_transferred == 0
+
+
+#: builds and runs the pair in-process twice (``inproc``, then the default
+#: ``auto``), then prints which process-backend modules got imported
+_INPROC_IMPORT_PROBE = """
+import sys
+from repro.fireripper import FireRipper, PartitionGroup, PartitionSpec
+from repro.platform import QSFP_AURORA
+from repro.targets import make_comb_pair_circuit
+spec = PartitionSpec(groups=[PartitionGroup.make("fpga1", ["right"])])
+design = FireRipper(spec).compile(make_comb_pair_circuit())
+design.build_simulation(QSFP_AURORA).run(12, backend="inproc")
+design.build_simulation(QSFP_AURORA).run(12)
+print([m for m in ("repro.parallel", "multiprocessing") if m in sys.modules])
+"""
+
+
+class TestBackendNames:
+    def test_inproc_runs_leave_the_process_backend_unimported(self):
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        out = subprocess.run([sys.executable, "-c", _INPROC_IMPORT_PROBE],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[]"]
+
+    def test_unknown_name_raises(self):
+        sim = _compile_pair().build_simulation(QSFP_AURORA)
+        with pytest.raises(UnknownBackendError, match="bogus"):
+            sim.run(12, backend="bogus")
+
+    def test_retired_spelling_means_process(self):
+        """``process-shm`` resolves to the process backend, which
+        refuses a stop callback before forking anything."""
+        sim = _compile_pair().build_simulation(QSFP_AURORA)
+        with pytest.raises(SimulationError, match="stop callback"):
+            sim.run(12, stop=lambda s: False, backend="process-shm")
 
 
 class TestDeadlockDetection:

@@ -151,6 +151,24 @@ class TestBitIdentity:
         assert r2.detail == r1.detail
 
 
+class TestWireStats:
+    @pytest.mark.parametrize("shape", [1, 2, 3, "star3_fast", *SHAPES])
+    def test_wire_stats_repeat_exactly(self, shape):
+        """A finished worker serves empty frames until the stop
+        broadcast reaches it, however long that takes; only the frames
+        of passes begun short of the target count as messages, so the
+        counts are the design's, not the host's."""
+        stats = []
+        for _ in range(2):
+            sim = (build_star_sim(3, mode=FAST) if shape == "star3_fast"
+                   else build_sim(shape))
+            backend = ProcessBackend()
+            backend.run(sim, 300)
+            stats.append(backend.last_wire_stats)
+        assert stats[0] == stats[1]
+        assert all(s["messages_sent"] > 0 for s in stats[0].values())
+
+
 class TestTransportSwap:
     """A link's injector and switch are read off its transport, so
     assigning a new transport is the whole swap: no hook refresh is

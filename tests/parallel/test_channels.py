@@ -137,15 +137,18 @@ class TestFrameConduit:
                     if link.dst[0] == "fpga1")
         worker.router.begin_pass(1)
         worker.router.deliver_remote(link, 7, 1.0, 0.5)
-        worker._emit_frames()
+        worker._emit_frames(True)
         worker.router.begin_pass(2)
-        worker._emit_frames()
+        worker._emit_frames(True)
+        worker.router.begin_pass(3)     # a service pass: written, not
+        worker._emit_frames(False)      # counted as a message
         rx = SocketChannel(peer, "base")
-        first, second = (worker.packer.unpack(record, "base")
-                         for record in rx.drain())
+        first, second, service = (worker.packer.unpack(record, "base")
+                                  for record in rx.drain())
         assert first.deliveries == [(worker.sim.links.index(link),
                                      link.dst, 7, 1.0, 0.5)]
         assert second == EffectFrame("base", 2)
+        assert service == EffectFrame("base", 3)
         assert worker.fragment()["wire_stats"] == {
             "messages_sent": 2, "effects_sent": 1}
         worker._flush_all()             # nothing staged: a no-op

@@ -58,7 +58,6 @@ class TestSocketChannel:
             tx.try_flush()
             got += rx.drain()
         assert got == [b"alpha", b"", b"x" * 5000]
-        assert tx.records_out == 3
 
     def test_partial_reads_reassemble(self, pair):
         """A record delivered one byte at a time still comes out
@@ -106,7 +105,6 @@ class TestSocketChannel:
         payload = bytes(range(256)) * (1 << 14)  # 4 MiB
         tx.write(payload)
         assert tx._tx  # the kernel buffer took only a prefix
-        assert tx.records_out == 1
         got = []
         deadline = time.monotonic() + 10.0
         while not got and time.monotonic() < deadline:
@@ -129,9 +127,9 @@ class TestSocketChannel:
             except OSError:
                 break
         tx.closed = True
-        sent, staged = tx.records_out, len(tx._tx)
+        staged = len(tx._tx)
         tx.write(b"after-death")
-        assert (tx.records_out, len(tx._tx)) == (sent, staged)
+        assert len(tx._tx) == staged
 
 
 class TestBackendSelection:
