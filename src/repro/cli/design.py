@@ -41,6 +41,7 @@ def cmd_autopartition(args) -> int:
 
 def cmd_jit(args) -> int:
     from ..harness.stepjit import generate_sources, stepjit_enabled
+    from ..rtl.kernel import kernel_source
 
     sim = executor.build_simulation(job_config(args), record_outputs=True)
     enabled = stepjit_enabled(sim)
@@ -59,16 +60,19 @@ def cmd_jit(args) -> int:
         for _, kernel in kernels:
             st = kernel._stepjit_stats
             printed = st["cone"] - st["aliases"] - st["inlined"]
+            shared = kernel._stepjit_shared
             print(f"  kernel {st['kernel']}: {st['cone']} cone assigns -> "
                   f"{printed} printed ({st['aliases']} aliases folded, "
                   f"{st['inlined']} nodes inlined), {st['masks_elided']} "
-                  f"masks elided, {st['statements']} statements")
+                  f"masks elided, {st['statements']} statements"
+                  + (f", code shared with {shared}"
+                     if shared != st["kernel"] else ""))
         dumps += kernels
     if args.dump:
         print(src)
         for label, kernel in dumps:
             print(f"# kernel for {label}")
-            print(kernel._stepjit_source)
+            print(kernel_source(kernel))
     return 0
 
 

@@ -47,6 +47,7 @@ from ..firrtl.ast import (
     Port,
     PrimOp,
     Ref,
+    natural_key,
 )
 from ..firrtl.circuit import Circuit, Module
 
@@ -425,7 +426,7 @@ def extract_partitions(circuit: Circuit,
 
     # 3. grouping: route every member port
     removed_stmts: List = []
-    for inst_name in sorted(selected):
+    for inst_name in sorted(selected, key=natural_key):
         gname = group_of[inst_name]
         wb = wrappers[gname]
         inst = top.instance(inst_name)

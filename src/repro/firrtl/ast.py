@@ -19,10 +19,23 @@ time (the builder computes them), so passes never need an inference step.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import IRError
+
+_DIGITS = re.compile(r"(\d+)")
+
+
+def natural_key(name: str) -> tuple:
+    """Sort key comparing digit runs as integers (``router6`` before
+    ``router10``), so repeated instances line up by index; the name
+    breaks ties (``a01``, ``a1``)."""
+    parts = _DIGITS.split(name)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts), name
+
 
 # --------------------------------------------------------------------------
 # Expressions

@@ -6,7 +6,7 @@ in the terminal, and it round-trips through :mod:`repro.firrtl.parser`.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from ..errors import IRError
 from .ast import (
@@ -70,24 +70,32 @@ def _print_stmt(stmt: Stmt) -> str:
     raise IRError(f"cannot print statement {stmt!r}")
 
 
-def print_module(module: Module) -> str:
-    """Render one module definition."""
+def print_module(module: Module,
+                 memo: Optional[Dict[int, str]] = None) -> str:
+    """Render one module definition; ``memo`` (``id(stmt)`` -> line)
+    prints each frozen statement object once (a parse shares equal
+    lines)."""
+    memo = {} if memo is None else memo
     lines: List[str] = [f"module {module.name} :"]
     for p in module.ports:
         lines.append(f"{_INDENT}{p.direction} {p.name} : UInt<{p.width}>")
     for s in module.stmts:
-        lines.append(f"{_INDENT}{_print_stmt(s)}")
+        line = memo.get(id(s))
+        if line is None:
+            line = memo[id(s)] = f"{_INDENT}{_print_stmt(s)}"
+        lines.append(line)
     return "\n".join(lines)
 
 
 def print_circuit(circuit: Circuit) -> str:
-    """Render a whole circuit; the top module is printed first."""
+    """Render a whole circuit; the top module is printed first.  One
+    statement memo serves the call (the circuit keeps its keys alive)."""
     lines = [f"circuit {circuit.top} :"]
     order = [circuit.top] + sorted(n for n in circuit.modules
                                    if n != circuit.top)
+    memo: Dict[int, str] = {}
     for name in order:
-        body = print_module(circuit.modules[name])
-        for line in body.splitlines():
-            lines.append(f"{_INDENT}{line}")
+        body = print_module(circuit.modules[name], memo)
+        lines.append(_INDENT + body.replace("\n", "\n" + _INDENT))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

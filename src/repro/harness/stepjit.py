@@ -85,7 +85,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..observability.tracer import ROW, TraceSite
-from ..rtl.kernel import pack_expr, unit_kernels
+from ..rtl.kernel import pack_expr, share_kernels, unit_kernels, word_order
 
 __all__ = [
     "stepjit_enabled",
@@ -658,7 +658,9 @@ class _PassCodegen:
             "F", "ENV", "MEMS", "KF", "KC", "QS", "in_qs"))
         fire_plans = names["fire_plans"]
         k = len(fire_plans)
-        wvars = ", ".join(f"w{uid}_{j}" for j in range(k))
+        # the kernels yield their words in layout order
+        wvars = ", ".join(f"w{uid}_{j}" for j in word_order(
+            [entry[3] for entry in fire_plans]))
         w.emit(Lb, f"if not {F}[{fire_plans[0][0]!r}]:")
         Lf = Lb + 1
         # fused-settle eligibility: every pending input word decodes
@@ -739,11 +741,9 @@ class _PassCodegen:
         # code does not model (e.g. a checkpoint captured between a fire
         # and its drain) — delegate this unit's pass to the interpreter
         guard = f"{U}.outbox"
-        kernel = bindings["rtl"].compiled \
-            and all(not entry[2] for entry in fire_plans)
+        kernel = _kernel_request(up)
         if kernel:
-            kern = unit_kernels(unit.sim.elab,
-                                [e[3] for e in fire_plans], unit.name)
+            kern = unit_kernels(*kernel)
             self.kernel_units[uid] = b.bind(up, "up")
             if k:
                 names["KF"] = b.bind(kern[0], "kf")
@@ -812,6 +812,12 @@ class _PassCodegen:
         schedule order, then the header (bindings ride in as default
         args: every pre-bound object is a LOAD_FAST in the hot loop)."""
         Lt, b = 4, self.b  # pass statements sit inside the ``while``
+        # every kernel printed before any is compiled: repeated
+        # partitions compile one template
+        share_kernels([request for pplan, reason in zip(self.pplans,
+                                                        self.reasons)
+                       if reason is None for up in pplan.unit_plans
+                       for request in [_kernel_request(up)] if request])
         for i, pplan in enumerate(self.pplans):
             start, kernels = len(self.w.lines), len(self.kernel_units)
             reason = self.reasons[i]
@@ -882,6 +888,16 @@ class _PassCodegen:
         w.emit(2, "return passes, progress")
         w.emit(1, "return _pass")
         return "\n".join(w.lines) + "\n", dict(b.values)
+
+
+def _kernel_request(up):
+    """``(elab, pack layouts, tag)`` of a unit on the fused-kernel tier
+    (dep-free output channels on a compiled engine), else None."""
+    bindings = up.unit.step_bindings()
+    plans = bindings["fire_plans"]
+    if bindings["rtl"].compiled and all(not entry[2] for entry in plans):
+        return up.unit.sim.elab, [entry[3] for entry in plans], up.unit.name
+    return None
 
 
 def _stepped(sim) -> list:

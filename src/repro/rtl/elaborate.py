@@ -37,6 +37,7 @@ from ..firrtl.ast import (
     MemWritePort,
     PrimOp,
     Ref,
+    natural_key,
 )
 from ..firrtl.circuit import Circuit, Module
 
@@ -238,7 +239,8 @@ def _topo_sort(assigns: Dict[str, AssignLike], regs: Dict[str, FlatReg],
             if dep in comb_targets:
                 in_deg[name] += 1
                 users[dep].append(name)
-    ready = sorted(n for n, d in in_deg.items() if d == 0)
+    ready = sorted((n for n, d in in_deg.items() if d == 0),
+                   key=natural_key)
     order: List[AssignLike] = []
     idx = 0
     ready_list = list(ready)

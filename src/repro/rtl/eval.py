@@ -156,8 +156,8 @@ def _masked(code: str, bits: Optional[int], width: int,
 
 
 def compile_expr(expr: Expr, name_of: Callable[[str, bool], Printed],
-                 truth: bool = False, stats: Optional[dict] = None
-                 ) -> Printed:
+                 truth: bool = False, stats: Optional[dict] = None,
+                 lit: Optional[Callable[[int], str]] = None) -> Printed:
     """Emit a Python expression computing ``expr``; returns
     ``(code, bits)``.
 
@@ -182,37 +182,58 @@ def compile_expr(expr: Expr, name_of: Callable[[str, bool], Printed],
 
     ``stats["masks_elided"]`` counts the masks ranges removed.  Every
     sub-expression is printed exactly once.
+
+    ``lit(value)`` returns the placeholder printed for a literal
+    operand whose sibling is no literal (a pair of literals would fold),
+    for :mod:`repro.rtl.kernel`'s templates; its range is still the
+    value's, so every decision the range makes is printed text.
     """
     if isinstance(expr, Ref):
         return name_of(expr.name, truth)
     if isinstance(expr, Lit):
         return str(expr.value), expr.value.bit_length()
     if isinstance(expr, PrimOp):
-        return _compile_primop(expr, name_of, truth, stats)
+        return _compile_primop(expr, name_of, truth, stats, lit)
     raise SimulationError(f"cannot compile {expr!r}")
 
 
+#: op -> {operand: its sibling} where a literal prints bare beside its
+#: sibling (``cat``'s high half is shifted by a constant: it would fold)
+_SIBLINGS = {"cat": {1: 0}, "mux": {1: 2, 2: 1}, **dict.fromkeys((
+    "add", "sub", "mul", "div", "rem", "and", "or", "xor", "dshl", "dshr",
+    *_COMPARISONS), {0: 1, 1: 0})}
+
+
 def _compile_primop(expr: PrimOp, name_of, truth: bool,
-                    stats: Optional[dict]) -> Printed:
+                    stats: Optional[dict], lit) -> Printed:
     op = expr.op
     args = expr.args
     width = expr.width
     m = mask(width)
+    siblings = _SIBLINGS.get(op, {}) if lit is not None else {}
+
+    def sub(i: int, truth: bool = False) -> Printed:
+        arg = args[i]
+        if isinstance(arg, Lit) and i in siblings \
+                and not isinstance(args[siblings[i]], Lit):
+            return lit(arg.value), arg.value.bit_length()
+        return compile_expr(arg, name_of, truth, stats, lit)
+
     if op == "mux":
-        sel, _ = compile_expr(args[0], name_of, True, stats)
-        t, bt = compile_expr(args[1], name_of, False, stats)
-        f, bf = compile_expr(args[2], name_of, False, stats)
+        sel, _ = sub(0, True)
+        t, bt = sub(1)
+        f, bf = sub(2)
         return f"({t} if {sel} else {f})", _widest(bt, bf)
     if op == "orr" and truth:
-        return compile_expr(args[0], name_of, True, stats)
-    a, ba = compile_expr(args[0], name_of, False, stats)
+        return sub(0, True)
+    a, ba = sub(0)
     if op in ("andr", "orr") or op in _COMPARISONS:
         if op == "andr":
             test = f"{a} == {mask(args[0].width)}"
         elif op == "orr":
             test = a
         else:
-            b, _ = compile_expr(args[1], name_of, False, stats)
+            b, _ = sub(1)
             test = f"{a} {_COMPARISONS[op]} {b}"
         return (test if truth else f"(1 if {test} else 0)"), 1
     if op == "not":
@@ -245,7 +266,7 @@ def _compile_primop(expr: PrimOp, name_of, truth: bool,
                        None if ba is None else max(ba - n, 0), width, stats)
     if op == "pad":
         return a, ba
-    b, bb = compile_expr(args[1], name_of, False, stats)
+    b, bb = sub(1)
     if op == "add":
         wide = _widest(ba, bb)
         return _masked(f"({a} + {b})", None if wide is None else wide + 1,

@@ -66,6 +66,15 @@ Each pass and the one sentence that makes it sound:
   differing port still sees the untouched memory, so the flag equals
   the all-at-once comparison.
 
+**One compile per shape** (:func:`share_kernels`): a kernel is
+printed as a template whose names and lifted literals are placeholder
+constants; the kernels printed together that share a template compile
+once, with the slots that differ among them left as placeholders, and
+each kernel is that code with its own constants swapped in, so kernels
+share bytecode (re-print one rather than edit its ``__code__``).
+Slots are not lifted into locals or defaults: that widens the frame
+and slows every resume.
+
 Consequence (documented contract): kernels do *not* write
 combinational intermediates back into the RTL env, so signal peeks
 between passes may observe stale comb values on kernel-tier units.
@@ -77,6 +86,8 @@ Use ``REPRO_STEPJIT=0`` (or ``--no-jit``) for signal-level debugging.
 
 from __future__ import annotations
 
+import re
+from types import FunctionType
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import IRError
@@ -90,6 +101,12 @@ _INLINE_DEPTH = 48
 
 #: ``(port, offset, mask)`` per port of one packed word
 PackFields = List[Tuple[str, int, int]]
+
+#: compiled text -> ``(text, its function, co_consts index per
+#: placeholder or None, tag that compiled it)``, 32 least recently used
+TEMPLATES: Dict[str, tuple] = {}
+
+_PLACEHOLDER = re.compile(r"'@(\d+)'")
 
 
 def pack_expr(ref: Callable[[str], str], fields) -> str:
@@ -122,13 +139,29 @@ def expr_scanner() -> Callable[[Expr], Tuple[Tuple[str, ...], int]]:
     return scan
 
 
+def word_order(pack_lists: List[PackFields]) -> List[int]:
+    """The order a kernel yields its words in (indices into
+    ``pack_lists``): by layout, never by port name, so repeated
+    partitions that list their channels differently share a template."""
+    return sorted(range(len(pack_lists)), key=lambda j: [
+        (offset, m) for _port, offset, m in pack_lists[j]])
+
+
 def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
                    do_tick: bool, tag: str, scan=None):
-    """Generate one specialised kernel ``_k(env, mems)`` for ``elab``.
+    """One kernel, printed (:func:`print_kernel`) and compiled alone."""
+    return compile_kernels([print_kernel(elab, pack_lists, do_tick, tag,
+                                         scan)])[0]
+
+
+def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
+                 do_tick: bool, tag: str, scan=None):
+    """Print one specialised kernel ``_k(env, mems)`` for ``elab`` as
+    ``(template, slot values, stats)``.
 
     ``pack_lists`` is a list of pack-field lists (one per output
     channel, in fire order); the kernel returns the packed words in
-    that order.  ``do_tick`` makes ``_k`` a generator, one cycle per
+    :func:`word_order`.  ``do_tick`` makes ``_k`` a generator, one cycle per
     resume, fusing the register/memory commit into the same settle
     and yielding the words plus a quiescence flag:
     True when the tick was a fixed point (every register next-value
@@ -138,14 +171,15 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     and equal inputs reproduces the same words and the same fixed
     point.  ``scan`` is an :func:`expr_scanner` to share.
 
-    The function carries its source as ``_stepjit_source`` and the
-    generator's counters as ``_stepjit_stats``."""
+    Every ``env``/``mems`` key and every literal ``compile_expr`` lifts
+    prints as the placeholder ``'@n'`` of slot ``n``."""
     for mw in elab.writes:
         if mw.data.width > elab.mems[mw.mem].width:
             raise IRError(
                 f"{elab.top}: write port stores {mw.data.width}-bit data "
                 f"into the {elab.mems[mw.mem].width}-bit memory {mw.mem!r}")
     scan = scan or expr_scanner()
+    pack_lists = [pack_lists[j] for j in word_order(pack_lists)]
     tick_regs = [r for r in elab.regs.values()
                  if r.next is not None] if do_tick else []
     writes = elab.writes if do_tick else []
@@ -186,13 +220,27 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     #: single-fanout nodes waiting for their use site, and their depth
     pending: Dict[str, object] = {}
     depth: Dict[str, int] = {}
+    slots: List[object] = []
+    #: a name stands for one signal, so its loads and stores share a slot
+    named: Dict[str, str] = {}
 
-    def local(key, source: str, loads: List[str]) -> str:
-        """The local bound to ``source`` in ``loads`` (once)."""
+    def slot(value) -> str:
+        if value in named:
+            return named[value]
+        slots.append(value)
+        if isinstance(value, str):
+            named[value] = f"'@{len(slots)}'"
+        return f"'@{len(slots)}'"
+
+    def code_of(e: Expr, truth: bool = False) -> Printed:
+        return compile_expr(e, name_of, truth, stats, slot)
+
+    def local(key, table: str, item: str, loads: List[str]) -> str:
+        """The local bound to ``table[item]`` in ``loads`` (once)."""
         name = ids.get(key)
         if name is None:
             name = ids[key] = f"v{len(ids)}"
-            loads.append(f"    {name} = {source}")
+            loads.append(f"    {name} = {table}[{slot(item)}]")
         return name
 
     def name_of(name: str, truth: bool = False) -> Printed:
@@ -209,25 +257,24 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
             bits = elab.inputs.get(name) if reg is None \
                 else max(reg.width, reg.init.bit_length())
             loads = prime if do_tick and reg is not None else reload
-            known = printed[name] = (
-                local(name, f"env[{name!r}]", loads), bits)
+            known = printed[name] = (local(name, "env", name, loads), bits)
         return known
 
     def index(addr: Expr, depth: int) -> str:
         """``addr`` as a subscript of a ``depth``-word memory: wrapped
         only if its range can reach ``depth``."""
-        code, bits = compile_expr(addr, name_of, False, stats)
+        code, bits = code_of(addr)
         if bits is not None and (1 << bits) <= depth:
             stats["masks_elided"] += 1
             return code
         return f"{code} % {depth}"
 
     def bound(mem: str) -> str:
-        return local(("mem", mem), f"mems[{mem!r}]", prime)
+        return local(("mem", mem), "mems", mem, prime)
 
     def print_node(a, truth: bool) -> Printed:
         if isinstance(a, FlatAssign):
-            return compile_expr(a.expr, name_of, truth, stats)
+            return code_of(a.expr, truth)
         return (f"{bound(a.mem)}[{index(a.addr, a.depth)}]",
                 elab.mems[a.mem].width)
 
@@ -255,7 +302,7 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
     reg_vars = [name_of(reg.name)[0] for reg in tick_regs]
     commits = []
     for i, (reg, var) in enumerate(zip(tick_regs, reg_vars)):
-        code, bits = compile_expr(reg.next, name_of, False, stats)
+        code, bits = code_of(reg.next)
         if bits is None or bits > reg.width:
             code = f"{code} & {mask(reg.width)}"
         else:
@@ -266,9 +313,9 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
         if code != var:
             commits.append((reg.name, var, code))
     for mw in writes:
-        en = compile_expr(mw.en, name_of, True, stats)[0]
+        en = code_of(mw.en, True)[0]
         addr = index(mw.addr, mw.depth)
-        data = compile_expr(mw.data, name_of, False, stats)[0]
+        data = code_of(mw.data)[0]
         mem = bound(mw.mem)
         body.append(f"    if {en}:")
         body.append(f"        _a = {addr}")
@@ -283,7 +330,7 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
         body += [f"    _y{j} = {ret}" for j, ret in enumerate(rets)]
         for name, var, code in commits:
             body += [f"    if {code} != {var}:",
-                     f"        env[{name!r}] = {var} = {code}",
+                     f"        env[{slot(name)}] = {var} = {code}",
                      "        _q = False"]
         body.append("    yield " + ", ".join(
             [f"_y{j}" for j in range(len(rets))] + ["_q"]))
@@ -294,33 +341,102 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
         if rets:
             lines.append("    return " + ", ".join(rets))
     stats["statements"] = len(lines)
-    src = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
-           + "\n".join(lines or ["    pass"]) + "\n")
-    return _load_kernel(src, stats)
+    template = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
+                + "\n".join(lines or ["    pass"]) + "\n")
+    return template, tuple(slots), stats
 
 
-def _load_kernel(src: str, stats: dict):
-    """The function a printed kernel ``src`` defines, carrying its
-    source and the generator's counters."""
+def compile_kernels(printed: list) -> list:
+    """The functions of printed kernels: the kernels that print one
+    template are compiled from it once, with the slots whose values are
+    equal in all of them printed as values, so the shared code's
+    constant table is an own compile's, and the slots that differ left
+    as placeholders for each kernel's own constants."""
+    groups: Dict[str, list] = {}
+    for template, slots, _stats in printed:
+        groups.setdefault(template, []).append(slots)
+    varying = {template: {n + 1 for n, column in enumerate(zip(*rows))
+                          if any(v != column[0] for v in column)}
+               for template, rows in groups.items()}
+    specs: Dict[str, str] = {}
+    kernels = []
+    for template, slots, stats in printed:
+        keep = varying[template]
+        spec = specs.get(template)
+        if spec is None:
+            spec = specs[template] = _substitute(template, {
+                n: v for n, v in enumerate(slots, 1) if n not in keep})
+        kernels.append(_load_kernel(spec, {n: slots[n - 1] for n in keep},
+                                    stats))
+    return kernels
+
+
+def _substitute(template: str, slots: dict) -> str:
+    """``template`` with the placeholders ``slots`` holds filled in."""
+    return _PLACEHOLDER.sub(lambda m: repr(slots[int(m[1])])
+                            if int(m[1]) in slots else m[0], template)
+
+
+def kernel_source(fn) -> str:
+    """A kernel's own source: its template with its slot values in."""
+    return _substitute(fn._stepjit_template, fn._stepjit_slots)
+
+
+def _exec(src: str, tag: str):
     namespace: Dict[str, object] = dict(CODEGEN_HELPERS)
-    exec(compile(src, f"<stepjit-kernel:{stats['kernel']}>", "exec"),
-         namespace)
-    fn = namespace["_k"]
-    fn._stepjit_source = src  # for ``repro jit --dump``
-    fn._stepjit_stats = stats
-    return fn
+    exec(compile(src, f"<stepjit-kernel:{tag}>", "exec"), namespace)
+    return namespace["_k"]
+
+
+def _load_kernel(template: str, slots: dict, stats: dict):
+    """The kernel ``template`` defines with ``slots`` (placeholder
+    number -> value) in: the first kernel of a text compiles it, and
+    each kernel is that code with its values swapped into ``co_consts``:
+    a placeholder is a string, which CPython folds with no number, and
+    a string it does fold leaves ``co_consts`` and makes no placeholder
+    (one ``@`` each).  Guard: a text missing a placeholder there
+    compiles each kernel's own source instead."""
+    tag = stats["kernel"]
+    entry = TEMPLATES.pop(template, None)
+    if entry is None:
+        fn = _exec(template, tag)
+        index = {c: i for i, c in enumerate(fn.__code__.co_consts)
+                 if type(c) is str}
+        at = {n: index.get(f"@{n}") for n in slots}
+        entry = (template, fn, None if None in at.values() else at, tag)
+    TEMPLATES[entry[0]] = entry
+    for stale in list(TEMPLATES)[:-32]:
+        TEMPLATES.pop(stale, None)
+    template, fn, at, owner = entry
+    if at is None:
+        kernel = _exec(_substitute(template, slots), tag)
+    else:
+        consts = list(fn.__code__.co_consts)
+        for n, value in slots.items():
+            consts[at[n]] = value
+        kernel = FunctionType(
+            fn.__code__.replace(co_consts=tuple(consts),
+                                co_filename=f"<stepjit-kernel:{tag}>"),
+            fn.__globals__, "_k", fn.__defaults__)
+    kernel._stepjit_template = template  # one object per shape
+    kernel._stepjit_slots = slots
+    kernel._stepjit_stats = stats
+    kernel._stepjit_shared = owner
+    return kernel
 
 
 class KernelMemo(dict):
     """``(tag, pack layout) -> (fire, adv, cyc)`` of one elaboration,
     kept on it as ``elab.kernels``.  It pickles each kernel as its
-    source and stats, not the function: loading re-executes the
-    source, so a loaded elaboration never prints a kernel again."""
+    template, slot values and stats, not the function: a template is
+    one object however many kernels share it, so a pickle holds it
+    once, and loading compiles each template once and never prints a
+    kernel again."""
 
     def __reduce__(self):
         return (_load_memo, ({
-            key: tuple(fn and (fn._stepjit_source, fn._stepjit_stats)
-                       for fn in fns)
+            key: tuple(fn and (fn._stepjit_template, fn._stepjit_slots,
+                               fn._stepjit_stats) for fn in fns)
             for key, fns in self.items()},))
 
 
@@ -348,20 +464,33 @@ def unit_kernels(elab: Elaboration, pack_lists: List[PackFields],
     plus a few pack shifts, and compiling that cone once instead of
     twice is most of the codegen time.  With none, a bare
     generator ``adv(env, mems)`` yielding the flag."""
-    memo = getattr(elab, "kernels", None)
-    if memo is None:
-        memo = elab.kernels = KernelMemo()
-    key = (tag, tuple(tuple(fields) for fields in pack_lists))
-    kern = memo.get(key)
-    if kern is None:
+    return share_kernels([(elab, pack_lists, tag)])[0]
+
+
+def share_kernels(requests) -> list:
+    """:func:`unit_kernels` of many ``(elab, pack_lists, tag)`` at once:
+    every kernel missing from a memo is printed first, then all are
+    compiled together (:func:`compile_kernels`), so repeated partitions
+    share their code."""
+    todo: Dict[tuple, tuple] = {}
+    for elab, pack_lists, tag in requests:
+        if getattr(elab, "kernels", None) is None:
+            elab.kernels = KernelMemo()
+        key = (tag, tuple(tuple(fields) for fields in pack_lists))
+        if key in elab.kernels or (id(elab), key) in todo:
+            continue
         scan = expr_scanner()
-        kern = memo[key] = (
-            (compile_kernel(elab, pack_lists, False, f"fire:{tag}", scan),
-             None,
-             compile_kernel(elab, pack_lists, True, f"cyc:{tag}", scan))
-            if pack_lists else
-            (None, compile_kernel(elab, [], True, f"adv:{tag}", scan), None))
-    return kern
+        kinds = ((False, "fire"), None, (True, "cyc")) if pack_lists \
+            else (None, (True, "adv"), None)
+        todo[id(elab), key] = (elab, key, [kind and print_kernel(
+            elab, pack_lists, kind[0], f"{kind[1]}:{tag}", scan)
+            for kind in kinds])
+    fns = iter(compile_kernels([p for _e, _k, ps in todo.values()
+                                for p in ps if p]))
+    for elab, key, ps in todo.values():
+        elab.kernels[key] = tuple(p and next(fns) for p in ps)
+    return [elab.kernels[tag, tuple(tuple(f) for f in pack_lists)]
+            for elab, pack_lists, tag in requests]
 
 
 def _driver(a) -> Expr:

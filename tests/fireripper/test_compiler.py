@@ -138,6 +138,19 @@ class TestNoCMode:
         assert done_cycle == ref
         assert last["result"] == 4 * sum(range(1, 4))
 
+    def test_members_are_listed_in_index_order(self):
+        """Digit runs sort as numbers: noc1 of the 24-tile ring lists
+        router6 ... router11, not router10, router11, router6, ..., so
+        repeated groups print one kernel template."""
+        spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(
+            [list(range(i * 6, i * 6 + 6)) for i in range(4)]))
+        design = FireRipper(spec).compile(
+            make_ring_noc_soc(24, messages_per_tile=2))
+        wrapper = design.partitions["noc1"].top_module
+        assert [i.name for i in wrapper.instances()
+                if i.name.startswith("router")] \
+            == [f"router{i}" for i in range(6, 12)]
+
     def test_bad_router_index(self):
         spec = PartitionSpec(mode=EXACT,
                              noc=NoCPartitionSpec.make([[99]]))

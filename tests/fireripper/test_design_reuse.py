@@ -114,10 +114,11 @@ def _jit_dump(monkeypatch, capsys, tmp_path, design):
 def test_a_pickled_design_runs_without_printing_a_kernel(
         monkeypatch, capsys, tmp_path):
     """After a run, a design pickles with its elaborations and kernel
-    sources; the loaded copy carries the tick kernels as generator
-    functions, builds and runs to the same digest as a fresh compile
-    without one ``compile_kernel`` call, and generates the same
-    step-plane and kernel text."""
+    templates, each template once however many kernels share it; the
+    loaded copy compiles each template once, carries the tick kernels
+    as generator functions, builds and runs to the same digest as a
+    fresh compile without one ``print_kernel`` call, and generates
+    the same step-plane and kernel text."""
     config = _ring_config(extract=RING_HALVES)
     design = compile_design(config)
     sim = _build(config, design)
@@ -126,13 +127,25 @@ def test_a_pickled_design_runs_without_printing_a_kernel(
     sources = generate_sources(sim)
     dump = _jit_dump(monkeypatch, capsys, tmp_path, design)
     assert "# kernel for" in dump
+    made = [fn for elab in _elabs(sim)
+            for fns in getattr(elab, "kernels", {}).values()
+            for fn in fns if fn is not None]
+    shapes = {fn._stepjit_template for fn in made}
+    assert len(shapes) < len(made), "the ring halves share no template"
 
-    loaded = pickle.loads(pickle.dumps(design))
+    blob = pickle.dumps(design)
+    assert all(blob.count(shape.encode()) == 1 for shape in shapes)
+    kernel.TEMPLATES.clear()
+    compiled = []
+    monkeypatch.setattr(kernel, "compile", lambda src, name, mode: (
+        compiled.append(name) or compile(src, name, mode)), raising=False)
+    loaded = pickle.loads(blob)
+    assert len(compiled) == len(shapes)
     calls = []
-    compile_kernel = kernel.compile_kernel
-    monkeypatch.setattr(kernel, "compile_kernel",
+    print_kernel = kernel.print_kernel
+    monkeypatch.setattr(kernel, "print_kernel",
                         lambda *a, **k: calls.append(a[3])
-                        or compile_kernel(*a, **k))
+                        or print_kernel(*a, **k))
     again = _build(config, loaded)
     kernels = [fns for elab in _elabs(again)
                for fns in getattr(elab, "kernels", {}).values()]

@@ -1,6 +1,8 @@
 """One ``parse_circuit`` call parses each distinct expression once and
-shares the tree; every malformed line raises a typed ``IRError``."""
+shares the tree; every malformed line raises a typed ``IRError``; one
+``print_circuit`` call prints each shared statement once."""
 
+import dataclasses
 import operator
 import os
 import subprocess
@@ -10,6 +12,8 @@ import pytest
 
 from repro.errors import IRError
 from repro.firrtl import parse_circuit, print_circuit
+from repro.firrtl.ast import DefNode
+from repro.firrtl.printer import _print_stmt
 from repro.fuzz import generate_scenario, scenario_config
 from repro.targets.soc import make_ring_noc_soc
 
@@ -135,3 +139,46 @@ class TestMalformed:
         assert out.stderr.splitlines() == [
             "error: Top: line 'node n = bits(a, x, 0)': "
             "bits: parameter 'x' is not a number"]
+
+
+class TestPrintMemo:
+    """``print_circuit`` prints each statement object once per call
+    (statements are frozen, and a parse shares them between modules);
+    its text is the plain printer's, one statement at a time."""
+
+    @staticmethod
+    def _plain(circuit):
+        lines = [f"circuit {circuit.top} :"]
+        for name in [circuit.top] + sorted(
+                n for n in circuit.modules if n != circuit.top):
+            module = circuit.modules[name]
+            lines.append(f"  module {name} :")
+            lines += [f"    {p.direction} {p.name} : UInt<{p.width}>"
+                      for p in module.ports]
+            lines += [f"    {_print_stmt(s)}" for s in module.stmts]
+            lines.append("")
+        return "\n".join(lines).rstrip() + "\n"
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_mill_circuits(self, index):
+        circuit = parse_circuit(
+            scenario_config(generate_scenario(7, index))["circuit_text"])
+        assert print_circuit(circuit) == self._plain(circuit)
+
+    def test_appended_and_replaced_statements(self):
+        circuit = parse_circuit(print_circuit(make_ring_noc_soc(4)))
+        before = print_circuit(circuit)
+        edited = circuit.clone()
+        first, second = (edited.modules[n] for n in ("Router0_n5",
+                                                     "Router1_n5"))
+        # an object the memo has already printed for another module
+        second.stmts.append(first.stmts[-1])
+        second.ports.append(first.ports[0])
+        i = next(i for i, s in enumerate(first.stmts)
+                 if isinstance(s, DefNode))
+        first.stmts[i] = dataclasses.replace(
+            first.stmts[i], name=first.stmts[i].name + "_moved")
+        text = print_circuit(edited)
+        assert text == self._plain(edited) != before
+        assert "_moved" in text
+        assert print_circuit(circuit) == before == self._plain(circuit)

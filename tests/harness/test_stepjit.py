@@ -3,6 +3,7 @@ output, fused-kernel memo, runtime-fallback identity, and the
 call-outs (hardened / faulted links, switch hops) matching the
 interpreter."""
 
+import dis
 import json
 import re
 from collections import Counter
@@ -41,7 +42,8 @@ from repro.reliability import (
     inject_faults,
 )
 from repro.reliability.checkpoint import capture_state, restore_state
-from repro.rtl import Simulator, engine
+from repro.rtl import Simulator, engine, kernel
+from repro.rtl.kernel import kernel_source
 from repro.service.executor import build_simulation
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
@@ -365,7 +367,7 @@ class TestGeneratedSources:
                 assert any(fn is not None for fn in kern)
                 for fn, ticks in zip(kern, (False, True, True)):
                     if fn is not None:
-                        assert "def _k(env, mems" in fn._stepjit_source
+                        assert "def _k(env, mems" in kernel_source(fn)
                         # the tick kernels are resumable frames, the
                         # fire kernel a plain function
                         assert isgeneratorfunction(fn) == ticks
@@ -429,6 +431,43 @@ def test_first_quiescent_cycle_matches_the_interpreter():
                              if still[c] == still.get(c + 1)), name
         assert 0 < first < cycles - 1
     assert set(flags) == set(states)
+
+
+def _ops(fn):
+    return [(i.opname, i.argval) for i in dis.get_instructions(fn)]
+
+
+@pytest.mark.parametrize("tiles,groups", [
+    (24, [list(range(i * 6, i * 6 + 6)) for i in range(4)]),
+    (8, [[0, 1, 2, 3], [4, 5, 6, 7]]),
+])
+def test_repeated_noc_groups_share_one_compile(monkeypatch, tiles, groups):
+    """The ledger's rings: every NoC group prints one template per
+    kernel kind, which is compiled once (base plus noc, for ``fire`` and
+    for ``cyc``); each group's kernel is its own function, and
+    disassembles to what a compile of its own source gives."""
+    compiled = []
+    monkeypatch.setattr(kernel, "compile", lambda src, name, mode: (
+        compiled.append(name) or compile(src, name, mode)), raising=False)
+    spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(groups))
+    sim = FireRipper(spec).compile(
+        make_ring_noc_soc(tiles, messages_per_tile=2)) \
+        .build_simulation(QSFP_AURORA)
+    sim.run(1, backend="inproc")
+    assert sorted(compiled) == sorted(
+        f"<stepjit-kernel:{kind}:{part}>"
+        for kind in ("fire", "cyc") for part in ("base", "noc0"))
+    kernels = {fn._stepjit_stats["kernel"]: fn
+               for part in sim.partitions.values() for _, unit in part.units
+               for fns in unit.sim.elab.kernels.values() for fn in fns if fn}
+    cyc = [kernels[f"cyc:noc{g}"] for g in range(len(groups))]
+    assert len({id(fn) for fn in cyc}) == len(groups)
+    assert len({id(fn._stepjit_template) for fn in cyc}) == 1
+    for tag, fn in kernels.items():
+        namespace = {"_div": None, "_rem": None}
+        exec(compile(kernel_source(fn), tag, "exec"), namespace)
+        assert _ops(fn) == _ops(namespace["_k"]), tag
+        assert fn.__code__.co_filename == f"<stepjit-kernel:{tag}>"
 
 
 def _observe(build, cycles, jit, backend="inproc", prepare=None,

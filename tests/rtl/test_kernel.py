@@ -5,9 +5,12 @@ The kernel generator optimises the cone as a netlist before printing it
 one-pass commit + quiescence flag); ``Simulator(compiled=False)`` and
 ``eval_expr`` share none of that code, so they are the reference: a
 hypothesis property over random flat netlists that use every primitive
-op, plus pins on the structure of the printed source.
+op, plus pins on the structure of the printed source.  Kernels that print
+one template share one compile (``TEMPLATES``); a renamed copy is run
+against the interpreter through the shared code.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -26,8 +29,17 @@ from repro.rtl.elaborate import (
     FlatMemWrite,
     FlatReg,
 )
-from repro.rtl.eval import eval_expr, mask
-from repro.rtl.kernel import compile_kernel, unit_kernels
+from repro.rtl.eval import _COMPARISONS, eval_expr, mask
+from repro.rtl.kernel import (
+    TEMPLATES,
+    compile_kernel,
+    compile_kernels,
+    kernel_source,
+    print_kernel,
+    share_kernels,
+    unit_kernels,
+    word_order,
+)
 from repro.targets.programs import (
     ADDR_OUT_PUSH,
     ADDR_OUT_READY,
@@ -160,37 +172,43 @@ def _tick_is_fixed_point(ref):
     return True
 
 
-def _state(sim_or_pair):
+def _state(sim_or_pair, rename=str):
     env, mems = sim_or_pair
-    return {r: env[r] for r in REGS}, mems
+    return {r: env[rename(r)] for r in REGS}, mems
 
 
-def _step_both(ref, fire, frame, env, mems, pack_lists, values):
+def _step_both(ref, fire, frame, env, mems, pack_lists, values,
+               rename=str):
     """One cycle of ``values`` on the interpreter and through one
-    resume of the kernel ``frame``; both must agree afterwards."""
+    resume of the kernel ``frame``; both must agree afterwards.  The
+    kernels yield the words in :func:`word_order`."""
     for port, value in zip(INPUTS, values):
-        ref.poke(port, value)
-        env[port] = ref.env[port]
+        ref.poke(rename(port), value)
+        env[rename(port)] = ref.env[rename(port)]
     ref.eval()
-    words = tuple(_pack(ref.env, f) for f in pack_lists)
+    words = tuple(_pack(ref.env, pack_lists[j])
+                  for j in word_order(pack_lists))
     assert fire(env, mems) == words
     quiescent = _tick_is_fixed_point(ref)
     ref.tick()
     assert frame() == words + (quiescent,)
-    assert _state((env, mems)) == _state((ref.env, ref.mem_state))
+    assert _state((env, mems), rename) \
+        == _state((ref.env, ref.mem_state), rename)
 
 
-def _run_against_interpreter(elab, stimulus):
+def _run_against_interpreter(elab, stimulus, tag="rand", rename=str):
     """The whole stimulus through ONE primed frame: register state
-    lives in its locals from the first resume to the last."""
+    lives in its locals from the first resume to the last.  Returns
+    the kernels."""
     pack_lists = _pack_lists(elab)
-    fire, _, cyc = unit_kernels(elab, pack_lists, "rand")
+    kernels = fire, _, cyc = unit_kernels(elab, pack_lists, tag)
     ref = Simulator(elab, compiled=False)
     start = Simulator(elab)
     env, mems = start.env, start.mem_state
     frame = cyc(env, mems).__next__
     for values in stimulus:
-        _step_both(ref, fire, frame, env, mems, pack_lists, values)
+        _step_both(ref, fire, frame, env, mems, pack_lists, values, rename)
+    return kernels
 
 
 _STIMULUS = st.lists(
@@ -234,6 +252,118 @@ def test_a_reprime_reads_registers_written_from_outside(
             ref.env[reg] = env[reg] = value & mask(width)
     frame = cyc(env, mems).__next__
     _step_both(ref, fire, frame, env, mems, pack_lists, stimulus[0])
+
+
+def _renamed(elab, rename, shift):
+    """``elab`` with every name through ``rename`` and every comparison
+    literal beside a non-literal moved by ``shift`` (a comparison's
+    range is one bit whatever its operands, so no mask moves)."""
+    def expr(e):
+        if isinstance(e, Ref):
+            return Ref(rename(e.name), e.width)
+        if not isinstance(e, PrimOp):
+            return e
+        args = tuple(expr(a) for a in e.args)
+        if e.op in _COMPARISONS and sum(isinstance(a, Lit)
+                                        for a in args) == 1:
+            args = tuple(Lit((a.value + shift) & mask(a.width), a.width)
+                         if isinstance(a, Lit) else a for a in args)
+        return PrimOp(e.op, args, e.width, e.params)
+
+    def flat(item, **exprs):
+        names = {f: rename(getattr(item, f)) for f in ("name", "mem")
+                 if hasattr(item, f)}
+        return dataclasses.replace(item, **names, **{
+            f: expr(getattr(item, f)) for f in exprs})
+
+    return Elaboration(
+        "Copy", {rename(n): w for n, w in elab.inputs.items()},
+        {rename(n): w for n, w in elab.outputs.items()},
+        [flat(a, **({"expr": 1} if isinstance(a, FlatAssign)
+                    else {"addr": 1})) for a in elab.assigns],
+        {rename(n): flat(r, next=1) for n, r in elab.regs.items()},
+        {rename(n): flat(m) for n, m in elab.mems.items()},
+        [flat(w, addr=1, data=1, en=1) for w in elab.writes],
+        {rename(n): w for n, w in elab.widths.items()})
+
+
+def _copy_name(name):
+    return f"tile7.{name}"
+
+
+@given(elab=netlists(), stimulus=_STIMULUS, shift=st.integers(1, 255))
+@settings(max_examples=40, deadline=None)
+def test_a_renamed_copy_runs_on_the_shared_template(elab, stimulus, shift):
+    """The FAME-5 case: a copy that differs only in names and compare
+    literals, printed with the original, shares its template, and the
+    kernels made from it by swapping constants still equal the
+    interpreter on the copy."""
+    copy = _renamed(elab, _copy_name, shift)
+    first, _ = share_kernels([(elab, _pack_lists(elab), "rand"),
+                              (copy, _pack_lists(copy), "copy")])
+    shared = _run_against_interpreter(copy, stimulus, "copy", _copy_name)
+    for mine, theirs in zip(first, shared):
+        if mine is None:
+            continue
+        assert theirs is not mine
+        assert theirs._stepjit_template is mine._stepjit_template
+        assert theirs._stepjit_shared == mine._stepjit_stats["kernel"]
+        names = {n: v for n, v in mine._stepjit_slots.items()
+                 if isinstance(v, str)}
+        assert {n: v for n, v in theirs._stepjit_slots.items()
+                if isinstance(v, str)} \
+            == {n: _copy_name(v) for n, v in names.items()}
+        assert "tile7." not in theirs._stepjit_template
+
+
+def _masked_slice(value):
+    """``o = bits(and(x, value), 3, 0)``: the slice's mask is elided
+    exactly when ``value`` fits in four bits."""
+    x = Ref("x", 8)
+    return Elaboration(
+        "Slice", {"x": 8}, {"o": 4},
+        [FlatAssign("o", PrimOp("bits", (PrimOp(
+            "and", (x, Lit(value, 8)), 8),), 4, (3, 0)))],
+        {}, {}, [], {"x": 8, "o": 4})
+
+
+def test_a_literal_that_flips_a_mask_does_not_share():
+    """The template is printed after the ranges are decided, so a
+    literal whose range changes what is printed changes the template
+    too, and the kernels stay apart."""
+    fields = [[("o", 0, 15)]]
+    fits, shares, wide = compile_kernels([
+        print_kernel(_masked_slice(v), fields, False, f"fire:{v}")
+        for v in (15, 9, 16)])
+    assert shares._stepjit_template is fits._stepjit_template
+    assert wide._stepjit_template != fits._stepjit_template
+    assert "& 15" in wide._stepjit_template \
+        and "& 15" not in fits._stepjit_template
+    for x in (0, 7, 200, 255):
+        env = {"x": x, "o": 0}
+        assert (fits(env, {}), shares(env, {}), wide(env, {})) \
+            == (x & 15, x & 9, x & 16 & 15)
+
+
+def test_a_folded_placeholder_compiles_its_own_source():
+    """The guard: ``y * k`` where ``y`` is an alias of the literal 5
+    prints ``(5 * '@1')``, which CPython folds into a string, so the
+    placeholder is not in the template's ``co_consts``; each kernel
+    then compiles its own source, and computes its own product."""
+    def elab(k):
+        return Elaboration(
+            "Fold", {}, {"o": 16},
+            [FlatAssign("y", Lit(5, 8)),
+             FlatAssign("o", PrimOp("mul", (Ref("y", 8), Lit(k, 8)), 16))],
+            {}, {}, [], {"y": 8, "o": 16})
+
+    three, four = compile_kernels([print_kernel(
+        elab(k), [[("o", 0, 65535)]], False, f"fire:{k}") for k in (3, 4)])
+    assert "(5 * '@1')" in three._stepjit_template
+    assert three._stepjit_template is four._stepjit_template
+    assert TEMPLATES[three._stepjit_template][2] is None
+    assert 15 in three.__code__.co_consts and 20 in four.__code__.co_consts
+    assert (three({}, {}), four({}, {})) == (15, 20)
 
 
 def test_a_stale_frame_misses_an_outside_write():
@@ -313,7 +443,7 @@ def test_ring_kernel_structure():
     elab = _streaming_ring()
     fields = [(port, i, 1) for i, port in enumerate(elab.outputs)]
     cyc = compile_kernel(elab, [fields], True, "cyc:ring")
-    src = cyc._stepjit_source
+    src = kernel_source(cyc)
     assert src.startswith("def _k(env, mems")
     prime, loop = src.split("    while True:\n")
     assert loop.splitlines()[-1].startswith("        yield ")
@@ -347,7 +477,7 @@ def test_non_fitting_address_keeps_its_modulo():
         {}, {"m": FlatMem("m", 5, 4, (1, 2, 3, 4, 5))}, [],
         {"a": 3, "o": 4, "rd": 4})
     fire = compile_kernel(elab, [[("o", 0, 15)]], False, "fire:m")
-    assert "% 5" in fire._stepjit_source
+    assert "% 5" in kernel_source(fire)
     env = {"a": 7, "o": 0, "rd": 0}
     assert fire(env, {"m": [1, 2, 3, 4, 5]}) == 3
 

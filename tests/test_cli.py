@@ -183,15 +183,42 @@ class TestJit:
         kernels = re.findall(
             r"^  kernel (\w+):(\w+): (\d+) cone assigns -> (\d+) printed "
             r"\((\d+) aliases folded, (\d+) nodes inlined\), "
-            r"(\d+) masks elided, (\d+) statements$", out, re.M)
+            r"(\d+) masks elided, (\d+) statements"
+            r"(?:, code shared with (\w+:\w+))?$", out, re.M)
         assert sorted((kind, part) for kind, part, *_ in kernels) == sorted(
             (kind, part) for part in ("base", "fpga0", "fpga1")
             for kind in ("cyc", "fire"))
-        for _kind, _part, *counts in kernels:
+        for _kind, _part, *counts, _shared in kernels:
             cone, printed, aliases, inlined, _, _ = map(int, counts)
             assert printed == cone - aliases - inlined
         assert all(int(k[4]) and int(k[5]) and int(k[6])
                    for k in kernels if k[0] == "cyc")
+        # the two tiles differ in names and router ids only: fpga1
+        # runs fpga0's code with its own constants
+        assert {(kind, part): shared for kind, part, *_, shared
+                in kernels} == {
+            ("fire", "base"): "", ("cyc", "base"): "",
+            ("fire", "fpga0"): "", ("cyc", "fpga0"): "",
+            ("fire", "fpga1"): "fire:fpga0", ("cyc", "fpga1"): "cyc:fpga0"}
+
+    def test_dump_prints_each_kernel_with_its_own_names(
+            self, tmp_path, capsys):
+        from repro.targets.soc import make_ring_noc_soc
+
+        path = tmp_path / "ring.fir"
+        path.write_text(print_circuit(
+            make_ring_noc_soc(2, messages_per_tile=2)))
+        assert main(["jit", str(path), "--mode", "fast", "--dump",
+                     "--extract", "router0,conv0,tile0",
+                     "--extract", "router1,conv1,tile1"]) == 0
+        out = capsys.readouterr().out
+        dumps = dict(re.findall(
+            r"^# kernel for (\w+)\n(def _k.*?)(?=^# kernel for|\Z)", out,
+            re.M | re.S))
+        assert "env['router0." in dumps["fpga0"] \
+            and "router1." not in dumps["fpga0"]
+        assert "env['router1." in dumps["fpga1"] \
+            and "router0." not in dumps["fpga1"]
 
 
 class TestTelemetryCLI:
