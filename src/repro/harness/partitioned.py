@@ -666,16 +666,15 @@ class PartitionedSimulation:
 
     def _run_unit(self, up: _UnitPlan) -> bool:
         """One unit's slot in a pass, interpreted (the caller checked the
-        unit is short of its target); the step plane prints this call
-        behind every unit's outbox guard."""
+        unit is short of its target): the reference the compiled step
+        plane inlines."""
         part = up.part
         unit = up.unit
-        progress = False
         spans = part.hooks.spans
         arrivals = self._arrivals
-        if unit.try_fire_outputs():
-            progress = True
-        for base, word in unit.drain_outbox_words():
+        fired = unit.try_fire_outputs()
+        progress = bool(fired)
+        for base, word in fired:
             op = up.out_ops[base]
             dep_arrival = 0.0
             for key in op.dep_keys:
@@ -840,25 +839,6 @@ class PartitionedSimulation:
             progress = True
         return progress
 
-    def _interpret_partition(self, pplan: _PartPlan,
-                             target_cycles: int) -> bool:
-        """One partition's slot in a pass, interpreted: source feeding
-        (into the pre-created arrival deques), then every unit short of
-        ``target_cycles``.  A compiled pass calls it for a partition it
-        cannot print."""
-        arrivals = self._arrivals
-        for key, channel, source, unit in pplan.source_ops:
-            if not channel.queue:
-                channel.put_word(
-                    source.next_word(unit.target_cycle, channel.codec))
-                arrivals[key].append(0.0)
-        progress = False
-        for up in pplan.unit_plans:
-            if up.unit.target_cycle < target_cycles \
-                    and self._run_unit(up):
-                progress = True
-        return progress
-
     def _interpret(self, stepped: List[_PartPlan], target_cycles: int,
                    budget: int) -> Tuple[int, bool]:
         """The reference pass loop, the plane's ``advance`` with the JIT
@@ -867,13 +847,23 @@ class PartitionedSimulation:
         ``budget`` passes have run; returns ``(passes, progress of the
         last one)``.  The compiled ``_pass`` keeps this contract."""
         units = [up.unit for pplan in stepped for up in pplan.unit_plans]
+        arrivals = self._arrivals
         passes, progress = 0, True
         while passes < budget and progress \
                 and min([u.target_cycle for u in units]) < target_cycles:
             progress = False
             for pplan in stepped:
-                if self._interpret_partition(pplan, target_cycles):
-                    progress = True
+                # source feeding (into the pre-created arrival deques),
+                # then every unit short of ``target_cycles``
+                for key, channel, source, unit in pplan.source_ops:
+                    if not channel.queue:
+                        channel.put_word(source.next_word(
+                            unit.target_cycle, channel.codec))
+                        arrivals[key].append(0.0)
+                for up in pplan.unit_plans:
+                    if up.unit.target_cycle < target_cycles \
+                            and self._run_unit(up):
+                        progress = True
                 if self._metrics_on:
                     # right after the slot, on every backend; entered at
                     # the next sample cycle (``on_pass`` decides) or for

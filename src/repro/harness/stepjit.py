@@ -3,7 +3,7 @@
 The precompiled wavefront schedule (`partitioned._compile_schedule`)
 already resolves the static topology into flat op lists, but the
 interpreter (`_run_unit`) still *walks* those lists for every unit on
-every pass: method dispatch into ``try_fire_outputs``, outbox list
+every pass: method dispatch into ``try_fire_outputs``, fired-list
 churn, per-token dict lookups, and one redundant RTL ``eval`` per fired
 output channel.  This module instead *generates* one straight-line
 function per plane, ``_pass(target_cycles, budget) -> (passes,
@@ -16,10 +16,10 @@ pass boundary kept) that runs while some unit is short of
 ``budget`` passes have run.
 
 What a partition's slot inlines (DESIGN "The compiled step plane",
-Tier 1): source feeding; the LI-BDN fire FSM per output channel, with
-the outbox bypassed (the fired word flows to its timing op through a
-local) and a per-unit settled flag that makes every later no-dep fire
-of one settle a pure re-pack (k+1 evals per fast-mode cycle -> 1); the
+Tier 1): source feeding; the LI-BDN fire FSM per output channel, the
+fired word flowing to its timing op through a local, with a per-unit
+settled flag that makes every later no-dep fire of one settle a pure
+re-pack (k+1 evals per fast-mode cycle -> 1); the
 timing overlay with every per-op constant folded into a float literal
 and each partition's busy cursor and spans carried in suffixed locals
 (``busy0``, ``lw0``, ...; the token count ``tt`` is shared), loaded
@@ -49,20 +49,15 @@ slot, where the interpreter makes it.
 **The call-out rule.**  Nothing attached to a run selects its engine:
 ``link.transmit`` (busy cursor published first) and
 ``switch.traverse`` are printed as calls where ``_run_unit`` makes
-them.  A call-out into the harness gets every carried cursor it can
-read published before it and every one it can write reloaded after
-it: the interpreter fallback (``_run_unit``) its partition's cursors
-and the token count; a partition that cannot be printed (the
-interpreter's partition body) the token count; the sampler's
-``on_pass`` every cursor, published only.  :func:`partition_jit_reason`
-keeps the two reasons a *unit* cannot be printed (no
-``step_bindings``; RTL engine built ``compiled=False``), and a unit
-whose outbox is unexpectedly non-empty (a checkpoint captured
-mid-``host_step``) delegates its slot to the interpreter — otherwise
-the differential reference and the ``stepjit=False`` engine — and
-re-primes its kernel frame.  Both tiers carry a settle (the kernel
-tier a frame too) across passes, never across ``run()`` entries,
-which is why ``run``'s ``stop`` callbacks observe and do not write.
+them, and the sampler's ``on_pass`` gets every carried cursor
+published before it.  A plane runs wholly printed or wholly
+interpreted: :func:`partition_jit_reason` keeps the one reason a unit
+cannot be printed (an RTL engine built ``compiled=False``), and one
+such unit puts every partition of its plane on the interpreter — the
+differential reference and the ``stepjit=False`` engine.  Both tiers
+carry a settle (the kernel tier a frame too) across passes, never
+across ``run()`` entries, which is why ``run``'s ``stop`` callbacks
+observe and do not write.
 
 Bit-exactness contract: for every partition the compiled pass
 performs the *same mutations in the same order* as ``_run_unit``, so
@@ -109,24 +104,20 @@ def stepjit_enabled(sim=None) -> bool:
 
 
 # --------------------------------------------------------------------------
-# eligibility: the two structural reasons
+# eligibility: the one structural reason
 # --------------------------------------------------------------------------
 
 
 def partition_jit_reason(sim, pplan) -> Optional[str]:
-    """Why a partition must stay on the interpreter (None = JIT-able).
+    """Why a partition cannot be printed (None = JIT-able).
 
     Only a unit itself can disqualify it; nothing attached to a run
     does (live sinks are compiled in, hardened or faulted links and
     switch hops are call-outs)."""
     for up in pplan.unit_plans:
-        unit = up.unit
-        label = f"{up.prefix}{unit.name}"
-        if getattr(unit, "step_bindings", None) is None:
-            return f"{label}: host exposes no step_bindings fast path"
-        rtl = getattr(unit, "sim", None)
-        if rtl is None or not getattr(rtl, "compiled", False):
-            return f"{label}: RTL engine runs interpreted (compiled=False)"
+        if not up.unit.sim.compiled:
+            return (f"{up.prefix}{up.unit.name}: RTL engine runs "
+                    f"interpreted (compiled=False)")
     return None
 
 
@@ -209,16 +200,11 @@ class _PassCodegen:
         self.b = _Binder()
         self.w = _Writer()
         b = self.b
-        self.reasons = [partition_jit_reason(sim, p) for p in pplans]
-        #: stepped index -> (partition, spans) names of each printed
-        #: partition, whose cursors the pass carries as ``busy{i}`` ...
-        self.owners = {i: (b.bind(p.part, "pt"),
-                           b.bind(p.part.hooks.spans, "sp"))
-                       for i, (p, reason)
-                       in enumerate(zip(pplans, self.reasons))
-                       if reason is None}
+        #: (partition, spans) names of each stepped partition, whose
+        #: cursors the pass carries as ``busy{i}`` ...
+        self.owners = [(b.bind(p.part, "pt"),
+                        b.bind(p.part.hooks.spans, "sp")) for p in pplans]
         self.SIM = b.bind(sim, "sm")
-        self.RI = b.bind(sim._run_unit, "ri")
         self.LEN = b.bind(len, "len")
         self.RANGE = b.bind(range, "rng")
         router = sim.router
@@ -257,7 +243,7 @@ class _PassCodegen:
     # -- fragments --------------------------------------------------------
 
     def _emit_feed(self, L: int, source_ops) -> None:
-        """Source feeding: the interpreter partition body's, inlined."""
+        """Source feeding: the interpreter's, inlined."""
         w, b = self.w, self.b
         for key, channel, source, unit in source_ops:
             SQ = b.bind(channel.queue, "sq")
@@ -271,14 +257,12 @@ class _PassCodegen:
             w.emit(L + 1, f"{CH}.total_enqueued += 1")
             w.emit(L + 1, f"{AQ}.append(0.0)")
 
-    def _cursor_stmts(self, load: bool, parts=None) -> List[str]:
+    def _cursor_stmts(self, load: bool) -> List[str]:
         """The cursors a pass carries in locals — the busy cursor and
-        FMR spans of each printed partition in ``parts`` (stepped
-        indexes; default: every one), then the simulation's token count
+        FMR spans of each partition, then the simulation's token count
         — loaded from (or stored back to) the objects that own them."""
         pairs = []
-        for i in self.owners if parts is None else parts:
-            PT, SP = self.owners[i]
+        for i, (PT, SP) in enumerate(self.owners):
             pairs += [(f"busy{i}", f"{PT}.busy_until"),
                       (f"lw{i}", f"{SP}.link_wait_ns"),
                       (f"cs{i}", f"{SP}.credit_stall_ns"),
@@ -288,21 +272,6 @@ class _PassCodegen:
         pairs.append(("tt", f"{self.SIM}.total_tokens"))
         return [f"{local} = {attr}" if load else f"{attr} = {local}"
                 for local, attr in pairs]
-
-    def _emit_callout(self, L: int, call: str, parts=None,
-                      writes: bool = True) -> None:
-        """A call-out reading the carried cursors of ``parts``: published
-        before it and, when it ``writes`` them, reloaded after it (also
-        on a raise, so the ``finally`` stores what the callee left)."""
-        w = self.w
-        w.emit(L, "; ".join(self._cursor_stmts(False, parts)))
-        if not writes:
-            w.emit(L, call)
-            return
-        w.emit(L, "try:")
-        w.emit(L + 1, call)
-        w.emit(L, "finally:")
-        w.emit(L + 1, "; ".join(self._cursor_stmts(True, parts)))
 
     def _emit_event(self, L: int, kind: str, ts: str, dur: str,
                     part: str, scope: str, args) -> None:
@@ -326,8 +295,7 @@ class _PassCodegen:
         """One per-unit counter inc (live telemetry only).  The counter
         is created on first use through the ``_UnitPlan`` cache the
         interpreter fills, so an instrument exists exactly when the
-        interpreter would have created it and a fallback pass through
-        ``_run_unit`` increments the same object."""
+        interpreter would have created it."""
         if self.metrics:
             w = self.w
             UP = self.b.bind(up, "up")
@@ -351,7 +319,7 @@ class _PassCodegen:
     def _emit_fire(self, L: int, uid: int, j: int, entry, names: dict
                    ) -> None:
         """One output channel's fire FSM (try_fire_outputs, inlined;
-        the fired word is kept in a local instead of the outbox)."""
+        the fired word is kept in a local for its out-op)."""
         w, b = self.w, self.b
         name, out_ch, dep_plans, pack_fields = entry
         F, ENV, MEMS, C = (names["F"], names["ENV"], names["MEMS"],
@@ -708,15 +676,12 @@ class _PassCodegen:
             self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
 
     def _emit_unit(self, L: int, up) -> None:
-        """One unit's pass, both tiers: header, outbox guard +
-        interpreter fallback, fire, out-ops, advance.  A
-        tier supplies only its fire fragment and the advance's
-        ``settle`` lines (``stale`` drops the settle, and the frame,
-        it carries across passes): the generic tier the engine's
-        ``comb``/``tick`` pair behind a settled flag; the kernel tier
-        (dep-free units on a compiled engine) fused, cone-reduced RTL
-        kernels plus the fused single-settle advance ahead of the shared
-        split-path one."""
+        """One unit's pass, both tiers: header, fire, out-ops, advance.
+        A tier supplies only its fire fragment and the advance's
+        ``settle`` lines: the generic tier the engine's ``comb``/``tick``
+        pair behind a settled flag; the kernel tier (dep-free units on a
+        compiled engine) fused, cone-reduced RTL kernels plus the fused
+        single-settle advance ahead of the shared split-path one."""
         w, b = self.w, self.b
         uid = self.n_units
         self.n_units += 1
@@ -733,41 +698,28 @@ class _PassCodegen:
             "out_channels": bindings["out_channels"],
             "up": up,
         }
-        U, F = names["U"], names["F"]
         settle_args = f"({names['ENV']}, {names['MEMS']})"
         fire_plans = names["fire_plans"]
         k = len(fire_plans)
-        # runtime guard: a non-empty outbox means state the generated
-        # code does not model (e.g. a checkpoint captured between a fire
-        # and its drain) — delegate this unit's pass to the interpreter
-        guard = f"{U}.outbox"
         kernel = _kernel_request(up)
         if kernel:
             kern = unit_kernels(*kernel)
             self.kernel_units[uid] = b.bind(up, "up")
-            if k:
-                names["KF"] = b.bind(kern[0], "kf")
             # the split-path advance resumes the frame too, words ignored
             up.kernel = partial(kern[2] or kern[1], bindings["env"],
                                 bindings["mems"])
             KA = names["KC"] = f"kn{uid}"
             names["in_qs"] = [b.bind(ch.queue, "iq")
                               for ch, _ in names["in_plans"]]
-            stale = []
+            settle, dirty = [KA + "()"], []
             if k:
+                names["KF"] = b.bind(kern[0], "kf")
                 #: quiescence cell: converged plus cached words means
                 #: the previous settle hit a tick fixed point, so a
                 #: repeat-input cycle replays them and skips the kernel
                 names["QS"] = b.bind(up.settle, "qs")
-                stale = [f"{names['QS']}[0] = False"]
-                # non-uniform fire flags: a shape the kernels do not
-                # model either
-                guard += "".join(
-                    f" or {F}[{fire_plans[0][0]!r}] != {F}[{e[0]!r}]"
-                    for e in fire_plans[1:])
-            # a changed-input tick: the cached words no longer match
-            settle, dirty = [KA + "()"] + stale, []
-            stale = stale + [f"{KA} = {self.kernel_units[uid]}.prime()"]
+                # a changed-input tick: the cached words no longer match
+                settle.append(f"{names['QS']}[0] = False")
             w.emit(L, f"# unit {up.prefix}{unit.name}: fused RTL kernels")
         else:
             names["C"] = b.bind(bindings["comb"], "c")
@@ -777,17 +729,9 @@ class _PassCodegen:
             self.settle_cells[uid] = up.settle
             b.bind(up.settle, "dc")
             settle = [names["C"] + settle_args, T + settle_args]
-            stale = dirty = [f"stl{uid} = False"]
-        w.emit(L, f"if {U}.target_cycle < target_cycles:")
-        Lu = L + 1
-        w.emit(Lu, f"if {guard}:")
-        # the interpreter reads and writes this partition's cursors
-        self._emit_callout(Lu + 1, f"if {self.RI}({b.bind(up, 'up')}): "
-                                   "progress = True", [self.s])
-        for line in stale:  # the interpreter moved RTL state
-            w.emit(Lu + 1, line)
-        w.emit(Lu, "else:")
-        Lb = Lu + 1
+            dirty = [f"stl{uid} = False"]
+        w.emit(L, f"if {names['U']}.target_cycle < target_cycles:")
+        Lb = L + 1
         for j in range(k):
             w.emit(Lb, f"w{uid}_{j} = None")
         if kernel:
@@ -797,7 +741,7 @@ class _PassCodegen:
         else:
             for j, entry in enumerate(fire_plans):
                 self._emit_fire(Lb, uid, j, entry, names)
-        # process fired tokens in fire (outbox) order
+        # process fired tokens in fire order
         for j, entry in enumerate(fire_plans):
             self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
         if kernel:
@@ -814,38 +758,29 @@ class _PassCodegen:
         Lt, b = 4, self.b  # pass statements sit inside the ``while``
         # every kernel printed before any is compiled: repeated
         # partitions compile one template
-        share_kernels([request for pplan, reason in zip(self.pplans,
-                                                        self.reasons)
-                       if reason is None for up in pplan.unit_plans
+        share_kernels([request for pplan in self.pplans
+                       for up in pplan.unit_plans
                        for request in [_kernel_request(up)] if request])
         for i, pplan in enumerate(self.pplans):
             start, kernels = len(self.w.lines), len(self.kernel_units)
-            reason = self.reasons[i]
-            if reason is None:
-                self.s = i
-                self._emit_feed(Lt, pplan.source_ops)
-                for up in pplan.unit_plans:
-                    self._emit_unit(Lt, up)
-            else:
-                # a partition that cannot be printed: the interpreter's
-                # body runs its slot
-                IP = b.bind(self.sim._interpret_partition, "ip")
-                self._emit_callout(Lt, f"if {IP}({b.bind(pplan, 'pp')}, "
-                                       "target_cycles): progress = True", [])
+            self.s = i
+            self._emit_feed(Lt, pplan.source_ops)
+            for up in pplan.unit_plans:
+                self._emit_unit(Lt, up)
             if self.metrics:
                 # the sampler check, where the interpreter makes it: a
                 # sample reads its partition's cursors, live status
-                # every busy cursor, and neither writes one
+                # every busy cursor, and neither writes one, so every
+                # cursor is published before the call and none reloaded
                 TEL, U = self.TEL, b.bind(pplan.unit_plans[0].unit, "u")
                 self.w.emit(Lt, f"_sm = {TEL}.sampler")
                 self.w.emit(Lt, f"if {TEL}.live is not None or "
                                 f"{U}.target_cycle >= _sm.next_at.get("
                                 f"{pplan.part.name!r}, _sm.interval):")
-                self._emit_callout(Lt + 1, f"{self.ONP}({self.SIM}, "
-                                   f"{b.bind(pplan.part, 'pt')})",
-                                   writes=False)
+                self.w.emit(Lt + 1, "; ".join(self._cursor_stmts(False)))
+                self.w.emit(Lt + 1, f"{self.ONP}({self.SIM}, "
+                                    f"{b.bind(pplan.part, 'pt')})")
             self.report[pplan.part.name] = (
-                f"interpreted: {reason}" if reason else
                 f"compiled: {len(pplan.unit_plans)} unit(s) "
                 f"({len(self.kernel_units) - kernels} fused-kernel), "
                 f"{len(self.w.lines) - start} lines")
@@ -862,9 +797,8 @@ class _PassCodegen:
         store = self._cursor_stmts(load=False) \
             + [f"{cell} = {local}" for local, cell in cells]
         if self.trace:
-            # rows printed this call, added once on the way out (an
-            # interpreter pass or a call-out adds its own events there
-            # as it emits them)
+            # rows printed this call, added once on the way out (a
+            # call-out adds its own events as it emits them)
             load.append("te = 0")
             store.append(f"{self.TR}.total_emitted += te")
         w.emit(0, "def _make(_B):")
@@ -916,30 +850,49 @@ def generate_partition_source(sim, pplan
     return _PassCodegen(sim, [pplan]).generate()
 
 
+def _interpreted(sim, stepped) -> Optional[Dict[str, str]]:
+    """Every stepped partition's verdict when one of them cannot be
+    printed (the whole plane then runs interpreted), else None."""
+    for pplan in stepped:
+        reason = partition_jit_reason(sim, pplan)
+        if reason is not None:
+            return {p.part.name: f"interpreted: {reason}" for p in stepped}
+    return None
+
+
 def compile_step_functions(sim) -> Tuple[
         Callable[[int, int], Tuple[int, bool]], Dict[str, str]]:
     """The plane's pass loop, printed and ``compile()``d once, and every
     partition's compile verdict (the harness's ``last_jit_report``):
     ``(advance, report)``, ``advance(target_cycles, budget) -> (passes,
-    progress)`` being the compiled ``_pass`` or, with the JIT disabled,
-    the harness's interpreter loop with the same contract."""
+    progress)`` being the compiled ``_pass`` or, with the JIT disabled
+    or a stepped partition that cannot be printed, the harness's
+    interpreter loop with the same contract."""
     stepped = _stepped(sim)
     if not stepjit_enabled(sim):
         return partial(sim._interpret, stepped), {
             name: "disabled (REPRO_STEPJIT / stepjit override)"
             for name in sim.partitions}
+    report = dict.fromkeys(sim.partitions,
+                           "skipped: not scheduled in this process")
+    verdicts = _interpreted(sim, stepped)
+    if verdicts is not None:
+        report.update(verdicts)
+        return partial(sim._interpret, stepped), report
     cg = _PassCodegen(sim, stepped)
     src, bindings = cg.generate()
     namespace: Dict[str, object] = {}
     exec(compile(src, "<stepjit:pass>", "exec"), namespace)
-    report = dict.fromkeys(sim.partitions,
-                           "skipped: not scheduled in this process")
     report.update(cg.report)
     return namespace["_make"](bindings), report
 
 
 def generate_sources(sim) -> Tuple[str, Dict[str, str]]:
-    """The pass source ``run()`` compiles with the JIT on, and each
-    partition's verdict (``repro jit``)."""
-    cg = _PassCodegen(sim, _stepped(sim))
+    """The pass source ``run()`` compiles with the JIT on (empty for an
+    interpreted plane), and each partition's verdict (``repro jit``)."""
+    stepped = _stepped(sim)
+    verdicts = _interpreted(sim, stepped)
+    if verdicts is not None:
+        return "", verdicts
+    cg = _PassCodegen(sim, stepped)
     return cg.generate()[0], cg.report

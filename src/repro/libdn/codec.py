@@ -1,7 +1,7 @@
 """Packed token codec: one Python int per channel token.
 
 A token used to travel as a ``{port: value}`` dict, copied at every hop
-(source -> channel -> outbox -> link -> channel -> poke).  The codec
+(source -> channel -> fire -> link -> channel -> poke).  The codec
 derives a fixed bit layout from a :class:`ChannelSpec` — port ``i``
 occupies ``width_i`` bits at the offset that is the sum of the widths
 before it — and packs the whole token into a single arbitrary-precision

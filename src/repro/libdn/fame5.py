@@ -8,35 +8,26 @@ platform layer's LUT estimates and the timing shows up in the harness
 (advancing all N threads one target cycle costs N host cycles — the key to
 amortizing inter-FPGA latency, Sec. VI-B).
 
-:class:`FAME5Host` presents the same duck-typed interface as
-:class:`~repro.libdn.wrapper.LIBDNHost`; its channels are the per-thread
-channels of the wrapped module, namespaced ``t<i>:<channel>``.
+:class:`FAME5Host` is the threads and their checkpoint, nothing else:
+a :class:`~repro.harness.partitioned.Partition` flattens the threads
+into units whose channels it namespaces ``t<i>:<channel>`` and steps
+each one like a plain :class:`~repro.libdn.wrapper.LIBDNHost`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..errors import SimulationError
-from ..rtl.engine import Simulator
-from .token import ChannelSpec, Token
 from .wrapper import LIBDNHost
 
 
 class FAME5Host:
-    """N threaded copies of one module behind namespaced channels."""
+    """N threaded copies of one module, each a pre-built LI-BDN host."""
 
-    def __init__(self, sims: Sequence[Simulator],
-                 in_specs: Sequence[ChannelSpec],
-                 out_specs: Sequence[ChannelSpec],
-                 name: str = "fame5"):
-        if not sims:
-            raise SimulationError("FAME5Host needs at least one thread")
+    def __init__(self, threads: List[LIBDNHost], name: str):
         self.name = name
-        self.threads: List[LIBDNHost] = [
-            LIBDNHost(sim, in_specs, out_specs, name=f"{name}.t{i}")
-            for i, sim in enumerate(sims)
-        ]
+        self.threads = threads
 
     @classmethod
     def from_hosts(cls, hosts: Sequence[LIBDNHost],
@@ -47,75 +38,7 @@ class FAME5Host:
         meaningful)."""
         if not hosts:
             raise SimulationError("FAME5Host needs at least one thread")
-        obj = cls.__new__(cls)
-        obj.name = name
-        obj.threads = list(hosts)
-        return obj
-
-    @property
-    def target_cycle(self) -> int:
-        """Target cycle of the slowest thread (the simulation frontier)."""
-        return min(t.target_cycle for t in self.threads)
-
-    # -- channel namespacing ---------------------------------------------------
-
-    @staticmethod
-    def _split(channel: str) -> Tuple[int, str]:
-        thread_part, _, base = channel.partition(":")
-        if not base or not thread_part.startswith("t"):
-            raise SimulationError(
-                f"FAME5 channel names look like 't3:chan', got {channel!r}"
-            )
-        return int(thread_part[1:]), base
-
-    def channel_names(self) -> List[str]:
-        names = []
-        for i, t in enumerate(self.threads):
-            names.extend(f"t{i}:{c}" for c in t.in_channels)
-            names.extend(f"t{i}:{c}" for c in t.out_channels)
-        return names
-
-    def deliver(self, channel: str, token: Token) -> None:
-        thread, base = self._split(channel)
-        self.threads[thread].deliver(base, token)
-
-    def seed_inputs(self) -> None:
-        for t in self.threads:
-            t.seed_inputs()
-
-    def drain_outbox(self) -> List[Tuple[str, Token]]:
-        out: List[Tuple[str, Token]] = []
-        for i, t in enumerate(self.threads):
-            out.extend((f"t{i}:{name}", token)
-                       for name, token in t.drain_outbox())
-        return out
-
-    # -- observability ---------------------------------------------------------
-
-    def attach_tracer(self, tracer, clock=None) -> None:
-        """Install a trace sink on every thread (see
-        :meth:`~repro.libdn.wrapper.LIBDNHost.attach_tracer`)."""
-        for t in self.threads:
-            t.attach_tracer(tracer, clock)
-
-    def channel_state(self) -> dict:
-        """Per-thread channel snapshots, keyed ``t<i>`` (see
-        :meth:`~repro.libdn.wrapper.LIBDNHost.channel_state`)."""
-        return {
-            "threads": {
-                f"t{i}": t.channel_state()
-                for i, t in enumerate(self.threads)
-            }
-        }
-
-    # -- scheduling ----------------------------------------------------------------
-
-    def host_step(self) -> bool:
-        """Round-robin scheduler: every thread fires and advances if able."""
-        progress = False
-        for t in self.threads:
-            progress |= t.host_step()
-        return progress
+        return cls(list(hosts), name)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -132,6 +55,3 @@ class FAME5Host:
                 f"host has {len(self.threads)}")
         for thread, thread_state in zip(self.threads, saved):
             thread.load_state_dict(thread_state)
-
-    def stuck_detail(self) -> str:
-        return " || ".join(t.stuck_detail() for t in self.threads)

@@ -19,9 +19,9 @@ combinational logic make forward progress (Fig. 2b).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
+from ..errors import CheckpointError, SimulationError
 from ..observability.tracer import NULL_TRACER, TraceEvent, Tracer
 from ..rtl.engine import Simulator
 from .token import Channel, ChannelSpec, Token
@@ -55,8 +55,6 @@ class LIBDNHost:
                     f"input channels {sorted(unknown)}"
                 )
         self._fired: Dict[str, bool] = {s.name: False for s in out_specs}
-        #: packed words produced this host step, drained by the harness
-        self.outbox: List[Tuple[str, int]] = []
         self.target_cycle = 0
         #: trace sink for fire/advance events (null by default); the
         #: owning harness installs its tracer plus a clock reading the
@@ -88,21 +86,22 @@ class LIBDNHost:
         """Stable fast-path surface for the compiled step plane
         (:mod:`repro.harness.stepjit`).
 
-        The generated pass (one per plane) bypasses
-        :meth:`try_fire_outputs` / :meth:`advance` and inlines their
-        bodies against the objects returned here.  Everything in the
-        dict is *the* live object (not a copy): the precompiled fire
-        plans, the fired-flag dict, the RTL engine's signal environment
-        and compiled comb/tick functions, mutated in place for the life
-        of a compiled plane (DESIGN "The compiled step plane" names the
-        one function that replaces them and drops the plane).
+        The generated pass (one per plane) never calls
+        :meth:`try_fire_outputs` / :meth:`advance`: it inlines their
+        bodies against the objects returned here, for every unit of the
+        plane or for none.  Everything in the dict is *the* live object
+        (not a copy): the precompiled fire plans, the fired-flag dict,
+        the RTL engine's signal environment and compiled comb/tick
+        functions, mutated in place for the life of a compiled plane
+        (DESIGN "The compiled step plane" names the one function that
+        replaces them and drops the plane).
 
         ``comb``/``tick`` are the engine's generic pair for a host
         whose outputs carry combinational deps.  They are ``None`` when
-        the RTL engine runs interpreted (the generator refuses such
-        units) and for a dep-free host, which the generator runs on
-        fused kernels: its engine generates the pair only if something
-        calls ``eval``/``tick``.
+        the RTL engine runs interpreted (a plane holding such a unit
+        runs wholly on the interpreter) and for a dep-free host, which
+        the generator runs on fused kernels: its engine generates the
+        pair only if something calls ``eval``/``tick``.
         """
         sim = self.sim
         generic = getattr(sim, "compiled", False) and any(
@@ -158,23 +157,13 @@ class LIBDNHost:
         for ch in self.in_channels.values():
             ch.put_word(0)
 
-    def drain_outbox(self) -> List[Tuple[str, Token]]:
-        """Drain produced tokens as dicts (compatibility surface; the
-        harness drains :meth:`drain_outbox_words` instead)."""
-        out, self.outbox = self.outbox, []
-        return [(name, self.out_channels[name].codec.decode(word))
-                for name, word in out]
-
-    def drain_outbox_words(self) -> List[Tuple[str, int]]:
-        out, self.outbox = self.outbox, []
-        return out
-
     # -- LI-BDN state machines -------------------------------------------------
 
-    def try_fire_outputs(self) -> List[str]:
+    def try_fire_outputs(self) -> List[Tuple[str, int]]:
         """Fire every armed output channel whose comb-dependent inputs hold
-        tokens; returns the names fired (in deterministic order)."""
-        fired_now: List[str] = []
+        tokens; returns the ``(name, packed word)`` pairs fired, in
+        deterministic order, for the caller to put on the wire."""
+        fired_now: List[Tuple[str, int]] = []
         fired = self._fired
         sim = self.sim
         for name, out_ch, dep_plans, pack_fields in self._fire_plans:
@@ -201,9 +190,8 @@ class LIBDNHost:
             for port, offset, _ in pack_fields:
                 word |= env[port] << offset
             out_ch.put_word(word)
-            self.outbox.append((name, word))
             fired[name] = True
-            fired_now.append(name)
+            fired_now.append((name, word))
             if self.tracer.enabled:
                 self.tracer.emit(TraceEvent(
                     "channel_fire", ts_ns=self.trace_clock(),
@@ -231,8 +219,8 @@ class LIBDNHost:
         sim.tick()
         for name in self._fired:
             self._fired[name] = False
-        # tokens the fire FSMs enqueued for bookkeeping are consumed by the
-        # harness via the outbox; drop our local copies.
+        # the fired words went to the caller of try_fire_outputs; drop
+        # the copies the fire FSMs enqueued for bookkeeping
         for ch in self._out_channel_list:
             if ch.queue:
                 ch.queue.popleft()
@@ -255,7 +243,7 @@ class LIBDNHost:
 
     def state_dict(self) -> dict:
         """Capture the full host state (simulator, channel queues, fire
-        FSMs, outbox) as a JSON-serializable dict.  Together with the
+        FSMs) as a JSON-serializable dict.  Together with the
         harness-level link/timing state this is everything needed to
         resume a partitioned run bit-identically."""
         def channels(table: Dict[str, Channel]) -> dict:
@@ -272,13 +260,20 @@ class LIBDNHost:
             "in_channels": channels(self.in_channels),
             "out_channels": channels(self.out_channels),
             "fired": dict(self._fired),
-            "outbox": [[name, self.out_channels[name].codec.decode(word)]
-                       for name, word in self.outbox],
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` capture onto a structurally
-        identical host (same channels and underlying module)."""
+        identical host (same channels and underlying module).
+
+        A dep-free host fires all its outputs together or none, and the
+        fused kernels the compiled step plane runs it on model only
+        that, so a capture with some of them fired is refused."""
+        if not any(deps for _, _, deps, _ in self._fire_plans) \
+                and len(set(state["fired"].values())) > 1:
+            raise CheckpointError(
+                f"{self.name}: checkpoint fired flags {state['fired']} "
+                f"split a dep-free host's outputs")
         for attr, table in (("in_channels", self.in_channels),
                             ("out_channels", self.out_channels)):
             saved = state[attr]
@@ -297,10 +292,6 @@ class LIBDNHost:
         # must not leave those bindings pointing at a dead dict
         self._fired.clear()
         self._fired.update(state["fired"])
-        self.outbox = [
-            (name, self.out_channels[name].codec.encode(token))
-            for name, token in state["outbox"]
-        ]
         self.target_cycle = state["target_cycle"]
 
     def channel_state(self) -> dict:

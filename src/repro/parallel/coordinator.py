@@ -498,6 +498,8 @@ class ProcessBackend:
         events: List[TraceEvent] = []
         for name in sim.partitions:
             payload = states[name].postmortem
+            sim.total_tokens += payload["total_delta"]
+            sim.dropped_tokens += payload["dropped_delta"]
             details.extend(payload["stuck"])
             channels[name] = payload["channels"]
             events.extend(payload["events"])

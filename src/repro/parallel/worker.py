@@ -462,8 +462,12 @@ class PartitionWorker:
 
     def postmortem_payload(self) -> dict:
         part = self.part
+        sim = self.sim
         return {
             "partition": self.name,
+            # the run totals a serial deadlock leaves on the simulation
+            "total_delta": sim.total_tokens - self._tokens0,
+            "dropped_delta": sim.dropped_tokens - self._dropped0,
             "frontier": part.target_cycle,
             "busy_until": part.busy_until,
             "stuck": [unit.stuck_detail() for _, unit in part.units],
@@ -472,7 +476,7 @@ class PartitionWorker:
                     unit.channel_state()
                 for prefix, unit in part.units
             },
-            "events": (self._tracer.recent(self.sim.postmortem_events)
+            "events": (self._tracer.recent(sim.postmortem_events)
                        if self._tracer is not None else []),
         }
 

@@ -7,7 +7,7 @@ exactly one partition; :func:`partition_state` /
 
 * the partition's own timing cursor (``busy_until``), FMR span
   accumulators and LI-BDN host state — simulator signals/memories/
-  cycle, channel queues, fire-FSM flags, outbox — for plain and FAME-5
+  cycle, channel queues, fire-FSM flags — for plain and FAME-5
   hosts alike,
 * the **transmit side** of every link it sources: ``tokens`` /
   ``next_free`` / ``busy_ns``, the reliable-link layer (sequence
@@ -27,7 +27,7 @@ partition the worker ran.  Both land through
 :func:`load_partition_state`, so a field added here is captured,
 restored, shipped and merged — or none of them.
 
-The on-disk format is versioned JSON (layout version 2; version 1
+The on-disk format is versioned JSON (layout version 3; earlier
 documents are refused by the version check).  :func:`restore_state`
 validates a topology fingerprint so a checkpoint can only land on a
 structurally identical simulation — the intended flow is to rebuild
@@ -50,7 +50,7 @@ from ..firrtl.fingerprint import elaboration_fingerprint
 from ..harness.partitioned import PartitionedSimulation
 
 CHECKPOINT_FORMAT = "fireaxe-repro-partitioned-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: transmit-side cursors of a link / its switch, saved by attribute
 _LINK_CURSORS = ("tokens", "next_free", "busy_ns")

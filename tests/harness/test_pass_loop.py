@@ -204,9 +204,9 @@ def test_a_plane_prints_and_compiles_its_pass_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", [FAST, EXACT])
 def test_a_partition_that_cannot_be_printed_keeps_its_slot(mode):
-    """A partition on an interpreted RTL engine is a call-out to the
-    interpreter's partition body inside the compiled pass; traced and
-    sampled, the mixed pass lands where the interpreter does."""
+    """One unit on an interpreted RTL engine puts the whole plane on
+    the interpreter: every verdict reads ``interpreted:`` and, traced
+    and sampled, the run lands where the JIT-off run does."""
     seen = []
     for jit in (True, False):
         tracer = RecordingTracer()
@@ -219,8 +219,10 @@ def test_a_partition_that_cannot_be_printed_keeps_its_slot(mode):
         seen.append((_sha(sim, result), [repr(e) for e in tracer.events],
                      tracer.total_emitted))
         if jit:
-            assert sim.last_jit_report["base"].startswith("interpreted: ")
-            assert sim.last_jit_report["fpga1"].startswith("compiled: ")
+            assert set(sim.last_jit_report.values()) == {
+                "interpreted: base: RTL engine runs interpreted "
+                "(compiled=False)"}
+            assert sim._plane.advance.func == sim._interpret
     assert seen[0] == seen[1]
     assert seen[0][1]
 

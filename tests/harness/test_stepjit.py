@@ -6,7 +6,6 @@ interpreter."""
 import dis
 import json
 import re
-from collections import Counter
 from inspect import isgeneratorfunction
 from pathlib import Path
 
@@ -273,12 +272,12 @@ class TestGeneratedSources:
             assert not any(isinstance(v, TraceSite)
                            for v in bindings.values())
 
-    # the null-sink binding tables of the comb-pair build, as generated
-    # before the emit sites existed
+    # the null-sink binding tables of the comb-pair build: what the
+    # pass bound before the emit sites existed
     CLEAN_BINDINGS = {
-        "base": "pt sp sm ri len rng u f e mm r c t dc up oq oc dq oq oc "
+        "base": "pt sp sm len rng u f e mm r c t dc oq oc dq oq oc "
                 "aq ol olg bk lk cq cb cbg dk xq xc aq dh dhg cq",
-        "fpga1": "pt sp sm ri len rng u f e mm r c t dc up oq oc dq aq "
+        "fpga1": "pt sp sm len rng u f e mm r c t dc oq oc dq aq "
                  "lk cq cb cbg dk xq xc aq dh dhg cq",
     }
 
@@ -573,33 +572,27 @@ class TestObservedIdentity:
     @pytest.mark.parametrize("build", [
         lambda **kw: _build(**kw), _ring8(FAST)], ids=["generic", "kernel"])
     def test_outbox_guard_fallback(self, backend, build):
-        """A pass delegated to ``_run_unit`` emits through the same
-        sinks and increments the same lazily created instruments."""
+        """A run resumed after an in-process segment emits through the
+        same sinks and increments the same lazily created
+        instruments."""
         def prepare(sim):
             sim.run(5, backend="inproc")
-            for part in sim.partitions.values():
-                for _, unit in part.units:
-                    unit.try_fire_outputs()
 
         sim, jit = _observe(build, 40, True, backend, prepare)
         _, interp = _observe(build, 40, False, backend, prepare)
         assert jit == interp
 
     def test_bounded_ring_of_rows_and_events(self, backend):
-        """A 64-entry ring over a run that emits thousands of events.
-        The outbox-guard fallback puts interpreter-emitted events among
-        the plane's rows; what the ring retains, its tail, its per-kind
-        counts and ``total_emitted`` are the interpreter's, at the seam
-        and at the end."""
+        """A 64-entry ring over a run that emits thousands of events:
+        what the ring retains, its tail, its per-kind counts and
+        ``total_emitted`` are the interpreter's, at the seam and at the
+        end."""
         def seen(jit):
             tracer = RecordingTracer(capacity=64)
             sim = _ring8(FAST)(tracer=tracer,
                                telemetry=Telemetry(sample_every=7))
             sim.stepjit = jit
             sim.run(5, backend="inproc")
-            for part in sim.partitions.values():
-                for _, unit in part.units:
-                    unit.try_fire_outputs()
             views = []
             for cycles in (7, 200):
                 sim.run(cycles, backend=backend)
@@ -620,9 +613,9 @@ class TestObservedIdentity:
         # a process run merges what each worker's own 64-ring kept
         assert jit[1]["total_emitted"] > 5 * 64
         if backend == "inproc":
-            # at the seam: the rows the plane appended beside the
-            # events the fallback pass emitted
-            assert stored[0] == {"tuple", "TraceEvent"}
+            # at the seam: the rows the plane appended, and nothing
+            # emitted through the interpreter
+            assert stored[0] == {"tuple"}
 
     def test_chrome_trace_bytes_match(self, backend, tmp_path):
         """The Chrome export of the traced ring8 is the interpreter's,
@@ -704,21 +697,6 @@ class TestSwitchedIdentity:
 
 
 class TestRuntimeIdentity:
-    def test_outbox_fallback_stays_identical(self):
-        """A non-empty outbox (a fire outside the compiled plan, e.g. a
-        checkpoint captured mid-host_step) must route that pass through
-        the interpreter — with identical results to a JIT-off run."""
-        sims = []
-        for jit in (True, False):
-            sim = _build()
-            sim.run(5)
-            for part in sim.partitions.values():
-                for _, unit in part.units:
-                    unit.try_fire_outputs()
-            sim.stepjit = jit
-            sims.append(_digest(sim, 20))
-        assert sims[0] == sims[1]
-
     def test_stop_callback_observes_without_changing_the_run(self):
         """The one contract for both tiers: a stop callback reads the
         simulation between passes (it must not write RTL state — the
@@ -912,7 +890,7 @@ class TestKernelFrameLifecycle:
     """A kernel-tier unit's tick kernel runs as one live frame that
     holds its registers in locals.  Like the settle, a frame is never
     carried across ``run()`` entries: one is primed per kernel unit at
-    every entry, and again after an interpreter fallback."""
+    every entry."""
 
     def test_one_prime_per_kernel_unit_per_entry(self, primes, backend):
         sim = _ring_sim()
@@ -955,31 +933,6 @@ class TestKernelFrameLifecycle:
         written = entries(None, True)
         assert written == entries(False, True)
         assert written[1] != entries(None, False)[1]
-
-    def test_a_mid_step_checkpoint_falls_back_and_reprimes(
-            self, primes, backend):
-        """A checkpoint captured between a fire and its drain restores
-        a non-empty outbox: each unit's first pass goes through the
-        interpreter, which moves its registers, and its frame is primed
-        afresh before the kernel resumes."""
-        def resumed(jit):
-            first = _ring_sim()
-            first.run(30, backend="inproc")
-            for part in first.partitions.values():
-                for _, unit in part.units:
-                    unit.try_fire_outputs()
-            state = json.loads(json.dumps(capture_state(first)))
-            sim = _ring_sim()
-            sim.stepjit = jit
-            restore_state(sim, state)
-            before = Counter(primes())
-            digest = _digest(sim, 120, backend=backend)
-            return digest, Counter(primes()) - before
-
-        (digest, primed), (reference, _) = resumed(None), resumed(False)
-        # one prime at entry and one after the fallback, per unit
-        assert primed == Counter(RING_KERNEL_UNITS * 2)
-        assert digest == reference
 
 
 class TestGenericPairOnFirstUse:
@@ -1029,9 +982,9 @@ class TestGenericPairOnFirstUse:
         assert len(generated) == len(on.partitions) + len(off.partitions)
 
     def test_fallback_and_restore_generate_it_on_demand(self, generated):
-        """An interpreter pass behind a kernel-tier unit's runtime
-        guard, and an interpreted run resumed from a kernel-tier
-        checkpoint, both reach a working generic pair."""
+        """An interpreted run resumed from a kernel-tier checkpoint
+        reaches a working generic pair, one per partition on its first
+        eval."""
         straight = _ring_sim()
         straight.stepjit = False
         want = _digest(straight, 100)
@@ -1040,12 +993,8 @@ class TestGenericPairOnFirstUse:
         sim = _ring_sim()
         sim.run(5)
         state = capture_state(sim)
-        assert generated == []
-        for part in sim.partitions.values():
-            for _, unit in part.units:
-                unit.try_fire_outputs()
-        assert len(generated) == len(sim.partitions)
         assert _digest(sim, 100) == want
+        assert generated == []
 
         resumed = _ring_sim()
         resumed.stepjit = False
@@ -1053,6 +1002,7 @@ class TestGenericPairOnFirstUse:
         got = _digest(resumed, 100)
         assert got["outputs"] == want["outputs"]
         assert got["detail"] == want["detail"]
+        assert len(generated) == len(resumed.partitions)
 
     def test_monolithic_generates_it_on_first_step(self, generated):
         circuit = make_comb_pair_circuit()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.firrtl import make_circuit
+from repro.harness import Partition
 from repro.libdn import ChannelSpec, FAME5Host, LIBDNHost
 from repro.rtl import Simulator
 from repro.targets import make_rv_consumer
@@ -21,9 +22,10 @@ def _consumer_specs():
 def _make_host(n_threads):
     module = make_rv_consumer(16)
     circuit = make_circuit(module, [])
-    sims = [Simulator(circuit) for _ in range(n_threads)]
     ins, outs = _consumer_specs()
-    return FAME5Host(sims, ins, outs, name="f5")
+    return FAME5Host.from_hosts(
+        [LIBDNHost(Simulator(circuit), ins, outs, name=f"f5.t{i}")
+         for i in range(n_threads)], name="f5")
 
 
 class TestFAME5:
@@ -36,51 +38,38 @@ class TestFAME5:
         sent = [0] * n
         sums = [0] * n
         for _ in range(30):
-            for t in range(n):
-                chan = f"t{t}:in"
+            for t, thread in enumerate(host.threads):
                 # keep each thread's channel fed
-                thread = host.threads[t]
                 if not thread.in_channels["in"].has_token():
                     if sent[t] < len(streams[t]):
-                        host.deliver(chan, {"in_valid": 1,
-                                            "in_bits": streams[t][sent[t]]})
+                        thread.deliver("in", {"in_valid": 1,
+                                              "in_bits": streams[t][sent[t]]})
                         sent[t] += 1
                     else:
-                        host.deliver(chan, {"in_valid": 0, "in_bits": 0})
-            host.host_step()
+                        thread.deliver("in", {"in_valid": 0, "in_bits": 0})
+                thread.host_step()
         for t in range(n):
             thread = host.threads[t]
             assert thread.sim.peek("sum") == sum(streams[t])
             assert thread.sim.peek("received") == 4
 
     def test_target_cycle_is_frontier(self):
-        host = _make_host(2)
-        host.deliver("t0:in", {"in_valid": 0, "in_bits": 0})
-        host.threads[0].try_fire_outputs()
-        host.threads[0].advance()
-        assert host.threads[0].target_cycle == 1
-        assert host.target_cycle == 0  # thread 1 has not advanced
+        part = Partition("p", _make_host(2))
+        thread = part.host.threads[0]
+        thread.deliver("in", {"in_valid": 0, "in_bits": 0})
+        thread.try_fire_outputs()
+        thread.advance()
+        assert thread.target_cycle == 1
+        assert part.target_cycle == 0  # thread 1 has not advanced
 
     def test_channel_namespacing(self):
-        host = _make_host(2)
-        names = host.channel_names()
-        assert "t0:in" in names and "t1:out" in names
-        with pytest.raises(SimulationError):
-            host.deliver("bogus", {})
-        with pytest.raises(SimulationError):
-            host.deliver("x3:in", {})
-
-    def test_outbox_thread_prefixes(self):
-        host = _make_host(2)
-        for t in range(2):
-            host.deliver(f"t{t}:in", {"in_valid": 0, "in_bits": 0})
-        host.host_step()
-        names = [name for name, _ in host.drain_outbox()]
-        assert names == ["t0:out", "t1:out"]
+        """A partition flattens the threads into ``t<i>:`` units."""
+        part = Partition("p", _make_host(2))
+        assert part.channel_names("in") == ["t0:in", "t1:in"]
+        assert part.channel_names("out") == ["t0:out", "t1:out"]
+        assert [unit for _, unit in part.units] == part.host.threads
 
     def test_empty_host_rejected(self):
-        with pytest.raises(SimulationError):
-            FAME5Host([], [], [])
         with pytest.raises(SimulationError):
             FAME5Host.from_hosts([])
 

@@ -55,19 +55,10 @@ def _right_host(separated: bool) -> LIBDNHost:
     return LIBDNHost(sim, in_specs, out_specs, name="libdn2")
 
 
-def _route_separated(left, right, fired, side):
-    """Deliver fired tokens across the Fig. 2b wiring."""
-    for name, token in side.drain_outbox():
-        if side is left:
-            if name == "source_out":   # s -> right sink_in (port c)
-                right.deliver("sink_in", {"c": token["s"]})
-            else:                      # d -> right source_in (port f)
-                right.deliver("source_in", {"f": token["d"]})
-        else:
-            if name == "source_out":   # ya -> left sink_in (port a)
-                left.deliver("sink_in", {"a": token["ya"]})
-            else:                      # q -> left source_in (port e)
-                left.deliver("source_in", {"e": token["q"]})
+def _fire(host):
+    """Fire ``host`` and decode what it fired: ``{channel: token}``."""
+    return {name: host.out_channels[name].codec.decode(word)
+            for name, word in host.try_fire_outputs()}
 
 
 class TestFig2bExactSequence:
@@ -76,22 +67,20 @@ class TestFig2bExactSequence:
         right = _right_host(separated=True)
 
         # step 1: only the source channels can fire (registers X=1, Y=2)
-        fired_left = left.try_fire_outputs()
-        fired_right = right.try_fire_outputs()
-        assert fired_left == ["source_out"]
-        assert fired_right == ["source_out"]
-        out_l = dict(left.drain_outbox())
-        out_r = dict(right.drain_outbox())
+        out_l = _fire(left)
+        out_r = _fire(right)
+        assert list(out_l) == ["source_out"]
+        assert list(out_r) == ["source_out"]
         assert out_l["source_out"]["s"] == 1    # register X
         assert out_r["source_out"]["ya"] == 2   # register Y
         left.deliver("sink_in", {"a": out_r["source_out"]["ya"]})
         right.deliver("sink_in", {"c": out_l["source_out"]["s"]})
 
         # step 2: sink channels fire with the combinational results
-        assert left.try_fire_outputs() == ["sink_out"]
-        assert right.try_fire_outputs() == ["sink_out"]
-        out_l = dict(left.drain_outbox())
-        out_r = dict(right.drain_outbox())
+        out_l = _fire(left)
+        out_r = _fire(right)
+        assert list(out_l) == ["sink_out"]
+        assert list(out_r) == ["sink_out"]
         assert out_l["sink_out"]["d"] == 3      # A + X = 2 + 1
         assert out_r["sink_out"]["q"] == 7      # C + Y + 4 = 1 + 2 + 4
         left.deliver("source_in", {"e": out_r["sink_out"]["q"]})
@@ -116,15 +105,15 @@ class TestFig2bExactSequence:
         right = _right_host(separated=True)
         libdn_trace = []
         while left.target_cycle < cycles:
-            left.try_fire_outputs()
-            right.try_fire_outputs()
-            for name, token in left.drain_outbox():
+            out_l = _fire(left)
+            out_r = _fire(right)
+            for name, token in out_l.items():
                 if name == "source_out":
                     libdn_trace.append(token["s"])
                     right.deliver("sink_in", {"c": token["s"]})
                 else:
                     right.deliver("source_in", {"f": token["d"]})
-            for name, token in right.drain_outbox():
+            for name, token in out_r.items():
                 if name == "source_out":
                     left.deliver("sink_in", {"a": token["ya"]})
                 else:
@@ -155,8 +144,8 @@ class TestFig2aDeadlock:
         right = _right_host(separated=False)
         left.seed_inputs()
         right.seed_inputs()
-        assert left.try_fire_outputs() == ["out"]
-        assert right.try_fire_outputs() == ["out"]
+        assert list(_fire(left)) == ["out"]
+        assert list(_fire(right)) == ["out"]
         assert left.can_advance()
 
 

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.errors import CheckpointError
+from repro.fireripper import (FAST, FireRipper, NoCPartitionSpec,
+                              PartitionSpec)
+from repro.platform import QSFP_AURORA
 from repro.reliability import (
     CHECKPOINT_VERSION,
     FaultSpec,
@@ -15,6 +18,7 @@ from repro.reliability import (
     restore_state,
     save_checkpoint,
 )
+from repro.targets.soc import make_ring_noc_soc
 
 
 def _json_roundtrip(state):
@@ -128,6 +132,23 @@ class TestOnDiskFormat:
         state = capture_state(pair)
         with pytest.raises(CheckpointError, match="topology"):
             restore_state(build_fame5(), state)
+
+    def test_split_fired_flags_of_a_dep_free_host_rejected(self):
+        """A dep-free host fires all its outputs together; a capture
+        with only some of them fired is no state a run leaves, and the
+        fused kernels it runs on cannot model it."""
+        spec = PartitionSpec(mode=FAST,
+                             noc=NoCPartitionSpec.make([[0], [1]]))
+        design = FireRipper(spec).compile(
+            make_ring_noc_soc(2, messages_per_tile=2))
+        sim = design.build_simulation(QSFP_AURORA)
+        sim.run(10)
+        state = _json_roundtrip(capture_state(sim))
+        fired = state["partitions"]["noc0"]["host"]["fired"]
+        assert len(fired) > 1 and len(set(fired.values())) == 1
+        fired[next(iter(fired))] = not next(iter(fired.values()))
+        with pytest.raises(CheckpointError, match="noc0"):
+            restore_state(design.build_simulation(QSFP_AURORA), state)
 
     def test_missing_link_layer_rejected(self, build_pair):
         hardened = build_pair()

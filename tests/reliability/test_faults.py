@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.libdn import ChannelSpec, codec_for
+from repro.parallel.coordinator import fork_available
 from repro.platform import QSFP_AURORA, SwitchedEthernetTransport
 from repro.reliability import (
     FaultInjector,
@@ -17,6 +18,9 @@ from repro.reliability import (
 #: tokens cross the hook path as (packed word, source codec)
 CODEC = codec_for(ChannelSpec.make("c", [("a", 8), ("b", 1)]))
 TOKEN = (CODEC.encode({"a": 5, "b": 0}), CODEC)
+
+BACKENDS = ["inproc", pytest.param("process", marks=pytest.mark.skipif(
+    not fork_available(), reason="the process backend needs os.fork"))]
 
 
 class TestSchedule:
@@ -135,6 +139,22 @@ class TestUnprotectedFailureModes:
         with pytest.raises(DeadlockError):
             sim.run(200)
         assert sim.dropped_tokens > 0
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_deadlock_keeps_the_run_totals(self, build_pair, backend,
+                                             seed):
+        """The token totals a deadlocked run leaves behind are the
+        in-process run's on every backend."""
+        totals = []
+        for run_on in ("inproc", backend):
+            sim = build_pair()
+            inject_faults(sim, FaultSpec(seed=seed, drop_rate=0.2))
+            with pytest.raises(DeadlockError):
+                sim.run(200, backend=run_on)
+            totals.append((sim.total_tokens, sim.dropped_tokens))
+        assert totals[0] == totals[1]
+        assert totals[0][1] > 0
 
     def test_corruption_without_recovery_wrongs_results(self,
                                                         build_pair):
