@@ -122,8 +122,9 @@ class PartitionedDesign:
                 :class:`~repro.observability.tracer.Tracer` threaded
                 through the harness, units and links (null by default).
             telemetry: optional
-                :class:`~repro.telemetry.Telemetry` session — metrics
-                registry plus cycle-keyed sampler (null by default).
+                :class:`~repro.telemetry.Telemetry` session — a
+                cycle-keyed sampler, and the run's metrics in the
+                result (null by default).
         """
         fame5_merge = dict(fame5_merge or {})
         group_to_merged: Dict[str, Tuple[str, int]] = {}

@@ -40,7 +40,7 @@ from typing import (
 )
 
 from ..errors import (DeadlockError, SimulationError, TransportError,
-                      UnknownBackendError, env_number)
+                      UnknownBackendError)
 from ..libdn.codec import TokenCodec, repack, repack_plan
 from ..libdn.fame5 import FAME5Host
 from ..libdn.token import Channel, Token
@@ -57,6 +57,9 @@ from .metrics import SimulationResult
 from .stepjit import compile_step_functions, stepjit_enabled
 
 HostLike = Union[LIBDNHost, FAME5Host]
+
+#: how many trailing events a deadlock postmortem keeps
+POSTMORTEM_EVENTS = 64
 
 #: canonical backend names, as `normalize_backend` returns them (here,
 #: not in ``repro.parallel``, so an inproc run never imports that)
@@ -225,6 +228,8 @@ class Link:
     rename: Optional[Dict[str, str]] = None
     next_free: float = 0.0
     tokens: int = 0
+    #: tokens whose transmit waited for channel credit
+    stalls: int = 0
     #: accumulated occupied time (occupancy windows + retransmissions)
     busy_ns: float = 0.0
     #: receiver-side in-flight depth histogram: depth -> deliveries
@@ -311,7 +316,7 @@ class _UnitPlan:
 
     __slots__ = ("part", "prefix", "unit", "out_ops", "in_keys",
                  "consume_keys", "host_cycle_ns", "settle", "kernel",
-                 "frame", "ctr_stall", "ctr_bridge", "ctr_tx")
+                 "frame")
 
     def __init__(self, part: Partition, prefix: str, unit: LIBDNHost):
         self.part = part
@@ -328,26 +333,11 @@ class _UnitPlan:
         #: the printer) and its live frame's ``__next__``, likewise cold
         self.kernel: Optional[Callable] = None
         self.frame: Optional[Callable[[], tuple]] = None
-        #: telemetry counters, resolved lazily on first use so the hot
-        #: loop skips the registry lookup and the instrument-creation
-        #: order stays identical to the uncached code
-        self.ctr_stall = None
-        self.ctr_bridge = None
-        self.ctr_tx = None
 
     def prime(self) -> Callable[[], tuple]:
         """A fresh kernel frame, reading the registers on first resume."""
         self.frame = self.kernel().__next__
         return self.frame
-
-    def count(self, attr: str, name: str, registry) -> None:
-        """Inc the ``ctr_*`` counter ``attr``, creating it on first use
-        (the compiled step plane fills and reads the same slots)."""
-        ctr = getattr(self, attr)
-        if ctr is None:
-            ctr = registry.counter(name, self.part.name)
-            setattr(self, attr, ctr)
-        ctr.inc()
 
 
 class _PartPlan:
@@ -385,23 +375,16 @@ class PartitionedSimulation:
                  record_outputs: bool = False,
                  channel_capacity: int = 0,
                  tracer: Optional[Tracer] = None,
-                 postmortem_events: Optional[int] = None,
                  telemetry: Optional[Telemetry] = None):
         #: trace sink threaded through the harness, units and links;
         #: the null default keeps every emit site a single flag check
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = self.tracer.enabled
-        #: metrics registry + cycle-keyed sampler; the null default
-        #: keeps every instrument site a single flag check
+        #: cycle-keyed sampler (+ live status); the null default keeps
+        #: every sampler check a single flag check
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self._metrics_on = self.telemetry.enabled
-        #: how many trailing events a deadlock postmortem keeps
-        #: (``REPRO_POSTMORTEM_RING`` overrides the default of 64)
-        if postmortem_events is None:
-            postmortem_events = env_number(
-                "REPRO_POSTMORTEM_RING", 64, int)
-        self.postmortem_events = postmortem_events
         self.partitions: Dict[str, Partition] = {}
         for p in partitions:
             if p.name in self.partitions:
@@ -469,9 +452,6 @@ class PartitionedSimulation:
         #: tri-state JIT override: None honours ``REPRO_STEPJIT``,
         #: True/False force it (the CLI's ``--no-jit`` sets False)
         self.stepjit: Optional[bool] = None
-        #: cached (tokens_rx counter, rx_depth histogram) per receiving
-        #: partition, resolved lazily in :meth:`apply_link_delivery`
-        self._rx_instruments: Dict[str, tuple] = {}
         self._install_tracer()
         self._validate(seed_boundary)
         self.total_tokens = 0
@@ -535,15 +515,6 @@ class PartitionedSimulation:
         queue.append(arrive_ns)
         depth = len(queue)
         link.depth_hist[depth] = link.depth_hist.get(depth, 0) + 1
-        if self._metrics_on:
-            inst = self._rx_instruments.get(dst[0])
-            if inst is None:
-                registry = self.telemetry.registry
-                inst = self._rx_instruments[dst[0]] = (
-                    registry.counter("tokens_rx", dst[0]),
-                    registry.histogram("rx_depth", dst[0]))
-            inst[0].inc()
-            inst[1].observe(depth)
         if self._trace:
             self.tracer.emit(TraceEvent(
                 "token_rx", ts_ns=arrive_ns,
@@ -578,7 +549,6 @@ class PartitionedSimulation:
         hooks = self._hook_set()
         plane = self._plane
         if plane is None or not all(map(is_, hooks, plane.hooks)):
-            self._rx_instruments = {}
             plane = self._plane = _Plane(hooks, self._compile_schedule())
         return plane.schedule
 
@@ -713,22 +683,18 @@ class PartitionedSimulation:
                             self._consume_base.get(link.dst, 0) + drop
             credit_wait = start - dep_start
             spans.credit_stall_ns += credit_wait
-            if credit_wait and self._metrics_on:
-                up.count("ctr_stall", "credit_stalls",
-                         self.telemetry.registry)
-            if credit_wait and self._trace:
-                self.tracer.emit(TraceEvent(
-                    "credit_stall", ts_ns=dep_start,
-                    dur_ns=credit_wait,
-                    part=part.name, scope=op.full,
-                    args={"link": link.key, "tokens": link.tokens}))
+            if credit_wait:
+                link.stalls += 1
+                if self._trace:
+                    self.tracer.emit(TraceEvent(
+                        "credit_stall", ts_ns=dep_start,
+                        dur_ns=credit_wait,
+                        part=part.name, scope=op.full,
+                        args={"link": link.key, "tokens": link.tokens}))
             if link is None:
                 # external observation channel (a FireSim bridge
                 # tap): drained by wide DMA batches, effectively free
                 part.busy_until = start
-                if self._metrics_on:
-                    up.count("ctr_bridge", "bridge_outputs",
-                             self.telemetry.registry)
                 if self.record_outputs:
                     self.output_log.setdefault(
                         (part.name, op.full), []).append(
@@ -803,9 +769,6 @@ class PartitionedSimulation:
                 self.dropped_tokens += 1
             link.tokens += 1
             self.total_tokens += 1
-            if self._metrics_on:
-                up.count("ctr_tx", "tokens_tx",
-                         self.telemetry.registry)
         if unit.can_advance():
             host_cycle_ns = up.host_cycle_ns
             input_ready = 0.0
@@ -947,19 +910,7 @@ class PartitionedSimulation:
                 target_cycles, max_passes + 1 if stop is None else 1)
             passes += ran
             if not progress:
-                detail = " ;; ".join(
-                    unit.stuck_detail()
-                    for p in self.partitions.values()
-                    for _, unit in p.units)
-                if self._trace:
-                    self.tracer.emit(TraceEvent(
-                        "deadlock",
-                        ts_ns=max(p.busy_until
-                                  for p in self.partitions.values()),
-                        args={"host_passes": passes,
-                              "frontier": self.frontier_cycle()}))
-                raise DeadlockError(detail, host_cycle=passes,
-                                    postmortem=self._postmortem(passes))
+                raise self.deadlock_error(passes)
             if passes > max_passes:
                 raise SimulationError("co-simulation pass budget exhausted")
             if stop is None:
@@ -971,9 +922,28 @@ class PartitionedSimulation:
             self.telemetry.finish(self)
         return self.result()
 
-    def _postmortem(self, passes: int) -> DeadlockPostmortem:
-        """Snapshot every unit's channel state plus the trailing event
-        ring for a deadlock report."""
+    def deadlock_error(self, passes: int,
+                       ring: Optional[List[TraceEvent]] = None
+                       ) -> DeadlockError:
+        """The error a deadlock detected at pass ``passes`` raises:
+        every unit's stuck detail and channel state, and the trailing
+        event ring — this tracer's, or the process workers' ``ring``
+        in time order — ending with the ``deadlock`` event it emits."""
+        deadlock = None
+        if self._trace:
+            deadlock = TraceEvent(
+                "deadlock",
+                ts_ns=max(p.busy_until for p in self.partitions.values()),
+                args={"host_passes": passes,
+                      "frontier": self.frontier_cycle()})
+            self.tracer.emit(deadlock)
+        if ring is None:
+            events = self.tracer.recent(POSTMORTEM_EVENTS)
+        else:
+            events = sorted(ring, key=lambda e: e.ts_ns)
+            if deadlock is not None:
+                events.append(deadlock)
+            events = events[-POSTMORTEM_EVENTS:]
         channels: Dict[str, Dict[str, dict]] = {}
         for name, part in self.partitions.items():
             channels[name] = {
@@ -981,11 +951,14 @@ class PartitionedSimulation:
                     unit.channel_state()
                 for prefix, unit in part.units
             }
-        return DeadlockPostmortem(
-            host_passes=passes,
-            frontier_cycle=self.frontier_cycle(),
-            channels=channels,
-            events=self.tracer.recent(self.postmortem_events))
+        detail = " ;; ".join(unit.stuck_detail()
+                             for p in self.partitions.values()
+                             for _, unit in p.units)
+        return DeadlockError(detail, host_cycle=passes,
+                             postmortem=DeadlockPostmortem(
+                                 host_passes=passes,
+                                 frontier_cycle=self.frontier_cycle(),
+                                 channels=channels, events=events))
 
     def frontier_cycle(self) -> int:
         return min(p.target_cycle for p in self.partitions.values())
@@ -1031,7 +1004,7 @@ class PartitionedSimulation:
         if link_stats:
             detail["reliability"] = link_stats
         if self._metrics_on:
-            detail["telemetry"] = self.telemetry.detail()
+            detail["telemetry"] = self.telemetry.detail(self)
         result = SimulationResult(
             target_cycles=cycles,
             wall_ns=wall_ns,

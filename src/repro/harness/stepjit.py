@@ -40,11 +40,12 @@ tabulates the emit sites) and prints only what changes per event: a
 live tracer's site as a :class:`~repro.observability.tracer.TraceSite`
 bound once plus one row ``(site, ts, dur, *dynamic_args)`` appended
 through ``tracer.row_sink()``, counted into ``total_emitted`` once per
-call; live telemetry's instruments bumped as fields, each created on
-first use through the interpreter's caches; a null sink nothing — no
-row, no binding, no flag check.  Events and samples never read the
-RTL env.  The sampler check is printed right after each partition's
-slot, where the interpreter makes it.
+call; live telemetry the sampler check alone, printed right after each
+partition's slot where the interpreter makes it (a run's metrics are
+read off the link and unit state the pass keeps anyway, so no
+registry is bound and nothing is bumped per token); a null sink
+nothing — no row, no binding, no flag check.  Events and samples never
+read the RTL env.
 
 **The call-out rule.**  Nothing attached to a run selects its engine:
 ``link.transmit`` (busy cursor published first) and
@@ -75,7 +76,6 @@ the generated pass.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -231,12 +231,6 @@ class _PassCodegen:
             self.EM = b.bind(sim.tracer.row_sink(), "em")
             self.TR = b.bind(sim.tracer, "tr")
         if self.metrics:
-            registry = sim.telemetry.registry
-            self.RGC = b.bind(registry.counter, "rgc")
-            self.RGH = b.bind(registry.histogram, "rgh")
-            self.RX = b.bind(sim._rx_instruments, "rx")
-            self.RXG = b.bind(sim._rx_instruments.get, "rxg")
-            self.BL = b.bind(bisect_left, "bl")
             self.TEL = b.bind(sim.telemetry, "tel")
             self.ONP = b.bind(sim.telemetry.on_pass, "onp")
 
@@ -247,14 +241,12 @@ class _PassCodegen:
         w, b = self.w, self.b
         for key, channel, source, unit in source_ops:
             SQ = b.bind(channel.queue, "sq")
-            CH = b.bind(channel, "ch")
             NW = b.bind(source.next_word, "nw")
             SU = b.bind(unit, "u")
             CD = b.bind(channel.codec, "cd")
             AQ = b.bind(self.sim._arrivals[key], "aq")
             w.emit(L, f"if not {SQ}:")
             w.emit(L + 1, f"{SQ}.append({NW}({SU}.target_cycle, {CD}))")
-            w.emit(L + 1, f"{CH}.total_enqueued += 1")
             w.emit(L + 1, f"{AQ}.append(0.0)")
 
     def _cursor_stmts(self, load: bool) -> List[str]:
@@ -291,20 +283,6 @@ class _PassCodegen:
             self.w.emit(L, f"{self.EM}(({', '.join(row)}))")
             self.w.emit(L, "te += 1")
 
-    def _emit_count(self, L: int, up, attr: str, name: str) -> None:
-        """One per-unit counter inc (live telemetry only).  The counter
-        is created on first use through the ``_UnitPlan`` cache the
-        interpreter fills, so an instrument exists exactly when the
-        interpreter would have created it."""
-        if self.metrics:
-            w = self.w
-            UP = self.b.bind(up, "up")
-            w.emit(L, f"_ct = {UP}.{attr}")
-            w.emit(L, "if _ct is None:")
-            w.emit(L + 1, f"_ct = {UP}.{attr} = "
-                          f"{self.RGC}({name!r}, {up.part.name!r})")
-            w.emit(L, "_ct.value += 1.0")
-
     def _emit_wrapper_event(self, L: int, kind: str, up, scope: str
                             ) -> None:
         """``channel_fire`` / ``advance``: the events the LI-BDN
@@ -321,11 +299,9 @@ class _PassCodegen:
         """One output channel's fire FSM (try_fire_outputs, inlined;
         the fired word is kept in a local for its out-op)."""
         w, b = self.w, self.b
-        name, out_ch, dep_plans, pack_fields = entry
+        name, dep_plans, pack_fields = entry
         F, ENV, MEMS, C = (names["F"], names["ENV"], names["MEMS"],
                            names["C"])
-        OQ = b.bind(out_ch.queue, "oq")
-        OC = b.bind(out_ch, "oc")
         wvar = f"w{uid}_{j}"
         w.emit(L, f"if not {F}[{name!r}]:")
         if dep_plans:
@@ -348,8 +324,6 @@ class _PassCodegen:
             w.emit(Lf + 1, f"stl{uid} = True")
         w.emit(Lf, f"{wvar} = "
                + pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
-        w.emit(Lf, f"{OQ}.append({wvar})")
-        w.emit(Lf, f"{OC}.total_enqueued += 1")
         w.emit(Lf, f"{F}[{name!r}] = True")
         w.emit(Lf, "progress = True")
         self._emit_wrapper_event(Lf, "channel_fire", names["up"], name)
@@ -405,7 +379,6 @@ class _PassCodegen:
         if link is None:
             # bridge tap: drained by wide DMA batches, effectively free
             w.emit(Lo, f"{busy} = _ds")
-            self._emit_count(Lo, up, "ctr_bridge", "bridge_outputs")
             if sim.record_outputs:
                 OL = b.bind(sim.output_log, "ol")
                 OLG = b.bind(sim.output_log.get, "olg")
@@ -424,12 +397,11 @@ class _PassCodegen:
         credited = sim.channel_capacity is not None
         if credited:
             self._emit_credit(Lo, op)
-        if credited and (self.trace or self.metrics):
             # only a credit window can make the wait non-zero
             w.emit(Lo, "_cw = _st - _ds")
             w.emit(Lo, f"cs{s} += _cw")
             w.emit(Lo, "if _cw:")
-            self._emit_count(Lo + 1, up, "ctr_stall", "credit_stalls")
+            w.emit(Lo + 1, f"{LK}.stalls += 1")
             self._emit_event(
                 Lo + 1, "credit_stall", "_ds", "_cw", part.name, op.full,
                 [("link", link.key), ("tokens", _Src(f"{LK}.tokens"))])
@@ -488,7 +460,6 @@ class _PassCodegen:
             w.emit(Lo + 1, f"{self.SIM}.dropped_tokens += 1")
         w.emit(Lo, f"{LK}.tokens += 1")
         w.emit(Lo, "tt += 1")
-        self._emit_count(Lo, up, "ctr_tx", "tokens_tx")
 
     def _emit_delivery(self, Lo: int, op, mw: str) -> None:
         """Hand the repacked word ``mw`` to the destination: the
@@ -505,30 +476,13 @@ class _PassCodegen:
             return
         dst_ch = sim._in_channel_by_key[link.dst]
         DQ2 = b.bind(dst_ch.queue, "xq")
-        DC = b.bind(dst_ch, "xc")
         AQ2 = b.bind(sim._arrivals[link.dst], "aq")
         DH = b.bind(link.depth_hist, "dh")
         DHG = b.bind(link.depth_hist.get, "dhg")
         w.emit(Lo, f"{DQ2}.append({mw})")
-        w.emit(Lo, f"{DC}.total_enqueued += 1")
         w.emit(Lo, f"{AQ2}.append(_arr + {rx})")
         w.emit(Lo, f"_d = {self.LEN}({AQ2})")
         w.emit(Lo, f"{DH}[_d] = {DHG}(_d, 0) + 1")
-        if self.metrics:
-            # the receiving partition's pair, created on first
-            # delivery through the cache apply_link_delivery fills
-            dp = link.dst[0]
-            w.emit(Lo, f"_i = {self.RXG}({dp!r})")
-            w.emit(Lo, "if _i is None:")
-            w.emit(Lo + 1, f"_i = {self.RX}[{dp!r}] = ("
-                           f"{self.RGC}('tokens_rx', {dp!r}), "
-                           f"{self.RGH}('rx_depth', {dp!r}))")
-            # Counter.inc and Histogram.observe, as field bumps
-            w.emit(Lo, "_i[0].value += 1.0")
-            w.emit(Lo, "_rh = _i[1]")
-            w.emit(Lo, f"_rh.buckets[{self.BL}(_rh.bounds, _d)] += 1")
-            w.emit(Lo, "_rh.count += 1")
-            w.emit(Lo, "_rh.sum += _d")
         self._emit_event(
             Lo, "token_rx", f"_arr + {rx}", "0.0", link.dst[0],
             link.dst[1],
@@ -581,8 +535,8 @@ class _PassCodegen:
         input pops + pokes, the tier's ``settle`` lines, re-arm, cycle
         bumps; ``dirty`` closes the block.  ``settle=None`` prints the
         kernel tier's fused advance instead (``if _tk:``): the ``cyc``
-        kernel already ticked over inputs that repeat, and the fire's
-        enqueue cancelled the re-arm's dequeue."""
+        kernel already ticked over inputs that repeat, and the fused
+        fire set no fired flag for the re-arm to clear."""
         w, b = self.w, self.b
         F, ENV = names["F"], names["ENV"]
         fused = settle is None
@@ -603,10 +557,6 @@ class _PassCodegen:
         if not fused:
             for n in up.unit._fired:
                 w.emit(La, f"{F}[{n!r}] = False")
-            for ch in names["out_channels"]:
-                OQ = b.bind(ch.queue, "oq")
-                w.emit(La, f"if {OQ}:")
-                w.emit(La + 1, f"{OQ}.popleft()")
         w.emit(La, f"{names['U']}.target_cycle += 1")
         self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
@@ -628,7 +578,7 @@ class _PassCodegen:
         k = len(fire_plans)
         # the kernels yield their words in layout order
         wvars = ", ".join(f"w{uid}_{j}" for j in word_order(
-            [entry[3] for entry in fire_plans]))
+            [entry[2] for entry in fire_plans]))
         w.emit(Lb, f"if not {F}[{fire_plans[0][0]!r}]:")
         Lf = Lb + 1
         # fused-settle eligibility: every pending input word decodes
@@ -657,19 +607,10 @@ class _PassCodegen:
         w.emit(Lf + 2, f"{QS}[0] = _cv")
         for j in range(k):
             w.emit(Lf + 2, f"{QS}[{j + 1}] = w{uid}_{j}")
-        for entry in fire_plans:
-            OC = b.bind(entry[1], "oc")
-            # the fire's enqueue and the advance's dequeue cancel;
-            # only the channel's token counter survives
-            w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
         w.emit(Lf, "else:")
         w.emit(Lf + 1, f"{wvars} = {KF}({ENV}, {MEMS})")
         w.emit(Lf + 1, f"{QS}[0] = False")
-        for j, entry in enumerate(fire_plans):
-            OQ = b.bind(entry[1].queue, "oq")
-            OC = b.bind(entry[1], "oc")
-            w.emit(Lf + 1, f"{OQ}.append(w{uid}_{j})")
-            w.emit(Lf + 1, f"{OC}.total_enqueued += 1")
+        for entry in fire_plans:
             w.emit(Lf + 1, f"{F}[{entry[0]!r}] = True")
         w.emit(Lf, "progress = True")
         for entry in fire_plans:
@@ -695,7 +636,6 @@ class _PassCodegen:
             "RTL": b.bind(bindings["rtl"], "r"),
             "fire_plans": bindings["fire_plans"],
             "in_plans": bindings["in_plans"],
-            "out_channels": bindings["out_channels"],
             "up": up,
         }
         settle_args = f"({names['ENV']}, {names['MEMS']})"
@@ -829,8 +769,8 @@ def _kernel_request(up):
     (dep-free output channels on a compiled engine), else None."""
     bindings = up.unit.step_bindings()
     plans = bindings["fire_plans"]
-    if bindings["rtl"].compiled and all(not entry[2] for entry in plans):
-        return up.unit.sim.elab, [entry[3] for entry in plans], up.unit.name
+    if bindings["rtl"].compiled and all(not entry[1] for entry in plans):
+        return up.unit.sim.elab, [entry[2] for entry in plans], up.unit.name
     return None
 
 

@@ -64,13 +64,12 @@ def zeros_token(spec: ChannelSpec) -> Token:
 class Channel:
     """FIFO of packed token words for one :class:`ChannelSpec`."""
 
-    __slots__ = ("spec", "codec", "queue", "total_enqueued")
+    __slots__ = ("spec", "codec", "queue")
 
     def __init__(self, spec: ChannelSpec):
         self.spec = spec
         self.codec: TokenCodec = codec_for(spec)
         self.queue: Deque[int] = deque()
-        self.total_enqueued = 0
 
     @property
     def name(self) -> str:
@@ -78,11 +77,9 @@ class Channel:
 
     def put(self, token: Token) -> None:
         self.queue.append(self.codec.encode(token))
-        self.total_enqueued += 1
 
     def put_word(self, word: int) -> None:
         self.queue.append(word)
-        self.total_enqueued += 1
 
     def has_token(self) -> bool:
         return bool(self.queue)

@@ -69,18 +69,16 @@ class LIBDNHost:
         # unpack fields, and the pack fields that build the out word.
         self._fire_plans = tuple(
             (name,
-             self.out_channels[name],
              tuple((self.in_channels[d], self.in_channels[d].codec.fields)
                    for d in sorted(self.out_channels[name].spec.deps)),
              self.out_channels[name].codec.fields)
             for name in sorted(self.out_channels)
         )
         # advance plan: every input channel (in spec order) with its
-        # unpack fields, every output channel for the re-arm sweep.
+        # unpack fields.
         self._in_plans = tuple(
             (ch, ch.codec.fields) for ch in self.in_channels.values()
         )
-        self._out_channel_list = tuple(self.out_channels.values())
 
     def step_bindings(self) -> dict:
         """Stable fast-path surface for the compiled step plane
@@ -105,7 +103,7 @@ class LIBDNHost:
         """
         sim = self.sim
         generic = getattr(sim, "compiled", False) and any(
-            deps for _, _, deps, _ in self._fire_plans)
+            deps for _, deps, _ in self._fire_plans)
         comb, tick = sim.generic_fns if generic else (None, None)
         return {
             "rtl": sim,
@@ -116,7 +114,6 @@ class LIBDNHost:
             "fired": self._fired,
             "fire_plans": self._fire_plans,
             "in_plans": self._in_plans,
-            "out_channels": self._out_channel_list,
         }
 
     def attach_tracer(self, tracer: Tracer,
@@ -166,7 +163,7 @@ class LIBDNHost:
         fired_now: List[Tuple[str, int]] = []
         fired = self._fired
         sim = self.sim
-        for name, out_ch, dep_plans, pack_fields in self._fire_plans:
+        for name, dep_plans, pack_fields in self._fire_plans:
             if fired[name]:
                 continue
             ready = True
@@ -189,7 +186,6 @@ class LIBDNHost:
             word = 0
             for port, offset, _ in pack_fields:
                 word |= env[port] << offset
-            out_ch.put_word(word)
             fired[name] = True
             fired_now.append((name, word))
             if self.tracer.enabled:
@@ -219,11 +215,6 @@ class LIBDNHost:
         sim.tick()
         for name in self._fired:
             self._fired[name] = False
-        # the fired words went to the caller of try_fire_outputs; drop
-        # the copies the fire FSMs enqueued for bookkeeping
-        for ch in self._out_channel_list:
-            if ch.queue:
-                ch.queue.popleft()
         self.target_cycle += 1
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
@@ -242,23 +233,17 @@ class LIBDNHost:
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Capture the full host state (simulator, channel queues, fire
-        FSMs) as a JSON-serializable dict.  Together with the
+        """Capture the full host state (simulator, input channel queues,
+        fire FSMs) as a JSON-serializable dict.  Together with the
         harness-level link/timing state this is everything needed to
-        resume a partitioned run bit-identically."""
-        def channels(table: Dict[str, Channel]) -> dict:
-            return {
-                name: {
-                    "tokens": [ch.codec.decode(w) for w in ch.queue],
-                    "total_enqueued": ch.total_enqueued,
-                }
-                for name, ch in table.items()
-            }
+        resume a partitioned run bit-identically (an output channel
+        holds nothing: its fired word goes straight to the caller)."""
         return {
             "target_cycle": self.target_cycle,
             "sim": self.sim.snapshot(),
-            "in_channels": channels(self.in_channels),
-            "out_channels": channels(self.out_channels),
+            "in_channels": {
+                name: [ch.codec.decode(w) for w in ch.queue]
+                for name, ch in self.in_channels.items()},
             "fired": dict(self._fired),
         }
 
@@ -269,23 +254,21 @@ class LIBDNHost:
         A dep-free host fires all its outputs together or none, and the
         fused kernels the compiled step plane runs it on model only
         that, so a capture with some of them fired is refused."""
-        if not any(deps for _, _, deps, _ in self._fire_plans) \
+        for attr, table in (("in_channels", self.in_channels),
+                            ("fired", self.out_channels)):
+            if set(state[attr]) != set(table):
+                raise SimulationError(
+                    f"{self.name}: checkpoint {attr} {sorted(state[attr])}"
+                    f" do not match this host's {sorted(table)}")
+        if not any(deps for _, deps, _ in self._fire_plans) \
                 and len(set(state["fired"].values())) > 1:
             raise CheckpointError(
                 f"{self.name}: checkpoint fired flags {state['fired']} "
                 f"split a dep-free host's outputs")
-        for attr, table in (("in_channels", self.in_channels),
-                            ("out_channels", self.out_channels)):
-            saved = state[attr]
-            if set(saved) != set(table):
-                raise SimulationError(
-                    f"{self.name}: checkpoint {attr} {sorted(saved)} do "
-                    f"not match this host's {sorted(table)}")
-            for name, ch in table.items():
-                ch.queue.clear()
-                ch.queue.extend(ch.codec.encode(t)
-                                for t in saved[name]["tokens"])
-                ch.total_enqueued = saved[name]["total_enqueued"]
+        for name, ch in self.in_channels.items():
+            ch.queue.clear()
+            ch.queue.extend(ch.codec.encode(t)
+                            for t in state["in_channels"][name])
         self.sim.restore(state["sim"])
         # mutate the fired dict in place: the compiled step plane binds
         # this exact object (step_bindings), and a restore between runs

@@ -19,10 +19,10 @@ host.  The supervisor:
   partition that failed first — after terminating, joining and reaping
   every remaining child, so a failure never leaves orphans or a hung
   parent,
-* on success merges the per-worker state fragments back onto the parent
-  simulation object, so ``sim.result()``, checkpointing and continued
-  in-process runs observe exactly the state a serial run would have
-  produced.
+* on success, and before it raises a deadlock, merges the per-worker
+  state fragments back onto the parent simulation object, so
+  ``sim.result()``, checkpointing and continued in-process runs
+  observe exactly the state a serial run would have produced.
 
 Determinism: workers execute the wavefront schedule (see ``worker``),
 which reproduces the serial round-robin's interleaving of
@@ -45,7 +45,6 @@ from ..errors import (BackendUnavailableError, DeadlockError,
                       UnsupportedTopologyError, WorkerError, env_number,
                       rebuild_error)
 from ..harness.partitioned import normalize_backend
-from ..observability.postmortem import DeadlockPostmortem
 from ..observability.events import lifecycle_event
 from ..observability.tracer import RecordingTracer, TraceEvent
 from ..reliability.checkpoint import load_partition_state
@@ -492,37 +491,17 @@ class ProcessBackend:
         return None
 
     def _deadlock_error(self, sim, states) -> DeadlockError:
-        k_star = self._deadlock_pass(states)
-        details: List[str] = []
-        channels: Dict[str, Dict[str, dict]] = {}
-        events: List[TraceEvent] = []
-        for name in sim.partitions:
-            payload = states[name].postmortem
-            sim.total_tokens += payload["total_delta"]
-            sim.dropped_tokens += payload["dropped_delta"]
-            details.extend(payload["stuck"])
-            channels[name] = payload["channels"]
-            events.extend(payload["events"])
-        events.sort(key=lambda e: e.ts_ns)
-        frontier = min(states[n].postmortem["frontier"]
-                       for n in sim.partitions)
-        if sim.tracer.enabled:
-            deadlock = TraceEvent(
-                "deadlock",
-                ts_ns=max(states[n].postmortem["busy_until"]
-                          for n in sim.partitions),
-                args={"host_passes": k_star, "frontier": frontier})
-            sim.tracer.emit(deadlock)
-            # the ring ends with the deadlock itself, as the serial
-            # loop's does
-            events.append(deadlock)
-        postmortem = DeadlockPostmortem(
-            host_passes=k_star,
-            frontier_cycle=frontier,
-            channels=channels,
-            events=events[-sim.postmortem_events:])
-        return DeadlockError(" ;; ".join(details), host_cycle=k_star,
-                             postmortem=postmortem)
+        """The in-process loop's error: every worker's state is merged
+        onto the parent's simulation first, so a deadlocked run leaves
+        the frontier, outputs, links and cursors a serial one does."""
+        payloads = {name: states[name].postmortem
+                    for name in sim.partitions}
+        self._merge(sim, {name: payload["fragment"]
+                          for name, payload in payloads.items()})
+        return sim.deadlock_error(
+            self._deadlock_pass(states),
+            ring=[event for payload in payloads.values()
+                  for event in payload["events"]])
 
     @staticmethod
     def _merge(sim, fragments) -> None:

@@ -52,8 +52,8 @@ socketpair, which tells the coordinator who spoke — no envelope):
     emitted while blocked, so a hung peer is distinguishable from a
     hung self.
 ``("done", fragment)``  — final state fragment, after a stop.
-``("postmortem", payload)`` — stuck-channel snapshot, after a deadlock
-    abort.
+``("postmortem", payload)`` — the final state fragment plus the
+    trailing event ring, after a deadlock abort.
 ``("failed", name, exc_type, message, args)`` — local failure
     (:func:`~repro.errors.error_report`).
 
@@ -70,6 +70,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError, error_report
+from ..harness.partitioned import POSTMORTEM_EVENTS
 from ..observability.tracer import RecordingTracer
 from ..observability.corr import current_corr_id, propagate_corr_id
 from ..reliability.checkpoint import partition_state
@@ -461,22 +462,11 @@ class PartitionWorker:
         }
 
     def postmortem_payload(self) -> dict:
-        part = self.part
-        sim = self.sim
+        """The state fragment a deadlocked run leaves (the coordinator
+        merges it before it raises) and this worker's trailing events."""
         return {
-            "partition": self.name,
-            # the run totals a serial deadlock leaves on the simulation
-            "total_delta": sim.total_tokens - self._tokens0,
-            "dropped_delta": sim.dropped_tokens - self._dropped0,
-            "frontier": part.target_cycle,
-            "busy_until": part.busy_until,
-            "stuck": [unit.stuck_detail() for _, unit in part.units],
-            "channels": {
-                (prefix + unit.name if prefix else unit.name):
-                    unit.channel_state()
-                for prefix, unit in part.units
-            },
-            "events": (self._tracer.recent(sim.postmortem_events)
+            "fragment": self.fragment(),
+            "events": (self._tracer.recent(POSTMORTEM_EVENTS)
                        if self._tracer is not None else []),
         }
 

@@ -7,10 +7,10 @@ exactly one partition; :func:`partition_state` /
 
 * the partition's own timing cursor (``busy_until``), FMR span
   accumulators and LI-BDN host state — simulator signals/memories/
-  cycle, channel queues, fire-FSM flags — for plain and FAME-5
+  cycle, input channel queues, fire-FSM flags — for plain and FAME-5
   hosts alike,
 * the **transmit side** of every link it sources: ``tokens`` /
-  ``next_free`` / ``busy_ns``, the reliable-link layer (sequence
+  ``stalls`` / ``next_free`` / ``busy_ns``, the reliable-link layer (sequence
   numbers, stats), the switch fabric the link departs through, and
   the credit-read cursor ``consume_base`` (how far this link's credit
   lookups have trimmed its destination's consume-time queue — only a
@@ -18,7 +18,8 @@ exactly one partition; :func:`partition_state` /
 * the **receive side** of every link it terminates (``depth_hist``)
   and, for every channel it holds, the pending arrival times, the
   consume-time (credit return) queue and the recorded output tokens,
-* its slice of an enabled telemetry session.
+* its slice of an enabled telemetry session (its sample series and
+  cursor; the run's metrics are read off the state above).
 
 A checkpoint is a header (format, version, topology fingerprint), that
 state for every partition, and the run totals; a process-backend worker
@@ -27,7 +28,7 @@ partition the worker ran.  Both land through
 :func:`load_partition_state`, so a field added here is captured,
 restored, shipped and merged — or none of them.
 
-The on-disk format is versioned JSON (layout version 3; earlier
+The on-disk format is versioned JSON (layout version 4; earlier
 documents are refused by the version check).  :func:`restore_state`
 validates a topology fingerprint so a checkpoint can only land on a
 structurally identical simulation — the intended flow is to rebuild
@@ -50,10 +51,10 @@ from ..firrtl.fingerprint import elaboration_fingerprint
 from ..harness.partitioned import PartitionedSimulation
 
 CHECKPOINT_FORMAT = "fireaxe-repro-partitioned-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: transmit-side cursors of a link / its switch, saved by attribute
-_LINK_CURSORS = ("tokens", "next_free", "busy_ns")
+_LINK_CURSORS = ("tokens", "stalls", "next_free", "busy_ns")
 _SWITCH_CURSORS = ("next_free", "tokens")
 
 

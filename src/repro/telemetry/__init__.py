@@ -1,4 +1,4 @@
-"""Telemetry — *aggregates*: metrics registry, time-series sampling,
+"""Telemetry — *aggregates*: metric instruments, time-series sampling,
 run registry, the modelled-rate gate.
 
 Where :mod:`repro.observability` keeps *records* — "what happened",
@@ -6,16 +6,18 @@ one event at a time (traces, the event log, postmortems) — this
 package keeps the aggregates: "how much, and compared to what":
 
 * :mod:`~repro.telemetry.metrics` — the one instrument model:
-  counters, gauges and histograms scoped by partition (a simulation)
-  or tenant (the service) behind a
-  :class:`~repro.telemetry.metrics.MetricsRegistry` (null by default
-  for a simulation, like the tracer), plus the Prometheus text
-  rendering behind ``GET /metrics``,
-* :mod:`~repro.telemetry.sampler` — a cycle-keyed
+  counters, gauges and histograms scoped by one label, held by the
+  service's :class:`~repro.telemetry.metrics.MetricsRegistry`, plus
+  the Prometheus text rendering behind ``GET /metrics``,
+* :mod:`~repro.telemetry.sampler` — a simulation's
+  :class:`~repro.telemetry.sampler.Telemetry` (null by default, like
+  the tracer): a cycle-keyed
   :class:`~repro.telemetry.sampler.Sampler` emitting deterministic
   per-partition time-series, bit-identical between the in-process loop
   and the process backend (per-worker series ride the existing pipes
-  and are merged by the coordinator), plus the
+  and are merged by the coordinator), the run's metrics read off the
+  modelled state (:func:`~repro.telemetry.sampler.metrics_snapshot`),
+  plus the
   :class:`~repro.telemetry.sampler.LiveStatus` file ``repro watch``
   polls,
 * :mod:`~repro.telemetry.runs` — the persistent
@@ -30,8 +32,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
     render_prometheus,
 )
 from .regression import (
@@ -58,6 +58,7 @@ from .sampler import (
     SAMPLE_FIELDS,
     Sampler,
     Telemetry,
+    metrics_snapshot,
 )
 
 __all__ = [
@@ -65,12 +66,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "render_prometheus",
     "SAMPLE_FIELDS",
     "Sampler",
     "Telemetry",
+    "metrics_snapshot",
     "NullTelemetry",
     "NULL_TELEMETRY",
     "LiveStatus",

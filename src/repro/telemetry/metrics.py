@@ -1,44 +1,24 @@
-"""Metric instruments and the pay-as-you-go registry.
+"""Metric instruments and the service's registry.
 
-The telemetry layer complements the event tracer: instead of a stream
-of individual events, it maintains *aggregates* — counters (token
-crossings, credit stalls), gauges (last-seen values) and fixed-bucket
-histograms (receiver in-flight depths) — cheap enough to leave on for
-long runs, and a :class:`~repro.telemetry.sampler.Sampler` that turns
-them into deterministic time-series.
+Counters (submitted jobs, cache hits), gauges (queue depth) and
+fixed-bucket histograms (latencies) scoped by one label, the tenant.
+The simulation service owns the one :class:`MetricsRegistry`: host
+observation — wall-clock latencies and request counts, always on,
+exported through ``/stats`` and :func:`render_prometheus` (``GET
+/metrics``) and never digested.
 
-Every instrument carries one scope label: the partition (``part``) for
-a simulation, the tenant for the service.  For a simulation that is
-not cosmetic: under the process backend each partition's worker owns
-exactly the instruments labelled with its partition, which is what lets
-the coordinator merge per-worker registries back into one with no
-double counting — the same ownership rule the state-fragment merge
-already uses for links and arrival queues.
-
-Like the tracer, the default is a :data:`NULL_METRICS` registry whose
-``enabled`` flag is ``False``; every instrument site in the harness
-guards on that flag, so an uninstrumented interpreted run pays one
-attribute read per potential update.  The compiled step plane prints a
-live registry's updates as field bumps (``counter.value += 1.0``, the
-histogram's bucket/count/sum) and prints nothing for the null one
-(``TestGeneratedSources::
-test_null_sinks_print_the_untraced_plane`` in
-``tests/harness/test_stepjit.py``).
-
-Which registry object an instrument lives in decides what it may hold.
-A simulation's ``Telemetry.registry`` is *target-deterministic*: every
-value derives from modelled host time and token counts — never python
-wall time — so identical runs produce identical metrics on any backend,
-and its snapshot is part of the result digest.  The service's registry
-is *host observation*: wall-clock latencies and request counts,
-always on, exported through ``/stats`` and :func:`render_prometheus`
-(``GET /metrics``) and never digested.
+A simulation keeps no registry.  Its metrics
+(``detail["telemetry"]["metrics"]``) are read off the modelled state
+when the result is built — link token counts, receive-depth
+histograms, credit stalls, fire flags — by
+:func:`~repro.telemetry.sampler.metrics_snapshot`, which shapes them
+with these same instruments.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 #: default histogram bucket upper bounds (the last bucket is +inf)
 DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
@@ -80,8 +60,7 @@ class Histogram:
     ``buckets[i]`` counts observations ``<= bounds[i]``; the trailing
     bucket counts the rest.  Bounds are fixed at construction so two
     histograms of the same instrument always merge bucket-for-bucket.
-    The landing bucket is ``bisect_left(bounds, value)``, the one rule
-    :meth:`observe` and the compiled step plane's printed bump share.
+    The landing bucket is ``bisect_left(bounds, value)``.
     """
 
     __slots__ = ("name", "part", "bounds", "buckets", "count", "sum")
@@ -95,10 +74,11 @@ class Histogram:
         self.count = 0
         self.sum = 0.0
 
-    def observe(self, value: float) -> None:
-        self.buckets[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` (``times`` observations of it)."""
+        self.buckets[bisect_left(self.bounds, value)] += times
+        self.count += times
+        self.sum += value * times
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (0..1) by interpolating within the
@@ -128,15 +108,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Owns every instrument of one run.
+    """Owns every instrument of the service.
 
     Instruments are created lazily on first touch and identified by
     ``(kind, name, part)``; repeated lookups return the same object, so
     hot-path call sites can also cache the instrument once.
     """
-
-    #: instrument sites skip updates entirely when False
-    enabled: bool = True
 
     def __init__(self):
         self._instruments: Dict[_Key, object] = {}
@@ -161,92 +138,10 @@ class MetricsRegistry:
                   ) -> Histogram:
         return self._get("histogram", Histogram, name, part, bounds)
 
-    def value(self, kind: str, name: str, part: str = "") -> float:
-        """Current value of a counter/gauge (0.0 when untouched)."""
-        inst = self._instruments.get((kind, name, part))
-        return inst.value if inst is not None else 0.0
-
     def instruments(self) -> Iterator[Tuple[_Key, object]]:
         """Every ``((kind, name, part), instrument)``, in
         deterministic sorted order."""
         return iter(sorted(self._instruments.items()))
-
-    # -- snapshots --------------------------------------------------------
-
-    def snapshot(self, part: Optional[str] = None) -> dict:
-        """JSON-able state of every instrument (optionally one
-        partition's), in deterministic sorted order."""
-        out: Dict[str, dict] = {"counters": {}, "gauges": {},
-                                "histograms": {}}
-        for (kind, name, p), inst in self.instruments():
-            if part is not None and p != part:
-                continue
-            key = f"{name}|{p}"
-            if kind == "counter":
-                out["counters"][key] = inst.value
-            elif kind == "gauge":
-                out["gauges"][key] = inst.value
-            else:
-                out["histograms"][key] = inst.as_dict()
-        return out
-
-    def load_snapshot(self, state: dict,
-                      part: Optional[str] = None) -> None:
-        """Restore instruments from :meth:`snapshot` output.  With
-        ``part`` given, only that partition's instruments are loaded
-        (the coordinator's per-worker merge)."""
-        def owned(section: str):
-            for key, value in state.get(section, {}).items():
-                name, p = key.rsplit("|", 1)
-                if part is None or p == part:
-                    yield name, p, value
-
-        for name, p, value in owned("counters"):
-            self.counter(name, p).value = value
-        for name, p, value in owned("gauges"):
-            self.gauge(name, p).value = value
-        for name, p, entry in owned("histograms"):
-            hist = self.histogram(name, p,
-                                  bounds=tuple(entry["bounds"]))
-            hist.buckets = list(entry["buckets"])
-            hist.count = entry["count"]
-            hist.sum = entry["sum"]
-
-    def partitions(self) -> List[str]:
-        """Partition labels that own at least one instrument."""
-        return sorted({p for (_, _, p) in self._instruments})
-
-
-class _NullInstrument:
-    """Absorbs updates; shared by every null-registry lookup."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:  # pragma: no cover
-        pass
-
-    def set(self, value: float) -> None:  # pragma: no cover
-        pass
-
-    def observe(self, value: float) -> None:  # pragma: no cover
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The default no-op registry: nothing recorded, nothing paid."""
-
-    enabled = False
-
-    def _get(self, kind, make, name, part, *args):  # pragma: no cover
-        return _NULL_INSTRUMENT
-
-
-#: shared default registry — attach sites use this instead of None checks
-NULL_METRICS = NullMetricsRegistry()
 
 
 # -- the Prometheus text exposition ------------------------------------------

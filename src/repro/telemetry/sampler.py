@@ -1,4 +1,5 @@
-"""Cycle-keyed time-series sampling over a metrics registry.
+"""Cycle-keyed time-series sampling, and a run's metrics, read off
+the modelled state.
 
 The paper's sweeps (Figs. 7-14) are all rate-vs-configuration curves,
 but a *single* partitioned run also has structure over time: link-wait
@@ -11,16 +12,24 @@ Determinism is the design center.  A sample for partition ``p`` is
 taken at the first scheduling slot at which ``p``'s target cycle
 reaches the next multiple of the interval, and every sampled value is
 derived from ``p``-local modelled state (``busy_until``, FMR spans,
-source-side link counters, arrival-queue depths).  Under the process
-backend the wavefront schedule makes a partition's local state at that
-slot bit-identical to the serial round-robin's, so the per-worker
-series the coordinator merges are bit-identical to an in-process run's
-— the property suite asserts exactly this.
+the link counters of the links it sources or terminates, arrival-queue
+depths).  Under the process backend the wavefront schedule makes a
+partition's local state at that slot bit-identical to the serial
+round-robin's, so the per-worker series the coordinator merges are
+bit-identical to an in-process run's — the property suite asserts
+exactly this.
 
-A :class:`Telemetry` object bundles one run's registry + sampler and is
-what :class:`~repro.harness.partitioned.PartitionedSimulation` accepts
-as its ``telemetry`` argument.  The default is :data:`NULL_TELEMETRY`
-(disabled, free).
+Nothing here is bumped per token.  The counts a run's metrics report
+are the ones the harness keeps anyway — ``Link.tokens``,
+``Link.stalls``, ``Link.depth_hist``, each unit's cycle and fire flags
+— and :func:`metrics_snapshot` reads them when the result is built, so
+the metrics are a function of the simulation's state: a checkpoint
+restores them with the links, and a worker ships only its series.
+
+A :class:`Telemetry` object bundles one run's sampler (+ live status)
+and is what :class:`~repro.harness.partitioned.PartitionedSimulation`
+accepts as its ``telemetry`` argument.  The default is
+:data:`NULL_TELEMETRY` (disabled, free).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import SimulationError
-from .metrics import MetricsRegistry, NULL_METRICS
+from .metrics import Histogram
 
 #: one series entry: (target cycle, {metric name: value})
 SeriesPoint = Tuple[int, Dict[str, float]]
@@ -50,11 +59,10 @@ class Sampler:
     """Emits one :data:`SeriesPoint` per partition per ``interval``
     target cycles."""
 
-    def __init__(self, registry: MetricsRegistry, interval: int = 50):
+    def __init__(self, interval: int = 50):
         if interval < 1:
             raise SimulationError(
                 f"sample interval must be >= 1 (got {interval})")
-        self.registry = registry
         self.interval = interval
         #: partition -> ordered sample series
         self.series: Dict[str, List[SeriesPoint]] = {}
@@ -78,7 +86,6 @@ class Sampler:
         """Sample ``part`` now, regardless of thresholds."""
         cycle = part.target_cycle
         spans = part.hooks.spans
-        reg = self.registry
         name = part.name
         busy = part.busy_until
         host_cycles = (busy / part.host_cycle_ns
@@ -86,8 +93,13 @@ class Sampler:
         queue_depth = sum(
             len(q) for key, q in sim._arrivals.items()
             if key[0] == name)
-        link_tokens = sum(link.tokens for link in sim.links
-                          if link.src[0] == name)
+        link_tokens = stalls = received = 0
+        for link in sim.links:
+            if link.src[0] == name:
+                link_tokens += link.tokens
+                stalls += link.stalls
+            if link.dst[0] == name:
+                received += sum(link.depth_hist.values())
         values = {
             "busy_ns": busy,
             "ns_per_kcycle": busy / cycle * 1e3 if cycle else 0.0,
@@ -97,10 +109,9 @@ class Sampler:
             "link_wait_ns": spans.link_wait_ns,
             "credit_stall_ns": spans.credit_stall_ns,
             "sync_ns": spans.sync_ns,
-            "tokens_tx": reg.value("counter", "tokens_tx", name),
-            "tokens_rx": reg.value("counter", "tokens_rx", name),
-            "credit_stalls": reg.value("counter", "credit_stalls",
-                                       name),
+            "tokens_tx": float(link_tokens),
+            "tokens_rx": float(received),
+            "credit_stalls": float(stalls),
             "queue_depth": float(queue_depth),
             "link_tokens": float(link_tokens),
         }
@@ -139,6 +150,47 @@ class Sampler:
             if part in (None, name):
                 self.series[name] = [(int(cycle), dict(values))
                                      for cycle, values in points]
+
+
+def metrics_snapshot(sim) -> dict:
+    """``sim``'s metrics, read off its modelled state, per partition
+    ``p``: ``tokens_tx`` and ``credit_stalls`` (the ``tokens`` and
+    ``stalls`` of the links out of ``p``), ``tokens_rx`` and the
+    ``rx_depth`` histogram (the ``depth_hist`` of the links into
+    ``p``), and ``bridge_outputs`` (per unlinked output, the unit's
+    cycle plus its fired flag).  Keyed ``name|part`` in sorted order;
+    an instrument is present iff it is non-zero."""
+    counters: Dict[Tuple[str, str], float] = {}
+    depths: Dict[str, Histogram] = {}
+
+    def add(name: str, part: str, amount: int) -> None:
+        if amount:
+            key = (name, part)
+            counters[key] = counters.get(key, 0.0) + amount
+
+    for link in sim.links:
+        src, dst = link.src[0], link.dst[0]
+        add("tokens_tx", src, link.tokens)
+        add("credit_stalls", src, link.stalls)
+        for depth, count in link.depth_hist.items():
+            add("tokens_rx", dst, count)
+            hist = depths.get(dst)
+            if hist is None:
+                hist = depths[dst] = Histogram("rx_depth", dst)
+            hist.observe(depth, count)
+    for part in sim.partitions.values():
+        for prefix, unit in part.units:
+            for base, fired in unit._fired.items():
+                if (part.name, prefix + base) not in sim._link_by_src:
+                    add("bridge_outputs", part.name,
+                        unit.target_cycle + fired)
+    return {
+        "counters": {f"{name}|{part}": value for (name, part), value
+                     in sorted(counters.items())},
+        "gauges": {},
+        "histograms": {f"rx_depth|{part}": depths[part].as_dict()
+                       for part in sorted(depths)},
+    }
 
 
 class LiveStatus:
@@ -180,13 +232,10 @@ class LiveStatus:
 
 
 class Telemetry:
-    """One run's metrics registry + sampler (+ optional live status).
+    """One run's sampler (+ optional live status).
 
     Args:
         sample_every: target cycles between samples.
-        registry: the instrument registry (a fresh
-            :class:`~repro.telemetry.metrics.MetricsRegistry` by
-            default).
         live_path: when given, a :class:`LiveStatus` file is kept up to
             date while the run progresses (``repro watch`` reads it).
         annotations: extra identity keys merged into every live-status
@@ -199,12 +248,9 @@ class Telemetry:
     enabled: bool = True
 
     def __init__(self, sample_every: int = 50,
-                 registry: Optional[MetricsRegistry] = None,
                  live_path: Optional[Union[str, Path]] = None,
                  annotations: Optional[dict] = None):
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self.sampler = Sampler(self.registry, sample_every)
+        self.sampler = Sampler(sample_every)
         self.live: Optional[LiveStatus] = (
             LiveStatus(live_path) if live_path is not None else None)
         self.annotations = dict(annotations or {})
@@ -256,46 +302,35 @@ class Telemetry:
 
     # -- result / persistence --------------------------------------------
 
-    def detail(self) -> dict:
-        """The ``SimulationResult.detail['telemetry']`` payload —
-        deterministic, JSON-able, bit-identical across backends."""
+    def detail(self, sim) -> dict:
+        """The ``SimulationResult.detail['telemetry']`` payload of
+        ``sim`` — deterministic, JSON-able, bit-identical across
+        backends."""
         return {
             "sample_every": self.sampler.interval,
             "series": self.sampler.state_dict()["series"],
-            "metrics": self.registry.snapshot(),
+            "metrics": metrics_snapshot(sim),
         }
 
     def state_dict(self, part: Optional[str] = None) -> dict:
         """The whole session, or — with ``part`` — the slice one
         partition owns (what :meth:`merge_worker` loads)."""
-        return {
-            "sampler": self.sampler.state_dict(part),
-            "metrics": self.registry.snapshot(part),
-        }
+        return {"sampler": self.sampler.state_dict(part)}
 
     def load_state_dict(self, state: dict) -> None:
         self.sampler.load_state_dict(state.get("sampler", {}))
-        self.registry = MetricsRegistry()
-        self.registry.load_snapshot(state.get("metrics", {}))
-        self.sampler.registry = self.registry
 
     def merge_worker(self, part: str, state: dict) -> None:
         """Overlay one worker's telemetry onto this (parent) session:
-        only the series, cursor and instruments of the partition the
-        worker owns are taken, mirroring the state-fragment ownership
-        rule."""
+        only the series and cursor of the partition the worker owns
+        are taken, mirroring the state-fragment ownership rule."""
         self.sampler.load_state_dict(state.get("sampler", {}), part)
-        self.registry.load_snapshot(state.get("metrics", {}),
-                                    part=part)
 
 
 class NullTelemetry(Telemetry):
-    """The default disabled session: no registry, no samples, no cost."""
+    """The default disabled session: no samples, no cost."""
 
     enabled = False
-
-    def __init__(self):
-        super().__init__(registry=NULL_METRICS)
 
     def on_pass(self, sim, part) -> None:  # pragma: no cover
         pass

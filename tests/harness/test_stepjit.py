@@ -46,7 +46,7 @@ from repro.rtl.kernel import kernel_source
 from repro.service.executor import build_simulation
 from repro.targets import make_comb_pair_circuit
 from repro.targets.soc import make_ring_noc_soc
-from repro.telemetry import NullTelemetry, Telemetry
+from repro.telemetry import Counter, Histogram, NullTelemetry, Telemetry
 
 from ..platform.test_extensions import _ethernet_sim
 
@@ -239,10 +239,11 @@ class TestGeneratedSources:
         assert "def _pass(" in src
 
     def test_live_sinks_are_in_the_source_null_sinks_are_not(self):
-        """A live sink's emit sites are static sites bound into the
-        step function, its rows plain tuples and its instruments field
-        bumps — no event, no instrument method in the source; the null
-        sinks leave no trace of either in it."""
+        """A live tracer's emit sites are static sites bound into the
+        step function and its rows plain tuples — no event in the
+        source; live telemetry binds no registry and bumps nothing (its
+        metrics are read off the links); the null sinks leave no trace
+        in it."""
         sim = _build(tracer=RecordingTracer(),
                      telemetry=Telemetry(sample_every=10))
         kinds, sources = {}, {}
@@ -255,15 +256,16 @@ class TestGeneratedSources:
                 assert call not in sources[name], call
             assert {"channel_fire", "advance", "credit_stall", "token_tx",
                     "target_cycle"} <= kinds[name]
-            assert ".ctr_tx" in sources[name] \
-                and ".ctr_stall" in sources[name]
+            assert ".stalls += 1" in sources[name]
+            for binding in ("registry", ".ctr_", "_rgc", "_rx",
+                            "'rx_depth'", "'tokens_tx'"):
+                assert binding not in sources[name], binding
+            assert not any(isinstance(v, (Counter, Histogram))
+                           for v in bindings.values())
         assert set().union(*kinds.values()) == {
             "channel_fire", "advance", "credit_stall", "token_tx",
             "token_rx", "target_cycle", "bridge_output"}
         assert "bridge_output" in kinds["base"]
-        assert ".ctr_bridge" in sources["base"]
-        assert any("token_rx" in kinds[name] and "'rx_depth'" in src
-                   for name, src in sources.items())
         clean = _build()
         for pplan in clean.ensure_schedule():
             src, bindings = generate_partition_source(clean, pplan)
@@ -275,10 +277,10 @@ class TestGeneratedSources:
     # the null-sink binding tables of the comb-pair build: what the
     # pass bound before the emit sites existed
     CLEAN_BINDINGS = {
-        "base": "pt sp sm len rng u f e mm r c t dc oq oc dq oq oc "
-                "aq ol olg bk lk cq cb cbg dk xq xc aq dh dhg cq",
-        "fpga1": "pt sp sm len rng u f e mm r c t dc oq oc dq aq "
-                 "lk cq cb cbg dk xq xc aq dh dhg cq",
+        "base": "pt sp sm len rng u f e mm r c t dc dq "
+                "aq ol olg bk lk cq cb cbg dk xq aq dh dhg cq",
+        "fpga1": "pt sp sm len rng u f e mm r c t dc dq aq "
+                 "lk cq cb cbg dk xq aq dh dhg cq",
     }
 
     def test_null_sink_binding_table_is_unchanged(self):
@@ -394,7 +396,7 @@ def test_first_quiescent_cycle_matches_the_interpreter():
     for unit in units(jit):
         fire, adv, cyc = unit_kernels(
             unit.sim.elab,
-            [entry[3] for entry in unit.step_bindings()["fire_plans"]],
+            [entry[2] for entry in unit.step_bindings()["fire_plans"]],
             unit.name)
 
         def spy(env, mems, unit=unit, cyc=cyc):

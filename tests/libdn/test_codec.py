@@ -152,7 +152,7 @@ class TestChannelWords:
         ch = Channel(spec)
         ch.put_word(0xA5)
         ch.put({"lo": 1, "hi": 2})
-        assert len(ch) == ch.total_enqueued == 2
+        assert len(ch) == 2
         assert ch.head() == {"lo": 5, "hi": 0xA}
         assert ch.get() == {"lo": 5, "hi": 0xA}
         assert ch.get() == {"lo": 1, "hi": 2}

@@ -45,10 +45,3 @@ class TestChannel:
         ch = Channel(_spec())
         with pytest.raises(SimulationError):
             ch.put({"a": 1})
-
-    def test_enqueue_counter(self):
-        ch = Channel(_spec())
-        ch.put({"a": 0, "b": 0})
-        ch.get()
-        ch.put({"a": 0, "b": 0})
-        assert ch.total_enqueued == 2

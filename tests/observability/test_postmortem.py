@@ -5,9 +5,11 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.firrtl import make_circuit
-from repro.harness import Link, Partition, PartitionedSimulation
+from repro.harness import Link, Partition, PartitionedSimulation, \
+    partitioned
 from repro.libdn import ChannelSpec, LIBDNHost
-from repro.observability import DeadlockPostmortem, RecordingTracer
+from repro.observability import DeadlockPostmortem, RecordingTracer, \
+    TraceEvent
 from repro.platform import QSFP_AURORA
 from repro.rtl import Simulator
 from repro.targets.combo import WIDTH, make_comb_left, make_comb_right
@@ -64,33 +66,15 @@ class TestPostmortemCapture:
         assert pm.events  # the ring captured the deadlock event itself
         assert pm.events[-1].kind == "deadlock"
 
-    def test_ring_bounded_by_postmortem_events(self):
+    def test_ring_bounded_by_postmortem_events(self, monkeypatch):
+        monkeypatch.setattr(partitioned, "POSTMORTEM_EVENTS", 2)
         tracer = RecordingTracer()
-        exc = _deadlock(_fig2a_sim(tracer=tracer, postmortem_events=2))
-        assert len(exc.postmortem.events) <= 2
-
-    def test_ring_size_configurable_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POSTMORTEM_RING", "3")
-        sim = _fig2a_sim(tracer=RecordingTracer())
-        assert sim.postmortem_events == 3
-        exc = _deadlock(sim)
-        assert 1 <= len(exc.postmortem.events) <= 3
-
-    def test_unparsable_env_ring_size_is_typed(self, monkeypatch):
-        from repro.errors import EnvSettingError
-        monkeypatch.setenv("REPRO_POSTMORTEM_RING", "many")
-        with pytest.raises(EnvSettingError,
-                           match="REPRO_POSTMORTEM_RING='many'"):
-            _fig2a_sim()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POSTMORTEM_RING", "3")
-        sim = _fig2a_sim(postmortem_events=7)
-        assert sim.postmortem_events == 7
-
-    def test_env_unset_defaults_to_64(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POSTMORTEM_RING", raising=False)
-        assert _fig2a_sim().postmortem_events == 64
+        for ts in range(5):
+            tracer.emit(TraceEvent("mark", ts_ns=float(ts)))
+        exc = _deadlock(_fig2a_sim(tracer=tracer))
+        events = exc.postmortem.events
+        assert events[-1].kind == "deadlock"
+        assert len(events) <= 2 < len(tracer)
 
     def test_untraced_run_still_gets_channel_state(self):
         exc = _deadlock(_fig2a_sim())

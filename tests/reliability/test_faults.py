@@ -156,6 +156,26 @@ class TestUnprotectedFailureModes:
         assert totals[0] == totals[1]
         assert totals[0][1] > 0
 
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_deadlock_keeps_the_run_state(self, build_pair, backend,
+                                            seed):
+        """The state a deadlocked run leaves behind — frontier, outputs,
+        link tokens, busy cursors — is the in-process run's on every
+        backend."""
+        states = []
+        for run_on in ("inproc", backend):
+            sim = build_pair()
+            inject_faults(sim, FaultSpec(seed=seed, drop_rate=0.2))
+            with pytest.raises(DeadlockError):
+                sim.run(200, backend=run_on)
+            states.append((
+                sim.frontier_cycle(), sim.output_log,
+                [link.tokens for link in sim.links],
+                [p.busy_until for p in sim.partitions.values()]))
+        assert states[0] == states[1]
+        assert states[0][0] > 0 and states[0][1]
+
     def test_corruption_without_recovery_wrongs_results(self,
                                                         build_pair):
         clean = build_pair()

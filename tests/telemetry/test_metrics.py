@@ -1,17 +1,25 @@
-"""Metric instruments and the partition-scoped registry."""
+"""Metric instruments, the service registry, and a run's metrics read
+off its modelled state."""
 
 import json
+from bisect import bisect_left
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.fireripper import EXACT, FAST, FireRipper, PartitionGroup, \
+    PartitionSpec
+from repro.platform import QSFP_AURORA
+from repro.reliability import capture_state, restore_state
+from repro.targets import make_comb_pair_circuit
 from repro.telemetry import (
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
+    Telemetry,
+    metrics_snapshot,
 )
 from repro.telemetry.metrics import DEFAULT_BUCKETS
 
@@ -84,63 +92,73 @@ class TestRegistry:
         assert reg.gauge("tokens", "p0") is not reg.counter(
             "tokens", "p0")
 
-    def test_value_reads_without_creating(self):
-        reg = MetricsRegistry()
-        assert reg.value("counter", "never_touched", "p0") == 0.0
-        assert reg.partitions() == []
-        reg.counter("tokens", "p0").inc(7)
-        assert reg.value("counter", "tokens", "p0") == 7.0
-
-    def test_partitions_lists_owners(self):
-        reg = MetricsRegistry()
-        reg.counter("a", "p1").inc()
-        reg.gauge("b", "p0").set(1)
-        assert reg.partitions() == ["p0", "p1"]
-
-    def test_snapshot_is_sorted_and_json_able(self):
+    def test_instruments_are_sorted(self):
         reg = MetricsRegistry()
         reg.counter("z", "p1").inc(2)
         reg.counter("a", "p0").inc(1)
         reg.histogram("h", "p0").observe(3)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["a|p0", "z|p1"]
-        assert json.loads(json.dumps(snap)) == snap
-
-    def test_snapshot_part_filter(self):
-        reg = MetricsRegistry()
-        reg.counter("a", "p0").inc(1)
-        reg.counter("a", "p1").inc(2)
-        snap = reg.snapshot(part="p1")
-        assert snap["counters"] == {"a|p1": 2.0}
-
-    def test_load_snapshot_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("tokens", "p0").inc(3)
-        reg.gauge("depth", "p1").set(5)
-        reg.histogram("h", "p0", bounds=(2, 8)).observe(6)
-        restored = MetricsRegistry()
-        restored.load_snapshot(reg.snapshot())
-        assert restored.snapshot() == reg.snapshot()
-
-    def test_load_snapshot_part_filter_merges_one_worker(self):
-        """The coordinator's merge path: loading with ``part=`` takes
-        only that partition's instruments from a worker snapshot."""
-        worker = MetricsRegistry()
-        worker.counter("tokens", "p0").inc(1)
-        worker.counter("tokens", "p1").inc(9)  # not p0's to contribute
-        parent = MetricsRegistry()
-        parent.load_snapshot(worker.snapshot(), part="p0")
-        assert parent.value("counter", "tokens", "p0") == 1.0
-        assert parent.partitions() == ["p0"]
+        assert [key for key, _ in reg.instruments()] == [
+            ("counter", "a", "p0"), ("counter", "z", "p1"),
+            ("histogram", "h", "p0")]
 
 
-class TestNullRegistry:
-    def test_disabled_and_absorbs_everything(self):
-        assert NULL_METRICS.enabled is False
-        assert isinstance(NULL_METRICS, NullMetricsRegistry)
-        NULL_METRICS.counter("tokens", "p0").inc(5)
-        NULL_METRICS.gauge("depth").set(3)
-        NULL_METRICS.histogram("h").observe(1)
-        assert NULL_METRICS.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-        assert NULL_METRICS.value("counter", "tokens", "p0") == 0.0
+def _build(mode=FAST, **sinks):
+    spec = PartitionSpec(mode=mode, groups=[
+        PartitionGroup.make("fpga1", ["right"])])
+    design = FireRipper(spec).compile(make_comb_pair_circuit())
+    return design.build_simulation(QSFP_AURORA, **sinks)
+
+
+class TestRunMetrics:
+    """``detail["telemetry"]["metrics"]`` is read off the links and the
+    units, not counted a second time."""
+
+    @pytest.mark.parametrize("mode", [FAST, EXACT])
+    @pytest.mark.parametrize("jit", [True, False])
+    def test_metrics_are_the_link_and_unit_state(self, mode, jit):
+        sim = _build(mode, telemetry=Telemetry(sample_every=25))
+        sim.stepjit = jit
+        sim.channel_capacity = None if mode == FAST else 0
+        metrics = sim.run(90).detail["telemetry"]["metrics"]
+        counters, hists = metrics["counters"], metrics["histograms"]
+        assert metrics["gauges"] == {}
+        assert list(counters) == sorted(
+            counters, key=lambda key: tuple(key.split("|")))
+        for name in sim.partitions:
+            out = [l for l in sim.links if l.src[0] == name]
+            into = [l for l in sim.links if l.dst[0] == name]
+            assert counters.get(f"tokens_tx|{name}", 0.0) \
+                == sum(l.tokens for l in out)
+            assert counters.get(f"credit_stalls|{name}", 0.0) \
+                == sum(l.stalls for l in out)
+            received = sum(sum(l.depth_hist.values()) for l in into)
+            assert counters.get(f"tokens_rx|{name}", 0.0) == received
+            if received:
+                buckets = [0] * (len(DEFAULT_BUCKETS) + 1)
+                for link in into:
+                    for depth, count in link.depth_hist.items():
+                        buckets[bisect_left(DEFAULT_BUCKETS, depth)] \
+                            += count
+                assert hists[f"rx_depth|{name}"]["buckets"] == buckets
+                assert hists[f"rx_depth|{name}"]["count"] == received
+        # only base has unlinked outputs: one per cycle each
+        assert counters["bridge_outputs|base"] >= 90
+        assert "bridge_outputs|fpga1" not in counters
+        assert all(value for value in counters.values())
+
+    def test_a_restore_without_telemetry_keeps_the_link_counts(self):
+        """A checkpoint captured with no telemetry attached, restored
+        onto a sampled build: the run's ``tokens_tx`` counts every
+        token its links carried, not just the ones since the restore."""
+        first = _build()
+        first.run(40)
+        state = json.loads(json.dumps(capture_state(first)))
+        resumed = _build(telemetry=Telemetry(sample_every=20))
+        restore_state(resumed, state)
+        metrics = resumed.run(80).detail["telemetry"]["metrics"]
+        for name in resumed.partitions:
+            tokens = sum(l.tokens for l in resumed.links
+                         if l.src[0] == name)
+            assert tokens > 40
+            assert metrics["counters"][f"tokens_tx|{name}"] == tokens
+        assert metrics == metrics_snapshot(resumed)
