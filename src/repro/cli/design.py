@@ -66,7 +66,9 @@ def cmd_jit(args) -> int:
                   f"{st['inlined']} nodes inlined), {st['masks_elided']} "
                   f"masks elided, {st['statements']} statements"
                   + (f", code shared with {shared}"
-                     if shared != st["kernel"] else ""))
+                     if shared != st["kernel"] else "")
+                  + (f", derived from {st['derived']}"
+                     if "derived" in st else ""))
         dumps += kernels
     if args.dump:
         print(src)

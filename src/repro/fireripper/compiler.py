@@ -2,8 +2,11 @@
 
 Pipeline (mirrors Sec. III): well-formedness check -> module selection
 (explicit or NoC-partition-mode) -> uniquify/reparent/group/extract ->
-fast-mode target modifications (when requested) -> boundary analysis and
-channel planning (with the exact-mode chain-length check).  Each design
+fast-mode target modifications (when requested) -> a check of what
+those built or edited -> boundary analysis and channel planning (with
+the exact-mode chain-length check) -> the partitions that repeat an
+earlier one (:mod:`~repro.fireripper.repeats`), whose kernels are
+derived from their first instance's, not printed.  Each design
 is compiled once per process, keyed by content: :meth:`FireRipper.compile`
 memoizes it under the circuit's fingerprint and the spec's field values.
 
@@ -39,6 +42,7 @@ from ..rtl.engine import Simulator
 from .boundary import BoundaryPlan, plan_boundaries
 from .extract import ExtractedDesign, extract_partitions
 from .fastmode import apply_fast_mode_transforms, detect_rv_bundles
+from .repeats import Repeats, find_repeats
 from .report import PartitionReport, build_report
 from .select import select_explicit, select_noc
 from .spec import EXACT, FAST, PartitionSpec
@@ -57,13 +61,16 @@ class PartitionedDesign:
     later :meth:`build_simulation` hands the same :class:`Elaboration`
     (and the fused kernels memoized on it) to its new
     :class:`Simulator` — so a pickled design that has run carries its
-    elaborations and kernels with it."""
+    elaborations and kernels with it.  A repeat's elaboration names its
+    first instance's and σ as ``repeat_of``."""
 
     spec: PartitionSpec
     extracted: ExtractedDesign
     plan: BoundaryPlan
     elaborations: Dict[str, Elaboration] = field(
         default_factory=dict, repr=False, compare=False)
+    repeats: Repeats = field(default_factory=dict, repr=False,
+                             compare=False)
 
     @property
     def partitions(self) -> Dict[str, Circuit]:
@@ -75,6 +82,9 @@ class PartitionedDesign:
         if elab is None:
             elab = self.elaborations[name] = elaborate(
                 self.partitions[name])
+            if name in self.repeats:
+                first, sigma = self.repeats[name]
+                elab.repeat_of = (self.elaboration(first), sigma)
         return elab
 
     @property
@@ -252,7 +262,8 @@ class FireRipper:
                         f"{sorted(missing)}")
             apply_fast_mode_transforms(extracted, bundles)
         for part in extracted.partitions.values():
-            check_circuit(part)
+            check_circuit(part, checked=circuit)
         plan = plan_boundaries(extracted, self.spec.mode)
         return PartitionedDesign(spec=self.spec, extracted=extracted,
-                                 plan=plan)
+                                 plan=plan,
+                                 repeats=find_repeats(extracted.partitions))

@@ -3,13 +3,15 @@
 Checks are deliberately strict: every connect target must be declared and
 driven exactly once, every reference must resolve, instance ports must
 match the instantiated module's signature, and connect directions must be
-legal (local outputs/wires/registers, instance inputs).  FireRipper runs
+legal (local outputs/wires/registers, instance inputs), and every
+output port, wire and instance input must be driven.  FireRipper runs
 this before and after its transforms as a sanity net.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from operator import is_
+from typing import Dict, Optional, Set
 
 from ...errors import IRError
 from ..ast import (
@@ -30,10 +32,18 @@ from ..ast import (
 from ..circuit import Circuit, Module
 
 
-def check_circuit(circuit: Circuit) -> None:
-    """Validate every module; raise :class:`IRError` on the first problem."""
+def check_circuit(circuit: Circuit,
+                  checked: Optional[Circuit] = None) -> None:
+    """Validate every module; raise :class:`IRError` on the first problem.
+
+    ``checked`` is a circuit that passed already: a module it holds under
+    the same name, with the same port and statement objects and with
+    children whose ports are the same objects, is not checked again —
+    :func:`check_module` reads nothing else, so it would prove what it
+    proved for ``checked``."""
     for module in circuit.modules.values():
-        check_module(module, circuit)
+        if checked is None or not _unchanged(module, circuit, checked):
+            check_module(module, circuit)
     # instance targets resolve
     for module in circuit.modules.values():
         for inst in module.instances():
@@ -42,6 +52,20 @@ def check_circuit(circuit: Circuit) -> None:
                     f"{module.name}: instance {inst.name} of missing module "
                     f"{inst.module!r}"
                 )
+
+
+def _unchanged(module: Module, circuit: Circuit, checked: Circuit) -> bool:
+    old = checked.modules.get(module.name)
+    return old is not None and _same(module.ports, old.ports) \
+        and _same(module.stmts, old.stmts) and all(
+            name in circuit.modules and name in checked.modules
+            and _same(circuit.modules[name].ports,
+                      checked.modules[name].ports)
+            for name in {inst.module for inst in module.instances()})
+
+
+def _same(mine: list, theirs: list) -> bool:
+    return len(mine) == len(theirs) and all(map(is_, mine, theirs))
 
 
 def check_module(module: Module, circuit: Circuit = None) -> None:
@@ -135,6 +159,14 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
     for s in module.stmts:
         if isinstance(s, DefWire) and s.name not in connect_targets:
             raise IRError(f"{module.name}: wire {s.name!r} is never driven")
+    # and every input of every child (an undriven one would read as 0)
+    for inst, name in insts.items():
+        child = circuit.modules.get(name) if circuit is not None else None
+        for p in child.input_ports if child is not None else ():
+            if f"{inst}.{p.name}" not in connect_targets:
+                raise IRError(
+                    f"{module.name}: input {p.name!r} of instance "
+                    f"{inst!r} is never driven")
 
 
 def _check_inst_port(module: Module, circuit: Circuit,

@@ -99,7 +99,12 @@ AssignLike = Union[FlatAssign, FlatMemRead]
 class Elaboration:
     """Flattened, topologically sorted netlist, read-only once built:
     simulators and their fused kernels (memoized here as ``kernels``
-    by :func:`repro.rtl.kernel.unit_kernels`) share one freely."""
+    by :func:`repro.rtl.kernel.unit_kernels`) share one freely.
+
+    ``repeat_of`` is ``(first, σ)`` when this is the elaboration of a
+    partition FireRipper found to be a renaming of ``first``'s
+    (:mod:`repro.fireripper.repeats`): σ maps each first segment of a
+    flat name there to the one here."""
 
     top: str
     inputs: Dict[str, int]
@@ -109,6 +114,8 @@ class Elaboration:
     mems: Dict[str, FlatMem]
     writes: List[FlatMemWrite]
     widths: Dict[str, int]
+    repeat_of: Optional[Tuple["Elaboration", Dict[str, str]]] = field(
+        default=None, repr=False, compare=False)
 
 
 def elaborate(circuit: Circuit) -> Elaboration:

@@ -157,7 +157,8 @@ def _masked(code: str, bits: Optional[int], width: int,
 
 def compile_expr(expr: Expr, name_of: Callable[[str, bool], Printed],
                  truth: bool = False, stats: Optional[dict] = None,
-                 lit: Optional[Callable[[int], str]] = None) -> Printed:
+                 lit: Optional[Callable[[PrimOp, int], str]] = None
+                 ) -> Printed:
     """Emit a Python expression computing ``expr``; returns
     ``(code, bits)``.
 
@@ -183,10 +184,11 @@ def compile_expr(expr: Expr, name_of: Callable[[str, bool], Printed],
     ``stats["masks_elided"]`` counts the masks ranges removed.  Every
     sub-expression is printed exactly once.
 
-    ``lit(value)`` returns the placeholder printed for a literal
-    operand whose sibling is no literal (a pair of literals would fold),
-    for :mod:`repro.rtl.kernel`'s templates; its range is still the
-    value's, so every decision the range makes is printed text.
+    ``lit(op, i)`` returns the placeholder printed for the literal
+    operand ``op.args[i]`` whose sibling is no literal (a pair of
+    literals would fold), for :mod:`repro.rtl.kernel`'s templates; its
+    range is still the value's, so every decision the range makes is
+    printed text.
     """
     if isinstance(expr, Ref):
         return name_of(expr.name, truth)
@@ -216,7 +218,7 @@ def _compile_primop(expr: PrimOp, name_of, truth: bool,
         arg = args[i]
         if isinstance(arg, Lit) and i in siblings \
                 and not isinstance(args[siblings[i]], Lit):
-            return lit(arg.value), arg.value.bit_length()
+            return lit(expr, i), arg.value.bit_length()
         return compile_expr(arg, name_of, truth, stats, lit)
 
     if op == "mux":

@@ -75,6 +75,11 @@ share bytecode (re-print one rather than edit its ``__code__``).
 Slots are not lifted into locals or defaults: that widens the frame
 and slows every resume.
 
+**One print per shape**: a repeated partition (``elab.repeat_of``,
+:mod:`repro.fireripper.repeats`) whose first instance printed earlier
+in the same :func:`share_kernels` call is not printed; its print is
+derived from the first's (:func:`_derive`).
+
 Consequence (documented contract): kernels do *not* write
 combinational intermediates back into the RTL env, so signal peeks
 between passes may observe stale comb values on kernel-tier units.
@@ -91,9 +96,9 @@ from types import FunctionType
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import IRError
-from ..firrtl.ast import Expr, PrimOp, Ref
+from ..firrtl.ast import Expr, Lit, PrimOp, Ref
 from .elaborate import Elaboration, FlatAssign
-from .eval import CODEGEN_HELPERS, Printed, compile_expr, mask
+from .eval import _COMPARISONS, CODEGEN_HELPERS, Printed, compile_expr, mask
 
 #: expression-tree levels a node may reach and still be printed at its
 #: use site; one level prints at most two nested parentheses
@@ -155,7 +160,7 @@ def compile_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
 
 def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
-                 do_tick: bool, tag: str, scan=None):
+                 do_tick: bool, tag: str, scan=None, sites=None):
     """Print one specialised kernel ``_k(env, mems)`` for ``elab`` as
     ``(template, slot values, stats)``.
 
@@ -172,7 +177,10 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
     point.  ``scan`` is an :func:`expr_scanner` to share.
 
     Every ``env``/``mems`` key and every literal ``compile_expr`` lifts
-    prints as the placeholder ``'@n'`` of slot ``n``."""
+    prints as the placeholder ``'@n'`` of slot ``n``.  ``sites``, when
+    given, gets ``n - 1 -> (root, op, i)`` per lifted literal: it is
+    ``op.args[i]`` inside ``root``, an assign's driver, a register's
+    next value or a write port's field."""
     for mw in elab.writes:
         if mw.data.width > elab.mems[mw.mem].width:
             raise IRError(
@@ -232,8 +240,18 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
             named[value] = f"'@{len(slots)}'"
         return f"'@{len(slots)}'"
 
+    root: List[Expr] = [None]
+
+    def literal(op: PrimOp, i: int) -> str:
+        if sites is not None:
+            sites[len(slots)] = (root[0], op, i)
+        return slot(op.args[i].value)
+
     def code_of(e: Expr, truth: bool = False) -> Printed:
-        return compile_expr(e, name_of, truth, stats, slot)
+        outer, root[0] = root[0], e
+        found = compile_expr(e, name_of, truth, stats, literal)
+        root[0] = outer
+        return found
 
     def local(key, table: str, item: str, loads: List[str]) -> str:
         """The local bound to ``table[item]`` in ``loads`` (once)."""
@@ -471,20 +489,29 @@ def share_kernels(requests) -> list:
     """:func:`unit_kernels` of many ``(elab, pack_lists, tag)`` at once:
     every kernel missing from a memo is printed first, then all are
     compiled together (:func:`compile_kernels`), so repeated partitions
-    share their code."""
+    share their code, and a repeat's prints are derived from its first
+    instance's when that printed earlier in the call."""
     todo: Dict[tuple, tuple] = {}
+    #: id(elab) -> its (word-ordered pack lists, prints, literal sites)
+    firsts: Dict[int, list] = {}
     for elab, pack_lists, tag in requests:
         if getattr(elab, "kernels", None) is None:
             elab.kernels = KernelMemo()
         key = (tag, tuple(tuple(fields) for fields in pack_lists))
         if key in elab.kernels or (id(elab), key) in todo:
             continue
-        scan = expr_scanner()
-        kinds = ((False, "fire"), None, (True, "cyc")) if pack_lists \
-            else (None, (True, "adv"), None)
-        todo[id(elab), key] = (elab, key, [kind and print_kernel(
-            elab, pack_lists, kind[0], f"{kind[1]}:{tag}", scan)
-            for kind in kinds])
+        prints = _derive(elab, pack_lists, tag, firsts)
+        if prints is None:
+            scan = expr_scanner()
+            kinds = ((False, "fire"), None, (True, "cyc")) if pack_lists \
+                else (None, (True, "adv"), None)
+            sites = [{} for _kind in kinds]
+            prints = [kind and print_kernel(
+                elab, pack_lists, kind[0], f"{kind[1]}:{tag}", scan, where)
+                for kind, where in zip(kinds, sites)]
+            firsts.setdefault(id(elab), []).append(
+                (_ordered(pack_lists), prints, sites))
+        todo[id(elab), key] = (elab, key, prints)
     fns = iter(compile_kernels([p for _e, _k, ps in todo.values()
                                 for p in ps if p]))
     for elab, key, ps in todo.values():
@@ -496,3 +523,85 @@ def share_kernels(requests) -> list:
 def _driver(a) -> Expr:
     """The expression a comb assign or memory read evaluates."""
     return a.expr if isinstance(a, FlatAssign) else a.addr
+
+
+def _ordered(pack_lists: List[PackFields]) -> List[PackFields]:
+    return [list(pack_lists[j]) for j in word_order(pack_lists)]
+
+
+def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
+            firsts: Dict[int, list]):
+    """A repeat's prints, made from its first instance's in ``firsts``:
+    the first's template and stats, its name slots through σ and, per
+    lifted literal, the repeat's own at the place the first's came
+    from.  None, and the repeat prints its own, unless that is its own
+    print: the layouts and signals are the first's renamed, in order
+    (:func:`_paired_roots`), and so are the lifted literals, bar a
+    comparison operand.  FireRipper proved the rest equal: ops, params,
+    widths, inits and depths (:mod:`repro.fireripper.repeats`)."""
+    if elab.repeat_of is None:
+        return None
+    first, sigma = elab.repeat_of
+
+    def rename(name: str) -> str:
+        head, dot, rest = name.partition(".")
+        return sigma.get(head, head) + dot + rest
+
+    want = _ordered(pack_lists)
+    for fields, prints, sites in firsts.get(id(first), ()):
+        if [[(rename(port), offset, m) for port, offset, m in f]
+                for f in fields] == want:
+            break
+    else:
+        return None
+    roots = _paired_roots(first, elab, rename)
+    if roots is None:
+        return None
+    derived = []
+    for printed, where in zip(prints, sites):
+        if printed is None:
+            derived.append(None)
+            continue
+        template, slots, stats = printed
+        mine = [rename(v) if isinstance(v, str) else v for v in slots]
+        for n, (root, op, i) in where.items():
+            found = _find(root, roots.get(id(root)), op)
+            lit = found.args[i] if found is not None else None
+            if not isinstance(lit, Lit) or (
+                    lit.value != slots[n] and op.op not in _COMPARISONS):
+                return None
+            mine[n] = lit.value
+        kind = stats["kernel"].split(":", 1)[0]
+        derived.append((template, tuple(mine), dict(
+            stats, kernel=f"{kind}:{tag}", derived=stats["kernel"])))
+    return derived
+
+
+def _paired_roots(first: Elaboration, elab: Elaboration, rename):
+    """``id`` of each expression ``first`` evaluates at the top (a
+    driver, a next value, a write port's fields) -> ``elab``'s, when
+    ``elab`` lists ``first``'s inputs, memories, assigns, registers and
+    write ports through ``rename`` in the same order; else None."""
+    def names(e: Elaboration) -> list:
+        return [*e.inputs, *e.mems, *(a.name for a in e.assigns), *e.regs,
+                *(w.mem for w in e.writes)]
+
+    def roots(e: Elaboration) -> list:
+        return [*map(_driver, e.assigns), *(r.next for r in e.regs.values()),
+                *(x for w in e.writes for x in (w.addr, w.data, w.en))]
+
+    if list(map(rename, names(first))) != names(elab):
+        return None
+    return dict(zip(map(id, roots(first)), roots(elab)))
+
+
+def _find(mine: Expr, theirs: Expr, op: PrimOp):
+    """The node of ``theirs`` at the place ``op`` has in ``mine``."""
+    if mine is op:
+        return theirs
+    if isinstance(mine, PrimOp) and isinstance(theirs, PrimOp):
+        for x, y in zip(mine.args, theirs.args):
+            found = _find(x, y, op)
+            if found is not None:
+                return found
+    return None

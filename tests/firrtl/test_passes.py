@@ -8,6 +8,8 @@ from repro.firrtl.ast import (
     Connect,
     DefInstance,
     DefMemory,
+    InstPort,
+    InstTarget,
     LocalTarget,
     Lit,
     MemWritePort,
@@ -60,6 +62,25 @@ class TestCheck:
                     Connect(LocalTarget("o"), Lit(0, 1))])
         with pytest.raises(IRError):
             check_circuit(Circuit("T", [m]))
+
+    def test_undriven_instance_input(self):
+        """The interpreter would read ``c.a`` as 0 and the kernel tier
+        would reload it every cycle: refused like an undriven output."""
+        child = Module("Child", [Port("a", "input", 4),
+                                 Port("y", "output", 4)],
+                       [Connect(LocalTarget("y"), Ref("a", 4))])
+
+        def top(*stmts):
+            return Module("T", [Port("o", "output", 4)], [
+                DefInstance("c", "Child"),
+                Connect(LocalTarget("o"), InstPort("c", "y", 4)), *stmts])
+
+        check_circuit(Circuit("T", [top(Connect(
+            InstTarget("c", "a"), Lit(3, 4))), child]))
+        with pytest.raises(
+                IRError,
+                match="T: input 'a' of instance 'c' is never driven"):
+            check_circuit(Circuit("T", [top(), child]))
 
     def test_write_data_wider_than_its_memory(self):
         """Nothing masks a write, so the word would be stored whole and

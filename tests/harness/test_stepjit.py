@@ -445,11 +445,15 @@ def _ops(fn):
 def test_repeated_noc_groups_share_one_compile(monkeypatch, tiles, groups):
     """The ledger's rings: every NoC group prints one template per
     kernel kind, which is compiled once (base plus noc, for ``fire`` and
-    for ``cyc``); each group's kernel is its own function, and
+    for ``cyc``), and only the first group prints it: the others derive
+    their prints from its; each group's kernel is its own function, and
     disassembles to what a compile of its own source gives."""
-    compiled = []
+    compiled, printed = [], []
     monkeypatch.setattr(kernel, "compile", lambda src, name, mode: (
         compiled.append(name) or compile(src, name, mode)), raising=False)
+    print_kernel = kernel.print_kernel
+    monkeypatch.setattr(kernel, "print_kernel", lambda *a, **k: (
+        printed.append(a[3]) or print_kernel(*a, **k)))
     spec = PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(groups))
     sim = FireRipper(spec).compile(
         make_ring_noc_soc(tiles, messages_per_tile=2)) \
@@ -458,12 +462,18 @@ def test_repeated_noc_groups_share_one_compile(monkeypatch, tiles, groups):
     assert sorted(compiled) == sorted(
         f"<stepjit-kernel:{kind}:{part}>"
         for kind in ("fire", "cyc") for part in ("base", "noc0"))
+    assert sorted(printed) == sorted(
+        f"{kind}:{part}" for kind in ("fire", "cyc")
+        for part in ("base", "noc0"))
     kernels = {fn._stepjit_stats["kernel"]: fn
                for part in sim.partitions.values() for _, unit in part.units
                for fns in unit.sim.elab.kernels.values() for fn in fns if fn}
     cyc = [kernels[f"cyc:noc{g}"] for g in range(len(groups))]
     assert len({id(fn) for fn in cyc}) == len(groups)
     assert len({id(fn._stepjit_template) for fn in cyc}) == 1
+    assert all(kernels[f"{kind}:noc{g}"]._stepjit_stats["derived"]
+               == f"{kind}:noc0" for kind in ("fire", "cyc")
+               for g in range(1, len(groups)))
     for tag, fn in kernels.items():
         namespace = {"_div": None, "_rem": None}
         exec(compile(kernel_source(fn), tag, "exec"), namespace)

@@ -7,7 +7,8 @@ one-pass commit + quiescence flag); ``Simulator(compiled=False)`` and
 hypothesis property over random flat netlists that use every primitive
 op, plus pins on the structure of the printed source.  Kernels that print
 one template share one compile (``TEMPLATES``); a renamed copy is run
-against the interpreter through the shared code.
+against the interpreter through the shared code, and a repeat's print
+derived from its first instance's is checked against its own print.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import IRError
 from repro.firrtl.ast import Lit, PRIM_OPS, PrimOp, Ref
 from repro.firrtl.parser import _WIDTH_RULES
-from repro.rtl import Simulator, elaborate
+from repro.rtl import Simulator, elaborate, kernel
 from repro.rtl.elaborate import (
     Elaboration,
     FlatAssign,
@@ -316,6 +317,45 @@ def test_a_renamed_copy_runs_on_the_shared_template(elab, stimulus, shift):
         assert "tile7." not in theirs._stepjit_template
 
 
+def _printed_together(monkeypatch, requests):
+    """``share_kernels(requests)``, returning the tags it printed and
+    each kernel's ``(template, slots, stats)`` as it reached the
+    compile."""
+    printed, made = [], {}
+    print_kernel = kernel.print_kernel
+    monkeypatch.setattr(kernel, "print_kernel", lambda *a, **k: (
+        printed.append(a[3]) or print_kernel(*a, **k)))
+    compile_kernels = kernel.compile_kernels
+    monkeypatch.setattr(kernel, "compile_kernels", lambda prints: (
+        made.update((p[2]["kernel"], p) for p in prints)
+        or compile_kernels(prints)))
+    share_kernels(requests)
+    monkeypatch.undo()
+    return printed, made
+
+
+@given(elab=netlists(), shift=st.integers(1, 255))
+@settings(max_examples=40, deadline=None)
+def test_a_repeat_derives_the_print_of_its_own(elab, shift):
+    """A repeat printed after its first instance is not printed: its
+    ``(template, slots, stats)`` is derived from the first's, and is
+    what a print of its own elaboration gives (its tag aside)."""
+    names = [*elab.inputs, *elab.regs, *elab.mems,
+             *(a.name for a in elab.assigns)]
+    copy = _renamed(elab, _copy_name, shift)
+    copy.repeat_of = (elab, {n: _copy_name(n) for n in names})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        printed, made = _printed_together(monkeypatch, [
+            (elab, _pack_lists(elab), "rand"),
+            (copy, _pack_lists(copy), "copy")])
+    assert printed == ["fire:rand", "cyc:rand"]
+    for kind, do_tick in (("fire", False), ("cyc", True)):
+        template, slots, stats = made[f"{kind}:copy"]
+        assert stats.pop("derived") == f"{kind}:rand"
+        assert (template, slots, stats) == print_kernel(
+            copy, _pack_lists(copy), do_tick, f"{kind}:copy")
+
+
 def _masked_slice(value):
     """``o = bits(and(x, value), 3, 0)``: the slice's mask is elided
     exactly when ``value`` fits in four bits."""
@@ -343,6 +383,39 @@ def test_a_literal_that_flips_a_mask_does_not_share():
         env = {"x": x, "o": 0}
         assert (fits(env, {}), shares(env, {}), wide(env, {})) \
             == (x & 15, x & 9, x & 16 & 15)
+
+
+def test_a_repeat_that_differs_in_what_is_printed_prints_its_own(
+        monkeypatch):
+    """Derivation is refused, and the repeat printed, when a lifted
+    literal that is no comparison operand differs (it may flip a mask)
+    or when the repeat lists its assigns in another order."""
+    fields = [[("o", 0, 15)]]
+    wide = _masked_slice(16)
+    wide.repeat_of = (_masked_slice(15), {})
+    fits = wide.repeat_of[0]
+    printed, made = _printed_together(
+        monkeypatch, [(fits, fields, "fits"), (wide, fields, "wide")])
+    assert printed == ["fire:fits", "cyc:fits", "fire:wide", "cyc:wide"]
+    assert "derived" not in made["fire:wide"][2]
+
+    x = Ref("x", 8)
+
+    def pair(order):
+        assigns = {"a": FlatAssign("a", PrimOp("add", (x, x), 9)),
+                   "b": FlatAssign("b", PrimOp("xor", (x, x), 8)),
+                   "o": FlatAssign("o", PrimOp(
+                       "cat", (Ref("a", 9), Ref("b", 8)), 17))}
+        return Elaboration("Pair", {"x": 8}, {"o": 17},
+                           [assigns[n] for n in order], {}, {}, [],
+                           {"x": 8, "a": 9, "b": 8, "o": 17})
+
+    first, swapped = pair("abo"), pair("bao")
+    swapped.repeat_of = (first, {})
+    fields = [[("o", 0, mask(17))]]
+    printed, _ = _printed_together(
+        monkeypatch, [(first, fields, "first"), (swapped, fields, "swap")])
+    assert printed == ["fire:first", "cyc:first", "fire:swap", "cyc:swap"]
 
 
 def test_a_folded_placeholder_compiles_its_own_source():

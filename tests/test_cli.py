@@ -184,22 +184,25 @@ class TestJit:
             r"^  kernel (\w+):(\w+): (\d+) cone assigns -> (\d+) printed "
             r"\((\d+) aliases folded, (\d+) nodes inlined\), "
             r"(\d+) masks elided, (\d+) statements"
-            r"(?:, code shared with (\w+:\w+))?$", out, re.M)
+            r"(?:, code shared with (\w+:\w+))?"
+            r"(?:, derived from (\w+:\w+))?$", out, re.M)
         assert sorted((kind, part) for kind, part, *_ in kernels) == sorted(
             (kind, part) for part in ("base", "fpga0", "fpga1")
             for kind in ("cyc", "fire"))
-        for _kind, _part, *counts, _shared in kernels:
+        for _kind, _part, *counts, _shared, _derived in kernels:
             cone, printed, aliases, inlined, _, _ = map(int, counts)
             assert printed == cone - aliases - inlined
         assert all(int(k[4]) and int(k[5]) and int(k[6])
                    for k in kernels if k[0] == "cyc")
-        # the two tiles differ in names and router ids only: fpga1
-        # runs fpga0's code with its own constants
-        assert {(kind, part): shared for kind, part, *_, shared
-                in kernels} == {
-            ("fire", "base"): "", ("cyc", "base"): "",
-            ("fire", "fpga0"): "", ("cyc", "fpga0"): "",
-            ("fire", "fpga1"): "fire:fpga0", ("cyc", "fpga1"): "cyc:fpga0"}
+        # the two tiles differ in names and router ids only: fpga1's
+        # kernels are derived from fpga0's print, and run its code with
+        # their own constants
+        assert {(kind, part): (shared, derived) for kind, part, *_, shared,
+                derived in kernels} == {
+            ("fire", "base"): ("", ""), ("cyc", "base"): ("", ""),
+            ("fire", "fpga0"): ("", ""), ("cyc", "fpga0"): ("", ""),
+            ("fire", "fpga1"): ("fire:fpga0", "fire:fpga0"),
+            ("cyc", "fpga1"): ("cyc:fpga0", "cyc:fpga0")}
 
     def test_dump_prints_each_kernel_with_its_own_names(
             self, tmp_path, capsys):
