@@ -39,7 +39,6 @@ from ..firrtl.ast import (
     INPUT,
     InstPort,
     InstTarget,
-    Lit,
     LocalTarget,
     MemReadPort,
     MemWritePort,
@@ -165,6 +164,17 @@ def _remove_stmts(module: Module, stmts: Iterable) -> None:
     module.stmts = [s for s in module.stmts if id(s) not in drop]
 
 
+def _input_driver(conn: Dict[str, Connect], module: Module,
+                  inst_name: str, port: Port) -> Connect:
+    """The connect driving input ``port`` of instance ``inst_name``;
+    an undriven input is refused as ``check_module`` refuses it."""
+    driver = conn.get(f"{inst_name}.{port.name}")
+    if driver is None:
+        raise IRError(f"{module.name}: input {port.name!r} of instance "
+                      f"{inst_name!r} is never driven")
+    return driver
+
+
 def _hoist_once(circuit: Circuit, path: str) -> str:
     """Move the instance named by ``path`` one level up the hierarchy.
 
@@ -189,12 +199,10 @@ def _hoist_once(circuit: Circuit, path: str) -> str:
     for q in child.ports:
         punched = parent.fresh_name(f"{inst_name}_{q.name}")
         if q.is_input:
-            driver = conn.get(f"{inst_name}.{q.name}")
+            driver = _input_driver(conn, parent, inst_name, q)
             parent.ports.append(Port(punched, OUTPUT, q.width))
-            expr = driver.expr if driver is not None else Lit(0, q.width)
-            parent.stmts.append(Connect(LocalTarget(punched), expr))
-            if driver is not None:
-                stmts_to_remove.append(driver)
+            parent.stmts.append(Connect(LocalTarget(punched), driver.expr))
+            stmts_to_remove.append(driver)
         else:
             parent.ports.append(Port(punched, INPUT, q.width))
         port_map.append((q, punched))
@@ -436,11 +444,9 @@ def extract_partitions(circuit: Circuit,
         for q in child.ports:
             if not q.is_input:
                 continue  # outputs handled from the consumer side
-            driver = conn.get(f"{inst_name}.{q.name}")
-            if driver is not None:
-                removed_stmts.append(driver)
-            direct = (_trace_direct(drivers, driver.expr)
-                      if driver is not None else None)
+            driver = _input_driver(conn, top, inst_name, q)
+            removed_stmts.append(driver)
+            direct = _trace_direct(drivers, driver.expr)
             if direct is not None and direct.inst in selected \
                     and direct.width == q.width:
                 src_group = group_of[direct.inst]
@@ -454,12 +460,11 @@ def extract_partitions(circuit: Circuit,
                 wb.add_input(net, q.width, inst_name, q.name)
                 nets.append(RawNet(net, q.width, src_group, gname))
                 continue
-            # driven by base logic (or undriven -> constant zero)
+            # driven by base logic
             net = fresh_net(f"{inst_name}_{q.name}")
-            expr = driver.expr if driver is not None else Lit(0, q.width)
             top.ports.append(Port(net, OUTPUT, q.width))
-            top.stmts.append(Connect(LocalTarget(net), expr))
-            drivers[net] = expr
+            top.stmts.append(Connect(LocalTarget(net), driver.expr))
+            drivers[net] = driver.expr
             wb.add_input(net, q.width, inst_name, q.name)
             nets.append(RawNet(net, q.width, base_name, gname))
 

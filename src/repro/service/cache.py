@@ -7,9 +7,10 @@ scale, most submissions are configurations someone already ran
 that in two layers:
 
 * **Archived hits** — :meth:`ResultCache.lookup` asks the registry for
-  the newest archived run of the config's fingerprint.  A hit costs
-  one index read plus one record read; the job completes at submit
-  time without touching the queue.  Because every field of a run
+  the newest archived run of the config's fingerprint.  While the
+  registry's ``index.json`` is unchanged a hit costs one ``stat``
+  plus one record read; the job completes at submit time without
+  touching the queue.  Because every field of a run
   record derives from the deterministic timing overlay, the served
   record is bit-identical to what re-simulating would produce.
 * **Single-flight coalescing** — identical configs submitted while the

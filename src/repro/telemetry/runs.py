@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..observability.fmr import FMR_COMPONENTS
@@ -80,23 +82,39 @@ def run_record(result, name: str = "", backend: str = "",
     return record
 
 
+def _stamp(st: os.stat_result) -> tuple:
+    """What identifies one written ``index.json``: it is replaced by
+    rename, never rewritten in place."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class RunRegistry:
     """Archive of runs under one directory (``results/runs`` by
     default).
 
     As a cache substrate the registry keeps an ``index.json`` beside
     the run directories mapping ``run_id`` to its fingerprint,
-    creation time and on-disk size, so a fingerprint lookup
-    (:meth:`latest`) reads one small file plus the matching record
-    instead of parsing every ``run.json``.  Both the
-    records and the index are written via atomic tmp+rename, so
-    concurrent readers never observe a torn file; the index is
-    validated against the directory names and rebuilt from a scan
-    whenever runs appeared or vanished behind the registry's back.
+    creation time and on-disk size.  Both the records and the index
+    are written via atomic tmp+rename, so concurrent readers never
+    observe a torn file.  :meth:`index` validates the index against
+    the directory names and rebuilds it from a scan whenever runs
+    appeared or vanished behind the registry's back.
+
+    The registry also keeps in memory the index it last read or
+    wrote, stamped with that ``index.json``'s ``(st_ino, st_size,
+    st_mtime_ns)``, and a map from fingerprint to run ids, oldest
+    first.  While ``index.json`` is unchanged, :meth:`latest` costs
+    one ``stat`` plus one record read however many runs are archived,
+    and :meth:`archive` one ``stat`` plus the index rewrite.  Once the
+    file changed (another registry or process wrote it, or it was
+    deleted) both fall back to the validated read.
     """
 
     def __init__(self, root: Union[str, Path] = "results/runs"):
         self.root = Path(root)
+        #: (stamp of index.json, its entries, fingerprint ->
+        #: [(created, run_id)] oldest first), as last read or written
+        self._memo: Optional[tuple] = None
 
     # -- write ------------------------------------------------------------
 
@@ -115,7 +133,7 @@ class RunRegistry:
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
         tmp.replace(path)
-        entries = self.index()
+        entries = dict(self._current()[0])
         entries[run_id] = self._index_entry(record, path)
         self._write_index(entries)
         return path
@@ -218,20 +236,47 @@ class RunRegistry:
         archived run; rebuilt by scanning when missing or when the run
         directories no longer match it (cheap name-set check — no
         record is parsed on the happy path)."""
-        data = None
+        data, stamp = None, None
         try:
-            payload = json.loads(self._index_path.read_text())
+            with self._index_path.open("rb") as f:
+                payload = json.loads(f.read())
+                stamp = _stamp(os.fstat(f.fileno()))
             if payload.get("format") == INDEX_FORMAT:
                 data = payload.get("runs", {})
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             data = None
         dirs = set()
         if self.root.is_dir():
             dirs = {p.name for p in self.root.iterdir()
                     if (p / "run.json").is_file()}
         if data is None or set(data) != dirs:
-            data = self._rebuild_index()
-        return data
+            return dict(self._rebuild_index())
+        self._remember(stamp, data)
+        return dict(data)
+
+    def _current(self) -> Tuple[Dict[str, dict], Dict[str, list]]:
+        """The index and its fingerprint map: the in-memory copy while
+        ``index.json`` is the file this registry last read or wrote
+        (one ``stat``), else a validated :meth:`index` read."""
+        memo = self._memo
+        if memo is not None:
+            try:
+                if _stamp(os.stat(self._index_path)) == memo[0]:
+                    return memo[1], memo[2]
+            except OSError:
+                pass
+        self.index()
+        return self._memo[1], self._memo[2]
+
+    def _remember(self, stamp: Optional[tuple],
+                  entries: Dict[str, dict]) -> None:
+        by_fingerprint: Dict[str, list] = {}
+        for run_id, entry in entries.items():
+            by_fingerprint.setdefault(entry.get("fingerprint"), []) \
+                .append((entry.get("created", 0.0), run_id))
+        for runs in by_fingerprint.values():
+            runs.sort()
+        self._memo = (stamp, entries, by_fingerprint)
 
     def _scan(self):
         """Every readable ``(path, record)`` under the root."""
@@ -250,15 +295,24 @@ class RunRegistry:
                    for path, record in self._scan()}
         if self.root.is_dir():
             self._write_index(entries)
+        else:
+            self._remember(None, entries)
         return entries
 
     def _write_index(self, entries: Dict[str, dict]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"format": INDEX_FORMAT,
                    "runs": dict(sorted(entries.items()))}
-        tmp = self._index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        # one tmp name per writer: registries in other threads or
+        # processes may be writing the index at the same moment
+        tmp = self._index_path.with_suffix(
+            f".json.{os.getpid()}-{threading.get_ident()}.tmp")
+        with tmp.open("w") as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True))
+            f.flush()
+            stamp = _stamp(os.fstat(f.fileno()))
         tmp.replace(self._index_path)
+        self._remember(stamp, entries)
 
     def total_bytes(self) -> int:
         """Total archived record size, from the index."""
@@ -271,6 +325,10 @@ class RunRegistry:
         path = Path(run_id)
         if not path.is_file():
             path = self.root / run_id / "run.json"
+        return self._read(run_id, path)
+
+    @staticmethod
+    def _read(run_id: str, path: Path) -> dict:
         try:
             record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -284,23 +342,24 @@ class RunRegistry:
         return sorted((record for _, record in self._scan()),
                       key=lambda r: r.get("created", 0.0))
 
-    def _matching_ids(self, fingerprint: str) -> List[str]:
-        """Run ids sharing ``fingerprint``, oldest first, via the
-        index — no record is parsed."""
-        matches = [(entry.get("created", 0.0), run_id)
-                   for run_id, entry in self.index().items()
-                   if entry.get("fingerprint") == fingerprint]
-        return [run_id for _, run_id in sorted(matches)]
-
     def latest(self, fingerprint: str) -> Optional[dict]:
         """The newest archived run of one config fingerprint — the
-        cache-lookup primitive: one index read plus one record read,
-        however many runs are archived."""
-        for run_id in reversed(self._matching_ids(fingerprint)):
+        cache-lookup primitive: while ``index.json`` is unchanged, one
+        ``stat`` plus one record read, however many runs are archived.
+
+        A candidate is served only if its record loads and carries
+        ``fingerprint``; otherwise the next newest is tried.  An
+        in-memory index gone stale (a run deleted or re-archived by
+        hand) can so cost a miss, never a wrong or vanished record."""
+        _, by_fingerprint = self._current()
+        for _, run_id in reversed(by_fingerprint.get(fingerprint, ())):
             try:
-                return self.load(run_id)
+                record = self._read(run_id,
+                                    self.root / run_id / "run.json")
             except ReproError:
                 continue
+            if record.get("fingerprint") == fingerprint:
+                return record
         return None
 
 

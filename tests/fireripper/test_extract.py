@@ -6,7 +6,7 @@ import operator
 
 import pytest
 
-from repro.errors import SelectionError
+from repro.errors import IRError, SelectionError
 from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
 from repro.firrtl.ast import (Connect, DefInstance, INPUT, Lit,
                               LocalTarget, Port)
@@ -216,6 +216,27 @@ class TestRemoval:
         # the punched boundary is now top-level I/O
         port_names = {p.name for p in removed.top_module.ports}
         assert any("right" in n for n in port_names)
+
+    @pytest.mark.parametrize("circuit, path, parent, target", [
+        (make_comb_pair_circuit, "right", "CombPairTop", "right.f"),
+        # hoisting inner out of Wrap meets the undriven input first
+        (_deep_circuit, "w.inner", "Wrap", "inner.a"),
+    ])
+    def test_undriven_instance_input_is_refused(self, circuit, path,
+                                                parent, target):
+        """An unchecked circuit never has an undriven input silently
+        tied to zero: the removal refuses it as ``check_circuit``
+        does."""
+        c = circuit()
+        module = c.module(parent)
+        module.stmts = [s for s in module.stmts
+                        if not (isinstance(s, Connect)
+                                and str(s.target) == target)]
+        inst, port = target.split(".")
+        with pytest.raises(
+                IRError, match=f"{parent}: input '{port}' of instance "
+                               f"'{inst}' is never driven"):
+            remove_modules(c, [path])
 
 
 def _texts(design):

@@ -107,6 +107,45 @@ class TestCache:
                     "detail", "fingerprint", "config"):
             assert cached[key] == fresh[key], key
 
+    def test_sibling_fill_is_a_hit_after_a_warm_lookup(
+            self, make_config, tmp_path):
+        """Two services on one runs dir.  B has looked up (so it holds
+        the registry index in memory) before A executes a config; B's
+        submit of that config is still a cache hit on A's archive —
+        the premise of the late cache check."""
+        runs = tmp_path / "runs"
+        served = []
+
+        async def scenario():
+            a = SimulationService(ServiceConfig(workers=1, runs_dir=runs))
+            b = SimulationService(ServiceConfig(workers=1, runs_dir=runs))
+            latest = b.registry.latest
+            b.registry.latest = \
+                lambda fp: served.append(latest(fp)) or served[-1]
+            await a.start()
+            await b.start()
+            try:
+                first = await a.submit(make_config(cycles=40))
+                await a.wait(first.job_id, timeout=60)
+                warm = await b.submit(make_config(cycles=40))
+                cold = await a.submit(make_config(cycles=41))
+                await a.wait(cold.job_id, timeout=60)
+                hit = await b.submit(make_config(cycles=41))
+                return a, b, warm, cold, hit
+            finally:
+                await a.shutdown()
+                await b.shutdown()
+
+        a, b, warm, cold, hit = asyncio.run(scenario())
+        assert warm.source == "cache"
+        assert cold.source == "execution"
+        assert hit.state == "done"
+        assert hit.source == "cache"
+        assert hit.run_id == cold.run_id
+        assert served[-1] == a.registry.load(cold.run_id)
+        assert hit.result == cold.result
+        assert b.counters["executions"] == 0
+
 
 class TestSingleFlightService:
     def test_identical_inflight_configs_coalesce(self, make_config,

@@ -1,11 +1,14 @@
 """Run registry: archive/load/latest, and run comparison."""
 
+import builtins
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.fireripper import EXACT, FireRipper, PartitionGroup, PartitionSpec
+from repro.harness.metrics import SimulationResult
 from repro.platform import QSFP_AURORA
 from repro.targets import make_comb_pair_circuit
 from repro.telemetry import (
@@ -135,6 +138,158 @@ class TestIndexAndLatest:
             registry.load(run_id)
         with pytest.raises(ReproError):
             registry.remove(run_id)
+
+
+def _small_result():
+    return SimulationResult(target_cycles=1, wall_ns=1.0, rate_hz=1.0,
+                            per_partition_cycles={"base": 1})
+
+
+def _count_opens(monkeypatch):
+    """Every file name the registry opens from here on, in order
+    (``Path.read_text`` and friends open through ``Path.open``)."""
+    opened = []
+    path_open, builtin_open = Path.open, builtins.open
+
+    def via_path(self, *args, **kwargs):
+        opened.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    def via_builtin(file, *args, **kwargs):
+        opened.append(Path(str(file)).name)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", via_path)
+    monkeypatch.setattr(builtins, "open", via_builtin)
+    return opened
+
+
+class TestLatestCost:
+    @pytest.mark.parametrize("runs", [10, 200])
+    def test_warm_latest_reads_one_record_and_no_index(
+            self, runs, tmp_path, monkeypatch):
+        """The cache-hit cost model: however many runs are archived, a
+        lookup after the registry's own archive opens no
+        ``index.json`` and exactly one ``run.json``, and lists no
+        directory."""
+        registry = RunRegistry(tmp_path / "runs")
+        result = _small_result()
+        for i in range(runs):
+            registry.archive(result, name="r", config={"i": i})
+        opened = _count_opens(monkeypatch)
+
+        def no_listing(self):
+            raise AssertionError(f"listed {self}")
+
+        monkeypatch.setattr(Path, "iterdir", no_listing)
+        record = registry.latest(config_fingerprint({"i": runs // 2}))
+        assert record["config"] == {"i": runs // 2}
+        assert opened == ["run.json"]
+
+
+class TestTwoRegistries:
+    """Two registries on one root: what one writes, the other's next
+    lookup sees, though each keeps its index in memory."""
+
+    def _pair(self, tmp_path):
+        return (RunRegistry(tmp_path / "runs"),
+                RunRegistry(tmp_path / "runs"))
+
+    def test_archive_by_one_is_seen_by_the_other(self, tmp_path):
+        a, b = self._pair(tmp_path)
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        a.archive(result, name="old", config={"x": 1})
+        assert a.latest(fp)["name"] == "old"
+        b.archive(result, name="new", config={"x": 1})
+        assert a.latest(fp)["name"] == "new"
+        other = config_fingerprint({"x": 2})
+        assert a.latest(other) is None
+        b.archive(result, name="other", config={"x": 2})
+        assert a.latest(other)["name"] == "other"
+
+    def test_remove_by_one_is_seen_by_the_other(self, tmp_path):
+        a, b = self._pair(tmp_path)
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        old = a.archive(result, name="old", config={"x": 1})
+        new = a.archive(result, name="new", config={"x": 1})
+        assert a.latest(fp)["name"] == "new"
+        b.remove(new.parent.name)
+        assert a.latest(fp)["name"] == "old"
+        b.remove(old.parent.name)
+        assert a.latest(fp) is None
+
+    def test_rearchived_run_id_is_not_served_for_its_old_config(
+            self, tmp_path):
+        a, b = self._pair(tmp_path)
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        a.archive(result, name="r", config={"x": 1}, run_id="r")
+        assert a.latest(fp)["run_id"] == "r"
+        b.archive(result, name="r", config={"x": 2}, run_id="r")
+        assert a.latest(fp) is None
+        assert a.latest(config_fingerprint({"x": 2}))["run_id"] == "r"
+
+    def test_record_rewritten_by_hand_is_not_served(self, tmp_path):
+        """``index.json`` unchanged, so the in-memory index still maps
+        the old fingerprint to the run: the record's own fingerprint
+        refuses it."""
+        registry = RunRegistry(tmp_path / "runs")
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        registry.archive(result, name="r", config={"x": 1}, run_id="r")
+        assert registry.latest(fp)["run_id"] == "r"
+        path = tmp_path / "runs" / "r" / "run.json"
+        record = json.loads(path.read_text())
+        record["config"] = {"x": 2}
+        record["fingerprint"] = config_fingerprint({"x": 2})
+        path.write_text(json.dumps(record))
+        assert registry.latest(fp) is None
+
+    def test_run_deleted_by_hand_is_skipped(self, tmp_path):
+        import shutil
+        registry = RunRegistry(tmp_path / "runs")
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        registry.archive(result, name="old", config={"x": 1})
+        new = registry.archive(result, name="new", config={"x": 1})
+        assert registry.latest(fp)["name"] == "new"
+        shutil.rmtree(new.parent)
+        assert registry.latest(fp)["name"] == "old"
+
+    def test_concurrent_archives_both_land(self, tmp_path):
+        """Two writers never share an index tmp file, so neither
+        renames the other's away."""
+        import threading
+        result = _small_result()
+        errors = []
+
+        def fill(name):
+            registry = RunRegistry(tmp_path / "runs")
+            try:
+                for i in range(40):
+                    registry.archive(result, name=name, config={"i": i})
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fill, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(RunRegistry(tmp_path / "runs").index()) == 80
+
+    def test_deleted_index_is_rebuilt(self, tmp_path):
+        registry = RunRegistry(tmp_path / "runs")
+        result = _small_result()
+        fp = config_fingerprint({"x": 1})
+        registry.archive(result, name="r", config={"x": 1})
+        (tmp_path / "runs" / "index.json").unlink()
+        assert registry.latest(fp)["name"] == "r"
+        assert (tmp_path / "runs" / "index.json").is_file()
 
 
 class TestGC:
