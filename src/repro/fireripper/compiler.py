@@ -37,7 +37,7 @@ from ..libdn.fame5 import FAME5Host
 from ..libdn.wrapper import LIBDNHost
 from ..platform.resources import FPGAProfile
 from ..platform.transport import TransportModel
-from ..rtl.elaborate import Elaboration, elaborate
+from ..rtl.elaborate import Elaboration, elaborate, rename
 from ..rtl.engine import Simulator
 from .boundary import BoundaryPlan, plan_boundaries
 from .extract import ExtractedDesign, extract_partitions
@@ -61,8 +61,10 @@ class PartitionedDesign:
     later :meth:`build_simulation` hands the same :class:`Elaboration`
     (and the fused kernels memoized on it) to its new
     :class:`Simulator` — so a pickled design that has run carries its
-    elaborations and kernels with it.  A repeat's elaboration names its
-    first instance's and σ as ``repeat_of``."""
+    elaborations and kernels with it.  A repeat is not flattened: its
+    elaboration is its first instance's header renamed, names that
+    elaboration, σ and its literal images as ``repeat_of``, and makes
+    its own netlist only when something reads it."""
 
     spec: PartitionSpec
     extracted: ExtractedDesign
@@ -77,14 +79,14 @@ class PartitionedDesign:
         return self.extracted.partitions
 
     def elaboration(self, name: str) -> Elaboration:
-        """Partition ``name``'s elaboration, made on first use."""
+        """Partition ``name``'s elaboration, made on first use; a
+        repeat's is its first instance's renamed."""
         elab = self.elaborations.get(name)
         if elab is None:
-            elab = self.elaborations[name] = elaborate(
-                self.partitions[name])
-            if name in self.repeats:
-                first, sigma = self.repeats[name]
-                elab.repeat_of = (self.elaboration(first), sigma)
+            part, repeat = self.partitions[name], self.repeats.get(name)
+            elab = self.elaborations[name] = elaborate(part) \
+                if repeat is None else rename(
+                    self.elaboration(repeat[0]), part, *repeat[1:])
         return elab
 
     @property
@@ -151,31 +153,23 @@ class PartitionedDesign:
                 return merged, f"t{idx}:{chan}"
             return part, chan
 
-        partitions: List[Partition] = []
-        for name in self.partitions:
-            if name in group_to_merged:
-                continue  # built as a FAME-5 thread below
+        def host(name: str) -> LIBDNHost:
             chans = self.plan.channels[name]
-            host = LIBDNHost(Simulator(self.elaboration(name)),
+            return LIBDNHost(Simulator(self.elaboration(name)),
                              chans.in_specs, chans.out_specs, name=name)
+
+        def partition(name: str, host) -> Partition:
             freq = (host_freq_mhz.get(name, 30.0)
                     if isinstance(host_freq_mhz, dict) else host_freq_mhz)
-            partitions.append(Partition(
-                name, host, freq,
-                advance_overhead_ns=advance_overhead_ns))
-        for merged, members in fame5_merge.items():
-            hosts = [None] * len(members)
-            for g in members:
-                _, idx = group_to_merged[g]
-                chans = self.plan.channels[g]
-                hosts[idx] = LIBDNHost(
-                    Simulator(self.elaboration(g)), chans.in_specs,
-                    chans.out_specs, name=g)
-            freq = (host_freq_mhz.get(merged, 30.0)
-                    if isinstance(host_freq_mhz, dict) else host_freq_mhz)
-            partitions.append(Partition(
-                merged, FAME5Host.from_hosts(hosts, name=merged), freq,
-                advance_overhead_ns=advance_overhead_ns))
+            return Partition(name, host, freq,
+                             advance_overhead_ns=advance_overhead_ns)
+
+        # a merged group is built as a FAME-5 thread, in member order
+        partitions = [partition(name, host(name)) for name in
+                      self.partitions if name not in group_to_merged] + [
+            partition(merged, FAME5Host.from_hosts(
+                [host(g) for g in members], name=merged))
+            for merged, members in fame5_merge.items()]
 
         links: List[Link] = []
         for lp in self.plan.links:

@@ -31,9 +31,7 @@ from ..errors import IRError, SelectionError
 from ..firrtl.ast import (
     Connect,
     DefInstance,
-    DefMemory,
     DefNode,
-    DefRegister,
     DefWire,
     Expr,
     INPUT,
@@ -91,31 +89,15 @@ def _rewrite_expr(expr: Expr, fn) -> Expr:
 
 def _rewrite_module_exprs(module: Module, fn) -> None:
     for i, s in enumerate(module.stmts):
-        if isinstance(s, DefNode):
-            module.stmts[i] = DefNode(s.name, _rewrite_expr(s.expr, fn))
-        elif isinstance(s, Connect):
-            module.stmts[i] = Connect(s.target, _rewrite_expr(s.expr, fn))
-        elif isinstance(s, MemReadPort):
-            module.stmts[i] = MemReadPort(s.mem, s.name,
-                                          _rewrite_expr(s.addr, fn))
-        elif isinstance(s, MemWritePort):
-            module.stmts[i] = MemWritePort(
-                s.mem, _rewrite_expr(s.addr, fn),
-                _rewrite_expr(s.data, fn), _rewrite_expr(s.en, fn))
+        exprs = {k: _rewrite_expr(e, fn) for k, e in vars(s).items()
+                 if isinstance(e, Expr)}
+        if exprs:
+            module.stmts[i] = replace(s, **exprs)
 
 
 def _module_exprs(module: Module):
-    for s in module.stmts:
-        if isinstance(s, DefNode):
-            yield s.expr
-        elif isinstance(s, Connect):
-            yield s.expr
-        elif isinstance(s, MemReadPort):
-            yield s.addr
-        elif isinstance(s, MemWritePort):
-            yield s.addr
-            yield s.data
-            yield s.en
+    return (e for s in module.stmts for e in vars(s).values()
+            if isinstance(e, Expr))
 
 
 # --------------------------------------------------------------------------
@@ -265,9 +247,9 @@ def _eliminate_dead_glue(module: Module) -> None:
     read_ports: Dict[str, MemReadPort] = {
         s.name: s for s in module.stmts if isinstance(s, MemReadPort)}
 
-    output_names = {p.name for p in module.output_ports}
-    reg_names = {r.name for r in module.registers()}
-
+    #: what is read whether or not anything reads it
+    roots = {p.name for p in module.output_ports} | {
+        r.name for r in module.registers()}
     used: Set[str] = set()
 
     def mark_expr(expr: Expr) -> None:
@@ -285,30 +267,18 @@ def _eliminate_dead_glue(module: Module) -> None:
             mark_expr(read_ports[name].addr)
 
     for s in module.stmts:
-        if isinstance(s, Connect):
-            if isinstance(s.target, InstTarget):
-                mark_expr(s.expr)
-            elif isinstance(s.target, LocalTarget) and (
-                    s.target.name in output_names
-                    or s.target.name in reg_names):
-                mark_expr(s.expr)
+        if isinstance(s, Connect) and (isinstance(s.target, InstTarget)
+                                       or s.target.name in roots):
+            mark_expr(s.expr)
         elif isinstance(s, MemWritePort):
-            mark_expr(s.addr)
-            mark_expr(s.data)
-            mark_expr(s.en)
+            for e in (s.addr, s.data, s.en):
+                mark_expr(e)
 
     def keep(s) -> bool:
-        if isinstance(s, DefWire):
-            return s.name in used
-        if isinstance(s, DefNode):
-            return s.name in used
-        if isinstance(s, MemReadPort):
+        if isinstance(s, (DefWire, DefNode, MemReadPort)):
             return s.name in used
         if isinstance(s, Connect) and isinstance(s.target, LocalTarget):
-            name = s.target.name
-            if name in output_names or name in reg_names:
-                return True
-            return name in used
+            return s.target.name in used or s.target.name in roots
         return True
 
     module.stmts = [s for s in module.stmts if keep(s)]

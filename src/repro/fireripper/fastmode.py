@@ -26,12 +26,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..errors import CompileError
 from ..firrtl.ast import (
     Connect,
+    DefInstance,
     InstPort,
     InstTarget,
     LocalTarget,
     Ref,
 )
-from ..firrtl.builder import ModuleBuilder, mux
+from ..firrtl.builder import ModuleBuilder, Signal, mux
 from ..firrtl.circuit import Circuit, Module
 from .extract import ExtractedDesign, RawNet, _rewrite_module_exprs
 
@@ -152,7 +153,7 @@ def _gate_source_valid(circuit: Circuit, bundle: RVBoundaryBundle) -> None:
     for i, s in enumerate(top.stmts):
         if isinstance(s, Connect) and isinstance(s.target, LocalTarget) \
                 and s.target.name == bundle.valid_net:
-            gated = (_as_signal(s.expr) & Ref(bundle.ready_net, 1)).expr
+            gated = (Signal(s.expr) & Ref(bundle.ready_net, 1)).expr
             top.stmts[i] = Connect(s.target, gated)
             return
     raise CompileError(
@@ -192,8 +193,6 @@ def _insert_sink_skid(circuit: Circuit, bundle: RVBoundaryBundle) -> None:
             f"{circuit.top}: no driver found for boundary ready "
             f"{bundle.ready_net!r}")
 
-    from ..firrtl.ast import DefInstance
-
     top.stmts.append(DefInstance(inst, skid.name))
     top.stmts.append(Connect(InstTarget(inst, "enq_valid"),
                              Ref(bundle.valid_net, 1)))
@@ -201,9 +200,3 @@ def _insert_sink_skid(circuit: Circuit, bundle: RVBoundaryBundle) -> None:
                              Ref(bundle.bits_net, bundle.width)))
     top.stmts.append(Connect(LocalTarget(bundle.ready_net),
                              InstPort(inst, "enq_ready", 1)))
-
-
-def _as_signal(expr):
-    from ..firrtl.builder import Signal
-
-    return Signal(expr)

@@ -2,15 +2,18 @@
 
 A NoC-partitioned SoC repeats whole partitions: the 24-tile ring's four
 groups differ only in instance, module and port names, in the index a
-router compares against and in the programs their memories hold.  The
-kernel printer derives a repeat's kernels from its first instance's
-print (:func:`repro.rtl.kernel.share_kernels`), so each repeat is
-recorded with σ, its first's top-level names mapped to its own.  The
-check is cheap because repeated modules share statement objects (one
-parse, shared trees), so module pairs compare mostly by ``is``.  Only a
-memory's init and a comparison's literal operand beside a non-literal
-may differ: the printer never reads an image or a comparison operand's
-range.  Flat names then correspond through σ on their first segment.
+router compares against and in the programs their memories hold.  Each
+repeat is recorded with σ, its first's top-level names mapped to its
+own, and the images of the literals it lets differ, so the repeat's
+elaboration is its first's header renamed
+(:func:`repro.rtl.elaborate.rename`) and its kernels are derived from
+its first's print (:func:`repro.rtl.kernel.share_kernels`), neither
+flattened nor printed.  The check is cheap because repeated modules
+share statement objects (one parse, shared trees), so module pairs
+compare mostly by ``is``.  Only a memory's init and a comparison's
+literal operand beside a non-literal may differ: the printer never
+reads an image or a comparison operand's range.  Flat names then
+correspond through σ on their first segment.
 """
 
 from __future__ import annotations
@@ -33,39 +36,44 @@ from ..firrtl.ast import (
 from ..firrtl.circuit import Circuit
 from ..rtl.eval import _COMPARISONS
 
-#: partition -> (its first instance, σ: each top-level name there -> here)
-Repeats = Dict[str, Tuple[str, Dict[str, str]]]
+#: partition -> (its first instance, σ: each top-level name there ->
+#: here, ``(literal object there, its value here)`` per literal whose
+#: value differs, None where that object has more than one image)
+Repeats = Dict[str, Tuple[str, Dict[str, str], tuple]]
 
 
 def find_repeats(partitions: Dict[str, Circuit]) -> Repeats:
     """Every partition that is a renaming of an earlier one that is not
-    itself a repeat, with that first instance and σ."""
+    itself a repeat, with that first instance, σ and literal images."""
     repeats: Repeats = {}
     firsts = []
     for name, part in partitions.items():
         for first in firsts:
-            sigma = renaming(partitions[first], part)
-            if sigma is not None:
-                repeats[name] = (first, sigma)
+            found = renaming(partitions[first], part)
+            if found is not None:
+                repeats[name] = (first, *found)
                 break
         else:
             firsts.append(name)
     return repeats
 
 
-def renaming(a: Circuit, b: Circuit) -> Optional[Dict[str, str]]:
-    """σ (``a``'s top-level names -> ``b``'s) when ``b`` is a renaming
-    of ``a``, else None.  The tops may hold only instances, paired in
-    order, and connects, each paired with the one driving the σ-image
-    of its target (for an output port: with a driver of its shape);
-    the modules paired through instances must hold the same ports and
-    statements, bar what :func:`_same` lets differ."""
+def renaming(a: Circuit, b: Circuit) -> Optional[Tuple[dict, tuple]]:
+    """σ (``a``'s top-level names -> ``b``'s) and the images of ``a``'s
+    literals that differ in ``b``, when ``b`` is a renaming of ``a``;
+    else None.  The tops may hold only instances, paired in order, and
+    connects, each paired with the one driving the σ-image of its
+    target (for an output port: with a driver of its shape); the
+    modules paired through instances must hold the same ports and
+    statements, bar what :func:`_same` lets differ.  A literal object
+    ``a`` holds in two places whose images differ has no image."""
     ta, tb = a.top_module, b.top_module
     if len(a.modules) != len(b.modules) or len(ta.ports) != len(tb.ports) \
             or len(ta.stmts) != len(tb.stmts):
         return None
     back: Dict[str, str] = {}  # b's top-level name -> a's
     taken = set()
+    lits: Dict[int, tuple] = {}  # id -> (a's literal, its image or None)
 
     def bind(mine: str, theirs: str) -> bool:
         if mine not in back and theirs not in taken:
@@ -91,7 +99,7 @@ def renaming(a: Circuit, b: Circuit) -> Optional[Dict[str, str]]:
         if isinstance(t, Connect):
             found = drivers.get(_key(t, back.get))
             s = found.pop(0) if found else None
-            if s is None or not _same(s.expr, t.expr, bind) or not (
+            if s is None or not _same(s.expr, t.expr, bind, lits) or not (
                     isinstance(t.target, InstTarget)
                     or bind(t.target.name, s.target.name)):
                 return None
@@ -104,11 +112,19 @@ def renaming(a: Circuit, b: Circuit) -> Optional[Dict[str, str]]:
         pair = pairs.pop()
         seen.add(pair)
         children = _same_module(a.modules.get(pair[0]),
-                                b.modules.get(pair[1]))
+                                b.modules.get(pair[1]), lits)
         if children is None:
             return None
         pairs |= children - seen
-    return {theirs: mine for mine, theirs in back.items()}
+    moved = {i for i, (lit, value) in lits.items() if value != lit.value}
+    if moved:  # a statement both share keeps each literal it holds
+        for lit in _literals(e for ma, mb in seen for s, t in zip(
+                a.modules[ma].stmts, b.modules[mb].stmts) if s is t
+                for e in vars(s).values()):
+            if id(lit) in moved:
+                lits[id(lit)] = (lit, None)
+    return ({theirs: mine for mine, theirs in back.items()},
+            tuple(image for i, image in lits.items() if i in moved))
 
 
 def _key(s: Connect, inst: Callable[[str], str]):
@@ -128,9 +144,11 @@ def _key(s: Connect, inst: Callable[[str], str]):
     return shape(s.expr)
 
 
-def _same(x: Expr, y: Expr, names: Callable[[str, str], bool]) -> bool:
+def _same(x: Expr, y: Expr, names: Callable[[str, str], bool],
+          lits: Dict[int, tuple]) -> bool:
     """``y`` is ``x`` with every name through ``names(y's, x's)`` and
-    equal literals, bar a comparison's literal operand."""
+    equal literals, bar a comparison's literal operand; each literal's
+    image goes into ``lits``."""
     if type(x) is not type(y) or x.width != y.width:
         return False
     if isinstance(x, Ref):
@@ -138,16 +156,35 @@ def _same(x: Expr, y: Expr, names: Callable[[str, str], bool]) -> bool:
     if isinstance(x, InstPort):
         return x.port == y.port and names(y.inst, x.inst)
     if isinstance(x, Lit):
-        return x.value == y.value
+        return x.value == y.value and _image(lits, x, y.value)
     free = x.op in _COMPARISONS and sum(
         isinstance(arg, Lit) for arg in x.args) == 1
     return x.op == y.op and x.params == y.params and all(
         free and isinstance(u, Lit) and isinstance(v, Lit)
-        and u.width == v.width or _same(u, v, names)
-        for u, v in zip(x.args, y.args))
+        and u.width == v.width and _image(lits, u, v.value)
+        or _same(u, v, names, lits) for u, v in zip(x.args, y.args))
 
 
-def _same_module(ma, mb) -> Optional[set]:
+def _image(lits: Dict[int, tuple], lit: Lit, value: int) -> bool:
+    """Record ``value`` as ``lit``'s image (None once two differ)."""
+    if lits.setdefault(id(lit), (lit, value))[1] != value:
+        lits[id(lit)] = (lit, None)
+    return True
+
+
+def _literals(exprs):
+    """The literals under ``exprs``, each shared tree walked once."""
+    seen, todo = set(), list(exprs)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Lit):
+            yield e
+        elif isinstance(e, PrimOp) and id(e) not in seen:
+            seen.add(id(e))
+            todo.extend(e.args)
+
+
+def _same_module(ma, mb, lits: Dict[int, tuple]) -> Optional[set]:
     """The module pairs ``ma`` and ``mb`` instantiate, when they hold
     the same ports and statements (bar a memory's init and what
     :func:`_same` lets differ); else None."""
@@ -161,7 +198,7 @@ def _same_module(ma, mb) -> Optional[set]:
                 and s.name == t.name:
             children.add((s.module, t.module))
         elif s is not t and (type(s) is not type(t) or not all(
-                _same(u, vars(t)[k], eq) if isinstance(u, Expr)
+                _same(u, vars(t)[k], eq, lits) if isinstance(u, Expr)
                 else u == vars(t)[k] or k == "init" and type(s) is DefMemory
                 for k, u in vars(s).items())):
             return None

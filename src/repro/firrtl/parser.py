@@ -26,6 +26,10 @@ would build, and equal expressions anywhere in the circuit share one
 frozen tree.  Ports and statements are frozen too, and shared the same
 way: one object per body line and the trees it holds.  Every malformed
 line raises :class:`IRError` naming its module and the line.
+
+Equal text is parsed once per process (:data:`PARSED`): every call
+returns its own clone of that parse, which owns its containers and
+shares the frozen statements, as FireRipper's work copies do.
 """
 
 from __future__ import annotations
@@ -193,8 +197,20 @@ def _classify(ln: str) -> _Line:
     return ln, kw, m
 
 
+#: circuit text -> its parse, 8 least recently used first out
+PARSED: Dict[str, Circuit] = {}
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text produced by :func:`repro.firrtl.printer.print_circuit`."""
+    parsed = PARSED.pop(text, None) or _parse(text)
+    PARSED[text] = parsed
+    for stale in list(PARSED)[:-8]:
+        PARSED.pop(stale, None)
+    return parsed.clone()
+
+
+def _parse(text: str) -> Circuit:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith(";")]
     header = lines[0].split() if lines else []

@@ -92,6 +92,10 @@ __all__ = [
 
 _FALSEY = frozenset(("0", "off", "false", "no"))
 
+#: pass source -> its code, 8 least recently used: a rebuilt plane
+#: prints the pass it printed before, and compiles it no more
+PASSES: Dict[str, object] = {}
+
 
 def stepjit_enabled(sim=None) -> bool:
     """Resolve the JIT on/off decision: per-sim override first
@@ -821,8 +825,12 @@ def compile_step_functions(sim) -> Tuple[
         return partial(sim._interpret, stepped), report
     cg = _PassCodegen(sim, stepped)
     src, bindings = cg.generate()
+    PASSES[src] = PASSES.pop(src, None) or compile(
+        src, "<stepjit:pass>", "exec")
+    for stale in list(PASSES)[:-8]:
+        PASSES.pop(stale, None)
     namespace: Dict[str, object] = {}
-    exec(compile(src, "<stepjit:pass>", "exec"), namespace)
+    exec(PASSES[src], namespace)
     report.update(cg.report)
     return namespace["_make"](bindings), report
 

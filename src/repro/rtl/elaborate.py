@@ -13,6 +13,11 @@ Every signal of every instance receives a dot-separated flat name
 Registers with no connected next-value hold their state.  Instance input
 ports become ordinary assigned signals; child output ports are assigned
 inside the child's own scope.
+
+A partition FireRipper proved a renaming of an earlier one is not
+flattened when it is built (:func:`rename`): its header is its first
+instance's through σ, and its netlist is flattened only when something
+reads it.
 """
 
 from __future__ import annotations
@@ -63,12 +68,19 @@ class FlatMemRead:
 
 @dataclass
 class FlatReg:
-    """Flattened register; ``next`` is None when the register holds."""
+    """Flattened register; ``next`` is None when the register holds.
+    A renamed header's register (:func:`rename`) has no ``next`` of its
+    own and reads its netlist's."""
 
     name: str
     width: int
     init: int
-    next: Optional[Expr] = None
+    next: Optional[Expr]
+
+    def __getattr__(self, name: str):
+        if name != "next" or "_of" not in vars(self):
+            raise AttributeError(name)
+        return self._of.netlist().regs[self.name].next
 
 
 @dataclass
@@ -97,14 +109,17 @@ AssignLike = Union[FlatAssign, FlatMemRead]
 
 @dataclass
 class Elaboration:
-    """Flattened, topologically sorted netlist, read-only once built:
-    simulators and their fused kernels (memoized here as ``kernels``
-    by :func:`repro.rtl.kernel.unit_kernels`) share one freely.
+    """Flattened, topologically sorted netlist, never changed once
+    read: simulators and their fused kernels (memoized here as
+    ``kernels`` by :func:`repro.rtl.kernel.unit_kernels`) share one
+    freely.
 
-    ``repeat_of`` is ``(first, σ)`` when this is the elaboration of a
-    partition FireRipper found to be a renaming of ``first``'s
-    (:mod:`repro.fireripper.repeats`): σ maps each first segment of a
-    flat name there to the one here."""
+    ``repeat_of`` is ``(first, σ, literal images)`` when this is the
+    elaboration of a partition FireRipper found to be a renaming of
+    ``first``'s (:mod:`repro.fireripper.repeats`): σ maps each first
+    segment of a flat name there to the one here.  Such an elaboration
+    is :func:`rename`'s: ``assigns``, ``writes`` and each register's
+    ``next`` are those of :meth:`netlist`, made on first access."""
 
     top: str
     inputs: Dict[str, int]
@@ -114,26 +129,76 @@ class Elaboration:
     mems: Dict[str, FlatMem]
     writes: List[FlatMemWrite]
     widths: Dict[str, int]
-    repeat_of: Optional[Tuple["Elaboration", Dict[str, str]]] = field(
-        default=None, repr=False, compare=False)
+    repeat_of: Optional[tuple] = field(default=None, repr=False,
+                                       compare=False)
+
+    def __getattr__(self, name: str):
+        if name not in ("assigns", "writes") or "_source" not in vars(self):
+            raise AttributeError(name)
+        return getattr(self.netlist(), name)
+
+    def netlist(self) -> "Elaboration":
+        """The elaboration that holds this one's netlist: itself, or a
+        renamed header's own :func:`elaborate`, made whole before one
+        store publishes it (threads share designs)."""
+        if "_source" not in vars(self):
+            return self
+        return vars(self).get("_own") or vars(self).setdefault(
+            "_own", elaborate(self._source))
 
 
 def elaborate(circuit: Circuit) -> Elaboration:
     """Flatten ``circuit`` and topologically sort its combinational logic."""
     flat = _Flattener(circuit)
     flat.walk(circuit.top_module, "")
-    assigns = _topo_sort(flat.assigns, flat.regs, flat.top_inputs)
+    assigns = _topo_sort(flat.assigns)
+    return Elaboration(circuit.top, *_ports(circuit.top_module), assigns,
+                       flat.regs, flat.mems, flat.writes, flat.widths)
+
+
+def rename(first: Elaboration, circuit: Circuit, sigma: Dict[str, str],
+           lits: tuple = ()) -> Elaboration:
+    """The elaboration of ``circuit``, which FireRipper proved ``first``'s
+    renamed through σ with ``lits`` (:mod:`repro.fireripper.repeats`),
+    with no expression walk: the top ports and memory images are
+    ``circuit``'s own, and every other width, register and memory is
+    ``first``'s through σ, in the order the flattener meets them in
+    both.  ``assigns``, ``writes`` and each register's ``next`` are
+    ``elaborate(circuit)``'s, made when first read."""
+    def renamed(name: str) -> str:
+        head, dot, rest = name.partition(".")
+        return sigma.get(head, head) + dot + rest
+
     top = circuit.top_module
-    return Elaboration(
-        top=circuit.top,
-        inputs={p.name: p.width for p in top.input_ports},
-        outputs={p.name: p.width for p in top.output_ports},
-        assigns=assigns,
-        regs=flat.regs,
-        mems=flat.mems,
-        writes=flat.writes,
-        widths=flat.widths,
-    )
+    widths = {p.name: p.width for p in top.ports}
+    widths.update((renamed(n), w) for n, w in first.widths.items()
+                  if n not in first.inputs and n not in first.outputs)
+    mems = {renamed(m.name): FlatMem(renamed(m.name), m.depth, m.width, init)
+            for m, init in zip(first.mems.values(), _images(circuit, top))}
+    elab = Elaboration(circuit.top, *_ports(top), None, {}, mems, None,
+                       widths, (first, sigma, lits))
+    del elab.assigns, elab.writes
+    elab._source = circuit
+    for r in first.regs.values():
+        reg = elab.regs[renamed(r.name)] = FlatReg(
+            renamed(r.name), r.width, r.init, None)
+        del reg.next
+        reg._of = elab
+    return elab
+
+
+def _ports(top: Module) -> tuple:
+    return ({p.name: p.width for p in top.input_ports},
+            {p.name: p.width for p in top.output_ports})
+
+
+def _images(circuit: Circuit, module: Module):
+    """The image of each memory under ``module``, in flattening order."""
+    for s in module.stmts:
+        if isinstance(s, DefMemory):
+            yield s.init or ()
+        elif isinstance(s, DefInstance):
+            yield from _images(circuit, circuit.module(s.module))
 
 
 class _Flattener:
@@ -144,7 +209,6 @@ class _Flattener:
         self.mems: Dict[str, FlatMem] = {}
         self.writes: List[FlatMemWrite] = []
         self.widths: Dict[str, int] = {}
-        self.top_inputs = {p.name for p in circuit.top_module.input_ports}
 
     def walk(self, module: Module, prefix: str) -> None:
         def flat(name: str) -> str:
@@ -177,7 +241,7 @@ class _Flattener:
             elif isinstance(s, DefRegister):
                 name = flat(s.name)
                 self.widths[name] = s.width
-                self.regs[name] = FlatReg(name, s.width, s.init)
+                self.regs[name] = FlatReg(name, s.width, s.init, None)
             elif isinstance(s, DefMemory):
                 name = flat(s.name)
                 self.mems[name] = FlatMem(name, s.depth, s.width,
@@ -230,39 +294,31 @@ def _assign_deps(a: AssignLike) -> List[str]:
     return _expr_deps(a.addr)
 
 
-def _topo_sort(assigns: Dict[str, AssignLike], regs: Dict[str, FlatReg],
-               top_inputs) -> List[AssignLike]:
+def _topo_sort(assigns: Dict[str, AssignLike]) -> List[AssignLike]:
     """Kahn's algorithm over combinational assignments.
 
     Registers and top-level inputs are exogenous (no incoming edges);
     anything left over after the sort is part of a combinational loop,
     which we extract and report.
     """
-    comb_targets = set(assigns)
-    in_deg: Dict[str, int] = {n: 0 for n in comb_targets}
-    users: Dict[str, List[str]] = {n: [] for n in comb_targets}
+    in_deg = dict.fromkeys(assigns, 0)
+    users: Dict[str, List[str]] = {n: [] for n in assigns}
     for name, a in assigns.items():
         for dep in _assign_deps(a):
-            if dep in comb_targets:
+            if dep in in_deg:
                 in_deg[name] += 1
                 users[dep].append(name)
-    ready = sorted((n for n, d in in_deg.items() if d == 0),
+    order = sorted((n for n, d in in_deg.items() if d == 0),
                    key=natural_key)
-    order: List[AssignLike] = []
-    idx = 0
-    ready_list = list(ready)
-    while idx < len(ready_list):
-        name = ready_list[idx]
-        idx += 1
-        order.append(assigns[name])
+    for name in order:  # grows as users become ready
         for user in users[name]:
             in_deg[user] -= 1
             if in_deg[user] == 0:
-                ready_list.append(user)
+                order.append(user)
     if len(order) != len(assigns):
         remaining = {n for n, d in in_deg.items() if d > 0}
         raise CombLoopError(_extract_cycle(assigns, remaining))
-    return order
+    return [assigns[name] for name in order]
 
 
 def _extract_cycle(assigns: Dict[str, AssignLike], remaining) -> List[str]:

@@ -18,16 +18,11 @@ calls them).  The test suite checks they agree cycle-for-cycle.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import SimulationError
 from ..firrtl.circuit import Circuit
-from .elaborate import (
-    Elaboration,
-    FlatAssign,
-    FlatMemRead,
-    elaborate,
-)
+from .elaborate import Elaboration, FlatAssign, _expr_deps, elaborate
 from .eval import CODEGEN_HELPERS, compile_expr, eval_expr, mask
 
 
@@ -212,7 +207,7 @@ def _compile(elab: Elaboration):
     local_ref = lambda name, truth: (ident(name), None)  # noqa: E731
 
     def compile_with_loads(expr) -> str:
-        for leaf_name in _ref_names(expr):
+        for leaf_name in _expr_deps(expr):
             note_load(leaf_name)
         return compile_expr(expr, local_ref)[0]
 
@@ -264,11 +259,3 @@ def _compile(elab: Elaboration):
     exec(compile(comb_src, f"<comb:{elab.top}>", "exec"), namespace)
     exec(compile(tick_src, f"<tick:{elab.top}>", "exec"), namespace)
     return namespace["_comb"], namespace["_tick"]
-
-
-def _ref_names(expr) -> Iterable[str]:
-    from ..firrtl.ast import Ref
-
-    for leaf in expr.refs():
-        if isinstance(leaf, Ref):
-            yield leaf.name

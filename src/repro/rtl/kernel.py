@@ -78,7 +78,8 @@ and slows every resume.
 **One print per shape**: a repeated partition (``elab.repeat_of``,
 :mod:`repro.fireripper.repeats`) whose first instance printed earlier
 in the same :func:`share_kernels` call is not printed; its print is
-derived from the first's (:func:`_derive`).
+derived from the first's (:func:`_derive`), so its netlist is never
+read and never flattened (:func:`repro.rtl.elaborate.rename`).
 
 Consequence (documented contract): kernels do *not* write
 combinational intermediates back into the RTL env, so signal peeks
@@ -96,9 +97,9 @@ from types import FunctionType
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import IRError
-from ..firrtl.ast import Expr, Lit, PrimOp, Ref
+from ..firrtl.ast import Expr, PrimOp, Ref
 from .elaborate import Elaboration, FlatAssign
-from .eval import _COMPARISONS, CODEGEN_HELPERS, Printed, compile_expr, mask
+from .eval import CODEGEN_HELPERS, Printed, compile_expr, mask
 
 #: expression-tree levels a node may reach and still be printed at its
 #: use site; one level prints at most two nested parentheses
@@ -178,9 +179,8 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
     Every ``env``/``mems`` key and every literal ``compile_expr`` lifts
     prints as the placeholder ``'@n'`` of slot ``n``.  ``sites``, when
-    given, gets ``n - 1 -> (root, op, i)`` per lifted literal: it is
-    ``op.args[i]`` inside ``root``, an assign's driver, a register's
-    next value or a write port's field."""
+    given, gets ``n - 1 ->`` the :class:`Lit` object per lifted
+    literal."""
     for mw in elab.writes:
         if mw.data.width > elab.mems[mw.mem].width:
             raise IRError(
@@ -240,18 +240,13 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
             named[value] = f"'@{len(slots)}'"
         return f"'@{len(slots)}'"
 
-    root: List[Expr] = [None]
-
     def literal(op: PrimOp, i: int) -> str:
         if sites is not None:
-            sites[len(slots)] = (root[0], op, i)
+            sites[len(slots)] = op.args[i]
         return slot(op.args[i].value)
 
     def code_of(e: Expr, truth: bool = False) -> Printed:
-        outer, root[0] = root[0], e
-        found = compile_expr(e, name_of, truth, stats, literal)
-        root[0] = outer
-        return found
+        return compile_expr(e, name_of, truth, stats, literal)
 
     def local(key, table: str, item: str, loads: List[str]) -> str:
         """The local bound to ``table[item]`` in ``loads`` (once)."""
@@ -532,16 +527,15 @@ def _ordered(pack_lists: List[PackFields]) -> List[PackFields]:
 def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
             firsts: Dict[int, list]):
     """A repeat's prints, made from its first instance's in ``firsts``:
-    the first's template and stats, its name slots through σ and, per
-    lifted literal, the repeat's own at the place the first's came
-    from.  None, and the repeat prints its own, unless that is its own
-    print: the layouts and signals are the first's renamed, in order
-    (:func:`_paired_roots`), and so are the lifted literals, bar a
-    comparison operand.  FireRipper proved the rest equal: ops, params,
-    widths, inits and depths (:mod:`repro.fireripper.repeats`)."""
+    the first's template and stats, its name slots through σ and its
+    lifted literals through the images FireRipper recorded.  That
+    prints the repeat's netlist: FireRipper proved the rest the printer
+    reads equal (:mod:`repro.fireripper.repeats`).  None, and the
+    repeat prints its own, unless the layouts are the first's renamed
+    and each lifted literal has one image."""
     if elab.repeat_of is None:
         return None
-    first, sigma = elab.repeat_of
+    first, sigma, lits = elab.repeat_of
 
     def rename(name: str) -> str:
         head, dot, rest = name.partition(".")
@@ -554,9 +548,7 @@ def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
             break
     else:
         return None
-    roots = _paired_roots(first, elab, rename)
-    if roots is None:
-        return None
+    images = {id(lit): value for lit, value in lits}
     derived = []
     for printed, where in zip(prints, sites):
         if printed is None:
@@ -564,44 +556,11 @@ def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
             continue
         template, slots, stats = printed
         mine = [rename(v) if isinstance(v, str) else v for v in slots]
-        for n, (root, op, i) in where.items():
-            found = _find(root, roots.get(id(root)), op)
-            lit = found.args[i] if found is not None else None
-            if not isinstance(lit, Lit) or (
-                    lit.value != slots[n] and op.op not in _COMPARISONS):
+        for n, lit in where.items():
+            mine[n] = images.get(id(lit), lit.value)
+            if mine[n] is None:
                 return None
-            mine[n] = lit.value
         kind = stats["kernel"].split(":", 1)[0]
         derived.append((template, tuple(mine), dict(
             stats, kernel=f"{kind}:{tag}", derived=stats["kernel"])))
     return derived
-
-
-def _paired_roots(first: Elaboration, elab: Elaboration, rename):
-    """``id`` of each expression ``first`` evaluates at the top (a
-    driver, a next value, a write port's fields) -> ``elab``'s, when
-    ``elab`` lists ``first``'s inputs, memories, assigns, registers and
-    write ports through ``rename`` in the same order; else None."""
-    def names(e: Elaboration) -> list:
-        return [*e.inputs, *e.mems, *(a.name for a in e.assigns), *e.regs,
-                *(w.mem for w in e.writes)]
-
-    def roots(e: Elaboration) -> list:
-        return [*map(_driver, e.assigns), *(r.next for r in e.regs.values()),
-                *(x for w in e.writes for x in (w.addr, w.data, w.en))]
-
-    if list(map(rename, names(first))) != names(elab):
-        return None
-    return dict(zip(map(id, roots(first)), roots(elab)))
-
-
-def _find(mine: Expr, theirs: Expr, op: PrimOp):
-    """The node of ``theirs`` at the place ``op`` has in ``mine``."""
-    if mine is op:
-        return theirs
-    if isinstance(mine, PrimOp) and isinstance(theirs, PrimOp):
-        for x, y in zip(mine.args, theirs.args):
-            found = _find(x, y, op)
-            if found is not None:
-                return found
-    return None

@@ -88,6 +88,14 @@ def _stamp(st: os.stat_result) -> tuple:
     return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
+def _own_tmp(path: Path) -> Path:
+    """The tmp file ``path`` is written through by this thread: one per
+    writer, as registries in other threads or processes may be writing
+    the same file at the same moment."""
+    return path.with_suffix(
+        f"{path.suffix}.{os.getpid()}-{threading.get_ident()}.tmp")
+
+
 class RunRegistry:
     """Archive of runs under one directory (``results/runs`` by
     default).
@@ -130,7 +138,7 @@ class RunRegistry:
         record["run_id"] = run_id
         path = self.root / run_id / "run.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
+        tmp = _own_tmp(path)
         tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
         tmp.replace(path)
         entries = dict(self._current()[0])
@@ -139,11 +147,18 @@ class RunRegistry:
         return path
 
     def _new_id(self, name: str, fingerprint: str) -> str:
+        """The first free sequence number's run id, its directory made
+        here: of two writers after one id, the one whose ``mkdir``
+        fails takes the next."""
+        self.root.mkdir(parents=True, exist_ok=True)
         seq = 0
-        prefix = f"{name}-{fingerprint}"
-        while (self.root / f"{prefix}-{seq:04d}").exists():
-            seq += 1
-        return f"{prefix}-{seq:04d}"
+        while True:
+            run_id = f"{name}-{fingerprint}-{seq:04d}"
+            try:
+                (self.root / run_id).mkdir()
+                return run_id
+            except FileExistsError:
+                seq += 1
 
     def remove(self, run_id: str) -> None:
         """Delete one archived run and its index entry."""
@@ -303,10 +318,7 @@ class RunRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"format": INDEX_FORMAT,
                    "runs": dict(sorted(entries.items()))}
-        # one tmp name per writer: registries in other threads or
-        # processes may be writing the index at the same moment
-        tmp = self._index_path.with_suffix(
-            f".json.{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp = _own_tmp(self._index_path)
         with tmp.open("w") as f:
             f.write(json.dumps(payload, indent=2, sort_keys=True))
             f.flush()

@@ -1,5 +1,5 @@
 """Shared fixtures: small circuits used across the suite, and empty
-design and kernel-template memos for every test.
+parse, design, kernel-template and pass memos for every test.
 
 The opt-in ``REPRO_TEST_TIMEOUT`` per-test watchdog lives in the
 repo-root ``conftest.py`` so the benchmarks get it too.
@@ -11,15 +11,20 @@ import pytest
 
 from repro.fireripper.compiler import DESIGN_MEMO
 from repro.firrtl import ModuleBuilder, build_circuit, make_circuit, mux
+from repro.firrtl.parser import PARSED
+from repro.harness.stepjit import PASSES
 from repro.rtl.kernel import TEMPLATES
 
 
 @pytest.fixture(autouse=True)
 def _empty_design_memo():
-    """Every test compiles afresh: a kernel-count or spy test never
-    receives a design, or a kernel template, an earlier test made."""
+    """Every test parses and compiles afresh: a kernel-count or spy
+    test never receives a parse, a design, a kernel template or a pass
+    code an earlier test made."""
+    PARSED.clear()
     DESIGN_MEMO.clear()
     TEMPLATES.clear()
+    PASSES.clear()
 
 
 @pytest.fixture

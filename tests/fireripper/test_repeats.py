@@ -7,6 +7,7 @@ a repeat prints its own kernels there; the run must not tell the two
 apart.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -27,8 +28,11 @@ from repro.firrtl.ast import (
     PrimOp,
 )
 from repro.firrtl.passes import check
-from repro.fuzz import functional_digest
+from repro.fuzz import functional_digest, generate_scenario, scenario_config
 from repro.platform import QSFP_AURORA
+from repro.reliability.checkpoint import save_checkpoint
+from repro.rtl.elaborate import _Flattener, elaborate, rename
+from repro.service.executor import compile_design, normalize_config
 from repro.targets.soc import make_ring_noc_soc
 
 
@@ -46,17 +50,16 @@ def test_ring_groups_are_renamings_of_the_first():
     """Names map by position and by what drives them, not by
     spelling: noc0's credit output to the base is noc1's credit output
     to noc0, named after their consumers."""
-    design = _ring_design(24, [list(range(i * 6, i * 6 + 6))
-                               for i in range(4)])
+    design = _ring24()
     assert sorted(design.repeats) == ["noc1", "noc2", "noc3"]
-    assert {first for first, _ in design.repeats.values()} == {"noc0"}
+    assert {r[0] for r in design.repeats.values()} == {"noc0"}
     sigma = design.repeats["noc1"][1]
     assert sigma["router0"] == "router6" and sigma["tile5"] == "tile11"
     assert sigma["router0_ring_in_valid"] == "router6_ring_in_valid"
     assert sigma["router0_ring_credit_out"] == "router5_ring_credit_in"
     assert len(set(sigma.values())) == len(sigma) == 24
     assert design.elaboration("noc2").repeat_of == (
-        design.elaboration("noc0"), design.repeats["noc2"][1])
+        design.elaboration("noc0"), *design.repeats["noc2"][1:])
     assert design.elaboration("base").repeat_of is None
 
 
@@ -127,6 +130,101 @@ def test_derived_kernels_run_as_their_own_prints():
                                                       backend=backend)))
     assert digests[0] == digests[1]
     assert digests[0]["outputs"]
+
+
+def _ring24():
+    return _ring_design(24, [list(range(i * 6, i * 6 + 6))
+                             for i in range(4)])
+
+
+def test_a_repeat_is_never_flattened_on_the_jit(monkeypatch):
+    """With the JIT on, a repeat's header is its first's renamed and
+    its kernels are derived: only ``base`` and ``noc0`` are flattened,
+    through ``run(1)`` and a longer run."""
+    design = _ring24()
+    names = {id(part): name for name, part in design.partitions.items()}
+    flattened = []
+    init = _Flattener.__init__
+    monkeypatch.setattr(_Flattener, "__init__",
+                        lambda self, circuit: flattened.append(
+                            names[id(circuit)]) or init(self, circuit))
+    sim = design.build_simulation(QSFP_AURORA)
+    sim.run(1, backend="inproc")
+    sim.run(200, backend="inproc")
+    assert sorted(flattened) == ["base", "noc0"]
+    assert sim.last_jit_report and all(
+        verdict.startswith("compiled")
+        for verdict in sim.last_jit_report.values())
+
+
+def test_a_derived_header_is_its_own_elaboration():
+    """Every repeat of the seed-7 mill designs: the header renamed from
+    its first instance is the one its own ``elaborate()`` gives, dict
+    order included (a reset's env and a checkpoint follow it), and so
+    is the netlist it makes when read."""
+    checked = 0
+    for i in range(200):
+        design = compile_design(normalize_config(
+            scenario_config(generate_scenario(7, i))))
+        for name in design.repeats:
+            mine, own = design.elaboration(name), elaborate(
+                design.partitions[name])
+            for field in ("inputs", "outputs", "widths", "mems"):
+                assert list(getattr(mine, field).items()) \
+                    == list(getattr(own, field).items()), (i, name, field)
+            assert [(r.name, r.width, r.init) for r in mine.regs.values()] \
+                == [(r.name, r.width, r.init) for r in own.regs.values()]
+            assert (mine.assigns, mine.writes, list(mine.regs.values())) \
+                == (own.assigns, own.writes, list(own.regs.values()))
+            checked += 1
+    assert checked > 20
+
+
+def test_a_repeat_keeps_its_own_programs():
+    """Memory images are a repeat's own, though every other part of
+    its header is its first instance's renamed."""
+    design = _ring8()
+    edited = _edited(design, "noc1", "CoreTile5_Core", lambda s: replace(
+        s, init=tuple(v ^ 1 for v in s.init))
+        if isinstance(s, DefMemory) and s.init else None)
+    first = design.elaboration("noc0")
+    mine = rename(first, edited, *renaming(design.partitions["noc0"],
+                                           edited))
+    own = elaborate(edited)
+    assert list(mine.mems.items()) == list(own.mems.items())
+    assert [m.init for m in mine.mems.values()] != [
+        m.init for m in first.mems.values()]
+
+
+def test_an_unmaterialised_design_pickles_and_runs():
+    """A design whose repeats hold only their headers pickles; the
+    copy run on the interpreter, which reads every repeat's netlist,
+    gives the digest the original gives on the JIT."""
+    design = _ring8()
+    for name in design.partitions:
+        design.elaboration(name)
+    copy = pickle.loads(pickle.dumps(design, pickle.HIGHEST_PROTOCOL))
+    digests = []
+    for d, jit in ((design, True), (copy, False)):
+        sim = d.build_simulation(QSFP_AURORA, record_outputs=True)
+        sim.stepjit = jit
+        digests.append(functional_digest(sim, sim.run(300,
+                                                      backend="inproc")))
+    assert digests[0] == digests[1]
+
+
+def test_a_checkpoint_is_the_one_an_eager_design_writes(tmp_path):
+    """The 24-tile ring checkpointed on renamed headers and on every
+    partition's own elaboration: the same bytes."""
+    design = _ring24()
+    written = []
+    for i, d in enumerate((design, replace(design, repeats={},
+                                           elaborations={}))):
+        sim = d.build_simulation(QSFP_AURORA)
+        sim.run(120, backend="inproc")
+        written.append(save_checkpoint(sim, tmp_path / f"{i}.json")
+                       .read_bytes())
+    assert written[0] == written[1]
 
 
 def test_in_process_the_repeat_is_derived():

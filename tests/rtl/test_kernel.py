@@ -21,6 +21,10 @@ from hypothesis import strategies as st
 from repro.errors import IRError
 from repro.firrtl.ast import Lit, PRIM_OPS, PrimOp, Ref
 from repro.firrtl.parser import _WIDTH_RULES
+from repro.fireripper import FAST, FireRipper, NoCPartitionSpec, PartitionSpec
+from repro.fireripper.repeats import find_repeats
+from repro.firrtl.circuit import Circuit
+from repro.firrtl.parser import parse_circuit
 from repro.rtl import Simulator, elaborate, kernel
 from repro.rtl.elaborate import (
     Elaboration,
@@ -29,6 +33,7 @@ from repro.rtl.elaborate import (
     FlatMemRead,
     FlatMemWrite,
     FlatReg,
+    rename,
 )
 from repro.rtl.eval import _COMPARISONS, eval_expr, mask
 from repro.rtl.kernel import (
@@ -334,26 +339,115 @@ def _printed_together(monkeypatch, requests):
     return printed, made
 
 
-@given(elab=netlists(), shift=st.integers(1, 255))
-@settings(max_examples=40, deadline=None)
-def test_a_repeat_derives_the_print_of_its_own(elab, shift):
+def _with_repeats(partitions):
+    """Each partition's elaboration, a repeat's renamed from its first
+    instance's as FireRipper builds it."""
+    elabs = {}
+    repeats = find_repeats(partitions)
+    for name, part in partitions.items():
+        repeat = repeats.get(name)
+        elabs[name] = elaborate(part) if repeat is None else rename(
+            elabs[repeat[0]], part, *repeat[1:])
+    return elabs
+
+
+def _renamed_packs(elab, pack_lists):
+    """``pack_lists`` of ``elab``'s first instance, through σ."""
+    sigma = elab.repeat_of[1]
+
+    def rename(name):
+        head, dot, rest = name.partition(".")
+        return sigma.get(head, head) + dot + rest
+
+    return [[(rename(p), o, m) for p, o, m in f] for f in pack_lists]
+
+
+def test_a_repeat_derives_the_print_of_its_own(monkeypatch):
     """A repeat printed after its first instance is not printed: its
-    ``(template, slots, stats)`` is derived from the first's, and is
-    what a print of its own elaboration gives (its tag aside)."""
-    names = [*elab.inputs, *elab.regs, *elab.mems,
-             *(a.name for a in elab.assigns)]
-    copy = _renamed(elab, _copy_name, shift)
-    copy.repeat_of = (elab, {n: _copy_name(n) for n in names})
-    with pytest.MonkeyPatch.context() as monkeypatch:
+    ``(template, slots, stats)`` is derived from the first's, router
+    compare literals and all, and is what a print of its own netlist
+    gives (its tag aside)."""
+    circuit = make_ring_noc_soc(24, messages_per_tile=2)
+    design = FireRipper(PartitionSpec(mode=FAST, noc=NoCPartitionSpec.make(
+        [list(range(i * 6, i * 6 + 6)) for i in range(4)]))).compile(circuit)
+    elabs = _with_repeats(design.partitions)
+    first = elabs["noc0"]
+    packs = _pack_lists(first)
+    for name in ("noc1", "noc2", "noc3"):
+        copy = elabs[name]
+        assert copy.repeat_of[0] is first and copy.repeat_of[2]
+        first.kernels = None
         printed, made = _printed_together(monkeypatch, [
-            (elab, _pack_lists(elab), "rand"),
-            (copy, _pack_lists(copy), "copy")])
-    assert printed == ["fire:rand", "cyc:rand"]
-    for kind, do_tick in (("fire", False), ("cyc", True)):
-        template, slots, stats = made[f"{kind}:copy"]
-        assert stats.pop("derived") == f"{kind}:rand"
-        assert (template, slots, stats) == print_kernel(
-            copy, _pack_lists(copy), do_tick, f"{kind}:copy")
+            (first, packs, "noc0"),
+            (copy, _renamed_packs(copy, packs), name)])
+        assert printed == ["fire:noc0", "cyc:noc0"]
+        for kind, do_tick in (("fire", False), ("cyc", True)):
+            template, slots, stats = made[f"{kind}:{name}"]
+            assert stats.pop("derived") == f"{kind}:noc0"
+            assert (template, slots, stats) == print_kernel(
+                copy, _renamed_packs(copy, packs), do_tick, f"{kind}:{name}")
+
+
+#: ``A`` and ``B`` each compare their input against one literal per
+#: instance; one parse, so equal lines share their statement and tree
+_COMPARES = """circuit A :
+  module A :
+    input x : UInt<4>
+    output o0 : UInt<1>
+    output o1 : UInt<1>
+    inst u0 of M3
+    inst u1 of {a}
+    u0.x <= x
+    u1.x <= x
+    o0 <= u0.hit
+    o1 <= u1.hit
+
+  module B :
+    input y : UInt<4>
+    output p0 : UInt<1>
+    output p1 : UInt<1>
+    inst v0 of M5
+    inst v1 of {b}
+    v0.x <= y
+    v1.x <= y
+    p0 <= v0.hit
+    p1 <= v1.hit
+""" + "".join(f"""
+  module {name} :
+    input x : UInt<4>
+    output hit : UInt<1>
+    hit <= eq(x, UInt<4>({value}))
+""" for name, value in (("M3", 3), ("M5", 5), ("M6", 6), ("N3", 3),
+                        ("K7", 7)))
+
+
+def test_a_repeat_that_differs_in_what_is_printed_prints_its_own(
+        monkeypatch):
+    """``M3`` and ``N3`` share the literal object of ``eq(x, 3)``,
+    which becomes 5 under ``u0``.  Where it becomes 6 under ``u1``, or
+    stays 3 in the module both circuits share, it has no one image:
+    the repeat prints its own, and its kernel compares against its own
+    literals.  Where ``u1`` holds another literal, the repeat derives."""
+    for a, b, derived in (("N3", "M6", False), ("N3", "N3", False),
+                          ("K7", "K7", True)):
+        modules = parse_circuit(_COMPARES.format(a=a, b=b)).modules
+        elabs = _with_repeats({top: Circuit(top, [modules[n] for n in (
+            top, *mods)]) for top, mods in (("A", {"M3", a}),
+                                            ("B", {"M5", b}))})
+        first, copy = elabs["A"], elabs["B"]
+        packs = [[("o0", 0, 1), ("o1", 1, 1)]]
+        mine = _renamed_packs(copy, packs)
+        printed, _ = _printed_together(monkeypatch, [
+            (first, packs, "a"), (copy, mine, "b")])
+        assert printed == ["fire:a", "cyc:a"] + (
+            [] if derived else ["fire:b", "cyc:b"]), (a, b)
+        fire = unit_kernels(copy, mine, "b")[0]
+        sim = Simulator(copy, compiled=False)
+        for y in range(16):
+            sim.poke("y", y)
+            sim.eval()
+            assert fire(sim.env, sim.mem_state) \
+                == sim.peek("p0") | sim.peek("p1") << 1
 
 
 def _masked_slice(value):
@@ -383,39 +477,6 @@ def test_a_literal_that_flips_a_mask_does_not_share():
         env = {"x": x, "o": 0}
         assert (fits(env, {}), shares(env, {}), wide(env, {})) \
             == (x & 15, x & 9, x & 16 & 15)
-
-
-def test_a_repeat_that_differs_in_what_is_printed_prints_its_own(
-        monkeypatch):
-    """Derivation is refused, and the repeat printed, when a lifted
-    literal that is no comparison operand differs (it may flip a mask)
-    or when the repeat lists its assigns in another order."""
-    fields = [[("o", 0, 15)]]
-    wide = _masked_slice(16)
-    wide.repeat_of = (_masked_slice(15), {})
-    fits = wide.repeat_of[0]
-    printed, made = _printed_together(
-        monkeypatch, [(fits, fields, "fits"), (wide, fields, "wide")])
-    assert printed == ["fire:fits", "cyc:fits", "fire:wide", "cyc:wide"]
-    assert "derived" not in made["fire:wide"][2]
-
-    x = Ref("x", 8)
-
-    def pair(order):
-        assigns = {"a": FlatAssign("a", PrimOp("add", (x, x), 9)),
-                   "b": FlatAssign("b", PrimOp("xor", (x, x), 8)),
-                   "o": FlatAssign("o", PrimOp(
-                       "cat", (Ref("a", 9), Ref("b", 8)), 17))}
-        return Elaboration("Pair", {"x": 8}, {"o": 17},
-                           [assigns[n] for n in order], {}, {}, [],
-                           {"x": 8, "a": 9, "b": 8, "o": 17})
-
-    first, swapped = pair("abo"), pair("bao")
-    swapped.repeat_of = (first, {})
-    fields = [[("o", 0, mask(17))]]
-    printed, _ = _printed_together(
-        monkeypatch, [(first, fields, "first"), (swapped, fields, "swap")])
-    assert printed == ["fire:first", "cyc:first", "fire:swap", "cyc:swap"]
 
 
 def test_a_folded_placeholder_compiles_its_own_source():

@@ -145,6 +145,13 @@ def _small_result():
                             per_partition_cycles={"base": 1})
 
 
+def _archive_60(root, writer):
+    registry = RunRegistry(root)
+    for i in range(60):
+        registry.archive(_small_result(), name="r", config={"x": 1},
+                         extra={"call": f"{writer}{i}"})
+
+
 def _count_opens(monkeypatch):
     """Every file name the registry opens from here on, in order
     (``Path.read_text`` and friends open through ``Path.open``)."""
@@ -281,6 +288,44 @@ class TestTwoRegistries:
             thread.join()
         assert errors == []
         assert len(RunRegistry(tmp_path / "runs").index()) == 80
+
+    @pytest.mark.parametrize("writers", ["threads", "processes"])
+    def test_one_fingerprint_loses_no_record(self, tmp_path, writers):
+        """Two writers each archiving 60 runs of one config: every
+        ``archive()`` claims a run id of its own, so 120 directories
+        land, each holding its own record, and none raises."""
+        root = tmp_path / "runs"
+        if writers == "threads":
+            import threading
+            errors = []
+
+            def fill(writer):
+                try:
+                    _archive_60(root, writer)
+                except OSError as exc:
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=fill, args=(w,))
+                       for w in "ab"]
+        else:
+            import multiprocessing
+            errors = None
+            fork = multiprocessing.get_context("fork")
+            workers = [fork.Process(target=_archive_60, args=(root, w))
+                       for w in "ab"]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if errors is None:
+            errors = [w.exitcode for w in workers if w.exitcode]
+        assert errors == []
+        records = {d.name: json.loads((d / "run.json").read_text())
+                   for d in root.iterdir() if d.is_dir()}
+        assert len(records) == 120
+        assert all(r["run_id"] == run_id for run_id, r in records.items())
+        assert {r["call"] for r in records.values()} == {
+            f"{w}{i}" for w in "ab" for i in range(60)}
 
     def test_deleted_index_is_rebuilt(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
