@@ -106,7 +106,7 @@ def register(subs) -> None:
                    help="comma-separated target shapes (default: all)")
     p.add_argument("--oracles", type=_csv,
                    help="comma-separated oracles: identity,fastmode,"
-                        "checkpoint,faults (default: all)")
+                        "checkpoint,faults,engine (default: all)")
     p.add_argument("--backends", type=_csv,
                    help="comma-separated backends for the identity "
                         "oracle (default: inproc,process)")

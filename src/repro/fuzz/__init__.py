@@ -26,6 +26,7 @@ from .oracle import (
     BACKENDS,
     ORACLES,
     check_checkpoint,
+    check_engine,
     check_fastmode,
     check_faults,
     check_identity,
@@ -61,6 +62,7 @@ __all__ = [
     "check_fastmode",
     "check_checkpoint",
     "check_faults",
+    "check_engine",
     "functional_digest",
     "shrink",
     "probe",

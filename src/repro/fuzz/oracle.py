@@ -20,8 +20,10 @@ more execution configurations, and raises
   its seeded ``faults`` schedule, must survive (no give-up, no
   deadlock) and deliver the clean twin's functional result, never
   faster — and bit-for-bit the digest of the same run interpreted.
+* :func:`check_engine` — the compiled step plane and the interpreter
+  (``stepjit=False``) must produce the same full functional digest.
 
-The other three run the clean twin (the config without ``faults``).
+The other four run the clean twin (the config without ``faults``).
 :func:`check_identity` and :func:`check_faults` also fail when a
 partition did not take the compiled step plane, so the next JIT cliff
 shows up as a shrunk corpus file instead of a slow run.
@@ -55,7 +57,7 @@ from ..reliability import FaultSpec, capture_state, restore_state
 BACKENDS = ("inproc", "process")
 
 #: all oracles, in the order a campaign runs them
-ORACLES = ("identity", "fastmode", "checkpoint", "faults")
+ORACLES = ("identity", "fastmode", "checkpoint", "faults", "engine")
 
 #: ceiling for done-cycle searches (generated targets finish in a few
 #: hundred cycles; hitting this means the design hung)
@@ -379,6 +381,33 @@ def check_faults(config: dict) -> dict:
 
 
 # --------------------------------------------------------------------------
+# engine: the compiled step plane vs the interpreter
+# --------------------------------------------------------------------------
+
+
+def check_engine(config: dict) -> dict:
+    """Run the clean twin in-process on the compiled step plane and on
+    the interpreter (``stepjit=False``); the full functional digest,
+    ``detail`` included, must be the same."""
+    clean = _twin(config)
+    design = _executor().compile_design(clean)
+    digests = []
+    for stepjit in (False, None):
+        sim = _build(clean, design)
+        sim.stepjit = stepjit
+        digests.append(functional_digest(
+            sim, sim.run(clean["cycles"], backend="inproc")))
+    _require_compiled("engine", "inproc", sim, config)
+    interp, jit = digests
+    if jit != interp:
+        raise FuzzFailure(
+            "engine", "inproc",
+            "the compiled step plane differs from the interpreter: "
+            + _first_diff(interp, jit), config=config)
+    return {"status": "ok", "tokens": jit["tokens"]}
+
+
+# --------------------------------------------------------------------------
 # dispatch
 # --------------------------------------------------------------------------
 
@@ -387,6 +416,7 @@ _ORACLE_FNS = {
     "fastmode": check_fastmode,
     "checkpoint": check_checkpoint,
     "faults": check_faults,
+    "engine": check_engine,
 }
 
 

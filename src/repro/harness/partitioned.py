@@ -315,7 +315,7 @@ class _UnitPlan:
     """Precompiled schedule slot for one LI-BDN unit."""
 
     __slots__ = ("part", "prefix", "unit", "out_ops", "in_keys",
-                 "consume_keys", "host_cycle_ns", "settle", "kernel",
+                 "consume_keys", "host_cycle_ns", "replay", "kernel",
                  "frame")
 
     def __init__(self, part: Partition, prefix: str, unit: LIBDNHost):
@@ -326,11 +326,11 @@ class _UnitPlan:
         self.in_keys: Tuple[Tuple[str, str], ...] = ()
         self.consume_keys: Tuple[Tuple[str, str], ...] = ()
         self.host_cycle_ns = part.host_cycle_ns
-        #: the settle the compiled pass carries across passes, cold at
-        #: ``run()`` entry: [settled, kernel-tier replay word per output]
-        self.settle: list = [False] + [0] * len(unit.out_channels)
-        #: the kernel tier's tick kernel over this unit's env (set by
-        #: the printer) and its live frame's ``__next__``, likewise cold
+        #: the quiescence cell the compiled pass carries across passes,
+        #: cold at ``run()`` entry: [converged, last word per output]
+        self.replay: list = [False] + [None] * len(unit.out_channels)
+        #: the unit's tick kernel over its env (set by the printer) and
+        #: its live frame's ``__next__``, likewise cold
         self.kernel: Optional[Callable] = None
         self.frame: Optional[Callable[[], tuple]] = None
 
@@ -563,7 +563,7 @@ class PartitionedSimulation:
                 compile_step_functions(self)
         for pplan in schedule:
             for up in pplan.unit_plans:
-                up.settle[0] = False
+                up.replay[0] = False
                 if up.kernel is not None:
                     up.prime()
         return plane.advance

@@ -15,24 +15,25 @@ pass boundary kept) that runs while some unit is short of
 ``target_cycles``, the last pass made progress and fewer than
 ``budget`` passes have run.
 
-What a partition's slot inlines (DESIGN "The compiled step plane",
-Tier 1): source feeding; the LI-BDN fire FSM per output channel, the
-fired word flowing to its timing op through a local, with a per-unit
-settled flag that makes every later no-dep fire of one settle a pure
-re-pack (k+1 evals per fast-mode cycle -> 1); the
-timing overlay with every per-op constant folded into a float literal
-and each partition's busy cursor and spans carried in suffixed locals
-(``busy0``, ``lw0``, ...; the token count ``tt`` is shared), loaded
-once per call and stored in its ``finally``; token pushes as literal
-bit-move repacks into bound destination deques (or the router's
-``deliver_remote``); and the advance.  Dep-free units (NoC routers,
-FAST-extracted tiles) take the **fused RTL kernel tier** instead:
-cone-reduced ``fire``/``cyc`` kernels from
-:func:`repro.rtl.kernel.compile_kernel` (memoized on the elaboration;
-``cyc`` runs as one live frame per unit, ``_UnitPlan.frame``, resumed
-once a cycle), whose fixed-point flag lets a repeat-input cycle replay
-cached output words; :mod:`repro.rtl.kernel` states the soundness rule
-and the env staleness contract this buys speed with.
+What a partition's slot inlines (DESIGN "The compiled step plane"):
+source feeding; the LI-BDN fire FSM per output channel on fused RTL
+kernels (:func:`repro.rtl.kernel.unit_kernels`, memoized on the
+elaboration), the fired word flowing to its timing op through a local;
+the timing overlay with every per-op constant folded into a float
+literal and each partition's busy cursor and spans carried in suffixed
+locals (``busy0``, ``lw0``, ...; the token count ``tt`` is shared),
+loaded once per call and stored in its ``finally``; token pushes as
+literal bit-move repacks into bound destination deques (or the router's
+``deliver_remote``); and the advance.  A unit whose input queues all
+hold a word at its first fire of a cycle **settles once**: one resume
+of its ``cyc`` frame (``_UnitPlan.frame``) over the poked inputs gives
+every word and the commit, or a tick fixed point replays the cached
+words; any other cycle fires each run of channels sharing a dep set
+from its own cone-reduced kernel, and the advance pokes and resumes
+``cyc``.  :func:`_settle_rule` says when a unit may settle once, and
+:mod:`repro.rtl.kernel` states the env staleness contract this buys
+speed with (the pass leaves a dep-carrying unit's output ports holding
+the words its channels last fired).
 
 **The hook-set rule.**  The pass is generated for the sinks attached
 when it is compiled (DESIGN "The compiled step plane" says when, and
@@ -55,10 +56,10 @@ published before it.  A plane runs wholly printed or wholly
 interpreted: :func:`partition_jit_reason` keeps the one reason a unit
 cannot be printed (an RTL engine built ``compiled=False``), and one
 such unit puts every partition of its plane on the interpreter — the
-differential reference and the ``stepjit=False`` engine.  Both tiers
-carry a settle (the kernel tier a frame too) across passes, never
-across ``run()`` entries, which is why ``run``'s ``stop`` callbacks
-observe and do not write.
+differential reference and the ``stepjit=False`` engine.  A unit's
+frame and quiescence cell ride across passes, never across ``run()``
+entries, which is why ``run``'s ``stop`` callbacks observe and do not
+write.
 
 Bit-exactness contract: for every partition the compiled pass
 performs the *same mutations in the same order* as ``_run_unit``, so
@@ -77,10 +78,11 @@ from __future__ import annotations
 
 import os
 from functools import partial
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..observability.tracer import ROW, TraceSite
-from ..rtl.kernel import pack_expr, share_kernels, unit_kernels, word_order
+from ..rtl.kernel import cut_runs, share_kernels, unit_kernels, word_order
 
 __all__ = [
     "stepjit_enabled",
@@ -215,15 +217,15 @@ class _PassCodegen:
         self.RC = (b.bind(router.consumed, "rc")
                    if router is not None else None)
         self.router = router
-        #: generic-tier unit index -> its plan's settle cell (``[0]``
-        #: rides in a local).  Kernel-tier units index theirs in place.
-        self.settle_cells: Dict[int, list] = {}
-        #: unit index -> bound unit plan of each unit running on fused
-        #: RTL kernels (its frame rides in ``kn{uid}``)
-        self.kernel_units: Dict[int, str] = {}
-        #: units printed so far and the stepped index of the partition
-        #: being printed (what suffixes their locals)
-        self.n_units = self.s = 0
+        #: bound unit plan per unit index (its frame rides in
+        #: ``kn{uid}``)
+        self.kernel_units: List[str] = []
+        #: the calls that leave each dep-carrying unit's output ports
+        #: holding its last fired words, made on the way out
+        self.ports: List[str] = []
+        #: the stepped index of the partition being printed (what
+        #: suffixes its locals)
+        self.s = 0
         #: per-partition compile verdict, filled by :meth:`generate`
         self.report: Dict[str, str] = {}
         #: the attached hook set, fixed for this compile: a live sink
@@ -297,40 +299,6 @@ class _PassCodegen:
         self._emit_event(L, kind, f"busy{self.s}", "0.0", up.unit.name,
                          scope,
                          [("cycle", _Src(f"{U}.target_cycle"))])
-
-    def _emit_fire(self, L: int, uid: int, j: int, entry, names: dict
-                   ) -> None:
-        """One output channel's fire FSM (try_fire_outputs, inlined;
-        the fired word is kept in a local for its out-op)."""
-        w, b = self.w, self.b
-        name, dep_plans, pack_fields = entry
-        F, ENV, MEMS, C = (names["F"], names["ENV"], names["MEMS"],
-                           names["C"])
-        wvar = f"w{uid}_{j}"
-        w.emit(L, f"if not {F}[{name!r}]:")
-        if dep_plans:
-            cond = " and ".join(b.bind(dc.queue, "dq")
-                                for dc, _ in dep_plans)
-            w.emit(L + 1, f"if {cond}:")
-            Lf = L + 2
-            for dep_ch, fields in dep_plans:
-                DQ = b.bind(dep_ch.queue, "dq")
-                if fields:
-                    w.emit(Lf, f"_h = {DQ}[0]")
-                    for line in _unpack_lines(ENV, "_h", fields):
-                        w.emit(Lf, line)
-            w.emit(Lf, f"{C}({ENV}, {MEMS})")
-            w.emit(Lf, f"stl{uid} = True")
-        else:
-            Lf = L + 1
-            w.emit(Lf, f"if not stl{uid}:")
-            w.emit(Lf + 1, f"{C}({ENV}, {MEMS})")
-            w.emit(Lf + 1, f"stl{uid} = True")
-        w.emit(Lf, f"{wvar} = "
-               + pack_expr(lambda port: f"{ENV}[{port!r}]", pack_fields))
-        w.emit(Lf, f"{F}[{name!r}] = True")
-        w.emit(Lf, "progress = True")
-        self._emit_wrapper_event(Lf, "channel_fire", names["up"], name)
 
     def _emit_credit(self, L: int, op) -> None:
         """Credit-window stall + single-feeder trim (the interpreter's
@@ -532,166 +500,166 @@ class _PassCodegen:
         else:
             w.emit(La, f"{busy} = _st + {hc}")
 
-    def _emit_advance(self, L: int, up, names: dict, dirty: List[str],
-                      settle: Optional[List[str]] = None,
-                      keyword: str = "if") -> None:
+    def _emit_advance(self, L: int, up, names: dict, fused: bool
+                      ) -> None:
         """The fireFSM advance (``unit.advance()``, inlined): timing,
-        input pops + pokes, the tier's ``settle`` lines, re-arm, cycle
-        bumps; ``dirty`` closes the block.  ``settle=None`` prints the
-        kernel tier's fused advance instead (``if _tk:``): the ``cyc``
-        kernel already ticked over inputs that repeat, and the fused
-        fire set no fired flag for the re-arm to clear."""
-        w, b = self.w, self.b
-        F, ENV = names["F"], names["ENV"]
-        fused = settle is None
-        in_qs = [b.bind(ch.queue, "iq") for ch, _ in names["in_plans"]]
+        input pops + pokes, the ``cyc`` resume, re-arm, cycle bumps.
+        ``fused`` prints the single settle's advance instead (``if
+        _tk:``): ``cyc`` already ticked over the poked inputs, and the
+        settle set no fired flag for the re-arm to clear."""
+        w, F, in_qs = self.w, names["F"], names["in_qs"]
         conds = [f"{F}[{e[0]!r}]" for e in names["fire_plans"]] + in_qs
-        w.emit(L, "if _tk:" if fused else f"{keyword} "
-               + (" and ".join(conds) if conds else "True") + ":")
+        w.emit(L, "if _tk:" if fused else (
+            "elif " if names["fire_plans"] else "if ")
+            + (" and ".join(conds) or "True") + ":")
         La = L + 1
         self._emit_advance_timing(La, up)
         for iq, (_ch, fields) in zip(in_qs, names["in_plans"]):
-            w.emit(La, f"{iq}.popleft()" if fused
-                   else f"_w = {iq}.popleft()")
-            for line in () if fused else _unpack_lines(ENV, "_w", fields):
+            w.emit(La, f"{'' if fused else '_w = '}{iq}.popleft()")
+            for line in () if fused else _unpack_lines(
+                    names["ENV"], "_w", fields):
                 w.emit(La, line)
-        for line in settle or ():
-            w.emit(La, line)
-        w.emit(La, f"{names['RTL']}.cycle += 1")
         if not fused:
-            for n in up.unit._fired:
-                w.emit(La, f"{F}[{n!r}] = False")
+            w.emit(La, f"kn{names['uid']}()")
+            if names["fire_plans"]:
+                # the cached words are not this resume's
+                w.emit(La, f"{names['QS']}[0] = False")
+        w.emit(La, f"{names['RTL']}.cycle += 1")
+        for n in () if fused else up.unit._fired:
+            w.emit(La, f"{F}[{n!r}] = False")
         w.emit(La, f"{names['U']}.target_cycle += 1")
         self._emit_wrapper_event(La, "advance", up, "")
         w.emit(La, "progress = True")
-        for line in dirty:
-            w.emit(La, line)
 
-    def _emit_kernel_fire(self, Lb: int, uid: int, up, names: dict
-                          ) -> None:
-        """Kernel-tier fire fragment.  When the pending input words
-        equal the currently-poked values (every field), the fire and
-        the advance share ONE settle (the ``cyc`` kernel, ``_tk``) —
-        replayed from the quiescence cell while the tick sits at a
-        fixed point — otherwise the cone-reduced ``fire`` kernel runs
-        and the advance settles again after the pokes."""
-        w, b = self.w, self.b
-        F, ENV, MEMS, KF, KC, QS, in_qs = (names[n] for n in (
-            "F", "ENV", "MEMS", "KF", "KC", "QS", "in_qs"))
-        fire_plans = names["fire_plans"]
-        k = len(fire_plans)
-        # the kernels yield their words in layout order
-        wvars = ", ".join(f"w{uid}_{j}" for j in word_order(
-            [entry[2] for entry in fire_plans]))
-        w.emit(Lb, f"if not {F}[{fire_plans[0][0]!r}]:")
+    def _emit_settle(self, Lb: int, up, names: dict, rule: str) -> None:
+        """The single settle: at the unit's first fire of a cycle, with
+        every input queue non-empty, one ``cyc`` resume over the poked
+        inputs gives every word and the commit (``_tk``: the fused
+        advance follows the out-ops), or, at a tick fixed point (the
+        quiescence cell) whose inputs repeat, the cached words replay,
+        as ``rule`` (:func:`_settle_rule`) allows."""
+        w, F, ENV, QS = self.w, names["F"], names["ENV"], names["QS"]
+        k, in_qs, uid = len(names["fire_plans"]), names["in_qs"], \
+            names["uid"]
+        armed = [f"not {F}[{run[0][0]!r}]" for run, _ in names["runs"]]
+        w.emit(Lb, "if " + " and ".join(armed + in_qs) + ":")
         Lf = Lb + 1
-        # fused-settle eligibility: every pending input word decodes
-        # to the value its port already holds
-        eq_terms: List[str] = []
-        peeks: List[str] = []
+        same: List[str] = []
+        pokes: List[str] = []
         for i, (_ch, fields) in enumerate(names["in_plans"]):
-            hv = f"_h{i}"
-            peeks.append(f"{hv} = {in_qs[i]}[0]")
-            eq_terms += [f"{ENV}[{port!r}] == {_field(hv, off, msk)}"
-                         for port, off, msk in fields]
-        if in_qs:
-            w.emit(Lf, "if " + " and ".join(in_qs) + ":")
-            for line in peeks:
+            w.emit(Lf, f"_h{i} = {in_qs[i]}[0]")
+            same += [f"{ENV}[{port!r}] == {_field(f'_h{i}', off, msk)}"
+                     for port, off, msk in fields]
+            pokes += _unpack_lines(ENV, f"_h{i}", fields)
+        quiet = f"{QS}[0]"
+        tk, again = {"poke": ([], [quiet] + same), "same": (same, [quiet]),
+                     "replay": ([quiet] + same, [])}[rule]
+        w.emit(Lf, f"_tk = {' and '.join(tk) or 'True'}")
+        if tk:
+            w.emit(Lf, "if _tk:")
+            Lf += 1
+        if again:
+            w.emit(Lf, f"if {' and '.join(again)}:")
+        for j in range(k):
+            w.emit(Lf + bool(again), f"w{uid}_{j} = {QS}[{j + 1}]")
+        if again:
+            # the kernels yield their words in layout order
+            wvars = ", ".join(f"w{uid}_{j}" for j in word_order(
+                [entry[2] for entry in names["fire_plans"]]))
+            w.emit(Lf, "else:")
+            for line in (pokes if rule == "poke" else []) + [
+                    f"{wvars}, _cv = kn{uid}()", f"{quiet} = _cv"] + [
+                    f"{QS}[{j + 1}] = w{uid}_{j}" for j in range(k)]:
                 w.emit(Lf + 1, line)
-            w.emit(Lf + 1, "_tk = "
-                   + (" and ".join(eq_terms) if eq_terms else "True"))
-        else:
-            w.emit(Lf, "_tk = True")
-        w.emit(Lf, "if _tk:")
-        w.emit(Lf + 1, f"if {QS}[0]:")
-        for j in range(k):
-            w.emit(Lf + 2, f"w{uid}_{j} = {QS}[{j + 1}]")
-        w.emit(Lf + 1, "else:")
-        w.emit(Lf + 2, f"{wvars}, _cv = {KC}()")
-        w.emit(Lf + 2, f"{QS}[0] = _cv")
-        for j in range(k):
-            w.emit(Lf + 2, f"{QS}[{j + 1}] = w{uid}_{j}")
-        w.emit(Lf, "else:")
-        w.emit(Lf + 1, f"{wvars} = {KF}({ENV}, {MEMS})")
-        w.emit(Lf + 1, f"{QS}[0] = False")
-        for entry in fire_plans:
-            w.emit(Lf + 1, f"{F}[{entry[0]!r}] = True")
         w.emit(Lf, "progress = True")
-        for entry in fire_plans:
+        for entry in names["fire_plans"]:
             self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
 
+    def _emit_fires(self, Lb: int, up, names: dict) -> None:
+        """Every other cycle: each run of channels sharing a dep set
+        fires from its own kernel as soon as its dep queues hold words,
+        after the dep pokes ``try_fire_outputs`` makes (the runs are
+        consecutive in fire order, so no other poke falls between two
+        channels one kernel fires)."""
+        w, b, uid = self.w, self.b, names["uid"]
+        F, ENV, MEMS = names["F"], names["ENV"], names["MEMS"]
+        w.emit(Lb, "if not _tk:")
+        first = 0
+        for run, fire in names["runs"]:
+            dep_plans = run[0][1]
+            dqs = [b.bind(dep_ch.queue, "dq") for dep_ch, _ in dep_plans]
+            w.emit(Lb + 1, "if " + " and ".join(
+                [f"not {F}[{run[0][0]!r}]"] + dqs) + ":")
+            Lf = Lb + 2
+            for DQ, (_dep_ch, fields) in zip(dqs, dep_plans):
+                if fields:
+                    w.emit(Lf, f"_h = {DQ}[0]")
+                    for line in _unpack_lines(ENV, "_h", fields):
+                        w.emit(Lf, line)
+            wvars = [f"w{uid}_{first + j}" for j in word_order(
+                [entry[2] for entry in run])]
+            w.emit(Lf, f"{', '.join(wvars)} = "
+                       f"{b.bind(fire, 'kf')}({ENV}, {MEMS})")
+            for j in range(first, first + len(run)):
+                w.emit(Lf, f"{names['QS']}[{j + 1}] = w{uid}_{j}")
+            for entry in run:
+                w.emit(Lf, f"{F}[{entry[0]!r}] = True")
+            w.emit(Lf, "progress = True")
+            for entry in run:
+                self._emit_wrapper_event(Lf, "channel_fire", up, entry[0])
+            first += len(run)
+
     def _emit_unit(self, L: int, up) -> None:
-        """One unit's pass, both tiers: header, fire, out-ops, advance.
-        A tier supplies only its fire fragment and the advance's
-        ``settle`` lines: the generic tier the engine's ``comb``/``tick``
-        pair behind a settled flag; the kernel tier (dep-free units on a
-        compiled engine) fused, cone-reduced RTL kernels plus the fused
-        single-settle advance ahead of the shared split-path one."""
-        w, b = self.w, self.b
-        uid = self.n_units
-        self.n_units += 1
-        unit = up.unit
+        """One unit's pass: header, fire, out-ops, advance, on fused
+        RTL kernels (:func:`repro.rtl.kernel.unit_kernels`)."""
+        w, b, unit = self.w, self.b, up.unit
+        uid = len(self.kernel_units)
         bindings = unit.step_bindings()
+        elab, layouts, tag, runs = _kernel_request(up)
+        kern = unit_kernels(elab, layouts, tag, runs)
+        fire_plans = bindings["fire_plans"]
+        k = len(fire_plans)
         names = {
             "U": b.bind(unit, "u"),
             "F": b.bind(bindings["fired"], "f"),
             "ENV": b.bind(bindings["env"], "e"),
             "MEMS": b.bind(bindings["mems"], "mm"),
             "RTL": b.bind(bindings["rtl"], "r"),
-            "fire_plans": bindings["fire_plans"],
+            "fire_plans": fire_plans,
             "in_plans": bindings["in_plans"],
-            "up": up,
+            "in_qs": [b.bind(ch.queue, "iq")
+                      for ch, _ in bindings["in_plans"]],
+            "uid": uid,
         }
-        settle_args = f"({names['ENV']}, {names['MEMS']})"
-        fire_plans = names["fire_plans"]
-        k = len(fire_plans)
-        kernel = _kernel_request(up)
-        if kernel:
-            kern = unit_kernels(*kernel)
-            self.kernel_units[uid] = b.bind(up, "up")
-            # the split-path advance resumes the frame too, words ignored
-            up.kernel = partial(kern[2] or kern[1], bindings["env"],
-                                bindings["mems"])
-            KA = names["KC"] = f"kn{uid}"
-            names["in_qs"] = [b.bind(ch.queue, "iq")
-                              for ch, _ in names["in_plans"]]
-            settle, dirty = [KA + "()"], []
-            if k:
-                names["KF"] = b.bind(kern[0], "kf")
-                #: quiescence cell: converged plus cached words means
-                #: the previous settle hit a tick fixed point, so a
-                #: repeat-input cycle replays them and skips the kernel
-                names["QS"] = b.bind(up.settle, "qs")
-                # a changed-input tick: the cached words no longer match
-                settle.append(f"{names['QS']}[0] = False")
-            w.emit(L, f"# unit {up.prefix}{unit.name}: fused RTL kernels")
-        else:
-            names["C"] = b.bind(bindings["comb"], "c")
-            T = b.bind(bindings["tick"], "t")
-            #: settle cell: False means the RTL env may be unsettled
-            #: (eval needed before a no-dep fire can re-pack)
-            self.settle_cells[uid] = up.settle
-            b.bind(up.settle, "dc")
-            settle = [names["C"] + settle_args, T + settle_args]
-            dirty = [f"stl{uid} = False"]
+        self.kernel_units.append(b.bind(up, "up"))
+        # the split-path advance resumes the frame too, words ignored
+        up.kernel = partial(kern[-1] or kern[-2], bindings["env"],
+                            bindings["mems"])
+        w.emit(L, f"# unit {up.prefix}{unit.name}")
         w.emit(L, f"if {names['U']}.target_cycle < target_cycles:")
         Lb = L + 1
-        for j in range(k):
-            w.emit(Lb, f"w{uid}_{j} = None")
-        if kernel:
+        if k:
+            #: quiescence cell: converged plus cached words means the
+            #: previous settle hit a tick fixed point, so a repeat-input
+            #: cycle replays them and skips the kernel
+            names["QS"] = b.bind(up.replay, "qs")
+            names["runs"] = list(zip(cut_runs(fire_plans, runs),
+                                     kern[:-2]))
+            for j in range(k):
+                w.emit(Lb, f"w{uid}_{j} = None")
             w.emit(Lb, "_tk = False")
-            if k:
-                self._emit_kernel_fire(Lb, uid, up, names)
-        else:
-            for j, entry in enumerate(fire_plans):
-                self._emit_fire(Lb, uid, j, entry, names)
+            self._emit_settle(Lb, up, names, _settle_rule(up, names["runs"]))
+            self._emit_fires(Lb, up, names)
+            if any(entry[1] for entry in fire_plans):
+                self.ports.append(b.bind(partial(
+                    _write_ports, up.replay, bindings["env"],
+                    [entry[2] for entry in fire_plans]), "wp") + "()")
         # process fired tokens in fire order
         for j, entry in enumerate(fire_plans):
             self._emit_out_op(Lb, uid, j, up, up.out_ops[entry[0]])
-        if kernel:
-            self._emit_advance(Lb, up, names, dirty)
-        self._emit_advance(Lb, up, names, dirty, settle,
-                           "elif" if kernel else "if")
+        if k:
+            self._emit_advance(Lb, up, names, fused=True)
+        self._emit_advance(Lb, up, names, fused=False)
 
     # -- whole function ---------------------------------------------------
 
@@ -702,12 +670,10 @@ class _PassCodegen:
         Lt, b = 4, self.b  # pass statements sit inside the ``while``
         # every kernel printed before any is compiled: repeated
         # partitions compile one template
-        share_kernels([request for pplan in self.pplans
-                       for up in pplan.unit_plans
-                       for request in [_kernel_request(up)] if request])
+        share_kernels([_kernel_request(up) for pplan in self.pplans
+                       for up in pplan.unit_plans])
         for i, pplan in enumerate(self.pplans):
-            start, kernels = len(self.w.lines), len(self.kernel_units)
-            self.s = i
+            start, self.s = len(self.w.lines), i
             self._emit_feed(Lt, pplan.source_ops)
             for up in pplan.unit_plans:
                 self._emit_unit(Lt, up)
@@ -724,22 +690,18 @@ class _PassCodegen:
                 self.w.emit(Lt + 1, "; ".join(self._cursor_stmts(False)))
                 self.w.emit(Lt + 1, f"{self.ONP}({self.SIM}, "
                                     f"{b.bind(pplan.part, 'pt')})")
+            units = len(pplan.unit_plans)
             self.report[pplan.part.name] = (
-                f"compiled: {len(pplan.unit_plans)} unit(s) "
-                f"({len(self.kernel_units) - kernels} fused-kernel), "
+                f"compiled: {units} unit(s) ({units} fused-kernel), "
                 f"{len(self.w.lines) - start} lines")
         body, w = self.w.lines, _Writer()
         short = " or ".join(
             f"{b.bind(up.unit, 'u')}.target_cycle < target_cycles"
             for pplan in self.pplans for up in pplan.unit_plans)
-        cells = [(f"stl{uid}", f"{b.bind(cell, 'dc')}[0]")
-                 for uid, cell in self.settle_cells.items()]
         load = self._cursor_stmts(load=True) \
-            + [f"{local} = {cell}" for local, cell in cells] \
             + [f"kn{uid} = {UP}.frame"
-               for uid, UP in self.kernel_units.items()]
-        store = self._cursor_stmts(load=False) \
-            + [f"{cell} = {local}" for local, cell in cells]
+               for uid, UP in enumerate(self.kernel_units)]
+        store = self._cursor_stmts(load=False) + self.ports
         if self.trace:
             # rows printed this call, added once on the way out (a
             # call-out adds its own events as it emits them)
@@ -769,13 +731,42 @@ class _PassCodegen:
 
 
 def _kernel_request(up):
-    """``(elab, pack layouts, tag)`` of a unit on the fused-kernel tier
-    (dep-free output channels on a compiled engine), else None."""
-    bindings = up.unit.step_bindings()
-    plans = bindings["fire_plans"]
-    if bindings["rtl"].compiled and all(not entry[1] for entry in plans):
-        return up.unit.sim.elab, [entry[2] for entry in plans], up.unit.name
-    return None
+    """``(elab, pack layouts, tag, runs)`` of a unit's kernels: one fire
+    kernel per run of consecutive output channels (fire order) that
+    share a dep set."""
+    plans = up.unit.step_bindings()["fire_plans"]
+    runs = tuple(len(list(run)) for _deps, run in groupby(
+        plans, key=lambda entry: [ch for ch, _ in entry[1]]))
+    return (up.unit.sim.elab, [entry[2] for entry in plans],
+            up.unit.name, runs)
+
+
+def _settle_rule(up, runs) -> str:
+    """When a unit may settle once: ``poke`` (always) is sound because a
+    channel's word reads only registers and the inputs its deps declare,
+    which the interpreter pokes to the same head words before it fires.
+    The printer's ``reads`` check that: a unit whose cone reads an input
+    its run does not declare settles once only when no poke would change
+    the env (``same``).  An out-op that calls out (``link.transmit``)
+    can raise before the advance, so no settle may commit ahead of it:
+    it only replays (``replay``)."""
+    if not all(op.clean for op in up.out_ops.values()):
+        return "replay"
+    if any(not set(fire._stepjit_stats["reads"]) <= {
+            port for _ch, fields in run[0][1] for port, _o, _m in fields}
+            for run, fire in runs):
+        return "same"
+    return "poke"
+
+
+def _write_ports(replay: list, env: dict, layouts) -> None:
+    """Each output port of a dep-carrying unit (which the engine's
+    generic pair used to settle) takes the word its channel last fired,
+    as the interpreter's last settle left it."""
+    for word, fields in zip(replay[1:], layouts):
+        if word is not None:
+            for port, offset, mask in fields:
+                env[port] = (word >> offset) & mask
 
 
 def _stepped(sim) -> list:

@@ -87,30 +87,19 @@ class LIBDNHost:
         The generated pass (one per plane) never calls
         :meth:`try_fire_outputs` / :meth:`advance`: it inlines their
         bodies against the objects returned here, for every unit of the
-        plane or for none.  Everything in the dict is *the* live object
-        (not a copy): the precompiled fire plans, the fired-flag dict,
-        the RTL engine's signal environment and compiled comb/tick
-        functions, mutated in place for the life of a compiled plane
+        plane or for none, on fused kernels of the engine's elaboration
+        (:func:`repro.rtl.kernel.unit_kernels`).  Everything in the dict
+        is *the* live object (not a copy): the precompiled fire plans,
+        the fired-flag dict, the RTL engine's signal environment and
+        memories, mutated in place for the life of a compiled plane
         (DESIGN "The compiled step plane" names the one function that
         replaces them and drops the plane).
-
-        ``comb``/``tick`` are the engine's generic pair for a host
-        whose outputs carry combinational deps.  They are ``None`` when
-        the RTL engine runs interpreted (a plane holding such a unit
-        runs wholly on the interpreter) and for a dep-free host, which
-        the generator runs on fused kernels: its engine generates the
-        pair only if something calls ``eval``/``tick``.
         """
         sim = self.sim
-        generic = getattr(sim, "compiled", False) and any(
-            deps for _, deps, _ in self._fire_plans)
-        comb, tick = sim.generic_fns if generic else (None, None)
         return {
             "rtl": sim,
             "env": sim.env,
             "mems": sim.mem_state,
-            "comb": comb,
-            "tick": tick,
             "fired": self._fired,
             "fire_plans": self._fire_plans,
             "in_plans": self._in_plans,
@@ -251,20 +240,21 @@ class LIBDNHost:
         """Restore a :meth:`state_dict` capture onto a structurally
         identical host (same channels and underlying module).
 
-        A dep-free host fires all its outputs together or none, and the
-        fused kernels the compiled step plane runs it on model only
-        that, so a capture with some of them fired is refused."""
+        Outputs that share a dep set fire together or not at all, and
+        the fused kernels the compiled step plane runs a host on model
+        only that, so a capture that splits them is refused."""
         for attr, table in (("in_channels", self.in_channels),
                             ("fired", self.out_channels)):
             if set(state[attr]) != set(table):
                 raise SimulationError(
                     f"{self.name}: checkpoint {attr} {sorted(state[attr])}"
                     f" do not match this host's {sorted(table)}")
-        if not any(deps for _, deps, _ in self._fire_plans) \
-                and len(set(state["fired"].values())) > 1:
+        flags = {(tuple(ch.name for ch, _ in deps), state["fired"][name])
+                 for name, deps, _ in self._fire_plans}
+        if len(flags) > len({deps for deps, _ in flags}):
             raise CheckpointError(
                 f"{self.name}: checkpoint fired flags {state['fired']} "
-                f"split a dep-free host's outputs")
+                f"split outputs that share a dep set")
         for name, ch in self.in_channels.items():
             ch.queue.clear()
             ch.queue.extend(ch.codec.encode(t)

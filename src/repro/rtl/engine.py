@@ -11,8 +11,8 @@ through ``eval`` / ``tick`` phases:
 Two execution strategies share these semantics: a tree-walking interpreter
 (reference) and a compiled mode that ``exec``'s one generated Python
 function for the comb phase and one for the tick phase, generated on
-first use (a partition that runs on the step plane's fused kernels never
-calls them).  The test suite checks they agree cycle-for-cycle.
+first use (the compiled step plane runs every unit on fused kernels and
+never calls them).  The test suite checks they agree cycle-for-cycle.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ settled values out of the env, one dict lookup per reference.  A caller
 that only observes three projections of that work — packed output
 words, the register/memory next-state, and the env entries that hold
 registers and top inputs — gets a kernel that computes exactly those
-(:func:`compile_kernel`; the compiled step plane runs every dep-free
-LI-BDN unit on them):
+(:func:`compile_kernel`; the compiled step plane runs every LI-BDN unit
+on them, :func:`unit_kernels`: one tick kernel ``cyc`` plus one
+cone-reduced ``fire`` kernel per run of output channels sharing a dep
+set, whose stats name the top inputs its cone reads, ``reads``, so the
+plane can check them against the channels' declared deps):
 
 * the live cone is computed per kernel (dead assigns are dropped),
 * every intermediate stays a Python local end-to-end — the env is
@@ -83,17 +86,20 @@ read and never flattened (:func:`repro.rtl.elaborate.rename`).
 
 Consequence (documented contract): kernels do *not* write
 combinational intermediates back into the RTL env, so signal peeks
-between passes may observe stale comb values on kernel-tier units.
-Registers, memories, inputs, output tokens, timing spans and every
-checkpointable harness structure stay bit-identical — a restored
-checkpoint re-settles from registers and inputs on the next pass.
-Use ``REPRO_STEPJIT=0`` (or ``--no-jit``) for signal-level debugging.
+between passes may observe stale comb values on every unit of a
+compiled plane, dep-carrying ones included (the plane leaves their
+output ports holding the words their channels last fired).  Registers,
+memories, inputs, output tokens, timing spans and every checkpointable
+harness structure stay bit-identical — a restored checkpoint
+re-settles from registers and inputs on the next pass.  Use
+``REPRO_STEPJIT=0`` (or ``--no-jit``) for signal-level debugging.
 """
 
 from __future__ import annotations
 
 import re
 from types import FunctionType
+from itertools import islice
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import IRError
@@ -113,12 +119,6 @@ PackFields = List[Tuple[str, int, int]]
 TEMPLATES: Dict[str, tuple] = {}
 
 _PLACEHOLDER = re.compile(r"'@(\d+)'")
-
-
-def pack_expr(ref: Callable[[str], str], fields) -> str:
-    """A packed word built from ``ref(port)`` per port, as source."""
-    return " | ".join(f"{ref(port)} << {offset}" if offset else ref(port)
-                      for port, offset, _mask in fields) or "0"
 
 
 def expr_scanner() -> Callable[[Expr], Tuple[Tuple[str, ...], int]]:
@@ -206,6 +206,7 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
             kept.append(a)
             live.update(scan(_driver(a))[0])
     kept.reverse()
+    reads = tuple(sorted(name for name in live if name in elab.inputs))
 
     # occurrences per name over everything that will be printed
     uses: Dict[str, int] = {}
@@ -216,7 +217,7 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
 
     written = {mw.mem for mw in elab.writes}
     stats = {"kernel": tag, "cone": len(kept), "aliases": 0,
-             "inlined": 0, "masks_elided": 0}
+             "inlined": 0, "masks_elided": 0, "reads": reads}
     ids: Dict[object, str] = {}
     #: loads made once per frame (memories, registers) and per resume
     prime: List[str] = []
@@ -337,8 +338,10 @@ def print_kernel(elab: Elaboration, pack_lists: List[PackFields],
         body.append(f"            {mem}[_a] = _d")
         body.append("            _q = False")
 
-    rets = [f"({pack_expr(lambda port: name_of(port)[0], fields)})"
-            for fields in pack_lists]
+    rets = ["(" + (" | ".join(
+        name_of(port)[0] + (f" << {offset}" if offset else "")
+        for port, offset, _mask in fields) or "0") + ")"
+        for fields in pack_lists]
     if do_tick:
         body += [f"    _y{j} = {ret}" for j, ret in enumerate(rets)]
         for name, var, code in commits:
@@ -439,10 +442,10 @@ def _load_kernel(template: str, slots: dict, stats: dict):
 
 
 class KernelMemo(dict):
-    """``(tag, pack layout) -> (fire, adv, cyc)`` of one elaboration,
-    kept on it as ``elab.kernels``.  It pickles each kernel as its
-    template, slot values and stats, not the function: a template is
-    one object however many kernels share it, so a pickle holds it
+    """``(tag, pack layout, runs) -> (*fires, adv, cyc)`` of one
+    elaboration, kept on it as ``elab.kernels``.  It pickles each kernel
+    as its template, slot values and stats, not the function: a template
+    is one object however many kernels share it, so a pickle holds it
     once, and loading compiles each template once and never prints a
     kernel again."""
 
@@ -459,60 +462,71 @@ def _load_memo(printed: dict) -> KernelMemo:
 
 
 def unit_kernels(elab: Elaboration, pack_lists: List[PackFields],
-                 tag: str):
-    """``(fire, adv, cyc)`` for one elaboration, made once per
-    ``(tag, pack layout)`` and memoized on it as ``elab.kernels`` (a
-    :class:`KernelMemo`): an elaboration is read-only after
+                 tag: str, runs: Tuple[int, ...] = ()):
+    """``(*fires, adv, cyc)`` for one elaboration, made once per
+    ``(tag, pack layout, runs)`` and memoized on it as ``elab.kernels``
+    (a :class:`KernelMemo`): an elaboration is read-only after
     ``elaborate()`` and a kernel (or a frame of one) touches only the
     ``env``/``mems`` it is handed, so every unit built on one
-    elaboration shares them.  With output words to
-    pack: ``fire(env, mems) -> words`` (pack cone only) and the
-    generator ``cyc(env, mems)`` yielding ``words, quiescent`` per
-    resume (the fused single-settle cycle: when the next input words
-    equal the currently-poked values, one comb settle serves both the
-    fire and the advance — eval is
-    pure, so the second settle the interpreter performs is provably
-    identical).  ``cyc`` is also the advance of the split path, which
-    pokes first and ignores the words: it is the tick cone + commit
-    plus a few pack shifts, and compiling that cone once instead of
-    twice is most of the codegen time.  With none, a bare
-    generator ``adv(env, mems)`` yielding the flag."""
-    return share_kernels([(elab, pack_lists, tag)])[0]
+    elaboration shares them.
+
+    With output words to pack, ``runs`` cuts ``pack_lists`` (fire
+    order) into consecutive runs, by default one: per run a ``fire(env,
+    mems) -> words`` (that run's pack cone only), ``adv`` None, and the
+    generator ``cyc(env, mems)`` yielding every word and the quiescence
+    flag per resume: the unit's one settle of a cycle whose inputs are
+    poked first, and the split path's advance, which ignores the words
+    (the tick cone is most of ``cyc``, so one compile serves both).
+    With none: ``(None, adv, None)``, ``adv`` a bare generator yielding
+    the flag."""
+    return share_kernels([(elab, pack_lists, tag, runs)])[0]
 
 
 def share_kernels(requests) -> list:
-    """:func:`unit_kernels` of many ``(elab, pack_lists, tag)`` at once:
-    every kernel missing from a memo is printed first, then all are
-    compiled together (:func:`compile_kernels`), so repeated partitions
-    share their code, and a repeat's prints are derived from its first
-    instance's when that printed earlier in the call."""
+    """:func:`unit_kernels` of many ``(elab, pack_lists, tag[, runs])``
+    at once: every kernel missing from a memo is printed first, then all
+    are compiled together (:func:`compile_kernels`), so repeated
+    partitions share their code, and a repeat's prints are derived from
+    its first instance's when that printed earlier in the call."""
     todo: Dict[tuple, tuple] = {}
     #: id(elab) -> its (word-ordered pack lists, prints, literal sites)
     firsts: Dict[int, list] = {}
-    for elab, pack_lists, tag in requests:
+    keys = []
+    for elab, pack_lists, tag, *cut in requests:
+        runs = tuple(cut[0]) if cut and cut[0] else (
+            (len(pack_lists),) if pack_lists else ())
         if getattr(elab, "kernels", None) is None:
             elab.kernels = KernelMemo()
-        key = (tag, tuple(tuple(fields) for fields in pack_lists))
+        key = (tag, tuple(tuple(fields) for fields in pack_lists), runs)
+        keys.append(key)
         if key in elab.kernels or (id(elab), key) in todo:
             continue
-        prints = _derive(elab, pack_lists, tag, firsts)
+        prints = _derive(elab, pack_lists, tag, runs, firsts)
         if prints is None:
             scan = expr_scanner()
-            kinds = ((False, "fire"), None, (True, "cyc")) if pack_lists \
-                else (None, (True, "adv"), None)
+            kinds = [(lists, False, "fire" if len(runs) == 1
+                      else f"fire{r}") for r, lists in
+                     enumerate(cut_runs(pack_lists, runs))]
+            kinds += [None, (pack_lists, True, "cyc")] if pack_lists \
+                else [None, (pack_lists, True, "adv"), None]
             sites = [{} for _kind in kinds]
             prints = [kind and print_kernel(
-                elab, pack_lists, kind[0], f"{kind[1]}:{tag}", scan, where)
+                elab, kind[0], kind[1], f"{kind[2]}:{tag}", scan, where)
                 for kind, where in zip(kinds, sites)]
             firsts.setdefault(id(elab), []).append(
-                (_ordered(pack_lists), prints, sites))
+                (_ordered(pack_lists, runs), prints, sites))
         todo[id(elab), key] = (elab, key, prints)
     fns = iter(compile_kernels([p for _e, _k, ps in todo.values()
                                 for p in ps if p]))
     for elab, key, ps in todo.values():
         elab.kernels[key] = tuple(p and next(fns) for p in ps)
-    return [elab.kernels[tag, tuple(tuple(f) for f in pack_lists)]
-            for elab, pack_lists, tag in requests]
+    return [request[0].kernels[key] for request, key in zip(requests, keys)]
+
+
+def cut_runs(items: list, runs: Tuple[int, ...]) -> list:
+    """``items`` cut into consecutive runs of the given lengths."""
+    rest = iter(items)
+    return [list(islice(rest, length)) for length in runs]
 
 
 def _driver(a) -> Expr:
@@ -520,12 +534,15 @@ def _driver(a) -> Expr:
     return a.expr if isinstance(a, FlatAssign) else a.addr
 
 
-def _ordered(pack_lists: List[PackFields]) -> List[PackFields]:
-    return [list(pack_lists[j]) for j in word_order(pack_lists)]
+def _ordered(pack_lists: List[PackFields], runs: Tuple[int, ...]):
+    """The pack lists as ``cyc`` and then each run's ``fire`` print
+    them, each in :func:`word_order`."""
+    return [[list(lists[j]) for j in word_order(lists)]
+            for lists in [pack_lists] + cut_runs(pack_lists, runs)]
 
 
 def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
-            firsts: Dict[int, list]):
+            runs: Tuple[int, ...], firsts: Dict[int, list]):
     """A repeat's prints, made from its first instance's in ``firsts``:
     the first's template and stats, its name slots through σ and its
     lifted literals through the images FireRipper recorded.  That
@@ -541,10 +558,10 @@ def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
         head, dot, rest = name.partition(".")
         return sigma.get(head, head) + dot + rest
 
-    want = _ordered(pack_lists)
-    for fields, prints, sites in firsts.get(id(first), ()):
-        if [[(rename(port), offset, m) for port, offset, m in f]
-                for f in fields] == want:
+    want = _ordered(pack_lists, runs)
+    for layouts, prints, sites in firsts.get(id(first), ()):
+        if [[[(rename(port), offset, m) for port, offset, m in f]
+             for f in lists] for lists in layouts] == want:
             break
     else:
         return None
@@ -562,5 +579,6 @@ def _derive(elab: Elaboration, pack_lists: List[PackFields], tag: str,
                 return None
         kind = stats["kernel"].split(":", 1)[0]
         derived.append((template, tuple(mine), dict(
-            stats, kernel=f"{kind}:{tag}", derived=stats["kernel"])))
+            stats, kernel=f"{kind}:{tag}", derived=stats["kernel"],
+            reads=tuple(sorted(map(rename, stats["reads"]))))))
     return derived

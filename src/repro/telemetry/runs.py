@@ -22,12 +22,14 @@ across time so trajectories can be tracked.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import shutil
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -39,6 +41,8 @@ RUN_FORMAT = "fireaxe-repro-run"
 RUN_VERSION = 1
 INDEX_FORMAT = "fireaxe-repro-run-index"
 INDEX_FILE = "index.json"
+#: held (``flock``) across every read-modify-write of the index
+LOCK_FILE = "index.lock"
 
 
 def config_fingerprint(config: dict) -> str:
@@ -115,7 +119,10 @@ class RunRegistry:
     one ``stat`` plus one record read however many runs are archived,
     and :meth:`archive` one ``stat`` plus the index rewrite.  Once the
     file changed (another registry or process wrote it, or it was
-    deleted) both fall back to the validated read.
+    deleted) both fall back to the validated read.  Every writer holds
+    an exclusive ``flock`` on ``index.lock`` from that ``stat`` to its
+    rename, so two writers never both extend one index and lose an
+    entry.
     """
 
     def __init__(self, root: Union[str, Path] = "results/runs"):
@@ -141,10 +148,19 @@ class RunRegistry:
         tmp = _own_tmp(path)
         tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
         tmp.replace(path)
-        entries = dict(self._current()[0])
-        entries[run_id] = self._index_entry(record, path)
-        self._write_index(entries)
+        with self._locked():
+            entries = dict(self._current()[0])
+            entries[run_id] = self._index_entry(record, path)
+            self._write_index(entries)
         return path
+
+    @contextmanager
+    def _locked(self):
+        """The index's writer lock, held for the ``with`` body."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / LOCK_FILE, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            yield
 
     def _new_id(self, name: str, fingerprint: str) -> str:
         """The first free sequence number's run id, its directory made
@@ -167,9 +183,10 @@ class RunRegistry:
             raise ReproError(f"no archived run {run_id!r} under "
                              f"{self.root}")
         shutil.rmtree(path)
-        entries = self.index()
-        entries.pop(run_id, None)
-        self._write_index(entries)
+        with self._locked():
+            entries = self.index()
+            entries.pop(run_id, None)
+            self._write_index(entries)
 
     def gc(self, max_age_s: Optional[float] = None,
            keep: Optional[int] = None,
@@ -220,9 +237,11 @@ class RunRegistry:
             for run_id in pruned:
                 shutil.rmtree(self.root / run_id, ignore_errors=True)
             if pruned:
-                for run_id in pruned:
-                    entries.pop(run_id, None)
-                self._write_index(entries)
+                with self._locked():
+                    entries = dict(self._current()[0])
+                    for run_id in pruned:
+                        entries.pop(run_id, None)
+                    self._write_index(entries)
         return pruned
 
     # -- index ------------------------------------------------------------

@@ -42,16 +42,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import SimulationError
 from .metrics import Histogram
 
-#: one series entry: (target cycle, {metric name: value})
-SeriesPoint = Tuple[int, Dict[str, float]]
+#: one series entry, in its JSON form: [target cycle, {metric name:
+#: value}], the names in sorted order
+SeriesPoint = List
 
-#: metric names every sample carries, in emission order
+#: metric names every sample carries, in sorted (emission) order
 SAMPLE_FIELDS: Tuple[str, ...] = (
-    "busy_ns", "ns_per_kcycle", "fmr",
-    "compute_ns", "serdes_ns", "link_wait_ns", "credit_stall_ns",
-    "sync_ns",
-    "tokens_tx", "tokens_rx", "credit_stalls", "queue_depth",
-    "link_tokens",
+    "busy_ns", "compute_ns", "credit_stall_ns", "credit_stalls", "fmr",
+    "link_tokens", "link_wait_ns", "ns_per_kcycle", "queue_depth",
+    "serdes_ns", "sync_ns", "tokens_rx", "tokens_tx",
 )
 
 
@@ -64,7 +63,8 @@ class Sampler:
             raise SimulationError(
                 f"sample interval must be >= 1 (got {interval})")
         self.interval = interval
-        #: partition -> ordered sample series
+        #: partition -> ordered sample series; a point is never
+        #: changed once taken, so a state dict shares it
         self.series: Dict[str, List[SeriesPoint]] = {}
         #: partition -> next target cycle at which to sample (absent:
         #: ``interval``); the harness compares against it before it
@@ -100,40 +100,39 @@ class Sampler:
                 stalls += link.stalls
             if link.dst[0] == name:
                 received += sum(link.depth_hist.values())
-        values = {
+        values = {  # sorted by name: the JSON form, made once
             "busy_ns": busy,
-            "ns_per_kcycle": busy / cycle * 1e3 if cycle else 0.0,
-            "fmr": host_cycles / cycle if cycle else 0.0,
             "compute_ns": spans.compute_ns,
-            "serdes_ns": spans.serdes_ns,
-            "link_wait_ns": spans.link_wait_ns,
             "credit_stall_ns": spans.credit_stall_ns,
-            "sync_ns": spans.sync_ns,
-            "tokens_tx": float(link_tokens),
-            "tokens_rx": float(received),
             "credit_stalls": float(stalls),
-            "queue_depth": float(queue_depth),
+            "fmr": host_cycles / cycle if cycle else 0.0,
             "link_tokens": float(link_tokens),
+            "link_wait_ns": spans.link_wait_ns,
+            "ns_per_kcycle": busy / cycle * 1e3 if cycle else 0.0,
+            "queue_depth": float(queue_depth),
+            "serdes_ns": spans.serdes_ns,
+            "sync_ns": spans.sync_ns,
+            "tokens_rx": float(received),
+            "tokens_tx": float(link_tokens),
         }
-        point: SeriesPoint = (cycle, values)
+        point: SeriesPoint = [cycle, values]
         self.series.setdefault(name, []).append(point)
         return point
 
     # -- persistence ------------------------------------------------------
 
     def state_dict(self, part: Optional[str] = None) -> dict:
-        """Cursors and series of every partition, or of ``part``."""
+        """Cursors and series of every partition, or of ``part``: each
+        series is a fresh list of the points :meth:`take` made, already
+        in their JSON form, so the cost is a pointer per point."""
         return {
             "interval": self.interval,
             "next": {name: cycle
                      for name, cycle in sorted(self.next_at.items())
                      if part in (None, name)},
-            "series": {
-                name: [[cycle, dict(sorted(values.items()))]
-                       for cycle, values in points]
-                for name, points in sorted(self.series.items())
-                if part in (None, name)
-            },
+            "series": {name: list(points)
+                       for name, points in sorted(self.series.items())
+                       if part in (None, name)},
         }
 
     def load_state_dict(self, state: dict,
@@ -148,8 +147,8 @@ class Sampler:
                 self.next_at[name] = int(cycle)
         for name, points in state.get("series", {}).items():
             if part in (None, name):
-                self.series[name] = [(int(cycle), dict(values))
-                                     for cycle, values in points]
+                self.series[name] = [[int(cycle), dict(sorted(
+                    values.items()))] for cycle, values in points]
 
 
 def metrics_snapshot(sim) -> dict:

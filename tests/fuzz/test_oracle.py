@@ -7,6 +7,7 @@ from repro.errors import FuzzFailure, ReproError
 from repro.fuzz import (
     GeneratorKnobs,
     check_checkpoint,
+    check_engine,
     check_fastmode,
     check_faults,
     check_identity,
@@ -186,6 +187,34 @@ class TestFaults:
                    "spike_rate": 0.0}))
         assert "faults" not in clean
         assert check_faults(clean)["status"] == "skipped"
+
+
+class TestEngine:
+    def test_compiled_plane_agrees_with_the_interpreter(self, pipeline):
+        assert check_engine(pipeline)["status"] == "ok"
+
+    def test_interpreter_disagreement_is_caught(self, pipeline,
+                                                monkeypatch):
+        real = oracle.functional_digest
+
+        def skewed(sim, result):
+            digest = real(sim, result)
+            if sim.stepjit is None:
+                digest["outputs"] = {"base/io_out": []}
+            return digest
+
+        monkeypatch.setattr(oracle, "functional_digest", skewed)
+        with pytest.raises(FuzzFailure) as info:
+            check_engine(pipeline)
+        assert info.value.oracle == "engine"
+        assert "outputs" in str(info.value)
+
+    def test_partition_off_the_step_plane_is_caught(self, pipeline,
+                                                    monkeypatch):
+        monkeypatch.setattr(stepjit, "partition_jit_reason",
+                            lambda sim, pplan: "a new cliff")
+        with pytest.raises(FuzzFailure, match="a new cliff"):
+            check_engine(pipeline)
 
 
 class TestDispatch:

@@ -21,8 +21,10 @@ from repro.fireripper import (
     PartitionSpec,
 )
 from repro.fuzz import functional_digest, load_repro
-from repro.harness import (MonolithicSimulation, PartitionedSimulation,
-                           partitioned)
+from repro.firrtl import make_circuit
+from repro.firrtl.builder import ModuleBuilder
+from repro.harness import (FunctionSource, MonolithicSimulation, Partition,
+                           PartitionedSimulation, partitioned, stepjit)
 from repro.harness.stepjit import (
     generate_sources,
     partition_jit_reason,
@@ -40,12 +42,13 @@ from repro.reliability import (
     harden_links,
     inject_faults,
 )
+from repro.libdn import ChannelSpec, LIBDNHost
 from repro.reliability.checkpoint import capture_state, restore_state
 from repro.rtl import Simulator, engine, kernel
 from repro.rtl.kernel import kernel_source
 from repro.service.executor import build_simulation
 from repro.targets import make_comb_pair_circuit
-from repro.targets.soc import make_ring_noc_soc
+from repro.targets.soc import make_ring_noc_soc, make_wide_pair
 from repro.telemetry import Counter, Histogram, NullTelemetry, Telemetry
 
 from ..platform.test_extensions import _ethernet_sim
@@ -275,11 +278,12 @@ class TestGeneratedSources:
                            for v in bindings.values())
 
     # the null-sink binding tables of the comb-pair build: what the
-    # pass bound before the emit sites existed
+    # pass bound before the emit sites existed, with every unit on
+    # fused kernels
     CLEAN_BINDINGS = {
-        "base": "pt sp sm len rng u f e mm r c t dc dq "
+        "base": "pt sp sm len rng u f e mm r iq up qs kf wp "
                 "aq ol olg bk lk cq cb cbg dk xq aq dh dhg cq",
-        "fpga1": "pt sp sm len rng u f e mm r c t dc dq aq "
+        "fpga1": "pt sp sm len rng u f e mm r iq up qs kf wp aq "
                  "lk cq cb cbg dk xq aq dh dhg cq",
     }
 
@@ -348,9 +352,6 @@ class TestGeneratedSources:
             assert callable(step)
 
     def test_fused_kernels_cached_on_elaboration(self):
-        # the comb-pair units all carry dep channels, which keeps them
-        # on the generic tier; a corpus NoC scenario has dep-free units
-        # that take the fused-kernel path
         # inproc: the memo under inspection lives on this process's
         # elaborations (a forked worker's compile never reaches them)
         sim = _fused_sim()
@@ -578,8 +579,11 @@ class TestObservedIdentity:
 
     @pytest.mark.parametrize("mode", [FAST, EXACT])
     def test_comb_pair_generic_tier(self, backend, mode):
+        """Every unit of the comb pair carries dep channels: each fires
+        its dep sets from their own kernels or settles once, on the
+        fused-kernel tier (there is no generic printed tier)."""
         self._same(lambda **kw: _build(mode=mode, **kw), 60, backend,
-                   fused=0)
+                   fused=1)
 
     @pytest.mark.parametrize("build", [
         lambda **kw: _build(**kw), _ring8(FAST)], ids=["generic", "kernel"])
@@ -773,8 +777,11 @@ class TestRuntimeIdentity:
             == d_straight["detail"]["reliability"]
 
     def test_link_give_up_leaves_the_interpreters_state(self):
-        """``link.transmit`` can raise; the partition's cursor, spans
-        and the link's counters are then what the interpreter leaves."""
+        """``link.transmit`` can raise; the partition's cursor, spans,
+        the link's counters and every register, input and output port
+        are then what the interpreter leaves (no settle commits ahead
+        of a call-out).  Combinational intermediates are stale on the
+        compiled plane by contract, so they are not compared."""
         left = {}
         for jit in (True, False):
             sim = _build()
@@ -785,7 +792,14 @@ class TestRuntimeIdentity:
                 # in-process: a failed process run merges nothing back
                 sim.run(80, backend="inproc")
             assert sim.total_tokens > 0  # it got somewhere first
-            left[jit] = json.dumps(capture_state(sim), sort_keys=True)
+            state = capture_state(sim)
+            for name, part in sim.partitions.items():
+                elab = part.host.sim.elab
+                env = state["partitions"][name]["host"]["sim"]["env"]
+                for a in elab.assigns:
+                    if a.name not in elab.outputs:
+                        del env[a.name]
+            left[jit] = json.dumps(state, sort_keys=True)
         assert left[True] == left[False]
 
     def test_exact_mode_matches_interpreter(self):
@@ -949,8 +963,8 @@ class TestKernelFrameLifecycle:
 
 class TestGenericPairOnFirstUse:
     """A compiled RTL engine generates its generic comb/tick pair when
-    something first calls ``eval``/``tick``; kernel-tier partitions run
-    fused kernels and never do."""
+    something first calls ``eval``/``tick``; a compiled plane runs
+    fused kernels and never does."""
 
     @pytest.fixture
     def generated(self, monkeypatch):
@@ -986,12 +1000,16 @@ class TestGenericPairOnFirstUse:
         assert len(generated) == len(off.partitions)
 
     def test_exact_mode_units_bind_it(self, generated):
+        """Dep-carrying units no longer bind it: a JIT-on exact-mode run
+        generates none, its interpreter twin one per partition."""
         on, off = _build(mode=EXACT), _build(mode=EXACT)
         off.stepjit = False
-        assert _digest(on, 100) == _digest(off, 100)
-        assert all("(0 fused-kernel)" in verdict
+        digest = _digest(on, 100)
+        assert all("(1 fused-kernel)" in verdict
                    for verdict in on.last_jit_report.values())
-        assert len(generated) == len(on.partitions) + len(off.partitions)
+        assert generated == []
+        assert _digest(off, 100) == digest
+        assert len(generated) == len(off.partitions)
 
     def test_fallback_and_restore_generate_it_on_demand(self, generated):
         """An interpreted run resumed from a kernel-tier checkpoint
@@ -1025,3 +1043,118 @@ class TestGenericPairOnFirstUse:
         reference = Simulator(circuit, compiled=False)
         reference.run(50)
         assert mono.sim.snapshot() == reference.snapshot()
+
+
+def _kernel_calls(sim):
+    """Wrap every kernel ``sim``'s plane will bind in a counter of its
+    calls (a tick kernel's: its resumes), keyed by kernel tag."""
+    calls = {}
+
+    def counting(fn):
+        tag = fn._stepjit_stats["kernel"]
+
+        def fire(*args):
+            calls[tag] = calls.get(tag, 0) + 1
+            return fn(*args)
+
+        def tick(env, mems):
+            for out in fn(env, mems):
+                calls[tag] = calls.get(tag, 0) + 1
+                yield out
+        spy = tick if isgeneratorfunction(fn) else fire
+        spy._stepjit_stats = fn._stepjit_stats
+        return spy
+
+    for pplan in sim.ensure_schedule():
+        for up in pplan.unit_plans:
+            memo = stepjit.unit_kernels(*stepjit._kernel_request(up))
+            for key, fns in up.unit.sim.elab.kernels.items():
+                if fns is memo:
+                    up.unit.sim.elab.kernels[key] = tuple(
+                        fn and counting(fn) for fn in fns)
+    return calls
+
+
+def _undeclared_read_sim():
+    """One source-fed unit whose output ``o = r ^ b`` declares only the
+    input channel ``a`` (which drives ``r``): its cone reads ``b``
+    too, so the interpreter's fire reads ``b`` as the last advance
+    left it."""
+    b = ModuleBuilder("Undeclared")
+    a_in, b_in = b.input("a", 8), b.input("b", 8)
+    r, o = b.reg("r", 8), b.output("o", 8)
+    b.connect(r, (r + a_in).trunc(8))
+    b.connect(o, r ^ b_in)
+    host = LIBDNHost(
+        Simulator(make_circuit(b.build(), [])),
+        [ChannelSpec.make("a", [("a", 8)]),
+         ChannelSpec.make("b", [("b", 8)])],
+        [ChannelSpec.make("out", [("o", 8)], deps=["a"])], name="p")
+    sources = {("p", "a"): FunctionSource(lambda c: {"a": c % 7 + 1}),
+               ("p", "b"): FunctionSource(lambda c: {"b": c * 37 % 256})}
+    return PartitionedSimulation([Partition("p", host)], [],
+                                 sources=sources, record_outputs=True)
+
+
+class TestOneTier:
+    """Every unit runs on fused kernels: it settles once when its
+    inputs are in, and otherwise fires each dep set from its own
+    kernel, bit for bit the interpreter's run."""
+
+    def test_dep_inputs_arriving_in_different_passes(self):
+        """The exact-mode comb pair: each unit's two dep sets see their
+        inputs in different passes, so both fire kernels run every
+        cycle and the split advance resumes ``cyc`` once."""
+        sim, ref = _build(mode=EXACT), _build(mode=EXACT)
+        ref.stepjit = False
+        calls = _kernel_calls(sim)
+        assert _digest(sim, 60) == _digest(ref, 60)
+        assert calls == {f"{kind}:{part}": 60
+                         for kind in ("fire0", "fire1", "cyc")
+                         for part in ("base", "fpga1")}
+
+    def test_an_undeclared_input_read_stays_off_the_single_settle(
+            self, monkeypatch):
+        """The printer reports ``b`` in the cone of ``out``, whose
+        channel declares only ``a``: the unit settles once only when no
+        poke would change the env, so it keeps the interpreter's stale
+        ``b``.  Settling once regardless would not."""
+        sim, ref = _undeclared_read_sim(), _undeclared_read_sim()
+        ref.stepjit = False
+        calls = _kernel_calls(sim)
+        want = _digest(ref, 40)
+        assert _digest(sim, 40) == want
+        assert calls["fire:p"] == 40
+        assert sim.last_jit_report["p"].startswith(
+            "compiled: 1 unit(s) (1 fused-kernel)")
+        monkeypatch.setattr(stepjit, "_settle_rule", lambda *a: "poke")
+        unguarded = _undeclared_read_sim()
+        assert _digest(unguarded, 40)["outputs"] != want["outputs"]
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+    def test_every_corpus_unit_runs_on_fused_kernels(self, path):
+        sim = _corpus_sim(path)
+        sim.run(5, backend="inproc")
+        for name, part in sim.partitions.items():
+            units = len(part.units)
+            assert sim.last_jit_report[name].startswith(
+                f"compiled: {units} unit(s) ({units} fused-kernel)")
+
+    @pytest.mark.parametrize("build", [
+        lambda: FireRipper(PartitionSpec(mode=EXACT, groups=[
+            PartitionGroup.make("fpga0", ["right"])])).compile(
+                make_wide_pair(1024, comb_boundary=True)
+        ).build_simulation(QSFP_AURORA, record_outputs=True)] + [
+        lambda path=path: _corpus_sim(path) for path in CORPUS
+        if _clean_config(path)["mode"] == EXACT],
+        ids=["widepair1024_exact"] + [
+            p.stem for p in CORPUS if _clean_config(p)["mode"] == EXACT])
+    def test_a_jit_run_never_generates_the_generic_pair(
+            self, monkeypatch, build):
+        made = []
+        monkeypatch.setattr(engine, "_compile", made.append)
+        sim = build()
+        sim.run(30, backend="inproc")
+        assert made == []
+        assert all(v.startswith("compiled")
+                   for v in sim.last_jit_report.values())

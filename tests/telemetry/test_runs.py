@@ -152,6 +152,13 @@ def _archive_60(root, writer):
                          extra={"call": f"{writer}{i}"})
 
 
+def _archive_60_distinct(root, writer):
+    registry = RunRegistry(root)
+    for i in range(60):
+        registry.archive(_small_result(), name=writer,
+                         config={"writer": writer, "i": i})
+
+
 def _count_opens(monkeypatch):
     """Every file name the registry opens from here on, in order
     (``Path.read_text`` and friends open through ``Path.open``)."""
@@ -326,6 +333,25 @@ class TestTwoRegistries:
         assert all(r["run_id"] == run_id for run_id, r in records.items())
         assert {r["call"] for r in records.values()} == {
             f"{w}{i}" for w in "ab" for i in range(60)}
+
+    def test_two_processes_keep_every_index_entry(self, tmp_path):
+        """Two processes each archiving 60 runs of their own configs:
+        the index's read-modify-write runs under the writers' lock, so
+        the raw ``index.json`` lists all 120 and no ``archive()``
+        fails."""
+        import multiprocessing
+        root = tmp_path / "runs"
+        fork = multiprocessing.get_context("fork")
+        workers = [fork.Process(target=_archive_60_distinct,
+                                args=(root, w)) for w in "ab"]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert [w.exitcode for w in workers] == [0, 0]
+        index = json.loads((root / "index.json").read_text())["runs"]
+        assert len(index) == 120
+        assert {e["name"] for e in index.values()} == {"a", "b"}
 
     def test_deleted_index_is_rebuilt(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
